@@ -217,8 +217,10 @@ class Runtime:
         )
 
     def _record(self, state: RuntimeState, kind: str, subject: str, detail: str = "") -> None:
-        if self.trace is not None:
-            self.trace.append(state.tick, kind, subject, detail)
+        # Callers test ``self.trace`` first, so no record text is built when
+        # recording is off (the verifier's inner loop).
+        assert self.trace is not None
+        self.trace.append(state.tick, kind, subject, detail)
 
     # -- expression evaluation ---------------------------------------------------
 
@@ -276,6 +278,7 @@ class Runtime:
 
         Returns True when the event was raised, False when suppressed.
         """
+        recording = self.trace is not None
         event = occ.event
         element = event[0]
         decl = self.event_decls[event]
@@ -287,10 +290,12 @@ class Runtime:
             ):
                 override = (occ.changed_metric, occ.old_value)
             if not self.eval_expr(decl.guard, state, element, override=override):
-                self._record(state, EVENT_SUPPRESSED, qual(event), "guard false")
+                if recording:
+                    self._record(state, EVENT_SUPPRESSED, qual(event), "guard false")
                 state.last_event = None
                 return False
-        self._record(state, EVENT_RAISED, qual(event), occ.cause.render())
+        if recording:
+            self._record(state, EVENT_RAISED, qual(event), occ.cause.render())
         state.last_event = event
 
         initiated: list[Key] = []
@@ -298,11 +303,13 @@ class Runtime:
             if not state.fluents[fkey]:
                 state.fluents[fkey] = True
                 initiated.append(fkey)
-                self._record(state, FLUENT_INITIATED, qual(fkey), f"by {qual(event)}")
+                if recording:
+                    self._record(state, FLUENT_INITIATED, qual(fkey), f"by {qual(event)}")
         for fkey in self.terminators.get(event, ()):
             if state.fluents[fkey]:
                 state.fluents[fkey] = False
-                self._record(state, FLUENT_TERMINATED, qual(fkey), f"by {qual(event)}")
+                if recording:
+                    self._record(state, FLUENT_TERMINATED, qual(fkey), f"by {qual(event)}")
 
         if initiated:
             just_initiated = set(initiated)
@@ -311,10 +318,13 @@ class Runtime:
                     continue
                 if not all(state.fluents[c] for c in mapping.conditions):
                     continue
-                detail = "conditions: " + ", ".join(qual(c) for c in mapping.conditions)
-                self._record(state, MAPPING_FIRED, mapping.subject, detail)
+                cause = ""
+                if recording:
+                    detail = "conditions: " + ", ".join(qual(c) for c in mapping.conditions)
+                    self._record(state, MAPPING_FIRED, mapping.subject, detail)
+                    cause = f"mapping {mapping.subject}"
                 for action_key in mapping.actions:
-                    self.execute_action(state, action_key, f"mapping {mapping.subject}")
+                    self.execute_action(state, action_key, cause)
         return True
 
     def execute_action(
@@ -323,7 +333,7 @@ class Runtime:
         """Run one action. Returns (outcome, failure reason).
 
         Outcome is SUCCESS, GUARD_REJECTED, or ERROR. Guard rejection runs no
-        statements and leaves no trace records.
+        statements and leaves no trace records. ``cause`` is trace text only.
         """
         if depth > self.config.max_call_depth:
             raise DepthLimitError(f"call depth exceeded at {qual(action_key)}")
@@ -332,7 +342,9 @@ class Runtime:
         bindings: dict[str, bool] = {}
         if decl.guard is not None and not self.eval_expr(decl.guard, state, element):
             return GUARD_REJECTED, None
-        self._record(state, ACTION_STARTED, qual(action_key), cause)
+        recording = self.trace is not None
+        if recording:
+            self._record(state, ACTION_STARTED, qual(action_key), cause)
 
         failure: str | None = None
         for stmt in decl.does:
@@ -342,13 +354,15 @@ class Runtime:
 
         if failure is None and decl.ensures is not None:
             if not self.eval_expr(decl.ensures, state, element, bindings):
-                self._record(
-                    state, ENSURES_VIOLATED, qual(action_key), format_expr(decl.ensures)
-                )
+                if recording:
+                    self._record(
+                        state, ENSURES_VIOLATED, qual(action_key), format_expr(decl.ensures)
+                    )
                 failure = "ENSURES violated"
 
         if failure is None:
-            self._record(state, ACTION_SUCCEEDED, qual(action_key))
+            if recording:
+                self._record(state, ACTION_SUCCEEDED, qual(action_key))
             for ref in decl.triggers:
                 self._enqueue(
                     state,
@@ -356,7 +370,8 @@ class Runtime:
                 )
             return SUCCESS, None
 
-        self._record(state, ACTION_FAILED, qual(action_key), failure)
+        if recording:
+            self._record(state, ACTION_FAILED, qual(action_key), failure)
         for stmt in decl.onerr_does:
             if self._exec_stmt(state, stmt, action_key, bindings, depth) is not None:
                 break  # a failure inside the error path aborts it
@@ -380,9 +395,8 @@ class Runtime:
         element = action_key[0]
         if isinstance(stmt, CallStmt):
             callee = (element, stmt.action.name)
-            outcome, reason = self.execute_action(
-                state, callee, f"called by {qual(action_key)}", depth + 1
-            )
+            cause = f"called by {qual(action_key)}" if self.trace is not None else ""
+            outcome, reason = self.execute_action(state, callee, cause, depth + 1)
             if outcome == ERROR:
                 return f"call {qual(callee)} failed: {reason}"
             if stmt.binding:
@@ -407,9 +421,12 @@ class Runtime:
         """Write a metric and enqueue CHANGED occurrences (write triggered)."""
         old = state.metrics[metric]
         state.metrics[metric] = value
-        value_type = type_of_value(value)
-        detail = f"{render_value(old, type_of_value(old))} -> {render_value(value, value_type)}"
-        self._record(state, METRIC_ASSIGNED, qual(metric), detail)
+        if self.trace is not None:
+            detail = (
+                f"{render_value(old, type_of_value(old))}"
+                f" -> {render_value(value, type_of_value(value))}"
+            )
+            self._record(state, METRIC_ASSIGNED, qual(metric), detail)
         for event in self.changed_subs.get(metric, ()):
             self._enqueue(
                 state,
@@ -427,14 +444,17 @@ class Runtime:
     ) -> bool:
         """Enqueue a message; returns False when the channel was full."""
         queue = state.channels[channel]
+        recording = self.trace is not None
         if len(queue) >= self.channel_capacity[channel]:
-            self._record(
-                state, MESSAGE_SENT, qual(message),
-                f"over {qual(channel)} dropped (channel full)",
-            )
+            if recording:
+                self._record(
+                    state, MESSAGE_SENT, qual(message),
+                    f"over {qual(channel)} dropped (channel full)",
+                )
             return False
         queue.append((message, sender))
-        self._record(state, MESSAGE_SENT, qual(message), f"over {qual(channel)} by {sender}")
+        if recording:
+            self._record(state, MESSAGE_SENT, qual(message), f"over {qual(channel)} by {sender}")
         for event in self.sent_subs.get(message, ()):
             self._enqueue(
                 state,
@@ -480,10 +500,11 @@ class Runtime:
                 for message, sender in queue:
                     decl = self.message_decls[message]
                     if decl.receiver == elem:
-                        self._record(
-                            state, MESSAGE_RECEIVED, qual(message),
-                            f"by {elem} over {qual(channel)}",
-                        )
+                        if self.trace is not None:
+                            self._record(
+                                state, MESSAGE_RECEIVED, qual(message),
+                                f"by {elem} over {qual(channel)}",
+                            )
                         for event in self.received_subs.get(message, ()):
                             self._enqueue(
                                 state,

@@ -22,10 +22,23 @@ through the graph realizable by a scenario, which keeps counterexamples
 replayable. Exploration is breadth first with canonical ordering, so state
 numbering, edge order, and every downstream verdict are independent of
 worker count.
+
+Two facts keep the stored state small:
+
+* Slot order. ``Runtime.init`` builds the fluent, metric and channel dicts
+  in the engine's declaration order, the same order ``Layout`` takes its
+  keys from, and the engine only ever overwrites existing keys. So
+  ``Layout.vector`` reads the dicts' values in insertion order instead of
+  looking every key up; ``build_lts`` checks the order on the initial state.
+* Snapshot lifetime. The full ``RuntimeState`` of a state is kept only
+  while the state waits in the frontier. Expanding it pops the snapshot
+  (its last successor is computed in place), so a finished graph holds
+  vectors alone.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,7 +68,7 @@ class Bounds:
     max_pending: int = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """Canonical, hashable projection of a runtime configuration."""
 
@@ -82,17 +95,27 @@ class Layout:
             if isinstance(decl, MetricDecl)
         }
 
+    def in_slot_order(self, state: RuntimeState) -> bool:
+        """Whether the state's dicts iterate in this layout's key order."""
+        return (
+            tuple(state.fluents) == self.fluent_keys
+            and tuple(state.metrics) == self.metric_keys
+            and tuple(state.channels) == self.channel_keys
+        )
+
     def vector(self, state: RuntimeState) -> StateVector:
+        """Project a state whose dicts are in slot order (see module doc)."""
+        tick = state.tick
         return StateVector(
-            fluents=tuple(state.fluents[k] for k in self.fluent_keys),
-            metrics=tuple(state.metrics[k] for k in self.metric_keys),
-            channels=tuple(
-                tuple(message for message, _sender in state.channels[k])
-                for k in self.channel_keys
+            tuple(state.fluents.values()),
+            tuple(state.metrics.values()),
+            tuple(
+                tuple([message for message, _sender in queue])
+                for queue in state.channels.values()
             ),
-            pending=tuple(occ.event for occ in state.pending),
-            timers=tuple(t - state.tick for t in state.timers),
-            last_event=state.last_event,
+            tuple([occ.event for occ in state.pending]),
+            tuple([t - tick for t in state.timers]),
+            state.last_event,
         )
 
 
@@ -108,26 +131,67 @@ class Lts:
     env: tuple[EnvStimulus, ...]
     bounds: Bounds
     initial: int = 0
-    _succ: dict[int, list[tuple[str, int]]] = field(default_factory=dict, repr=False)
+    _succ: dict[int, list[tuple[str, int]]] | None = field(default=None, repr=False)
+    _bfs: tuple[list[int], dict[int, tuple[int, str]]] | None = field(
+        default=None, repr=False
+    )
+    _metric_atoms: dict[tuple[int, object, type], str] = field(
+        default_factory=dict, repr=False
+    )
 
     def successors(self, state_id: int) -> list[tuple[str, int]]:
-        if not self._succ:
+        if self._succ is None:
+            self._succ = {}
             for src, label, dst in self.edges:
                 self._succ.setdefault(src, []).append((label, dst))
             for adjacency in self._succ.values():
                 adjacency.sort()
         return self._succ.get(state_id, [])
 
+    def bfs_tree(self) -> tuple[list[int], dict[int, tuple[int, str]]]:
+        """Reachable states in BFS order from the initial state, and each
+        one's (parent, edge label). Built once per graph.
+
+        Adjacency is label sorted, so discovery order yields the shortest,
+        lexicographically least path to every state.
+        """
+        if self._bfs is None:
+            parent: dict[int, tuple[int, str]] = {}
+            order: list[int] = []
+            seen = {self.initial}
+            queue = deque([self.initial])
+            while queue:
+                src = queue.popleft()
+                order.append(src)
+                for label, dst in self.successors(src):
+                    if dst not in seen:
+                        seen.add(dst)
+                        parent[dst] = (src, label)
+                        queue.append(dst)
+            self._bfs = (order, parent)
+        return self._bfs
+
     def labeling(self, state_id: int) -> frozenset[str]:
         """Atomic propositions holding at a state."""
         vec = self.states[state_id]
+        layout = self.layout
         props = {
             f"fluent:{qual(key)}"
-            for key, active in zip(self.layout.fluent_keys, vec.fluents)
+            for key, active in zip(layout.fluent_keys, vec.fluents)
             if active
         }
-        for key, value in zip(self.layout.metric_keys, vec.metrics):
-            props.add(f"metric:{qual(key)}={render_value(value, type_of_value(value))}")
+        # Keyed by type too: True, 1 and 1.0 hash equal but render apart.
+        # Floats skip the cache, since 0.0 == -0.0 as well.
+        atoms = self._metric_atoms
+        for slot, value in enumerate(vec.metrics):
+            cache_key = (slot, value, type(value))
+            atom = atoms.get(cache_key)
+            if atom is None:
+                key = layout.metric_keys[slot]
+                atom = f"metric:{qual(key)}={render_value(value, type_of_value(value))}"
+                if type(value) is not float:
+                    atoms[cache_key] = atom
+            props.add(atom)
         if vec.last_event is not None:
             props.add(f"event:{qual(vec.last_event)}")
         return frozenset(props)
@@ -172,23 +236,27 @@ def build_lts(
     env = tuple(sorted(env, key=lambda stim: stim.render()))
 
     initial = runtime.init()
+    assert layout.in_slot_order(initial), "runtime state dicts are not in slot order"
     states: list[StateVector] = [layout.vector(initial)]
-    snapshots: list[RuntimeState] = [initial]
+    # Snapshots of frontier states only; ``expand`` pops each one.
+    snapshots: dict[int, RuntimeState] = {0: initial}
     index: dict[StateVector, int] = {states[0]: 0}
     edges: list[tuple[int, str, int]] = []
     expanded: set[int] = set()
     truncated = False
 
     def expand(state_id: int) -> list[tuple[str, RuntimeState]]:
-        state = snapshots[state_id]
+        # The popped snapshot has no other owner, so the last successor may
+        # reuse it instead of a copy.
+        state = snapshots.pop(state_id)
         if state.pending:
-            nxt = state.copy()
-            event = runtime.step(nxt)
+            event = runtime.step(state)
             assert event is not None
-            return [(f"proc {qual(event)}", nxt)]
+            return [(f"proc {qual(event)}", state)]
         out: list[tuple[str, RuntimeState]] = []
-        for stimulus in env:
-            nxt = state.copy()
+        last = len(env) - 1
+        for i, stimulus in enumerate(env):
+            nxt = state if i == last else state.copy()
             if isinstance(stimulus, Tick):
                 runtime.advance_tick(nxt)
             else:
@@ -227,16 +295,13 @@ def build_lts(
                     dst = len(states)
                     index[vec] = dst
                     states.append(vec)
-                    snapshots.append(nxt)
+                    snapshots[dst] = nxt
                     next_frontier.append(dst)
                 edges.append((state_id, label, dst))
             if complete:
                 expanded.add(state_id)
         frontier = next_frontier
         depth += 1
-    if frontier and not truncated:
-        # loop exited via the cap with work left
-        truncated = True
 
     edges.sort()
     return Lts(

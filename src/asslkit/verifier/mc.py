@@ -14,6 +14,10 @@ verdict.
 Every counterexample replays in the runtime: stimulus edges exist only at
 quiescent states, so the stem maps directly onto a scenario, and processing
 edges are the runtime's own deterministic drain steps.
+
+The breadth-first tree from the initial state, which gives every shape its
+visiting order and its shortest stems, is built once per graph
+(``Lts.bfs_tree``) and shared by every property checked on it.
 """
 
 from __future__ import annotations
@@ -84,21 +88,7 @@ def check(lts: Lts, prop: TemporalProperty) -> Verdict:
 class _Checker:
     def __init__(self, lts: Lts) -> None:
         self.lts = lts
-        self.n = lts.state_count
-        # BFS with label-sorted adjacency: discovery order yields the
-        # shortest, lexicographically least path to every state.
-        self.parent: dict[int, tuple[int, str]] = {}
-        self.order: list[int] = []
-        seen = {lts.initial}
-        queue = deque([lts.initial])
-        while queue:
-            src = queue.popleft()
-            self.order.append(src)
-            for label, dst in lts.successors(src):
-                if dst not in seen:
-                    seen.add(dst)
-                    self.parent[dst] = (src, label)
-                    queue.append(dst)
+        self.order, self.parent = lts.bfs_tree()
 
     # -- shared machinery ---------------------------------------------------
 
@@ -159,12 +149,13 @@ class _Checker:
                     cyclic.add(only)
         return cyclic
 
-    def escape_set(self, region: set[int]) -> set[int]:
+    def escape_set(self, region: set[int], cyclic: set[int]) -> set[int]:
         """States of ``region`` from which a maximal path can stay in it:
-        ones that reach (inside it) a cycle or a genuine dead end."""
-        seeds = self.cyclic_states(region) | {
-            s for s in region if self.is_dead_end(s)
-        }
+        ones that reach (inside it) a cycle or a genuine dead end.
+
+        ``cyclic`` is ``cyclic_states(region)``.
+        """
+        seeds = cyclic | {s for s in region if self.is_dead_end(s)}
         # backward closure within the region
         reverse: dict[int, list[int]] = {}
         for src in region:
@@ -216,13 +207,13 @@ class _Checker:
         ``start_states`` are candidate anchors in BFS order (each must itself
         be in the region); the continuation is found inside the region.
         """
-        escape = self.escape_set(region)
+        cyclic = self.cyclic_states(region)
+        escape = self.escape_set(region, cyclic)
         for anchor in start_states:
             if anchor not in escape:
                 continue
             stem = self.path_to(anchor)
             parent, order = self.region_bfs(anchor, region)
-            cyclic = self.cyclic_states(region)
             target = None
             for state in order:
                 if self.is_dead_end(state) or state in cyclic:
@@ -367,21 +358,23 @@ def _tarjan(region: set[int], lts: Lts) -> list[list[int]]:
     for root in sorted(region):
         if root in index:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        # (node, its in-region successors or None before the first visit,
+        # index of the next successor to look at)
+        work: list[tuple[int, list[int] | None, int]] = [(root, None, 0)]
         while work:
-            node, edge_idx = work.pop()
-            if edge_idx == 0:
+            node, successors, edge_idx = work.pop()
+            if successors is None:
                 index[node] = lowlink[node] = counter
                 counter += 1
                 stack.append(node)
                 on_stack.add(node)
-            successors = [dst for _label, dst in lts.successors(node) if dst in region]
+                successors = [dst for _label, dst in lts.successors(node) if dst in region]
             advanced = False
             for i in range(edge_idx, len(successors)):
                 dst = successors[i]
                 if dst not in index:
-                    work.append((node, i + 1))
-                    work.append((dst, 0))
+                    work.append((node, successors, i + 1))
+                    work.append((dst, None, 0))
                     advanced = True
                     break
                 if dst in on_stack:

@@ -96,6 +96,25 @@ AE worker {{
 """
 
 
+# Verify environment closures documented in each package README; an empty
+# closure means the default environment.
+README_ENVS = {
+    "ants_self_protecting": (
+        "send privateMessage secureLink",
+        "set messageVerdictSecure true",
+        "set messageVerdictSecure false",
+        "tick",
+    ),
+    "ants_self_healing": (
+        "tick",
+        "set worker.alive false",
+        "set worker.alive true",
+    ),
+    "ants_self_configuring_and_scheduling": (),
+    "voyager_image_processing": (),
+}
+
+
 @pytest.fixture(scope="session")
 def figures_spec():
     spec = check_all(parse_text(figures_wrapped(), "figures.assl"))

@@ -2,7 +2,10 @@
 
 ``brute_force_lts`` enumerates the reachable graph with its own depth-first
 bookkeeping, keyed by state vectors rather than discovery ids, so it shares
-no exploration machinery with the breadth-first builder it cross-checks.
+no exploration machinery with the breadth-first ``build_lts`` it
+cross-checks. It also projects states onto vectors itself, by key lookup,
+instead of through ``Layout.vector``, which reads the runtime's dicts in
+slot order.
 ``exhaustive_check`` evaluates a temporal property by enumerating every
 maximal path (stopping each branch at its first lasso or dead end) and
 applying the shape's semantics directly to the path.
@@ -28,7 +31,7 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
     runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
     layout = Layout(runtime)
     init_state = runtime.init()
-    init_vec = layout.vector(init_state)
+    init_vec = project(layout, init_state)
 
     states: dict[StateVector, object] = {}
     edges: set[tuple[StateVector, str, StateVector]] = set()
@@ -41,7 +44,7 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
         if state.pending:
             nxt = state.copy()
             event = runtime.step(nxt)
-            nxt_vec = layout.vector(nxt)
+            nxt_vec = project(layout, nxt)
             edges.add((vec, f"proc {qual(event)}", nxt_vec))
             stack.append((nxt_vec, nxt))
         else:
@@ -51,13 +54,28 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
                     runtime.advance_tick(nxt)
                 else:
                     runtime.apply_stimulus(nxt, stimulus)
-                nxt_vec = layout.vector(nxt)
+                nxt_vec = project(layout, nxt)
                 edges.add((vec, stimulus.render(), nxt_vec))
                 stack.append((nxt_vec, nxt))
         assert len(states) <= state_cap, "oracle exploration exceeded its cap"
 
     labelings = {vec: _label(layout, vec) for vec in states}
     return set(states), edges, labelings, init_vec
+
+
+def project(layout: Layout, state) -> StateVector:
+    """The state vector of ``state``, looked up key by key."""
+    return StateVector(
+        fluents=tuple(state.fluents[key] for key in layout.fluent_keys),
+        metrics=tuple(state.metrics[key] for key in layout.metric_keys),
+        channels=tuple(
+            tuple(message for message, _sender in state.channels[key])
+            for key in layout.channel_keys
+        ),
+        pending=tuple(occ.event for occ in state.pending),
+        timers=tuple(t - state.tick for t in state.timers),
+        last_event=state.last_event,
+    )
 
 
 def _label(layout: Layout, vec: StateVector) -> frozenset[str]:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from asslkit import check_all, parse_text
@@ -20,29 +24,14 @@ from asslkit.verifier import (
     VIOLATED,
     build_lts,
     check,
+    lts_to_text,
     parse_env_stimulus,
     parse_property,
     parse_property_file,
     replay_counterexample,
 )
-from conftest import FIG_ACTION_CALL, FIG_EVENTS, FIG_POLICY, figures_wrapped
+from conftest import FIG_ACTION_CALL, FIG_EVENTS, FIG_POLICY, README_ENVS, figures_wrapped
 
-# Environment closures documented in each package README.
-ENVS = {
-    "ants_self_protecting": (
-        "send privateMessage secureLink",
-        "set messageVerdictSecure true",
-        "set messageVerdictSecure false",
-        "tick",
-    ),
-    "ants_self_healing": (
-        "tick",
-        "set worker.alive false",
-        "set worker.alive true",
-    ),
-    "ants_self_configuring_and_scheduling": (),
-    "voyager_image_processing": (),
-}
 
 
 def test_all_packages_check_clean(mission_pairs):
@@ -72,9 +61,23 @@ def test_all_scenarios_reach_quiescent_halt(mission_pairs):
             assert stuck == [], (pkg.name, path.stem, stuck)
 
 
+def test_graph_exports_are_byte_identical(mission_pairs):
+    """``lts_to_text`` under each README environment, pinned by sha256."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("graph_sha256.json").read_text()
+    )
+    assert set(pinned) == {pkg.name for pkg, _spec in mission_pairs}
+    for pkg, spec in mission_pairs:
+        env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name]) or None
+        lts = build_lts(spec, env=env)
+        text = lts_to_text(lts)
+        assert lts.state_count == pinned[pkg.name]["states"], pkg.name
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[pkg.name]["sha256"], pkg.name
+
+
 def test_all_property_files_hold_at_default_bounds(mission_pairs):
     for pkg, spec in mission_pairs:
-        env_texts = ENVS[pkg.name]
+        env_texts = README_ENVS[pkg.name]
         env = tuple(parse_env_stimulus(spec, t) for t in env_texts) or None
         lts = build_lts(spec, env=env)
         assert not lts.truncated, pkg.name

@@ -30,6 +30,7 @@ from asslkit.runtime.state import (
     MESSAGE_SENT,
     EventOccurrence,
 )
+from asslkit.verifier import Layout
 from specgen import random_checked_spec, random_scenario
 from tracecheck import (
     check_alternation,
@@ -403,6 +404,58 @@ class TestScenarioParsing:
     def test_bad_value(self, protecting_spec):
         with pytest.raises(ScenarioError):
             parse_scenario("tick 0 set messageVerdictSecure 42", protecting_spec)
+
+
+class TestRecordingOff:
+    def test_recording_off_walks_the_same_states(self, mission_pairs):
+        # Recording only adds trace text: stepping a recording and a
+        # non-recording runtime through the same stimuli and drains must
+        # visit the same states, with dicts kept in layout slot order.
+        recorded = compared = 0
+        for pkg, spec in mission_pairs:
+            for path in pkg.scenario_paths():
+                scenario = pkg.scenario(path.stem, spec)
+                on = Runtime(spec, seed=scenario.seed, record=True)
+                off = Runtime(spec, seed=scenario.seed, record=False)
+                layout = Layout(off)
+                pair = ((on, on.init()), (off, off.init()))
+
+                def same(where: str) -> None:
+                    nonlocal compared
+                    (_, a), (_, b) = pair
+                    assert layout.in_slot_order(a) and layout.in_slot_order(b)
+                    assert layout.vector(a) == layout.vector(b), (pkg.name, path.stem, where)
+                    compared += 1
+
+                def drain() -> None:
+                    while pair[0][1].pending:
+                        for runtime, state in pair:
+                            runtime.step(state)
+                        same("step")
+
+                steps = list(scenario.steps)
+                index = 0
+                halted = False
+                while True:
+                    while index < len(steps) and steps[index][0] <= pair[0][1].tick:
+                        stimulus = steps[index][1]
+                        index += 1
+                        if isinstance(stimulus, Halt):
+                            halted = True
+                            break
+                        for runtime, state in pair:
+                            runtime.apply_stimulus(state, stimulus)
+                        same(stimulus.render())
+                        drain()
+                    if halted or index >= len(steps) or pair[0][1].tick >= 1000:
+                        break
+                    for runtime, state in pair:
+                        runtime.advance_tick(state)
+                    same("tick")
+                    drain()
+                assert off.trace is None
+                recorded += len(on.trace.records)
+        assert recorded > 0 and compared > 0
 
 
 class TestTraceInvariants:

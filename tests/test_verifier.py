@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -24,6 +25,11 @@ from asslkit.verifier import (
     replay_counterexample,
     eval_prop,
 )
+from asslkit.missions import all_missions
+from asslkit.runtime import Runtime
+from asslkit.verifier import Layout, Lts, StateVector
+from asslkit.verifier.mc import _tarjan
+from conftest import README_ENVS
 from oracles import brute_force_lts, exhaustive_check, lts_as_sets
 from specgen import env_for, random_checked_spec, random_properties
 
@@ -143,6 +149,23 @@ class TestBuildLts:
         assert one.states == four.states
         assert one.edges == four.edges
         assert one.truncated == four.truncated
+
+    def test_threads_pop_snapshots_safely(self, healing_spec):
+        # Expansion pops each frontier snapshot from a dict shared by the
+        # worker threads; switch threads as often as possible.
+        env = tuple(
+            parse_env_stimulus(healing_spec, t) for t in README_ENVS["ants_self_healing"]
+        )
+        serial = build_lts(healing_spec, env=env)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = build_lts(healing_spec, env=env, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.states == serial.states
+        assert threaded.edges == serial.edges
+        assert threaded.expanded == serial.expanded
 
     def test_truncation_by_state_bound(self, toggle_spec):
         lts = build_lts(toggle_spec, bounds=Bounds(max_states=3))
@@ -419,3 +442,141 @@ class TestPropertyParsing:
             "G ((fluent busy) -> ((metric held) & (! (event stop))))", toggle_spec
         )
         assert prop.shape == "G"
+
+
+# One holding and one violated property of every shape, on any spec.
+EVERY_SHAPE_BOTH_WAYS = (
+    "G true",
+    "G false",
+    "F true",
+    "F false",
+    "G (implies true (F true))",
+    "G (implies true (F false))",
+    "G (implies true (X true))",
+    "G (implies true (X false))",
+    "false U true",
+    "true U false",
+)
+
+
+def _outcome(spec, lts, verdict):
+    """Everything a caller sees of one verdict."""
+    if verdict.result != VIOLATED:
+        return verdict, None, None
+    text, scenario = explain(spec, lts, verdict)
+    return verdict, text, scenario.render()
+
+
+class TestSharedWork:
+    """Work cached on an Lts and shared across properties changes nothing."""
+
+    def _assert_order_independent(self, spec, build, props):
+        forward_lts = build()
+        forward = [_outcome(spec, forward_lts, check(forward_lts, p)) for p in props]
+        reverse_lts = build()
+        reverse = [
+            _outcome(spec, reverse_lts, check(reverse_lts, p)) for p in reversed(props)
+        ][::-1]
+        fresh = []
+        for prop in props:
+            lts = build()
+            fresh.append(_outcome(spec, lts, check(lts, prop)))
+        assert forward == fresh
+        assert reverse == fresh
+        return {(v.prop.shape, v.result) for v, _text, _scenario in fresh}
+
+    def test_verdicts_do_not_depend_on_check_order_on_missions(self):
+        rng = random.Random(3)
+        for pkg in all_missions():
+            spec = pkg.load()
+            env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name]) or None
+            lines = list(EVERY_SHAPE_BOTH_WAYS) + random_properties(spec, rng, count=20)
+            props = [parse_property(line, spec) for line in lines]
+            props += [
+                prop
+                for path in pkg.prop_paths()
+                for prop in parse_property_file(path.read_text(), spec)
+            ]
+            seen = self._assert_order_independent(
+                spec, lambda: build_lts(spec, env=env), props
+            )
+            assert len(seen) == 10, pkg.name
+
+    def test_verdicts_do_not_depend_on_check_order_on_toggle(self, toggle_spec):
+        lines = list(EVERY_SHAPE_BOTH_WAYS) + [
+            "G (! (fluent busy))",
+            "F (event go)",
+            "G (implies (fluent busy) (F (event stop)))",
+            "G (implies (event go) (X (fluent busy)))",
+            "(! (fluent busy)) U (event go)",
+            "G (metric held)",
+        ]
+        props = [parse_property(line, toggle_spec) for line in lines]
+        seen = self._assert_order_independent(
+            toggle_spec, lambda: build_lts(toggle_spec), props
+        )
+        assert len(seen) == 10
+
+    def test_tarjan_on_long_chain_into_large_cycle(self, toggle_spec):
+        # 0 -> 1 -> ... -> chain-1 -> cycle ring of `ring` states, plus a
+        # dead-end spur off the middle of the chain. `busy` holds on one
+        # ring state and on the spur, `held` on the chain only.
+        chain, ring = 1500, 1200
+        n = chain + ring + 1
+        spur = n - 1
+        busy_at = chain + ring // 2
+        layout = Layout(Runtime(toggle_spec, record=False))
+
+        def vector(i):
+            return StateVector(
+                (i in (busy_at, spur),), (i < chain,), (), (), (), None
+            )
+
+        edges = [(i, "tick", i + 1) for i in range(chain + ring - 1)]
+        edges.append((chain + ring - 1, "tick", chain))
+        edges.append((chain // 2, "inject unit.go", spur))
+        lts = Lts(
+            layout=layout,
+            states=[vector(i) for i in range(n)],
+            edges=sorted(edges),
+            expanded=frozenset(range(n)),
+            truncated=False,
+            env=(),
+            bounds=Bounds(),
+        )
+        sccs = sorted(_tarjan(set(range(n)), lts), key=len)
+        assert len(sccs) == chain + 1 + 1
+        assert sorted(sccs[-1]) == list(range(chain, chain + ring))
+        assert all(len(component) == 1 for component in sccs[:-1])
+        for line in (
+            "F (fluent busy)",
+            "F (! (metric held))",
+            "G (implies (fluent busy) (F (metric held)))",
+            "G (implies (! (metric held)) (F (fluent busy)))",
+            "G (implies (metric held) (X (metric held)))",
+            "(metric held) U (fluent busy)",
+            "(! (fluent busy)) U (fluent busy)",
+            "G (! (fluent busy))",
+            "G (implies (fluent busy) (X (! (fluent busy))))",
+        ):
+            prop = parse_property(line, toggle_spec)
+            assert check(lts, prop).result == exhaustive_check(lts, prop), line
+
+    def test_metric_atoms_of_equal_values_render_by_type(self, toggle_spec):
+        # True == 1 == 1.0 and 0.0 == -0.0, yet each renders differently
+        values = (True, 1, 1.0, 0.0, -0.0, 1, True)
+        lts = Lts(
+            layout=Layout(Runtime(toggle_spec, record=False)),
+            states=[StateVector((False,), (v,), (), (), (), None) for v in values],
+            edges=[],
+            expanded=frozenset(range(len(values))),
+            truncated=False,
+            env=(),
+            bounds=Bounds(),
+        )
+        atoms = [lts.labeling(i) for i in range(len(values))]
+        assert atoms == [
+            frozenset({f"metric:unit.held={text}"})
+            for text in ("true", "1", "1.0", "0.0", "-0.0", "1", "true")
+        ]
+        assert lts.successors(0) == [] and lts.bfs_tree() == ([0], {})
