@@ -102,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound-depth", type=int, default=10_000, help="depth bound (default 10000)"
     )
     p_verify.add_argument("--cex", help="write the first counterexample scenario here")
-    p_verify.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for exploration (default 1)"
-    )
     _env_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -124,9 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_graph.add_argument(
         "--bound-depth", type=int, default=10_000, help="depth bound (default 10000)"
-    )
-    p_graph.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for exploration (default 1)"
     )
     _env_flags(p_graph)
     p_graph.set_defaults(func=cmd_graph)
@@ -272,7 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _CliFailure(USAGE, f"{args.prop}: no properties found")
     env = _environment(args, spec)
     bounds = Bounds(max_states=args.bound_states, max_depth=args.bound_depth)
-    lts = build_lts(spec, env=env, bounds=bounds, jobs=max(1, args.jobs))
+    lts = build_lts(spec, env=env, bounds=bounds)
     all_hold = True
     cex_written = False
     for prop in props:
@@ -331,7 +325,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     spec = _load_checked(args.path)
     env = _environment(args, spec)
     bounds = Bounds(max_states=args.bound_states, max_depth=args.bound_depth)
-    lts = build_lts(spec, env=env, bounds=bounds, jobs=max(1, args.jobs))
+    lts = build_lts(spec, env=env, bounds=bounds)
     try:
         Path(args.out).write_text(lts_to_text(lts), encoding="utf-8")
     except OSError as err:

@@ -9,8 +9,9 @@ open:
 
 * CHANGED activations are write triggered: every assignment enqueues them,
   even when the value is unchanged. Guards of CHANGED-activated events read
-  the post-assignment snapshot by default; ``RunConfig.guard_snapshot="pre"``
-  switches them to the pre-assignment value of the changed metric.
+  the state as it is when the occurrence is processed, after the assignment.
+  So an occurrence needs no record of the value it replaced, which lets the
+  verifier's state vectors keep pending occurrences as bare event keys.
 * Simultaneous enqueues are ordered by declaration order of the subscribed
   events (the AS tier first, then AE tiers in declaration order).
 * Re-initiating an active fluent is a no-op, which preserves the strict
@@ -89,7 +90,6 @@ class DepthLimitError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    guard_snapshot: str = "post"  # "post" | "pre"
     interleave: str = "seeded"  # "seeded" | "declared"
     max_call_depth: int = 32
 
@@ -213,7 +213,6 @@ class Runtime:
             channels={key: [] for key in self.channel_keys},
             pending=deque(),
             timers=[period for (_ekey, period) in self.timer_slots],
-            seed=self.seed,
         )
 
     def _record(self, state: RuntimeState, kind: str, subject: str, detail: str = "") -> None:
@@ -230,34 +229,26 @@ class Runtime:
         state: RuntimeState,
         element: str,
         bindings: dict[str, bool] | None = None,
-        override: tuple[Key, object] | None = None,
     ) -> object:
         """Total evaluation; checking guarantees no type faults remain."""
         if isinstance(expr, Lit):
             return expr.value
         if isinstance(expr, MetricRefExpr):
-            key = (element, expr.name)
-            if override is not None and override[0] == key:
-                return override[1]
-            return state.metrics[key]
+            return state.metrics[(element, expr.name)]
         if isinstance(expr, FluentRefExpr):
             return state.fluents[(element, expr.name)]
         if isinstance(expr, BindingRefExpr):
             return bool(bindings.get(expr.name, False)) if bindings else False
         if isinstance(expr, NotExpr):
-            return not self.eval_expr(expr.operand, state, element, bindings, override)
+            return not self.eval_expr(expr.operand, state, element, bindings)
         if isinstance(expr, BinaryExpr):
-            left = self.eval_expr(expr.left, state, element, bindings, override)
+            left = self.eval_expr(expr.left, state, element, bindings)
             if expr.op == "AND":
-                return bool(left) and bool(
-                    self.eval_expr(expr.right, state, element, bindings, override)
-                )
-            return bool(left) or bool(
-                self.eval_expr(expr.right, state, element, bindings, override)
-            )
+                return bool(left) and bool(self.eval_expr(expr.right, state, element, bindings))
+            return bool(left) or bool(self.eval_expr(expr.right, state, element, bindings))
         assert isinstance(expr, CompareExpr)
-        left = self.eval_expr(expr.left, state, element, bindings, override)
-        right = self.eval_expr(expr.right, state, element, bindings, override)
+        left = self.eval_expr(expr.left, state, element, bindings)
+        right = self.eval_expr(expr.right, state, element, bindings)
         op = expr.op
         if op == "=":
             return left == right
@@ -282,18 +273,11 @@ class Runtime:
         event = occ.event
         element = event[0]
         decl = self.event_decls[event]
-        if decl.guard is not None:
-            override = None
-            if (
-                self.config.guard_snapshot == "pre"
-                and occ.changed_metric is not None
-            ):
-                override = (occ.changed_metric, occ.old_value)
-            if not self.eval_expr(decl.guard, state, element, override=override):
-                if recording:
-                    self._record(state, EVENT_SUPPRESSED, qual(event), "guard false")
-                state.last_event = None
-                return False
+        if decl.guard is not None and not self.eval_expr(decl.guard, state, element):
+            if recording:
+                self._record(state, EVENT_SUPPRESSED, qual(event), "guard false")
+            state.last_event = None
+            return False
         if recording:
             self._record(state, EVENT_RAISED, qual(event), occ.cause.render())
         state.last_event = event
@@ -419,24 +403,17 @@ class Runtime:
 
     def assign_metric(self, state: RuntimeState, metric: Key, value: object) -> None:
         """Write a metric and enqueue CHANGED occurrences (write triggered)."""
-        old = state.metrics[metric]
-        state.metrics[metric] = value
         if self.trace is not None:
+            old = state.metrics[metric]
             detail = (
                 f"{render_value(old, type_of_value(old))}"
                 f" -> {render_value(value, type_of_value(value))}"
             )
             self._record(state, METRIC_ASSIGNED, qual(metric), detail)
+        state.metrics[metric] = value
         for event in self.changed_subs.get(metric, ()):
             self._enqueue(
-                state,
-                EventOccurrence(
-                    event,
-                    Activation("CHANGED", qual(metric)),
-                    state.tick,
-                    changed_metric=metric,
-                    old_value=old,
-                ),
+                state, EventOccurrence(event, Activation("CHANGED", qual(metric)), state.tick)
             )
 
     def send_message(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..names import Key, qual
 
@@ -74,10 +74,6 @@ class EventOccurrence:
     event: Key
     cause: Cause
     tick: int
-    # Pre-assignment value for CHANGED occurrences, so guards can be read
-    # against either snapshot.
-    changed_metric: Key | None = None
-    old_value: object = None
 
 
 @dataclass(frozen=True)
@@ -153,9 +149,7 @@ class RuntimeState:
     channels: dict[Key, list[tuple[Key, str]]]
     pending: deque[EventOccurrence]
     timers: list[int]
-    seed: int
     last_event: Key | None = None
-    depth_exceeded: bool = field(default=False, compare=False)
 
     def copy(self) -> "RuntimeState":
         return RuntimeState(
@@ -165,10 +159,5 @@ class RuntimeState:
             channels={key: list(queue) for key, queue in self.channels.items()},
             pending=deque(self.pending),
             timers=list(self.timers),
-            seed=self.seed,
             last_event=self.last_event,
         )
-
-    @property
-    def quiescent(self) -> bool:
-        return not self.pending

@@ -93,13 +93,7 @@ class _Checker:
     # -- shared machinery ---------------------------------------------------
 
     def path_to(self, target: int) -> tuple[tuple[str, int], ...]:
-        steps: list[tuple[str, int]] = []
-        state = target
-        while state != self.lts.initial:
-            src, label = self.parent[state]
-            steps.append((label, state))
-            state = src
-        return tuple(reversed(steps))
+        return _path(self.parent, self.lts.initial, target)
 
     def holds(self, prop: Prop, state: int) -> bool:
         return eval_prop(prop, self.lts.states[state], self.lts.layout)
@@ -181,17 +175,7 @@ class _Checker:
             for label, dst in self.lts.successors(src):
                 if dst != entry or src not in region:
                     continue
-                if src == entry:
-                    prefix: tuple[tuple[str, int], ...] = ()
-                else:
-                    steps: list[tuple[str, int]] = []
-                    state = src
-                    while state != entry:
-                        p_src, p_label = parent[state]
-                        steps.append((p_label, state))
-                        state = p_src
-                    prefix = tuple(reversed(steps))
-                candidate = prefix + ((label, entry),)
+                candidate = _path(parent, entry, src) + ((label, entry),)
                 if best is None or len(candidate) < len(best):
                     best = candidate
                 break  # successors are label-sorted; first closing edge is least
@@ -212,7 +196,6 @@ class _Checker:
         for anchor in start_states:
             if anchor not in escape:
                 continue
-            stem = self.path_to(anchor)
             parent, order = self.region_bfs(anchor, region)
             target = None
             for state in order:
@@ -220,13 +203,7 @@ class _Checker:
                     target = state
                     break
             assert target is not None
-            tail: list[tuple[str, int]] = []
-            state = target
-            while state != anchor:
-                p_src, p_label = parent[state]
-                tail.append((p_label, state))
-                state = p_src
-            stem = stem + tuple(reversed(tail))
+            stem = self.path_to(anchor) + _path(parent, anchor, target)
             if self.is_dead_end(target) and target not in cyclic:
                 return Verdict(
                     VIOLATED, prop,
@@ -320,13 +297,7 @@ class _Checker:
         for src in order:
             for label, dst in self.lts.successors(src):
                 if dst in not_q and not self.holds(prop.p, dst):
-                    steps: list[tuple[str, int]] = []
-                    state = src
-                    while state != self.lts.initial:
-                        p_src, p_label = parent[state]
-                        steps.append((p_label, state))
-                        state = p_src
-                    stem = tuple(reversed(steps)) + ((label, dst),)
+                    stem = _path(parent, self.lts.initial, src) + ((label, dst),)
                     return Verdict(
                         VIOLATED, prop,
                         Counterexample(
@@ -344,6 +315,21 @@ class _Checker:
         if verdict is not None:
             return verdict
         return self.inconclusive_or_holds(prop)
+
+
+def _path(
+    parent: dict[int, tuple[int, str]], anchor: int, target: int
+) -> tuple[tuple[str, int], ...]:
+    """Edge steps from ``anchor`` to ``target``, following the (parent, edge
+    label) map of a BFS rooted at ``anchor`` back from ``target``."""
+    steps: list[tuple[str, int]] = []
+    state = target
+    while state != anchor:
+        src, label = parent[state]
+        steps.append((label, state))
+        state = src
+    steps.reverse()
+    return tuple(steps)
 
 
 def _tarjan(region: set[int], lts: Lts) -> list[list[int]]:

@@ -80,7 +80,7 @@ def test_criterion_2_fluent_lifecycle_over_randomized_scenarios():
 
 
 def test_criterion_3_determinism():
-    """10 repeated runs are byte-identical; worker count never changes verdicts."""
+    """10 repeated runs are byte-identical; rebuilding the graph never changes verdicts."""
     for pkg in all_missions():
         spec = pkg.load()
         for path in pkg.scenario_paths():
@@ -99,14 +99,13 @@ def test_criterion_3_determinism():
     )
     bad = parse_property("G (! (fluent inSecurityCheck))", spec)
     results = []
-    for jobs in (1, 2, 4):
-        lts = build_lts(spec, env=env, jobs=jobs)
+    for _ in range(2):
+        lts = build_lts(spec, env=env)
         results.append((check(lts, prop), check(lts, bad)))
-    assert all(r == results[0] for r in results[1:])
+    assert results[0] == results[1]
     assert results[0][1].result == VIOLATED
-    stems = {r[1].counterexample.stem for r in results}
-    assert len(stems) == 1
-    print("PASS criterion 3: determinism (10x byte-identical traces; verdicts stable across 1/2/4 workers)")
+    assert results[0][1].counterexample.stem == results[1][1].counterexample.stem
+    print("PASS criterion 3: determinism (10x byte-identical traces; verdicts and stems equal across 2 independent graph builds)")
 
 
 @lru_cache(maxsize=1)

@@ -116,14 +116,11 @@ class TestVerify:
         prop.write_text("G (fluent\n")
         assert main(["verify", SPEC, "--prop", str(prop)]) == 2
 
-    def test_worker_count_does_not_change_output(self, capsys):
-        outputs = []
-        for jobs in ("1", "4"):
-            assert main(
-                ["verify", SPEC, "--prop", LIVENESS, "--jobs", jobs, *ENV_FLAGS]
-            ) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", SPEC, "--prop", LIVENESS, "--jobs", "2", *ENV_FLAGS])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_malformed_env_flag_is_usage_error(self, capsys):
         assert main(["verify", SPEC, "--prop", LIVENESS, "--set", "noequals"]) == 2

@@ -62,11 +62,11 @@ class TestInit:
         assert state.metrics == {}
 
     def test_seed_only_changes_rng(self, figures_spec):
-        one = Runtime(figures_spec, seed=1).init()
-        two = Runtime(figures_spec, seed=2).init()
+        first, second = Runtime(figures_spec, seed=1), Runtime(figures_spec, seed=2)
+        one, two = first.init(), second.init()
         assert one.fluents == two.fluents
         assert one.metrics == two.metrics
-        assert (one.seed, two.seed) == (1, 2)
+        assert (first.seed, second.seed) == (1, 2)
 
     def test_errors_block_runtime(self):
         spec = check_all(parse_text("AS sys { POLICIES { P { } } }"))
@@ -146,15 +146,6 @@ class TestAssignMetric:
         runtime.assign_metric(state, ("sys", "level"), True)
         runtime.drain(state)
         assert runtime.trace.find(EVENT_RAISED, "sys.sawRise")
-
-    def test_pre_snapshot_guard_config(self):
-        spec = check_all(parse_text(SNAPSHOT_SPEC))
-        runtime = Runtime(spec, config=RunConfig(guard_snapshot="pre"))
-        state = runtime.init()
-        runtime.assign_metric(state, ("sys", "level"), True)
-        runtime.drain(state)
-        # the guard reads the pre-assignment value (false): suppressed
-        assert runtime.trace.find(EVENT_SUPPRESSED, "sys.sawRise")
 
 
 ACTION_SPEC = """
