@@ -1,6 +1,15 @@
 """Deterministic simulated runtime for checked specifications."""
 
-from .engine import ERROR, GUARD_REJECTED, SUCCESS, DepthLimitError, RunConfig, Runtime, run
+from .engine import (
+    ERROR,
+    GUARD_REJECTED,
+    SUCCESS,
+    DepthLimitError,
+    LivelockError,
+    RunConfig,
+    Runtime,
+    run,
+)
 from .scenario import (
     Halt,
     InjectEvent,
@@ -33,6 +42,7 @@ __all__ = [
     "Halt",
     "Injected",
     "InjectEvent",
+    "LivelockError",
     "RunConfig",
     "Runtime",
     "RuntimeState",

@@ -27,13 +27,22 @@ open:
   ELAPSED activations, which re-arm for their declared period. Element order
   within those phases follows a per-tick shuffle seeded from (seed, tick);
   ``RunConfig.interleave="declared"`` uses declaration order instead, which
-  the verifier and counterexample replay rely on.
+  the verifier and counterexample replay rely on. A tick visits only the
+  non-empty channels and the elements that receive a message or own a due
+  timer. The shuffle is drawn only when at least two elements act in the
+  tick, and those elements keep their relative order in the full
+  permutation. Each tick seeds its own generator, so skipping a draw
+  changes no other tick.
+* A drain that has not reached quiescence after ``MAX_DRAIN_STEPS`` steps is
+  an event-cascade livelock; the run stops and ``Trace.aborted``
+  names the tick and the step count.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..checker import CheckedSpec
@@ -86,6 +95,19 @@ ERROR = "Error"
 
 class DepthLimitError(Exception):
     """Action call depth exceeded; unreachable for specs that pass checking."""
+
+
+class LivelockError(Exception):
+    """A drain exceeded ``MAX_DRAIN_STEPS`` without reaching quiescence."""
+
+
+#: Occurrences one drain may process before the run is declared livelocked.
+#: The longest drain measured on the shipped missions (scenarios and generated
+#: suites), on the benchmark's 3,000-tick self-healing and 1,500-tick
+#: 40-worker runs, on 10-worker test generation and on 200 random specs is
+#: 11 steps. 10,000 is far above that and still bounds a livelocked run: the
+#: cascade spec in ``tests/test_cli.py`` stops after 70,000 trace records.
+MAX_DRAIN_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -190,6 +212,12 @@ class Runtime:
                         self.timer_slots.append((ekey, clause.ticks))
 
         self.message_decls = dict(self.spec.symbols.messages)
+        # Receiving element of each message; None for a receiver that is not
+        # an element, whose messages stay queued.
+        self.receiver_of: dict[Key, str | None] = {
+            key: decl.receiver if decl.receiver in self.elements else None
+            for key, decl in self.message_decls.items()
+        }
         self.channel_keys: list[Key] = list(self.spec.symbols.channels)
         self.channel_capacity: dict[Key, int] = {
             key: decl.capacity for key, decl in self.spec.symbols.channels.items()
@@ -197,6 +225,13 @@ class Runtime:
         self.timers_by_element: dict[str, list[int]] = {elem: [] for elem in self.elements}
         for slot, (ekey, _period) in enumerate(self.timer_slots):
             self.timers_by_element[ekey[0]].append(slot)
+
+        # Templates that init() copies.
+        self._initial_fluents: dict[Key, bool] = dict.fromkeys(self.fluent_keys, False)
+        self._initial_metrics: dict[Key, object] = {
+            key: decl.initial.value for key, decl in self.metric_decls.items()  # type: ignore[union-attr]
+        }
+        self._initial_timers: list[int] = [period for (_ekey, period) in self.timer_slots]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -206,13 +241,12 @@ class Runtime:
             self.trace = Trace()
         return RuntimeState(
             tick=0,
-            fluents={key: False for key in self.fluent_keys},
-            metrics={
-                key: decl.initial.value for key, decl in self.metric_decls.items()  # type: ignore[union-attr]
-            },
+            fluents=dict(self._initial_fluents),
+            metrics=dict(self._initial_metrics),
+            # send_message appends to a queue in place, so each is a new list
             channels={key: [] for key in self.channel_keys},
             pending=deque(),
-            timers=[period for (_ekey, period) in self.timer_slots],
+            timers=list(self._initial_timers),
         )
 
     def _record(self, state: RuntimeState, kind: str, subject: str, detail: str = "") -> None:
@@ -448,8 +482,16 @@ class Runtime:
         return occ.event
 
     def drain(self, state: RuntimeState) -> None:
+        """Step until quiescent; raise LivelockError past the step budget."""
+        budget = MAX_DRAIN_STEPS
+        steps = 0
         while state.pending:
+            if steps == budget:
+                raise LivelockError(
+                    f"livelock: not quiescent after {steps} drain steps at tick {state.tick}"
+                )
             self.step(state)
+            steps += 1
 
     def _enqueue(self, state: RuntimeState, occ: EventOccurrence) -> None:
         state.pending.append(occ)
@@ -464,43 +506,60 @@ class Runtime:
         return order
 
     def advance_tick(self, state: RuntimeState) -> None:
-        """Advance the clock: deliver queued messages, then fire due timers."""
+        """Advance the clock: deliver queued messages, then fire due timers.
+
+        Only the elements that receive a message or own a due timer act, so
+        an idle tick costs one scan of the channels and one of the timers.
+        """
         state.tick += 1
         state.last_event = None
-        order = self.element_order(state.tick)
+        tick = state.tick
+        channels = state.channels
+        busy = [key for key in self.channel_keys if channels[key]]
+        receiver_of = self.receiver_of
+        acting = {receiver_of[message] for key in busy for message, _sender in channels[key]}
+        acting.discard(None)
+        timers = state.timers
+        if timers and min(timers) <= tick:
+            timer_slots = self.timer_slots
+            acting.update(
+                timer_slots[slot][0][0] for slot, due in enumerate(timers) if due <= tick
+            )
+        if not acting:
+            return
+        if len(acting) == 1:
+            order = list(acting)
+        else:
+            order = [elem for elem in self.element_order(tick) if elem in acting]
+        recording = self.trace is not None
         for elem in order:
-            for channel in self.channel_keys:
-                queue = state.channels[channel]
-                if not queue:
-                    continue
+            for channel in busy:
+                queue = channels[channel]
                 remaining: list[tuple[Key, str]] = []
                 for message, sender in queue:
-                    decl = self.message_decls[message]
-                    if decl.receiver == elem:
-                        if self.trace is not None:
-                            self._record(
-                                state, MESSAGE_RECEIVED, qual(message),
-                                f"by {elem} over {qual(channel)}",
-                            )
-                        for event in self.received_subs.get(message, ()):
-                            self._enqueue(
-                                state,
-                                EventOccurrence(
-                                    event, Activation("RECEIVED", qual(message)), state.tick
-                                ),
-                            )
-                    else:
+                    if receiver_of[message] != elem:
                         remaining.append((message, sender))
-                state.channels[channel] = remaining
+                        continue
+                    if recording:
+                        self._record(
+                            state, MESSAGE_RECEIVED, qual(message),
+                            f"by {elem} over {qual(channel)}",
+                        )
+                    for event in self.received_subs.get(message, ()):
+                        self._enqueue(
+                            state,
+                            EventOccurrence(event, Activation("RECEIVED", qual(message)), tick),
+                        )
+                if len(remaining) != len(queue):
+                    channels[channel] = remaining
         for elem in order:
             for slot in self.timers_by_element[elem]:
-                if state.timers[slot] <= state.tick:
+                if timers[slot] <= tick:
                     event, period = self.timer_slots[slot]
                     self._enqueue(
-                        state,
-                        EventOccurrence(event, Activation("ELAPSED", str(period)), state.tick),
+                        state, EventOccurrence(event, Activation("ELAPSED", str(period)), tick)
                     )
-                    state.timers[slot] = state.tick + period
+                    timers[slot] = tick + period
 
     # -- stimuli and runs -------------------------------------------------------------
 
@@ -518,8 +577,19 @@ class Runtime:
         else:
             raise ValueError(f"cannot apply {stimulus!r} directly")
 
-    def run(self, scenario: Scenario, max_ticks: int = 1000) -> Trace:
-        """Execute a scenario to halt, quiescent exhaustion, or max_ticks."""
+    def run(
+        self,
+        scenario: Scenario,
+        max_ticks: int = 1000,
+        stop: Callable[[Trace, int], bool] | None = None,
+    ) -> Trace:
+        """Execute a scenario to halt, quiescent exhaustion, or max_ticks.
+
+        ``stop(trace, tick)`` is called at every tick boundary, before the
+        tick's stimuli are applied; when it returns True the run ends there,
+        and the trace holds exactly the records made before that tick's
+        stimuli. A run that exceeds a bound ends with ``Trace.aborted`` set.
+        """
         if max_ticks < 1:
             raise ValueError("max_ticks must be at least 1")
         state = self.init()
@@ -529,6 +599,8 @@ class Runtime:
         try:
             halted = False
             while True:
+                if stop is not None and stop(trace, state.tick):
+                    break
                 while index < len(steps) and steps[index][0] <= state.tick:
                     stimulus = steps[index][1]
                     index += 1
@@ -541,7 +613,7 @@ class Runtime:
                     break
                 self.advance_tick(state)
                 self.drain(state)
-        except DepthLimitError as err:
+        except (DepthLimitError, LivelockError) as err:
             trace.aborted = str(err)
         return trace
 

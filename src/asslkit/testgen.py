@@ -10,6 +10,14 @@ closure, simulates each candidate scenario, and keeps the first one whose
 trace satisfies the path's assertions. Paths no assignment can force are
 reported as infeasible, never silently dropped.
 
+Each candidate is simulated once. An assignment is tried first without the
+terminating stimulus, then with it. The two scenarios agree up to the tick
+of that stimulus, where the first one halts, so the no-terminator variant is
+checked on the prefix: the run of the second is paused at that tick, the
+assertions are checked on the trace so far, and only if they fail does the
+same run go on to apply the terminating stimulus. An assignment equal to an
+earlier one is not simulated again.
+
 Generated tests serialize one directory per policy: ``<path-id>.scenario``
 plus ``<path-id>.expect``, whose assertion lines use the five trace fields
 with ``*`` wildcards; a leading ``!`` asserts absence. Change-impact
@@ -66,6 +74,11 @@ _BRANCH_SLUGS = {GUARD_REJECT: "reject", SUCCESS_PATH: "success", ERROR_PATH: "e
 
 #: Cap on the candidate metric-assignment product searched per path.
 MAX_CANDIDATES = 4096
+
+# Candidate scenarios set metrics at tick 0 and stimulate the initiating
+# event at this tick; ELAPSED periods are at least 1, so the terminating
+# stimulus always comes at a later tick.
+_INIT_TICK = 1
 
 
 @dataclass(frozen=True)
@@ -282,8 +295,9 @@ def generate(spec: CheckedSpec, path_set: PathSet) -> TestSuite:
     """Simulation-guided generation: the emitted tests pass by construction."""
     tests: list[GeneratedTest] = []
     infeasible: list[InfeasiblePath] = []
+    runtime = Runtime(spec, seed=0)
     for index, path in enumerate(path_set.paths):
-        outcome = _generate_one(spec, path, index)
+        outcome = _generate_one(spec, runtime, path, index)
         if isinstance(outcome, GeneratedTest):
             tests.append(outcome)
         else:
@@ -300,7 +314,9 @@ def generate_all(spec: CheckedSpec) -> TestSuite:
     )
 
 
-def _generate_one(spec: CheckedSpec, path: PolicyPath, index: int) -> GeneratedTest | str:
+def _generate_one(
+    spec: CheckedSpec, runtime: Runtime, path: PolicyPath, index: int
+) -> GeneratedTest | str:
     elem = path.policy[0]
     assertions = _assertion_template(spec, path)
     initiator = spec.symbols.lookup(elem, "events", path.initiating_event[1])
@@ -313,20 +329,26 @@ def _generate_one(spec: CheckedSpec, path: PolicyPath, index: int) -> GeneratedT
     term_plan = _stimulus_plan(spec, elem, terminator)
 
     metrics = _relevant_metrics(spec, path, initiator, terminator)
-    runtime = Runtime(spec, seed=0)
+    cut = _term_tick(init_plan)
+    prefix_passed = False
+
+    def prefix_passes(trace: Trace, tick: int) -> bool:
+        # The scenario without the terminating stimulus halts at ``cut``
+        # before applying anything, so its whole trace is this prefix. The
+        # flag keeps the last call's answer: after a run it is True exactly
+        # when the run stopped at ``cut``.
+        nonlocal prefix_passed
+        prefix_passed = tick == cut and check_assertions(assertions, trace) == []
+        return prefix_passed
+
     for assignment in _assignments(spec, metrics):
-        for use_term_stimulus in (False, True):
-            if use_term_stimulus and term_plan is None:
-                continue
-            scenario = _build_scenario(
-                spec, path, index, assignment, init_plan,
-                term_plan if use_term_stimulus else None,
-            )
-            trace = runtime.run(scenario, max_ticks=scenario.steps[-1][0] + 1)
-            if trace.aborted is None and check_assertions(assertions, trace) == []:
-                return GeneratedTest(
-                    path.path_id(index), path.policy, path, scenario, assertions
-                )
+        scenario = _build_scenario(spec, path, index, assignment, init_plan, term_plan)
+        trace = runtime.run(scenario, max_ticks=scenario.steps[-1][0] + 1, stop=prefix_passes)
+        if prefix_passed:
+            scenario = _build_scenario(spec, path, index, assignment, init_plan, None)
+        elif trace.aborted is not None or check_assertions(assertions, trace) != []:
+            continue
+        return GeneratedTest(path.path_id(index), path.policy, path, scenario, assertions)
     return "no metric assignment drawn from guard constants forces this path"
 
 
@@ -519,12 +541,15 @@ def _assignments(spec: CheckedSpec, metrics) -> list[dict[Key, tuple[object, Val
     if not metrics:
         return [{}]
     keys = [key for key, _decl in metrics]
-    pools = [
-        [(value, decl.value_type) for value in _candidate_values(spec, key, decl)]
-        for key, decl in metrics
-    ]
+    types = [decl.value_type for _key, decl in metrics]
+    pools = [_candidate_values(spec, key, decl) for key, decl in metrics]
     combos = itertools.islice(itertools.product(*pools), MAX_CANDIDATES)
-    return [dict(zip(keys, combo)) for combo in combos]
+    # A boolean pool repeats the initial value, so some combinations repeat
+    # an earlier one; their scenario, and so their outcome, is the same.
+    return [
+        {key: (value, value_type) for key, value_type, value in zip(keys, types, combo)}
+        for combo in dict.fromkeys(combos)
+    ]
 
 
 def _build_scenario(
@@ -543,16 +568,15 @@ def _build_scenario(
         if value != decl.initial.value:
             steps.append((0, SetMetric(key, value, value_type)))
 
-    tick = 1
     for stim in init_plan.stimuli:
-        steps.append((tick, stim))
+        steps.append((_INIT_TICK, stim))
     if init_plan.metric is not None:
         # CHANGED-driven initiator: nudge the metric with a candidate value
         value, value_type = assignment.get(
             init_plan.metric, _initial_of(spec, init_plan.metric)
         )
-        steps.append((tick, SetMetric(init_plan.metric, value, value_type)))
-    tick += init_plan.ticks_needed
+        steps.append((_INIT_TICK, SetMetric(init_plan.metric, value, value_type)))
+    tick = _term_tick(init_plan)
 
     if term_plan is not None:
         for stim in term_plan.stimuli:
@@ -566,6 +590,11 @@ def _build_scenario(
 
     steps.append((tick, Halt()))
     return Scenario(path.path_id(index), tuple(steps))  # type: ignore[arg-type]
+
+
+def _term_tick(init_plan: _Plan) -> int:
+    """Tick of the terminating stimulus, or of the halt when there is none."""
+    return _INIT_TICK + init_plan.ticks_needed
 
 
 def _initial_of(spec: CheckedSpec, key: Key) -> tuple[object, ValueType]:
@@ -583,22 +612,19 @@ def _toggled(spec: CheckedSpec, key: Key) -> tuple[object, ValueType]:
 
 def check_assertions(assertions: tuple[Assertion, ...], trace: Trace) -> list[str]:
     """Empty list when the trace satisfies every assertion, else failures."""
+    records = trace.records
     failures: list[str] = []
     position = 0
     for assertion in assertions:
         if assertion.present:
-            found = None
-            for record in trace.records[position:]:
-                if assertion.matches(record):
-                    found = record
+            for index in range(position, len(records)):
+                if assertion.matches(records[index]):
+                    position = index + 1  # a record's seq is its index
                     break
-            if found is None:
-                failures.append(f"missing (after seq {position}): {assertion.render()}")
             else:
-                position = found.seq + 1
-        else:
-            if any(assertion.matches(record) for record in trace.records):
-                failures.append(f"forbidden record present: {assertion.render()}")
+                failures.append(f"missing (after seq {position}): {assertion.render()}")
+        elif any(assertion.matches(record) for record in records):
+            failures.append(f"forbidden record present: {assertion.render()}")
     return failures
 
 

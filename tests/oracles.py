@@ -9,12 +9,18 @@ slot order.
 ``exhaustive_check`` evaluates a temporal property by enumerating every
 maximal path (stopping each branch at its first lasso or dead end) and
 applying the shape's semantics directly to the path.
+``reference_advance_tick`` is the clock step as a full scan: a shuffle of
+all elements on every tick, and every element visiting every channel and
+every timer slot it owns.
 """
 
 from __future__ import annotations
 
+import random
+
 from asslkit.names import qual
 from asslkit.runtime.engine import RunConfig, Runtime
+from asslkit.runtime.state import MESSAGE_RECEIVED, Activation, EventOccurrence
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
 from asslkit.verifier.lts import Layout, StateVector
 from asslkit.verifier.props import (
@@ -61,6 +67,43 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
 
     labelings = {vec: _label(layout, vec) for vec in states}
     return set(states), edges, labelings, init_vec
+
+
+def reference_advance_tick(runtime: Runtime, state) -> None:
+    """``Runtime.advance_tick`` by scanning every element x channel each tick."""
+    state.tick += 1
+    state.last_event = None
+    order = list(runtime.elements)
+    if runtime.config.interleave == "seeded" and len(order) > 1:
+        random.Random(runtime.seed * 1_000_003 + state.tick).shuffle(order)
+    for elem in order:
+        for channel in runtime.channel_keys:
+            queue = state.channels[channel]
+            if not queue:
+                continue
+            remaining = []
+            for message, sender in queue:
+                if runtime.message_decls[message].receiver != elem:
+                    remaining.append((message, sender))
+                    continue
+                if runtime.trace is not None:
+                    runtime.trace.append(
+                        state.tick, MESSAGE_RECEIVED, qual(message),
+                        f"by {elem} over {qual(channel)}",
+                    )
+                for event in runtime.received_subs.get(message, ()):
+                    state.pending.append(
+                        EventOccurrence(event, Activation("RECEIVED", qual(message)), state.tick)
+                    )
+            state.channels[channel] = remaining
+    for elem in order:
+        for slot in runtime.timers_by_element[elem]:
+            if state.timers[slot] <= state.tick:
+                event, period = runtime.timer_slots[slot]
+                state.pending.append(
+                    EventOccurrence(event, Activation("ELAPSED", str(period)), state.tick)
+                )
+                state.timers[slot] = state.tick + period
 
 
 def project(layout: Layout, state) -> StateVector:

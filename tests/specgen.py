@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from asslkit.checker import CheckedSpec, check_all
+from asslkit.missions import ants_self_protecting
 from asslkit.nodes import (
     ActionDecl,
     ActivationClause,
@@ -184,6 +185,29 @@ def random_checked_spec(seed: int) -> CheckedSpec:
     spec = check_all(parse_text(random_spec_source(seed), f"<random-{seed}>"))
     assert spec.ok, [d.render() for d in spec.diagnostics]
     return spec
+
+
+def swarm_source(n: int) -> str:
+    """N copies of the self-protecting mission's worker tier, in declaration order.
+
+    Copy k is named ``worker<k>`` and receives its own ``privateMessage``; the
+    copies share no channel, metric or message.
+    """
+    source = ants_self_protecting().source()
+    start = source.index("AE worker {")
+    depth = 0
+    for end in range(start, len(source)):
+        depth += {"{": 1, "}": -1}.get(source[end], 0)
+        if depth == 0 and source[end] == "}":
+            break
+    head, tier = source[:start], source[start : end + 1]
+    copies = [
+        tier.replace("AE worker {", f"AE worker{k} {{").replace(
+            "RECEIVER { worker }", f"RECEIVER {{ worker{k} }}"
+        )
+        for k in range(1, n + 1)
+    ]
+    return head + "\n\n".join(copies) + "\n"
 
 
 def env_for(spec: CheckedSpec) -> tuple[EnvStimulus, ...]:

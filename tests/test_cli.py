@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import asslkit
 from asslkit.cli import build_parser, main
 from asslkit.missions import ants_self_protecting
 from asslkit.verifier import build_lts, parse_env_stimulus
@@ -84,6 +88,87 @@ class TestRun:
         scen = tmp_path / "bad.scenario"
         scen.write_text("tick 0 inject noSuchEvent\n")
         assert main(["run", SPEC, "--scenario", str(scen)]) == 2
+
+
+# An event cascade that never quiesces, though the spec checks clean: writing
+# m raises e, e starts f, f's mapping runs a, a triggers g, g ends f and
+# starts h, h's mapping runs b, b writes m, and e ends h. Every initiation is
+# a rising edge, so both mappings fire again on every turn.
+CASCADE_SPEC = """\
+AS loop {
+}
+AE unit {
+  POLICIES {
+    SELF_HEALING {
+      FLUENT f { INITIATED_BY { EVENTS.e } TERMINATED_BY { EVENTS.g } }
+      FLUENT h { INITIATED_BY { EVENTS.g } TERMINATED_BY { EVENTS.e } }
+      MAPPING { CONDITIONS { f } DO_ACTIONS { ACTIONS.a } }
+      MAPPING { CONDITIONS { h } DO_ACTIONS { ACTIONS.b } }
+    }
+  }
+  ACTIONS {
+    ACTION a {
+      DOES { METRICS.n = true; }
+      TRIGGERS { EVENTS.g }
+    }
+    ACTION b {
+      DOES { METRICS.m = true; }
+    }
+  }
+  EVENTS {
+    EVENT e { ACTIVATION { CHANGED { METRICS.m } } }
+    EVENT g { }
+  }
+  METRICS {
+    METRIC m { TYPE { boolean } INITIAL { false } }
+    METRIC n { TYPE { boolean } INITIAL { false } }
+  }
+}
+"""
+
+
+def run_cli(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """The CLI in a child process, killed (and the test failed) past ``timeout``."""
+    src = str(Path(asslkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "ASSLKIT_COLOR": "never"}
+    code = "import sys; from asslkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+class TestCascadeLivelock:
+    @pytest.fixture
+    def cascade(self, tmp_path):
+        spec = tmp_path / "cascade.assl"
+        spec.write_text(CASCADE_SPEC)
+        scenario = tmp_path / "cascade.scenario"
+        scenario.write_text("tick 0 set m true\ntick 1 halt\n")
+        return spec, scenario
+
+    def test_checks_clean(self, cascade, capsys):
+        assert main(["check", str(cascade[0])]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_run_stops_with_a_named_reason(self, cascade, tmp_path):
+        spec, scenario = cascade
+        trace_path = tmp_path / "out.trace"
+        result = run_cli(
+            ["run", str(spec), "--scenario", str(scenario), "--trace", str(trace_path)],
+            timeout=60,
+        )
+        reason = "livelock: not quiescent after 10000 drain steps at tick 0"
+        assert result.returncode == 1
+        assert result.stdout.splitlines()[-2:] == ["records: 70000", f"aborted: {reason}"]
+        lines = trace_path.read_text().splitlines()
+        assert len(lines) == 70001 and lines[-1] == f"# aborted: {reason}"
+
+    def test_gentests_finishes(self, cascade, tmp_path):
+        out_dir = tmp_path / "suite"
+        result = run_cli(["gentests", str(cascade[0]), "--out", str(out_dir)], timeout=120)
+        assert result.returncode == 0
+        assert "4 paths, 0 feasible, 4 infeasible" in result.stdout
 
 
 class TestVerify:

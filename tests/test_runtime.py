@@ -13,12 +13,14 @@ from asslkit.runtime import (
     SUCCESS,
     Halt,
     Injected,
+    LivelockError,
     RunConfig,
     Runtime,
     Scenario,
     ScenarioError,
     parse_scenario,
 )
+from asslkit.runtime import engine
 from asslkit.runtime.state import (
     ACTION_FAILED,
     ENSURES_VIOLATED,
@@ -31,7 +33,8 @@ from asslkit.runtime.state import (
     EventOccurrence,
 )
 from asslkit.verifier import Layout
-from specgen import random_checked_spec, random_scenario
+from oracles import reference_advance_tick
+from specgen import random_checked_spec, random_scenario, swarm_source
 from tracecheck import (
     check_alternation,
     check_causality,
@@ -471,3 +474,127 @@ class TestTraceInvariants:
             trace = Runtime(spec, seed=rng.randrange(100)).run(scenario)
             assert check_alternation(trace) == []
             assert check_guard_soundness(spec, trace) == []
+
+
+def healing_text(rng: random.Random, ticks: int) -> str:
+    """The worker dies and revives while relays flood its capacity-2 link."""
+    lines = []
+    alive = True
+    for tick in range(1, ticks):
+        if rng.random() < 0.05:
+            alive = not alive
+            lines.append(f"tick {tick} set alive {str(alive).lower()}")
+        elif alive and rng.random() < 0.2:
+            lines += [f"tick {tick} send heartbeatRelay workerLink"] * rng.randint(1, 3)
+    return "\n".join(lines + [f"tick {ticks} halt"]) + "\n"
+
+
+def wide_text(rng: random.Random, workers: int, ticks: int) -> str:
+    """Each tick two to six workers get their message or a verdict flip."""
+    lines = []
+    for tick in range(1, ticks):
+        for k in rng.sample(range(1, workers + 1), rng.randint(2, 6)):
+            if rng.random() < 0.6:
+                lines.append(f"tick {tick} send worker{k}.privateMessage worker{k}.secureLink")
+            else:
+                value = "true" if rng.random() < 0.5 else "false"
+                lines.append(f"tick {tick} set worker{k}.messageVerdictSecure {value}")
+    return "\n".join(lines + [f"tick {ticks} halt"]) + "\n"
+
+
+class TestAdvanceTick:
+    """``advance_tick`` against the full-scan oracle, trace text for trace text."""
+
+    @staticmethod
+    def assert_same(spec, scenario, seed: int, max_ticks: int = 1000) -> str:
+        texts = []
+        for interleave in ("seeded", "declared"):
+            config = RunConfig(interleave=interleave)
+            fast = Runtime(spec, seed=seed, config=config)
+            slow = Runtime(spec, seed=seed, config=config)
+            slow.advance_tick = lambda state, runtime=slow: reference_advance_tick(runtime, state)
+            text = fast.run(scenario, max_ticks=max_ticks).to_text()
+            assert text == slow.run(scenario, max_ticks=max_ticks).to_text(), (
+                scenario.name, seed, interleave,
+            )
+            texts.append(text)
+        return texts[0]
+
+    def test_self_healing_coinciding_timers(self, healing_pkg, healing_spec):
+        # the ruler's 4-tick and the worker's 2-tick timers fire together
+        # every 4 ticks, so two elements act in those ticks
+        for path in healing_pkg.scenario_paths():
+            for seed in range(4):
+                self.assert_same(healing_spec, healing_pkg.scenario(path.stem, healing_spec), seed)
+        rng = random.Random(41)
+        for seed in range(4):
+            scenario = parse_scenario(healing_text(rng, 400), healing_spec, "healing")
+            self.assert_same(healing_spec, scenario, seed)
+
+    def test_voyager_messages(self, voyager_pkg, voyager_spec):
+        for path in voyager_pkg.scenario_paths():
+            for seed in range(4):
+                self.assert_same(voyager_spec, voyager_pkg.scenario(path.stem, voyager_spec), seed)
+
+    def test_wide_swarm(self):
+        spec = check_all(parse_text(swarm_source(40)))
+        scenario = parse_scenario(wide_text(random.Random(7), 40, 60), spec, "wide")
+        seeded = {self.assert_same(spec, scenario, seed) for seed in range(3)}
+        assert len(seeded) == 3  # several receivers per tick, so the shuffle shows
+
+    def test_random_scenarios(self, mission_pairs):
+        rng = random.Random(2024)
+        for _pkg, spec in mission_pairs:
+            for _ in range(6):
+                scenario = random_scenario(spec, rng)
+                self.assert_same(spec, scenario, scenario.seed)
+        for seed in range(30):
+            spec = random_checked_spec(seed)
+            scenario = random_scenario(spec, rng)
+            self.assert_same(spec, scenario, scenario.seed)
+
+    def test_idle_swarm_draws_no_order(self, monkeypatch):
+        spec = check_all(parse_text(swarm_source(40)))
+        drawn: list[int] = []
+        element_order = Runtime.element_order
+
+        def counting(self, tick):
+            drawn.append(tick)
+            return element_order(self, tick)
+
+        monkeypatch.setattr(Runtime, "element_order", counting)
+        trace = Runtime(spec, seed=3).run(Scenario("idle", ((100, Halt()),)))
+        assert drawn == [] and trace.records == []
+        # control: two workers receiving in the same tick draw one order
+        text = (
+            "tick 0 send worker1.privateMessage worker1.secureLink\n"
+            "tick 0 send worker2.privateMessage worker2.secureLink\n"
+            "tick 0 send worker3.privateMessage worker3.secureLink\n"
+            "tick 3 halt\n"
+        )
+        Runtime(spec, seed=3).run(parse_scenario(text, spec))
+        assert drawn == [1]
+
+
+class TestDrainBudget:
+    def test_budget_is_exact(self, protecting_pkg, protecting_spec, monkeypatch):
+        # the secure scenario's longest drain is three steps
+        scenario = protecting_pkg.scenario("secure", protecting_spec)
+        full = Runtime(protecting_spec).run(scenario).to_text()
+        monkeypatch.setattr(engine, "MAX_DRAIN_STEPS", 3)
+        enough = Runtime(protecting_spec).run(scenario)
+        assert enough.aborted is None
+        assert enough.to_text() == full
+        monkeypatch.setattr(engine, "MAX_DRAIN_STEPS", 2)
+        short = Runtime(protecting_spec).run(scenario)
+        assert short.aborted is not None
+        assert short.aborted.startswith("livelock: not quiescent after 2 drain steps at tick ")
+
+    def test_drain_raises_past_budget(self, figures_spec, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_DRAIN_STEPS", 1)
+        runtime = Runtime(figures_spec)
+        state = runtime.init()
+        runtime.assign_metric(state, ("worker", "thereIsInsecureMsg"), True)
+        assert len(state.pending) == 2
+        with pytest.raises(LivelockError, match="after 1 drain steps at tick 0"):
+            runtime.drain(state)

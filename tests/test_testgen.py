@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 from asslkit import check_all, parse_text
-from asslkit.runtime import Runtime
+from asslkit.runtime import Runtime, Trace
 from asslkit.runtime.state import (
     ACTION_FAILED,
     ACTION_STARTED,
@@ -14,15 +19,25 @@ from asslkit.testgen import (
     ERROR_PATH,
     GUARD_REJECT,
     SUCCESS_PATH,
+    Assertion,
+    _assignments,
+    _build_scenario,
+    _relevant_metrics,
+    _stimulus_plan,
+    MAX_CANDIDATES,
+    _term_tick,
+    check_assertions,
     enumerate_paths,
     generate,
     generate_all,
     impact,
     measure_coverage,
+    policy_keys,
     regenerate,
     run_suite,
     write_suite,
 )
+from specgen import random_checked_spec, swarm_source
 
 
 def independent_branch_product(spec, policy_key):
@@ -373,3 +388,122 @@ def test_suite_directory_layout(tmp_path, protecting_spec):
             fields = fields[1:]
         assert len(fields) == 5
         assert fields[0] == "*" and fields[1] == "*"
+
+
+def test_present_assertions_match_records_in_order():
+    trace = Trace()
+    trace.append(0, EVENT_RAISED, "unit.go", "injected")
+    trace.append(1, ACTION_STARTED, "unit.act0", "")
+    raised = Assertion(EVENT_RAISED, "unit.*")
+    started = Assertion(ACTION_STARTED, "unit.act0")
+    assert check_assertions((raised, started), trace) == []
+    # each present assertion consumes a record: a second match must come later
+    assert check_assertions((raised, raised), trace) == [
+        f"missing (after seq 1): {raised.render()}"
+    ]
+    assert check_assertions((started, raised), trace) == [
+        f"missing (after seq 2): {raised.render()}"
+    ]
+    absent = Assertion(ACTION_STARTED, "unit.*", present=False)
+    assert check_assertions((absent,), trace) == [
+        f"forbidden record present: {absent.render()}"
+    ]
+
+
+def test_candidate_cap_counts_repeated_assignments():
+    # Nine boolean metrics give 3**9 = 19,683 combinations of the pools
+    # [initial, true, false], more than the cap. The cap applies before
+    # repeats are dropped, so the candidates are the distinct ones among the
+    # first MAX_CANDIDATES combinations, in their first-seen order: the 256
+    # with b0 at its initial value, not all 512 distinct assignments.
+    names = [f"b{i}" for i in range(9)]
+    metric_lines = "\n".join(
+        f"    METRIC {name} {{ TYPE {{ boolean }} INITIAL {{ false }} }}" for name in names
+    )
+    spec = check_all(parse_text(f"AS sys {{ }}\nAE unit {{\n  METRICS {{\n{metric_lines}\n  }}\n}}\n"))
+    assert spec.ok
+    metrics = [(("unit", name), spec.symbols.lookup("unit", "metrics", name)) for name in names]
+    capped = itertools.islice(itertools.product([False, True, False], repeat=9), MAX_CANDIDATES)
+    expected = list(dict.fromkeys(capped))
+    assert len(expected) == 256
+    got = [tuple(value for value, _type in a.values()) for a in _assignments(spec, metrics)]
+    assert got == expected
+
+
+def suite_text(suite) -> str:
+    """Scenario and expect text of every test, then every infeasible reason."""
+    parts = []
+    for test in suite.tests:
+        expect = "".join(assertion.render() + "\n" for assertion in test.assertions)
+        parts.append(f"{test.name}\n{test.scenario.render()}{expect}")
+    for infeasible in suite.infeasible:
+        parts.append(f"{infeasible.path.describe()}: {infeasible.reason}\n")
+    return "".join(parts)
+
+
+def pinned_specs(mission_pairs):
+    """(name, checked spec): the missions, 1- and 3-worker swarms, 20 random specs."""
+    out = [(pkg.name, spec) for pkg, spec in mission_pairs]
+    out += [(f"swarm{n}", check_all(parse_text(swarm_source(n)))) for n in (1, 3)]
+    out += [(f"random{seed}", random_checked_spec(seed)) for seed in range(20)]
+    return out
+
+
+def test_generated_suites_are_byte_identical(mission_pairs):
+    """Generated suites pinned by sha256; one entry covers the 20 random specs."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("suite_sha256.json").read_text()
+    )
+    texts: dict[str, str] = {}
+    for name, spec in pinned_specs(mission_pairs):
+        key = "random0-19" if name.startswith("random") else name
+        texts[key] = texts.get(key, "") + suite_text(generate_all(spec))
+    assert set(texts) == set(pinned)
+    for key, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[key], key
+
+
+def test_cut_scenario_runs_as_the_paused_prefix(mission_pairs):
+    """The candidate without the terminating stimulus is the prefix of the one with it.
+
+    Test generation checks the first candidate on the trace of the second,
+    stopped at the tick of the terminating stimulus. Running the first on
+    its own must give the same records and the same ``aborted`` value.
+    """
+    compared = 0
+    for name, spec in pinned_specs(mission_pairs):
+        runtime = Runtime(spec, seed=0)
+        for policy in policy_keys(spec):
+            for index, path in enumerate(enumerate_paths(spec, policy).paths):
+                elem = policy[0]
+                initiator = spec.symbols.lookup(elem, "events", path.initiating_event[1])
+                terminator = spec.symbols.lookup(elem, "events", path.terminating_event[1])
+                init_plan = _stimulus_plan(spec, elem, initiator)
+                term_plan = _stimulus_plan(spec, elem, terminator)
+                if init_plan is None or term_plan is None:
+                    continue
+                cut = _term_tick(init_plan)
+                metrics = _relevant_metrics(spec, path, initiator, terminator)
+                for assignment in _assignments(spec, metrics):
+                    full = _build_scenario(spec, path, index, assignment, init_plan, term_plan)
+                    short = _build_scenario(spec, path, index, assignment, init_plan, None)
+                    paused = []
+
+                    def capture(trace, tick):
+                        if tick == cut:
+                            paused.append((list(trace.records), trace.aborted))
+                        return False
+
+                    full_trace = runtime.run(
+                        full, max_ticks=full.steps[-1][0] + 1, stop=capture
+                    )
+                    if paused:
+                        (records, aborted), = paused
+                    else:  # aborted before reaching the cut
+                        records, aborted = full_trace.records, full_trace.aborted
+                        assert aborted is not None, (name, path.describe())
+                    alone = runtime.run(short, max_ticks=short.steps[-1][0] + 1)
+                    assert alone.records == records, (name, path.describe(), assignment)
+                    assert alone.aborted == aborted, (name, path.describe(), assignment)
+                    compared += 1
+    assert compared > 500
