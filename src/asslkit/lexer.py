@@ -6,17 +6,65 @@ they appear inside DOES clauses. Qualified references such as
 ``EVENTS.privateMessageSecure`` or ``AEIP.MESSAGES.privateMessage`` lex as a
 single REF token whose value is the tuple of path components. Comments run
 from ``//`` to end of line. Both LF and CRLF line endings are accepted.
+
+One compiled pattern, run with ``finditer``, matches each token together with
+the whitespace and comments before it, and the named group that matched says
+what the token is. Its character classes are spelled in ASCII (``[A-Za-z_]``,
+``[0-9]``), because ``\\w`` and ``\\d`` also accept letters and digits such as
+``é`` and ``٣``. Lines and columns are 1-based, one column per character (a
+tab included), and come from the offsets at which lines start. The pattern's
+last alternative, ``BAD``, is empty, so it matches exactly where no token
+does; only there is the source looked at again, to name the error: a stray
+carriage return, ``!`` without ``=``, text that is unterminated or runs past
+the end of its line, a malformed qualified reference, a real literal without
+digits after its point, or any other unexpected character. An integer literal
+with more digits than Python converts to ``int`` (4,300 by default) and a
+real literal too large for a float are errors on the literal's span too,
+instead of an internal error and an ``inf`` value that does not print back as
+source.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+from math import isinf
+
 from .tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+# Records are built with tuple.__new__ directly: the NamedTuple constructor is
+# a Python-level __new__ and takes about twice as long per token.
+_new = tuple.__new__
 
-_SIMPLE = {
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(
+    r"""
+    (?: [ \t\n]+ | \r\n | //[^\n]* )*
+    (?: (?P<REF> (?: %(spaces)s | AEIP\.MESSAGES ) \. %(name)s )
+      | (?P<WORD> %(name)s ) (?![A-Za-z0-9_.])  # a name and a dot: BAD
+      | (?P<REAL> -?[0-9]+ \. [0-9]+ )
+      | (?P<INT> -?[0-9]+ ) (?![0-9.])          # digits and a dot: BAD
+      | (?P<TEXT> "[^"\r\n]*" )
+      | (?P<OP> [!<>]= | [{}(),;=<>] )
+      | (?P<END> \Z )
+      | (?P<BAD> )
+    )
+    """
+    % {"spaces": "|".join(sorted(NAMESPACE_WORDS)), "name": _NAME},
+    re.VERBOSE,
+)
+_NEWLINE = re.compile(r"\n")
+_NAME_RUN = re.compile(_NAME)
+_IDENT_CONT_RUN = re.compile(r"[A-Za-z0-9_]*")
+_NUMBER_RUN = re.compile(r"-?[0-9]+")
+_TEXT_RUN = re.compile(r'[^"\r\n]*')
+
+_WORDS: dict[str, tuple[TokenKind, object]] = {
+    **{word: (kind, None) for word, kind in KEYWORDS.items()},
+    "true": (TokenKind.BOOL, True),
+    "false": (TokenKind.BOOL, False),
+}
+_OPS = {
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,
     "(": TokenKind.LPAREN,
@@ -24,183 +72,83 @@ _SIMPLE = {
     ",": TokenKind.COMMA,
     ";": TokenKind.SEMI,
     "=": TokenKind.EQUALS,
+    "!=": TokenKind.NE,
+    "<": TokenKind.LT,
+    "<=": TokenKind.LE,
+    ">": TokenKind.GT,
+    ">=": TokenKind.GE,
 }
 
 
-class _Scanner:
-    def __init__(self, source: str, file: str) -> None:
-        self.source = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def span(self, length: int, line: int | None = None, column: int | None = None) -> SourceSpan:
-        return SourceSpan(
-            self.file,
-            self.line if line is None else line,
-            self.column if column is None else column,
-            length,
-        )
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def take_ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.source) and self.source[self.pos] in _IDENT_CONT:
-            self.advance()
-        return self.source[start : self.pos]
-
-
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
-    """Tokenize ``source``, raising :class:`LexError` on illegal characters."""
-    sc = _Scanner(source, file)
+    """Tokenize ``source``, raising :class:`LexError` at the first illegal input."""
+    line_starts = [0, *(m.end() for m in _NEWLINE.finditer(source))]
     tokens: list[Token] = []
-
-    while sc.pos < len(sc.source):
-        ch = sc.peek()
-
-        if ch in " \t\n":
-            sc.advance()
-            continue
-        if ch == "\r":
-            if sc.peek(1) == "\n":
-                sc.advance()
-                sc.advance()
-                continue
-            raise LexError("stray carriage return", sc.span(1))
-        if ch == "/" and sc.peek(1) == "/":
-            while sc.pos < len(sc.source) and sc.peek() != "\n":
-                sc.advance()
-            continue
-
-        line, column = sc.line, sc.column
-
-        if ch in _IDENT_START:
-            word = sc.take_ident()
-            if (word in NAMESPACE_WORDS or word == "AEIP") and sc.peek() == ".":
-                tokens.append(_lex_reference(sc, word, line, column))
-                continue
-            span = sc.span(len(word), line, column)
-            if word == "true":
-                tokens.append(Token(TokenKind.BOOL, word, span, True))
-            elif word == "false":
-                tokens.append(Token(TokenKind.BOOL, word, span, False))
-            elif word in KEYWORDS:
-                tokens.append(Token(KEYWORDS[word], word, span))
-            else:
-                tokens.append(Token(TokenKind.IDENT, word, span, word))
-            continue
-
-        if ch in _DIGITS or (ch == "-" and sc.peek(1) in _DIGITS):
-            tokens.append(_lex_number(sc, line, column))
-            continue
-
-        if ch == '"':
-            tokens.append(_lex_text(sc, line, column))
-            continue
-
-        if ch == "!":
-            if sc.peek(1) == "=":
-                sc.advance()
-                sc.advance()
-                tokens.append(Token(TokenKind.NE, "!=", sc.span(2, line, column)))
-                continue
-            raise LexError("expected '=' after '!'", sc.span(1))
-        if ch == "<":
-            sc.advance()
-            if sc.peek() == "=":
-                sc.advance()
-                tokens.append(Token(TokenKind.LE, "<=", sc.span(2, line, column)))
-            else:
-                tokens.append(Token(TokenKind.LT, "<", sc.span(1, line, column)))
-            continue
-        if ch == ">":
-            sc.advance()
-            if sc.peek() == "=":
-                sc.advance()
-                tokens.append(Token(TokenKind.GE, ">=", sc.span(2, line, column)))
-            else:
-                tokens.append(Token(TokenKind.GT, ">", sc.span(1, line, column)))
-            continue
-        if ch in _SIMPLE:
-            sc.advance()
-            tokens.append(Token(_SIMPLE[ch], ch, sc.span(1, line, column)))
-            continue
-
-        raise LexError(f"unexpected character {ch!r}", sc.span(1))
-
+    append = tokens.append
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        start, end = m.span(group)
+        line = bisect_right(line_starts, start)
+        span = _new(SourceSpan, (file, line, start - line_starts[line - 1] + 1, end - start))
+        text = m[group]
+        if group == "WORD":
+            kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
+        elif group == "OP":
+            kind, value = _OPS[text], None
+        elif group == "REF":
+            kind, value = TokenKind.REF, tuple(text.split("."))
+        elif group == "INT":
+            kind = TokenKind.INT
+            try:
+                value = int(text)
+            except ValueError:
+                raise LexError("integer literal too long", span) from None
+        elif group == "REAL":
+            kind, value = TokenKind.REAL, float(text)
+            if isinf(value):
+                raise LexError("real literal out of range", span)
+        elif group == "TEXT":
+            kind, value = TokenKind.TEXT, text[1:-1]
+        elif group == "END":
+            break
+        else:
+            message, offset, length = _diagnose(source, start)
+            line = bisect_right(line_starts, offset)
+            column = offset - line_starts[line - 1] + 1
+            raise LexError(message, SourceSpan(file, line, column, length))
+        append(_new(Token, (kind, text, span, value)))
     return tokens
 
 
-def _lex_reference(sc: _Scanner, first: str, line: int, column: int) -> Token:
-    """Lex the remainder of a qualified reference after its namespace word."""
-    parts = [first]
-    sc.advance()  # the dot
-    if first == "AEIP":
-        word = sc.take_ident()
-        if word != "MESSAGES":
-            raise LexError(
-                "qualified AEIP references take the form AEIP.MESSAGES.<name>",
-                sc.span(max(len(word), 1), line, column),
-            )
-        parts.append(word)
-        if sc.peek() != ".":
-            raise LexError("expected '.' after AEIP.MESSAGES", sc.span(1))
-        sc.advance()
-    if sc.peek() not in _IDENT_START:
-        raise LexError("expected a name after '.'", sc.span(1))
-    name = sc.take_ident()
-    text = ".".join(parts) + "." + name
-    return Token(
-        TokenKind.REF, text, sc.span(len(text), line, column), (*parts, name)
-    )
-
-
-def _lex_number(sc: _Scanner, line: int, column: int) -> Token:
-    start = sc.pos
-    if sc.peek() == "-":
-        sc.advance()
-    while sc.peek() in _DIGITS:
-        sc.advance()
-    if sc.peek() == "." and sc.peek(1) in _DIGITS:
-        sc.advance()
-        while sc.peek() in _DIGITS:
-            sc.advance()
-        text = sc.source[start : sc.pos]
-        return Token(TokenKind.REAL, text, sc.span(len(text), line, column), float(text))
-    if sc.peek() == ".":
-        raise LexError("real literals need digits after the decimal point", sc.span(1))
-    text = sc.source[start : sc.pos]
-    return Token(TokenKind.INT, text, sc.span(len(text), line, column), int(text))
-
-
-def _lex_text(sc: _Scanner, line: int, column: int) -> Token:
-    sc.advance()  # opening quote
-    start = sc.pos
-    while True:
-        ch = sc.peek()
-        if ch == "":
-            raise LexError("unterminated text literal", sc.span(1, line, column))
-        if ch == "\n" or ch == "\r":
-            raise LexError("text literal spans end of line", sc.span(1, line, column))
-        if ch == '"':
-            break
-        sc.advance()
-    value = sc.source[start : sc.pos]
-    sc.advance()  # closing quote
-    return Token(
-        TokenKind.TEXT, f'"{value}"', sc.span(len(value) + 2, line, column), value
-    )
+def _diagnose(source: str, pos: int) -> tuple[str, int, int]:
+    """(message, offset, length) of the error at ``pos``, where no token matches."""
+    ch = source[pos]
+    if ch == "\r":
+        return "stray carriage return", pos, 1
+    if ch == "!":
+        return "expected '=' after '!'", pos, 1
+    if ch == '"':
+        if _TEXT_RUN.match(source, pos + 1).end() == len(source):
+            return "unterminated text literal", pos, 1
+        return "text literal spans end of line", pos, 1
+    name = _NAME_RUN.match(source, pos)
+    if name:  # a name followed by a dot
+        dot = name.end()
+        if name[0] == "AEIP":
+            after = _IDENT_CONT_RUN.match(source, dot + 1).end()
+            if source[dot + 1 : after] != "MESSAGES":
+                return (
+                    "qualified AEIP references take the form AEIP.MESSAGES.<name>",
+                    pos,
+                    max(after - dot - 1, 1),
+                )
+            if source[after : after + 1] != ".":
+                return "expected '.' after AEIP.MESSAGES", after, 1
+            return "expected a name after '.'", after + 1, 1
+        if name[0] in NAMESPACE_WORDS:
+            return "expected a name after '.'", dot + 1, 1
+        return "unexpected character '.'", dot, 1
+    number = _NUMBER_RUN.match(source, pos)
+    if number:  # digits followed by a dot and no digit
+        return "real literals need digits after the decimal point", number.end(), 1
+    return f"unexpected character {ch!r}", pos, 1

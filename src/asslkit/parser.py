@@ -95,38 +95,44 @@ def parse_text(source: str, file: str = "<input>") -> SpecificationTree:
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str) -> None:
-        self.tokens = tokens
-        self.pos = 0
         self.file = file
         end_span = tokens[-1].span if tokens else SourceSpan(file, 1, 1, 0)
         self._eof = Token(TokenKind.EOF, "<end of input>", end_span)
+        # The EOF token closes the list, so reading at the cursor needs no
+        # bounds check. advance() stays on it; accept() and expect() are
+        # never asked for EOF, so a match is never the last token.
+        self.tokens = [*tokens, self._eof]
+        self._last = len(tokens)
+        self.pos = 0
         self.errors: list[ParseError] = []
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else self._eof
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        tok = self.peek()
-        if self.pos < len(self.tokens):
+        tok = self.tokens[self.pos]
+        if self.pos < self._last:
             self.pos += 1
         return tok
 
     def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind is kind
+        return self.tokens[self.pos].kind is kind
 
     def accept(self, kind: TokenKind) -> Token | None:
-        if self.at(kind):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is kind:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not kind:
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.span)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def fail(self, message: str) -> ParseError:
         return ParseError(message, self.peek().span)

@@ -12,15 +12,21 @@ applying the shape's semantics directly to the path.
 ``reference_advance_tick`` is the clock step as a full scan: a shuffle of
 all elements on every tick, and every element visiting every channel and
 every timer slot it owns.
+``reference_tokenize`` is the tokenizer as a character-by-character scanner,
+one ``advance``/``peek`` call per character and its own line/column count;
+the regex tokenizer in ``asslkit.lexer`` must produce the same tokens and
+the same ``LexError`` message and span on every input.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from asslkit.names import qual
 from asslkit.runtime.engine import RunConfig, Runtime
 from asslkit.runtime.state import MESSAGE_RECEIVED, Activation, EventOccurrence
+from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
 from asslkit.verifier.lts import Layout, StateVector
 from asslkit.verifier.props import (
@@ -233,3 +239,204 @@ def _path_violates(prop, path, loop_start, p_at, q_at) -> bool:
             return True
     # q never held along the whole (possibly infinite) path
     return True
+
+
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | frozenset("0123456789")
+_DIGITS = frozenset("0123456789")
+
+_SIMPLE = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ";": TokenKind.SEMI,
+    "=": TokenKind.EQUALS,
+}
+
+
+class _Scanner:
+    def __init__(self, source: str, file: str) -> None:
+        self.source = source
+        self.file = file
+        self.pos = 0
+        self.line = 1
+        self.column = 1
+
+    def span(self, length: int, line: int | None = None, column: int | None = None) -> SourceSpan:
+        return SourceSpan(
+            self.file,
+            self.line if line is None else line,
+            self.column if column is None else column,
+            length,
+        )
+
+    def peek(self, offset: int = 0) -> str:
+        i = self.pos + offset
+        return self.source[i] if i < len(self.source) else ""
+
+    def advance(self) -> str:
+        ch = self.source[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.column = 1
+        else:
+            self.column += 1
+        return ch
+
+    def take_ident(self) -> str:
+        start = self.pos
+        while self.pos < len(self.source) and self.source[self.pos] in _IDENT_CONT:
+            self.advance()
+        return self.source[start : self.pos]
+
+
+def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
+    """``asslkit.lexer.tokenize``, one character per step."""
+    sc = _Scanner(source, file)
+    tokens: list[Token] = []
+
+    while sc.pos < len(sc.source):
+        ch = sc.peek()
+
+        if ch in " \t\n":
+            sc.advance()
+            continue
+        if ch == "\r":
+            if sc.peek(1) == "\n":
+                sc.advance()
+                sc.advance()
+                continue
+            raise LexError("stray carriage return", sc.span(1))
+        if ch == "/" and sc.peek(1) == "/":
+            while sc.pos < len(sc.source) and sc.peek() != "\n":
+                sc.advance()
+            continue
+
+        line, column = sc.line, sc.column
+
+        if ch in _IDENT_START:
+            word = sc.take_ident()
+            if (word in NAMESPACE_WORDS or word == "AEIP") and sc.peek() == ".":
+                tokens.append(_lex_reference(sc, word, line, column))
+                continue
+            span = sc.span(len(word), line, column)
+            if word == "true":
+                tokens.append(Token(TokenKind.BOOL, word, span, True))
+            elif word == "false":
+                tokens.append(Token(TokenKind.BOOL, word, span, False))
+            elif word in KEYWORDS:
+                tokens.append(Token(KEYWORDS[word], word, span))
+            else:
+                tokens.append(Token(TokenKind.IDENT, word, span, word))
+            continue
+
+        if ch in _DIGITS or (ch == "-" and sc.peek(1) in _DIGITS):
+            tokens.append(_lex_number(sc, line, column))
+            continue
+
+        if ch == '"':
+            tokens.append(_lex_text(sc, line, column))
+            continue
+
+        if ch == "!":
+            if sc.peek(1) == "=":
+                sc.advance()
+                sc.advance()
+                tokens.append(Token(TokenKind.NE, "!=", sc.span(2, line, column)))
+                continue
+            raise LexError("expected '=' after '!'", sc.span(1))
+        if ch == "<":
+            sc.advance()
+            if sc.peek() == "=":
+                sc.advance()
+                tokens.append(Token(TokenKind.LE, "<=", sc.span(2, line, column)))
+            else:
+                tokens.append(Token(TokenKind.LT, "<", sc.span(1, line, column)))
+            continue
+        if ch == ">":
+            sc.advance()
+            if sc.peek() == "=":
+                sc.advance()
+                tokens.append(Token(TokenKind.GE, ">=", sc.span(2, line, column)))
+            else:
+                tokens.append(Token(TokenKind.GT, ">", sc.span(1, line, column)))
+            continue
+        if ch in _SIMPLE:
+            sc.advance()
+            tokens.append(Token(_SIMPLE[ch], ch, sc.span(1, line, column)))
+            continue
+
+        raise LexError(f"unexpected character {ch!r}", sc.span(1))
+
+    return tokens
+
+
+def _lex_reference(sc: _Scanner, first: str, line: int, column: int) -> Token:
+    """Lex the remainder of a qualified reference after its namespace word."""
+    parts = [first]
+    sc.advance()  # the dot
+    if first == "AEIP":
+        word = sc.take_ident()
+        if word != "MESSAGES":
+            raise LexError(
+                "qualified AEIP references take the form AEIP.MESSAGES.<name>",
+                sc.span(max(len(word), 1), line, column),
+            )
+        parts.append(word)
+        if sc.peek() != ".":
+            raise LexError("expected '.' after AEIP.MESSAGES", sc.span(1))
+        sc.advance()
+    if sc.peek() not in _IDENT_START:
+        raise LexError("expected a name after '.'", sc.span(1))
+    name = sc.take_ident()
+    text = ".".join(parts) + "." + name
+    return Token(
+        TokenKind.REF, text, sc.span(len(text), line, column), (*parts, name)
+    )
+
+
+def _lex_number(sc: _Scanner, line: int, column: int) -> Token:
+    start = sc.pos
+    if sc.peek() == "-":
+        sc.advance()
+    while sc.peek() in _DIGITS:
+        sc.advance()
+    if sc.peek() == "." and sc.peek(1) in _DIGITS:
+        sc.advance()
+        while sc.peek() in _DIGITS:
+            sc.advance()
+        text = sc.source[start : sc.pos]
+        value = float(text)
+        if math.isinf(value):
+            raise LexError("real literal out of range", sc.span(len(text), line, column))
+        return Token(TokenKind.REAL, text, sc.span(len(text), line, column), value)
+    if sc.peek() == ".":
+        raise LexError("real literals need digits after the decimal point", sc.span(1))
+    text = sc.source[start : sc.pos]
+    try:
+        value = int(text)
+    except ValueError:
+        raise LexError("integer literal too long", sc.span(len(text), line, column)) from None
+    return Token(TokenKind.INT, text, sc.span(len(text), line, column), value)
+
+
+def _lex_text(sc: _Scanner, line: int, column: int) -> Token:
+    sc.advance()  # opening quote
+    start = sc.pos
+    while True:
+        ch = sc.peek()
+        if ch == "":
+            raise LexError("unterminated text literal", sc.span(1, line, column))
+        if ch == "\n" or ch == "\r":
+            raise LexError("text literal spans end of line", sc.span(1, line, column))
+        if ch == '"':
+            break
+        sc.advance()
+    value = sc.source[start : sc.pos]
+    sc.advance()  # closing quote
+    return Token(
+        TokenKind.TEXT, f'"{value}"', sc.span(len(value) + 2, line, column), value
+    )

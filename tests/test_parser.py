@@ -12,6 +12,7 @@ from asslkit.nodes import (
     OpaqueBlock,
 )
 from asslkit.parser import ParseError, parse_text
+from asslkit.tokens import SourceSpan
 from conftest import FIG_EVENTS, FIG_POLICY, figures_wrapped
 
 
@@ -208,6 +209,27 @@ class TestErrors:
             parse_text("AS a {\n  POLICIES { P { MAPPING { } } }\n}")
         assert "expected CONDITIONS" in str(exc.value)
         assert exc.value.span.line == 2
+
+    @pytest.mark.parametrize(
+        "source, message, span",
+        [
+            ("AS a {", "unexpected '<end of input>' in AS tier", (1, 6, 1)),
+            ("", "specification has no AS tier", (1, 1, 0)),
+            (
+                "AS a { EVENTS { EVENT e {",
+                "expected INJECTABLE, GUARDS, or ACTIVATION, found '<end of input>'",
+                (1, 25, 1),
+            ),
+            ("AS a { } AE", "expected a tier name, found '<end of input>'", (1, 10, 2)),
+        ],
+    )
+    def test_errors_at_end_of_input(self, source, message, span):
+        # The end-of-input token carries the span of the last token.
+        with pytest.raises(ParseError) as exc:
+            parse_text(source, "f.assl")
+        assert [(e.message, e.span) for e in exc.value.errors] == [
+            (message, SourceSpan("f.assl", *span))
+        ]
 
     def test_empty_does_rejected(self):
         with pytest.raises(ParseError, match="at least one statement"):
