@@ -12,7 +12,12 @@ reports undefined or duplicate names. ``check_types`` types every expression.
       resolution);
 * R5  every event is raisable: it has an activation, is triggered somewhere,
       or is declared INJECTABLE (W-UNREACHABLE);
-* R6  channel capacities and ELAPSED periods are at least 1 (E-CAPACITY).
+* R6  channel capacities and ELAPSED periods are at least 1 (E-CAPACITY);
+* R7  no call chain nests deeper than the runtime's ``MAX_CALL_DEPTH``
+      (E-DEPTH).
+
+Pass 3 builds the spec's :class:`~asslkit.program.Program`, which every back
+end reads, and checks R2 and R7 on its action records.
 
 Error-severity diagnostics block the runtime, verifier and test generator;
 warnings do not. Identical trees always yield identical diagnostic lists:
@@ -46,6 +51,7 @@ from .nodes import (
     Tier,
     ValueType,
 )
+from .program import MAX_CALL_DEPTH, Key, Program
 from .tokens import SourceSpan
 
 ERROR = "error"
@@ -92,31 +98,30 @@ class SymbolTable:
         return self.decls.get((tier, namespace, name))
 
     def resolve_message(self, tier: str, name: str) -> tuple[str, MessageDecl] | None:
-        decl = self.messages.get((tier, name))
-        if decl is not None:
-            return tier, decl
-        decl = self.messages.get((ASIP_SCOPE, name))
-        if decl is not None:
-            return ASIP_SCOPE, decl
-        return None
+        return _in_scope(self.messages, tier, name)
 
     def resolve_channel(self, tier: str, name: str) -> tuple[str, ChannelDecl] | None:
-        decl = self.channels.get((tier, name))
+        return _in_scope(self.channels, tier, name)
+
+
+def _in_scope(table: dict, tier: str, name: str):
+    """(scope, decl) of the tier's own declaration, else of the shared ASIP's."""
+    for scope in (tier, ASIP_SCOPE):
+        decl = table.get((scope, name))
         if decl is not None:
-            return tier, decl
-        decl = self.channels.get((ASIP_SCOPE, name))
-        if decl is not None:
-            return ASIP_SCOPE, decl
-        return None
+            return scope, decl
+    return None
 
 
 @dataclass(frozen=True)
 class CheckedSpec:
-    """A specification tree together with its symbols and diagnostics."""
+    """A specification tree with its symbols, diagnostics and program (None
+    when resolution or typing failed)."""
 
     tree: SpecificationTree
     symbols: SymbolTable = field(compare=False)
     diagnostics: tuple[Diagnostic, ...] = ()
+    program: Program | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -134,11 +139,13 @@ def check_all(tree: SpecificationTree) -> CheckedSpec:
     name is reported exactly once rather than echoed by the type checker.
     """
     symbols, diags = resolve(tree)
+    program = None
     if not any(d.severity == ERROR for d in diags):
         diags = diags + check_types(tree, symbols)
     if not any(d.severity == ERROR for d in diags):
-        diags = diags + check_semantics(tree, symbols)
-    return CheckedSpec(tree, symbols, tuple(sorted(diags, key=sort_key)))
+        program = Program(tree, symbols)
+        diags = diags + check_semantics(tree, symbols, program)
+    return CheckedSpec(tree, symbols, tuple(sorted(diags, key=sort_key)), program)
 
 
 # --------------------------------------------------------------------------
@@ -401,12 +408,8 @@ def _require_boolean(
     actual = _type_of(expr, tier, symbols, diags)
     if actual is not None and actual is not ValueType.BOOLEAN:
         diags.append(
-            Diagnostic(ERROR, "E-TYPE", f"{what} must be boolean, not {actual.value}", _span_of(expr))
+            Diagnostic(ERROR, "E-TYPE", f"{what} must be boolean, not {actual.value}", expr.span)
         )
-
-
-def _span_of(expr: Expr) -> SourceSpan:
-    return expr.span
 
 
 def _type_of(
@@ -471,10 +474,16 @@ def _type_of(
 # Pass 3: semantic rules
 
 
-def check_semantics(tree: SpecificationTree, symbols: SymbolTable) -> list[Diagnostic]:
+def check_semantics(
+    tree: SpecificationTree, symbols: SymbolTable, program: Program
+) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
+    triggered = {
+        event for info in program.actions.values() for event in info.triggers + info.onerr_triggers
+    }
     for tier in tree.tiers():
-        _check_tier_semantics(tier, symbols, diags)
+        _check_tier_semantics(tier, triggered, diags)
+    _check_call_graph(program, diags)
     protocols: list[AsipTier] = [t.aeip for t in tree.ae_tiers if t.aeip is not None]
     if tree.asip_tier is not None:
         protocols.append(tree.asip_tier)
@@ -490,12 +499,7 @@ def check_semantics(tree: SpecificationTree, symbols: SymbolTable) -> list[Diagn
     return diags
 
 
-def _check_tier_semantics(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
-    triggered: set[str] = set()
-    for action in tier.actions:
-        for ref in action.triggers + action.onerr_triggers:
-            triggered.add(ref.name)
-
+def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnostic]) -> None:
     for policy in tier.policies:
         if not policy.fluents:
             diags.append(
@@ -526,7 +530,8 @@ def _check_tier_semantics(tier: Tier, symbols: SymbolTable, diags: list[Diagnost
                 )
 
     for event in tier.events:
-        if not event.activation and not event.injectable and event.name not in triggered:
+        triggerable = (tier.name, event.name) in triggered
+        if not event.activation and not event.injectable and not triggerable:
             diags.append(
                 Diagnostic(
                     WARNING, "W-UNREACHABLE",
@@ -543,43 +548,52 @@ def _check_tier_semantics(tier: Tier, symbols: SymbolTable, diags: list[Diagnost
                     )
                 )
 
-    _check_call_cycles(tier, diags)
 
+def _check_call_graph(program: Program, diags: list[Diagnostic]) -> None:
+    """E-CYCLE for each call cycle, E-DEPTH for each chain too deep to run.
 
-def _check_call_cycles(tier: Tier, diags: list[Diagnostic]) -> None:
-    actions = {action.name: action for action in tier.actions}
-    callees: dict[str, list[str]] = {
-        name: [
-            stmt.action.name
-            for stmt in action.does + action.onerr_does
-            if isinstance(stmt, CallStmt) and stmt.action.name in actions
-        ]
-        for name, action in actions.items()
-    }
-    DONE, ACTIVE = 2, 1
-    state: dict[str, int] = {}
-    reported: set[str] = set()
-
-    def visit(name: str, stack: list[str]) -> None:
-        state[name] = ACTIVE
-        stack.append(name)
-        for callee in callees[name]:
-            if state.get(callee) == ACTIVE:
-                cycle = stack[stack.index(callee) :] + [callee]
-                key = "->".join(cycle)
-                if key not in reported:
-                    reported.add(key)
+    An iterative depth-first search, so a long chain cannot exhaust the stack;
+    ``depth`` holds each finished action's calls on its longest chain.
+    """
+    callees = {key: info.calls + info.onerr_calls for key, info in program.actions.items()}
+    depth: dict[Key, int] = {}
+    reported: set[tuple[Key, ...]] = set()
+    for start in callees:
+        if start in depth:
+            continue
+        stack, pending, active = [start], [iter(callees[start])], {start}
+        while stack:
+            callee = next(pending[-1], None)
+            if callee is None:
+                key = stack.pop()
+                pending.pop()
+                active.discard(key)
+                depth[key] = max((depth.get(c, 0) + 1 for c in callees[key]), default=0)
+            elif callee in active:
+                cycle = (*stack[stack.index(callee) :], callee)
+                if cycle not in reported:
+                    reported.add(cycle)
                     diags.append(
                         Diagnostic(
                             ERROR, "E-CYCLE",
-                            f"action call cycle: {' -> '.join(cycle)}", actions[callee].span,
+                            f"action call cycle: {' -> '.join(key[1] for key in cycle)}",
+                            program.actions[callee].decl.span,
                         )
                     )
-            elif state.get(callee) != DONE:
-                visit(callee, stack)
-        stack.pop()
-        state[name] = DONE
-
-    for name in actions:
-        if state.get(name) != DONE:
-            visit(name, [])
+            elif callee not in depth:
+                stack.append(callee)
+                pending.append(iter(callees[callee]))
+                active.add(callee)
+    if reported:
+        return  # chain depths mean nothing on a graph with cycles
+    called = {callee for keys in callees.values() for callee in keys}
+    for key, calls in depth.items():
+        if calls > MAX_CALL_DEPTH and key not in called:
+            diags.append(
+                Diagnostic(
+                    ERROR, "E-DEPTH",
+                    f"call chain from action '{key[1]}' nests {calls} calls deep;"
+                    f" the runtime runs at most {MAX_CALL_DEPTH}",
+                    program.actions[key].decl.span,
+                )
+            )

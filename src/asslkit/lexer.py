@@ -21,7 +21,9 @@ digits after its point, or any other unexpected character. An integer literal
 with more digits than Python converts to ``int`` (4,300 by default) and a
 real literal too large for a float are errors on the literal's span too,
 instead of an internal error and an ``inf`` value that does not print back as
-source.
+source. The literal patterns and ``read_number`` are shared with
+``runtime.scenario.parse_value``, the one reader of literals in scenarios,
+properties and ``--set`` flags, so a value has one syntax everywhere.
 """
 
 from __future__ import annotations
@@ -37,26 +39,30 @@ from .tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, Toke
 _new = tuple.__new__
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+INT_LITERAL = r"-?[0-9]+"
+REAL_LITERAL = r"-?[0-9]+\.[0-9]+"
+TEXT_LITERAL = r'"[^"\r\n]*"'
 _TOKEN = re.compile(
     r"""
     (?: [ \t\n]+ | \r\n | //[^\n]* )*
     (?: (?P<REF> (?: %(spaces)s | AEIP\.MESSAGES ) \. %(name)s )
       | (?P<WORD> %(name)s ) (?![A-Za-z0-9_.])  # a name and a dot: BAD
-      | (?P<REAL> -?[0-9]+ \. [0-9]+ )
-      | (?P<INT> -?[0-9]+ ) (?![0-9.])          # digits and a dot: BAD
-      | (?P<TEXT> "[^"\r\n]*" )
+      | (?P<REAL> %(real)s )
+      | (?P<INT> %(int)s ) (?![0-9.])           # digits and a dot: BAD
+      | (?P<TEXT> %(text)s )
       | (?P<OP> [!<>]= | [{}(),;=<>] )
       | (?P<END> \Z )
       | (?P<BAD> )
     )
     """
-    % {"spaces": "|".join(sorted(NAMESPACE_WORDS)), "name": _NAME},
+    % dict(spaces="|".join(sorted(NAMESPACE_WORDS)), name=_NAME,
+           real=REAL_LITERAL, int=INT_LITERAL, text=TEXT_LITERAL),
     re.VERBOSE,
 )
 _NEWLINE = re.compile(r"\n")
 _NAME_RUN = re.compile(_NAME)
 _IDENT_CONT_RUN = re.compile(r"[A-Za-z0-9_]*")
-_NUMBER_RUN = re.compile(r"-?[0-9]+")
+_NUMBER_RUN = re.compile(INT_LITERAL)
 _TEXT_RUN = re.compile(r'[^"\r\n]*')
 
 _WORDS: dict[str, tuple[TokenKind, object]] = {
@@ -97,16 +103,12 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
             kind, value = _OPS[text], None
         elif group == "REF":
             kind, value = TokenKind.REF, tuple(text.split("."))
-        elif group == "INT":
-            kind = TokenKind.INT
+        elif group == "INT" or group == "REAL":
+            kind = TokenKind.INT if group == "INT" else TokenKind.REAL
             try:
-                value = int(text)
-            except ValueError:
-                raise LexError("integer literal too long", span) from None
-        elif group == "REAL":
-            kind, value = TokenKind.REAL, float(text)
-            if isinf(value):
-                raise LexError("real literal out of range", span)
+                value = read_number(text, real=group == "REAL")
+            except ValueError as err:
+                raise LexError(str(err), span) from None
         elif group == "TEXT":
             kind, value = TokenKind.TEXT, text[1:-1]
         elif group == "END":
@@ -118,6 +120,17 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
             raise LexError(message, SourceSpan(file, line, column, length))
         append(_new(Token, (kind, text, span, value)))
     return tokens
+
+
+def read_number(text: str, real: bool) -> int | float:
+    """Value of an INT or REAL literal; ValueError names one out of range."""
+    try:
+        value = float(text) if real else int(text)
+    except ValueError:  # only int() fails: more digits than it converts
+        raise ValueError("integer literal too long") from None
+    if real and isinf(value):
+        raise ValueError("real literal out of range")
+    return value
 
 
 def _diagnose(source: str, pos: int) -> tuple[str, int, int]:

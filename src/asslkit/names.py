@@ -8,8 +8,7 @@ name. These helpers resolve such text against a checked specification.
 from __future__ import annotations
 
 from .checker import ASIP_SCOPE, CheckedSpec
-
-Key = tuple[str, str]
+from .program import Key
 
 
 class NameResolutionError(ValueError):

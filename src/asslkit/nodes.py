@@ -9,6 +9,7 @@ where a node came from. Collections are tuples to keep trees hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 
 from .tokens import SYNTHETIC, SourceSpan
@@ -303,7 +304,12 @@ def render_value(value: object, value_type: ValueType) -> str:
     if value_type is ValueType.TEXT:
         return f'"{value}"'
     if value_type is ValueType.REAL:
-        return repr(float(value))  # type: ignore[arg-type]
+        # Positional, since real literals have no exponent; with repr's
+        # shortest digits, so the text reads back as the same float.
+        text = repr(float(value))  # type: ignore[arg-type]
+        if "e" in text:
+            text = f"{Decimal(text):f}"
+        return text if "." in text else text + ".0"
     return str(value)
 
 

@@ -4,6 +4,12 @@ One :class:`Runtime` instance is single threaded; distinct instances may run
 in parallel. A run is a pure function of (specification, scenario, seed,
 config): there is no wall clock and no hidden randomness.
 
+A runtime executes the spec's :class:`~asslkit.program.Program`, which
+``check_all`` builds once and every runtime on that spec shares: the
+subscription and timer tables, and each action's statements with their
+callees, metrics, messages and channels already resolved to keys. Creating
+a runtime builds no tables, and running one resolves no names.
+
 Execution semantics, pinned here because the surface language leaves them
 open:
 
@@ -48,24 +54,19 @@ from dataclasses import dataclass
 from ..checker import CheckedSpec
 from ..names import Key, qual
 from ..nodes import (
-    ActivationKind,
-    AssignStmt,
     BinaryExpr,
     BindingRefExpr,
-    CallStmt,
     CompareExpr,
-    EventDecl,
     Expr,
-    FailStmt,
     FluentRefExpr,
     Lit,
     MetricRefExpr,
     NotExpr,
-    SendStmt,
     render_value,
     type_of_value,
 )
 from ..printer import format_expr
+from ..program import MAX_CALL_DEPTH, Assign, Call, Op, Send
 from .scenario import Halt, InjectEvent, Scenario, SendMessage, SetMetric, Stimulus
 from .state import (
     ACTION_FAILED,
@@ -94,7 +95,11 @@ ERROR = "Error"
 
 
 class DepthLimitError(Exception):
-    """Action call depth exceeded; unreachable for specs that pass checking."""
+    """Action calls nested deeper than ``MAX_CALL_DEPTH``.
+
+    ``check_all`` rejects a spec with a call chain that deep (E-DEPTH), so a
+    checked spec never raises it.
+    """
 
 
 class LivelockError(Exception):
@@ -113,16 +118,6 @@ MAX_DRAIN_STEPS = 10_000
 @dataclass(frozen=True)
 class RunConfig:
     interleave: str = "seeded"  # "seeded" | "declared"
-    max_call_depth: int = 32
-
-
-@dataclass(frozen=True)
-class _Mapping:
-    policy: str
-    index: int
-    subject: str
-    conditions: tuple[Key, ...]
-    actions: tuple[Key, ...]
 
 
 class Runtime:
@@ -137,116 +132,24 @@ class Runtime:
     ) -> None:
         if not spec.ok:
             raise ValueError("specification has errors; run check_all first")
-        self.spec = spec
         self.seed = seed
         self.config = config or RunConfig()
         self.trace: Trace | None = Trace() if record else None
-        self._build_tables()
-
-    # -- static tables -------------------------------------------------------
-
-    def _build_tables(self) -> None:
-        tree = self.spec.tree
-        self.elements: tuple[str, ...] = tuple(t.name for t in tree.tiers())
-        self.fluent_keys: list[Key] = []
-        self.metric_decls: dict[Key, object] = {}
-        self.event_decls: dict[Key, EventDecl] = {}
-        self.action_decls: dict[Key, object] = {}
-        self.initiators: dict[Key, list[Key]] = {}
-        self.terminators: dict[Key, list[Key]] = {}
-        self.changed_subs: dict[Key, list[Key]] = {}
-        self.sent_subs: dict[Key, list[Key]] = {}
-        self.received_subs: dict[Key, list[Key]] = {}
-        self.timer_slots: list[tuple[Key, int]] = []
-        self.mappings: dict[str, list[_Mapping]] = {}
-        self.injectable: list[Key] = []
-
-        for tier in tree.tiers():
-            elem = tier.name
-            self.mappings[elem] = []
-            for policy in tier.policies:
-                for fluent in policy.fluents:
-                    fkey = (elem, fluent.name)
-                    self.fluent_keys.append(fkey)
-                    for ref in fluent.initiated_by:
-                        self.initiators.setdefault((elem, ref.name), []).append(fkey)
-                    for ref in fluent.terminated_by:
-                        self.terminators.setdefault((elem, ref.name), []).append(fkey)
-                for index, mapping in enumerate(policy.mappings):
-                    self.mappings[elem].append(
-                        _Mapping(
-                            policy=policy.name,
-                            index=index,
-                            subject=f"{elem}.{policy.name}.mapping[{index}]",
-                            conditions=tuple((elem, c.name) for c in mapping.conditions),
-                            actions=tuple((elem, a.name) for a in mapping.do_actions),
-                        )
-                    )
-            for metric in tier.metrics:
-                self.metric_decls[(elem, metric.name)] = metric
-            for action in tier.actions:
-                self.action_decls[(elem, action.name)] = action
-            for event in tier.events:
-                ekey = (elem, event.name)
-                self.event_decls[ekey] = event
-                if event.injectable:
-                    self.injectable.append(ekey)
-                for clause in event.activation:
-                    if clause.kind is ActivationKind.CHANGED:
-                        assert clause.target is not None
-                        self.changed_subs.setdefault((elem, clause.target.name), []).append(ekey)
-                    elif clause.kind is ActivationKind.SENT:
-                        assert clause.target is not None
-                        resolved = self.spec.symbols.resolve_message(elem, clause.target.name)
-                        assert resolved is not None
-                        self.sent_subs.setdefault((resolved[0], clause.target.name), []).append(ekey)
-                    elif clause.kind is ActivationKind.RECEIVED:
-                        assert clause.target is not None
-                        resolved = self.spec.symbols.resolve_message(elem, clause.target.name)
-                        assert resolved is not None
-                        self.received_subs.setdefault(
-                            (resolved[0], clause.target.name), []
-                        ).append(ekey)
-                    else:
-                        assert clause.ticks is not None
-                        self.timer_slots.append((ekey, clause.ticks))
-
-        self.message_decls = dict(self.spec.symbols.messages)
-        # Receiving element of each message; None for a receiver that is not
-        # an element, whose messages stay queued.
-        self.receiver_of: dict[Key, str | None] = {
-            key: decl.receiver if decl.receiver in self.elements else None
-            for key, decl in self.message_decls.items()
-        }
-        self.channel_keys: list[Key] = list(self.spec.symbols.channels)
-        self.channel_capacity: dict[Key, int] = {
-            key: decl.capacity for key, decl in self.spec.symbols.channels.items()
-        }
-        self.timers_by_element: dict[str, list[int]] = {elem: [] for elem in self.elements}
-        for slot, (ekey, _period) in enumerate(self.timer_slots):
-            self.timers_by_element[ekey[0]].append(slot)
-
-        # Templates that init() copies.
-        self._initial_fluents: dict[Key, bool] = dict.fromkeys(self.fluent_keys, False)
-        self._initial_metrics: dict[Key, object] = {
-            key: decl.initial.value for key, decl in self.metric_decls.items()  # type: ignore[union-attr]
-        }
-        self._initial_timers: list[int] = [period for (_ekey, period) in self.timer_slots]
-
-    # -- lifecycle -------------------------------------------------------------
+        self.program = spec.program
 
     def init(self) -> RuntimeState:
         """Fresh state: fluents inactive, metrics at initial values, tick 0."""
         if self.trace is not None:
             self.trace = Trace()
+        program = self.program
         return RuntimeState(
             tick=0,
-            fluents=dict(self._initial_fluents),
-            metrics=dict(self._initial_metrics),
+            fluents=dict.fromkeys(program.fluent_keys, False),
+            metrics=dict(program.initial_metrics),
             # send_message appends to a queue in place, so each is a new list
-            channels={key: [] for key in self.channel_keys},
+            channels={key: [] for key in program.channel_keys},
             pending=deque(),
-            timers=list(self._initial_timers),
+            timers=[period for _event, period in program.timer_slots],
         )
 
     def _record(self, state: RuntimeState, kind: str, subject: str, detail: str = "") -> None:
@@ -304,10 +207,11 @@ class Runtime:
         Returns True when the event was raised, False when suppressed.
         """
         recording = self.trace is not None
+        program = self.program
         event = occ.event
         element = event[0]
-        decl = self.event_decls[event]
-        if decl.guard is not None and not self.eval_expr(decl.guard, state, element):
+        guard = program.events[event].decl.guard
+        if guard is not None and not self.eval_expr(guard, state, element):
             if recording:
                 self._record(state, EVENT_SUPPRESSED, qual(event), "guard false")
             state.last_event = None
@@ -317,13 +221,13 @@ class Runtime:
         state.last_event = event
 
         initiated: list[Key] = []
-        for fkey in self.initiators.get(event, ()):
+        for fkey in program.initiators.get(event, ()):
             if not state.fluents[fkey]:
                 state.fluents[fkey] = True
                 initiated.append(fkey)
                 if recording:
                     self._record(state, FLUENT_INITIATED, qual(fkey), f"by {qual(event)}")
-        for fkey in self.terminators.get(event, ()):
+        for fkey in program.terminators.get(event, ()):
             if state.fluents[fkey]:
                 state.fluents[fkey] = False
                 if recording:
@@ -331,7 +235,7 @@ class Runtime:
 
         if initiated:
             just_initiated = set(initiated)
-            for mapping in self.mappings[element]:
+            for mapping in program.mappings[element]:
                 if not just_initiated.intersection(mapping.conditions):
                     continue
                 if not all(state.fluents[c] for c in mapping.conditions):
@@ -353,9 +257,10 @@ class Runtime:
         Outcome is SUCCESS, GUARD_REJECTED, or ERROR. Guard rejection runs no
         statements and leaves no trace records. ``cause`` is trace text only.
         """
-        if depth > self.config.max_call_depth:
+        if depth > MAX_CALL_DEPTH:
             raise DepthLimitError(f"call depth exceeded at {qual(action_key)}")
-        decl = self.action_decls[action_key]
+        info = self.program.actions[action_key]
+        decl = info.decl
         element = action_key[0]
         bindings: dict[str, bool] = {}
         if decl.guard is not None and not self.eval_expr(decl.guard, state, element):
@@ -365,8 +270,8 @@ class Runtime:
             self._record(state, ACTION_STARTED, qual(action_key), cause)
 
         failure: str | None = None
-        for stmt in decl.does:
-            failure = self._exec_stmt(state, stmt, action_key, bindings, depth)
+        for op in info.does:
+            failure = self._exec_op(state, op, action_key, bindings, depth)
             if failure is not None:
                 break
 
@@ -381,59 +286,42 @@ class Runtime:
         if failure is None:
             if recording:
                 self._record(state, ACTION_SUCCEEDED, qual(action_key))
-            for ref in decl.triggers:
-                self._enqueue(
-                    state,
-                    EventOccurrence((element, ref.name), Triggered(action_key), state.tick),
-                )
+            for event in info.triggers:
+                self._enqueue(state, EventOccurrence(event, Triggered(action_key), state.tick))
             return SUCCESS, None
 
         if recording:
             self._record(state, ACTION_FAILED, qual(action_key), failure)
-        for stmt in decl.onerr_does:
-            if self._exec_stmt(state, stmt, action_key, bindings, depth) is not None:
+        for op in info.onerr_does:
+            if self._exec_op(state, op, action_key, bindings, depth) is not None:
                 break  # a failure inside the error path aborts it
-        for ref in decl.onerr_triggers:
+        for event in info.onerr_triggers:
             self._enqueue(
-                state,
-                EventOccurrence(
-                    (element, ref.name), Triggered(action_key, on_error=True), state.tick
-                ),
+                state, EventOccurrence(event, Triggered(action_key, on_error=True), state.tick)
             )
         return ERROR, failure
 
-    def _exec_stmt(
-        self,
-        state: RuntimeState,
-        stmt,
-        action_key: Key,
-        bindings: dict[str, bool],
-        depth: int,
+    def _exec_op(
+        self, state: RuntimeState, op: Op, action_key: Key, bindings: dict[str, bool], depth: int
     ) -> str | None:
-        element = action_key[0]
-        if isinstance(stmt, CallStmt):
-            callee = (element, stmt.action.name)
+        """Run one resolved statement; returns a failure reason or None."""
+        kind = type(op)
+        if kind is Call:
             cause = f"called by {qual(action_key)}" if self.trace is not None else ""
-            outcome, reason = self.execute_action(state, callee, cause, depth + 1)
+            outcome, reason = self.execute_action(state, op.callee, cause, depth + 1)
             if outcome == ERROR:
-                return f"call {qual(callee)} failed: {reason}"
-            if stmt.binding:
-                bindings[stmt.binding] = outcome == SUCCESS
+                return f"call {qual(op.callee)} failed: {reason}"
+            if op.binding:
+                bindings[op.binding] = outcome == SUCCESS
             return None
-        if isinstance(stmt, AssignStmt):
-            value = self.eval_expr(stmt.value, state, element, bindings)
-            self.assign_metric(state, (element, stmt.metric.name), value)
+        if kind is Assign:
+            value = self.eval_expr(op.value, state, action_key[0], bindings)
+            self.assign_metric(state, op.metric, value)
             return None
-        if isinstance(stmt, SendStmt):
-            message = self.spec.symbols.resolve_message(element, stmt.message.name)
-            channel = self.spec.symbols.resolve_channel(element, stmt.channel.name)
-            assert message is not None and channel is not None
-            self.send_message(
-                state, (message[0], stmt.message.name), (channel[0], stmt.channel.name), element
-            )
+        if kind is Send:
+            self.send_message(state, op.message, op.channel, action_key[0])
             return None
-        assert isinstance(stmt, FailStmt)
-        return stmt.reason
+        return op.reason
 
     def assign_metric(self, state: RuntimeState, metric: Key, value: object) -> None:
         """Write a metric and enqueue CHANGED occurrences (write triggered)."""
@@ -445,7 +333,7 @@ class Runtime:
             )
             self._record(state, METRIC_ASSIGNED, qual(metric), detail)
         state.metrics[metric] = value
-        for event in self.changed_subs.get(metric, ()):
+        for event in self.program.changed_subs.get(metric, ()):
             self._enqueue(
                 state, EventOccurrence(event, Activation("CHANGED", qual(metric)), state.tick)
             )
@@ -456,7 +344,7 @@ class Runtime:
         """Enqueue a message; returns False when the channel was full."""
         queue = state.channels[channel]
         recording = self.trace is not None
-        if len(queue) >= self.channel_capacity[channel]:
+        if len(queue) >= self.program.channel_capacity[channel]:
             if recording:
                 self._record(
                     state, MESSAGE_SENT, qual(message),
@@ -466,7 +354,7 @@ class Runtime:
         queue.append((message, sender))
         if recording:
             self._record(state, MESSAGE_SENT, qual(message), f"over {qual(channel)} by {sender}")
-        for event in self.sent_subs.get(message, ()):
+        for event in self.program.sent_subs.get(message, ()):
             self._enqueue(
                 state,
                 EventOccurrence(event, Activation("SENT", qual(message)), state.tick),
@@ -500,7 +388,7 @@ class Runtime:
 
     def element_order(self, tick: int) -> list[str]:
         """Element processing order for a tick's delivery and timer phases."""
-        order = list(self.elements)
+        order = list(self.program.elements)
         if self.config.interleave == "seeded" and len(order) > 1:
             random.Random(self.seed * 1_000_003 + tick).shuffle(order)
         return order
@@ -515,13 +403,14 @@ class Runtime:
         state.last_event = None
         tick = state.tick
         channels = state.channels
-        busy = [key for key in self.channel_keys if channels[key]]
-        receiver_of = self.receiver_of
+        program = self.program
+        busy = [key for key in program.channel_keys if channels[key]]
+        receiver_of = program.receiver_of
         acting = {receiver_of[message] for key in busy for message, _sender in channels[key]}
         acting.discard(None)
         timers = state.timers
         if timers and min(timers) <= tick:
-            timer_slots = self.timer_slots
+            timer_slots = program.timer_slots
             acting.update(
                 timer_slots[slot][0][0] for slot, due in enumerate(timers) if due <= tick
             )
@@ -545,7 +434,7 @@ class Runtime:
                             state, MESSAGE_RECEIVED, qual(message),
                             f"by {elem} over {qual(channel)}",
                         )
-                    for event in self.received_subs.get(message, ()):
+                    for event in program.received_subs.get(message, ()):
                         self._enqueue(
                             state,
                             EventOccurrence(event, Activation("RECEIVED", qual(message)), tick),
@@ -553,9 +442,9 @@ class Runtime:
                 if len(remaining) != len(queue):
                     channels[channel] = remaining
         for elem in order:
-            for slot in self.timers_by_element[elem]:
+            for slot in program.timers_by_element[elem]:
                 if timers[slot] <= tick:
-                    event, period = self.timer_slots[slot]
+                    event, period = program.timer_slots[slot]
                     self._enqueue(
                         state, EventOccurrence(event, Activation("ELAPSED", str(period)), tick)
                     )
@@ -572,7 +461,7 @@ class Runtime:
         elif isinstance(stimulus, SetMetric):
             self.assign_metric(state, stimulus.metric, stimulus.value)
         elif isinstance(stimulus, SendMessage):
-            sender = self.message_decls[stimulus.message].sender
+            sender = self.program.messages[stimulus.message].sender
             self.send_message(state, stimulus.message, stimulus.channel, sender)
         else:
             raise ValueError(f"cannot apply {stimulus!r} directly")

@@ -9,16 +9,20 @@ Scenario files are line oriented::
 
 Blank lines and lines starting with ``#`` are ignored. Names may be bare when
 unique across the specification, or qualified as ``element.name``. Ticks must
-be non-decreasing.
+be non-decreasing. Values are literals of the metric's type, written as in a
+specification; ``parse_value`` reads them, and also the literals of
+properties and of ``--set`` flags.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..checker import CheckedSpec
+from ..lexer import INT_LITERAL, REAL_LITERAL, TEXT_LITERAL, read_number
 from ..names import Key, NameResolutionError, qual, resolve_channel, resolve_decl, resolve_message
-from ..nodes import MetricDecl, ValueType, render_value
+from ..nodes import ValueType, render_value
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def parse_scenario(text: str, spec: CheckedSpec, name: str = "<scenario>") -> Sc
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        parts = line.split(maxsplit=4)  # the last part may be text with spaces
         try:
             steps.append(_parse_step(parts, spec))
         except (NameResolutionError, ScenarioError, ValueError) as err:
@@ -113,8 +117,7 @@ def _parse_step(parts: list[str], spec: CheckedSpec) -> tuple[int, Stimulus]:
         if len(args) != 2:
             raise ScenarioError("set takes a metric name and a value")
         metric = resolve_decl(spec, "metrics", args[0])
-        decl = spec.symbols.lookup(metric[0], "metrics", metric[1])
-        assert isinstance(decl, MetricDecl)
+        decl = spec.program.metrics[metric]
         value = parse_value(args[1], decl.value_type)
         return tick, SetMetric(metric, value, decl.value_type)
     if verb == "send":
@@ -124,18 +127,23 @@ def _parse_step(parts: list[str], spec: CheckedSpec) -> tuple[int, Stimulus]:
     raise ScenarioError(f"unknown stimulus '{verb}'")
 
 
+_LITERALS = {
+    ValueType.BOOLEAN: re.compile("true|false"),
+    ValueType.INTEGER: re.compile(INT_LITERAL),
+    ValueType.REAL: re.compile(REAL_LITERAL),
+    ValueType.TEXT: re.compile(TEXT_LITERAL),
+}
+
+
 def parse_value(text: str, value_type: ValueType) -> object:
-    """Parse a scenario value literal of the given metric type."""
+    """Read a literal of a metric type as the spec lexer reads it, limits included."""
+    if not _LITERALS[value_type].fullmatch(text):
+        raise ScenarioError(f"not a literal of type {value_type.value}: {text!r}")
     if value_type is ValueType.BOOLEAN:
-        if text == "true":
-            return True
-        if text == "false":
-            return False
-        raise ScenarioError(f"expected true or false, got {text!r}")
-    if value_type is ValueType.INTEGER:
-        return int(text)
-    if value_type is ValueType.REAL:
-        return float(text)
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+        return text == "true"
+    if value_type is ValueType.TEXT:
         return text[1:-1]
-    return text
+    try:
+        return read_number(text, real=value_type is ValueType.REAL)
+    except ValueError as err:
+        raise ScenarioError(str(err)) from None

@@ -18,6 +18,11 @@ assertions are checked on the trace so far, and only if they fail does the
 same run go on to apply the terminating stimulus. An assignment equal to an
 earlier one is not simulated again.
 
+Everything the generator knows of actions and events it reads from the
+spec's ``Program`` records: callees, fail statements, metrics read, resolved
+messages. Which actions can fail, the metrics a path depends on and a
+policy's reference closure are small walks over those records.
+
 Generated tests serialize one directory per policy: ``<path-id>.scenario``
 plus ``<path-id>.expect``, whose assertion lines use the five trace fields
 with ``*`` wildcards; a leading ``!`` asserts absence. Change-impact
@@ -35,26 +40,19 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 from .checker import CheckedSpec
-from .names import Key, qual
+from .names import ASIP_SCOPE, Key, qual
 from .nodes import (
-    ActionDecl,
     ActivationKind,
-    AssignStmt,
     BinaryExpr,
-    CallStmt,
     CompareExpr,
-    EventDecl,
     Expr,
-    FailStmt,
     Lit,
     MetricDecl,
     MetricRefExpr,
     NotExpr,
-    PolicyDecl,
-    SendStmt,
-    Tier,
     ValueType,
 )
+from .program import Assign, Call
 from .runtime import Halt, InjectEvent, Runtime, Scenario, SendMessage, SetMetric, Trace
 from .runtime.state import (
     ACTION_FAILED,
@@ -162,47 +160,42 @@ class TestSuite:
 
 
 def policy_keys(spec: CheckedSpec) -> list[Key]:
-    return [
-        (tier.name, policy.name)
-        for tier in spec.tree.tiers()
-        for policy in tier.policies
-    ]
+    return list(spec.program.policies)
 
 
 def enumerate_paths(spec: CheckedSpec, policy: Key) -> PathSet:
     """Cartesian product of initiator, per-action branches, and terminator."""
     if not spec.ok:
         raise ValueError("specification has errors; run check_all first")
-    tier, decl = _policy_decl(spec, policy)
+    decl = spec.program.policies[policy]
     if not decl.mappings:
         return PathSet(
             policy, (), (f"policy '{qual(policy)}' has no mappings; no paths",)
         )
-    elem = tier.name
-    initiators = _ordered_unique(
+    elem = policy[0]
+    initiators = list(dict.fromkeys(
         (elem, ref.name) for fluent in decl.fluents for ref in fluent.initiated_by
-    )
-    terminators = _ordered_unique(
+    ))
+    terminators = list(dict.fromkeys(
         (elem, ref.name) for fluent in decl.fluents for ref in fluent.terminated_by
-    )
-    actions = _ordered_unique(
+    ))
+    actions = list(dict.fromkeys(
         (elem, ref.name) for mapping in decl.mappings for ref in mapping.do_actions
-    )
+    ))
 
     per_action: list[list[tuple[Key, str]]] = []
     for action_key in actions:
-        action = spec.symbols.lookup(elem, "actions", action_key[1])
-        assert isinstance(action, ActionDecl)
-        guard_const = _const_value(action.guard)
+        guard = spec.program.actions[action_key].decl.guard
+        guard_const = _const_value(guard)
         choices: list[str] = []
-        if action.guard is not None and guard_const is None:
+        if guard is not None and guard_const is None:
             choices.append(GUARD_REJECT)
         if guard_const is False:
             choices = [GUARD_REJECT]
         else:
-            if not _always_fails(spec, elem, action):
+            if not _reaches_fail(spec, action_key, surely=True):
                 choices.append(SUCCESS_PATH)
-            if _error_capable(spec, elem, action):
+            if _reaches_fail(spec, action_key, surely=False):
                 choices.append(ERROR_PATH)
         per_action.append([(action_key, choice) for choice in choices])
 
@@ -213,23 +206,6 @@ def enumerate_paths(spec: CheckedSpec, policy: Key) -> PathSet:
         for terminator in terminators
     ]
     return PathSet(policy, tuple(paths))
-
-
-def _policy_decl(spec: CheckedSpec, policy: Key) -> tuple[Tier, PolicyDecl]:
-    for tier in spec.tree.tiers():
-        if tier.name != policy[0]:
-            continue
-        for decl in tier.policies:
-            if decl.name == policy[1]:
-                return tier, decl
-    raise KeyError(f"no policy {qual(policy)}")
-
-
-def _ordered_unique(keys) -> list[Key]:
-    seen: dict[Key, None] = {}
-    for key in keys:
-        seen.setdefault(key)
-    return list(seen)
 
 
 def _const_value(expr: Expr | None) -> bool | None:
@@ -249,42 +225,25 @@ def _const_value(expr: Expr | None) -> bool | None:
     return None
 
 
-def _callees(spec: CheckedSpec, elem: str, action: ActionDecl) -> list[ActionDecl]:
-    out = []
-    for stmt in action.does:
-        if isinstance(stmt, CallStmt):
-            callee = spec.symbols.lookup(elem, "actions", stmt.action.name)
-            if isinstance(callee, ActionDecl):
-                out.append(callee)
-    return out
+def _reaches_fail(spec: CheckedSpec, action: Key, surely: bool) -> bool:
+    """Whether DOES calls lead from ``action`` to a fail statement in a DOES.
 
-
-def _error_capable(spec: CheckedSpec, elem: str, action: ActionDecl, seen=None) -> bool:
-    seen = seen or set()
-    if action.name in seen:
-        return False
-    seen.add(action.name)
-    if any(isinstance(stmt, FailStmt) for stmt in action.does):
-        return True
-    return any(
-        _const_value(callee.guard) is not False
-        and _error_capable(spec, elem, callee, seen)
-        for callee in _callees(spec, elem, action)
-    )
-
-
-def _always_fails(spec: CheckedSpec, elem: str, action: ActionDecl, seen=None) -> bool:
-    seen = seen or set()
-    if action.name in seen:
-        return False
-    seen.add(action.name)
-    if any(isinstance(stmt, FailStmt) for stmt in action.does):
-        return True
-    return any(
-        _const_value(callee.guard) is True
-        and _always_fails(spec, elem, callee, seen)
-        for callee in _callees(spec, elem, action)
-    )
+    A call is followed when the callee's guard can pass, or with ``surely``
+    only when it always passes: then the action always fails.
+    """
+    records = spec.program.actions
+    seen = {action}
+    stack = [records[action]]
+    while stack:
+        info = stack.pop()
+        if info.fails:
+            return True
+        for callee in info.calls:
+            const = _const_value(records[callee].decl.guard)
+            if callee not in seen and (const is True if surely else const is not False):
+                seen.add(callee)
+                stack.append(records[callee])
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -317,18 +276,13 @@ def generate_all(spec: CheckedSpec) -> TestSuite:
 def _generate_one(
     spec: CheckedSpec, runtime: Runtime, path: PolicyPath, index: int
 ) -> GeneratedTest | str:
-    elem = path.policy[0]
     assertions = _assertion_template(spec, path)
-    initiator = spec.symbols.lookup(elem, "events", path.initiating_event[1])
-    terminator = spec.symbols.lookup(elem, "events", path.terminating_event[1])
-    assert isinstance(initiator, EventDecl) and isinstance(terminator, EventDecl)
-
-    init_plan = _stimulus_plan(spec, elem, initiator)
+    init_plan = _stimulus_plan(spec, path.initiating_event)
     if init_plan is None:
         return f"initiating event {qual(path.initiating_event)} cannot be stimulated"
-    term_plan = _stimulus_plan(spec, elem, terminator)
+    term_plan = _stimulus_plan(spec, path.terminating_event)
 
-    metrics = _relevant_metrics(spec, path, initiator, terminator)
+    metrics = _relevant_metrics(spec, path)
     cut = _term_tick(init_plan)
     prefix_passed = False
 
@@ -353,16 +307,11 @@ def _generate_one(
 
 
 def _assertion_template(spec: CheckedSpec, path: PolicyPath) -> tuple[Assertion, ...]:
-    elem = path.policy[0]
-    _tier, decl = _policy_decl(spec, path.policy)
-    fluents = [
-        (elem, fluent.name)
-        for fluent in decl.fluents
-        if any(ref.name == path.initiating_event[1] for ref in fluent.initiated_by)
-    ]
-    out: list[Assertion] = [
-        Assertion(FLUENT_INITIATED, qual(fkey)) for fkey in fluents
-    ]
+    program = spec.program
+    owned = {(path.policy[0], fluent.name) for fluent in program.policies[path.policy].fluents}
+    initiated = dict.fromkeys(program.initiators.get(path.initiating_event, ()))
+    fluents = [fkey for fkey in initiated if fkey in owned]
+    out = [Assertion(FLUENT_INITIATED, qual(fkey)) for fkey in fluents]
     out.append(Assertion(MAPPING_FIRED, f"{qual(path.policy)}.mapping[[]*[]]"))
     for action, choice in path.branches:
         if choice == GUARD_REJECT:
@@ -373,16 +322,9 @@ def _assertion_template(spec: CheckedSpec, path: PolicyPath) -> tuple[Assertion,
             out.append(Assertion(ACTION_SUCCEEDED, qual(action)))
         else:
             out.append(Assertion(ACTION_FAILED, qual(action)))
-            decl_a = spec.symbols.lookup(elem, "actions", action[1])
-            assert isinstance(decl_a, ActionDecl)
-            for ref in decl_a.onerr_triggers:
-                out.append(Assertion(EVENT_RAISED, qual((elem, ref.name))))
-    terminated = [
-        (elem, fluent.name)
-        for fluent in decl.fluents
-        if any(ref.name == path.terminating_event[1] for ref in fluent.terminated_by)
-    ]
-    for fkey in terminated:
+            onerr_triggers = program.actions[action].onerr_triggers
+            out += [Assertion(EVENT_RAISED, qual(event)) for event in onerr_triggers]
+    for fkey in dict.fromkeys(program.terminators.get(path.terminating_event, ())):
         if fkey in fluents:
             out.append(
                 Assertion(
@@ -402,116 +344,69 @@ class _Plan:
     metric: Key | None = None  # CHANGED-driven events: the metric to set
 
 
-def _stimulus_plan(spec: CheckedSpec, elem: str, event: EventDecl) -> _Plan | None:
-    if event.injectable:
-        return _Plan((InjectEvent((elem, event.name)),), 1)
-    for clause in event.activation:
-        if clause.kind is ActivationKind.SENT:
-            assert clause.target is not None
-            resolved = spec.symbols.resolve_message(elem, clause.target.name)
-            assert resolved is not None
-            channel = _some_channel(spec, elem)
+def _stimulus_plan(spec: CheckedSpec, event: Key) -> _Plan | None:
+    info = spec.program.events[event]
+    if info.decl.injectable:
+        return _Plan((InjectEvent(event),), 1)
+    for kind, target in info.activations:
+        if kind is ActivationKind.SENT or kind is ActivationKind.RECEIVED:
+            channel = _some_channel(spec, event[0])
             if channel is None:
                 continue
-            return _Plan((SendMessage((resolved[0], clause.target.name), channel),), 1)
-        if clause.kind is ActivationKind.RECEIVED:
-            assert clause.target is not None
-            resolved = spec.symbols.resolve_message(elem, clause.target.name)
-            assert resolved is not None
-            channel = _some_channel(spec, elem)
-            if channel is None:
-                continue
-            return _Plan((SendMessage((resolved[0], clause.target.name), channel),), 2)
-        if clause.kind is ActivationKind.CHANGED:
-            assert clause.target is not None
-            return _Plan((), 1, metric=(elem, clause.target.name))
-        if clause.kind is ActivationKind.ELAPSED:
-            assert clause.ticks is not None
-            return _Plan((), clause.ticks)
+            ticks = 1 if kind is ActivationKind.SENT else 2
+            return _Plan((SendMessage(target, channel),), ticks)
+        if kind is ActivationKind.CHANGED:
+            return _Plan((), 1, metric=target)
+        return _Plan((), target)
     return None
 
 
 def _some_channel(spec: CheckedSpec, elem: str) -> Key | None:
-    local = [key for key in spec.symbols.channels if key[0] == elem]
-    if local:
-        return local[0]
-    shared = [key for key in spec.symbols.channels if key[0] == "ASIP"]
-    return shared[0] if shared else None
+    """The tier's first channel, else the shared protocol's first, else None."""
+    keys = spec.program.channel_keys
+    return next((key for scope in (elem, ASIP_SCOPE) for key in keys if key[0] == scope), None)
 
 
-def _relevant_metrics(
-    spec: CheckedSpec, path: PolicyPath, initiator: EventDecl, terminator: EventDecl
-) -> list[tuple[Key, MetricDecl]]:
-    elem = path.policy[0]
-    exprs: list[Expr] = []
-    for event in (initiator, terminator):
-        if event.guard is not None:
-            exprs.append(event.guard)
-    seen_actions: set[str] = set()
+def _relevant_metrics(spec: CheckedSpec, path: PolicyPath) -> list[tuple[Key, MetricDecl]]:
+    """Metrics the path's event guards and actions read, first seen first.
 
-    def visit_action(name: str) -> None:
-        if name in seen_actions:
-            return
-        seen_actions.add(name)
-        action = spec.symbols.lookup(elem, "actions", name)
-        if not isinstance(action, ActionDecl):
-            return
-        if action.guard is not None:
-            exprs.append(action.guard)
-        if action.ensures is not None:
-            exprs.append(action.ensures)
-        for stmt in action.does + action.onerr_does:
-            if isinstance(stmt, CallStmt):
-                visit_action(stmt.action.name)
-            elif isinstance(stmt, AssignStmt):
-                # verdict-style metrics reach guards through copies
-                exprs.append(stmt.value)
+    An action's GUARDS and ENSURES come first, then its statements in order:
+    an assigned value (verdict-style metrics reach guards through copies), and
+    at each call the callee's walk, once per callee.
+    """
+    program = spec.program
+    names: dict[Key, None] = {}
+    for event in (path.initiating_event, path.terminating_event):
+        names.update(dict.fromkeys(program.events[event].reads))
+    seen: set[Key] = set()
 
-    for action_key, _choice in path.branches:
-        visit_action(action_key[1])
+    def visit(action: Key) -> None:
+        seen.add(action)
+        info = program.actions[action]
+        names.update(dict.fromkeys(info.checks))
+        for op in info.does + info.onerr_does:
+            if type(op) is Call and op.callee not in seen:
+                visit(op.callee)
+            elif type(op) is Assign:
+                names.update(dict.fromkeys(op.reads))
 
-    names: dict[str, None] = {}
-    for expr in exprs:
-        for name in _metric_names(expr):
-            names.setdefault(name)
-    out = []
-    for name in names:
-        decl = spec.symbols.lookup(elem, "metrics", name)
-        if isinstance(decl, MetricDecl):
-            out.append(((elem, name), decl))
-    return out
-
-
-def _metric_names(expr: Expr) -> list[str]:
-    if isinstance(expr, MetricRefExpr):
-        return [expr.name]
-    if isinstance(expr, NotExpr):
-        return _metric_names(expr.operand)
-    if isinstance(expr, (BinaryExpr, CompareExpr)):
-        return _metric_names(expr.left) + _metric_names(expr.right)
-    return []
+    for action, _choice in path.branches:
+        if action not in seen:
+            visit(action)
+    return [(key, program.metrics[key]) for key in names]
 
 
 def _candidate_values(spec: CheckedSpec, key: Key, decl: MetricDecl) -> list[object]:
     if decl.value_type is ValueType.BOOLEAN:
         return [decl.initial.value, True, False]
+    tier = spec.symbols.tiers[key[0]]
+    guards = [event.guard for event in tier.events]
+    guards += [expr for action in tier.actions for expr in (action.guard, action.ensures)]
     values: list[object] = [decl.initial.value]
-    elem = key[0]
-    exprs: list[Expr] = []
-    tier = spec.symbols.tiers[elem]
-    for event in tier.events:
-        if event.guard is not None:
-            exprs.append(event.guard)
-    for action in tier.actions:
-        for guard in (action.guard, action.ensures):
-            if guard is not None:
-                exprs.append(guard)
-    for expr in exprs:
-        values.extend(_literals_against(expr, key[1], decl.value_type))
-    unique: dict[object, None] = {}
-    for value in values:
-        unique.setdefault(value)
-    return list(unique)
+    for expr in guards:
+        if expr is not None:
+            values.extend(_literals_against(expr, key[1], decl.value_type))
+    return list(dict.fromkeys(values))
 
 
 def _literals_against(expr: Expr, metric: str, value_type: ValueType) -> list[object]:
@@ -563,9 +458,7 @@ def _build_scenario(
     elem = path.policy[0]
     steps: list[tuple[int, object]] = []
     for key, (value, value_type) in assignment.items():
-        decl = spec.symbols.lookup(key[0], "metrics", key[1])
-        assert isinstance(decl, MetricDecl)
-        if value != decl.initial.value:
+        if value != spec.program.initial_metrics[key]:
             steps.append((0, SetMetric(key, value, value_type)))
 
     for stim in init_plan.stimuli:
@@ -598,8 +491,7 @@ def _term_tick(init_plan: _Plan) -> int:
 
 
 def _initial_of(spec: CheckedSpec, key: Key) -> tuple[object, ValueType]:
-    decl = spec.symbols.lookup(key[0], "metrics", key[1])
-    assert isinstance(decl, MetricDecl)
+    decl = spec.program.metrics[key]
     return decl.initial.value, decl.value_type
 
 
@@ -665,94 +557,56 @@ def impact(old_spec: CheckedSpec, new_spec: CheckedSpec) -> ImpactSet:
 
 
 def _decl_map(spec: CheckedSpec) -> dict[str, object]:
-    decls: dict[str, object] = {}
-    for tier in spec.tree.tiers():
-        for namespace, items in (
-            ("policy", tier.policies),
-            ("action", tier.actions),
-            ("event", tier.events),
-            ("metric", tier.metrics),
-        ):
-            for decl in items:
-                decls[f"{tier.name}.{namespace}.{decl.name}"] = decl
-    for (scope, name), decl in spec.symbols.messages.items():
-        decls[f"{scope}.message.{name}"] = decl
-    for (scope, name), decl in spec.symbols.channels.items():
-        decls[f"{scope}.channel.{name}"] = decl
-    return decls
+    program = spec.program
+    tables: dict[str, dict] = {
+        "policy": program.policies,
+        "action": {key: info.decl for key, info in program.actions.items()},
+        "event": {key: info.decl for key, info in program.events.items()},
+        "metric": program.metrics,
+        "message": program.messages,
+        "channel": spec.symbols.channels,
+    }
+    return {
+        f"{scope}.{namespace}.{name}": decl
+        for namespace, table in tables.items()
+        for (scope, name), decl in table.items()
+    }
 
 
 def _policy_closure(spec: CheckedSpec, policy: Key) -> set[str]:
     """Qualified names of every declaration the policy transitively uses."""
+    program = spec.program
+    decl = program.policies[policy]
     elem = policy[0]
-    try:
-        _tier, decl = _policy_decl(spec, policy)
-    except KeyError:
-        return set()
-    closure: set[str] = {f"{elem}.policy.{policy[1]}"}
-    pending_events: list[str] = []
-    pending_actions: list[str] = []
-
-    for fluent in decl.fluents:
-        for ref in fluent.initiated_by + fluent.terminated_by:
-            pending_events.append(ref.name)
-    for mapping in decl.mappings:
-        for ref in mapping.do_actions:
-            pending_actions.append(ref.name)
-
-    seen_events: set[str] = set()
-    seen_actions: set[str] = set()
-
-    def add_expr(expr: Expr | None) -> None:
-        if expr is None:
-            return
-        for name in _metric_names(expr):
-            closure.add(f"{elem}.metric.{name}")
-
-    while pending_events or pending_actions:
-        while pending_events:
-            name = pending_events.pop()
-            if name in seen_events:
-                continue
-            seen_events.add(name)
-            closure.add(f"{elem}.event.{name}")
-            event = spec.symbols.lookup(elem, "events", name)
-            if not isinstance(event, EventDecl):
-                continue
-            add_expr(event.guard)
-            for clause in event.activation:
-                if clause.kind is ActivationKind.CHANGED and clause.target is not None:
-                    closure.add(f"{elem}.metric.{clause.target.name}")
-                elif clause.target is not None:
-                    resolved = spec.symbols.resolve_message(elem, clause.target.name)
-                    if resolved is not None:
-                        closure.add(f"{resolved[0]}.message.{clause.target.name}")
-        while pending_actions:
-            name = pending_actions.pop()
-            if name in seen_actions:
-                continue
-            seen_actions.add(name)
-            closure.add(f"{elem}.action.{name}")
-            action = spec.symbols.lookup(elem, "actions", name)
-            if not isinstance(action, ActionDecl):
-                continue
-            add_expr(action.guard)
-            add_expr(action.ensures)
-            for stmt in action.does + action.onerr_does:
-                if isinstance(stmt, CallStmt):
-                    pending_actions.append(stmt.action.name)
-                elif isinstance(stmt, AssignStmt):
-                    closure.add(f"{elem}.metric.{stmt.metric.name}")
-                    add_expr(stmt.value)
-                elif isinstance(stmt, SendStmt):
-                    message = spec.symbols.resolve_message(elem, stmt.message.name)
-                    channel = spec.symbols.resolve_channel(elem, stmt.channel.name)
-                    if message is not None:
-                        closure.add(f"{message[0]}.message.{stmt.message.name}")
-                    if channel is not None:
-                        closure.add(f"{channel[0]}.channel.{stmt.channel.name}")
-            for ref in action.triggers + action.onerr_triggers:
-                pending_events.append(ref.name)
+    closure: set[str] = set()
+    pending: list[tuple[str, Key]] = [("policy", policy)]
+    pending += [
+        ("event", (elem, ref.name))
+        for fluent in decl.fluents
+        for ref in fluent.initiated_by + fluent.terminated_by
+    ]
+    pending += [("action", (elem, ref.name)) for m in decl.mappings for ref in m.do_actions]
+    while pending:
+        namespace, key = pending.pop()
+        name = f"{key[0]}.{namespace}.{key[1]}"
+        if name in closure:
+            continue
+        closure.add(name)
+        if namespace == "event":
+            event = program.events[key]
+            pending += [("metric", metric) for metric in event.reads]
+            for kind, target in event.activations:
+                if kind is ActivationKind.CHANGED:
+                    pending.append(("metric", target))
+                elif kind is not ActivationKind.ELAPSED:
+                    pending.append(("message", target))
+        elif namespace == "action":
+            action = program.actions[key]
+            pending += [("metric", metric) for metric in action.reads + action.writes]
+            for message, channel in action.sends:
+                pending += [("message", message), ("channel", channel)]
+            pending += [("action", callee) for callee in action.calls + action.onerr_calls]
+            pending += [("event", e) for e in action.triggers + action.onerr_triggers]
     return closure
 
 

@@ -27,8 +27,8 @@ and bounds alone.
 Two facts keep the stored state small:
 
 * Slot order. ``Runtime.init`` builds the fluent, metric and channel dicts
-  in the engine's declaration order, the same order ``Layout`` takes its
-  keys from, and the engine only ever overwrites existing keys. So
+  in the order of the spec's ``Program`` tables, the same order ``Layout``
+  takes its keys from, and the engine only ever overwrites existing keys. So
   ``Layout.vector`` reads the dicts' values in insertion order instead of
   looking every key up; ``build_lts`` checks the order on the initial state.
 * Snapshot lifetime. The full ``RuntimeState`` of a state is kept only
@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 from ..checker import CheckedSpec
 from ..names import Key, qual
-from ..nodes import MetricDecl, render_value, type_of_value
+from ..nodes import render_value, type_of_value
+from ..program import Program
 from ..runtime.engine import RunConfig, Runtime
 from ..runtime.scenario import InjectEvent, SendMessage, SetMetric
 from ..runtime.state import RuntimeState
@@ -83,17 +84,12 @@ class StateVector:
 class Layout:
     """Key orderings that map runtime state onto vector slots."""
 
-    def __init__(self, runtime: Runtime) -> None:
-        self.fluent_keys: tuple[Key, ...] = tuple(runtime.fluent_keys)
-        self.metric_keys: tuple[Key, ...] = tuple(runtime.metric_decls)
-        self.channel_keys: tuple[Key, ...] = tuple(runtime.channel_keys)
+    def __init__(self, program: Program) -> None:
+        self.fluent_keys: tuple[Key, ...] = tuple(program.fluent_keys)
+        self.metric_keys: tuple[Key, ...] = tuple(program.metrics)
+        self.channel_keys: tuple[Key, ...] = tuple(program.channel_keys)
         self.fluent_index = {key: i for i, key in enumerate(self.fluent_keys)}
         self.metric_index = {key: i for i, key in enumerate(self.metric_keys)}
-        self.metric_types = {
-            key: decl.value_type
-            for key, decl in runtime.metric_decls.items()
-            if isinstance(decl, MetricDecl)
-        }
 
     def in_slot_order(self, state: RuntimeState) -> bool:
         """Whether the state's dicts iterate in this layout's key order."""
@@ -207,9 +203,11 @@ class Lts:
 
 def default_env(spec: CheckedSpec) -> tuple[EnvStimulus, ...]:
     """Declared injectable events, plus the clock when it can matter."""
-    runtime = Runtime(spec, record=False)
-    stimuli: list[EnvStimulus] = [InjectEvent(key) for key in runtime.injectable]
-    if runtime.timer_slots or runtime.message_decls:
+    if not spec.ok:
+        raise ValueError("specification has errors; run check_all first")
+    program = spec.program
+    stimuli: list[EnvStimulus] = [InjectEvent(key) for key in program.injectable]
+    if program.timer_slots or program.messages:
         stimuli.append(Tick())
     return tuple(stimuli)
 
@@ -238,7 +236,7 @@ def build_lts(
         raise ValueError("specification has errors; run check_all first")
     bounds = bounds or Bounds()
     runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
-    layout = Layout(runtime)
+    layout = Layout(runtime.program)
     if env is None:
         env = default_env(spec)
     env = tuple(sorted(env, key=lambda stim: stim.render()))

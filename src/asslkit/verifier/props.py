@@ -9,8 +9,9 @@ One property per line, prefix-friendly syntax::
 
 Atoms: ``fluent NAME`` (the fluent is active), ``event NAME`` (the event was
 raised by the step that produced this state), ``metric NAME`` (boolean
-metric holds), ``metric NAME <op> <literal>``. Names may be qualified as
-``element.name`` or bare when unique. Propositional connectives:
+metric holds), ``metric NAME <op> <literal>``, with the literal written as in
+a specification (see ``runtime.scenario.parse_value``). Names may be
+qualified as ``element.name`` or bare when unique. Propositional connectives:
 ``!``/``not``, ``&``/``and``, ``|``/``or``, ``->``, and the prefix forms
 ``(implies p q)``, ``(and p q ...)``, ``(or p q ...)``, ``(not p)``.
 
@@ -21,11 +22,13 @@ propositional.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..checker import CheckedSpec
 from ..names import Key, NameResolutionError, qual, resolve_decl
-from ..nodes import MetricDecl, ValueType, render_value, type_of_value
+from ..nodes import ValueType, render_value, type_of_value
+from ..runtime.scenario import ScenarioError, parse_value
 from .lts import Layout, StateVector
 
 
@@ -239,52 +242,20 @@ def _classify(tree: object, text: str) -> TemporalProperty:
 
 # -- scanner / parser ------------------------------------------------------------
 
-_PUNCT = {"(": "(", ")": ")", "|": "|", "&": "&", "!": "!"}
+# One token after optional white space: an operator, a text literal, a word
+# (names and numbers, ASCII only), or a character no token starts with.
+_TOKEN = re.compile(r'\s*(?:(->|[<>!]=|[()|&!<>=])|("[^"]*")|([A-Za-z0-9_.\-]+)|(\S))')
 
 
 def _scan(text: str) -> list[str]:
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(ch)
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append("->")
-            i += 2
-            continue
-        if ch in "<>=":
-            if text.startswith(("<=", ">="), i):
-                tokens.append(text[i : i + 2])
-                i += 2
-            else:
-                tokens.append(ch)
-                i += 1
-            continue
-        if text.startswith("!=", i):
-            tokens.append("!=")
-            i += 2
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise PropertyError("unterminated text literal")
-            tokens.append(text[i : end + 1])
-            i = end + 1
-            continue
-        if ch.isalnum() or ch in "_.-":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_.-"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise PropertyError(f"unexpected character {ch!r} in property")
+    for match in _TOKEN.finditer(text):
+        bad = match[4]
+        if bad == '"':
+            raise PropertyError("unterminated text literal")
+        if bad is not None:
+            raise PropertyError(f"unexpected character {bad!r} in property")
+        tokens.append(match[match.lastindex])
     return tokens
 
 
@@ -403,12 +374,13 @@ class _PropParser:
 
     def _metric_atom(self) -> MetricAtom:
         key = self._resolve("metrics")
-        decl = self.spec.symbols.lookup(key[0], "metrics", key[1])
-        assert isinstance(decl, MetricDecl)
+        decl = self.spec.program.metrics[key]
         if self.peek() in ("=", "!=", "<", "<=", ">", ">="):
             op = self.advance()
-            literal = self.advance()
-            value = _parse_literal(literal, decl.value_type)
+            try:
+                value = parse_value(self.advance(), decl.value_type)
+            except ScenarioError as err:
+                raise PropertyError(f"{err} for metric '{qual(key)}'") from None
             return MetricAtom(key, op, value)
         if decl.value_type is not ValueType.BOOLEAN:
             raise PropertyError(
@@ -416,25 +388,6 @@ class _PropParser:
                 " compare it against a literal"
             )
         return MetricAtom(key)
-
-
-def _parse_literal(text: str, value_type: ValueType) -> object:
-    try:
-        if value_type is ValueType.BOOLEAN:
-            if text in ("true", "false"):
-                return text == "true"
-            raise ValueError(text)
-        if value_type is ValueType.INTEGER:
-            return int(text)
-        if value_type is ValueType.REAL:
-            return float(text)
-        if text.startswith('"') and text.endswith('"'):
-            return text[1:-1]
-        return text
-    except ValueError:
-        raise PropertyError(
-            f"literal {text!r} does not fit a {value_type.value} metric"
-        ) from None
 
 
 def _mk_not(operand: object) -> PNot:

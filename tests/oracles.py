@@ -16,6 +16,11 @@ every timer slot it owns.
 one ``advance``/``peek`` call per character and its own line/column count;
 the regex tokenizer in ``asslkit.lexer`` must produce the same tokens and
 the same ``LexError`` message and span on every input.
+``reference_error_capable``, ``reference_always_fails``,
+``reference_relevant_metrics``, ``reference_policy_closure`` and
+``reference_impact`` are the test generator's analyses as recursive walks
+over the syntax tree, resolving every name through the symbol table, as the
+generator computed them before it read the spec's ``Program`` records.
 """
 
 from __future__ import annotations
@@ -24,11 +29,26 @@ import math
 import random
 
 from asslkit.names import qual
+from asslkit.nodes import (
+    ActionDecl,
+    ActivationKind,
+    AssignStmt,
+    BinaryExpr,
+    CallStmt,
+    CompareExpr,
+    EventDecl,
+    FailStmt,
+    MetricDecl,
+    MetricRefExpr,
+    NotExpr,
+    SendStmt,
+)
 from asslkit.runtime.engine import RunConfig, Runtime
 from asslkit.runtime.state import MESSAGE_RECEIVED, Activation, EventOccurrence
 from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
 from asslkit.verifier.lts import Layout, StateVector
+from asslkit.testgen import ImpactSet, _const_value
 from asslkit.verifier.props import (
     F_SHAPE,
     G_SHAPE,
@@ -41,7 +61,7 @@ from asslkit.verifier.props import (
 def brute_force_lts(spec, env, state_cap: int = 5000):
     """(states, edges, labelings, initial) keyed by state vectors."""
     runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
-    layout = Layout(runtime)
+    layout = Layout(spec.program)
     init_state = runtime.init()
     init_vec = project(layout, init_state)
 
@@ -77,19 +97,20 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
 
 def reference_advance_tick(runtime: Runtime, state) -> None:
     """``Runtime.advance_tick`` by scanning every element x channel each tick."""
+    program = runtime.program
     state.tick += 1
     state.last_event = None
-    order = list(runtime.elements)
+    order = list(program.elements)
     if runtime.config.interleave == "seeded" and len(order) > 1:
         random.Random(runtime.seed * 1_000_003 + state.tick).shuffle(order)
     for elem in order:
-        for channel in runtime.channel_keys:
+        for channel in program.channel_keys:
             queue = state.channels[channel]
             if not queue:
                 continue
             remaining = []
             for message, sender in queue:
-                if runtime.message_decls[message].receiver != elem:
+                if program.messages[message].receiver != elem:
                     remaining.append((message, sender))
                     continue
                 if runtime.trace is not None:
@@ -97,15 +118,15 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                         state.tick, MESSAGE_RECEIVED, qual(message),
                         f"by {elem} over {qual(channel)}",
                     )
-                for event in runtime.received_subs.get(message, ()):
+                for event in program.received_subs.get(message, ()):
                     state.pending.append(
                         EventOccurrence(event, Activation("RECEIVED", qual(message)), state.tick)
                     )
             state.channels[channel] = remaining
     for elem in order:
-        for slot in runtime.timers_by_element[elem]:
+        for slot in program.timers_by_element[elem]:
             if state.timers[slot] <= state.tick:
-                event, period = runtime.timer_slots[slot]
+                event, period = program.timer_slots[slot]
                 state.pending.append(
                     EventOccurrence(event, Activation("ELAPSED", str(period)), state.tick)
                 )
@@ -440,3 +461,200 @@ def _lex_text(sc: _Scanner, line: int, column: int) -> Token:
     return Token(
         TokenKind.TEXT, f'"{value}"', sc.span(len(value) + 2, line, column), value
     )
+
+
+# --------------------------------------------------------------------------
+# Test generator analyses, by walking the tree
+
+
+def _callees(spec, elem, action):
+    out = []
+    for stmt in action.does:
+        if isinstance(stmt, CallStmt):
+            callee = spec.symbols.lookup(elem, "actions", stmt.action.name)
+            if isinstance(callee, ActionDecl):
+                out.append(callee)
+    return out
+
+
+def reference_error_capable(spec, elem, action, seen=None) -> bool:
+    seen = seen or set()
+    if action.name in seen:
+        return False
+    seen.add(action.name)
+    if any(isinstance(stmt, FailStmt) for stmt in action.does):
+        return True
+    return any(
+        _const_value(callee.guard) is not False
+        and reference_error_capable(spec, elem, callee, seen)
+        for callee in _callees(spec, elem, action)
+    )
+
+
+def reference_always_fails(spec, elem, action, seen=None) -> bool:
+    seen = seen or set()
+    if action.name in seen:
+        return False
+    seen.add(action.name)
+    if any(isinstance(stmt, FailStmt) for stmt in action.does):
+        return True
+    return any(
+        _const_value(callee.guard) is True
+        and reference_always_fails(spec, elem, callee, seen)
+        for callee in _callees(spec, elem, action)
+    )
+
+
+def _metric_names(expr) -> list[str]:
+    if isinstance(expr, MetricRefExpr):
+        return [expr.name]
+    if isinstance(expr, NotExpr):
+        return _metric_names(expr.operand)
+    if isinstance(expr, (BinaryExpr, CompareExpr)):
+        return _metric_names(expr.left) + _metric_names(expr.right)
+    return []
+
+
+def reference_relevant_metrics(spec, path):
+    elem = path.policy[0]
+    initiator = spec.symbols.lookup(elem, "events", path.initiating_event[1])
+    terminator = spec.symbols.lookup(elem, "events", path.terminating_event[1])
+    exprs = []
+    for event in (initiator, terminator):
+        if event.guard is not None:
+            exprs.append(event.guard)
+    seen_actions: set[str] = set()
+
+    def visit_action(name: str) -> None:
+        if name in seen_actions:
+            return
+        seen_actions.add(name)
+        action = spec.symbols.lookup(elem, "actions", name)
+        if not isinstance(action, ActionDecl):
+            return
+        if action.guard is not None:
+            exprs.append(action.guard)
+        if action.ensures is not None:
+            exprs.append(action.ensures)
+        for stmt in action.does + action.onerr_does:
+            if isinstance(stmt, CallStmt):
+                visit_action(stmt.action.name)
+            elif isinstance(stmt, AssignStmt):
+                exprs.append(stmt.value)
+
+    for action_key, _choice in path.branches:
+        visit_action(action_key[1])
+
+    names: dict[str, None] = {}
+    for expr in exprs:
+        for name in _metric_names(expr):
+            names.setdefault(name)
+    out = []
+    for name in names:
+        decl = spec.symbols.lookup(elem, "metrics", name)
+        if isinstance(decl, MetricDecl):
+            out.append(((elem, name), decl))
+    return out
+
+
+def reference_policy_closure(spec, policy) -> set[str]:
+    elem = policy[0]
+    tier = spec.symbols.tiers[elem]
+    decl = next(p for p in tier.policies if p.name == policy[1])
+    closure: set[str] = {f"{elem}.policy.{policy[1]}"}
+    pending_events: list[str] = []
+    pending_actions: list[str] = []
+    for fluent in decl.fluents:
+        for ref in fluent.initiated_by + fluent.terminated_by:
+            pending_events.append(ref.name)
+    for mapping in decl.mappings:
+        for ref in mapping.do_actions:
+            pending_actions.append(ref.name)
+    seen_events: set[str] = set()
+    seen_actions: set[str] = set()
+
+    def add_expr(expr) -> None:
+        if expr is None:
+            return
+        for name in _metric_names(expr):
+            closure.add(f"{elem}.metric.{name}")
+
+    while pending_events or pending_actions:
+        while pending_events:
+            name = pending_events.pop()
+            if name in seen_events:
+                continue
+            seen_events.add(name)
+            closure.add(f"{elem}.event.{name}")
+            event = spec.symbols.lookup(elem, "events", name)
+            if not isinstance(event, EventDecl):
+                continue
+            add_expr(event.guard)
+            for clause in event.activation:
+                if clause.kind is ActivationKind.CHANGED and clause.target is not None:
+                    closure.add(f"{elem}.metric.{clause.target.name}")
+                elif clause.target is not None:
+                    resolved = spec.symbols.resolve_message(elem, clause.target.name)
+                    if resolved is not None:
+                        closure.add(f"{resolved[0]}.message.{clause.target.name}")
+        while pending_actions:
+            name = pending_actions.pop()
+            if name in seen_actions:
+                continue
+            seen_actions.add(name)
+            closure.add(f"{elem}.action.{name}")
+            action = spec.symbols.lookup(elem, "actions", name)
+            if not isinstance(action, ActionDecl):
+                continue
+            add_expr(action.guard)
+            add_expr(action.ensures)
+            for stmt in action.does + action.onerr_does:
+                if isinstance(stmt, CallStmt):
+                    pending_actions.append(stmt.action.name)
+                elif isinstance(stmt, AssignStmt):
+                    closure.add(f"{elem}.metric.{stmt.metric.name}")
+                    add_expr(stmt.value)
+                elif isinstance(stmt, SendStmt):
+                    message = spec.symbols.resolve_message(elem, stmt.message.name)
+                    channel = spec.symbols.resolve_channel(elem, stmt.channel.name)
+                    if message is not None:
+                        closure.add(f"{message[0]}.message.{stmt.message.name}")
+                    if channel is not None:
+                        closure.add(f"{channel[0]}.channel.{stmt.channel.name}")
+            for ref in action.triggers + action.onerr_triggers:
+                pending_events.append(ref.name)
+    return closure
+
+
+def _reference_decl_map(spec) -> dict[str, object]:
+    decls: dict[str, object] = {}
+    for tier in spec.tree.tiers():
+        for namespace, items in (
+            ("policy", tier.policies),
+            ("action", tier.actions),
+            ("event", tier.events),
+            ("metric", tier.metrics),
+        ):
+            for decl in items:
+                decls[f"{tier.name}.{namespace}.{decl.name}"] = decl
+    for (scope, name), decl in spec.symbols.messages.items():
+        decls[f"{scope}.message.{name}"] = decl
+    for (scope, name), decl in spec.symbols.channels.items():
+        decls[f"{scope}.channel.{name}"] = decl
+    return decls
+
+
+def reference_impact(old_spec, new_spec) -> ImpactSet:
+    old_decls = _reference_decl_map(old_spec)
+    new_decls = _reference_decl_map(new_spec)
+    changed = {
+        key for key in set(old_decls) | set(new_decls) if old_decls.get(key) != new_decls.get(key)
+    }
+    impacted = {
+        policy
+        for spec in (old_spec, new_spec)
+        for tier in spec.tree.tiers()
+        for policy in ((tier.name, p.name) for p in tier.policies)
+        if reference_policy_closure(spec, policy) & changed
+    }
+    return ImpactSet(tuple(sorted(changed)), tuple(sorted(impacted)))

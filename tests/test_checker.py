@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from asslkit import check_all, parse_text
 from asslkit.checker import check_semantics, check_types, resolve
+from asslkit.program import Program
 
 
 def diags_of(source: str) -> list[str]:
@@ -314,7 +315,7 @@ def test_resolve_then_types_then_semantics_composition(figures_spec):
     symbols, diags = resolve(figures_spec.tree)
     assert diags == []
     assert check_types(figures_spec.tree, symbols) == []
-    assert check_semantics(figures_spec.tree, symbols) == []
+    assert check_semantics(figures_spec.tree, symbols, Program(figures_spec.tree, symbols)) == []
 
 
 def test_diagnostic_spans_lie_inside_source():

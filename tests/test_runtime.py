@@ -228,10 +228,12 @@ class TestExecuteAction:
         # cleanup enqueued twice: once by failing, once by cascade
         assert [occ.event[1] for occ in self.state.pending] == ["cleanup", "cleanup"]
 
-    def test_depth_limit_raises(self):
+    def test_depth_limit_raises(self, monkeypatch):
+        from asslkit.runtime import engine
         from asslkit.runtime.engine import DepthLimitError
 
-        runtime = Runtime(self.spec, config=RunConfig(max_call_depth=0))
+        monkeypatch.setattr(engine, "MAX_CALL_DEPTH", 0)
+        runtime = Runtime(self.spec)
         state = runtime.init()
         with pytest.raises(DepthLimitError):
             runtime.execute_action(state, ("sys", "cascade"), "test")
@@ -411,7 +413,7 @@ class TestRecordingOff:
                 scenario = pkg.scenario(path.stem, spec)
                 on = Runtime(spec, seed=scenario.seed, record=True)
                 off = Runtime(spec, seed=scenario.seed, record=False)
-                layout = Layout(off)
+                layout = Layout(spec.program)
                 pair = ((on, on.init()), (off, off.init()))
 
                 def same(where: str) -> None:

@@ -475,15 +475,12 @@ def test_cut_scenario_runs_as_the_paused_prefix(mission_pairs):
         runtime = Runtime(spec, seed=0)
         for policy in policy_keys(spec):
             for index, path in enumerate(enumerate_paths(spec, policy).paths):
-                elem = policy[0]
-                initiator = spec.symbols.lookup(elem, "events", path.initiating_event[1])
-                terminator = spec.symbols.lookup(elem, "events", path.terminating_event[1])
-                init_plan = _stimulus_plan(spec, elem, initiator)
-                term_plan = _stimulus_plan(spec, elem, terminator)
+                init_plan = _stimulus_plan(spec, path.initiating_event)
+                term_plan = _stimulus_plan(spec, path.terminating_event)
                 if init_plan is None or term_plan is None:
                     continue
                 cut = _term_tick(init_plan)
-                metrics = _relevant_metrics(spec, path, initiator, terminator)
+                metrics = _relevant_metrics(spec, path)
                 for assignment in _assignments(spec, metrics):
                     full = _build_scenario(spec, path, index, assignment, init_plan, term_plan)
                     short = _build_scenario(spec, path, index, assignment, init_plan, None)

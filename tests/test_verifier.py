@@ -25,7 +25,6 @@ from asslkit.verifier import (
     eval_prop,
 )
 from asslkit.missions import all_missions
-from asslkit.runtime import Runtime
 from asslkit.verifier import Layout, Lts, StateVector
 from asslkit.verifier.mc import _tarjan
 from conftest import README_ENVS
@@ -503,7 +502,7 @@ class TestSharedWork:
         n = chain + ring + 1
         spur = n - 1
         busy_at = chain + ring // 2
-        layout = Layout(Runtime(toggle_spec, record=False))
+        layout = Layout(toggle_spec.program)
 
         def vector(i):
             return StateVector(
@@ -544,7 +543,7 @@ class TestSharedWork:
         # True == 1 == 1.0 and 0.0 == -0.0, yet each renders differently
         values = (True, 1, 1.0, 0.0, -0.0, 1, True)
         lts = Lts(
-            layout=Layout(Runtime(toggle_spec, record=False)),
+            layout=Layout(toggle_spec.program),
             states=[StateVector((False,), (v,), (), (), (), None) for v in values],
             edges=[],
             expanded=frozenset(range(len(values))),
