@@ -479,7 +479,9 @@ def check_semantics(
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     triggered = {
-        event for info in program.actions.values() for event in info.triggers + info.onerr_triggers
+        event
+        for info in program.actions.values()
+        for event, _cause in info.triggers + info.onerr_triggers
     }
     for tier in tree.tiers():
         _check_tier_semantics(tier, triggered, diags)

@@ -281,6 +281,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for line in text.rstrip("\n").splitlines():
                 print(f"  {line}")
             if args.cex and not cex_written:
+                if verdict.counterexample.kind == "livelock":
+                    print(
+                        "  no counterexample scenario written: the path ends in an"
+                        " event-cascade livelock, which a run aborts"
+                    )
+                    continue
                 Path(args.cex).write_text(scenario.render(), encoding="utf-8")
                 cex_written = True
                 print(f"  counterexample scenario written to {args.cex}")

@@ -8,15 +8,11 @@ name. These helpers resolve such text against a checked specification.
 from __future__ import annotations
 
 from .checker import ASIP_SCOPE, CheckedSpec
-from .program import Key
+from .program import Key, qual
 
 
 class NameResolutionError(ValueError):
     pass
-
-
-def qual(key: Key) -> str:
-    return f"{key[0]}.{key[1]}"
 
 
 def resolve_decl(spec: CheckedSpec, namespace: str, text: str) -> Key:

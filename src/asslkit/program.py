@@ -8,6 +8,20 @@ effects. ``check_all`` builds it and keeps it on the ``CheckedSpec``; the
 runtime, the verifier's layout and default environment, the test generator
 and the checker's call-graph rules all read that one instance.
 
+Everything the runtime needs that does not depend on state is built here,
+once, so that a run step only evaluates, assigns, enqueues and appends:
+
+* every event guard, action guard, ENSURES clause and assigned value as a
+  closure over the state's metric and fluent dicts (``compile_expr``), kept
+  on its ``EventInfo``, ``ActionInfo`` or ``Assign`` record;
+* the qualified name of every key (``names``) and every fixed trace detail:
+  ``by <event>``, a mapping's ``conditions: ...`` text and the
+  ``mapping <subject>`` cause of its actions, ``called by <action>``, the
+  ENSURES text, and the sent and dropped details of each send statement;
+* one interned cause per subscription: the CHANGED, SENT and RECEIVED
+  subscription tables, the timer slots and each action's triggers hold
+  ``(event, cause)`` pairs, so an enqueue builds no cause object.
+
 The pass never follows a call, so it is safe on a call graph with cycles.
 Whatever is transitive (call depth, whether an action can fail, a policy's
 reference closure) is worked out by its consumer from the records.
@@ -15,7 +29,9 @@ reference closure) is worked out by its consumer from the records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from .nodes import (
@@ -23,10 +39,13 @@ from .nodes import (
     ActivationKind,
     AssignStmt,
     BinaryExpr,
+    BindingRefExpr,
     CallStmt,
     CompareExpr,
     EventDecl,
     Expr,
+    FluentRefExpr,
+    Lit,
     MessageDecl,
     MetricDecl,
     MetricRefExpr,
@@ -36,6 +55,7 @@ from .nodes import (
     SpecificationTree,
     Stmt,
 )
+from .printer import format_expr
 
 if TYPE_CHECKING:
     from .checker import SymbolTable
@@ -46,6 +66,122 @@ Key = tuple[str, str]
 #: mapping is at depth 0 and each call adds one. ``check_all`` rejects a spec
 #: with a call chain deeper than this (E-DEPTH).
 MAX_CALL_DEPTH = 32
+
+
+def qual(key: Key) -> str:
+    """Qualified name of a key, as trace records and user text spell it."""
+    return f"{key[0]}.{key[1]}"
+
+
+# -- causes ----------------------------------------------------------------------
+# Why an event occurrence was enqueued. ``text`` is the rendering that the
+# EventRaised trace record carries, made when the cause is built.
+
+
+@dataclass(frozen=True, slots=True)
+class Activation:
+    """An occurrence prompted by an ACTIVATION clause."""
+
+    kind: str  # SENT | RECEIVED | CHANGED | ELAPSED
+    source: str  # qualified message/metric name, or the period for ELAPSED
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text", f"activation {self.kind} {self.source}")
+
+    def render(self) -> str:
+        return self.text
+
+
+@dataclass(frozen=True, slots=True)
+class Triggered:
+    action: Key
+    on_error: bool = False
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        path = "error-triggered" if self.on_error else "triggered"
+        object.__setattr__(self, "text", f"{path} by {qual(self.action)}")
+
+    def render(self) -> str:
+        return self.text
+
+
+@dataclass(frozen=True, slots=True)
+class Injected:
+    note: str = "injected"
+
+    @property
+    def text(self) -> str:
+        return self.note
+
+    def render(self) -> str:
+        return self.note
+
+
+Cause = Activation | Triggered | Injected
+Subscriber = tuple[Key, Cause]  # an event to enqueue, and why
+
+# -- compiled expressions --------------------------------------------------------
+
+#: An expression compiled for one element: called with the state's metric and
+#: fluent dicts and the running action's call bindings (None outside one).
+Compiled = Callable[[dict[Key, object], dict[Key, bool], dict[str, bool] | None], object]
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def compile_expr(expr: Expr, elem: str) -> Compiled:
+    """A closure computing ``expr`` in element ``elem``.
+
+    It returns what a walk over the tree returns: a literal's or a metric's
+    own value (so ``1``, ``1.0`` and ``True`` stay apart), a fluent's flag, a
+    binding's outcome (False when absent), and bools for NOT, AND, OR (both
+    short-circuit) and the comparisons. Checking guarantees every key exists
+    and no comparison mixes incomparable types.
+    """
+    if isinstance(expr, Lit):
+        value = expr.value
+        return lambda m, f, b: value
+    if isinstance(expr, MetricRefExpr):
+        key = (elem, expr.name)
+        return lambda m, f, b: m[key]
+    if isinstance(expr, FluentRefExpr):
+        key = (elem, expr.name)
+        return lambda m, f, b: f[key]
+    if isinstance(expr, BindingRefExpr):
+        name = expr.name
+        return lambda m, f, b: bool(b.get(name, False)) if b else False
+    if isinstance(expr, NotExpr):
+        operand = compile_expr(expr.operand, elem)
+        return lambda m, f, b: not operand(m, f, b)
+    left = compile_expr(expr.left, elem)
+    right = compile_expr(expr.right, elem)
+    if isinstance(expr, BinaryExpr):
+        if expr.op == "AND":
+            return lambda m, f, b: bool(left(m, f, b)) and bool(right(m, f, b))
+        return lambda m, f, b: bool(left(m, f, b)) or bool(right(m, f, b))
+    assert isinstance(expr, CompareExpr)
+    compare = _COMPARE[expr.op]
+    if isinstance(expr.left, MetricRefExpr) and isinstance(expr.right, Lit):
+        # the usual guard shape, read without two nested calls
+        key, value = (elem, expr.left.name), expr.right.value
+        return lambda m, f, b: compare(m[key], value)
+    return lambda m, f, b: compare(left(m, f, b), right(m, f, b))
+
+
+def _compiled(expr: Expr | None, elem: str) -> Compiled | None:
+    return None if expr is None else compile_expr(expr, elem)
+
+
+# -- records ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,12 +195,16 @@ class Assign:
     metric: Key
     value: Expr
     reads: tuple[Key, ...]  # metrics the value reads, left to right
+    compute: Compiled  # ``value``, compiled
 
 
 @dataclass(frozen=True, slots=True)
 class Send:
     message: Key
     channel: Key
+    sender: str  # element the message is queued from
+    sent: str  # MessageSent detail when queued
+    dropped: str  # MessageSent detail when the channel is full
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,12 +223,16 @@ class ActionInfo:
     calls: tuple[Key, ...]  # callees of DOES, in statement order
     onerr_calls: tuple[Key, ...]  # callees of ONERR_DOES
     sends: tuple[tuple[Key, Key], ...]  # (message, channel) of each send
-    triggers: tuple[Key, ...]
-    onerr_triggers: tuple[Key, ...]
+    triggers: tuple[Subscriber, ...]  # each TRIGGERS event, with its cause
+    onerr_triggers: tuple[Subscriber, ...]
     checks: tuple[Key, ...]  # metrics GUARDS and then ENSURES read, in walk order
     reads: tuple[Key, ...]  # ``checks``, then the assigned values' reads
     writes: tuple[Key, ...]
     fails: bool  # DOES holds a fail statement
+    guard: Compiled | None
+    ensures: Compiled | None
+    ensures_text: str  # EnsuresViolated detail
+    called_by: str  # ActionStarted detail of each action this one calls
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,6 +242,8 @@ class EventInfo:
     # Each activation clause with its CHANGED metric key, SENT or RECEIVED
     # message key, or ELAPSED period.
     activations: tuple[tuple[ActivationKind, Any], ...]
+    guard: Compiled | None
+    by: str  # FluentInitiated/FluentTerminated detail of the fluents it flips
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +251,8 @@ class MappingInfo:
     subject: str
     conditions: tuple[Key, ...]
     actions: tuple[Key, ...]
+    detail: str  # MappingFired detail: "conditions: ..."
+    cause: str  # ActionStarted detail of the actions it runs
 
 
 def _metric_reads(expr: Expr | None, elem: str) -> list[Key]:
@@ -132,13 +280,14 @@ def _resolve_ops(elem: str, stmts: tuple[Stmt, ...], symbols: SymbolTable) -> tu
             ops.append(Call((elem, stmt.action.name), stmt.binding))
         elif isinstance(stmt, AssignStmt):
             reads = tuple(_metric_reads(stmt.value, elem))
-            ops.append(Assign((elem, stmt.metric.name), stmt.value, reads))
+            compute = compile_expr(stmt.value, elem)
+            ops.append(Assign((elem, stmt.metric.name), stmt.value, reads, compute))
         elif isinstance(stmt, SendStmt):
-            message = symbols.resolve_message(elem, stmt.message.name)
-            channel = symbols.resolve_channel(elem, stmt.channel.name)
-            ops.append(
-                Send(_scoped(message, stmt.message.name), _scoped(channel, stmt.channel.name))
-            )
+            message = _scoped(symbols.resolve_message(elem, stmt.message.name), stmt.message.name)
+            channel = _scoped(symbols.resolve_channel(elem, stmt.channel.name), stmt.channel.name)
+            over = f"over {qual(channel)}"
+            sent, dropped = f"{over} by {elem}", f"{over} dropped (channel full)"
+            ops.append(Send(message, channel, elem, sent, dropped))
         else:
             ops.append(Fail(stmt.reason))
     return tuple(ops)
@@ -156,10 +305,10 @@ class Program:
         self.events: dict[Key, EventInfo] = {}
         self.initiators: dict[Key, list[Key]] = {}
         self.terminators: dict[Key, list[Key]] = {}
-        self.changed_subs: dict[Key, list[Key]] = {}
-        self.sent_subs: dict[Key, list[Key]] = {}
-        self.received_subs: dict[Key, list[Key]] = {}
-        self.timer_slots: list[tuple[Key, int]] = []
+        self.changed_subs: dict[Key, list[Subscriber]] = {}
+        self.sent_subs: dict[Key, list[Subscriber]] = {}
+        self.received_subs: dict[Key, list[Subscriber]] = {}
+        self.timer_slots: list[tuple[Key, int, Cause]] = []  # (event, period, cause)
         self.mappings: dict[str, list[MappingInfo]] = {}
         self.injectable: list[Key] = []
 
@@ -179,7 +328,10 @@ class Program:
                     subject = f"{elem}.{policy.name}.mapping[{index}]"
                     conditions = tuple((elem, c.name) for c in mapping.conditions)
                     actions = tuple((elem, a.name) for a in mapping.do_actions)
-                    self.mappings[elem].append(MappingInfo(subject, conditions, actions))
+                    detail = "conditions: " + ", ".join(qual(c) for c in conditions)
+                    self.mappings[elem].append(
+                        MappingInfo(subject, conditions, actions, detail, f"mapping {subject}")
+                    )
             for metric in tier.metrics:
                 self.metrics[(elem, metric.name)] = metric
             for action in tier.actions:
@@ -199,31 +351,50 @@ class Program:
             key: decl.capacity for key, decl in symbols.channels.items()
         }
         self.timers_by_element: dict[str, list[int]] = {elem: [] for elem in self.elements}
-        for slot, (ekey, _period) in enumerate(self.timer_slots):
+        for slot, (ekey, _period, _cause) in enumerate(self.timer_slots):
             self.timers_by_element[ekey[0]].append(slot)
         self.initial_metrics: dict[Key, object] = {
             key: decl.initial.value for key, decl in self.metrics.items()
         }
+        # Qualified name of every fluent, metric, action, event, message and
+        # channel key, as trace records name them.
+        self.names: dict[Key, str] = {
+            key: f"{key[0]}.{key[1]}"
+            for table in (
+                self.fluent_keys, self.metrics, self.actions, self.events,
+                self.messages, self.channel_keys,
+            )
+            for key in table
+        }
 
     def _add_action(self, elem: str, action: ActionDecl, symbols: SymbolTable) -> None:
+        akey = (elem, action.name)
         does = _resolve_ops(elem, action.does, symbols)
         onerr_does = _resolve_ops(elem, action.onerr_does, symbols)
         both = does + onerr_does
         assigns = [op for op in both if isinstance(op, Assign)]
         checks = _metric_reads(action.guard, elem) + _metric_reads(action.ensures, elem)
-        self.actions[(elem, action.name)] = ActionInfo(
+        triggered = Triggered(akey) if action.triggers else None
+        error_triggered = Triggered(akey, on_error=True) if action.onerr_triggers else None
+        self.actions[akey] = ActionInfo(
             decl=action,
             does=does,
             onerr_does=onerr_does,
             calls=tuple(op.callee for op in does if isinstance(op, Call)),
             onerr_calls=tuple(op.callee for op in onerr_does if isinstance(op, Call)),
             sends=tuple((op.message, op.channel) for op in both if isinstance(op, Send)),
-            triggers=tuple((elem, ref.name) for ref in action.triggers),
-            onerr_triggers=tuple((elem, ref.name) for ref in action.onerr_triggers),
+            triggers=tuple(((elem, ref.name), triggered) for ref in action.triggers),
+            onerr_triggers=tuple(
+                ((elem, ref.name), error_triggered) for ref in action.onerr_triggers
+            ),
             checks=tuple(checks),
             reads=tuple(checks + [metric for op in assigns for metric in op.reads]),
             writes=tuple(op.metric for op in assigns),
             fails=any(isinstance(op, Fail) for op in does),
+            guard=_compiled(action.guard, elem),
+            ensures=_compiled(action.ensures, elem),
+            ensures_text=format_expr(action.ensures) if action.ensures is not None else "",
+            called_by=f"called by {qual(akey)}",
         )
 
     def _add_event(self, elem: str, event: EventDecl, symbols: SymbolTable) -> None:
@@ -234,7 +405,8 @@ class Program:
         for clause in event.activation:
             if clause.kind is ActivationKind.ELAPSED:
                 assert clause.ticks is not None
-                self.timer_slots.append((ekey, clause.ticks))
+                cause = Activation(clause.kind.value, str(clause.ticks))
+                self.timer_slots.append((ekey, clause.ticks, cause))
                 activations.append((clause.kind, clause.ticks))
                 continue
             assert clause.target is not None
@@ -245,7 +417,9 @@ class Program:
                 target = _scoped(resolved, clause.target.name)
                 sent = clause.kind is ActivationKind.SENT
                 subs = self.sent_subs if sent else self.received_subs
-            subs.setdefault(target, []).append(ekey)
+            subs.setdefault(target, []).append((ekey, Activation(clause.kind.value, qual(target))))
             activations.append((clause.kind, target))
         reads = tuple(_metric_reads(event.guard, elem))
-        self.events[ekey] = EventInfo(event, reads, tuple(activations))
+        self.events[ekey] = EventInfo(
+            event, reads, tuple(activations), _compiled(event.guard, elem), f"by {qual(ekey)}"
+        )

@@ -5,10 +5,17 @@ in parallel. A run is a pure function of (specification, scenario, seed,
 config): there is no wall clock and no hidden randomness.
 
 A runtime executes the spec's :class:`~asslkit.program.Program`, which
-``check_all`` builds once and every runtime on that spec shares: the
-subscription and timer tables, and each action's statements with their
-callees, metrics, messages and channels already resolved to keys. Creating
-a runtime builds no tables, and running one resolves no names.
+``check_all`` builds once and every runtime on that spec shares. Built once
+there: the subscription and timer tables, each action's statements with
+their callees, metrics, messages and channels resolved to keys, every guard,
+ENSURES clause and assigned value compiled to a closure, every qualified
+name and fixed trace detail, and one cause per subscription. Creating a
+runtime builds no tables. What a step does is only what depends on state:
+call a guard closure, flip fluents, run statements, render an assigned
+metric's old and new values, enqueue ``(event, cause, tick)`` occurrences
+from the interned pairs, and, when recording, append a trace record of
+already rendered strings. ``drain`` pops the pending queue itself, and a
+tick that shuffles re-seeds one generator kept on the runtime.
 
 Execution semantics, pinned here because the surface language leaves them
 open:
@@ -37,8 +44,8 @@ open:
   non-empty channels and the elements that receive a message or own a due
   timer. The shuffle is drawn only when at least two elements act in the
   tick, and those elements keep their relative order in the full
-  permutation. Each tick seeds its own generator, so skipping a draw
-  changes no other tick.
+  permutation. The generator is re-seeded from (seed, tick) for every
+  shuffled tick, so skipping a draw changes no other tick.
 * A drain that has not reached quiescence after ``MAX_DRAIN_STEPS`` steps is
   an event-cascade livelock; the run stops and ``Trace.aborted``
   names the tick and the step count.
@@ -48,25 +55,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from ..checker import CheckedSpec
-from ..names import Key, qual
-from ..nodes import (
-    BinaryExpr,
-    BindingRefExpr,
-    CompareExpr,
-    Expr,
-    FluentRefExpr,
-    Lit,
-    MetricRefExpr,
-    NotExpr,
-    render_value,
-    type_of_value,
-)
-from ..printer import format_expr
-from ..program import MAX_CALL_DEPTH, Assign, Call, Op, Send
+from ..names import Key
+from ..nodes import render_value, type_of_value
+from ..program import MAX_CALL_DEPTH, ActionInfo, Assign, Call, Op, Send, Subscriber
 from .scenario import Halt, InjectEvent, Scenario, SendMessage, SetMetric, Stimulus
 from .state import (
     ACTION_FAILED,
@@ -81,17 +76,21 @@ from .state import (
     MESSAGE_RECEIVED,
     MESSAGE_SENT,
     METRIC_ASSIGNED,
-    Activation,
     EventOccurrence,
     Injected,
     RuntimeState,
     Trace,
-    Triggered,
 )
 
 SUCCESS = "Success"
 GUARD_REJECTED = "GuardRejected"
 ERROR = "Error"
+
+INTERLEAVE_MODES = ("seeded", "declared")
+
+_INJECTED = Injected()
+# Builds an EventOccurrence without the NamedTuple's Python-level __new__.
+_new = tuple.__new__
 
 
 class DepthLimitError(Exception):
@@ -117,7 +116,14 @@ MAX_DRAIN_STEPS = 10_000
 
 @dataclass(frozen=True)
 class RunConfig:
-    interleave: str = "seeded"  # "seeded" | "declared"
+    interleave: str = "seeded"  # one of INTERLEAVE_MODES
+
+    def __post_init__(self) -> None:
+        if self.interleave not in INTERLEAVE_MODES:
+            raise ValueError(
+                f"unknown interleave mode {self.interleave!r};"
+                f" expected one of {', '.join(INTERLEAVE_MODES)}"
+            )
 
 
 class Runtime:
@@ -136,6 +142,7 @@ class Runtime:
         self.config = config or RunConfig()
         self.trace: Trace | None = Trace() if record else None
         self.program = spec.program
+        self._rng = random.Random()  # re-seeded for every shuffled tick
 
     def init(self) -> RuntimeState:
         """Fresh state: fluents inactive, metrics at initial values, tick 0."""
@@ -149,104 +156,59 @@ class Runtime:
             # send_message appends to a queue in place, so each is a new list
             channels={key: [] for key in program.channel_keys},
             pending=deque(),
-            timers=[period for _event, period in program.timer_slots],
+            timers=[period for _event, period, _cause in program.timer_slots],
         )
 
-    def _record(self, state: RuntimeState, kind: str, subject: str, detail: str = "") -> None:
-        # Callers test ``self.trace`` first, so no record text is built when
-        # recording is off (the verifier's inner loop).
-        assert self.trace is not None
-        self.trace.append(state.tick, kind, subject, detail)
-
-    # -- expression evaluation ---------------------------------------------------
-
-    def eval_expr(
-        self,
-        expr: Expr,
-        state: RuntimeState,
-        element: str,
-        bindings: dict[str, bool] | None = None,
-    ) -> object:
-        """Total evaluation; checking guarantees no type faults remain."""
-        if isinstance(expr, Lit):
-            return expr.value
-        if isinstance(expr, MetricRefExpr):
-            return state.metrics[(element, expr.name)]
-        if isinstance(expr, FluentRefExpr):
-            return state.fluents[(element, expr.name)]
-        if isinstance(expr, BindingRefExpr):
-            return bool(bindings.get(expr.name, False)) if bindings else False
-        if isinstance(expr, NotExpr):
-            return not self.eval_expr(expr.operand, state, element, bindings)
-        if isinstance(expr, BinaryExpr):
-            left = self.eval_expr(expr.left, state, element, bindings)
-            if expr.op == "AND":
-                return bool(left) and bool(self.eval_expr(expr.right, state, element, bindings))
-            return bool(left) or bool(self.eval_expr(expr.right, state, element, bindings))
-        assert isinstance(expr, CompareExpr)
-        left = self.eval_expr(expr.left, state, element, bindings)
-        right = self.eval_expr(expr.right, state, element, bindings)
-        op = expr.op
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right  # type: ignore[operator]
-        if op == "<=":
-            return left <= right  # type: ignore[operator]
-        if op == ">":
-            return left > right  # type: ignore[operator]
-        return left >= right  # type: ignore[operator]
-
     # -- core operations -----------------------------------------------------------
+    # Each recording site tests ``self.trace`` first, so no record is made when
+    # recording is off (the verifier's inner loop), and appends text the
+    # program rendered when it was built.
 
     def raise_event(self, state: RuntimeState, occ: EventOccurrence) -> bool:
         """Process one occurrence: guard, fluent flips, then mapping firing.
 
         Returns True when the event was raised, False when suppressed.
         """
-        recording = self.trace is not None
+        event, cause, _tick = occ
         program = self.program
-        event = occ.event
-        element = event[0]
-        guard = program.events[event].decl.guard
-        if guard is not None and not self.eval_expr(guard, state, element):
-            if recording:
-                self._record(state, EVENT_SUPPRESSED, qual(event), "guard false")
+        names = program.names
+        info = program.events[event]
+        trace = self.trace
+        fluents = state.fluents
+        guard = info.guard
+        if guard is not None and not guard(state.metrics, fluents, None):
+            if trace is not None:
+                trace.append(state.tick, EVENT_SUPPRESSED, names[event], "guard false")
             state.last_event = None
             return False
-        if recording:
-            self._record(state, EVENT_RAISED, qual(event), occ.cause.render())
+        if trace is not None:
+            trace.append(state.tick, EVENT_RAISED, names[event], cause.text)
         state.last_event = event
 
         initiated: list[Key] = []
         for fkey in program.initiators.get(event, ()):
-            if not state.fluents[fkey]:
-                state.fluents[fkey] = True
+            if not fluents[fkey]:
+                fluents[fkey] = True
                 initiated.append(fkey)
-                if recording:
-                    self._record(state, FLUENT_INITIATED, qual(fkey), f"by {qual(event)}")
+                if trace is not None:
+                    trace.append(state.tick, FLUENT_INITIATED, names[fkey], info.by)
         for fkey in program.terminators.get(event, ()):
-            if state.fluents[fkey]:
-                state.fluents[fkey] = False
-                if recording:
-                    self._record(state, FLUENT_TERMINATED, qual(fkey), f"by {qual(event)}")
+            if fluents[fkey]:
+                fluents[fkey] = False
+                if trace is not None:
+                    trace.append(state.tick, FLUENT_TERMINATED, names[fkey], info.by)
 
         if initiated:
             just_initiated = set(initiated)
-            for mapping in program.mappings[element]:
+            for mapping in program.mappings[event[0]]:
                 if not just_initiated.intersection(mapping.conditions):
                     continue
-                if not all(state.fluents[c] for c in mapping.conditions):
+                if not all(fluents[c] for c in mapping.conditions):
                     continue
-                cause = ""
-                if recording:
-                    detail = "conditions: " + ", ".join(qual(c) for c in mapping.conditions)
-                    self._record(state, MAPPING_FIRED, mapping.subject, detail)
-                    cause = f"mapping {mapping.subject}"
+                if trace is not None:
+                    trace.append(state.tick, MAPPING_FIRED, mapping.subject, mapping.detail)
                 for action_key in mapping.actions:
-                    self.execute_action(state, action_key, cause)
+                    self.execute_action(state, action_key, mapping.cause)
         return True
 
     def execute_action(
@@ -257,109 +219,122 @@ class Runtime:
         Outcome is SUCCESS, GUARD_REJECTED, or ERROR. Guard rejection runs no
         statements and leaves no trace records. ``cause`` is trace text only.
         """
+        program = self.program
         if depth > MAX_CALL_DEPTH:
-            raise DepthLimitError(f"call depth exceeded at {qual(action_key)}")
-        info = self.program.actions[action_key]
-        decl = info.decl
-        element = action_key[0]
-        bindings: dict[str, bool] = {}
-        if decl.guard is not None and not self.eval_expr(decl.guard, state, element):
+            raise DepthLimitError(f"call depth exceeded at {program.names[action_key]}")
+        info = program.actions[action_key]
+        guard = info.guard
+        if guard is not None and not guard(state.metrics, state.fluents, None):
             return GUARD_REJECTED, None
-        recording = self.trace is not None
-        if recording:
-            self._record(state, ACTION_STARTED, qual(action_key), cause)
+        trace = self.trace
+        name = program.names[action_key]
+        if trace is not None:
+            trace.append(state.tick, ACTION_STARTED, name, cause)
 
+        bindings: dict[str, bool] = {}
         failure: str | None = None
         for op in info.does:
-            failure = self._exec_op(state, op, action_key, bindings, depth)
+            failure = self._exec_op(state, op, info, bindings, depth)
             if failure is not None:
                 break
 
-        if failure is None and decl.ensures is not None:
-            if not self.eval_expr(decl.ensures, state, element, bindings):
-                if recording:
-                    self._record(
-                        state, ENSURES_VIOLATED, qual(action_key), format_expr(decl.ensures)
-                    )
+        ensures = info.ensures
+        if failure is None and ensures is not None:
+            if not ensures(state.metrics, state.fluents, bindings):
+                if trace is not None:
+                    trace.append(state.tick, ENSURES_VIOLATED, name, info.ensures_text)
                 failure = "ENSURES violated"
 
         if failure is None:
-            if recording:
-                self._record(state, ACTION_SUCCEEDED, qual(action_key))
-            for event in info.triggers:
-                self._enqueue(state, EventOccurrence(event, Triggered(action_key), state.tick))
+            if trace is not None:
+                trace.append(state.tick, ACTION_SUCCEEDED, name, "")
+            if info.triggers:
+                self._enqueue_all(state, info.triggers)
             return SUCCESS, None
 
-        if recording:
-            self._record(state, ACTION_FAILED, qual(action_key), failure)
+        if trace is not None:
+            trace.append(state.tick, ACTION_FAILED, name, failure)
         for op in info.onerr_does:
-            if self._exec_op(state, op, action_key, bindings, depth) is not None:
+            if self._exec_op(state, op, info, bindings, depth) is not None:
                 break  # a failure inside the error path aborts it
-        for event in info.onerr_triggers:
-            self._enqueue(
-                state, EventOccurrence(event, Triggered(action_key, on_error=True), state.tick)
-            )
+        self._enqueue_all(state, info.onerr_triggers)
         return ERROR, failure
 
     def _exec_op(
-        self, state: RuntimeState, op: Op, action_key: Key, bindings: dict[str, bool], depth: int
+        self,
+        state: RuntimeState,
+        op: Op,
+        caller: ActionInfo,
+        bindings: dict[str, bool],
+        depth: int,
     ) -> str | None:
         """Run one resolved statement; returns a failure reason or None."""
         kind = type(op)
+        if kind is Assign:
+            self.assign_metric(state, op.metric, op.compute(state.metrics, state.fluents, bindings))
+            return None
         if kind is Call:
-            cause = f"called by {qual(action_key)}" if self.trace is not None else ""
-            outcome, reason = self.execute_action(state, op.callee, cause, depth + 1)
+            outcome, reason = self.execute_action(state, op.callee, caller.called_by, depth + 1)
             if outcome == ERROR:
-                return f"call {qual(op.callee)} failed: {reason}"
+                return f"call {self.program.names[op.callee]} failed: {reason}"
             if op.binding:
                 bindings[op.binding] = outcome == SUCCESS
             return None
-        if kind is Assign:
-            value = self.eval_expr(op.value, state, action_key[0], bindings)
-            self.assign_metric(state, op.metric, value)
-            return None
         if kind is Send:
-            self.send_message(state, op.message, op.channel, action_key[0])
+            self._send(state, op.message, op.channel, op.sender, op.sent, op.dropped)
             return None
         return op.reason
 
     def assign_metric(self, state: RuntimeState, metric: Key, value: object) -> None:
         """Write a metric and enqueue CHANGED occurrences (write triggered)."""
+        metrics = state.metrics
         if self.trace is not None:
-            old = state.metrics[metric]
+            old = metrics[metric]
             detail = (
                 f"{render_value(old, type_of_value(old))}"
                 f" -> {render_value(value, type_of_value(value))}"
             )
-            self._record(state, METRIC_ASSIGNED, qual(metric), detail)
-        state.metrics[metric] = value
-        for event in self.program.changed_subs.get(metric, ()):
-            self._enqueue(
-                state, EventOccurrence(event, Activation("CHANGED", qual(metric)), state.tick)
-            )
+            self.trace.append(state.tick, METRIC_ASSIGNED, self.program.names[metric], detail)
+        metrics[metric] = value
+        subscribers = self.program.changed_subs.get(metric)
+        if subscribers:
+            self._enqueue_all(state, subscribers)
 
     def send_message(
         self, state: RuntimeState, message: Key, channel: Key, sender: str
     ) -> bool:
         """Enqueue a message; returns False when the channel was full."""
+        if self.trace is None:
+            return self._send(state, message, channel, sender, "", "")
+        over = f"over {self.program.names[channel]}"
+        sent, dropped = f"{over} by {sender}", f"{over} dropped (channel full)"
+        return self._send(state, message, channel, sender, sent, dropped)
+
+    def _send(
+        self, state: RuntimeState, message: Key, channel: Key, sender: str, sent: str, dropped: str
+    ) -> bool:
+        """Queue a message; ``sent`` and ``dropped`` are the two possible trace details."""
         queue = state.channels[channel]
-        recording = self.trace is not None
+        trace = self.trace
         if len(queue) >= self.program.channel_capacity[channel]:
-            if recording:
-                self._record(
-                    state, MESSAGE_SENT, qual(message),
-                    f"over {qual(channel)} dropped (channel full)",
-                )
+            if trace is not None:
+                trace.append(state.tick, MESSAGE_SENT, self.program.names[message], dropped)
             return False
         queue.append((message, sender))
-        if recording:
-            self._record(state, MESSAGE_SENT, qual(message), f"over {qual(channel)} by {sender}")
-        for event in self.program.sent_subs.get(message, ()):
-            self._enqueue(
-                state,
-                EventOccurrence(event, Activation("SENT", qual(message)), state.tick),
-            )
+        if trace is not None:
+            trace.append(state.tick, MESSAGE_SENT, self.program.names[message], sent)
+        subscribers = self.program.sent_subs.get(message)
+        if subscribers:
+            self._enqueue_all(state, subscribers)
         return True
+
+    @staticmethod
+    def _enqueue_all(state: RuntimeState, subscribers: Iterable[Subscriber]) -> None:
+        """Enqueue each (event, cause) pair, in order, at the current tick."""
+        pending = state.pending
+        tick = state.tick
+        for event, cause in subscribers:
+            pending.append(_new(EventOccurrence, (event, cause, tick)))
 
     def step(self, state: RuntimeState) -> Key | None:
         """Dequeue and process exactly one occurrence; identity when idle."""
@@ -370,19 +345,18 @@ class Runtime:
         return occ.event
 
     def drain(self, state: RuntimeState) -> None:
-        """Step until quiescent; raise LivelockError past the step budget."""
+        """Process occurrences until quiescent; raise LivelockError past the step budget."""
+        pending = state.pending
+        raise_event = self.raise_event
         budget = MAX_DRAIN_STEPS
         steps = 0
-        while state.pending:
+        while pending:
             if steps == budget:
                 raise LivelockError(
                     f"livelock: not quiescent after {steps} drain steps at tick {state.tick}"
                 )
-            self.step(state)
+            raise_event(state, pending.popleft())
             steps += 1
-
-    def _enqueue(self, state: RuntimeState, occ: EventOccurrence) -> None:
-        state.pending.append(occ)
 
     # -- time ----------------------------------------------------------------------
 
@@ -390,7 +364,11 @@ class Runtime:
         """Element processing order for a tick's delivery and timer phases."""
         order = list(self.program.elements)
         if self.config.interleave == "seeded" and len(order) > 1:
-            random.Random(self.seed * 1_000_003 + tick).shuffle(order)
+            # Seeding a reused generator gives the permutation a new
+            # ``random.Random(seed)`` would.
+            rng = self._rng
+            rng.seed(self.seed * 1_000_003 + tick)
+            rng.shuffle(order)
         return order
 
     def advance_tick(self, state: RuntimeState) -> None:
@@ -420,34 +398,33 @@ class Runtime:
             order = list(acting)
         else:
             order = [elem for elem in self.element_order(tick) if elem in acting]
-        recording = self.trace is not None
+        trace = self.trace
+        names = program.names
+        received_subs = program.received_subs
+        pending = state.pending
         for elem in order:
             for channel in busy:
                 queue = channels[channel]
                 remaining: list[tuple[Key, str]] = []
-                for message, sender in queue:
+                for entry in queue:
+                    message = entry[0]
                     if receiver_of[message] != elem:
-                        remaining.append((message, sender))
+                        remaining.append(entry)
                         continue
-                    if recording:
-                        self._record(
-                            state, MESSAGE_RECEIVED, qual(message),
-                            f"by {elem} over {qual(channel)}",
+                    if trace is not None:
+                        trace.append(
+                            tick, MESSAGE_RECEIVED, names[message],
+                            f"by {elem} over {names[channel]}",
                         )
-                    for event in program.received_subs.get(message, ()):
-                        self._enqueue(
-                            state,
-                            EventOccurrence(event, Activation("RECEIVED", qual(message)), tick),
-                        )
+                    for event, cause in received_subs.get(message, ()):
+                        pending.append(_new(EventOccurrence, (event, cause, tick)))
                 if len(remaining) != len(queue):
                     channels[channel] = remaining
         for elem in order:
             for slot in program.timers_by_element[elem]:
                 if timers[slot] <= tick:
-                    event, period = program.timer_slots[slot]
-                    self._enqueue(
-                        state, EventOccurrence(event, Activation("ELAPSED", str(period)), tick)
-                    )
+                    event, period, cause = program.timer_slots[slot]
+                    pending.append(_new(EventOccurrence, (event, cause, tick)))
                     timers[slot] = tick + period
 
     # -- stimuli and runs -------------------------------------------------------------
@@ -455,9 +432,7 @@ class Runtime:
     def apply_stimulus(self, state: RuntimeState, stimulus: Stimulus) -> None:
         state.last_event = None
         if isinstance(stimulus, InjectEvent):
-            self._enqueue(
-                state, EventOccurrence(stimulus.event, Injected(), state.tick)
-            )
+            state.pending.append(_new(EventOccurrence, (stimulus.event, _INJECTED, state.tick)))
         elif isinstance(stimulus, SetMetric):
             self.assign_metric(state, stimulus.metric, stimulus.value)
         elif isinstance(stimulus, SendMessage):

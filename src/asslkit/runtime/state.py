@@ -1,11 +1,22 @@
-"""Runtime state, event occurrences, and the execution trace."""
+"""Runtime state, event occurrences, and the execution trace.
+
+Event occurrences and trace records are ``NamedTuple``s: the runtime makes
+one per enqueue and one per recorded step, and builds them with
+``tuple.__new__``, which skips the Python-level ``__new__``. A record holds
+text the program rendered before the run (names, fixed details, causes);
+only metric values are rendered while running. ``Trace.to_text`` formats
+each record with a single f-string.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..names import Key, qual
+# The causes live next to the program that interns them; they are exported
+# from here and from ``asslkit.runtime`` as before.
+from ..program import Activation, Cause, Injected, Key, Triggered  # noqa: F401
 
 # Trace record kinds. These exact strings appear in trace files.
 EVENT_RAISED = "EventRaised"
@@ -37,47 +48,15 @@ RECORD_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Activation:
-    """An occurrence prompted by an ACTIVATION clause."""
+class EventOccurrence(NamedTuple):
+    """A pending event, why it was enqueued, and the tick it was enqueued at."""
 
-    kind: str  # SENT | RECEIVED | CHANGED | ELAPSED
-    source: str  # qualified message/metric name, or the period for ELAPSED
-
-    def render(self) -> str:
-        return f"activation {self.kind} {self.source}"
-
-
-@dataclass(frozen=True)
-class Triggered:
-    action: Key
-    on_error: bool = False
-
-    def render(self) -> str:
-        path = "error-triggered" if self.on_error else "triggered"
-        return f"{path} by {qual(self.action)}"
-
-
-@dataclass(frozen=True)
-class Injected:
-    note: str = "injected"
-
-    def render(self) -> str:
-        return self.note
-
-
-Cause = Activation | Triggered | Injected
-
-
-@dataclass(frozen=True)
-class EventOccurrence:
     event: Key
     cause: Cause
     tick: int
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     seq: int
     tick: int
     kind: str
@@ -88,6 +67,9 @@ class TraceRecord:
         return f"{self.seq}\t{self.tick}\t{self.kind}\t{self.subject}\t{self.detail}"
 
 
+_new = tuple.__new__
+
+
 class Trace:
     """Append-only, totally ordered record of one run."""
 
@@ -96,13 +78,17 @@ class Trace:
         self.aborted: str | None = None
 
     def append(self, tick: int, kind: str, subject: str, detail: str = "") -> None:
-        self.records.append(TraceRecord(len(self.records), tick, kind, subject, detail))
+        records = self.records
+        records.append(_new(TraceRecord, (len(records), tick, kind, subject, detail)))
 
     def to_text(self) -> str:
-        lines = [record.render() for record in self.records]
+        lines = [
+            f"{seq}\t{tick}\t{kind}\t{subject}\t{detail}\n"
+            for seq, tick, kind, subject, detail in self.records
+        ]
         if self.aborted is not None:
-            lines.append(f"# aborted: {self.aborted}")
-        return "\n".join(lines) + "\n" if lines else ""
+            lines.append(f"# aborted: {self.aborted}\n")
+        return "".join(lines)
 
     def find(self, kind: str, subject: str | None = None) -> list[TraceRecord]:
         return [

@@ -323,7 +323,7 @@ def _assertion_template(spec: CheckedSpec, path: PolicyPath) -> tuple[Assertion,
         else:
             out.append(Assertion(ACTION_FAILED, qual(action)))
             onerr_triggers = program.actions[action].onerr_triggers
-            out += [Assertion(EVENT_RAISED, qual(event)) for event in onerr_triggers]
+            out += [Assertion(EVENT_RAISED, qual(event)) for event, _cause in onerr_triggers]
     for fkey in dict.fromkeys(program.terminators.get(path.terminating_event, ())):
         if fkey in fluents:
             out.append(
@@ -606,7 +606,7 @@ def _policy_closure(spec: CheckedSpec, policy: Key) -> set[str]:
             for message, channel in action.sends:
                 pending += [("message", message), ("channel", channel)]
             pending += [("action", callee) for callee in action.calls + action.onerr_calls]
-            pending += [("event", e) for e in action.triggers + action.onerr_triggers]
+            pending += [("event", e) for e, _cause in action.triggers + action.onerr_triggers]
     return closure
 
 

@@ -13,7 +13,12 @@ verdict.
 
 Every counterexample replays in the runtime: stimulus edges exist only at
 quiescent states, so the stem maps directly onto a scenario, and processing
-edges are the runtime's own deterministic drain steps.
+edges are the runtime's own deterministic drain steps. A path into an
+event-cascade livelock also replays step by step, but not as a scenario run:
+the drain never ends, so ``asslkit run`` aborts it. Since ``proc`` edges are
+deterministic, a counterexample whose violating state is followed by a chain
+of ``proc`` successors that repeats a state before reaching a quiescent one
+is one of these; its kind is ``livelock`` and ``explain`` says so.
 
 The breadth-first tree from the initial state, which gives every shape its
 visiting order and its shortest stems, is built once per graph
@@ -23,7 +28,7 @@ visiting order and its shortest stems, is built once per graph
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..checker import CheckedSpec
 from ..names import qual
@@ -55,7 +60,7 @@ class Counterexample:
     obligation is evaluated; for lassos it is the loop entry.
     """
 
-    kind: str  # "safety" | "lasso" | "deadend" | "next"
+    kind: str  # "safety" | "lasso" | "deadend" | "next" | "livelock"
     stem: tuple[tuple[str, int], ...]
     loop: tuple[tuple[str, int], ...]
     violating_state: int
@@ -74,15 +79,40 @@ def check(lts: Lts, prop: TemporalProperty) -> Verdict:
     """Deterministic verdict for one property over one LTS."""
     checker = _Checker(lts)
     if prop.shape == G_SHAPE:
-        return checker.check_safety(prop)
-    if prop.shape == F_SHAPE:
-        return checker.check_eventually(prop)
-    if prop.shape == RESPONSE_SHAPE:
-        return checker.check_response(prop)
-    if prop.shape == NEXT_SHAPE:
-        return checker.check_next(prop)
-    assert prop.shape == UNTIL_SHAPE
-    return checker.check_until(prop)
+        verdict = checker.check_safety(prop)
+    elif prop.shape == F_SHAPE:
+        verdict = checker.check_eventually(prop)
+    elif prop.shape == RESPONSE_SHAPE:
+        verdict = checker.check_response(prop)
+    elif prop.shape == NEXT_SHAPE:
+        verdict = checker.check_next(prop)
+    else:
+        assert prop.shape == UNTIL_SHAPE
+        verdict = checker.check_until(prop)
+    cex = verdict.counterexample
+    if cex is not None and livelock_cycle(lts, cex.violating_state):
+        verdict = replace(verdict, counterexample=replace(cex, kind="livelock"))
+    return verdict
+
+
+def livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
+    """The ``proc`` steps from ``state`` up to the first repeated state.
+
+    Empty when the chain of ``proc`` successors reaches a quiescent state,
+    or a state whose expansion the bounds cut, before any state repeats.
+    """
+    steps: list[tuple[str, int]] = []
+    seen = {state}
+    while lts.states[state].pending:
+        successors = lts.successors(state)
+        if not successors:
+            return ()
+        ((label, state),) = successors  # a non-quiescent state only processes
+        steps.append((label, state))
+        if state in seen:
+            return tuple(steps)
+        seen.add(state)
+    return ()
 
 
 class _Checker:
@@ -408,6 +438,13 @@ def explain(
     if cex.loop:
         lines.append("loop (repeats forever):")
         for label, state in cex.loop:
+            lines.append(f"  ..... {label} -> {_state_line(lts, state)}")
+    if cex.kind == "livelock":
+        lines.append(
+            f"livelock: the drain from s{cex.violating_state} never becomes quiescent,"
+            " so a run of this path aborts; it repeats:"
+        )
+        for label, state in livelock_cycle(lts, cex.violating_state):
             lines.append(f"  ..... {label} -> {_state_line(lts, state)}")
 
     scenario_lines = [f"# reproduces: {verdict.prop.text}"]

@@ -16,6 +16,9 @@ every timer slot it owns.
 one ``advance``/``peek`` call per character and its own line/column count;
 the regex tokenizer in ``asslkit.lexer`` must produce the same tokens and
 the same ``LexError`` message and span on every input.
+``reference_eval_expr`` is the runtime's expression evaluator as it was
+before guards, ENSURES clauses and assigned values were compiled to
+closures: an ``isinstance`` chain over the syntax tree, evaluated per call.
 ``reference_error_capable``, ``reference_always_fails``,
 ``reference_relevant_metrics``, ``reference_policy_closure`` and
 ``reference_impact`` are the test generator's analyses as recursive walks
@@ -34,10 +37,14 @@ from asslkit.nodes import (
     ActivationKind,
     AssignStmt,
     BinaryExpr,
+    BindingRefExpr,
     CallStmt,
     CompareExpr,
     EventDecl,
+    Expr,
     FailStmt,
+    FluentRefExpr,
+    Lit,
     MetricDecl,
     MetricRefExpr,
     NotExpr,
@@ -95,6 +102,45 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
     return set(states), edges, labelings, init_vec
 
 
+def reference_eval_expr(
+    expr: Expr,
+    state,
+    element: str,
+    bindings: dict[str, bool] | None = None,
+) -> object:
+    """Total evaluation; checking guarantees no type faults remain."""
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, MetricRefExpr):
+        return state.metrics[(element, expr.name)]
+    if isinstance(expr, FluentRefExpr):
+        return state.fluents[(element, expr.name)]
+    if isinstance(expr, BindingRefExpr):
+        return bool(bindings.get(expr.name, False)) if bindings else False
+    if isinstance(expr, NotExpr):
+        return not reference_eval_expr(expr.operand, state, element, bindings)
+    if isinstance(expr, BinaryExpr):
+        left = reference_eval_expr(expr.left, state, element, bindings)
+        if expr.op == "AND":
+            return bool(left) and bool(reference_eval_expr(expr.right, state, element, bindings))
+        return bool(left) or bool(reference_eval_expr(expr.right, state, element, bindings))
+    assert isinstance(expr, CompareExpr)
+    left = reference_eval_expr(expr.left, state, element, bindings)
+    right = reference_eval_expr(expr.right, state, element, bindings)
+    op = expr.op
+    if op == "=":
+        return left == right
+    if op == "!=":
+        return left != right
+    if op == "<":
+        return left < right  # type: ignore[operator]
+    if op == "<=":
+        return left <= right  # type: ignore[operator]
+    if op == ">":
+        return left > right  # type: ignore[operator]
+    return left >= right  # type: ignore[operator]
+
+
 def reference_advance_tick(runtime: Runtime, state) -> None:
     """``Runtime.advance_tick`` by scanning every element x channel each tick."""
     program = runtime.program
@@ -118,7 +164,7 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                         state.tick, MESSAGE_RECEIVED, qual(message),
                         f"by {elem} over {qual(channel)}",
                     )
-                for event in program.received_subs.get(message, ()):
+                for event, _cause in program.received_subs.get(message, ()):
                     state.pending.append(
                         EventOccurrence(event, Activation("RECEIVED", qual(message)), state.tick)
                     )
@@ -126,7 +172,7 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
     for elem in order:
         for slot in program.timers_by_element[elem]:
             if state.timers[slot] <= state.tick:
-                event, period = program.timer_slots[slot]
+                event, period, _cause = program.timer_slots[slot]
                 state.pending.append(
                     EventOccurrence(event, Activation("ELAPSED", str(period)), state.tick)
                 )

@@ -164,6 +164,29 @@ class TestCascadeLivelock:
         lines = trace_path.read_text().splitlines()
         assert len(lines) == 70001 and lines[-1] == f"# aborted: {reason}"
 
+    def test_verify_names_the_livelock_and_writes_no_scenario(self, cascade, tmp_path, capsys):
+        spec, _scenario = cascade
+        prop = tmp_path / "f.prop"
+        prop.write_text("G (NOT (fluent unit.f))\n")
+        cex = tmp_path / "cex.scenario"
+        code = main(
+            ["verify", str(spec), "--prop", str(prop), "--set", "m=true", "--cex", str(cex)]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0] == "Violated: G (NOT (fluent unit.f))"
+        assert lines[-4:] == [
+            "  livelock: the drain from s2 never becomes quiescent, so a run of this path"
+            " aborts; it repeats:",
+            "    ..... proc unit.g -> s3 {event:unit.g, fluent:unit.h, metric:unit.m=true,"
+            " metric:unit.n=true}",
+            "    ..... proc unit.e -> s2 {event:unit.e, fluent:unit.f, metric:unit.m=true,"
+            " metric:unit.n=true}",
+            "  no counterexample scenario written: the path ends in an event-cascade"
+            " livelock, which a run aborts",
+        ]
+        assert not cex.exists()
+
     def test_gentests_finishes(self, cascade, tmp_path):
         out_dir = tmp_path / "suite"
         result = run_cli(["gentests", str(cascade[0]), "--out", str(out_dir)], timeout=120)

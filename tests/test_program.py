@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from asslkit import check_all, parse_text
-from asslkit.program import MAX_CALL_DEPTH, Program
+from asslkit.missions import all_missions
+from asslkit.nodes import (
+    BinaryExpr,
+    BindingRefExpr,
+    CompareExpr,
+    Expr,
+    FluentRefExpr,
+    Lit,
+    MetricRefExpr,
+    NotExpr,
+    ValueType,
+)
+from asslkit.program import MAX_CALL_DEPTH, Assign, Call, Program, compile_expr
 from asslkit.runtime import Halt, InjectEvent, Runtime, Scenario
 from asslkit.runtime.state import ACTION_SUCCEEDED
 from asslkit.testgen import (
@@ -21,6 +36,7 @@ from asslkit.verifier import build_lts, default_env
 from oracles import (
     reference_always_fails,
     reference_error_capable,
+    reference_eval_expr,
     reference_impact,
     reference_policy_closure,
     reference_relevant_metrics,
@@ -194,3 +210,143 @@ def test_cyclic_call_graph_gets_a_program_and_no_depth_error():
     spec = check_all(parse_text(source))
     assert [d.code for d in spec.diagnostics] == ["E-CYCLE"]
     assert spec.program is not None and len(spec.program.actions) == 50
+
+
+# -- compiled expressions against the tree-walking evaluator ----------------------
+
+# Values a metric of each type may hold in a random state. Each pool mixes in
+# values of other types that compare equal (True == 1 == 1.0), so a closure
+# that converts, or compares with the wrong operator, gives a different value
+# or type than the reference.
+POOLS = {
+    ValueType.BOOLEAN: (True, False, 1, 0, 1.0, 0.0),
+    ValueType.INTEGER: (0, 1, 2, 3, -1, True, False, 1.0, 2.0),
+    ValueType.REAL: (0.0, 1.0, 1.5, 2.0, -0.5, 1, 0, True),
+    ValueType.TEXT: ("alpha", "beta", "", "wide field"),
+}
+BINDING_VALUES = (True, False, 1, 0)
+
+
+def outcome(evaluate) -> tuple:
+    """A value together with its type, or the type of the error raised."""
+    try:
+        value = evaluate()
+    except Exception as err:  # noqa: BLE001 - both sides must fail alike
+        return ("raises", type(err))
+    return ("returns", type(value), value)
+
+
+def compiled_closures(program: Program):
+    """(label, closure, expression, element) of every compiled expression."""
+    for key, info in program.events.items():
+        assert (info.guard is None) == (info.decl.guard is None)
+        if info.decl.guard is not None:
+            yield f"guard of event {key}", info.guard, info.decl.guard, key[0]
+    for key, info in program.actions.items():
+        decl = info.decl
+        assert (info.guard is None) == (decl.guard is None)
+        assert (info.ensures is None) == (decl.ensures is None)
+        if decl.guard is not None:
+            yield f"guard of action {key}", info.guard, decl.guard, key[0]
+        if decl.ensures is not None:
+            yield f"ENSURES of action {key}", info.ensures, decl.ensures, key[0]
+        for op in info.does + info.onerr_does:
+            if type(op) is Assign:
+                yield f"value assigned to {op.metric} in {key}", op.compute, op.value, key[0]
+
+
+def random_state(rng: random.Random, metric_types, fluent_keys) -> SimpleNamespace:
+    return SimpleNamespace(
+        metrics={key: rng.choice(POOLS[value_type]) for key, value_type in metric_types},
+        fluents={key: rng.random() < 0.5 for key in fluent_keys},
+    )
+
+
+def random_bindings(rng: random.Random, names) -> dict[str, object] | None:
+    roll = rng.random()
+    if roll < 0.2:
+        return None
+    if roll < 0.3:
+        return {}
+    return {name: rng.choice(BINDING_VALUES) for name in names if rng.random() < 0.8}
+
+
+def assert_same_as_reference(closure, expr, elem, state, bindings, label) -> None:
+    want = outcome(lambda: reference_eval_expr(expr, state, elem, bindings))
+    got = outcome(lambda: closure(state.metrics, state.fluents, bindings))
+    assert got == want, (label, state, bindings)
+
+
+def test_compiled_expressions_match_the_reference_evaluator(mission_pairs):
+    """Every guard, ENSURES and assigned-value closure, on random states."""
+    specs = [spec for _pkg, spec in mission_pairs]
+    specs.append(check_all(parse_text(swarm_source(3))))
+    specs += [random_checked_spec(seed) for seed in range(120)]
+    rng = random.Random(4242)
+    kinds: dict[str, int] = {}
+    evaluations = 0
+    for spec in specs:
+        program = spec.program
+        metric_types = [(key, decl.value_type) for key, decl in program.metrics.items()]
+        binding_names = sorted({
+            op.binding
+            for info in program.actions.values()
+            for op in info.does + info.onerr_does
+            if type(op) is Call and op.binding
+        })
+        for label, closure, expr, elem in compiled_closures(program):
+            kind = label.split(" of ")[0].split(" to ")[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            for _ in range(30):
+                state = random_state(rng, metric_types, program.fluent_keys)
+                bindings = random_bindings(rng, binding_names)
+                assert_same_as_reference(closure, expr, elem, state, bindings, label)
+                evaluations += 1
+    assert set(kinds) == {"guard", "ENSURES", "value assigned"}
+    assert sum(kinds.values()) > 500 and evaluations > 15_000
+
+
+def random_expr(rng: random.Random, depth: int) -> Expr:
+    """Any expression shape over element ``e``, type-correct or not."""
+    leaves = (
+        lambda: MetricRefExpr(rng.choice("birt")),
+        lambda: FluentRefExpr(rng.choice("fg")),
+        lambda: BindingRefExpr(rng.choice("xy")),
+        lambda: Lit(*rng.choice((
+            (True, ValueType.BOOLEAN), (False, ValueType.BOOLEAN), (1, ValueType.INTEGER),
+            (0, ValueType.INTEGER), (2, ValueType.INTEGER), (1.0, ValueType.REAL),
+            (1.5, ValueType.REAL), ("alpha", ValueType.TEXT),
+        ))),
+    )
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(leaves)()
+    if roll < 0.45:
+        return NotExpr(random_expr(rng, depth - 1))
+    if roll < 0.65:
+        return BinaryExpr(
+            rng.choice(("AND", "OR")), random_expr(rng, depth - 1), random_expr(rng, depth - 1)
+        )
+    left = MetricRefExpr(rng.choice("birt")) if rng.random() < 0.4 else random_expr(rng, depth - 1)
+    right = rng.choice(leaves)() if rng.random() < 0.5 else random_expr(rng, depth - 1)
+    return CompareExpr(rng.choice(("=", "!=", "<", "<=", ">", ">=")), left, right)
+
+
+def test_compiled_expressions_of_every_shape_match_the_reference():
+    """Random trees of every node kind, including comparisons that raise."""
+    rng = random.Random(99)
+    metric_types = [
+        (("e", "b"), ValueType.BOOLEAN), (("e", "i"), ValueType.INTEGER),
+        (("e", "r"), ValueType.REAL), (("e", "t"), ValueType.TEXT),
+    ]
+    fluent_keys = [("e", "f"), ("e", "g")]
+    raised = 0
+    for index in range(3000):
+        expr = random_expr(rng, rng.randint(0, 4))
+        closure = compile_expr(expr, "e")
+        for _ in range(8):
+            state = random_state(rng, metric_types, fluent_keys)
+            bindings = random_bindings(rng, ("x", "y"))
+            assert_same_as_reference(closure, expr, "e", state, bindings, index)
+            raised += outcome(lambda: closure(state.metrics, state.fluents, bindings))[0] == "raises"
+    assert raised > 100  # ordering text against numbers raises on both sides

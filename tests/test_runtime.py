@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -285,10 +288,10 @@ class TestStep:
         spec = check_all(parse_text(CONJUNCTION_SPEC))
         runtime = Runtime(spec)
         state = runtime.init()
-        runtime._enqueue(state, EventOccurrence(("unit", "goLeft"), Injected(), 0))
+        state.pending.append(EventOccurrence(("unit", "goLeft"), Injected(), 0))
         runtime.step(state)
         assert not runtime.trace.find(MAPPING_FIRED)
-        runtime._enqueue(state, EventOccurrence(("unit", "goRight"), Injected(), 0))
+        state.pending.append(EventOccurrence(("unit", "goRight"), Injected(), 0))
         runtime.step(state)
         assert runtime.trace.find(MAPPING_FIRED)
         assert state.metrics[("unit", "fired")] is True
@@ -298,7 +301,7 @@ class TestStep:
         runtime = Runtime(spec)
         state = runtime.init()
         for name in ("goLeft", "goRight", "goLeft"):
-            runtime._enqueue(state, EventOccurrence(("unit", name), Injected(), 0))
+            state.pending.append(EventOccurrence(("unit", name), Injected(), 0))
         runtime.drain(state)
         # reset (from work) terminated both before the second goLeft arrived,
         # so the third occurrence re-initiates `left` alone: no second firing
@@ -578,6 +581,18 @@ class TestAdvanceTick:
         assert drawn == [1]
 
 
+class TestRunConfig:
+    def test_unknown_interleave_is_rejected(self):
+        # a misspelt mode used to run silently in declared order
+        for mode in ("seded", "Seeded", "", "random"):
+            with pytest.raises(ValueError, match=f"unknown interleave mode '{mode}'"):
+                RunConfig(interleave=mode)
+
+    def test_both_modes_are_accepted(self):
+        assert RunConfig().interleave == "seeded"
+        assert RunConfig(interleave="declared").interleave == "declared"
+
+
 class TestDrainBudget:
     def test_budget_is_exact(self, protecting_pkg, protecting_spec, monkeypatch):
         # the secure scenario's longest drain is three steps
@@ -600,3 +615,48 @@ class TestDrainBudget:
         assert len(state.pending) == 2
         with pytest.raises(LivelockError, match="after 1 drain steps at tick 0"):
             runtime.drain(state)
+
+
+def trace_pin_texts(mission_pairs) -> dict[str, str]:
+    """Trace files behind ``trace_sha256.json``, one text per pinned entry.
+
+    Every mission scenario at seeds 0-3, the 40-worker wide-swarm scenario
+    at seeds 0-3, and one random scenario per random spec 0-29, each under
+    both interleave modes.
+    """
+
+    def runs(spec, scenario, seeds) -> str:
+        parts = []
+        for seed in seeds:
+            for interleave in ("seeded", "declared"):
+                runtime = Runtime(spec, seed=seed, config=RunConfig(interleave=interleave))
+                trace = runtime.run(scenario)
+                parts.append(f"## {scenario.name} seed={seed} {interleave}\n{trace.to_text()}")
+        return "".join(parts)
+
+    texts = {}
+    for pkg, spec in mission_pairs:
+        texts[pkg.name] = "".join(
+            runs(spec, pkg.scenario(path.stem, spec), range(4)) for path in pkg.scenario_paths()
+        )
+    swarm = check_all(parse_text(swarm_source(40)))
+    wide = parse_scenario(wide_text(random.Random(7), 40, 60), swarm, "wide")
+    texts["wide_swarm40"] = runs(swarm, wide, range(4))
+    random_texts = []
+    for seed in range(30):
+        spec = random_checked_spec(seed)
+        scenario = random_scenario(spec, random.Random(seed), f"random{seed}")
+        random_texts.append(runs(spec, scenario, (scenario.seed,)))
+    texts["random0-29"] = "".join(random_texts)
+    return texts
+
+
+def test_traces_are_pinned(mission_pairs):
+    """Trace files pinned by sha256; one entry covers the 30 random specs."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("trace_sha256.json").read_text()
+    )
+    texts = trace_pin_texts(mission_pairs)
+    assert set(texts) == set(pinned)
+    for key, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[key], key

@@ -25,11 +25,13 @@ from asslkit.verifier import (
     eval_prop,
 )
 from asslkit.missions import all_missions
+from asslkit.runtime import Runtime, parse_scenario
 from asslkit.verifier import Layout, Lts, StateVector
 from asslkit.verifier.mc import _tarjan
 from conftest import README_ENVS
 from oracles import brute_force_lts, exhaustive_check, lts_as_sets
 from specgen import env_for, random_checked_spec, random_properties
+from test_cli import CASCADE_SPEC
 
 TOGGLE_SPEC = """
 AS sys { }
@@ -375,6 +377,69 @@ class TestExplainAndReplay:
         assert verdict.result == HOLDS
         with pytest.raises(ValueError):
             explain(toggle_spec, lts, verdict)
+
+
+class TestLivelockCounterexamples:
+    """A counterexample either replays through a run or is labelled a livelock."""
+
+    @staticmethod
+    def run_outcomes(spec, env, props) -> list[tuple[str, str | None]]:
+        """(counterexample kind, run abort reason) of each violated property."""
+        lts = build_lts(spec, env=env)
+        out = []
+        for text in props:
+            verdict = check(lts, parse_property(text, spec))
+            if verdict.result != VIOLATED:
+                continue
+            _text, scenario = explain(spec, lts, verdict)
+            # what ``asslkit run`` does with the scenario file ``verify --cex`` writes
+            replayed = parse_scenario(scenario.render(), spec, "cex")
+            trace = Runtime(spec, seed=0).run(replayed, max_ticks=1000)
+            out.append((verdict.counterexample.kind, trace.aborted))
+        return out
+
+    @staticmethod
+    def assert_replay_or_livelock(outcomes) -> None:
+        for kind, aborted in outcomes:
+            if kind == "livelock":
+                assert aborted is not None and aborted.startswith("livelock: "), aborted
+            else:
+                assert aborted is None, (kind, aborted)
+
+    def test_missions_and_random_specs(self):
+        rng = random.Random(77)
+        outcomes = []
+        for pkg in all_missions():
+            spec = pkg.load()
+            env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name]) or None
+            props = [
+                line.strip()
+                for path in pkg.prop_paths()
+                for line in path.read_text().splitlines()
+                if line.strip() and not line.lstrip().startswith("#")
+            ]
+            outcomes += self.run_outcomes(spec, env, props + random_properties(spec, rng, 20))
+        for seed in range(60):
+            spec = random_checked_spec(seed)
+            outcomes += self.run_outcomes(spec, env_for(spec), random_properties(spec, rng, 8))
+        self.assert_replay_or_livelock(outcomes)
+        assert len(outcomes) > 300
+        # neither the missions nor the random specs cascade forever
+        assert {kind for kind, _aborted in outcomes} == {"safety", "lasso", "next"}
+
+    def test_cascade_spec(self):
+        spec = check_all(parse_text(CASCADE_SPEC))
+        env = tuple(
+            parse_env_stimulus(spec, t) for t in ("set m true", "set m false", "set n false")
+        )
+        outcomes = self.run_outcomes(
+            spec, env, random_properties(spec, random.Random(3), 60) + [
+                "G (NOT (fluent unit.f))", "F (fluent unit.h)", "G (NOT (event unit.g))",
+            ]
+        )
+        self.assert_replay_or_livelock(outcomes)
+        kinds = [kind for kind, _aborted in outcomes]
+        assert kinds.count("livelock") >= 5 and len(set(kinds)) >= 3
 
 
 class TestPropertyParsing:

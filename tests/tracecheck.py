@@ -14,6 +14,7 @@ from asslkit.runtime.state import (
     MESSAGE_SENT,
     METRIC_ASSIGNED,
 )
+from oracles import reference_eval_expr
 
 
 def check_alternation(trace: Trace) -> list[str]:
@@ -76,9 +77,7 @@ def check_guard_soundness(spec: CheckedSpec, trace: Trace) -> list[str]:
             tier, name = record.subject.split(".", 1)
             action = spec.symbols.lookup(tier, "actions", name)
             assert isinstance(action, ActionDecl)
-            if action.guard is not None and not runtime.eval_expr(
-                action.guard, state, tier
-            ):
+            if action.guard is not None and not reference_eval_expr(action.guard, state, tier):
                 problems.append(
                     f"action {record.subject} started with a false guard at seq {record.seq}"
                 )
