@@ -89,9 +89,6 @@ class Activation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "text", f"activation {self.kind} {self.source}")
 
-    def render(self) -> str:
-        return self.text
-
 
 @dataclass(frozen=True, slots=True)
 class Triggered:
@@ -103,20 +100,10 @@ class Triggered:
         path = "error-triggered" if self.on_error else "triggered"
         object.__setattr__(self, "text", f"{path} by {qual(self.action)}")
 
-    def render(self) -> str:
-        return self.text
-
 
 @dataclass(frozen=True, slots=True)
 class Injected:
-    note: str = "injected"
-
-    @property
-    def text(self) -> str:
-        return self.note
-
-    def render(self) -> str:
-        return self.note
+    text: str = "injected"
 
 
 Cause = Activation | Triggered | Injected
@@ -170,10 +157,6 @@ def compile_expr(expr: Expr, elem: str) -> Compiled:
         return lambda m, f, b: bool(left(m, f, b)) or bool(right(m, f, b))
     assert isinstance(expr, CompareExpr)
     compare = _COMPARE[expr.op]
-    if isinstance(expr.left, MetricRefExpr) and isinstance(expr.right, Lit):
-        # the usual guard shape, read without two nested calls
-        key, value = (elem, expr.left.name), expr.right.value
-        return lambda m, f, b: compare(m[key], value)
     return lambda m, f, b: compare(left(m, f, b), right(m, f, b))
 
 
@@ -272,6 +255,12 @@ def _scoped(resolved: tuple[str, object] | None, name: str) -> Key:
     return resolved[0], name
 
 
+def send_details(channel: Key, sender: str) -> tuple[str, str]:
+    """MessageSent details of a send from ``sender``: queued, and dropped when full."""
+    over = f"over {qual(channel)}"
+    return f"{over} by {sender}", f"{over} dropped (channel full)"
+
+
 def _resolve_ops(elem: str, stmts: tuple[Stmt, ...], symbols: SymbolTable) -> tuple[Op, ...]:
     """Statements with their callee, metric, message and channel keys resolved."""
     ops: list[Op] = []
@@ -285,9 +274,7 @@ def _resolve_ops(elem: str, stmts: tuple[Stmt, ...], symbols: SymbolTable) -> tu
         elif isinstance(stmt, SendStmt):
             message = _scoped(symbols.resolve_message(elem, stmt.message.name), stmt.message.name)
             channel = _scoped(symbols.resolve_channel(elem, stmt.channel.name), stmt.channel.name)
-            over = f"over {qual(channel)}"
-            sent, dropped = f"{over} by {elem}", f"{over} dropped (channel full)"
-            ops.append(Send(message, channel, elem, sent, dropped))
+            ops.append(Send(message, channel, elem, *send_details(channel, elem)))
         else:
             ops.append(Fail(stmt.reason))
     return tuple(ops)

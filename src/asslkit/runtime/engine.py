@@ -61,7 +61,16 @@ from dataclasses import dataclass
 from ..checker import CheckedSpec
 from ..names import Key
 from ..nodes import render_value, type_of_value
-from ..program import MAX_CALL_DEPTH, ActionInfo, Assign, Call, Op, Send, Subscriber
+from ..program import (
+    MAX_CALL_DEPTH,
+    ActionInfo,
+    Assign,
+    Call,
+    Op,
+    Send,
+    Subscriber,
+    send_details,
+)
 from .scenario import Halt, InjectEvent, Scenario, SendMessage, SetMetric, Stimulus
 from .state import (
     ACTION_FAILED,
@@ -304,11 +313,7 @@ class Runtime:
         self, state: RuntimeState, message: Key, channel: Key, sender: str
     ) -> bool:
         """Enqueue a message; returns False when the channel was full."""
-        if self.trace is None:
-            return self._send(state, message, channel, sender, "", "")
-        over = f"over {self.program.names[channel]}"
-        sent, dropped = f"{over} by {sender}", f"{over} dropped (channel full)"
-        return self._send(state, message, channel, sender, sent, dropped)
+        return self._send(state, message, channel, sender, *send_details(channel, sender))
 
     def _send(
         self, state: RuntimeState, message: Key, channel: Key, sender: str, sent: str, dropped: str

@@ -65,6 +65,9 @@ class Counterexample:
     loop: tuple[tuple[str, int], ...]
     violating_state: int
     failing_atom: str
+    # For a livelock, the ``proc`` steps from ``violating_state`` up to the
+    # first repeated state; empty otherwise.
+    livelock: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,15 @@ def check(lts: Lts, prop: TemporalProperty) -> Verdict:
         assert prop.shape == UNTIL_SHAPE
         verdict = checker.check_until(prop)
     cex = verdict.counterexample
-    if cex is not None and livelock_cycle(lts, cex.violating_state):
-        verdict = replace(verdict, counterexample=replace(cex, kind="livelock"))
+    if cex is not None:
+        cycle = _livelock_cycle(lts, cex.violating_state)
+        if cycle:
+            cex = replace(cex, kind="livelock", livelock=cycle)
+            verdict = replace(verdict, counterexample=cex)
     return verdict
 
 
-def livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
+def _livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
     """The ``proc`` steps from ``state`` up to the first repeated state.
 
     Empty when the chain of ``proc`` successors reaches a quiescent state,
@@ -444,7 +450,7 @@ def explain(
             f"livelock: the drain from s{cex.violating_state} never becomes quiescent,"
             " so a run of this path aborts; it repeats:"
         )
-        for label, state in livelock_cycle(lts, cex.violating_state):
+        for label, state in cex.livelock:
             lines.append(f"  ..... {label} -> {_state_line(lts, state)}")
 
     scenario_lines = [f"# reproduces: {verdict.prop.text}"]
