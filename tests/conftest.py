@@ -17,6 +17,7 @@ from asslkit.missions import (
     ants_self_protecting,
     voyager_image_processing,
 )
+from asslkit.runtime import parse_scenario
 
 # The published self-protecting policy fragment, verbatim (original line
 # breaks and brace placement included).
@@ -96,6 +97,18 @@ AE worker {{
 """
 
 
+# A hand-written spec whose guards use every comparison operator, and the
+# scenario that sets each compared metric on and around each literal.
+DATA = Path(__file__).with_name("data")
+
+
+def operators_spec_and_scenario():
+    spec = check_all(parse_text(DATA.joinpath("operators.assl").read_text(), "operators.assl"))
+    assert spec.ok
+    text = DATA.joinpath("operators.scenario").read_text()
+    return spec, parse_scenario(text, spec, "operators")
+
+
 # Verify environment closures documented in each package README; an empty
 # closure means the default environment.
 README_ENVS = {
@@ -120,6 +133,11 @@ def figures_spec():
     spec = check_all(parse_text(figures_wrapped(), "figures.assl"))
     assert spec.ok
     return spec
+
+
+@pytest.fixture(scope="session")
+def operators_spec():
+    return operators_spec_and_scenario()[0]
 
 
 @pytest.fixture(scope="session")

@@ -36,6 +36,7 @@ from asslkit.runtime.state import (
     EventOccurrence,
 )
 from asslkit.verifier import Layout
+from conftest import operators_spec_and_scenario
 from oracles import reference_advance_tick
 from specgen import random_checked_spec, random_scenario, swarm_source
 from tracecheck import (
@@ -621,8 +622,8 @@ def trace_pin_texts(mission_pairs) -> dict[str, str]:
     """Trace files behind ``trace_sha256.json``, one text per pinned entry.
 
     Every mission scenario at seeds 0-3, the 40-worker wide-swarm scenario
-    at seeds 0-3, and one random scenario per random spec 0-29, each under
-    both interleave modes.
+    at seeds 0-3, one random scenario per random spec 0-29, and the
+    every-operator scenario at seeds 0-1, each under both interleave modes.
     """
 
     def runs(spec, scenario, seeds) -> str:
@@ -648,6 +649,7 @@ def trace_pin_texts(mission_pairs) -> dict[str, str]:
         scenario = random_scenario(spec, random.Random(seed), f"random{seed}")
         random_texts.append(runs(spec, scenario, (scenario.seed,)))
     texts["random0-29"] = "".join(random_texts)
+    texts["operators"] = runs(*operators_spec_and_scenario(), range(2))
     return texts
 
 
