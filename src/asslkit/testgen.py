@@ -411,25 +411,26 @@ def _candidate_values(spec: CheckedSpec, key: Key, decl: MetricDecl) -> list[obj
 
 def _literals_against(expr: Expr, metric: str, value_type: ValueType) -> list[object]:
     """Literals compared against a metric, widened by one for strict bounds."""
-    out: list[object] = []
-    if isinstance(expr, CompareExpr):
-        sides = (expr.left, expr.right)
-        if any(isinstance(s, MetricRefExpr) and s.name == metric for s in sides):
-            for side in sides:
-                if isinstance(side, Lit):
-                    out.append(side.value)
-                    if value_type is ValueType.INTEGER:
-                        out.extend([side.value + 1, side.value - 1])  # type: ignore[operator]
-                    elif value_type is ValueType.REAL:
-                        out.extend([side.value + 1.0, side.value - 1.0])  # type: ignore[operator]
+    if isinstance(expr, CompareExpr) and any(
+        isinstance(s, MetricRefExpr) and s.name == metric for s in (expr.left, expr.right)
+    ):
+        out: list[object] = []
+        for side in (expr.left, expr.right):
+            if isinstance(side, Lit):
+                out.append(side.value)
+                if value_type is ValueType.INTEGER:
+                    out.extend([side.value + 1, side.value - 1])  # type: ignore[operator]
+                elif value_type is ValueType.REAL:
+                    out.extend([side.value + 1.0, side.value - 1.0])  # type: ignore[operator]
         return out
     if isinstance(expr, NotExpr):
         return _literals_against(expr.operand, metric, value_type)
+    # A comparison that does not name the metric may nest one that does.
     if isinstance(expr, (BinaryExpr, CompareExpr)):
         return _literals_against(expr.left, metric, value_type) + _literals_against(
             expr.right, metric, value_type
         )
-    return out
+    return []
 
 
 def _assignments(spec: CheckedSpec, metrics) -> list[dict[Key, tuple[object, ValueType]]]:

@@ -240,6 +240,47 @@ class TestGenerate:
         assert all(not failures for _t, failures in run_suite(spec, suite))
 
 
+    def test_literal_inside_a_nested_comparison_is_a_candidate(self):
+        # count starts at 0; only a candidate above 2 passes the guard
+        source = """
+            AS sys { }
+            AE unit {
+              POLICIES {
+                NESTED {
+                  FLUENT busy {
+                    INITIATED_BY { EVENTS.go }
+                    TERMINATED_BY { EVENTS.fin }
+                  }
+                  MAPPING { CONDITIONS { busy } DO_ACTIONS { ACTIONS.work } }
+                }
+              }
+              ACTIONS {
+                ACTION work {
+                  GUARDS { @guard }
+                  DOES { METRICS.done = true; }
+                  TRIGGERS { EVENTS.fin }
+                }
+              }
+              EVENTS {
+                EVENT go { INJECTABLE }
+                EVENT fin { INJECTABLE }
+              }
+              METRICS {
+                METRIC count { TYPE { integer } INITIAL { 0 } }
+                METRIC done { TYPE { boolean } INITIAL { false } }
+              }
+            }
+            """
+        for guard in ("METRICS.count > 2", "(METRICS.count > 2) = true"):
+            spec = check_all(parse_text(source.replace("@guard", guard)))
+            assert spec.ok, guard
+            suite = generate_all(spec)
+            assert suite.infeasible == (), guard
+            branches = sorted(t.path.branches[0][1] for t in suite.tests)
+            assert branches == [GUARD_REJECT, SUCCESS_PATH], guard
+            assert all(not failures for _t, failures in run_suite(spec, suite)), guard
+
+
 TWO_POLICY = """
 AS sys { }
 AE unit {
