@@ -63,6 +63,13 @@ _COMPARE_OPS = {
     TokenKind.GE: ">=",
 }
 
+_LITERAL_TYPES = {
+    TokenKind.BOOL: ValueType.BOOLEAN,
+    TokenKind.INT: ValueType.INTEGER,
+    TokenKind.REAL: ValueType.REAL,
+    TokenKind.TEXT: ValueType.TEXT,
+}
+
 
 class ParseError(Exception):
     """Syntax error with expected/found context and a source span.
@@ -699,18 +706,8 @@ class _Parser:
 
     def _parse_atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind is TokenKind.BOOL:
-            self.advance()
-            return Lit(tok.value, ValueType.BOOLEAN, span=tok.span)
-        if tok.kind is TokenKind.INT:
-            self.advance()
-            return Lit(tok.value, ValueType.INTEGER, span=tok.span)
-        if tok.kind is TokenKind.REAL:
-            self.advance()
-            return Lit(tok.value, ValueType.REAL, span=tok.span)
-        if tok.kind is TokenKind.TEXT:
-            self.advance()
-            return Lit(tok.value, ValueType.TEXT, span=tok.span)
+        if tok.kind in _LITERAL_TYPES:
+            return self._parse_literal()
         if tok.kind is TokenKind.REF:
             space = tok.value[:-1]  # type: ignore[index]
             name = tok.value[-1]  # type: ignore[index]
@@ -733,19 +730,11 @@ class _Parser:
 
     def _parse_literal(self) -> Lit:
         tok = self.peek()
-        if tok.kind is TokenKind.BOOL:
-            self.advance()
-            return Lit(tok.value, ValueType.BOOLEAN, span=tok.span)
-        if tok.kind is TokenKind.INT:
-            self.advance()
-            return Lit(tok.value, ValueType.INTEGER, span=tok.span)
-        if tok.kind is TokenKind.REAL:
-            self.advance()
-            return Lit(tok.value, ValueType.REAL, span=tok.span)
-        if tok.kind is TokenKind.TEXT:
-            self.advance()
-            return Lit(tok.value, ValueType.TEXT, span=tok.span)
-        raise self.fail(f"expected a literal, found {tok.text!r}")
+        value_type = _LITERAL_TYPES.get(tok.kind)
+        if value_type is None:
+            raise self.fail(f"expected a literal, found {tok.text!r}")
+        self.advance()
+        return Lit(tok.value, value_type, span=tok.span)
 
 
 class _TierSections:

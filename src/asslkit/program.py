@@ -18,9 +18,12 @@ once, so that a run step only evaluates, assigns, enqueues and appends:
   ``by <event>``, a mapping's ``conditions: ...`` text and the
   ``mapping <subject>`` cause of its actions, ``called by <action>``, the
   ENSURES text, and the sent and dropped details of each send statement;
-* one interned cause per subscription: the CHANGED, SENT and RECEIVED
-  subscription tables, the timer slots and each action's triggers hold
-  ``(event, cause)`` pairs, so an enqueue builds no cause object.
+* one interned ``EventOccurrence`` per subscription, an event with its
+  cause already rendered as the EventRaised detail (``activation <KIND>
+  <source>``, ``triggered by <action>`` or ``error-triggered by <action>``):
+  the CHANGED, SENT and RECEIVED subscription tables, the timer slots and
+  each action's triggers hold them, and an enqueue appends them as they
+  are, so it builds nothing.
 
 The pass never follows a call, so it is safe on a call graph with cycles.
 Whatever is transitive (call depth, whether an action can fail, a policy's
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .nodes import (
     ActionDecl,
@@ -73,41 +76,12 @@ def qual(key: Key) -> str:
     return f"{key[0]}.{key[1]}"
 
 
-# -- causes ----------------------------------------------------------------------
-# Why an event occurrence was enqueued. ``text`` is the rendering that the
-# EventRaised trace record carries, made when the cause is built.
+class EventOccurrence(NamedTuple):
+    """A pending event, and why it was enqueued: the EventRaised detail."""
 
+    event: Key
+    cause: str
 
-@dataclass(frozen=True, slots=True)
-class Activation:
-    """An occurrence prompted by an ACTIVATION clause."""
-
-    kind: str  # SENT | RECEIVED | CHANGED | ELAPSED
-    source: str  # qualified message/metric name, or the period for ELAPSED
-    text: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "text", f"activation {self.kind} {self.source}")
-
-
-@dataclass(frozen=True, slots=True)
-class Triggered:
-    action: Key
-    on_error: bool = False
-    text: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        path = "error-triggered" if self.on_error else "triggered"
-        object.__setattr__(self, "text", f"{path} by {qual(self.action)}")
-
-
-@dataclass(frozen=True, slots=True)
-class Injected:
-    text: str = "injected"
-
-
-Cause = Activation | Triggered | Injected
-Subscriber = tuple[Key, Cause]  # an event to enqueue, and why
 
 # -- compiled expressions --------------------------------------------------------
 
@@ -115,7 +89,8 @@ Subscriber = tuple[Key, Cause]  # an event to enqueue, and why
 #: fluent dicts and the running action's call bindings (None outside one).
 Compiled = Callable[[dict[Key, object], dict[Key, bool], dict[str, bool] | None], object]
 
-_COMPARE = {
+#: Each comparison operator's Python function; guards and property atoms share it.
+COMPARE = {
     "=": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -156,7 +131,7 @@ def compile_expr(expr: Expr, elem: str) -> Compiled:
             return lambda m, f, b: bool(left(m, f, b)) and bool(right(m, f, b))
         return lambda m, f, b: bool(left(m, f, b)) or bool(right(m, f, b))
     assert isinstance(expr, CompareExpr)
-    compare = _COMPARE[expr.op]
+    compare = COMPARE[expr.op]
     return lambda m, f, b: compare(left(m, f, b), right(m, f, b))
 
 
@@ -185,7 +160,6 @@ class Assign:
 class Send:
     message: Key
     channel: Key
-    sender: str  # element the message is queued from
     sent: str  # MessageSent detail when queued
     dropped: str  # MessageSent detail when the channel is full
 
@@ -206,8 +180,8 @@ class ActionInfo:
     calls: tuple[Key, ...]  # callees of DOES, in statement order
     onerr_calls: tuple[Key, ...]  # callees of ONERR_DOES
     sends: tuple[tuple[Key, Key], ...]  # (message, channel) of each send
-    triggers: tuple[Subscriber, ...]  # each TRIGGERS event, with its cause
-    onerr_triggers: tuple[Subscriber, ...]
+    triggers: tuple[EventOccurrence, ...]  # each TRIGGERS event, with its cause
+    onerr_triggers: tuple[EventOccurrence, ...]
     checks: tuple[Key, ...]  # metrics GUARDS and then ENSURES read, in walk order
     reads: tuple[Key, ...]  # ``checks``, then the assigned values' reads
     writes: tuple[Key, ...]
@@ -274,7 +248,7 @@ def _resolve_ops(elem: str, stmts: tuple[Stmt, ...], symbols: SymbolTable) -> tu
         elif isinstance(stmt, SendStmt):
             message = _scoped(symbols.resolve_message(elem, stmt.message.name), stmt.message.name)
             channel = _scoped(symbols.resolve_channel(elem, stmt.channel.name), stmt.channel.name)
-            ops.append(Send(message, channel, elem, *send_details(channel, elem)))
+            ops.append(Send(message, channel, *send_details(channel, elem)))
         else:
             ops.append(Fail(stmt.reason))
     return tuple(ops)
@@ -292,10 +266,10 @@ class Program:
         self.events: dict[Key, EventInfo] = {}
         self.initiators: dict[Key, list[Key]] = {}
         self.terminators: dict[Key, list[Key]] = {}
-        self.changed_subs: dict[Key, list[Subscriber]] = {}
-        self.sent_subs: dict[Key, list[Subscriber]] = {}
-        self.received_subs: dict[Key, list[Subscriber]] = {}
-        self.timer_slots: list[tuple[Key, int, Cause]] = []  # (event, period, cause)
+        self.changed_subs: dict[Key, list[EventOccurrence]] = {}
+        self.sent_subs: dict[Key, list[EventOccurrence]] = {}
+        self.received_subs: dict[Key, list[EventOccurrence]] = {}
+        self.timer_slots: list[tuple[EventOccurrence, int]] = []  # (occurrence, period)
         self.mappings: dict[str, list[MappingInfo]] = {}
         self.injectable: list[Key] = []
 
@@ -338,8 +312,8 @@ class Program:
             key: decl.capacity for key, decl in symbols.channels.items()
         }
         self.timers_by_element: dict[str, list[int]] = {elem: [] for elem in self.elements}
-        for slot, (ekey, _period, _cause) in enumerate(self.timer_slots):
-            self.timers_by_element[ekey[0]].append(slot)
+        for slot, (occurrence, _period) in enumerate(self.timer_slots):
+            self.timers_by_element[occurrence.event[0]].append(slot)
         self.initial_metrics: dict[Key, object] = {
             key: decl.initial.value for key, decl in self.metrics.items()
         }
@@ -361,8 +335,8 @@ class Program:
         both = does + onerr_does
         assigns = [op for op in both if isinstance(op, Assign)]
         checks = _metric_reads(action.guard, elem) + _metric_reads(action.ensures, elem)
-        triggered = Triggered(akey) if action.triggers else None
-        error_triggered = Triggered(akey, on_error=True) if action.onerr_triggers else None
+        triggered = f"triggered by {qual(akey)}"
+        error_triggered = f"error-triggered by {qual(akey)}"
         self.actions[akey] = ActionInfo(
             decl=action,
             does=does,
@@ -370,9 +344,11 @@ class Program:
             calls=tuple(op.callee for op in does if isinstance(op, Call)),
             onerr_calls=tuple(op.callee for op in onerr_does if isinstance(op, Call)),
             sends=tuple((op.message, op.channel) for op in both if isinstance(op, Send)),
-            triggers=tuple(((elem, ref.name), triggered) for ref in action.triggers),
+            triggers=tuple(
+                EventOccurrence((elem, ref.name), triggered) for ref in action.triggers
+            ),
             onerr_triggers=tuple(
-                ((elem, ref.name), error_triggered) for ref in action.onerr_triggers
+                EventOccurrence((elem, ref.name), error_triggered) for ref in action.onerr_triggers
             ),
             checks=tuple(checks),
             reads=tuple(checks + [metric for op in assigns for metric in op.reads]),
@@ -392,8 +368,8 @@ class Program:
         for clause in event.activation:
             if clause.kind is ActivationKind.ELAPSED:
                 assert clause.ticks is not None
-                cause = Activation(clause.kind.value, str(clause.ticks))
-                self.timer_slots.append((ekey, clause.ticks, cause))
+                cause = f"activation {clause.kind.value} {clause.ticks}"
+                self.timer_slots.append((EventOccurrence(ekey, cause), clause.ticks))
                 activations.append((clause.kind, clause.ticks))
                 continue
             assert clause.target is not None
@@ -404,7 +380,8 @@ class Program:
                 target = _scoped(resolved, clause.target.name)
                 sent = clause.kind is ActivationKind.SENT
                 subs = self.sent_subs if sent else self.received_subs
-            subs.setdefault(target, []).append((ekey, Activation(clause.kind.value, qual(target))))
+            cause = f"activation {clause.kind.value} {qual(target)}"
+            subs.setdefault(target, []).append(EventOccurrence(ekey, cause))
             activations.append((clause.kind, target))
         reads = tuple(_metric_reads(event.guard, elem))
         self.events[ekey] = EventInfo(

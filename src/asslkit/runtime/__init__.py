@@ -20,27 +20,15 @@ from .scenario import (
     Stimulus,
     parse_scenario,
 )
-from .state import (
-    Activation,
-    Cause,
-    EventOccurrence,
-    Injected,
-    RuntimeState,
-    Trace,
-    TraceRecord,
-    Triggered,
-)
+from .state import EventOccurrence, RuntimeState, Trace, TraceRecord
 
 __all__ = [
     "ERROR",
     "GUARD_REJECTED",
     "SUCCESS",
-    "Activation",
-    "Cause",
     "DepthLimitError",
     "EventOccurrence",
     "Halt",
-    "Injected",
     "InjectEvent",
     "LivelockError",
     "RunConfig",
@@ -53,7 +41,6 @@ __all__ = [
     "Stimulus",
     "Trace",
     "TraceRecord",
-    "Triggered",
     "parse_scenario",
     "run",
 ]

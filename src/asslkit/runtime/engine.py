@@ -9,13 +9,14 @@ A runtime executes the spec's :class:`~asslkit.program.Program`, which
 there: the subscription and timer tables, each action's statements with
 their callees, metrics, messages and channels resolved to keys, every guard,
 ENSURES clause and assigned value compiled to a closure, every qualified
-name and fixed trace detail, and one cause per subscription. Creating a
-runtime builds no tables. What a step does is only what depends on state:
-call a guard closure, flip fluents, run statements, render an assigned
-metric's old and new values, enqueue ``(event, cause, tick)`` occurrences
-from the interned pairs, and, when recording, append a trace record of
-already rendered strings. ``drain`` pops the pending queue itself, and a
-tick that shuffles re-seeds one generator kept on the runtime.
+name and fixed trace detail, and one ``(event, cause)`` occurrence per
+subscription. Creating a runtime builds no tables. What a step does is only
+what depends on state: call a guard closure, flip fluents, run statements,
+render an assigned metric's old and new values, extend the pending queue
+with interned occurrences, queue message keys on channels, and, when
+recording, append a trace record of already rendered strings. ``drain``
+pops the pending queue itself, and a tick that shuffles re-seeds one
+generator kept on the runtime.
 
 Execution semantics, pinned here because the surface language leaves them
 open:
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..checker import CheckedSpec
@@ -68,7 +69,6 @@ from ..program import (
     Call,
     Op,
     Send,
-    Subscriber,
     send_details,
 )
 from .scenario import Halt, InjectEvent, Scenario, SendMessage, SetMetric, Stimulus
@@ -86,7 +86,6 @@ from .state import (
     MESSAGE_SENT,
     METRIC_ASSIGNED,
     EventOccurrence,
-    Injected,
     RuntimeState,
     Trace,
 )
@@ -96,10 +95,6 @@ GUARD_REJECTED = "GuardRejected"
 ERROR = "Error"
 
 INTERLEAVE_MODES = ("seeded", "declared")
-
-_INJECTED = Injected()
-# Builds an EventOccurrence without the NamedTuple's Python-level __new__.
-_new = tuple.__new__
 
 
 class DepthLimitError(Exception):
@@ -165,7 +160,7 @@ class Runtime:
             # send_message appends to a queue in place, so each is a new list
             channels={key: [] for key in program.channel_keys},
             pending=deque(),
-            timers=[period for _event, period, _cause in program.timer_slots],
+            timers=[period for _occurrence, period in program.timer_slots],
         )
 
     # -- core operations -----------------------------------------------------------
@@ -178,7 +173,7 @@ class Runtime:
 
         Returns True when the event was raised, False when suppressed.
         """
-        event, cause, _tick = occ
+        event, cause = occ
         program = self.program
         names = program.names
         info = program.events[event]
@@ -191,7 +186,7 @@ class Runtime:
             state.last_event = None
             return False
         if trace is not None:
-            trace.append(state.tick, EVENT_RAISED, names[event], cause.text)
+            trace.append(state.tick, EVENT_RAISED, names[event], cause)
         state.last_event = event
 
         initiated: list[Key] = []
@@ -257,8 +252,7 @@ class Runtime:
         if failure is None:
             if trace is not None:
                 trace.append(state.tick, ACTION_SUCCEEDED, name, "")
-            if info.triggers:
-                self._enqueue_all(state, info.triggers)
+            state.pending.extend(info.triggers)
             return SUCCESS, None
 
         if trace is not None:
@@ -266,7 +260,7 @@ class Runtime:
         for op in info.onerr_does:
             if self._exec_op(state, op, info, bindings, depth) is not None:
                 break  # a failure inside the error path aborts it
-        self._enqueue_all(state, info.onerr_triggers)
+        state.pending.extend(info.onerr_triggers)
         return ERROR, failure
 
     def _exec_op(
@@ -290,7 +284,7 @@ class Runtime:
                 bindings[op.binding] = outcome == SUCCESS
             return None
         if kind is Send:
-            self._send(state, op.message, op.channel, op.sender, op.sent, op.dropped)
+            self._send(state, op.message, op.channel, op.sent, op.dropped)
             return None
         return op.reason
 
@@ -305,18 +299,16 @@ class Runtime:
             )
             self.trace.append(state.tick, METRIC_ASSIGNED, self.program.names[metric], detail)
         metrics[metric] = value
-        subscribers = self.program.changed_subs.get(metric)
-        if subscribers:
-            self._enqueue_all(state, subscribers)
+        state.pending.extend(self.program.changed_subs.get(metric, ()))
 
     def send_message(
         self, state: RuntimeState, message: Key, channel: Key, sender: str
     ) -> bool:
         """Enqueue a message; returns False when the channel was full."""
-        return self._send(state, message, channel, sender, *send_details(channel, sender))
+        return self._send(state, message, channel, *send_details(channel, sender))
 
     def _send(
-        self, state: RuntimeState, message: Key, channel: Key, sender: str, sent: str, dropped: str
+        self, state: RuntimeState, message: Key, channel: Key, sent: str, dropped: str
     ) -> bool:
         """Queue a message; ``sent`` and ``dropped`` are the two possible trace details."""
         queue = state.channels[channel]
@@ -325,21 +317,11 @@ class Runtime:
             if trace is not None:
                 trace.append(state.tick, MESSAGE_SENT, self.program.names[message], dropped)
             return False
-        queue.append((message, sender))
+        queue.append(message)
         if trace is not None:
             trace.append(state.tick, MESSAGE_SENT, self.program.names[message], sent)
-        subscribers = self.program.sent_subs.get(message)
-        if subscribers:
-            self._enqueue_all(state, subscribers)
+        state.pending.extend(self.program.sent_subs.get(message, ()))
         return True
-
-    @staticmethod
-    def _enqueue_all(state: RuntimeState, subscribers: Iterable[Subscriber]) -> None:
-        """Enqueue each (event, cause) pair, in order, at the current tick."""
-        pending = state.pending
-        tick = state.tick
-        for event, cause in subscribers:
-            pending.append(_new(EventOccurrence, (event, cause, tick)))
 
     def step(self, state: RuntimeState) -> Key | None:
         """Dequeue and process exactly one occurrence; identity when idle."""
@@ -389,13 +371,13 @@ class Runtime:
         program = self.program
         busy = [key for key in program.channel_keys if channels[key]]
         receiver_of = program.receiver_of
-        acting = {receiver_of[message] for key in busy for message, _sender in channels[key]}
+        acting = {receiver_of[message] for key in busy for message in channels[key]}
         acting.discard(None)
         timers = state.timers
         if timers and min(timers) <= tick:
             timer_slots = program.timer_slots
             acting.update(
-                timer_slots[slot][0][0] for slot, due in enumerate(timers) if due <= tick
+                timer_slots[slot][0].event[0] for slot, due in enumerate(timers) if due <= tick
             )
         if not acting:
             return
@@ -410,26 +392,24 @@ class Runtime:
         for elem in order:
             for channel in busy:
                 queue = channels[channel]
-                remaining: list[tuple[Key, str]] = []
-                for entry in queue:
-                    message = entry[0]
+                remaining: list[Key] = []
+                for message in queue:
                     if receiver_of[message] != elem:
-                        remaining.append(entry)
+                        remaining.append(message)
                         continue
                     if trace is not None:
                         trace.append(
                             tick, MESSAGE_RECEIVED, names[message],
                             f"by {elem} over {names[channel]}",
                         )
-                    for event, cause in received_subs.get(message, ()):
-                        pending.append(_new(EventOccurrence, (event, cause, tick)))
+                    pending.extend(received_subs.get(message, ()))
                 if len(remaining) != len(queue):
                     channels[channel] = remaining
         for elem in order:
             for slot in program.timers_by_element[elem]:
                 if timers[slot] <= tick:
-                    event, period, cause = program.timer_slots[slot]
-                    pending.append(_new(EventOccurrence, (event, cause, tick)))
+                    occurrence, period = program.timer_slots[slot]
+                    pending.append(occurrence)
                     timers[slot] = tick + period
 
     # -- stimuli and runs -------------------------------------------------------------
@@ -437,7 +417,7 @@ class Runtime:
     def apply_stimulus(self, state: RuntimeState, stimulus: Stimulus) -> None:
         state.last_event = None
         if isinstance(stimulus, InjectEvent):
-            state.pending.append(_new(EventOccurrence, (stimulus.event, _INJECTED, state.tick)))
+            state.pending.append(EventOccurrence(stimulus.event, "injected"))
         elif isinstance(stimulus, SetMetric):
             self.assign_metric(state, stimulus.metric, stimulus.value)
         elif isinstance(stimulus, SendMessage):

@@ -1,7 +1,8 @@
-"""Runtime state, event occurrences, and the execution trace.
+"""Runtime state and the execution trace.
 
-Event occurrences and trace records are ``NamedTuple``s: the runtime makes
-one per enqueue and one per recorded step, and builds them with
+The pending queue holds ``EventOccurrence``s, ``(event, cause)`` pairs the
+program interned when it was built; only an injected stimulus makes a new
+one. Trace records are ``NamedTuple``s, one per recorded step, built with
 ``tuple.__new__``, which skips the Python-level ``__new__``. A record holds
 text the program rendered before the run (names, fixed details, causes);
 only metric values are rendered while running. ``Trace.to_text`` formats
@@ -14,9 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# The causes live next to the program that interns them; they are exported
+# Occurrences live next to the program that interns them; they are exported
 # from here and from ``asslkit.runtime`` as before.
-from ..program import Activation, Cause, Injected, Key, Triggered  # noqa: F401
+from ..program import EventOccurrence, Key
 
 # Trace record kinds. These exact strings appear in trace files.
 EVENT_RAISED = "EventRaised"
@@ -46,14 +47,6 @@ RECORD_KINDS = (
     MESSAGE_RECEIVED,
     ENSURES_VIOLATED,
 )
-
-
-class EventOccurrence(NamedTuple):
-    """A pending event, why it was enqueued, and the tick it was enqueued at."""
-
-    event: Key
-    cause: Cause
-    tick: int
 
 
 class TraceRecord(NamedTuple):
@@ -122,8 +115,8 @@ class Trace:
 class RuntimeState:
     """Mutable state of one running system.
 
-    ``channels`` maps each channel to its FIFO queue of (message key, sender
-    element) pairs; queue length never exceeds the declared capacity.
+    ``channels`` maps each channel to its FIFO queue of message keys; queue
+    length never exceeds the declared capacity.
     ``timers`` holds the next firing tick for each ELAPSED activation slot,
     parallel to the engine's slot table. ``last_event`` is the most recently
     raised (not suppressed) event, used for event atoms in verification.
@@ -132,7 +125,7 @@ class RuntimeState:
     tick: int
     fluents: dict[Key, bool]
     metrics: dict[Key, object]
-    channels: dict[Key, list[tuple[Key, str]]]
+    channels: dict[Key, list[Key]]
     pending: deque[EventOccurrence]
     timers: list[int]
     last_event: Key | None = None

@@ -105,10 +105,7 @@ class Layout:
         return StateVector(
             tuple(state.fluents.values()),
             tuple(state.metrics.values()),
-            tuple(
-                tuple([message for message, _sender in queue])
-                for queue in state.channels.values()
-            ),
+            tuple([tuple(queue) for queue in state.channels.values()]),
             tuple([occ.event for occ in state.pending]),
             tuple([t - tick for t in state.timers]),
             state.last_event,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from ..checker import CheckedSpec
 from ..names import Key, NameResolutionError, qual, resolve_decl
 from ..nodes import ValueType, render_value, type_of_value
+from ..program import COMPARE
 from ..runtime.scenario import ScenarioError, parse_value
 from .lts import Layout, StateVector
 
@@ -110,17 +111,7 @@ def eval_prop(prop: Prop, vector: StateVector, layout: Layout) -> bool:
         value = vector.metrics[layout.metric_index[prop.metric]]
         if prop.op is None:
             return bool(value)
-        if prop.op == "=":
-            return value == prop.value
-        if prop.op == "!=":
-            return value != prop.value
-        if prop.op == "<":
-            return value < prop.value  # type: ignore[operator]
-        if prop.op == "<=":
-            return value <= prop.value  # type: ignore[operator]
-        if prop.op == ">":
-            return value > prop.value  # type: ignore[operator]
-        return value >= prop.value  # type: ignore[operator]
+        return COMPARE[prop.op](value, prop.value)
     if isinstance(prop, BoolLit):
         return prop.value
     if isinstance(prop, PNot):
@@ -375,7 +366,7 @@ class _PropParser:
     def _metric_atom(self) -> MetricAtom:
         key = self._resolve("metrics")
         decl = self.spec.program.metrics[key]
-        if self.peek() in ("=", "!=", "<", "<=", ">", ">="):
+        if self.peek() in COMPARE:
             op = self.advance()
             try:
                 value = parse_value(self.advance(), decl.value_type)

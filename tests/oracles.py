@@ -51,7 +51,7 @@ from asslkit.nodes import (
     SendStmt,
 )
 from asslkit.runtime.engine import RunConfig, Runtime
-from asslkit.runtime.state import MESSAGE_RECEIVED, Activation, EventOccurrence
+from asslkit.runtime.state import MESSAGE_RECEIVED, EventOccurrence
 from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
 from asslkit.verifier.lts import Layout, StateVector
@@ -155,9 +155,9 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
             if not queue:
                 continue
             remaining = []
-            for message, sender in queue:
+            for message in queue:
                 if program.messages[message].receiver != elem:
-                    remaining.append((message, sender))
+                    remaining.append(message)
                     continue
                 if runtime.trace is not None:
                     runtime.trace.append(
@@ -166,15 +166,15 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                     )
                 for event, _cause in program.received_subs.get(message, ()):
                     state.pending.append(
-                        EventOccurrence(event, Activation("RECEIVED", qual(message)), state.tick)
+                        EventOccurrence(event, f"activation RECEIVED {qual(message)}")
                     )
             state.channels[channel] = remaining
     for elem in order:
         for slot in program.timers_by_element[elem]:
             if state.timers[slot] <= state.tick:
-                event, period, _cause = program.timer_slots[slot]
+                occurrence, period = program.timer_slots[slot]
                 state.pending.append(
-                    EventOccurrence(event, Activation("ELAPSED", str(period)), state.tick)
+                    EventOccurrence(occurrence.event, f"activation ELAPSED {period}")
                 )
                 state.timers[slot] = state.tick + period
 
@@ -184,10 +184,7 @@ def project(layout: Layout, state) -> StateVector:
     return StateVector(
         fluents=tuple(state.fluents[key] for key in layout.fluent_keys),
         metrics=tuple(state.metrics[key] for key in layout.metric_keys),
-        channels=tuple(
-            tuple(message for message, _sender in state.channels[key])
-            for key in layout.channel_keys
-        ),
+        channels=tuple(tuple(state.channels[key]) for key in layout.channel_keys),
         pending=tuple(occ.event for occ in state.pending),
         timers=tuple(t - state.tick for t in state.timers),
         last_event=state.last_event,

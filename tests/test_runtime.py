@@ -15,7 +15,6 @@ from asslkit.runtime import (
     GUARD_REJECTED,
     SUCCESS,
     Halt,
-    Injected,
     LivelockError,
     RunConfig,
     Runtime,
@@ -50,7 +49,7 @@ from tracecheck import (
 
 def occurrence(spec, runtime, name: str) -> EventOccurrence:
     elem = spec.tree.ae_tiers[0].name if spec.tree.ae_tiers else spec.tree.as_tier.name
-    return EventOccurrence((elem, name), Injected(), 0)
+    return EventOccurrence((elem, name), "injected")
 
 
 class TestInit:
@@ -289,10 +288,10 @@ class TestStep:
         spec = check_all(parse_text(CONJUNCTION_SPEC))
         runtime = Runtime(spec)
         state = runtime.init()
-        state.pending.append(EventOccurrence(("unit", "goLeft"), Injected(), 0))
+        state.pending.append(EventOccurrence(("unit", "goLeft"), "injected"))
         runtime.step(state)
         assert not runtime.trace.find(MAPPING_FIRED)
-        state.pending.append(EventOccurrence(("unit", "goRight"), Injected(), 0))
+        state.pending.append(EventOccurrence(("unit", "goRight"), "injected"))
         runtime.step(state)
         assert runtime.trace.find(MAPPING_FIRED)
         assert state.metrics[("unit", "fired")] is True
@@ -302,7 +301,7 @@ class TestStep:
         runtime = Runtime(spec)
         state = runtime.init()
         for name in ("goLeft", "goRight", "goLeft"):
-            state.pending.append(EventOccurrence(("unit", name), Injected(), 0))
+            state.pending.append(EventOccurrence(("unit", name), "injected"))
         runtime.drain(state)
         # reset (from work) terminated both before the second goLeft arrived,
         # so the third occurrence re-initiates `left` alone: no second firing

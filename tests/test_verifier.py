@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -471,9 +472,23 @@ class TestPropertyParsing:
             with pytest.raises(PropertyError):
                 parse_property(line, toggle_spec)
 
-    def test_metric_comparison_atom(self, toggle_spec):
+    def test_metric_comparison_atom(self, toggle_spec, operators_spec):
         prop = parse_property("G (metric held = true)", toggle_spec)
         assert prop.shape == "G"
+        # every operator on an integer metric agrees with Python's
+        layout = Layout(operators_spec.program)
+        fluents = (False,) * len(layout.fluent_keys)
+        metrics = list(operators_spec.program.initial_metrics.values())
+        slot = layout.metric_index[("probe", "count")]
+        for op, compare in (
+            ("=", operator.eq), ("!=", operator.ne), ("<", operator.lt),
+            ("<=", operator.le), (">", operator.gt), (">=", operator.ge),
+        ):
+            atom = parse_property(f"G (metric count {op} 3)", operators_spec).p
+            for value in (2, 3, 4):
+                metrics[slot] = value
+                vector = StateVector(fluents, tuple(metrics), (), (), (), None)
+                assert eval_prop(atom, vector, layout) is compare(value, 3), (op, value)
 
     def test_metric_literal_type_checked(self, toggle_spec):
         with pytest.raises(PropertyError):
