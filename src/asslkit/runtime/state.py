@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 # Occurrences live next to the program that interns them; they are exported
-# from here and from ``asslkit.runtime`` as before.
+# from here and from ``asslkit.runtime`` too.
 from ..program import EventOccurrence, Key
 
 # Trace record kinds. These exact strings appear in trace files.
