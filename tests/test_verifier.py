@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import operator
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +34,7 @@ from asslkit.verifier import Layout, Lts, StateVector
 from asslkit.verifier.mc import _tarjan
 from conftest import README_ENVS
 from oracles import brute_force_lts, exhaustive_check, lts_as_sets
-from specgen import env_for, random_checked_spec, random_properties
+from specgen import env_for, random_checked_spec, random_properties, swarm_source
 from test_cli import CASCADE_SPEC
 
 TOGGLE_SPEC = """
@@ -637,3 +640,64 @@ class TestSharedWork:
             for text in ("true", "1", "1.0", "0.0", "-0.0", "1", "true")
         ]
         assert lts.successors(0) == [] and lts.bfs_tree() == ([0], {})
+
+
+def _verify_text(spec, env, lines) -> str:
+    """The graph export, then per property its verdict line and, when
+    violated, the ``explain`` text and the counterexample scenario."""
+    lts = build_lts(spec, env=env)
+    parts = [lts_to_text(lts)]
+    for line in lines:
+        verdict = check(lts, parse_property(line, spec))
+        cex = verdict.counterexample
+        kind = f" [{cex.kind}]" if cex is not None else ""
+        parts.append(f"{verdict.result}: {verdict.prop.text}{kind} {verdict.note}\n")
+        if verdict.result == VIOLATED:
+            text, scenario = explain(spec, lts, verdict)
+            parts.append(text + scenario.render())
+    return "".join(parts)
+
+
+def verify_pin_texts() -> dict[str, str]:
+    """Texts behind ``verify_sha256.json``, one per pinned entry.
+
+    Each mission under its README environment with its shipped properties
+    and 20 seeded random ones, random specs 0-59 with 8 random properties
+    each, and the 2-worker swarm with 20 random properties.
+    """
+    texts = {}
+    for pkg in all_missions():
+        spec = pkg.load()
+        env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name]) or None
+        shipped = [
+            prop.text
+            for path in pkg.prop_paths()
+            for prop in parse_property_file(path.read_text(), spec)
+        ]
+        lines = shipped + random_properties(spec, random.Random(pkg.name), 20)
+        texts[pkg.name] = _verify_text(spec, env, lines)
+    random_texts = []
+    for seed in range(60):
+        spec = random_checked_spec(seed)
+        lines = random_properties(spec, random.Random(seed), 8)
+        random_texts.append(_verify_text(spec, env_for(spec), lines))
+    texts["random0-59"] = "".join(random_texts)
+    swarm = check_all(parse_text(swarm_source(2)))
+    env = tuple(
+        parse_env_stimulus(swarm, text)
+        for w in ("worker1", "worker2")
+        for text in (f"send {w}.privateMessage {w}.secureLink", f"set {w}.certificateValid false")
+    ) + (parse_env_stimulus(swarm, "tick"),)
+    texts["swarm2"] = _verify_text(swarm, env, random_properties(swarm, random.Random(2), 20))
+    return texts
+
+
+def test_verify_results_are_pinned():
+    """Graphs, verdicts, explanations and counterexample scenarios, by sha256."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("verify_sha256.json").read_text()
+    )
+    texts = verify_pin_texts()
+    assert set(texts) == set(pinned)
+    for key, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[key], key
