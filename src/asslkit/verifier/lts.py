@@ -24,8 +24,13 @@ stimuli in canonical (rendered) order, so state numbering, edge order, and
 every downstream verdict are a function of the specification, environment,
 and bounds alone.
 
-Two facts keep the stored state small:
+Three facts keep the stored graph small:
 
+* Discovery order. States are numbered as breadth-first exploration finds
+  them, and each state's edges are appended in label order (``env`` is
+  sorted by label; a non-quiescent state has one ``proc`` edge). So ids are
+  BFS order, adjacency is label ordered, and the edge that found a state is
+  its BFS-tree parent: ``Lts.succ`` and ``Lts.parent`` are the whole graph.
 * Slot order. ``Runtime.init`` builds the fluent, metric and channel dicts
   in the order of the spec's ``Program`` tables, the same order ``Layout``
   takes its keys from, and the engine only ever overwrites existing keys. So
@@ -39,7 +44,6 @@ Two facts keep the stored state small:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from ..checker import CheckedSpec
@@ -114,55 +118,25 @@ class Layout:
 
 @dataclass
 class Lts:
-    """Explicit labeled transition system; state 0 is initial."""
+    """Explicit labeled transition system; state 0 is initial.
+
+    ``succ[s]`` holds the (edge label, target) pairs leaving state ``s`` in
+    label order; ``parent[s]`` is the (source, edge label) that discovered
+    ``s``, and ``None`` for the initial state.
+    """
 
     layout: Layout
     states: list[StateVector]
-    edges: list[tuple[int, str, int]]
+    succ: list[list[tuple[str, int]]]
+    parent: list[tuple[int, str] | None]
     expanded: frozenset[int]
     truncated: bool
     env: tuple[EnvStimulus, ...]
     bounds: Bounds
     initial: int = 0
-    _succ: dict[int, list[tuple[str, int]]] | None = field(default=None, repr=False)
-    _bfs: tuple[list[int], dict[int, tuple[int, str]]] | None = field(
-        default=None, repr=False
-    )
     _metric_atoms: dict[tuple[int, object, type], str] = field(
         default_factory=dict, repr=False
     )
-
-    def successors(self, state_id: int) -> list[tuple[str, int]]:
-        if self._succ is None:
-            self._succ = {}
-            for src, label, dst in self.edges:
-                self._succ.setdefault(src, []).append((label, dst))
-            for adjacency in self._succ.values():
-                adjacency.sort()
-        return self._succ.get(state_id, [])
-
-    def bfs_tree(self) -> tuple[list[int], dict[int, tuple[int, str]]]:
-        """Reachable states in BFS order from the initial state, and each
-        one's (parent, edge label). Built once per graph.
-
-        Adjacency is label sorted, so discovery order yields the shortest,
-        lexicographically least path to every state.
-        """
-        if self._bfs is None:
-            parent: dict[int, tuple[int, str]] = {}
-            order: list[int] = []
-            seen = {self.initial}
-            queue = deque([self.initial])
-            while queue:
-                src = queue.popleft()
-                order.append(src)
-                for label, dst in self.successors(src):
-                    if dst not in seen:
-                        seen.add(dst)
-                        parent[dst] = (src, label)
-                        queue.append(dst)
-            self._bfs = (order, parent)
-        return self._bfs
 
     def labeling(self, state_id: int) -> frozenset[str]:
         """Atomic propositions holding at a state."""
@@ -195,7 +169,7 @@ class Lts:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.succ))
 
 
 def default_env(spec: CheckedSpec) -> tuple[EnvStimulus, ...]:
@@ -237,14 +211,18 @@ def build_lts(
     if env is None:
         env = default_env(spec)
     env = tuple(sorted(env, key=lambda stim: stim.render()))
+    # Edge labels are rendered once, so edges share their label strings.
+    env_labels = [stim.render() for stim in env]
+    proc_labels: dict[Key, str] = {}
 
     initial = runtime.init()
     assert layout.in_slot_order(initial), "runtime state dicts are not in slot order"
     states: list[StateVector] = [layout.vector(initial)]
+    succ: list[list[tuple[str, int]]] = [[]]
+    parent: list[tuple[int, str] | None] = [None]
     # Snapshots of frontier states only; ``expand`` pops each one.
     snapshots: dict[int, RuntimeState] = {0: initial}
     index: dict[StateVector, int] = {states[0]: 0}
-    edges: list[tuple[int, str, int]] = []
     expanded: set[int] = set()
     truncated = False
 
@@ -255,7 +233,10 @@ def build_lts(
         if state.pending:
             event = runtime.step(state)
             assert event is not None
-            return [(f"proc {qual(event)}", state)]
+            label = proc_labels.get(event)
+            if label is None:
+                label = proc_labels[event] = f"proc {qual(event)}"
+            return [(label, state)]
         out: list[tuple[str, RuntimeState]] = []
         last = len(env) - 1
         for i, stimulus in enumerate(env):
@@ -264,7 +245,7 @@ def build_lts(
                 runtime.advance_tick(nxt)
             else:
                 runtime.apply_stimulus(nxt, stimulus)
-            out.append((stimulus.render(), nxt))
+            out.append((env_labels[i], nxt))
         return out
 
     frontier = [0]
@@ -277,6 +258,7 @@ def build_lts(
         next_frontier: list[int] = []
         for state_id in frontier:
             complete = True
+            adjacency = succ[state_id]
             for label, nxt in expand(state_id):
                 if len(nxt.pending) > bounds.max_pending:
                     truncated = True
@@ -293,19 +275,21 @@ def build_lts(
                     dst = len(states)
                     index[vec] = dst
                     states.append(vec)
+                    succ.append([])
+                    parent.append((state_id, label))
                     snapshots[dst] = nxt
                     next_frontier.append(dst)
-                edges.append((state_id, label, dst))
+                adjacency.append((label, dst))
             if complete:
                 expanded.add(state_id)
         frontier = next_frontier
         depth += 1
 
-    edges.sort()
     return Lts(
         layout=layout,
         states=states,
-        edges=edges,
+        succ=succ,
+        parent=parent,
         expanded=frozenset(expanded),
         truncated=truncated,
         env=env,
@@ -323,6 +307,7 @@ def lts_to_text(lts: Lts) -> str:
         props = " ".join(sorted(lts.labeling(state_id)))
         marker = " initial" if state_id == lts.initial else ""
         lines.append(f"state {state_id}{marker} {props}".rstrip())
-    for src, label, dst in lts.edges:
-        lines.append(f'edge {src} -> {dst} "{label}"')
+    for src, adjacency in enumerate(lts.succ):
+        for label, dst in adjacency:
+            lines.append(f'edge {src} -> {dst} "{label}"')
     return "\n".join(lines) + "\n"

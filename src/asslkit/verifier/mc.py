@@ -20,9 +20,10 @@ deterministic, a counterexample whose violating state is followed by a chain
 of ``proc`` successors that repeats a state before reaching a quiescent one
 is one of these; its kind is ``livelock`` and ``explain`` says so.
 
-The breadth-first tree from the initial state, which gives every shape its
-visiting order and its shortest stems, is built once per graph
-(``Lts.bfs_tree``) and shared by every property checked on it.
+Every shape visits states in id order and builds its stems from
+``Lts.parent``: ``build_lts`` numbers states in breadth-first order and
+records the edge that discovered each one, and adjacency is label ordered,
+so these stems are the shortest, lexicographically least paths.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
     steps: list[tuple[str, int]] = []
     seen = {state}
     while lts.states[state].pending:
-        successors = lts.successors(state)
+        successors = lts.succ[state]
         if not successors:
             return ()
         ((label, state),) = successors  # a non-quiescent state only processes
@@ -124,18 +125,18 @@ def _livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
 class _Checker:
     def __init__(self, lts: Lts) -> None:
         self.lts = lts
-        self.order, self.parent = lts.bfs_tree()
+        self.order = range(lts.state_count)
 
     # -- shared machinery ---------------------------------------------------
 
     def path_to(self, target: int) -> tuple[tuple[str, int], ...]:
-        return _path(self.parent, self.lts.initial, target)
+        return _path(self.lts.parent, self.lts.initial, target)
 
     def holds(self, prop: Prop, state: int) -> bool:
         return eval_prop(prop, self.lts.states[state], self.lts.layout)
 
     def is_dead_end(self, state: int) -> bool:
-        return state in self.lts.expanded and not self.lts.successors(state)
+        return state in self.lts.expanded and not self.lts.succ[state]
 
     def inconclusive_or_holds(self, prop: TemporalProperty) -> Verdict:
         if self.lts.truncated:
@@ -156,7 +157,7 @@ class _Checker:
         while queue:
             src = queue.popleft()
             order.append(src)
-            for label, dst in self.lts.successors(src):
+            for label, dst in self.lts.succ[src]:
                 if dst in region and dst not in seen:
                     seen.add(dst)
                     parent[dst] = (src, label)
@@ -174,7 +175,7 @@ class _Checker:
                 (only,) = component
                 if any(
                     dst == only and dst in region
-                    for _label, dst in self.lts.successors(only)
+                    for _label, dst in self.lts.succ[only]
                 ):
                     cyclic.add(only)
         return cyclic
@@ -189,7 +190,7 @@ class _Checker:
         # backward closure within the region
         reverse: dict[int, list[int]] = {}
         for src in region:
-            for _label, dst in self.lts.successors(src):
+            for _label, dst in self.lts.succ[src]:
                 if dst in region:
                     reverse.setdefault(dst, []).append(src)
         result = set(seeds)
@@ -208,7 +209,7 @@ class _Checker:
         # find the least-labeled edge closing the cycle back to entry
         best: tuple[tuple[str, int], ...] | None = None
         for src in [entry] + sorted(parent):
-            for label, dst in self.lts.successors(src):
+            for label, dst in self.lts.succ[src]:
                 if dst != entry or src not in region:
                     continue
                 candidate = _path(parent, entry, src) + ((label, entry),)
@@ -302,7 +303,7 @@ class _Checker:
                         f"{prop.p.render()} holds at a state with no successor",
                     ),
                 )
-            for label, dst in self.lts.successors(state):
+            for label, dst in self.lts.succ[state]:
                 if not self.holds(prop.q, dst):
                     stem = self.path_to(state) + ((label, dst),)
                     return Verdict(
@@ -331,7 +332,7 @@ class _Checker:
         parent, order = self.region_bfs(self.lts.initial, walkable)
         # (a) a !p & !q state reachable through p & !q states
         for src in order:
-            for label, dst in self.lts.successors(src):
+            for label, dst in self.lts.succ[src]:
                 if dst in not_q and not self.holds(prop.p, dst):
                     stem = _path(parent, self.lts.initial, src) + ((label, dst),)
                     return Verdict(
@@ -354,10 +355,10 @@ class _Checker:
 
 
 def _path(
-    parent: dict[int, tuple[int, str]], anchor: int, target: int
+    parent: dict[int, tuple[int, str]] | list[tuple[int, str] | None], anchor: int, target: int
 ) -> tuple[tuple[str, int], ...]:
     """Edge steps from ``anchor`` to ``target``, following the (parent, edge
-    label) map of a BFS rooted at ``anchor`` back from ``target``."""
+    label) entries of a BFS rooted at ``anchor`` back from ``target``."""
     steps: list[tuple[str, int]] = []
     state = target
     while state != anchor:
@@ -390,7 +391,7 @@ def _tarjan(region: set[int], lts: Lts) -> list[list[int]]:
                 counter += 1
                 stack.append(node)
                 on_stack.add(node)
-                successors = [dst for _label, dst in lts.successors(node) if dst in region]
+                successors = [dst for _label, dst in lts.succ[node] if dst in region]
             advanced = False
             for i in range(edge_idx, len(successors)):
                 dst = successors[i]
@@ -453,7 +454,7 @@ def explain(
         for label, state in cex.livelock:
             lines.append(f"  ..... {label} -> {_state_line(lts, state)}")
 
-    scenario_lines = [f"# reproduces: {verdict.prop.text}"]
+    scenario_lines: list[str] = []
     tick = 0
     for label, _state in cex.stem:
         if label == "tick":
@@ -463,10 +464,6 @@ def explain(
         else:
             scenario_lines.append(f"tick {tick} {label}")
     scenario_lines.append(f"tick {tick + 1} halt")
-    if cex.loop:
-        scenario_lines.append("# loop beyond the halt point:")
-        for label, _state in cex.loop:
-            scenario_lines.append(f"# {label}")
     scenario_text = "\n".join(scenario_lines) + "\n"
     scenario = parse_scenario(scenario_text, spec, scenario_name)
     return "\n".join(lines) + "\n", scenario
@@ -474,8 +471,8 @@ def explain(
 
 def _state_line(lts: Lts, state_id: int) -> str:
     props = sorted(
-        p for p in lts.labeling(state_id) if not p.startswith("metric:")
-        or "=true" in p or "=false" in p
+        p for p in lts.labeling(state_id)
+        if not p.startswith("metric:") or p.endswith(("=true", "=false"))
     )
     return f"s{state_id} {{{', '.join(props)}}}"
 

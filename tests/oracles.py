@@ -6,6 +6,9 @@ no exploration machinery with the breadth-first ``build_lts`` it
 cross-checks. It also projects states onto vectors itself, by key lookup,
 instead of through ``Layout.vector``, which reads the runtime's dicts in
 slot order.
+``reference_bfs_tree`` walks a flat edge list breadth first from the
+initial state over label-sorted adjacency; ``build_lts`` must number states
+in its visiting order and record its parents.
 ``exhaustive_check`` evaluates a temporal property by enumerating every
 maximal path (stopping each branch at its first lasso or dead end) and
 applying the shape's semantics directly to the path.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 from asslkit.names import qual
 from asslkit.nodes import (
@@ -210,12 +214,39 @@ def lts_as_sets(lts: Lts):
     """Project a built Lts onto vector-keyed sets for oracle comparison."""
     states = set(lts.states)
     edges = {
-        (lts.states[src], label, lts.states[dst]) for src, label, dst in lts.edges
+        (lts.states[src], label, lts.states[dst])
+        for src, adjacency in enumerate(lts.succ)
+        for label, dst in adjacency
     }
     labelings = {
         lts.states[i]: lts.labeling(i) for i in range(lts.state_count)
     }
     return states, edges, labelings, lts.states[lts.initial]
+
+
+def reference_bfs_tree(
+    edges: list[tuple[int, str, int]], initial: int = 0
+) -> tuple[list[int], dict[int, tuple[int, str]]]:
+    """States reachable from ``initial`` in BFS order, and each one's
+    (parent, edge label), visiting every state's edges in label order."""
+    succ: dict[int, list[tuple[str, int]]] = {}
+    for src, label, dst in edges:
+        succ.setdefault(src, []).append((label, dst))
+    for adjacency in succ.values():
+        adjacency.sort()
+    parent: dict[int, tuple[int, str]] = {}
+    order: list[int] = []
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        src = queue.popleft()
+        order.append(src)
+        for label, dst in succ.get(src, ()):
+            if dst not in seen:
+                seen.add(dst)
+                parent[dst] = (src, label)
+                queue.append(dst)
+    return order, parent
 
 
 # --------------------------------------------------------------------------
@@ -228,7 +259,7 @@ def all_maximal_paths(lts: Lts, cap: int = 200_000):
     initial = lts.initial
 
     def successors(state):
-        return [dst for _label, dst in lts.successors(state)]
+        return [dst for _label, dst in lts.succ[state]]
 
     stack = [(initial, [initial], {initial: 0})]
     while stack:

@@ -210,6 +210,20 @@ def swarm_source(n: int) -> str:
     return head + "\n\n".join(copies) + "\n"
 
 
+def swarm_env(spec: CheckedSpec, n: int) -> tuple[EnvStimulus, ...]:
+    """Per worker of ``swarm_source(n)``: send its message, invalidate its
+    certificate; plus the clock."""
+    from asslkit.verifier import parse_env_stimulus
+
+    texts = ["tick"]
+    for k in range(1, n + 1):
+        texts += [
+            f"send worker{k}.privateMessage worker{k}.secureLink",
+            f"set worker{k}.certificateValid false",
+        ]
+    return tuple(parse_env_stimulus(spec, text) for text in texts)
+
+
 def env_for(spec: CheckedSpec) -> tuple[EnvStimulus, ...]:
     """Injectables plus boolean toggles of the first metric, plus the clock."""
     from asslkit.verifier import default_env

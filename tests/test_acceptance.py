@@ -180,7 +180,7 @@ def test_criterion_5_counterexample_soundness():
             assert eval_prop(verdict.prop.p, vector, lts.layout) is False
         elif verdict.prop.shape == "G->X" and cex.kind == "deadend":
             # X q fails at a state with no successor; q itself is not at issue
-            assert not lts.successors(cex.violating_state)
+            assert not lts.succ[cex.violating_state]
         else:  # response, until, and bad-next violations falsify q
             assert eval_prop(verdict.prop.q, vector, lts.layout) is False
     print(f"PASS criterion 5: {len(violated)}/{len(violated)} counterexamples replay soundly")

@@ -20,6 +20,7 @@ from asslkit.verifier import (
     UnresolvedAtom,
     build_lts,
     check,
+    default_env,
     explain,
     lts_to_text,
     parse_env_stimulus,
@@ -33,8 +34,8 @@ from asslkit.runtime import Runtime, parse_scenario
 from asslkit.verifier import Layout, Lts, StateVector
 from asslkit.verifier.mc import _tarjan
 from conftest import README_ENVS
-from oracles import brute_force_lts, exhaustive_check, lts_as_sets
-from specgen import env_for, random_checked_spec, random_properties, swarm_source
+from oracles import brute_force_lts, exhaustive_check, lts_as_sets, reference_bfs_tree
+from specgen import env_for, random_checked_spec, random_properties, swarm_env, swarm_source
 from test_cli import CASCADE_SPEC
 
 TOGGLE_SPEC = """
@@ -199,10 +200,47 @@ class TestBuildLts:
         # the state whose expansion was cut is not treated as a dead end
         assert 0 not in {
             s for s in range(lts.state_count)
-            if s in lts.expanded and not lts.successors(s)
+            if s in lts.expanded and not lts.succ[s]
         }
         roomy = build_lts(spec, bounds=Bounds(max_pending=16))
         assert not roomy.truncated
+
+    def test_ids_are_bfs_order_and_adjacency_is_label_ordered(self):
+        """On the missions, the random specs under several bounds, and the
+        1-3 worker swarms, ``build_lts`` numbers states in the order of the
+        reference BFS, records its parents, and keeps adjacency sorted."""
+        graphs = []
+        for pkg in all_missions():
+            spec = pkg.load()
+            env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name])
+            env = env or default_env(spec)
+            graphs += [build_lts(spec, env=env), build_lts(spec, env=env + env)]
+        every_bound = (
+            Bounds(), Bounds(max_states=20), Bounds(max_depth=3), Bounds(max_pending=1)
+        )
+        for seed in range(200):
+            spec = random_checked_spec(seed)
+            env = env_for(spec)
+            for bounds in every_bound:
+                graphs += [
+                    build_lts(spec, env=env, bounds=bounds),
+                    build_lts(spec, env=env + env, bounds=bounds),
+                ]
+        for n, bounds in ((1, Bounds()), (2, Bounds()), (3, Bounds(max_states=5000))):
+            swarm = check_all(parse_text(swarm_source(n)))
+            graphs.append(build_lts(swarm, env=swarm_env(swarm, n), bounds=bounds))
+        assert len(graphs) == 1611
+        assert sum(lts.truncated for lts in graphs) > 400
+        for lts in graphs:
+            edges = [
+                (src, label, dst)
+                for src, adjacency in enumerate(lts.succ)
+                for label, dst in adjacency
+            ]
+            order, parent = reference_bfs_tree(edges, lts.initial)
+            assert order == list(range(lts.state_count))
+            assert lts.parent == [parent.get(s) for s in order]
+            assert all(adjacency == sorted(adjacency) for adjacency in lts.succ)
 
     def test_graph_export_format(self, toggle_spec):
         lts = build_lts(toggle_spec)
@@ -375,6 +413,16 @@ class TestExplainAndReplay:
         assert "loop" in text
         assert scenario.steps[-1][1].render() == "halt"
 
+    def test_state_lines_show_boolean_metrics_only(self, operators_spec):
+        # a text metric whose value contains "=true" is still a text metric
+        env = (parse_env_stimulus(operators_spec, 'set mode "a=true"'),)
+        lts = build_lts(operators_spec, env=env)
+        verdict = check(lts, parse_property('G (! (metric mode = "a=true"))', operators_spec))
+        assert verdict.result == VIOLATED
+        text, _scenario = explain(operators_spec, lts, verdict)
+        assert "metric:probe.claimed=false" in text
+        assert "metric:probe.mode" not in text
+
     def test_explain_requires_violation(self, toggle_spec):
         lts = build_lts(toggle_spec)
         verdict = check(lts, parse_property("G true", toggle_spec))
@@ -527,6 +575,26 @@ def _outcome(spec, lts, verdict):
     return verdict, text, scenario.render()
 
 
+def _hand_built_lts(layout, states, edges) -> Lts:
+    """A complete graph over hand-written (source, label, target) edges, with
+    label-ordered adjacency and the parents of ``reference_bfs_tree``. Its ids
+    need not be BFS order, which changes stems but no verdict."""
+    succ = [[] for _ in states]
+    for src, label, dst in sorted(edges):
+        succ[src].append((label, dst))
+    _order, parent = reference_bfs_tree(edges)
+    return Lts(
+        layout=layout,
+        states=states,
+        succ=succ,
+        parent=[parent.get(s) for s in range(len(states))],
+        expanded=frozenset(range(len(states))),
+        truncated=False,
+        env=(),
+        bounds=Bounds(),
+    )
+
+
 class TestSharedWork:
     """Work cached on an Lts and shared across properties changes nothing."""
 
@@ -595,15 +663,7 @@ class TestSharedWork:
         edges = [(i, "tick", i + 1) for i in range(chain + ring - 1)]
         edges.append((chain + ring - 1, "tick", chain))
         edges.append((chain // 2, "inject unit.go", spur))
-        lts = Lts(
-            layout=layout,
-            states=[vector(i) for i in range(n)],
-            edges=sorted(edges),
-            expanded=frozenset(range(n)),
-            truncated=False,
-            env=(),
-            bounds=Bounds(),
-        )
+        lts = _hand_built_lts(layout, [vector(i) for i in range(n)], edges)
         sccs = sorted(_tarjan(set(range(n)), lts), key=len)
         assert len(sccs) == chain + 1 + 1
         assert sorted(sccs[-1]) == list(range(chain, chain + ring))
@@ -625,21 +685,17 @@ class TestSharedWork:
     def test_metric_atoms_of_equal_values_render_by_type(self, toggle_spec):
         # True == 1 == 1.0 and 0.0 == -0.0, yet each renders differently
         values = (True, 1, 1.0, 0.0, -0.0, 1, True)
-        lts = Lts(
-            layout=Layout(toggle_spec.program),
-            states=[StateVector((False,), (v,), (), (), (), None) for v in values],
-            edges=[],
-            expanded=frozenset(range(len(values))),
-            truncated=False,
-            env=(),
-            bounds=Bounds(),
+        lts = _hand_built_lts(
+            Layout(toggle_spec.program),
+            [StateVector((False,), (v,), (), (), (), None) for v in values],
+            [],
         )
         atoms = [lts.labeling(i) for i in range(len(values))]
         assert atoms == [
             frozenset({f"metric:unit.held={text}"})
             for text in ("true", "1", "1.0", "0.0", "-0.0", "1", "true")
         ]
-        assert lts.successors(0) == [] and lts.bfs_tree() == ([0], {})
+        assert lts.succ[0] == [] and lts.parent[0] is None
 
 
 def _verify_text(spec, env, lines) -> str:
@@ -683,12 +739,8 @@ def verify_pin_texts() -> dict[str, str]:
         random_texts.append(_verify_text(spec, env_for(spec), lines))
     texts["random0-59"] = "".join(random_texts)
     swarm = check_all(parse_text(swarm_source(2)))
-    env = tuple(
-        parse_env_stimulus(swarm, text)
-        for w in ("worker1", "worker2")
-        for text in (f"send {w}.privateMessage {w}.secureLink", f"set {w}.certificateValid false")
-    ) + (parse_env_stimulus(swarm, "tick"),)
-    texts["swarm2"] = _verify_text(swarm, env, random_properties(swarm, random.Random(2), 20))
+    lines = random_properties(swarm, random.Random(2), 20)
+    texts["swarm2"] = _verify_text(swarm, swarm_env(swarm, 2), lines)
     return texts
 
 
