@@ -260,3 +260,152 @@ class TestErrors:
                 "AS a { POLICIES { P { FLUENT f {"
                 " INITIATED_BY { ACTIONS.x } TERMINATED_BY { EVENTS.e } } } } }"
             )
+
+
+# Which section keywords each tier body accepts. Every keyword is tried once
+# and twice in every body: a keyword a body does not accept is reported where
+# it first appears, and an accepted one where it repeats.
+_SHARED_SECTIONS = ("SLO", "POLICIES", "ACTIONS", "EVENTS", "METRICS")
+_PROTOCOL_SECTIONS = ("MESSAGES", "CHANNELS", "FUNCTIONS", "MANAGED_ELEMENTS")
+_AE_SECTIONS = ("FRIENDS", "AEIP", "RECOVERY_PROTOCOL", "BEHAVIOR_MODELS", "OUTCOMES")
+_SECTION_KEYWORDS = ("ARCHITECTURE", *_SHARED_SECTIONS, *_AE_SECTIONS, *_PROTOCOL_SECTIONS)
+
+# body -> (source before the sections, source after them, accepted keywords,
+# name used in the "unexpected" message)
+_BODIES = {
+    "AS": ("AS a {\n", "}\n", ("ARCHITECTURE", *_SHARED_SECTIONS), "AS tier"),
+    "AE": ("AS a { }\nAE b {\n", "}\n", (*_SHARED_SECTIONS, *_AE_SECTIONS), "AE tier"),
+    "ASIP": ("AS a { }\nASIP {\n", "}\n", _PROTOCOL_SECTIONS, "interaction protocol"),
+    "AEIP": (
+        "AS a { }\nAE b {\n  AEIP {\n", "  }\n}\n", _PROTOCOL_SECTIONS, "interaction protocol",
+    ),
+}
+
+
+def _error_list(source: str) -> list[tuple[str, int, int]]:
+    try:
+        parse_text(source)
+    except ParseError as exc:
+        return [(e.message, e.span.line, e.span.column) for e in exc.errors]
+    return []
+
+
+class TestSectionErrors:
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("keyword", _SECTION_KEYWORDS)
+    @pytest.mark.parametrize("body", sorted(_BODIES))
+    def test_every_section_keyword_in_every_body(self, body, keyword, count):
+        head, tail, accepted, where = _BODIES[body]
+        line = head.count("\n") + 1
+        source = head + f"    {keyword} {{ }}\n" * count + tail
+        if keyword not in accepted:
+            expected = [(f"unexpected {keyword!r} in {where}", line, 5)]
+        elif count == 2:
+            expected = [(f"duplicate {keyword} section", line + 1, 5)]
+        else:
+            expected = []
+        assert _error_list(source) == expected
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("AS a { }\nASIP { }\nASIP { }", [("duplicate ASIP tier", 3, 1)]),
+            ("AS a { }\nASIP { }\nAS b { }\nASIP { }", [
+                ("a specification has exactly one AS tier", 3, 1),
+                ("duplicate ASIP tier", 4, 1),
+            ]),
+            ("AS a {\n  ARCHITECTURE { ring { of { teams } } }\n}", []),
+            ("AS a {\n  ARCHITECTURE { ring { of teams }", [("unterminated block", 2, 16)]),
+            ("AS a {\n  SLO { up { at { least } 0.99 } }\n}", []),
+        ],
+    )
+    def test_tier_and_block_forms(self, source, expected):
+        assert _error_list(source) == expected
+
+
+_LIST_SPEC = """\
+AS a {
+  POLICIES { P { FLUENT f { INITIATED_BY { %(init)s } TERMINATED_BY { EVENTS.e } }
+                 MAPPING { CONDITIONS { %(cond)s } DO_ACTIONS { %(do)s } } } }
+  EVENTS { EVENT e { ACTIVATION { %(act)s } } }
+  ACTIONS { ACTION x { DOES { fail "r"; } TRIGGERS { %(trig)s } ONERR_TRIGGERS { %(onerr)s } } }
+  METRICS { METRIC m { TYPE { boolean } INITIAL { false } } }
+}
+AE b { FRIENDS { %(friends)s } }
+AE c { }
+"""
+
+_LIST_DEFAULTS = {
+    "init": "EVENTS.e", "cond": "f", "do": "ACTIONS.x", "act": "ELAPSED { 2 }",
+    "trig": "", "onerr": "", "friends": "c",
+}
+
+
+def _list_source(**lists: str) -> str:
+    return _LIST_SPEC % {**_LIST_DEFAULTS, **lists}
+
+
+class TestBracedLists:
+    """Every ``{ a, b, ... }`` list: empty, one item, several, and malformed."""
+
+    def test_defaults_parse(self):
+        tree = parse_text(_list_source())
+        (action,) = tree.as_tier.actions
+        assert action.triggers == () and action.onerr_triggers == ()
+        assert tree.ae_tiers[0].friends == ("c",)
+
+    def test_several_items(self):
+        tree = parse_text(_list_source(
+            init="EVENTS.e, EVENTS.e", cond="f, FLUENTS.f", do="ACTIONS.x, ACTIONS.x",
+            act="ELAPSED { 2 }, CHANGED { METRICS.m }, ELAPSED { 3 }",
+            trig="EVENTS.e, EVENTS.e", onerr="EVENTS.e", friends="c, a",
+        ))
+        (fluent,) = tree.as_tier.policies[0].fluents
+        (mapping,) = tree.as_tier.policies[0].mappings
+        (event,) = tree.as_tier.events
+        (action,) = tree.as_tier.actions
+        assert [r.name for r in fluent.initiated_by] == ["e", "e"]
+        assert [(r.space, r.name) for r in mapping.conditions] == [((), "f"), (("FLUENTS",), "f")]
+        assert [r.name for r in mapping.do_actions] == ["x", "x"]
+        assert [(c.kind, c.ticks) for c in event.activation] == [
+            (ActivationKind.ELAPSED, 2), (ActivationKind.CHANGED, None), (ActivationKind.ELAPSED, 3),
+        ]
+        assert [r.name for r in action.triggers] == ["e", "e"]
+        assert [r.name for r in action.onerr_triggers] == ["e"]
+        assert tree.ae_tiers[0].friends == ("c", "a")
+
+    def test_friends_may_be_empty(self):
+        assert parse_text(_list_source(friends="")).ae_tiers[0].friends == ()
+
+    @pytest.mark.parametrize(
+        "lists, expected",
+        [
+            ({"init": ""}, [("expected an EVENTS reference, found '}'", 2, 45)]),
+            ({"init": "EVENTS.e,"}, [("expected an EVENTS reference, found '}'", 2, 54)]),
+            ({"init": "EVENTS.e EVENTS.e"}, [("expected '}', found 'EVENTS.e'", 2, 53)]),
+            ({"cond": ""}, [("expected a fluent name, found '}'", 3, 42)]),
+            ({"cond": "f,"}, [("expected a fluent name, found '}'", 3, 44)]),
+            ({"cond": "ACTIONS.x"}, [("expected a fluent name, found 'ACTIONS.x'", 3, 41)]),
+            ({"do": ""}, [("expected an ACTIONS reference, found '}'", 3, 59)]),
+            ({"do": "ACTIONS.x, EVENTS.e"}, [
+                ("expected an ACTIONS reference, found 'EVENTS.e'", 3, 69),
+            ]),
+            ({"act": ""}, [
+                ("expected SENT, RECEIVED, CHANGED, or ELAPSED, found '}'", 4, 36),
+            ]),
+            ({"act": "ELAPSED { 2 },"}, [
+                ("expected SENT, RECEIVED, CHANGED, or ELAPSED, found '}'", 4, 50),
+            ]),
+            ({"act": "ELAPSED { 2 }, BOGUS"}, [
+                ("expected SENT, RECEIVED, CHANGED, or ELAPSED, found 'BOGUS'", 4, 50),
+            ]),
+            ({"trig": "EVENTS.e,"}, [("expected an EVENTS reference, found '}'", 5, 64)]),
+            ({"onerr": "ACTIONS.x"}, [
+                ("expected an EVENTS reference, found 'ACTIONS.x'", 5, 74),
+            ]),
+            ({"friends": "c,"}, [("expected a tier name, found '}'", 8, 21)]),
+            ({"friends": "c a"}, [("expected '}', found 'a'", 8, 20)]),
+        ],
+    )
+    def test_malformed_lists(self, lists, expected):
+        assert _error_list(_list_source(**lists)) == expected
