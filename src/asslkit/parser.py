@@ -8,12 +8,23 @@ semantics (SLO bodies, communication functions, ARCHITECTURE,
 MANAGED_ELEMENTS, RECOVERY_PROTOCOL, BEHAVIOR_MODELS, OUTCOMES) parse as
 opaque brace-balanced blocks.
 
+Every tier body (AS, AE, ASIP and AEIP) is read by one section loop driven by
+a per-tier table that maps each section keyword to the tier-node field it
+fills and the parser of its body. The loop rejects a keyword missing from the
+table and a section given twice, and the tier node is built from the fields
+it collected. Every ``{ a, b, ... }`` list (FRIENDS, CONDITIONS, ACTIVATION
+and the reference lists) is read by one helper, given the item parser and
+whether the list may be empty.
+
 On a syntax error the parser records a diagnostic and resynchronizes at the
 next top-level tier keyword, so several errors can be reported from one run;
 :func:`parse` raises a :class:`ParseError` carrying all of them.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from typing import Any
 
 from .nodes import (
     ActionDecl,
@@ -47,6 +58,7 @@ from .nodes import (
     SloDecl,
     SpecificationTree,
     Stmt,
+    Tier,
     ValueType,
 )
 from .lexer import tokenize
@@ -158,17 +170,18 @@ class _Parser:
                 first_span = tok.span
             try:
                 if tok.kind is TokenKind.KW_AS:
-                    tier = self.parse_as_tier()
+                    tier = self._parse_tier(AsTier, _AS_SECTIONS, "AS tier")
                     if as_tier is not None:
                         raise ParseError("a specification has exactly one AS tier", tok.span)
                     as_tier = tier
                 elif tok.kind is TokenKind.KW_ASIP:
-                    block = self.parse_asip_tier()
+                    self.advance()
+                    block = self._parse_protocol(tok.span)
                     if asip is not None:
                         raise ParseError("duplicate ASIP tier", tok.span)
                     asip = block
                 elif tok.kind is TokenKind.KW_AE:
-                    aes.append(self.parse_ae_tier())
+                    aes.append(self._parse_tier(AeTier, _AE_SECTIONS, "AE tier"))
                 else:
                     raise self.fail(f"expected AS, ASIP, or AE, found {tok.text!r}")
             except ParseError as err:
@@ -196,177 +209,65 @@ class _Parser:
                 depth -= 1
             self.advance()
 
-    # -- tiers ---------------------------------------------------------------
+    # -- tiers and their sections --------------------------------------------
 
-    def parse_as_tier(self) -> AsTier:
-        kw = self.expect(TokenKind.KW_AS, "AS")
+    def _parse_tier(self, node: type[Tier], sections: _SectionTable, where: str) -> Tier:
+        kw = self.advance()
         name = self.expect(TokenKind.IDENT, "a tier name").text
+        return node(name, **self._parse_sections(sections, where), span=kw.span)
+
+    def _parse_protocol(self, span: SourceSpan) -> AsipTier:
+        fields = self._parse_sections(_PROTOCOL_SECTIONS, "interaction protocol")
+        return AsipTier(**fields, span=span)
+
+    def _parse_sections(self, table: _SectionTable, where: str) -> dict[str, object]:
+        """Read ``{ section* }`` into tier-node fields, each section at most once."""
         self.expect(TokenKind.LBRACE, "'{'")
-        sections = _TierSections()
+        fields: dict[str, object] = {}
         while not self.at(TokenKind.RBRACE):
             tok = self.peek()
-            if tok.kind is TokenKind.KW_ARCHITECTURE:
-                self.advance()
-                sections.set_block("ARCHITECTURE", self.parse_opaque_block(), tok.span)
-            elif not self._parse_common_section(sections):
-                raise self.fail(f"unexpected {tok.text!r} in AS tier")
+            if tok.kind not in table:
+                raise self.fail(f"unexpected {tok.text!r} in {where}")
+            field, parse_body = table[tok.kind]
+            if field in fields:
+                raise ParseError(f"duplicate {tok.text} section", tok.span)
+            self.advance()
+            fields[field] = parse_body(self, tok.span)
         self.expect(TokenKind.RBRACE, "'}'")
-        return AsTier(
-            name,
-            slos=tuple(sections.slos),
-            policies=tuple(sections.policies),
-            actions=tuple(sections.actions),
-            events=tuple(sections.events),
-            metrics=tuple(sections.metrics),
-            architecture=sections.blocks.get("ARCHITECTURE"),
-            span=kw.span,
-        )
+        return fields
 
-    def parse_ae_tier(self) -> AeTier:
-        kw = self.expect(TokenKind.KW_AE, "AE")
-        name = self.expect(TokenKind.IDENT, "a tier name").text
-        self.expect(TokenKind.LBRACE, "'{'")
-        sections = _TierSections()
-        friends: tuple[str, ...] | None = None
-        aeip: AsipTier | None = None
-        while not self.at(TokenKind.RBRACE):
-            tok = self.peek()
-            if tok.kind is TokenKind.KW_FRIENDS:
-                if friends is not None:
-                    raise ParseError("duplicate FRIENDS section", tok.span)
-                self.advance()
-                friends = self._parse_friends()
-            elif tok.kind is TokenKind.KW_AEIP:
-                if aeip is not None:
-                    raise ParseError("duplicate AEIP section", tok.span)
-                self.advance()
-                aeip = self._parse_asip_body(tok.span)
-            elif tok.kind in (
-                TokenKind.KW_RECOVERY_PROTOCOL,
-                TokenKind.KW_BEHAVIOR_MODELS,
-                TokenKind.KW_OUTCOMES,
-            ):
-                self.advance()
-                sections.set_block(tok.text, self.parse_opaque_block(), tok.span)
-            elif not self._parse_common_section(sections):
-                raise self.fail(f"unexpected {tok.text!r} in AE tier")
-        self.expect(TokenKind.RBRACE, "'}'")
-        return AeTier(
-            name,
-            slos=tuple(sections.slos),
-            policies=tuple(sections.policies),
-            actions=tuple(sections.actions),
-            events=tuple(sections.events),
-            metrics=tuple(sections.metrics),
-            friends=friends or (),
-            aeip=aeip,
-            recovery_protocol=sections.blocks.get("RECOVERY_PROTOCOL"),
-            behavior_models=sections.blocks.get("BEHAVIOR_MODELS"),
-            outcomes=sections.blocks.get("OUTCOMES"),
-            span=kw.span,
-        )
-
-    def parse_asip_tier(self) -> AsipTier:
-        kw = self.expect(TokenKind.KW_ASIP, "ASIP")
-        return self._parse_asip_body(kw.span)
-
-    def _parse_asip_body(self, span: SourceSpan) -> AsipTier:
-        self.expect(TokenKind.LBRACE, "'{'")
-        messages: list[MessageDecl] | None = None
-        channels: list[ChannelDecl] | None = None
-        functions: list[FunctionDecl] | None = None
-        managed: OpaqueBlock | None = None
-        while not self.at(TokenKind.RBRACE):
-            tok = self.peek()
-            if tok.kind is TokenKind.KW_MESSAGES:
-                if messages is not None:
-                    raise ParseError("duplicate MESSAGES section", tok.span)
-                self.advance()
-                messages = self._parse_section(TokenKind.KW_MESSAGE, self._parse_message)
-            elif tok.kind is TokenKind.KW_CHANNELS:
-                if channels is not None:
-                    raise ParseError("duplicate CHANNELS section", tok.span)
-                self.advance()
-                channels = self._parse_section(TokenKind.KW_CHANNEL, self._parse_channel)
-            elif tok.kind is TokenKind.KW_FUNCTIONS:
-                if functions is not None:
-                    raise ParseError("duplicate FUNCTIONS section", tok.span)
-                self.advance()
-                functions = self._parse_section(TokenKind.KW_FUNCTION, self._parse_function)
-            elif tok.kind is TokenKind.KW_MANAGED_ELEMENTS:
-                if managed is not None:
-                    raise ParseError("duplicate MANAGED_ELEMENTS section", tok.span)
-                self.advance()
-                managed = self.parse_opaque_block()
-            else:
-                raise self.fail(f"unexpected {tok.text!r} in interaction protocol")
-        self.expect(TokenKind.RBRACE, "'}'")
-        return AsipTier(
-            messages=tuple(messages or ()),
-            channels=tuple(channels or ()),
-            functions=tuple(functions or ()),
-            managed_elements=managed,
-            span=span,
-        )
-
-    # -- shared tier sections ----------------------------------------------
-
-    def _parse_common_section(self, sections: "_TierSections") -> bool:
-        tok = self.peek()
-        if tok.kind is TokenKind.KW_SLO:
-            sections.claim("SLO", tok.span)
-            self.advance()
-            self.expect(TokenKind.LBRACE, "'{'")
-            while not self.at(TokenKind.RBRACE):
-                name_tok = self.expect(TokenKind.IDENT, "an objective name")
-                sections.slos.append(
-                    SloDecl(name_tok.text, self.parse_opaque_block(), span=name_tok.span)
-                )
-            self.expect(TokenKind.RBRACE, "'}'")
-            return True
-        if tok.kind is TokenKind.KW_POLICIES:
-            sections.claim("POLICIES", tok.span)
-            self.advance()
-            self.expect(TokenKind.LBRACE, "'{'")
-            while not self.at(TokenKind.RBRACE):
-                sections.policies.append(self._parse_policy())
-            self.expect(TokenKind.RBRACE, "'}'")
-            return True
-        if tok.kind is TokenKind.KW_ACTIONS:
-            sections.claim("ACTIONS", tok.span)
-            self.advance()
-            sections.actions.extend(self._parse_section(TokenKind.KW_ACTION, self._parse_action))
-            return True
-        if tok.kind is TokenKind.KW_EVENTS:
-            sections.claim("EVENTS", tok.span)
-            self.advance()
-            sections.events.extend(self._parse_section(TokenKind.KW_EVENT, self._parse_event))
-            return True
-        if tok.kind is TokenKind.KW_METRICS:
-            sections.claim("METRICS", tok.span)
-            self.advance()
-            sections.metrics.extend(self._parse_section(TokenKind.KW_METRIC, self._parse_metric))
-            return True
-        return False
-
-    def _parse_section(self, member_kw: TokenKind, parse_member) -> list:
+    def _parse_block(
+        self, parse_member: Callable[[_Parser], Any], member_kw: TokenKind | None
+    ) -> tuple:
+        """Read ``{ member* }``; each member starts with ``member_kw`` if one is given."""
         self.expect(TokenKind.LBRACE, "'{'")
         members = []
         while not self.at(TokenKind.RBRACE):
-            self.expect(member_kw, member_kw.name.removeprefix("KW_"))
-            members.append(parse_member())
+            if member_kw is not None:
+                self.expect(member_kw, member_kw.name.removeprefix("KW_"))
+            members.append(parse_member(self))
         self.expect(TokenKind.RBRACE, "'}'")
-        return members
+        return tuple(members)
 
-    def _parse_friends(self) -> tuple[str, ...]:
+    def _parse_list(self, parse_item: Callable[[], Any], allow_empty: bool) -> tuple:
+        """Read ``{ item, item, ... }``; ``{ }`` is accepted only when ``allow_empty``."""
         self.expect(TokenKind.LBRACE, "'{'")
-        names: list[str] = []
-        if not self.at(TokenKind.RBRACE):
-            names.append(self.expect(TokenKind.IDENT, "a tier name").text)
-            while self.accept(TokenKind.COMMA):
-                names.append(self.expect(TokenKind.IDENT, "a tier name").text)
+        if allow_empty and self.accept(TokenKind.RBRACE):
+            return ()
+        items = [parse_item()]
+        while self.accept(TokenKind.COMMA):
+            items.append(parse_item())
         self.expect(TokenKind.RBRACE, "'}'")
-        return tuple(names)
+        return tuple(items)
+
+    def _parse_friends(self, span: SourceSpan) -> tuple[str, ...]:
+        return self._parse_list(
+            lambda: self.expect(TokenKind.IDENT, "a tier name").text, allow_empty=True
+        )
+
+    def _parse_slo(self) -> SloDecl:
+        name_tok = self.expect(TokenKind.IDENT, "an objective name")
+        return SloDecl(name_tok.text, self.parse_opaque_block(), span=name_tok.span)
 
     # -- policies ------------------------------------------------------------
 
@@ -404,44 +305,26 @@ class _Parser:
     def _parse_mapping(self, span: SourceSpan) -> MappingDecl:
         self.expect(TokenKind.LBRACE, "'{'")
         self.expect(TokenKind.KW_CONDITIONS, "CONDITIONS")
-        conditions = self._parse_condition_list()
+        conditions = self._parse_list(self._parse_condition, allow_empty=False)
         self.expect(TokenKind.KW_DO_ACTIONS, "DO_ACTIONS")
         actions = self._parse_ref_list(("ACTIONS",), "an ACTIONS reference", allow_empty=False)
         self.expect(TokenKind.RBRACE, "'}'")
         return MappingDecl(conditions, actions, span=span)
 
-    def _parse_condition_list(self) -> tuple[Ref, ...]:
-        self.expect(TokenKind.LBRACE, "'{'")
-        refs: list[Ref] = []
-        while True:
-            tok = self.peek()
-            if tok.kind is TokenKind.IDENT:
-                self.advance()
-                refs.append(Ref((), tok.text, span=tok.span))
-            elif tok.kind is TokenKind.REF and tok.value[:-1] == ("FLUENTS",):  # type: ignore[index]
-                self.advance()
-                refs.append(Ref(("FLUENTS",), tok.value[-1], span=tok.span))  # type: ignore[index]
-            else:
-                raise self.fail(f"expected a fluent name, found {tok.text!r}")
-            if not self.accept(TokenKind.COMMA):
-                break
-        self.expect(TokenKind.RBRACE, "'}'")
-        return tuple(refs)
+    def _parse_condition(self) -> Ref:
+        tok = self.peek()
+        if tok.kind is TokenKind.IDENT:
+            self.advance()
+            return Ref((), tok.text, span=tok.span)
+        if tok.kind is TokenKind.REF and tok.value[:-1] == ("FLUENTS",):  # type: ignore[index]
+            self.advance()
+            return Ref(("FLUENTS",), tok.value[-1], span=tok.span)  # type: ignore[index]
+        raise self.fail(f"expected a fluent name, found {tok.text!r}")
 
     def _parse_ref_list(
         self, space: tuple[str, ...], what: str, allow_empty: bool
     ) -> tuple[Ref, ...]:
-        self.expect(TokenKind.LBRACE, "'{'")
-        refs: list[Ref] = []
-        if self.at(TokenKind.RBRACE) and allow_empty:
-            self.advance()
-            return ()
-        while True:
-            refs.append(self._parse_ref(space, what))
-            if not self.accept(TokenKind.COMMA):
-                break
-        self.expect(TokenKind.RBRACE, "'}'")
-        return tuple(refs)
+        return self._parse_list(lambda: self._parse_ref(space, what), allow_empty)
 
     def _parse_ref(self, space: tuple[str, ...], what: str) -> Ref:
         tok = self.peek()
@@ -472,7 +355,7 @@ class _Parser:
                 guard = self._parse_braced_expr()
             elif tok.kind is TokenKind.KW_ACTIVATION:
                 self.advance()
-                clauses.extend(self._parse_activation())
+                clauses.extend(self._parse_list(self._parse_activation_clause, allow_empty=False))
             else:
                 raise self.fail(
                     f"expected INJECTABLE, GUARDS, or ACTIVATION, found {tok.text!r}"
@@ -482,14 +365,6 @@ class _Parser:
             name_tok.text, guard=guard, activation=tuple(clauses),
             injectable=injectable, span=name_tok.span,
         )
-
-    def _parse_activation(self) -> list[ActivationClause]:
-        self.expect(TokenKind.LBRACE, "'{'")
-        clauses = [self._parse_activation_clause()]
-        while self.accept(TokenKind.COMMA):
-            clauses.append(self._parse_activation_clause())
-        self.expect(TokenKind.RBRACE, "'}'")
-        return clauses
 
     def _parse_activation_clause(self) -> ActivationClause:
         tok = self.peek()
@@ -737,23 +612,45 @@ class _Parser:
         return Lit(tok.value, value_type, span=tok.span)
 
 
-class _TierSections:
-    """Accumulates the shared tier sections, rejecting duplicates."""
 
-    def __init__(self) -> None:
-        self.slos: list[SloDecl] = []
-        self.policies: list[PolicyDecl] = []
-        self.actions: list[ActionDecl] = []
-        self.events: list[EventDecl] = []
-        self.metrics: list[MetricDecl] = []
-        self.blocks: dict[str, OpaqueBlock] = {}
-        self._seen: set[str] = set()
+# A tier body's sections: keyword -> (tier-node field, body parser). The
+# section loop reads the keyword and passes its span to the body parser.
+_SectionTable = dict[TokenKind, tuple[str, Callable[[_Parser, SourceSpan], object]]]
 
-    def claim(self, section: str, span: SourceSpan) -> None:
-        if section in self._seen:
-            raise ParseError(f"duplicate {section} section", span)
-        self._seen.add(section)
 
-    def set_block(self, section: str, block: OpaqueBlock, span: SourceSpan) -> None:
-        self.claim(section, span)
-        self.blocks[section] = block
+def _block(parse_member: Callable[[_Parser], Any], member_kw: TokenKind | None = None):
+    return lambda parser, span: parser._parse_block(parse_member, member_kw)
+
+
+def _opaque(parser: _Parser, span: SourceSpan) -> OpaqueBlock:
+    return parser.parse_opaque_block()
+
+
+_SHARED_SECTIONS: _SectionTable = {
+    TokenKind.KW_SLO: ("slos", _block(_Parser._parse_slo)),
+    TokenKind.KW_POLICIES: ("policies", _block(_Parser._parse_policy)),
+    TokenKind.KW_ACTIONS: ("actions", _block(_Parser._parse_action, TokenKind.KW_ACTION)),
+    TokenKind.KW_EVENTS: ("events", _block(_Parser._parse_event, TokenKind.KW_EVENT)),
+    TokenKind.KW_METRICS: ("metrics", _block(_Parser._parse_metric, TokenKind.KW_METRIC)),
+}
+
+_AS_SECTIONS: _SectionTable = {
+    **_SHARED_SECTIONS,
+    TokenKind.KW_ARCHITECTURE: ("architecture", _opaque),
+}
+
+_AE_SECTIONS: _SectionTable = {
+    **_SHARED_SECTIONS,
+    TokenKind.KW_FRIENDS: ("friends", _Parser._parse_friends),
+    TokenKind.KW_AEIP: ("aeip", _Parser._parse_protocol),
+    TokenKind.KW_RECOVERY_PROTOCOL: ("recovery_protocol", _opaque),
+    TokenKind.KW_BEHAVIOR_MODELS: ("behavior_models", _opaque),
+    TokenKind.KW_OUTCOMES: ("outcomes", _opaque),
+}
+
+_PROTOCOL_SECTIONS: _SectionTable = {
+    TokenKind.KW_MESSAGES: ("messages", _block(_Parser._parse_message, TokenKind.KW_MESSAGE)),
+    TokenKind.KW_CHANNELS: ("channels", _block(_Parser._parse_channel, TokenKind.KW_CHANNEL)),
+    TokenKind.KW_FUNCTIONS: ("functions", _block(_Parser._parse_function, TokenKind.KW_FUNCTION)),
+    TokenKind.KW_MANAGED_ELEMENTS: ("managed_elements", _opaque),
+}

@@ -409,3 +409,13 @@ class TestBracedLists:
     )
     def test_malformed_lists(self, lists, expected):
         assert _error_list(_list_source(**lists)) == expected
+
+
+@pytest.mark.parametrize("keyword", ["ARCHITECTURE", "RECOVERY_PROTOCOL", "OUTCOMES"])
+def test_repeated_opaque_section_is_reported_before_its_body(keyword):
+    # Like every other section, a repeated opaque one is a duplicate at its
+    # keyword, even when its own block never closes.
+    tier = "AS a {\n" if keyword == "ARCHITECTURE" else "AS a { }\nAE b {\n"
+    line = tier.count("\n") + 2
+    source = f"{tier}  {keyword} {{ }}\n  {keyword} {{ x"
+    assert _error_list(source) == [(f"duplicate {keyword} section", line, 3)]
