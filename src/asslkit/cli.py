@@ -32,7 +32,7 @@ from .verifier import (
     check,
     default_env,
     explain,
-    lts_to_text,
+    lts_lines,
     parse_env_stimulus,
     parse_property_file,
 )
@@ -230,22 +230,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _environment(args: argparse.Namespace, spec: CheckedSpec):
-    stimuli = []
-    try:
-        for event in args.inject:
-            stimuli.append(parse_env_stimulus(spec, f"inject {event}"))
-        for setting in args.set:
-            metric, sep, value = setting.partition("=")
-            if not sep:
-                raise _CliFailure(USAGE, f"--set needs METRIC=VALUE, got {setting!r}")
-            stimuli.append(parse_env_stimulus(spec, f"set {metric} {value}"))
-        for sending in args.send:
-            message, sep, channel = sending.partition("@")
-            if not sep:
-                raise _CliFailure(USAGE, f"--send needs MESSAGE@CHANNEL, got {sending!r}")
-            stimuli.append(parse_env_stimulus(spec, f"send {message} {channel}"))
-    except (ScenarioError, NameResolutionError) as err:
-        raise _CliFailure(USAGE, str(err)) from None
+    def stimulus(flag: str, text: str):
+        try:
+            return parse_env_stimulus(spec, text)
+        except (ScenarioError, NameResolutionError) as err:
+            raise _CliFailure(USAGE, f"{flag}: {err}") from None
+
+    stimuli = [stimulus(f"--inject {event}", f"inject {event}") for event in args.inject]
+    for setting in args.set:
+        metric, sep, value = setting.partition("=")
+        if not sep:
+            raise _CliFailure(USAGE, f"--set needs METRIC=VALUE, got {setting!r}")
+        stimuli.append(stimulus(f"--set {setting}", f"set {metric} {value}"))
+    for sending in args.send:
+        message, sep, channel = sending.partition("@")
+        if not sep:
+            raise _CliFailure(USAGE, f"--send needs MESSAGE@CHANNEL, got {sending!r}")
+        stimuli.append(stimulus(f"--send {sending}", f"send {message} {channel}"))
     if not stimuli and not args.no_tick:
         return default_env(spec)
     env = tuple(stimuli)
@@ -333,7 +334,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     bounds = Bounds(max_states=args.bound_states, max_depth=args.bound_depth)
     lts = build_lts(spec, env=env, bounds=bounds)
     try:
-        Path(args.out).write_text(lts_to_text(lts), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(lts_lines(lts))
     except OSError as err:
         raise _CliFailure(USAGE, f"cannot write graph to {args.out}: {err}") from None
     print(

@@ -8,7 +8,6 @@ from .engine import (
     LivelockError,
     RunConfig,
     Runtime,
-    run,
 )
 from .scenario import (
     Halt,
@@ -42,5 +41,4 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "parse_scenario",
-    "run",
 ]

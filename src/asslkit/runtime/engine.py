@@ -466,14 +466,3 @@ class Runtime:
             trace.aborted = str(err)
         return trace
 
-
-def run(
-    spec: CheckedSpec,
-    scenario: Scenario,
-    max_ticks: int = 1000,
-    seed: int | None = None,
-    config: RunConfig | None = None,
-) -> Trace:
-    """Run a scenario against a checked spec and return the trace."""
-    runtime = Runtime(spec, seed=scenario.seed if seed is None else seed, config=config)
-    return runtime.run(scenario, max_ticks=max_ticks)

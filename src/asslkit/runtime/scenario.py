@@ -89,41 +89,49 @@ def parse_scenario(text: str, spec: CheckedSpec, name: str = "<scenario>") -> Sc
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(maxsplit=4)  # the last part may be text with spaces
         try:
-            steps.append(_parse_step(parts, spec))
+            steps.append(_parse_step(line, spec))
         except (NameResolutionError, ScenarioError, ValueError) as err:
             raise ScenarioError(f"{name}:{lineno}: {err}") from None
     return Scenario(name, tuple(steps))
 
 
-def _parse_step(parts: list[str], spec: CheckedSpec) -> tuple[int, Stimulus]:
+def _parse_step(line: str, spec: CheckedSpec) -> tuple[int, Stimulus]:
+    parts = line.split(maxsplit=2)
     if len(parts) < 3 or parts[0] != "tick":
         raise ScenarioError(f"expected 'tick <n> <stimulus>', got: {' '.join(parts)}")
     tick = int(parts[1])
     if tick < 0:
         raise ScenarioError("tick numbers are non-negative")
-    verb = parts[2]
-    args = parts[3:]
+    return tick, parse_stimulus(parts[2], spec)
+
+
+def parse_stimulus(text: str, spec: CheckedSpec) -> Stimulus:
+    """Read one stimulus, written as a scenario step writes it after ``tick <n>``.
+
+    Raises :class:`ScenarioError` or :class:`NameResolutionError`.
+    """
+    parts = text.split(maxsplit=2)  # the last part may be text with spaces
+    verb = parts[0] if parts else ""
+    args = parts[1:]
     if verb == "halt":
         if args:
             raise ScenarioError("halt takes no arguments")
-        return tick, Halt()
+        return Halt()
     if verb == "inject":
         if len(args) != 1:
             raise ScenarioError("inject takes one event name")
-        return tick, InjectEvent(resolve_decl(spec, "events", args[0]))
+        return InjectEvent(resolve_decl(spec, "events", args[0]))
     if verb == "set":
         if len(args) != 2:
             raise ScenarioError("set takes a metric name and a value")
         metric = resolve_decl(spec, "metrics", args[0])
         decl = spec.program.metrics[metric]
-        value = parse_value(args[1], decl.value_type)
-        return tick, SetMetric(metric, value, decl.value_type)
+        return SetMetric(metric, parse_value(args[1], decl.value_type), decl.value_type)
     if verb == "send":
         if len(args) != 2:
             raise ScenarioError("send takes a message name and a channel name")
-        return tick, SendMessage(resolve_message(spec, args[0]), resolve_channel(spec, args[1]))
+        return SendMessage(resolve_message(spec, args[0]), resolve_channel(spec, args[1]))
     raise ScenarioError(f"unknown stimulus '{verb}'")
 
 

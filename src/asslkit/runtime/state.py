@@ -56,9 +56,6 @@ class TraceRecord(NamedTuple):
     subject: str
     detail: str
 
-    def render(self) -> str:
-        return f"{self.seq}\t{self.tick}\t{self.kind}\t{self.subject}\t{self.detail}"
-
 
 _new = tuple.__new__
 

@@ -44,6 +44,7 @@ Three facts keep the stored graph small:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..checker import CheckedSpec
@@ -132,7 +133,6 @@ class Lts:
     expanded: frozenset[int]
     truncated: bool
     env: tuple[EnvStimulus, ...]
-    bounds: Bounds
     initial: int = 0
     _metric_atoms: dict[tuple[int, object, type], str] = field(
         default_factory=dict, repr=False
@@ -293,21 +293,25 @@ def build_lts(
         expanded=frozenset(expanded),
         truncated=truncated,
         env=env,
-        bounds=bounds,
     )
 
 
-def lts_to_text(lts: Lts) -> str:
-    """Graph description: nodes with proposition labels, labeled edges."""
-    lines = [
+def lts_lines(lts: Lts) -> Iterator[str]:
+    """Graph description, one newline-terminated line at a time: nodes with
+    proposition labels, then labeled edges."""
+    yield (
         f"lts states={lts.state_count} edges={lts.edge_count}"
-        f" truncated={'true' if lts.truncated else 'false'}"
-    ]
+        f" truncated={'true' if lts.truncated else 'false'}\n"
+    )
     for state_id in range(lts.state_count):
         props = " ".join(sorted(lts.labeling(state_id)))
         marker = " initial" if state_id == lts.initial else ""
-        lines.append(f"state {state_id}{marker} {props}".rstrip())
+        yield f"state {state_id}{marker} {props}".rstrip() + "\n"
     for src, adjacency in enumerate(lts.succ):
         for label, dst in adjacency:
-            lines.append(f'edge {src} -> {dst} "{label}"')
-    return "\n".join(lines) + "\n"
+            yield f'edge {src} -> {dst} "{label}"\n'
+
+
+def lts_to_text(lts: Lts) -> str:
+    """The whole of :func:`lts_lines` as one string."""
+    return "".join(lts_lines(lts))

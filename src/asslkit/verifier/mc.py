@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from ..checker import CheckedSpec
 from ..names import qual
 from ..runtime.engine import RunConfig, Runtime
-from ..runtime.scenario import Scenario, parse_scenario
+from ..runtime.scenario import Scenario, parse_scenario, parse_stimulus
 from .lts import Lts, StateVector, Tick
 from .props import (
     F_SHAPE,
@@ -492,19 +492,16 @@ def replay_counterexample(spec: CheckedSpec, lts: Lts, cex: Counterexample) -> S
             processed = runtime.step(state)
             assert processed is not None and qual(processed) == label[len("proc ") :]
         else:
-            stimulus = _stimulus_from_label(spec, label)
-            runtime.apply_stimulus(state, stimulus)
+            runtime.apply_stimulus(state, parse_stimulus(label, spec))
     return lts.layout.vector(state)
 
 
-def _stimulus_from_label(spec: CheckedSpec, label: str):
-    scenario = parse_scenario(f"tick 0 {label}", spec, "<edge>")
-    return scenario.steps[0][1]
-
-
 def parse_env_stimulus(spec: CheckedSpec, text: str):
-    """Parse an environment stimulus flag: inject/set/send syntax or 'tick'."""
+    """Parse an environment stimulus: inject/set/send syntax or 'tick'.
+
+    Raises :class:`ScenarioError` or :class:`NameResolutionError`.
+    """
     text = text.strip()
     if text == "tick":
         return Tick()
-    return _stimulus_from_label(spec, text)
+    return parse_stimulus(text, spec)

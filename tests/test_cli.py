@@ -235,6 +235,21 @@ class TestVerify:
         assert main(["verify", SPEC, "--prop", LIVENESS, "--send", "nochannel"]) == 2
         assert main(["verify", SPEC, "--prop", LIVENESS, "--inject", "missing"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--inject", "missing", "no event named 'missing'"),
+            ("--set", "messageVerdictSecure=maybe", "not a literal of type boolean: 'maybe'"),
+            ("--set", "nosuch=1", "no metric named 'nosuch'"),
+            ("--send", "privateMessage@nowhere", "no channel named 'nowhere'"),
+        ],
+    )
+    def test_env_flag_errors_name_the_flag(self, flag, value, message, capsys):
+        for command in ("verify", "graph"):
+            extra = ["--prop", LIVENESS] if command == "verify" else ["--out", os.devnull]
+            assert main([command, SPEC, *extra, flag, value]) == 2
+            assert capsys.readouterr().err == f"{flag} {value}: {message}\n"
+
     def test_no_tick_shrinks_environment(self, tmp_path, capsys):
         # without the clock, the sent message is never delivered; the
         # liveness property still holds since verdicts resolve in-drain

@@ -423,6 +423,29 @@ class TestExplainAndReplay:
         assert "metric:probe.claimed=false" in text
         assert "metric:probe.mode" not in text
 
+    def test_counterexample_through_a_tick_replays(self):
+        # the watchdog fires only after the clock has advanced four ticks
+        pkg = next(p for p in all_missions() if p.name == "ants_self_healing")
+        spec = pkg.load()
+        env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name])
+        lts = build_lts(spec, env=env)
+        verdict = check(lts, parse_property("G (! (event watchdogFired))", spec))
+        assert verdict.result == VIOLATED
+        cex = verdict.counterexample
+        assert [label for label, _ in cex.stem].count("tick") >= 4
+        assert replay_counterexample(spec, lts, cex) == lts.states[cex.violating_state]
+
+    def test_eventually_without_stimuli_is_a_dead_end(self, toggle_spec):
+        lts = build_lts(toggle_spec, env=())
+        assert lts.state_count == 1 and not lts.truncated
+        prop = parse_property("F (fluent busy)", toggle_spec)
+        verdict = check(lts, prop)
+        assert verdict.result == VIOLATED
+        cex = verdict.counterexample
+        assert (cex.kind, cex.stem, cex.loop, cex.violating_state) == ("deadend", (), (), 0)
+        assert exhaustive_check(lts, prop) == "Violated"
+        assert replay_counterexample(toggle_spec, lts, cex) == lts.states[0]
+
     def test_explain_requires_violation(self, toggle_spec):
         lts = build_lts(toggle_spec)
         verdict = check(lts, parse_property("G true", toggle_spec))
@@ -552,6 +575,29 @@ class TestPropertyParsing:
         assert prop.shape == "G"
 
 
+    @pytest.mark.parametrize(
+        "prefix, infix",
+        [
+            ("G (and (fluent busy) (metric held))", "G ((fluent busy) & (metric held))"),
+            (
+                "G (or (fluent busy) (metric held) (event go))",
+                "G ((fluent busy) | (metric held) | (event go))",
+            ),
+            (
+                "F (AND (metric held) (OR (event go) (event stop)) (! (fluent busy)))",
+                "F ((metric held) & ((event go) | (event stop)) & (! (fluent busy)))",
+            ),
+        ],
+    )
+    def test_prefix_and_or_equal_infix(self, toggle_spec, prefix, infix):
+        assert parse_property(prefix, toggle_spec).p == parse_property(infix, toggle_spec).p
+
+    @pytest.mark.parametrize("head", ["and", "or", "AND", "OR"])
+    def test_prefix_and_or_need_two_operands(self, toggle_spec, head):
+        with pytest.raises(PropertyError, match=f"prefix {head} needs at least two operands"):
+            parse_property(f"G ({head} (fluent busy))", toggle_spec)
+
+
 # One holding and one violated property of every shape, on any spec.
 EVERY_SHAPE_BOTH_WAYS = (
     "G true",
@@ -591,7 +637,6 @@ def _hand_built_lts(layout, states, edges) -> Lts:
         expanded=frozenset(range(len(states))),
         truncated=False,
         env=(),
-        bounds=Bounds(),
     )
 
 
