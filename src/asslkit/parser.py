@@ -612,13 +612,13 @@ class _Parser:
         return Lit(tok.value, value_type, span=tok.span)
 
 
-
 # A tier body's sections: keyword -> (tier-node field, body parser). The
 # section loop reads the keyword and passes its span to the body parser.
 _SectionTable = dict[TokenKind, tuple[str, Callable[[_Parser, SourceSpan], object]]]
 
 
 def _block(parse_member: Callable[[_Parser], Any], member_kw: TokenKind | None = None):
+    """Body parser of a ``{ member* }`` section."""
     return lambda parser, span: parser._parse_block(parse_member, member_kw)
 
 
