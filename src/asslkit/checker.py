@@ -203,22 +203,18 @@ def _register(tree: SpecificationTree, symbols: SymbolTable, diags: list[Diagnos
 def _register_protocol(
     asip: AsipTier, scope: str, symbols: SymbolTable, diags: list[Diagnostic]
 ) -> None:
-    for message in asip.messages:
-        key = (scope, message.name)
-        if key in symbols.messages:
-            diags.append(
-                Diagnostic(ERROR, "E-DUP", f"duplicate message '{message.name}'", message.span)
-            )
-        else:
-            symbols.messages[key] = message
-    for channel in asip.channels:
-        key = (scope, channel.name)
-        if key in symbols.channels:
-            diags.append(
-                Diagnostic(ERROR, "E-DUP", f"duplicate channel '{channel.name}'", channel.span)
-            )
-        else:
-            symbols.channels[key] = channel
+    for kind, decls, table in (
+        ("message", asip.messages, symbols.messages),
+        ("channel", asip.channels, symbols.channels),
+    ):
+        for decl in decls:
+            key = (scope, decl.name)
+            if key in table:
+                diags.append(
+                    Diagnostic(ERROR, "E-DUP", f"duplicate {kind} '{decl.name}'", decl.span)
+                )
+            else:
+                table[key] = decl
 
 
 def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
@@ -486,18 +482,14 @@ def check_semantics(
     for tier in tree.tiers():
         _check_tier_semantics(tier, triggered, diags)
     _check_call_graph(program, diags)
-    protocols: list[AsipTier] = [t.aeip for t in tree.ae_tiers if t.aeip is not None]
-    if tree.asip_tier is not None:
-        protocols.append(tree.asip_tier)
-    for asip in protocols:
-        for channel in asip.channels:
-            if channel.capacity < 1:
-                diags.append(
-                    Diagnostic(
-                        ERROR, "E-CAPACITY",
-                        f"channel '{channel.name}' must have capacity at least 1", channel.span,
-                    )
+    for channel in symbols.channels.values():
+        if channel.capacity < 1:
+            diags.append(
+                Diagnostic(
+                    ERROR, "E-CAPACITY",
+                    f"channel '{channel.name}' must have capacity at least 1", channel.span,
                 )
+            )
     return diags
 
 

@@ -95,12 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check temporal properties over the state graph")
     p_verify.add_argument("path", help="specification file (.assl)")
     p_verify.add_argument("--prop", required=True, help="property file, one property per line")
-    p_verify.add_argument(
-        "--bound-states", type=int, default=100_000, help="state bound (default 100000)"
-    )
-    p_verify.add_argument(
-        "--bound-depth", type=int, default=10_000, help="depth bound (default 10000)"
-    )
+    _bound_flags(p_verify)
     p_verify.add_argument("--cex", help="write the first counterexample scenario here")
     _env_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -116,15 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="export the state graph in text form")
     p_graph.add_argument("path", help="specification file (.assl)")
     p_graph.add_argument("--out", required=True, help="output file for the graph")
-    p_graph.add_argument(
-        "--bound-states", type=int, default=100_000, help="state bound (default 100000)"
-    )
-    p_graph.add_argument(
-        "--bound-depth", type=int, default=10_000, help="depth bound (default 10000)"
-    )
+    _bound_flags(p_graph)
     _env_flags(p_graph)
     p_graph.set_defaults(func=cmd_graph)
     return parser
+
+
+def _bound_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--bound-states", type=int, default=100_000, help="state bound (default 100000)"
+    )
+    sub.add_argument(
+        "--bound-depth", type=int, default=10_000, help="depth bound (default 10000)"
+    )
 
 
 def _env_flags(sub: argparse.ArgumentParser) -> None:
@@ -173,6 +172,22 @@ def _print_diagnostic(diag: Diagnostic) -> None:
     print(line)
 
 
+def _write_lines(path: str, what: str, lines) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+    except OSError as err:
+        raise _CliFailure(USAGE, f"cannot write {what} to {path}: {err}") from None
+
+
+def _bounds(args: argparse.Namespace) -> Bounds:
+    if args.bound_states < 1:
+        raise _CliFailure(USAGE, "--bound-states must be at least 1")
+    if args.bound_depth < 0:
+        raise _CliFailure(USAGE, "--bound-depth must be at least 0")
+    return Bounds(max_states=args.bound_states, max_depth=args.bound_depth)
+
+
 def _load_checked(path: str) -> CheckedSpec:
     """Parse and check; print diagnostics and fail when errors remain."""
     source = _read_file(path)
@@ -211,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     runtime = Runtime(spec, seed=args.seed)
     trace = runtime.run(scenario, max_ticks=args.max_ticks)
     if args.trace:
-        Path(args.trace).write_text(trace.to_text(), encoding="utf-8")
+        _write_lines(args.trace, "trace", [trace.to_text()])
     summary = trace.summary()
     print(f"ticks: {summary['ticks']}")
     print(
@@ -258,6 +273,7 @@ def _environment(args: argparse.Namespace, spec: CheckedSpec):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    bounds = _bounds(args)
     spec = _load_checked(args.path)
     try:
         props = parse_property_file(_read_file(args.prop), spec)
@@ -265,9 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _CliFailure(USAGE, f"{args.prop}: {err}") from None
     if not props:
         raise _CliFailure(USAGE, f"{args.prop}: no properties found")
-    env = _environment(args, spec)
-    bounds = Bounds(max_states=args.bound_states, max_depth=args.bound_depth)
-    lts = build_lts(spec, env=env, bounds=bounds)
+    lts = build_lts(spec, env=_environment(args, spec), bounds=bounds)
     all_hold = True
     cex_written = False
     for prop in props:
@@ -288,7 +302,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         " event-cascade livelock, which a run aborts"
                     )
                     continue
-                Path(args.cex).write_text(scenario.render(), encoding="utf-8")
+                _write_lines(args.cex, "counterexample", [scenario.render()])
                 cex_written = True
                 print(f"  counterexample scenario written to {args.cex}")
     return OK if all_hold else NEGATIVE
@@ -329,15 +343,10 @@ def cmd_gentests(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    bounds = _bounds(args)
     spec = _load_checked(args.path)
-    env = _environment(args, spec)
-    bounds = Bounds(max_states=args.bound_states, max_depth=args.bound_depth)
-    lts = build_lts(spec, env=env, bounds=bounds)
-    try:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.writelines(lts_lines(lts))
-    except OSError as err:
-        raise _CliFailure(USAGE, f"cannot write graph to {args.out}: {err}") from None
+    lts = build_lts(spec, env=_environment(args, spec), bounds=bounds)
+    _write_lines(args.out, "graph", lts_lines(lts))
     print(
         f"states: {lts.state_count}, edges: {lts.edge_count},"
         f" truncated: {'yes' if lts.truncated else 'no'}"

@@ -5,15 +5,24 @@ runtime executes from (subscriptions, timer slots, mappings, channels and
 receivers) and one record per action and per event, with every name
 resolved to a ``(tier, name)`` key and a summary of the declaration's
 effects. ``check_all`` builds it and keeps it on the ``CheckedSpec``; the
-runtime, the verifier's layout and default environment, the test generator
+runtime, the verifier's labels and default environment, the test generator
 and the checker's call-graph rules all read that one instance.
+
+Every fluent, metric and channel has one slot: its index in ``fluent_keys``,
+``metric_keys`` or ``channel_keys`` and in a ``RuntimeState`` list and a
+``StateVector`` tuple. ``fluent_slot``, ``metric_slot`` and ``channel_slot``
+map a key to its slot, one map per kind, since a fluent and a metric of one
+tier may share a name. A run step reads and writes state by slot; the
+records the checker and the test generator analyse (``reads``, ``writes``,
+``calls``, ``sends``) hold keys.
 
 Everything the runtime needs that does not depend on state is built here,
 once, so that a run step only evaluates, assigns, enqueues and appends:
 
 * every event guard, action guard, ENSURES clause and assigned value as a
-  closure over the state's metric and fluent dicts (``compile_expr``), kept
-  on its ``EventInfo``, ``ActionInfo`` or ``Assign`` record;
+  closure over the state's metric and fluent lists, with the slot of each
+  metric and fluent it reads captured (``compile_expr``), kept on its
+  ``EventInfo``, ``ActionInfo`` or ``Assign`` record;
 * the qualified name of every key (``names``) and every fixed trace detail:
   ``by <event>``, a mapping's ``conditions: ...`` text and the
   ``mapping <subject>`` cause of its actions, ``called by <action>``, the
@@ -86,8 +95,8 @@ class EventOccurrence(NamedTuple):
 # -- compiled expressions --------------------------------------------------------
 
 #: An expression compiled for one element: called with the state's metric and
-#: fluent dicts and the running action's call bindings (None outside one).
-Compiled = Callable[[dict[Key, object], dict[Key, bool], dict[str, bool] | None], object]
+#: fluent lists and the running action's call bindings (None outside one).
+Compiled = Callable[[list[object], list[bool], dict[str, bool] | None], object]
 
 #: Each comparison operator's Python function; guards and property atoms share it.
 COMPARE = {
@@ -100,8 +109,11 @@ COMPARE = {
 }
 
 
-def compile_expr(expr: Expr, elem: str) -> Compiled:
-    """A closure computing ``expr`` in element ``elem``.
+def compile_expr(
+    expr: Expr, elem: str, metric_slot: dict[Key, int], fluent_slot: dict[Key, int]
+) -> Compiled:
+    """A closure computing ``expr`` in element ``elem``, reading each metric
+    and fluent at the slot the two maps give its key.
 
     It returns what a walk over the tree returns: a literal's or a metric's
     own value (so ``1``, ``1.0`` and ``True`` stay apart), a fluent's flag, a
@@ -113,19 +125,19 @@ def compile_expr(expr: Expr, elem: str) -> Compiled:
         value = expr.value
         return lambda m, f, b: value
     if isinstance(expr, MetricRefExpr):
-        key = (elem, expr.name)
-        return lambda m, f, b: m[key]
+        slot = metric_slot[(elem, expr.name)]
+        return lambda m, f, b: m[slot]
     if isinstance(expr, FluentRefExpr):
-        key = (elem, expr.name)
-        return lambda m, f, b: f[key]
+        slot = fluent_slot[(elem, expr.name)]
+        return lambda m, f, b: f[slot]
     if isinstance(expr, BindingRefExpr):
         name = expr.name
         return lambda m, f, b: bool(b.get(name, False)) if b else False
     if isinstance(expr, NotExpr):
-        operand = compile_expr(expr.operand, elem)
+        operand = compile_expr(expr.operand, elem, metric_slot, fluent_slot)
         return lambda m, f, b: not operand(m, f, b)
-    left = compile_expr(expr.left, elem)
-    right = compile_expr(expr.right, elem)
+    left = compile_expr(expr.left, elem, metric_slot, fluent_slot)
+    right = compile_expr(expr.right, elem, metric_slot, fluent_slot)
     if isinstance(expr, BinaryExpr):
         if expr.op == "AND":
             return lambda m, f, b: bool(left(m, f, b)) and bool(right(m, f, b))
@@ -133,10 +145,6 @@ def compile_expr(expr: Expr, elem: str) -> Compiled:
     assert isinstance(expr, CompareExpr)
     compare = COMPARE[expr.op]
     return lambda m, f, b: compare(left(m, f, b), right(m, f, b))
-
-
-def _compiled(expr: Expr | None, elem: str) -> Compiled | None:
-    return None if expr is None else compile_expr(expr, elem)
 
 
 # -- records ---------------------------------------------------------------------
@@ -150,7 +158,7 @@ class Call:
 
 @dataclass(frozen=True, slots=True)
 class Assign:
-    metric: Key
+    metric: int  # slot
     value: Expr
     reads: tuple[Key, ...]  # metrics the value reads, left to right
     compute: Compiled  # ``value``, compiled
@@ -159,7 +167,7 @@ class Assign:
 @dataclass(frozen=True, slots=True)
 class Send:
     message: Key
-    channel: Key
+    channel: int  # slot
     sent: str  # MessageSent detail when queued
     dropped: str  # MessageSent detail when the channel is full
 
@@ -206,7 +214,7 @@ class EventInfo:
 @dataclass(frozen=True, slots=True)
 class MappingInfo:
     subject: str
-    conditions: tuple[Key, ...]
+    conditions: tuple[int, ...]  # fluent slots
     actions: tuple[Key, ...]
     detail: str  # MappingFired detail: "conditions: ..."
     cause: str  # ActionStarted detail of the actions it runs
@@ -235,66 +243,55 @@ def send_details(channel: Key, sender: str) -> tuple[str, str]:
     return f"{over} by {sender}", f"{over} dropped (channel full)"
 
 
-def _resolve_ops(elem: str, stmts: tuple[Stmt, ...], symbols: SymbolTable) -> tuple[Op, ...]:
-    """Statements with their callee, metric, message and channel keys resolved."""
-    ops: list[Op] = []
-    for stmt in stmts:
-        if isinstance(stmt, CallStmt):
-            ops.append(Call((elem, stmt.action.name), stmt.binding))
-        elif isinstance(stmt, AssignStmt):
-            reads = tuple(_metric_reads(stmt.value, elem))
-            compute = compile_expr(stmt.value, elem)
-            ops.append(Assign((elem, stmt.metric.name), stmt.value, reads, compute))
-        elif isinstance(stmt, SendStmt):
-            message = _scoped(symbols.resolve_message(elem, stmt.message.name), stmt.message.name)
-            channel = _scoped(symbols.resolve_channel(elem, stmt.channel.name), stmt.channel.name)
-            ops.append(Send(message, channel, *send_details(channel, elem)))
-        else:
-            ops.append(Fail(stmt.reason))
-    return tuple(ops)
-
-
 class Program:
     """Tables and records of one checked specification; read-only once built."""
 
     def __init__(self, tree: SpecificationTree, symbols: SymbolTable) -> None:
-        self.elements: tuple[str, ...] = tuple(t.name for t in tree.tiers())
-        self.fluent_keys: list[Key] = []
-        self.metrics: dict[Key, MetricDecl] = {}
+        tiers = tree.tiers()
+        self.elements: tuple[str, ...] = tuple(t.name for t in tiers)
+        self.fluent_keys: tuple[Key, ...] = tuple(
+            (t.name, f.name) for t in tiers for p in t.policies for f in p.fluents
+        )
+        self.metrics: dict[Key, MetricDecl] = {
+            (t.name, m.name): m for t in tiers for m in t.metrics
+        }
+        self.metric_keys: tuple[Key, ...] = tuple(self.metrics)
+        self.channel_keys: tuple[Key, ...] = tuple(symbols.channels)
+        self.fluent_slot = {key: slot for slot, key in enumerate(self.fluent_keys)}
+        self.metric_slot = {key: slot for slot, key in enumerate(self.metric_keys)}
+        self.channel_slot = {key: slot for slot, key in enumerate(self.channel_keys)}
         self.policies: dict[Key, PolicyDecl] = {}
         self.actions: dict[Key, ActionInfo] = {}
         self.events: dict[Key, EventInfo] = {}
-        self.initiators: dict[Key, list[Key]] = {}
-        self.terminators: dict[Key, list[Key]] = {}
-        self.changed_subs: dict[Key, list[EventOccurrence]] = {}
+        self.initiators: dict[Key, list[int]] = {}  # event -> fluent slots
+        self.terminators: dict[Key, list[int]] = {}
+        self.changed_subs: list[list[EventOccurrence]] = [[] for _ in self.metric_keys]
         self.sent_subs: dict[Key, list[EventOccurrence]] = {}
         self.received_subs: dict[Key, list[EventOccurrence]] = {}
         self.timer_slots: list[tuple[EventOccurrence, int]] = []  # (occurrence, period)
         self.mappings: dict[str, list[MappingInfo]] = {}
         self.injectable: list[Key] = []
 
-        for tier in tree.tiers():
+        for tier in tiers:
             elem = tier.name
             self.mappings[elem] = []
             for policy in tier.policies:
                 self.policies[(elem, policy.name)] = policy
                 for fluent in policy.fluents:
-                    fkey = (elem, fluent.name)
-                    self.fluent_keys.append(fkey)
+                    slot = self.fluent_slot[(elem, fluent.name)]
                     for ref in fluent.initiated_by:
-                        self.initiators.setdefault((elem, ref.name), []).append(fkey)
+                        self.initiators.setdefault((elem, ref.name), []).append(slot)
                     for ref in fluent.terminated_by:
-                        self.terminators.setdefault((elem, ref.name), []).append(fkey)
+                        self.terminators.setdefault((elem, ref.name), []).append(slot)
                 for index, mapping in enumerate(policy.mappings):
                     subject = f"{elem}.{policy.name}.mapping[{index}]"
                     conditions = tuple((elem, c.name) for c in mapping.conditions)
                     actions = tuple((elem, a.name) for a in mapping.do_actions)
                     detail = "conditions: " + ", ".join(qual(c) for c in conditions)
+                    slots = tuple(self.fluent_slot[c] for c in conditions)
                     self.mappings[elem].append(
-                        MappingInfo(subject, conditions, actions, detail, f"mapping {subject}")
+                        MappingInfo(subject, slots, actions, detail, f"mapping {subject}")
                     )
-            for metric in tier.metrics:
-                self.metrics[(elem, metric.name)] = metric
             for action in tier.actions:
                 self._add_action(elem, action, symbols)
             for event in tier.events:
@@ -307,16 +304,15 @@ class Program:
             key: decl.receiver if decl.receiver in self.elements else None
             for key, decl in self.messages.items()
         }
-        self.channel_keys: list[Key] = list(symbols.channels)
-        self.channel_capacity: dict[Key, int] = {
-            key: decl.capacity for key, decl in symbols.channels.items()
-        }
+        self.channel_capacity: tuple[int, ...] = tuple(
+            decl.capacity for decl in symbols.channels.values()
+        )
         self.timers_by_element: dict[str, list[int]] = {elem: [] for elem in self.elements}
         for slot, (occurrence, _period) in enumerate(self.timer_slots):
             self.timers_by_element[occurrence.event[0]].append(slot)
-        self.initial_metrics: dict[Key, object] = {
-            key: decl.initial.value for key, decl in self.metrics.items()
-        }
+        self.initial_metrics: tuple[object, ...] = tuple(
+            decl.initial.value for decl in self.metrics.values()
+        )
         # Qualified name of every fluent, metric, action, event, message and
         # channel key, as trace records name them.
         self.names: dict[Key, str] = {
@@ -328,10 +324,38 @@ class Program:
             for key in table
         }
 
+    def _compile(self, expr: Expr | None, elem: str) -> Compiled | None:
+        if expr is None:
+            return None
+        return compile_expr(expr, elem, self.metric_slot, self.fluent_slot)
+
+    def _resolve_ops(
+        self, elem: str, stmts: tuple[Stmt, ...], symbols: SymbolTable
+    ) -> tuple[Op, ...]:
+        """Statements with callees and messages resolved to keys, and metrics
+        and channels to slots."""
+        ops: list[Op] = []
+        for stmt in stmts:
+            if isinstance(stmt, CallStmt):
+                ops.append(Call((elem, stmt.action.name), stmt.binding))
+            elif isinstance(stmt, AssignStmt):
+                reads = tuple(_metric_reads(stmt.value, elem))
+                compute = self._compile(stmt.value, elem)
+                slot = self.metric_slot[(elem, stmt.metric.name)]
+                ops.append(Assign(slot, stmt.value, reads, compute))
+            elif isinstance(stmt, SendStmt):
+                message_name, channel_name = stmt.message.name, stmt.channel.name
+                message = _scoped(symbols.resolve_message(elem, message_name), message_name)
+                channel = _scoped(symbols.resolve_channel(elem, channel_name), channel_name)
+                ops.append(Send(message, self.channel_slot[channel], *send_details(channel, elem)))
+            else:
+                ops.append(Fail(stmt.reason))
+        return tuple(ops)
+
     def _add_action(self, elem: str, action: ActionDecl, symbols: SymbolTable) -> None:
         akey = (elem, action.name)
-        does = _resolve_ops(elem, action.does, symbols)
-        onerr_does = _resolve_ops(elem, action.onerr_does, symbols)
+        does = self._resolve_ops(elem, action.does, symbols)
+        onerr_does = self._resolve_ops(elem, action.onerr_does, symbols)
         both = does + onerr_does
         assigns = [op for op in both if isinstance(op, Assign)]
         checks = _metric_reads(action.guard, elem) + _metric_reads(action.ensures, elem)
@@ -343,7 +367,9 @@ class Program:
             onerr_does=onerr_does,
             calls=tuple(op.callee for op in does if isinstance(op, Call)),
             onerr_calls=tuple(op.callee for op in onerr_does if isinstance(op, Call)),
-            sends=tuple((op.message, op.channel) for op in both if isinstance(op, Send)),
+            sends=tuple(
+                (op.message, self.channel_keys[op.channel]) for op in both if isinstance(op, Send)
+            ),
             triggers=tuple(
                 EventOccurrence((elem, ref.name), triggered) for ref in action.triggers
             ),
@@ -352,10 +378,10 @@ class Program:
             ),
             checks=tuple(checks),
             reads=tuple(checks + [metric for op in assigns for metric in op.reads]),
-            writes=tuple(op.metric for op in assigns),
+            writes=tuple(self.metric_keys[op.metric] for op in assigns),
             fails=any(isinstance(op, Fail) for op in does),
-            guard=_compiled(action.guard, elem),
-            ensures=_compiled(action.ensures, elem),
+            guard=self._compile(action.guard, elem),
+            ensures=self._compile(action.ensures, elem),
             ensures_text=format_expr(action.ensures) if action.ensures is not None else "",
             called_by=f"called by {qual(akey)}",
         )
@@ -374,16 +400,17 @@ class Program:
                 continue
             assert clause.target is not None
             if clause.kind is ActivationKind.CHANGED:
-                target, subs = (elem, clause.target.name), self.changed_subs
+                target = (elem, clause.target.name)
+                subs = self.changed_subs[self.metric_slot[target]]
             else:
                 resolved = symbols.resolve_message(elem, clause.target.name)
                 target = _scoped(resolved, clause.target.name)
                 sent = clause.kind is ActivationKind.SENT
-                subs = self.sent_subs if sent else self.received_subs
+                subs = (self.sent_subs if sent else self.received_subs).setdefault(target, [])
             cause = f"activation {clause.kind.value} {qual(target)}"
-            subs.setdefault(target, []).append(EventOccurrence(ekey, cause))
+            subs.append(EventOccurrence(ekey, cause))
             activations.append((clause.kind, target))
         reads = tuple(_metric_reads(event.guard, elem))
         self.events[ekey] = EventInfo(
-            event, reads, tuple(activations), _compiled(event.guard, elem), f"by {qual(ekey)}"
+            event, reads, tuple(activations), self._compile(event.guard, elem), f"by {qual(ekey)}"
         )

@@ -5,18 +5,15 @@ in parallel. A run is a pure function of (specification, scenario, seed,
 config): there is no wall clock and no hidden randomness.
 
 A runtime executes the spec's :class:`~asslkit.program.Program`, which
-``check_all`` builds once and every runtime on that spec shares. Built once
-there: the subscription and timer tables, each action's statements with
-their callees, metrics, messages and channels resolved to keys, every guard,
-ENSURES clause and assigned value compiled to a closure, every qualified
-name and fixed trace detail, and one ``(event, cause)`` occurrence per
-subscription. Creating a runtime builds no tables. What a step does is only
-what depends on state: call a guard closure, flip fluents, run statements,
-render an assigned metric's old and new values, extend the pending queue
-with interned occurrences, queue message keys on channels, and, when
-recording, append a trace record of already rendered strings. ``drain``
-pops the pending queue itself, and a tick that shuffles re-seeds one
-generator kept on the runtime.
+``check_all`` builds once and every runtime on that spec shares; everything
+that does not depend on state is built there (see ``asslkit.program``).
+Creating a runtime builds no tables. What a step does is only what depends
+on state: call a guard closure, flip fluents, run statements, render an
+assigned metric's old and new values, extend the pending queue with
+interned occurrences, queue message keys on channels, and, when recording,
+append a trace record of already rendered strings. ``drain`` pops the
+pending queue itself, and a tick that shuffles re-seeds one generator kept
+on the runtime.
 
 Execution semantics, pinned here because the surface language leaves them
 open:
@@ -155,10 +152,10 @@ class Runtime:
         program = self.program
         return RuntimeState(
             tick=0,
-            fluents=dict.fromkeys(program.fluent_keys, False),
-            metrics=dict(program.initial_metrics),
-            # send_message appends to a queue in place, so each is a new list
-            channels={key: [] for key in program.channel_keys},
+            fluents=[False] * len(program.fluent_keys),
+            metrics=list(program.initial_metrics),
+            # a send appends to a queue in place, so each is a new list
+            channels=[[] for _ in program.channel_keys],
             pending=deque(),
             timers=[period for _occurrence, period in program.timer_slots],
         )
@@ -189,18 +186,19 @@ class Runtime:
             trace.append(state.tick, EVENT_RAISED, names[event], cause)
         state.last_event = event
 
-        initiated: list[Key] = []
-        for fkey in program.initiators.get(event, ()):
-            if not fluents[fkey]:
-                fluents[fkey] = True
-                initiated.append(fkey)
+        fluent_keys = program.fluent_keys
+        initiated: list[int] = []
+        for slot in program.initiators.get(event, ()):
+            if not fluents[slot]:
+                fluents[slot] = True
+                initiated.append(slot)
                 if trace is not None:
-                    trace.append(state.tick, FLUENT_INITIATED, names[fkey], info.by)
-        for fkey in program.terminators.get(event, ()):
-            if fluents[fkey]:
-                fluents[fkey] = False
+                    trace.append(state.tick, FLUENT_INITIATED, names[fluent_keys[slot]], info.by)
+        for slot in program.terminators.get(event, ()):
+            if fluents[slot]:
+                fluents[slot] = False
                 if trace is not None:
-                    trace.append(state.tick, FLUENT_TERMINATED, names[fkey], info.by)
+                    trace.append(state.tick, FLUENT_TERMINATED, names[fluent_keys[slot]], info.by)
 
         if initiated:
             just_initiated = set(initiated)
@@ -288,40 +286,36 @@ class Runtime:
             return None
         return op.reason
 
-    def assign_metric(self, state: RuntimeState, metric: Key, value: object) -> None:
-        """Write a metric and enqueue CHANGED occurrences (write triggered)."""
+    def assign_metric(self, state: RuntimeState, slot: int, value: object) -> None:
+        """Write the metric at ``slot``; enqueue its CHANGED occurrences (write triggered)."""
         metrics = state.metrics
+        program = self.program
         if self.trace is not None:
-            old = metrics[metric]
+            old = metrics[slot]
             detail = (
                 f"{render_value(old, type_of_value(old))}"
                 f" -> {render_value(value, type_of_value(value))}"
             )
-            self.trace.append(state.tick, METRIC_ASSIGNED, self.program.names[metric], detail)
-        metrics[metric] = value
-        state.pending.extend(self.program.changed_subs.get(metric, ()))
-
-    def send_message(
-        self, state: RuntimeState, message: Key, channel: Key, sender: str
-    ) -> bool:
-        """Enqueue a message; returns False when the channel was full."""
-        return self._send(state, message, channel, *send_details(channel, sender))
+            name = program.names[program.metric_keys[slot]]
+            self.trace.append(state.tick, METRIC_ASSIGNED, name, detail)
+        metrics[slot] = value
+        state.pending.extend(program.changed_subs[slot])
 
     def _send(
-        self, state: RuntimeState, message: Key, channel: Key, sent: str, dropped: str
-    ) -> bool:
-        """Queue a message; ``sent`` and ``dropped`` are the two possible trace details."""
+        self, state: RuntimeState, message: Key, channel: int, sent: str, dropped: str
+    ) -> None:
+        """Queue a message on the channel at slot ``channel``, or drop it when the
+        channel is full; ``sent`` and ``dropped`` are the two possible trace details."""
         queue = state.channels[channel]
         trace = self.trace
         if len(queue) >= self.program.channel_capacity[channel]:
             if trace is not None:
                 trace.append(state.tick, MESSAGE_SENT, self.program.names[message], dropped)
-            return False
+            return
         queue.append(message)
         if trace is not None:
             trace.append(state.tick, MESSAGE_SENT, self.program.names[message], sent)
         state.pending.extend(self.program.sent_subs.get(message, ()))
-        return True
 
     def step(self, state: RuntimeState) -> Key | None:
         """Dequeue and process exactly one occurrence; identity when idle."""
@@ -369,9 +363,9 @@ class Runtime:
         tick = state.tick
         channels = state.channels
         program = self.program
-        busy = [key for key in program.channel_keys if channels[key]]
+        busy = [slot for slot, queue in enumerate(channels) if queue]
         receiver_of = program.receiver_of
-        acting = {receiver_of[message] for key in busy for message in channels[key]}
+        acting = {receiver_of[message] for slot in busy for message in channels[slot]}
         acting.discard(None)
         timers = state.timers
         if timers and min(timers) <= tick:
@@ -400,7 +394,7 @@ class Runtime:
                     if trace is not None:
                         trace.append(
                             tick, MESSAGE_RECEIVED, names[message],
-                            f"by {elem} over {names[channel]}",
+                            f"by {elem} over {names[program.channel_keys[channel]]}",
                         )
                     pending.extend(received_subs.get(message, ()))
                 if len(remaining) != len(queue):
@@ -419,10 +413,11 @@ class Runtime:
         if isinstance(stimulus, InjectEvent):
             state.pending.append(EventOccurrence(stimulus.event, "injected"))
         elif isinstance(stimulus, SetMetric):
-            self.assign_metric(state, stimulus.metric, stimulus.value)
+            self.assign_metric(state, self.program.metric_slot[stimulus.metric], stimulus.value)
         elif isinstance(stimulus, SendMessage):
-            sender = self.program.messages[stimulus.message].sender
-            self.send_message(state, stimulus.message, stimulus.channel, sender)
+            program, message, channel = self.program, stimulus.message, stimulus.channel
+            details = send_details(channel, program.messages[message].sender)
+            self._send(state, message, program.channel_slot[channel], *details)
         else:
             raise ValueError(f"cannot apply {stimulus!r} directly")
 

@@ -11,7 +11,7 @@ each record with a single f-string.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,41 +88,33 @@ class Trace:
         ]
 
     def summary(self) -> dict[str, int]:
-        counts = {
+        kinds = Counter(record.kind for record in self.records)
+        return {
             "records": len(self.records),
             "ticks": self.records[-1].tick if self.records else 0,
-            "events_raised": 0,
-            "events_suppressed": 0,
-            "fluents_initiated": 0,
-            "fluents_terminated": 0,
+            "events_raised": kinds[EVENT_RAISED],
+            "events_suppressed": kinds[EVENT_SUPPRESSED],
+            "fluents_initiated": kinds[FLUENT_INITIATED],
+            "fluents_terminated": kinds[FLUENT_TERMINATED],
         }
-        for record in self.records:
-            if record.kind == EVENT_RAISED:
-                counts["events_raised"] += 1
-            elif record.kind == EVENT_SUPPRESSED:
-                counts["events_suppressed"] += 1
-            elif record.kind == FLUENT_INITIATED:
-                counts["fluents_initiated"] += 1
-            elif record.kind == FLUENT_TERMINATED:
-                counts["fluents_terminated"] += 1
-        return counts
 
 
 @dataclass
 class RuntimeState:
     """Mutable state of one running system.
 
-    ``channels`` maps each channel to its FIFO queue of message keys; queue
-    length never exceeds the declared capacity.
-    ``timers`` holds the next firing tick for each ELAPSED activation slot,
-    parallel to the engine's slot table. ``last_event`` is the most recently
+    ``fluents``, ``metrics`` and ``channels`` are lists indexed by the slots
+    of the spec's ``Program``: a fluent's flag, a metric's value, and a
+    channel's FIFO queue of message keys, never longer than its capacity.
+    ``timers`` holds the next firing tick of each ELAPSED activation,
+    parallel to ``Program.timer_slots``. ``last_event`` is the most recently
     raised (not suppressed) event, used for event atoms in verification.
     """
 
     tick: int
-    fluents: dict[Key, bool]
-    metrics: dict[Key, object]
-    channels: dict[Key, list[Key]]
+    fluents: list[bool]
+    metrics: list[object]
+    channels: list[list[Key]]
     pending: deque[EventOccurrence]
     timers: list[int]
     last_event: Key | None = None
@@ -130,9 +122,9 @@ class RuntimeState:
     def copy(self) -> "RuntimeState":
         return RuntimeState(
             tick=self.tick,
-            fluents=dict(self.fluents),
-            metrics=dict(self.metrics),
-            channels={key: list(queue) for key, queue in self.channels.items()},
+            fluents=self.fluents.copy(),
+            metrics=self.metrics.copy(),
+            channels=[queue.copy() for queue in self.channels],
             pending=deque(self.pending),
             timers=list(self.timers),
             last_event=self.last_event,

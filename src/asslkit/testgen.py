@@ -308,10 +308,12 @@ def _generate_one(
 
 def _assertion_template(spec: CheckedSpec, path: PolicyPath) -> tuple[Assertion, ...]:
     program = spec.program
-    owned = {(path.policy[0], fluent.name) for fluent in program.policies[path.policy].fluents}
-    initiated = dict.fromkeys(program.initiators.get(path.initiating_event, ()))
-    fluents = [fkey for fkey in initiated if fkey in owned]
-    out = [Assertion(FLUENT_INITIATED, qual(fkey)) for fkey in fluents]
+    elem = path.policy[0]
+    fluents = [  # the policy's fluents the initiating event initiates
+        fluent for fluent in program.policies[path.policy].fluents
+        if any((elem, ref.name) == path.initiating_event for ref in fluent.initiated_by)
+    ]
+    out = [Assertion(FLUENT_INITIATED, f"{elem}.{fluent.name}") for fluent in fluents]
     out.append(Assertion(MAPPING_FIRED, f"{qual(path.policy)}.mapping[[]*[]]"))
     for action, choice in path.branches:
         if choice == GUARD_REJECT:
@@ -324,11 +326,11 @@ def _assertion_template(spec: CheckedSpec, path: PolicyPath) -> tuple[Assertion,
             out.append(Assertion(ACTION_FAILED, qual(action)))
             onerr_triggers = program.actions[action].onerr_triggers
             out += [Assertion(EVENT_RAISED, qual(event)) for event, _cause in onerr_triggers]
-    for fkey in dict.fromkeys(program.terminators.get(path.terminating_event, ())):
-        if fkey in fluents:
+    for fluent in fluents:
+        if any((elem, ref.name) == path.terminating_event for ref in fluent.terminated_by):
             out.append(
                 Assertion(
-                    FLUENT_TERMINATED, qual(fkey),
+                    FLUENT_TERMINATED, f"{elem}.{fluent.name}",
                     detail=f"by {qual(path.terminating_event)}",
                 )
             )
@@ -459,7 +461,7 @@ def _build_scenario(
     elem = path.policy[0]
     steps: list[tuple[int, object]] = []
     for key, (value, value_type) in assignment.items():
-        if value != spec.program.initial_metrics[key]:
+        if value != spec.program.metrics[key].initial.value:
             steps.append((0, SetMetric(key, value, value_type)))
 
     for stim in init_plan.stimuli:

@@ -31,11 +31,10 @@ Three facts keep the stored graph small:
   sorted by label; a non-quiescent state has one ``proc`` edge). So ids are
   BFS order, adjacency is label ordered, and the edge that found a state is
   its BFS-tree parent: ``Lts.succ`` and ``Lts.parent`` are the whole graph.
-* Slot order. ``Runtime.init`` builds the fluent, metric and channel dicts
-  in the order of the spec's ``Program`` tables, the same order ``Layout``
-  takes its keys from, and the engine only ever overwrites existing keys. So
-  ``Layout.vector`` reads the dicts' values in insertion order instead of
-  looking every key up; ``build_lts`` checks the order on the initial state.
+* Slots. A ``RuntimeState`` keeps fluents, metrics and channels in lists
+  indexed by the slots of the spec's ``Program``, and a ``StateVector`` in
+  tuples with the same indices. So ``Layout.vector`` copies each list into a
+  tuple, and property atoms find a key's value through ``Program``'s maps.
 * Snapshot lifetime. The full ``RuntimeState`` of a state is kept only
   while the state waits in the frontier. Expanding it pops the snapshot
   (its last successor is computed in place), so a finished graph holds
@@ -87,30 +86,15 @@ class StateVector:
 
 
 class Layout:
-    """Key orderings that map runtime state onto vector slots."""
+    """Projection of runtime states onto state vectors, slot for slot."""
 
-    def __init__(self, program: Program) -> None:
-        self.fluent_keys: tuple[Key, ...] = tuple(program.fluent_keys)
-        self.metric_keys: tuple[Key, ...] = tuple(program.metrics)
-        self.channel_keys: tuple[Key, ...] = tuple(program.channel_keys)
-        self.fluent_index = {key: i for i, key in enumerate(self.fluent_keys)}
-        self.metric_index = {key: i for i, key in enumerate(self.metric_keys)}
-
-    def in_slot_order(self, state: RuntimeState) -> bool:
-        """Whether the state's dicts iterate in this layout's key order."""
-        return (
-            tuple(state.fluents) == self.fluent_keys
-            and tuple(state.metrics) == self.metric_keys
-            and tuple(state.channels) == self.channel_keys
-        )
-
-    def vector(self, state: RuntimeState) -> StateVector:
-        """Project a state whose dicts are in slot order (see module doc)."""
+    @staticmethod
+    def vector(state: RuntimeState) -> StateVector:
         tick = state.tick
         return StateVector(
-            tuple(state.fluents.values()),
-            tuple(state.metrics.values()),
-            tuple([tuple(queue) for queue in state.channels.values()]),
+            tuple(state.fluents),
+            tuple(state.metrics),
+            tuple([tuple(queue) for queue in state.channels]),
             tuple([occ.event for occ in state.pending]),
             tuple([t - tick for t in state.timers]),
             state.last_event,
@@ -126,7 +110,7 @@ class Lts:
     ``s``, and ``None`` for the initial state.
     """
 
-    layout: Layout
+    program: Program
     states: list[StateVector]
     succ: list[list[tuple[str, int]]]
     parent: list[tuple[int, str] | None]
@@ -141,10 +125,10 @@ class Lts:
     def labeling(self, state_id: int) -> frozenset[str]:
         """Atomic propositions holding at a state."""
         vec = self.states[state_id]
-        layout = self.layout
+        program = self.program
         props = {
             f"fluent:{qual(key)}"
-            for key, active in zip(layout.fluent_keys, vec.fluents)
+            for key, active in zip(program.fluent_keys, vec.fluents)
             if active
         }
         # Keyed by type too: True, 1 and 1.0 hash equal but render apart.
@@ -154,7 +138,7 @@ class Lts:
             cache_key = (slot, value, type(value))
             atom = atoms.get(cache_key)
             if atom is None:
-                key = layout.metric_keys[slot]
+                key = program.metric_keys[slot]
                 atom = f"metric:{qual(key)}={render_value(value, type_of_value(value))}"
                 if type(value) is not float:
                     atoms[cache_key] = atom
@@ -207,7 +191,6 @@ def build_lts(
         raise ValueError("specification has errors; run check_all first")
     bounds = bounds or Bounds()
     runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
-    layout = Layout(runtime.program)
     if env is None:
         env = default_env(spec)
     env = tuple(sorted(env, key=lambda stim: stim.render()))
@@ -216,8 +199,7 @@ def build_lts(
     proc_labels: dict[Key, str] = {}
 
     initial = runtime.init()
-    assert layout.in_slot_order(initial), "runtime state dicts are not in slot order"
-    states: list[StateVector] = [layout.vector(initial)]
+    states: list[StateVector] = [Layout.vector(initial)]
     succ: list[list[tuple[str, int]]] = [[]]
     parent: list[tuple[int, str] | None] = [None]
     # Snapshots of frontier states only; ``expand`` pops each one.
@@ -264,7 +246,7 @@ def build_lts(
                     truncated = True
                     complete = False
                     continue
-                vec = layout.vector(nxt)
+                vec = Layout.vector(nxt)
                 dst = index.get(vec)
                 if dst is None:
                     if len(states) >= bounds.max_states:
@@ -286,7 +268,7 @@ def build_lts(
         depth += 1
 
     return Lts(
-        layout=layout,
+        program=runtime.program,
         states=states,
         succ=succ,
         parent=parent,

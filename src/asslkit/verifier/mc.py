@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 from ..checker import CheckedSpec
 from ..names import qual
 from ..runtime.engine import RunConfig, Runtime
-from ..runtime.scenario import Scenario, parse_scenario, parse_stimulus
-from .lts import Lts, StateVector, Tick
+from ..runtime.scenario import Halt, Scenario, Stimulus, parse_stimulus
+from .lts import Layout, Lts, StateVector, Tick
 from .props import (
     F_SHAPE,
     G_SHAPE,
@@ -133,7 +133,7 @@ class _Checker:
         return _path(self.lts.parent, self.lts.initial, target)
 
     def holds(self, prop: Prop, state: int) -> bool:
-        return eval_prop(prop, self.lts.states[state], self.lts.layout)
+        return eval_prop(prop, self.lts.states[state], self.lts.program)
 
     def is_dead_end(self, state: int) -> bool:
         return state in self.lts.expanded and not self.lts.succ[state]
@@ -454,19 +454,15 @@ def explain(
         for label, state in cex.livelock:
             lines.append(f"  ..... {label} -> {_state_line(lts, state)}")
 
-    scenario_lines: list[str] = []
+    steps: list[tuple[int, Stimulus]] = []
     tick = 0
     for label, _state in cex.stem:
         if label == "tick":
             tick += 1
-        elif label.startswith("proc "):
-            continue
-        else:
-            scenario_lines.append(f"tick {tick} {label}")
-    scenario_lines.append(f"tick {tick + 1} halt")
-    scenario_text = "\n".join(scenario_lines) + "\n"
-    scenario = parse_scenario(scenario_text, spec, scenario_name)
-    return "\n".join(lines) + "\n", scenario
+        elif not label.startswith("proc "):
+            steps.append((tick, parse_stimulus(label, spec)))
+    steps.append((tick + 1, Halt()))
+    return "\n".join(lines) + "\n", Scenario(scenario_name, tuple(steps))
 
 
 def _state_line(lts: Lts, state_id: int) -> str:
@@ -493,7 +489,7 @@ def replay_counterexample(spec: CheckedSpec, lts: Lts, cex: Counterexample) -> S
             assert processed is not None and qual(processed) == label[len("proc ") :]
         else:
             runtime.apply_stimulus(state, parse_stimulus(label, spec))
-    return lts.layout.vector(state)
+    return Layout.vector(state)
 
 
 def parse_env_stimulus(spec: CheckedSpec, text: str):

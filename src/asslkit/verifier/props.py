@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from ..checker import CheckedSpec
 from ..names import Key, NameResolutionError, qual, resolve_decl
 from ..nodes import ValueType, render_value, type_of_value
-from ..program import COMPARE
+from ..program import COMPARE, Program
 from ..runtime.scenario import ScenarioError, parse_value
-from .lts import Layout, StateVector
+from .lts import StateVector
 
 
 class PropertyError(ValueError):
@@ -102,27 +102,27 @@ class PBin:
 Prop = FluentAtom | EventAtom | MetricAtom | BoolLit | PNot | PBin
 
 
-def eval_prop(prop: Prop, vector: StateVector, layout: Layout) -> bool:
+def eval_prop(prop: Prop, vector: StateVector, program: Program) -> bool:
     if isinstance(prop, FluentAtom):
-        return vector.fluents[layout.fluent_index[prop.fluent]]
+        return vector.fluents[program.fluent_slot[prop.fluent]]
     if isinstance(prop, EventAtom):
         return vector.last_event == prop.event
     if isinstance(prop, MetricAtom):
-        value = vector.metrics[layout.metric_index[prop.metric]]
+        value = vector.metrics[program.metric_slot[prop.metric]]
         if prop.op is None:
             return bool(value)
         return COMPARE[prop.op](value, prop.value)
     if isinstance(prop, BoolLit):
         return prop.value
     if isinstance(prop, PNot):
-        return not eval_prop(prop.operand, vector, layout)
+        return not eval_prop(prop.operand, vector, program)
     assert isinstance(prop, PBin)
-    left = eval_prop(prop.left, vector, layout)
+    left = eval_prop(prop.left, vector, program)
     if prop.op == "AND":
-        return left and eval_prop(prop.right, vector, layout)
+        return left and eval_prop(prop.right, vector, program)
     if prop.op == "OR":
-        return left or eval_prop(prop.right, vector, layout)
-    return (not left) or eval_prop(prop.right, vector, layout)
+        return left or eval_prop(prop.right, vector, program)
+    return (not left) or eval_prop(prop.right, vector, program)
 
 
 # -- temporal layer -------------------------------------------------------------

@@ -3,9 +3,9 @@
 ``brute_force_lts`` enumerates the reachable graph with its own depth-first
 bookkeeping, keyed by state vectors rather than discovery ids, so it shares
 no exploration machinery with the breadth-first ``build_lts`` it
-cross-checks. It also projects states onto vectors itself, by key lookup,
-instead of through ``Layout.vector``, which reads the runtime's dicts in
-slot order.
+cross-checks. It also projects states onto vectors itself, key by key
+through ``Program``'s slot maps, instead of through ``Layout.vector``, which
+copies the runtime's slot-indexed lists whole.
 ``reference_bfs_tree`` walks a flat edge list breadth first from the
 initial state over label-sorted adjacency; ``build_lts`` must number states
 in its visiting order and record its parents.
@@ -21,7 +21,8 @@ the regex tokenizer in ``asslkit.lexer`` must produce the same tokens and
 the same ``LexError`` message and span on every input.
 ``reference_eval_expr`` is the runtime's expression evaluator as it was
 before guards, ENSURES clauses and assigned values were compiled to
-closures: an ``isinstance`` chain over the syntax tree, evaluated per call.
+closures: an ``isinstance`` chain over the syntax tree, evaluated per call,
+over a state that maps each ``(tier, name)`` key to its value.
 ``reference_error_capable``, ``reference_always_fails``,
 ``reference_relevant_metrics``, ``reference_policy_closure`` and
 ``reference_impact`` are the test generator's analyses as recursive walks
@@ -58,7 +59,7 @@ from asslkit.runtime.engine import RunConfig, Runtime
 from asslkit.runtime.state import MESSAGE_RECEIVED, EventOccurrence
 from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
-from asslkit.verifier.lts import Layout, StateVector
+from asslkit.verifier.lts import StateVector
 from asslkit.testgen import ImpactSet, _const_value
 from asslkit.verifier.props import (
     F_SHAPE,
@@ -72,9 +73,9 @@ from asslkit.verifier.props import (
 def brute_force_lts(spec, env, state_cap: int = 5000):
     """(states, edges, labelings, initial) keyed by state vectors."""
     runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
-    layout = Layout(spec.program)
+    program = spec.program
     init_state = runtime.init()
-    init_vec = project(layout, init_state)
+    init_vec = project(program, init_state)
 
     states: dict[StateVector, object] = {}
     edges: set[tuple[StateVector, str, StateVector]] = set()
@@ -87,7 +88,7 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
         if state.pending:
             nxt = state.copy()
             event = runtime.step(nxt)
-            nxt_vec = project(layout, nxt)
+            nxt_vec = project(program, nxt)
             edges.add((vec, f"proc {qual(event)}", nxt_vec))
             stack.append((nxt_vec, nxt))
         else:
@@ -97,12 +98,12 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
                     runtime.advance_tick(nxt)
                 else:
                     runtime.apply_stimulus(nxt, stimulus)
-                nxt_vec = project(layout, nxt)
+                nxt_vec = project(program, nxt)
                 edges.add((vec, stimulus.render(), nxt_vec))
                 stack.append((nxt_vec, nxt))
         assert len(states) <= state_cap, "oracle exploration exceeded its cap"
 
-    labelings = {vec: _label(layout, vec) for vec in states}
+    labelings = {vec: _label(program, vec) for vec in states}
     return set(states), edges, labelings, init_vec
 
 
@@ -112,7 +113,8 @@ def reference_eval_expr(
     element: str,
     bindings: dict[str, bool] | None = None,
 ) -> object:
-    """Total evaluation; checking guarantees no type faults remain."""
+    """Total evaluation over ``state.metrics`` and ``state.fluents`` keyed by
+    ``(tier, name)``; checking guarantees no type faults remain."""
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, MetricRefExpr):
@@ -155,7 +157,8 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
         random.Random(runtime.seed * 1_000_003 + state.tick).shuffle(order)
     for elem in order:
         for channel in program.channel_keys:
-            queue = state.channels[channel]
+            slot = program.channel_slot[channel]
+            queue = state.channels[slot]
             if not queue:
                 continue
             remaining = []
@@ -172,7 +175,7 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                     state.pending.append(
                         EventOccurrence(event, f"activation RECEIVED {qual(message)}")
                     )
-            state.channels[channel] = remaining
+            state.channels[slot] = remaining
     for elem in order:
         for slot in program.timers_by_element[elem]:
             if state.timers[slot] <= state.tick:
@@ -183,27 +186,30 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                 state.timers[slot] = state.tick + period
 
 
-def project(layout: Layout, state) -> StateVector:
+def project(program, state) -> StateVector:
     """The state vector of ``state``, looked up key by key."""
     return StateVector(
-        fluents=tuple(state.fluents[key] for key in layout.fluent_keys),
-        metrics=tuple(state.metrics[key] for key in layout.metric_keys),
-        channels=tuple(tuple(state.channels[key]) for key in layout.channel_keys),
+        fluents=tuple(state.fluents[program.fluent_slot[key]] for key in program.fluent_keys),
+        metrics=tuple(state.metrics[program.metric_slot[key]] for key in program.metric_keys),
+        channels=tuple(
+            tuple(state.channels[program.channel_slot[key]]) for key in program.channel_keys
+        ),
         pending=tuple(occ.event for occ in state.pending),
         timers=tuple(t - state.tick for t in state.timers),
         last_event=state.last_event,
     )
 
 
-def _label(layout: Layout, vec: StateVector) -> frozenset[str]:
+def _label(program, vec: StateVector) -> frozenset[str]:
     from asslkit.nodes import render_value, type_of_value
 
     props = {
         f"fluent:{qual(key)}"
-        for key, active in zip(layout.fluent_keys, vec.fluents)
-        if active
+        for key in program.fluent_keys
+        if vec.fluents[program.fluent_slot[key]]
     }
-    for key, value in zip(layout.metric_keys, vec.metrics):
+    for key in program.metric_keys:
+        value = vec.metrics[program.metric_slot[key]]
         props.add(f"metric:{qual(key)}={render_value(value, type_of_value(value))}")
     if vec.last_event is not None:
         props.add(f"event:{qual(vec.last_event)}")
@@ -282,11 +288,11 @@ def exhaustive_check(lts: Lts, prop: TemporalProperty) -> str:
     assert not lts.truncated, "the path oracle needs a complete graph"
 
     def p_at(state_id: int) -> bool:
-        return eval_prop(prop.p, lts.states[state_id], lts.layout)
+        return eval_prop(prop.p, lts.states[state_id], lts.program)
 
     def q_at(state_id: int) -> bool:
         assert prop.q is not None
-        return eval_prop(prop.q, lts.states[state_id], lts.layout)
+        return eval_prop(prop.q, lts.states[state_id], lts.program)
 
     for path, loop_start in all_maximal_paths(lts):
         if _path_violates(prop, path, loop_start, p_at, q_at):

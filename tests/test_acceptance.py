@@ -177,12 +177,12 @@ def test_criterion_5_counterexample_soundness():
         vector = replay_counterexample(spec, lts, cex)
         assert vector == lts.states[cex.violating_state], verdict.prop.text
         if verdict.prop.shape in ("G", "F"):
-            assert eval_prop(verdict.prop.p, vector, lts.layout) is False
+            assert eval_prop(verdict.prop.p, vector, lts.program) is False
         elif verdict.prop.shape == "G->X" and cex.kind == "deadend":
             # X q fails at a state with no successor; q itself is not at issue
             assert not lts.succ[cex.violating_state]
         else:  # response, until, and bad-next violations falsify q
-            assert eval_prop(verdict.prop.q, vector, lts.layout) is False
+            assert eval_prop(verdict.prop.q, vector, lts.program) is False
     print(f"PASS criterion 5: {len(violated)}/{len(violated)} counterexamples replay soundly")
 
 

@@ -76,6 +76,11 @@ class TestRun:
     def test_zero_max_ticks_is_usage_error(self):
         assert main(["run", SPEC, "--scenario", SECURE, "--max-ticks", "0"]) == 2
 
+    def test_unwritable_trace_is_usage_error(self, tmp_path, capsys):
+        trace_path = tmp_path / "missing" / "out.trace"
+        assert main(["run", SPEC, "--scenario", SECURE, "--trace", str(trace_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write trace to {trace_path}: ")
+
     def test_identical_invocations_identical_traces(self, tmp_path, capsys):
         paths = [tmp_path / "a.trace", tmp_path / "b.trace"]
         for path in paths:
@@ -211,6 +216,14 @@ class TestVerify:
         assert out.startswith("Violated: ")
         assert cex.read_text().splitlines()[-1].endswith("halt")
 
+    def test_unwritable_counterexample_is_usage_error(self, tmp_path, capsys):
+        prop = tmp_path / "bad.prop"
+        prop.write_text("G false\n")
+        cex = tmp_path / "missing" / "cex.scenario"
+        code = main(["verify", SPEC, "--prop", str(prop), "--cex", str(cex), *ENV_FLAGS])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"cannot write counterexample to {cex}: ")
+
     def test_tiny_bound_is_inconclusive(self, capsys):
         code = main(
             ["verify", SPEC, "--prop", LIVENESS, "--bound-states", "3", *ENV_FLAGS]
@@ -249,6 +262,29 @@ class TestVerify:
             extra = ["--prop", LIVENESS] if command == "verify" else ["--out", os.devnull]
             assert main([command, SPEC, *extra, flag, value]) == 2
             assert capsys.readouterr().err == f"{flag} {value}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--bound-states", "-3", "--bound-states must be at least 1"),
+            ("--bound-states", "0", "--bound-states must be at least 1"),
+            ("--bound-depth", "-1", "--bound-depth must be at least 0"),
+        ],
+    )
+    def test_bounds_below_their_least_value_are_usage_errors(self, flag, value, message, capsys):
+        for command in ("verify", "graph"):
+            extra = ["--prop", LIVENESS] if command == "verify" else ["--out", os.devnull]
+            assert main([command, SPEC, *extra, flag, value, *ENV_FLAGS]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"{message}\n")
+
+    def test_least_bounds_are_accepted(self, tmp_path, capsys):
+        out_file = tmp_path / "graph.txt"
+        least = ["--bound-states", "1", "--bound-depth", "0"]
+        assert main(["graph", SPEC, "--out", str(out_file), *least, *ENV_FLAGS]) == 0
+        assert out_file.read_text().splitlines()[0] == "lts states=1 edges=2 truncated=true"
+        assert main(["verify", SPEC, "--prop", LIVENESS, *least, *ENV_FLAGS]) == 1
+        assert capsys.readouterr().out.splitlines()[-2].startswith("Inconclusive: ")
 
     def test_no_tick_shrinks_environment(self, tmp_path, capsys):
         # without the clock, the sent message is never delivered; the

@@ -256,6 +256,7 @@ def compiled_closures(program: Program):
 
 
 def random_state(rng: random.Random, metric_types, fluent_keys) -> SimpleNamespace:
+    """A state keyed by ``(tier, name)``, the view the reference evaluator reads."""
     return SimpleNamespace(
         metrics={key: rng.choice(POOLS[value_type]) for key, value_type in metric_types},
         fluents={key: rng.random() < 0.5 for key in fluent_keys},
@@ -271,9 +272,21 @@ def random_bindings(rng: random.Random, names) -> dict[str, object] | None:
     return {name: rng.choice(BINDING_VALUES) for name in names if rng.random() < 0.8}
 
 
-def assert_same_as_reference(closure, expr, elem, state, bindings, label) -> None:
+def list_view(state, metric_slot, fluent_slot) -> tuple[list, list]:
+    """The same state as a runtime holds it: metric and fluent lists indexed by slot."""
+    metrics = [None] * len(metric_slot)
+    for key, slot in metric_slot.items():
+        metrics[slot] = state.metrics[key]
+    fluents = [None] * len(fluent_slot)
+    for key, slot in fluent_slot.items():
+        fluents[slot] = state.fluents[key]
+    return metrics, fluents
+
+
+def assert_same_as_reference(closure, expr, elem, state, bindings, label, slots) -> None:
     want = outcome(lambda: reference_eval_expr(expr, state, elem, bindings))
-    got = outcome(lambda: closure(state.metrics, state.fluents, bindings))
+    metrics, fluents = list_view(state, *slots)
+    got = outcome(lambda: closure(metrics, fluents, bindings))
     assert got == want, (label, state, bindings)
 
 
@@ -287,6 +300,7 @@ def test_compiled_expressions_match_the_reference_evaluator(mission_pairs):
     evaluations = 0
     for spec in specs:
         program = spec.program
+        slots = (program.metric_slot, program.fluent_slot)
         metric_types = [(key, decl.value_type) for key, decl in program.metrics.items()]
         binding_names = sorted({
             op.binding
@@ -300,7 +314,7 @@ def test_compiled_expressions_match_the_reference_evaluator(mission_pairs):
             for _ in range(30):
                 state = random_state(rng, metric_types, program.fluent_keys)
                 bindings = random_bindings(rng, binding_names)
-                assert_same_as_reference(closure, expr, elem, state, bindings, label)
+                assert_same_as_reference(closure, expr, elem, state, bindings, label, slots)
                 evaluations += 1
     assert set(kinds) == {"guard", "ENSURES", "value assigned"}
     assert sum(kinds.values()) > 500 and evaluations > 15_000
@@ -340,13 +354,19 @@ def test_compiled_expressions_of_every_shape_match_the_reference():
         (("e", "r"), ValueType.REAL), (("e", "t"), ValueType.TEXT),
     ]
     fluent_keys = [("e", "f"), ("e", "g")]
+    # Slots in reverse declaration order, so a closure reading a key's
+    # declaration index instead of its slot is caught.
+    metric_slot = {key: 3 - index for index, (key, _type) in enumerate(metric_types)}
+    fluent_slot = {key: 1 - index for index, key in enumerate(fluent_keys)}
     raised = 0
     for index in range(3000):
         expr = random_expr(rng, rng.randint(0, 4))
-        closure = compile_expr(expr, "e")
+        closure = compile_expr(expr, "e", metric_slot, fluent_slot)
         for _ in range(8):
             state = random_state(rng, metric_types, fluent_keys)
             bindings = random_bindings(rng, ("x", "y"))
-            assert_same_as_reference(closure, expr, "e", state, bindings, index)
-            raised += outcome(lambda: closure(state.metrics, state.fluents, bindings))[0] == "raises"
+            slots = (metric_slot, fluent_slot)
+            assert_same_as_reference(closure, expr, "e", state, bindings, index, slots)
+            metrics, fluents = list_view(state, *slots)
+            raised += outcome(lambda: closure(metrics, fluents, bindings))[0] == "raises"
     assert raised > 100  # ordering text against numbers raises on both sides

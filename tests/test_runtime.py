@@ -20,6 +20,7 @@ from asslkit.runtime import (
     Runtime,
     Scenario,
     ScenarioError,
+    SendMessage,
     parse_scenario,
 )
 from asslkit.runtime import engine
@@ -56,16 +57,18 @@ class TestInit:
     def test_figures_initial_state(self, figures_spec):
         runtime = Runtime(figures_spec)
         state = runtime.init()
-        assert state.fluents[("worker", "inSecurityCheck")] is False
-        assert state.metrics[("worker", "thereIsInsecureMsg")] is False
+        program = figures_spec.program
+        assert state.fluents[program.fluent_slot[("worker", "inSecurityCheck")]] is False
+        assert state.metrics[program.metric_slot[("worker", "thereIsInsecureMsg")]] is False
         assert state.tick == 0
         assert not state.pending
-        assert all(not queue for queue in state.channels.values())
+        assert len(state.channels) == len(program.channel_keys) > 0
+        assert all(not queue for queue in state.channels)
 
     def test_no_metrics_spec(self):
         spec = check_all(parse_text("AS sys { }"))
         state = Runtime(spec).init()
-        assert state.metrics == {}
+        assert state.metrics == []
 
     def test_seed_only_changes_rng(self, figures_spec):
         first, second = Runtime(figures_spec, seed=1), Runtime(figures_spec, seed=2)
@@ -88,7 +91,8 @@ class TestRaise:
             state, occurrence(figures_spec, runtime, "privateMessageIsComming")
         )
         assert raised
-        assert state.fluents[("worker", "inSecurityCheck")] is True
+        slot = figures_spec.program.fluent_slot[("worker", "inSecurityCheck")]
+        assert state.fluents[slot] is True
         assert runtime.trace.find(FLUENT_INITIATED, "worker.inSecurityCheck")
 
     def test_guard_suppression(self, figures_spec):
@@ -129,7 +133,8 @@ class TestAssignMetric:
     def test_changed_enqueue_order_and_guards(self, figures_spec):
         runtime = Runtime(figures_spec)
         state = runtime.init()
-        runtime.assign_metric(state, ("worker", "thereIsInsecureMsg"), True)
+        slot = figures_spec.program.metric_slot[("worker", "thereIsInsecureMsg")]
+        runtime.assign_metric(state, slot, True)
         pending = [occ.event[1] for occ in state.pending]
         # declaration order: Insecure first, then Secure
         assert pending == ["privateMessageInsecure", "privateMessageSecure"]
@@ -140,7 +145,8 @@ class TestAssignMetric:
     def test_value_preserving_write_still_fires(self, figures_spec):
         runtime = Runtime(figures_spec)
         state = runtime.init()
-        runtime.assign_metric(state, ("worker", "thereIsInsecureMsg"), False)
+        slot = figures_spec.program.metric_slot[("worker", "thereIsInsecureMsg")]
+        runtime.assign_metric(state, slot, False)
         assert len(state.pending) == 2
         (record,) = runtime.trace.find("MetricAssigned")
         assert record.detail == "false -> false"
@@ -149,7 +155,7 @@ class TestAssignMetric:
         spec = check_all(parse_text(SNAPSHOT_SPEC))
         runtime = Runtime(spec)
         state = runtime.init()
-        runtime.assign_metric(state, ("sys", "level"), True)
+        runtime.assign_metric(state, spec.program.metric_slot[("sys", "level")], True)
         runtime.drain(state)
         assert runtime.trace.find(EVENT_RAISED, "sys.sawRise")
 
@@ -198,11 +204,14 @@ class TestExecuteAction:
         self.runtime = Runtime(self.spec)
         self.state = self.runtime.init()
 
+    def metric(self, name: str) -> object:
+        return self.state.metrics[self.spec.program.metric_slot[("sys", name)]]
+
     def test_guard_rejected_runs_nothing(self):
         outcome, reason = self.runtime.execute_action(self.state, ("sys", "blocked"), "test")
         assert (outcome, reason) == (GUARD_REJECTED, None)
         assert self.runtime.trace.records == []
-        assert self.state.metrics[("sys", "m")] is False
+        assert self.metric("m") is False
 
     def test_fail_statement_routes_to_error_path(self):
         outcome, reason = self.runtime.execute_action(self.state, ("sys", "failing"), "test")
@@ -221,13 +230,13 @@ class TestExecuteAction:
     def test_rejected_callee_binds_false_and_continues(self):
         outcome, _ = self.runtime.execute_action(self.state, ("sys", "caller"), "test")
         assert outcome == SUCCESS
-        assert self.state.metrics[("sys", "sawReject")] is True
+        assert self.metric("sawReject") is True
 
     def test_failing_callee_switches_caller_to_error_path(self):
         outcome, reason = self.runtime.execute_action(self.state, ("sys", "cascade"), "test")
         assert outcome == ERROR
         assert "boom" in reason
-        assert self.state.metrics[("sys", "m")] is True  # ONERR_DOES ran
+        assert self.metric("m") is True  # ONERR_DOES ran
         # cleanup enqueued twice: once by failing, once by cascade
         assert [occ.event[1] for occ in self.state.pending] == ["cleanup", "cleanup"]
 
@@ -294,7 +303,7 @@ class TestStep:
         state.pending.append(EventOccurrence(("unit", "goRight"), "injected"))
         runtime.step(state)
         assert runtime.trace.find(MAPPING_FIRED)
-        assert state.metrics[("unit", "fired")] is True
+        assert state.metrics[spec.program.metric_slot[("unit", "fired")]] is True
 
     def test_mapping_fires_only_on_rising_edge(self):
         spec = check_all(parse_text(CONJUNCTION_SPEC))
@@ -308,25 +317,25 @@ class TestStep:
         assert len(runtime.trace.find(MAPPING_FIRED)) == 1
 
 
+SECURE_LINK_SEND = SendMessage(("worker", "privateMessage"), ("worker", "secureLink"))
+
+
 class TestSendMessage:
     def test_capacity_drop(self, figures_spec):
         runtime = Runtime(figures_spec)
         state = runtime.init()
         for _ in range(5):
-            runtime.send_message(
-                state, ("worker", "privateMessage"), ("worker", "secureLink"), "ants"
-            )
+            runtime.apply_stimulus(state, SECURE_LINK_SEND)
         sends = runtime.trace.find(MESSAGE_SENT)
         assert len(sends) == 5
         assert sum("dropped" in record.detail for record in sends) == 1
-        assert len(state.channels[("worker", "secureLink")]) == 4
+        slot = figures_spec.program.channel_slot[("worker", "secureLink")]
+        assert len(state.channels[slot]) == 4
 
     def test_sent_subscription(self, figures_spec):
         runtime = Runtime(figures_spec)
         state = runtime.init()
-        runtime.send_message(
-            state, ("worker", "privateMessage"), ("worker", "secureLink"), "ants"
-        )
+        runtime.apply_stimulus(state, SECURE_LINK_SEND)
         assert [occ.event for occ in state.pending] == [
             ("worker", "privateMessageIsComming")
         ]
@@ -409,21 +418,19 @@ class TestRecordingOff:
     def test_recording_off_walks_the_same_states(self, mission_pairs):
         # Recording only adds trace text: stepping a recording and a
         # non-recording runtime through the same stimuli and drains must
-        # visit the same states, with dicts kept in layout slot order.
+        # visit the same states.
         recorded = compared = 0
         for pkg, spec in mission_pairs:
             for path in pkg.scenario_paths():
                 scenario = pkg.scenario(path.stem, spec)
                 on = Runtime(spec, seed=scenario.seed, record=True)
                 off = Runtime(spec, seed=scenario.seed, record=False)
-                layout = Layout(spec.program)
                 pair = ((on, on.init()), (off, off.init()))
 
                 def same(where: str) -> None:
                     nonlocal compared
                     (_, a), (_, b) = pair
-                    assert layout.in_slot_order(a) and layout.in_slot_order(b)
-                    assert layout.vector(a) == layout.vector(b), (pkg.name, path.stem, where)
+                    assert Layout.vector(a) == Layout.vector(b), (pkg.name, path.stem, where)
                     compared += 1
 
                 def drain() -> None:
@@ -611,7 +618,8 @@ class TestDrainBudget:
         monkeypatch.setattr(engine, "MAX_DRAIN_STEPS", 1)
         runtime = Runtime(figures_spec)
         state = runtime.init()
-        runtime.assign_metric(state, ("worker", "thereIsInsecureMsg"), True)
+        slot = figures_spec.program.metric_slot[("worker", "thereIsInsecureMsg")]
+        runtime.assign_metric(state, slot, True)
         assert len(state.pending) == 2
         with pytest.raises(LivelockError, match="after 1 drain steps at tick 0"):
             runtime.drain(state)

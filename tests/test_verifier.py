@@ -31,7 +31,7 @@ from asslkit.verifier import (
 )
 from asslkit.missions import all_missions
 from asslkit.runtime import Runtime, parse_scenario
-from asslkit.verifier import Layout, Lts, StateVector
+from asslkit.verifier import Lts, StateVector
 from asslkit.verifier.mc import _tarjan
 from conftest import README_ENVS
 from oracles import brute_force_lts, exhaustive_check, lts_as_sets, reference_bfs_tree
@@ -300,7 +300,7 @@ class TestCheck:
         assert verdict.result == VIOLATED
         assert verdict.counterexample.kind == "lasso"
         vec = lts.states[verdict.counterexample.violating_state]
-        fluent_index = lts.layout.fluent_index[("worker", "inSecurityCheck")]
+        fluent_index = lts.program.fluent_slot[("worker", "inSecurityCheck")]
         assert vec.fluents[fluent_index] is True
         assert exhaustive_check(lts, prop) == "Violated"
 
@@ -379,7 +379,7 @@ class TestExplainAndReplay:
         cex = verdict.counterexample
         vector = replay_counterexample(toggle_spec, lts, cex)
         assert vector == lts.states[cex.violating_state]
-        assert eval_prop(prop.p, vector, lts.layout) is False
+        assert eval_prop(prop.p, vector, lts.program) is False
 
     def test_explain_emits_text_and_scenario(self, toggle_spec):
         lts = build_lts(toggle_spec)
@@ -550,10 +550,10 @@ class TestPropertyParsing:
         prop = parse_property("G (metric held = true)", toggle_spec)
         assert prop.shape == "G"
         # every operator on an integer metric agrees with Python's
-        layout = Layout(operators_spec.program)
-        fluents = (False,) * len(layout.fluent_keys)
-        metrics = list(operators_spec.program.initial_metrics.values())
-        slot = layout.metric_index[("probe", "count")]
+        program = operators_spec.program
+        fluents = (False,) * len(program.fluent_keys)
+        metrics = list(program.initial_metrics)
+        slot = program.metric_slot[("probe", "count")]
         for op, compare in (
             ("=", operator.eq), ("!=", operator.ne), ("<", operator.lt),
             ("<=", operator.le), (">", operator.gt), (">=", operator.ge),
@@ -562,7 +562,7 @@ class TestPropertyParsing:
             for value in (2, 3, 4):
                 metrics[slot] = value
                 vector = StateVector(fluents, tuple(metrics), (), (), (), None)
-                assert eval_prop(atom, vector, layout) is compare(value, 3), (op, value)
+                assert eval_prop(atom, vector, program) is compare(value, 3), (op, value)
 
     def test_metric_literal_type_checked(self, toggle_spec):
         with pytest.raises(PropertyError):
@@ -621,7 +621,7 @@ def _outcome(spec, lts, verdict):
     return verdict, text, scenario.render()
 
 
-def _hand_built_lts(layout, states, edges) -> Lts:
+def _hand_built_lts(program, states, edges) -> Lts:
     """A complete graph over hand-written (source, label, target) edges, with
     label-ordered adjacency and the parents of ``reference_bfs_tree``. Its ids
     need not be BFS order, which changes stems but no verdict."""
@@ -630,7 +630,7 @@ def _hand_built_lts(layout, states, edges) -> Lts:
         succ[src].append((label, dst))
     _order, parent = reference_bfs_tree(edges)
     return Lts(
-        layout=layout,
+        program=program,
         states=states,
         succ=succ,
         parent=[parent.get(s) for s in range(len(states))],
@@ -698,7 +698,6 @@ class TestSharedWork:
         n = chain + ring + 1
         spur = n - 1
         busy_at = chain + ring // 2
-        layout = Layout(toggle_spec.program)
 
         def vector(i):
             return StateVector(
@@ -708,7 +707,7 @@ class TestSharedWork:
         edges = [(i, "tick", i + 1) for i in range(chain + ring - 1)]
         edges.append((chain + ring - 1, "tick", chain))
         edges.append((chain // 2, "inject unit.go", spur))
-        lts = _hand_built_lts(layout, [vector(i) for i in range(n)], edges)
+        lts = _hand_built_lts(toggle_spec.program, [vector(i) for i in range(n)], edges)
         sccs = sorted(_tarjan(set(range(n)), lts), key=len)
         assert len(sccs) == chain + 1 + 1
         assert sorted(sccs[-1]) == list(range(chain, chain + ring))
@@ -731,7 +730,7 @@ class TestSharedWork:
         # True == 1 == 1.0 and 0.0 == -0.0, yet each renders differently
         values = (True, 1, 1.0, 0.0, -0.0, 1, True)
         lts = _hand_built_lts(
-            Layout(toggle_spec.program),
+            toggle_spec.program,
             [StateVector((False,), (v,), (), (), (), None) for v in values],
             [],
         )

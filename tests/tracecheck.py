@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from asslkit.checker import CheckedSpec
 from asslkit.names import qual
 from asslkit.nodes import ActionDecl
@@ -54,10 +56,16 @@ def check_guard_soundness(spec: CheckedSpec, trace: Trace) -> list[str]:
     """Replay metric and fluent history; action guards must hold at start.
 
     Action guards cannot reference call bindings (the checker rejects that),
-    so the trace history fully determines their value.
+    so the trace history fully determines their value. The replayed state
+    maps each ``(tier, name)`` key to its value, read at its slot in the
+    runtime's initial state.
     """
-    runtime = Runtime(spec, record=False)
-    state = runtime.init()
+    program = spec.program
+    initial = Runtime(spec, record=False).init()
+    state = SimpleNamespace(
+        metrics={key: initial.metrics[program.metric_slot[key]] for key in program.metric_keys},
+        fluents={key: initial.fluents[program.fluent_slot[key]] for key in program.fluent_keys},
+    )
     problems = []
     for record in trace.records:
         if record.kind == METRIC_ASSIGNED:
