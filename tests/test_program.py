@@ -358,14 +358,14 @@ def test_compiled_expressions_of_every_shape_match_the_reference():
     # declaration index instead of its slot is caught.
     metric_slot = {key: 3 - index for index, (key, _type) in enumerate(metric_types)}
     fluent_slot = {key: 1 - index for index, key in enumerate(fluent_keys)}
+    slots = (metric_slot, fluent_slot)
     raised = 0
     for index in range(3000):
         expr = random_expr(rng, rng.randint(0, 4))
-        closure = compile_expr(expr, "e", metric_slot, fluent_slot)
+        closure = compile_expr(expr, "e", *slots)
         for _ in range(8):
             state = random_state(rng, metric_types, fluent_keys)
             bindings = random_bindings(rng, ("x", "y"))
-            slots = (metric_slot, fluent_slot)
             assert_same_as_reference(closure, expr, "e", state, bindings, index, slots)
             metrics, fluents = list_view(state, *slots)
             raised += outcome(lambda: closure(metrics, fluents, bindings))[0] == "raises"
