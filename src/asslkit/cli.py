@@ -153,6 +153,8 @@ def _read_file(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _CliFailure(USAGE, f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise _CliFailure(USAGE, f"cannot read {path}: {err}") from None
 
 
 def _use_color() -> bool:

@@ -19,6 +19,12 @@ whether the list may be empty.
 On a syntax error the parser records a diagnostic and resynchronizes at the
 next top-level tier keyword, so several errors can be reported from one run;
 :func:`parse` raises a :class:`ParseError` carrying all of them.
+
+Expressions nest at most ``MAX_NESTING`` deep, counting each ``NOT`` and each
+pair of parentheses around the point reached; one level more is a syntax
+error. The parser, the checker, the printer and the compiled closures all
+recurse once or more per level, and the limit keeps every one of them well
+inside Python's recursion limit. The property parser shares it.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ from .lexer import tokenize
 from .tokens import POLICY_NAME_KINDS, SourceSpan, Token, TokenKind
 
 _TOP_LEVEL = (TokenKind.KW_AS, TokenKind.KW_ASIP, TokenKind.KW_AE)
+
+MAX_NESTING = 100
 
 _COMPARE_OPS = {
     TokenKind.EQUALS: "=",
@@ -124,6 +132,7 @@ class _Parser:
         self._last = len(tokens)
         self.pos = 0
         self.errors: list[ParseError] = []
+        self.nesting = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -155,6 +164,16 @@ class _Parser:
 
     def fail(self, message: str) -> ParseError:
         return ParseError(message, self.peek().span)
+
+    def nested(self, parse: Callable[[], Expr], opener: Token) -> Expr:
+        """``parse()`` one nesting level below ``opener``."""
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} deep", opener.span)
+        self.nesting += 1
+        try:
+            return parse()
+        finally:
+            self.nesting -= 1
 
     # -- entry point -------------------------------------------------------
 
@@ -568,7 +587,7 @@ class _Parser:
     def _parse_not(self) -> Expr:
         if self.at(TokenKind.KW_NOT):
             tok = self.advance()
-            return NotExpr(self._parse_not(), span=tok.span)
+            return NotExpr(self.nested(self._parse_not, tok), span=tok.span)
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expr:
@@ -598,7 +617,7 @@ class _Parser:
             return BindingRefExpr(tok.text, span=tok.span)
         if tok.kind is TokenKind.LPAREN:
             self.advance()
-            expr = self._parse_expr()
+            expr = self.nested(self._parse_expr, tok)
             self.expect(TokenKind.RPAREN, "')'")
             return expr
         raise self.fail(f"expected an expression, found {tok.text!r}")

@@ -99,7 +99,7 @@ class Trace:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class RuntimeState:
     """Mutable state of one running system.
 
@@ -109,6 +109,10 @@ class RuntimeState:
     ``timers`` holds the next firing tick of each ELAPSED activation,
     parallel to ``Program.timer_slots``. ``last_event`` is the most recently
     raised (not suppressed) event, used for event atoms in verification.
+
+    The class has ``__slots__``, so a state is seven attribute slots and no
+    instance dict: the verifier holds one per frontier state and makes one
+    with ``copy`` per environment stimulus it explores.
     """
 
     tick: int

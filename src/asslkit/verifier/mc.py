@@ -132,8 +132,13 @@ class _Checker:
     def path_to(self, target: int) -> tuple[tuple[str, int], ...]:
         return _path(self.lts.parent, self.lts.initial, target)
 
-    def holds(self, prop: Prop, state: int) -> bool:
-        return eval_prop(prop, self.lts.states[state], self.lts.program)
+    def truth(self, prop: Prop) -> list[bool]:
+        """Whether ``prop`` holds at each state, indexed by state id. It is
+        evaluated once per observation (see ``Lts.observations``)."""
+        ids, vectors = self.lts.observations
+        program = self.lts.program
+        per_observation = [eval_prop(prop, vec, program) for vec in vectors]
+        return [per_observation[obs] for obs in ids]
 
     def is_dead_end(self, state: int) -> bool:
         return state in self.lts.expanded and not self.lts.succ[state]
@@ -256,8 +261,9 @@ class _Checker:
     # -- the five shapes -------------------------------------------------------
 
     def check_safety(self, prop: TemporalProperty) -> Verdict:
+        p = self.truth(prop.p)
         for state in self.order:
-            if not self.holds(prop.p, state):
+            if not p[state]:
                 return Verdict(
                     VIOLATED, prop,
                     Counterexample(
@@ -268,7 +274,8 @@ class _Checker:
         return self.inconclusive_or_holds(prop)
 
     def check_eventually(self, prop: TemporalProperty) -> Verdict:
-        region = {s for s in self.order if not self.holds(prop.p, s)}
+        p = self.truth(prop.p)
+        region = {s for s in self.order if not p[s]}
         if self.lts.initial in region:
             verdict = self.avoidance_counterexample(
                 prop, [self.lts.initial], region,
@@ -279,10 +286,9 @@ class _Checker:
         return self.inconclusive_or_holds(prop)
 
     def check_response(self, prop: TemporalProperty) -> Verdict:
-        region = {s for s in self.order if not self.holds(prop.q, s)}
-        anchors = [
-            s for s in self.order if self.holds(prop.p, s) and s in region
-        ]
+        p, q = self.truth(prop.p), self.truth(prop.q)
+        region = {s for s in self.order if not q[s]}
+        anchors = [s for s in self.order if p[s] and not q[s]]
         verdict = self.avoidance_counterexample(
             prop, anchors, region,
             f"{prop.p.render()} holds but {prop.q.render()} never follows",
@@ -292,8 +298,9 @@ class _Checker:
         return self.inconclusive_or_holds(prop)
 
     def check_next(self, prop: TemporalProperty) -> Verdict:
+        p, q = self.truth(prop.p), self.truth(prop.q)
         for state in self.order:
-            if not self.holds(prop.p, state):
+            if not p[state]:
                 continue
             if self.is_dead_end(state):
                 return Verdict(
@@ -304,7 +311,7 @@ class _Checker:
                     ),
                 )
             for label, dst in self.lts.succ[state]:
-                if not self.holds(prop.q, dst):
+                if not q[dst]:
                     stem = self.path_to(state) + ((label, dst),)
                     return Verdict(
                         VIOLATED, prop,
@@ -316,9 +323,10 @@ class _Checker:
         return self.inconclusive_or_holds(prop)
 
     def check_until(self, prop: TemporalProperty) -> Verdict:
-        if self.holds(prop.q, self.lts.initial):
+        p, q = self.truth(prop.p), self.truth(prop.q)
+        if q[self.lts.initial]:
             return self.inconclusive_or_holds(prop)
-        if not self.holds(prop.p, self.lts.initial):
+        if not p[self.lts.initial]:
             return Verdict(
                 VIOLATED, prop,
                 Counterexample(
@@ -326,14 +334,14 @@ class _Checker:
                     f"neither {prop.p.render()} nor {prop.q.render()} holds initially",
                 ),
             )
-        not_q = {s for s in self.order if not self.holds(prop.q, s)}
+        not_q = {s for s in self.order if not q[s]}
         # walk the !q region from the initial state, only through p-states
-        walkable = {s for s in not_q if self.holds(prop.p, s)}
+        walkable = {s for s in not_q if p[s]}
         parent, order = self.region_bfs(self.lts.initial, walkable)
         # (a) a !p & !q state reachable through p & !q states
         for src in order:
             for label, dst in self.lts.succ[src]:
-                if dst in not_q and not self.holds(prop.p, dst):
+                if not q[dst] and not p[dst]:
                     stem = _path(parent, self.lts.initial, src) + ((label, dst),)
                     return Verdict(
                         VIOLATED, prop,

@@ -18,16 +18,23 @@ qualified as ``element.name`` or bare when unique. Propositional connectives:
 Formulas are restricted to five checkable shapes: ``G p``, ``F p``,
 ``G (p -> F q)``, ``G (p -> X q)``, and ``p U q``, with p and q
 propositional.
+
+A property nests at most ``parser.MAX_NESTING`` deep, the limit that
+specification expressions have: each prefix operator, each opening
+parenthesis and each ``->`` (which groups to the right) around the point
+reached counts one level.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..checker import CheckedSpec
 from ..names import Key, NameResolutionError, qual, resolve_decl
 from ..nodes import ValueType, render_value, type_of_value
+from ..parser import MAX_NESTING
 from ..program import COMPARE, Program
 from ..runtime.scenario import ScenarioError, parse_value
 from .lts import StateVector
@@ -256,6 +263,7 @@ class _PropParser:
         self.pos = 0
         self.spec = spec
         self.text = text
+        self.nesting = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -271,6 +279,16 @@ class _PropParser:
         tok = self.advance()
         if tok != token:
             raise PropertyError(f"expected {token!r}, found {tok!r}")
+
+    def nested(self, parse: Callable[[], object]) -> object:
+        """``parse()`` one nesting level deeper."""
+        if self.nesting == MAX_NESTING:
+            raise PropertyError(f"property nested more than {MAX_NESTING} deep")
+        self.nesting += 1
+        try:
+            return parse()
+        finally:
+            self.nesting -= 1
 
     def parse(self) -> object:
         tree = self._until()
@@ -290,7 +308,7 @@ class _PropParser:
         left = self._or()
         if self.peek() == "->":
             self.advance()
-            right = self._implies()
+            right = self.nested(self._implies)
             return _mk_bin("IMPLIES", left, right)
         return left
 
@@ -312,38 +330,16 @@ class _PropParser:
         tok = self.peek()
         if tok in ("!", "not", "NOT"):
             self.advance()
-            return _mk_not(self._unary())
+            return _mk_not(self.nested(self._unary))
         if tok in ("G", "F", "X"):
             self.advance()
-            return _Temporal(tok, self._unary())
+            return _Temporal(tok, self.nested(self._unary))
         return self._atom()
 
     def _atom(self) -> object:
         tok = self.advance()
         if tok == "(":
-            head = self.peek()
-            if head in ("implies", "IMPLIES"):
-                self.advance()
-                left = self._until()
-                right = self._until()
-                self.expect(")")
-                return _mk_bin("IMPLIES", left, right)
-            if head in ("and", "AND", "or", "OR"):
-                self.advance()
-                op = "AND" if head.lower() == "and" else "OR"
-                first = self._until()
-                result = first
-                saw = False
-                while self.peek() != ")":
-                    saw = True
-                    result = _mk_bin(op, result, self._until())
-                if not saw:
-                    raise PropertyError(f"prefix {head} needs at least two operands")
-                self.expect(")")
-                return result
-            tree = self._until()
-            self.expect(")")
-            return tree
+            return self.nested(self._parenthesized)
         if tok == "true":
             return BoolLit(True)
         if tok == "false":
@@ -355,6 +351,32 @@ class _PropParser:
         if tok == "metric":
             return self._metric_atom()
         raise PropertyError(f"expected an atom, found {tok!r}")
+
+    def _parenthesized(self) -> object:
+        """The rest of a parenthesized formula, after its ``(``."""
+        head = self.peek()
+        if head in ("implies", "IMPLIES"):
+            self.advance()
+            left = self._until()
+            right = self._until()
+            self.expect(")")
+            return _mk_bin("IMPLIES", left, right)
+        if head in ("and", "AND", "or", "OR"):
+            self.advance()
+            op = "AND" if head.lower() == "and" else "OR"
+            first = self._until()
+            result = first
+            saw = False
+            while self.peek() != ")":
+                saw = True
+                result = _mk_bin(op, result, self._until())
+            if not saw:
+                raise PropertyError(f"prefix {head} needs at least two operands")
+            self.expect(")")
+            return result
+        tree = self._until()
+        self.expect(")")
+        return tree
 
     def _resolve(self, namespace: str) -> Key:
         name = self.advance()

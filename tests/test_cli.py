@@ -11,7 +11,9 @@ import pytest
 
 import asslkit
 from asslkit.cli import build_parser, main
-from asslkit.missions import ants_self_protecting
+from asslkit.missions import ants_self_configuring_and_scheduling, ants_self_protecting
+from asslkit.parser import MAX_NESTING, parse_text
+from asslkit.printer import pretty_print
 from asslkit.verifier import build_lts, parse_env_stimulus
 
 PKG = ants_self_protecting()
@@ -50,6 +52,14 @@ class TestCheck:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/spec.assl"]) == 2
+
+    def test_non_utf8_spec_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin.assl"
+        bad.write_bytes(b"AS sys { }\xff\xfe\n")
+        assert main(["check", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode")
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "broken.assl"
@@ -93,6 +103,12 @@ class TestRun:
         scen = tmp_path / "bad.scenario"
         scen.write_text("tick 0 inject noSuchEvent\n")
         assert main(["run", SPEC, "--scenario", str(scen)]) == 2
+
+    def test_non_utf8_scenario_is_usage_error(self, tmp_path, capsys):
+        scen = tmp_path / "latin.scenario"
+        scen.write_bytes(b"tick 0 halt \xff\n")
+        assert main(["run", SPEC, "--scenario", str(scen)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read {scen}: 'utf-8' codec")
 
 
 # An event cascade that never quiesces, though the spec checks clean: writing
@@ -237,6 +253,14 @@ class TestVerify:
         prop.write_text("G (fluent\n")
         assert main(["verify", SPEC, "--prop", str(prop)]) == 2
 
+    def test_non_utf8_property_file_is_usage_error(self, tmp_path, capsys):
+        prop = tmp_path / "latin.prop"
+        prop.write_bytes(b"# caf\xe9\nG true\n")
+        assert main(["verify", SPEC, "--prop", str(prop)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {prop}: 'utf-8' codec")
+
     def test_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", SPEC, "--prop", LIVENESS, "--jobs", "2", *ENV_FLAGS])
@@ -347,6 +371,110 @@ class TestGraph:
             ["graph", SPEC, "--out", str(out_file), "--bound-states", "2", *ENV_FLAGS]
         ) == 0
         assert "truncated=true" in out_file.read_text().splitlines()[0]
+
+
+SCHEDULING = ants_self_configuring_and_scheduling()
+SCHEDULING_GUARD = "GUARDS { NOT METRICS.alphaLeads }"
+
+
+def _nested_guard(depth: int, nots: int) -> str:
+    """``NOT METRICS.alphaLeads`` nested ``depth`` levels deep: ``nots`` NOTs
+    (an odd number, so the guard keeps its meaning) around ``depth - nots``
+    pairs of parentheses."""
+    parens = depth - nots
+    return f"GUARDS {{ {'NOT ' * nots}{'(' * parens}METRICS.alphaLeads{')' * parens} }}"
+
+
+class TestNestingLimit:
+    """Specs and properties nest at most MAX_NESTING deep; at the limit every
+    command works, and past it the parsers report an error instead of
+    overflowing the stack."""
+
+    def _mission(self, tmp_path, guard: str) -> Path:
+        source = SCHEDULING.spec_path.read_text()
+        assert source.count(SCHEDULING_GUARD) == 1
+        spec = tmp_path / "nested.assl"
+        spec.write_text(source.replace(SCHEDULING_GUARD, guard))
+        return spec
+
+    def _outputs(self, spec: Path, tmp_path, capsys) -> list[tuple[int, str, str]]:
+        """check, run with a trace, and verify, each as (exit code, stdout, trace)."""
+        scenario = SCHEDULING.root / "scenarios" / "schedule_beta_first.scenario"
+        trace = tmp_path / "out.trace"
+        outputs = []
+        for args in (
+            ["check", str(spec)],
+            ["run", str(spec), "--scenario", str(scenario), "--trace", str(trace)],
+            ["verify", str(spec), "--prop", str(SCHEDULING.root / "props" / "scheduling_liveness.prop")],
+        ):
+            code = main(args)
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            text = trace.read_text() if args[0] == "run" else ""
+            outputs.append((code, captured.out, text))
+        return outputs
+
+    @pytest.mark.parametrize("nots", [1, MAX_NESTING // 2 * 2 - 1])
+    def test_spec_at_the_limit_behaves_like_the_mission(self, tmp_path, capsys, nots):
+        spec = self._mission(tmp_path, _nested_guard(MAX_NESTING, nots))
+        tree = parse_text(spec.read_text())
+        printed = pretty_print(tree)
+        assert pretty_print(parse_text(printed)) == printed
+        nested = self._outputs(spec, tmp_path, capsys)
+        plain = self._outputs(self._mission(tmp_path, SCHEDULING_GUARD), tmp_path, capsys)
+        assert nested == plain
+        assert [code for code, _out, _trace in nested] == [0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "depth, nots", [(MAX_NESTING + 1, 1), (MAX_NESTING + 1, MAX_NESTING + 1), (3000, 3000)]
+    )
+    def test_spec_past_the_limit_is_a_parse_error(self, tmp_path, capsys, depth, nots):
+        spec = self._mission(tmp_path, _nested_guard(depth, nots))
+        assert main(["check", str(spec)]) == 1
+        out = capsys.readouterr().out
+        assert f"error E-PARSE: expression nested more than {MAX_NESTING} deep" in out
+
+    def test_property_at_the_limit_is_checked(self, tmp_path, capsys):
+        prop = tmp_path / "deep.prop"
+
+        def verify(text: str) -> tuple[int, list[str]]:
+            prop.write_text(text + "\n")
+            code = main(["verify", str(SCHEDULING.spec_path), "--prop", str(prop)])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            # the failing atom is rendered from the parsed formula
+            lines = captured.out.replace(text, plain).splitlines()
+            return code, [line for line in lines if not line.startswith("  violation: ")]
+
+        plain = "F (event ants.scheduleReady)"
+        expected = verify(plain)
+        # F counts one level, each parenthesis pair and each ! one more; an
+        # even number of ! keeps the meaning
+        inner = MAX_NESTING - 1
+        nots = inner // 2 * 2
+        for text in (
+            f"F {'(' * inner}event ants.scheduleReady{')' * inner}",
+            f"F {'! ' * nots}{'(' * (inner - nots)}event ants.scheduleReady{')' * (inner - nots)}",
+        ):
+            assert verify(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"F {'(' * MAX_NESTING}true{')' * MAX_NESTING}",
+            f"G {'! ' * MAX_NESTING}true",
+            f"G ({'true -> ' * MAX_NESTING}true)",
+            f"G {'(' * 3000}true{')' * 3000}",
+        ],
+    )
+    def test_property_past_the_limit_is_a_property_error(self, tmp_path, capsys, text):
+        prop = tmp_path / "deep.prop"
+        prop.write_text(text + "\n")
+        assert main(["verify", str(SCHEDULING.spec_path), "--prop", str(prop)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"{prop}: line 1: property nested more than {MAX_NESTING} deep\n"
+        )
 
 
 def test_help_is_golden(monkeypatch):

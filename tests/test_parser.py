@@ -11,7 +11,7 @@ from asslkit.nodes import (
     NotExpr,
     OpaqueBlock,
 )
-from asslkit.parser import ParseError, parse_text
+from asslkit.parser import MAX_NESTING, ParseError, parse_text
 from asslkit.tokens import SourceSpan
 from conftest import FIG_EVENTS, FIG_POLICY, figures_wrapped
 
@@ -230,6 +230,20 @@ class TestErrors:
         assert [(e.message, e.span) for e in exc.value.errors] == [
             (message, SourceSpan("f.assl", *span))
         ]
+
+    def test_nesting_past_the_limit_is_reported_and_parsing_goes_on(self):
+        def tier(kind: str, name: str, nots: int) -> str:
+            guard = f"GUARDS {{ {'NOT ' * nots}METRICS.m }}"
+            return f"{kind} {name} {{ EVENTS {{ EVENT e {{ {guard} }} }} }}\n"
+
+        # after the error, a tier nested exactly at the limit still parses
+        source = tier("AS", "a", MAX_NESTING + 1) + tier("AE", "b", MAX_NESTING) + "AE c { x }"
+        first_not = len("AS a { EVENTS { EVENT e { GUARDS { ") + 1
+        errors = _error_list(source)
+        assert errors[0] == (
+            f"expression nested more than {MAX_NESTING} deep", 1, first_not + 4 * MAX_NESTING
+        )
+        assert [line for _message, line, _column in errors] == [1, 3]
 
     def test_empty_does_rejected(self):
         with pytest.raises(ParseError, match="at least one statement"):

@@ -34,7 +34,7 @@ from asslkit.runtime import Runtime, parse_scenario
 from asslkit.verifier import Lts, StateVector
 from asslkit.verifier.mc import _tarjan
 from conftest import README_ENVS
-from oracles import brute_force_lts, exhaustive_check, lts_as_sets, reference_bfs_tree
+from oracles import _label, brute_force_lts, exhaustive_check, lts_as_sets, reference_bfs_tree
 from specgen import env_for, random_checked_spec, random_properties, swarm_env, swarm_source
 from test_cli import CASCADE_SPEC
 
@@ -740,6 +740,44 @@ class TestSharedWork:
             for text in ("true", "1", "1.0", "0.0", "-0.0", "1", "true")
         ]
         assert lts.succ[0] == [] and lts.parent[0] is None
+
+    def test_states_share_no_label_of_equal_but_differently_rendered_reals(self, operators_spec):
+        # Two states differ in the pending queue and hold 0.0 and -0.0 in one
+        # real metric: one observation for both would give both one label.
+        program = operators_spec.program
+        metrics = list(program.initial_metrics)
+        level = program.metric_slot[("probe", "level")]
+        fluents = (False,) * len(program.fluent_keys)
+        vectors = []
+        for value, pending in ((0.0, ()), (-0.0, (("probe", "levelEq"),))):
+            metrics[level] = value
+            vectors.append(StateVector(fluents, tuple(metrics), (), pending, (), None))
+        lts = _hand_built_lts(program, vectors, [(0, "tick", 1), (1, "tick", 0)])
+        own = [_label(program, vec) for vec in vectors]
+        assert "metric:probe.level=0.0" in own[0] and "metric:probe.level=-0.0" in own[1]
+        assert [lts.labeling(0), lts.labeling(1)] == own
+        assert lts_to_text(lts).splitlines()[1:3] == [
+            f"state 0 initial {' '.join(sorted(own[0]))}",
+            f"state 1 {' '.join(sorted(own[1]))}",
+        ]
+        # atoms read the values, and 0.0 == -0.0: both states are one lasso
+        verdict = check(lts, parse_property("F (metric level != 0.0)", operators_spec))
+        assert verdict.result == VIOLATED and verdict.counterexample.kind == "lasso"
+
+        def shown(state: int) -> str:
+            props = sorted(
+                p for p in own[state]
+                if not p.startswith("metric:") or p.endswith(("=true", "=false"))
+            )
+            return f"s{state} {{{', '.join(props)}}}"
+
+        text, _scenario = explain(operators_spec, lts, verdict)
+        assert text.splitlines()[2:] == [
+            f"initial state: {shown(0)}",
+            "loop (repeats forever):",
+            f"  ..... tick -> {shown(1)}",
+            f"  ..... tick -> {shown(0)}",
+        ]
 
 
 def _verify_text(spec, env, lines) -> str:
