@@ -21,10 +21,13 @@ next top-level tier keyword, so several errors can be reported from one run;
 :func:`parse` raises a :class:`ParseError` carrying all of them.
 
 Expressions nest at most ``MAX_NESTING`` deep, counting each ``NOT`` and each
-pair of parentheses around the point reached; one level more is a syntax
-error. The parser, the checker, the printer and the compiled closures all
-recurse once or more per level, and the limit keeps every one of them well
-inside Python's recursion limit. The property parser shares it.
+pair of parentheses around the point reached, and each operator of every
+``AND``/``OR`` chain that the point lies in. A chain of n operators builds a
+left-deep tree, which puts even its first operand n levels down, so each
+operator counts one level for every operand of its chain. One level more is a
+syntax error. The parser, the checker, the printer and the compiled closures
+all recurse once or more per level, and the limit keeps every one of them
+well inside Python's recursion limit. The property parser shares it.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ from .tokens import POLICY_NAME_KINDS, SourceSpan, Token, TokenKind
 _TOP_LEVEL = (TokenKind.KW_AS, TokenKind.KW_ASIP, TokenKind.KW_AE)
 
 MAX_NESTING = 100
+
+# The chain operators, loosest first: an expression is an OR chain of AND
+# chains of ``NOT`` operands.
+_CHAINS = ((TokenKind.KW_OR, "OR"), (TokenKind.KW_AND, "AND"))
 
 _COMPARE_OPS = {
     TokenKind.EQUALS: "=",
@@ -133,6 +140,8 @@ class _Parser:
         self.pos = 0
         self.errors: list[ParseError] = []
         self.nesting = 0
+        # the deepest level that the operands of the innermost open chain reach
+        self.peak = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -170,6 +179,7 @@ class _Parser:
         if self.nesting == MAX_NESTING:
             raise ParseError(f"expression nested more than {MAX_NESTING} deep", opener.span)
         self.nesting += 1
+        self.peak = max(self.peak, self.nesting)
         try:
             return parse()
         finally:
@@ -567,21 +577,25 @@ class _Parser:
         self.expect(TokenKind.RBRACE, "'}'")
         return expr
 
-    def _parse_expr(self) -> Expr:
-        return self._parse_or()
+    def _parse_expr(self, tier: int = 0) -> Expr:
+        """The chain of ``_CHAINS[tier]`` operators, as a left-deep tree.
 
-    def _parse_or(self) -> Expr:
-        left = self._parse_and()
-        while self.at(TokenKind.KW_OR):
+        Its operands reach ``peak`` at most, and each operator counts one
+        level more for all of them; that sum is the chain's own peak.
+        """
+        kind, op = _CHAINS[tier]
+        last = tier + 1 == len(_CHAINS)
+        outer, self.peak = self.peak, self.nesting
+        left = self._parse_not() if last else self._parse_expr(tier + 1)
+        operators = 0
+        while self.at(kind):
             tok = self.advance()
-            left = BinaryExpr("OR", left, self._parse_and(), span=tok.span)
-        return left
-
-    def _parse_and(self) -> Expr:
-        left = self._parse_not()
-        while self.at(TokenKind.KW_AND):
-            tok = self.advance()
-            left = BinaryExpr("AND", left, self._parse_not(), span=tok.span)
+            operators += 1
+            right = self._parse_not() if last else self._parse_expr(tier + 1)
+            left = BinaryExpr(op, left, right, span=tok.span)
+            if self.peak + operators > MAX_NESTING:
+                raise ParseError(f"expression nested more than {MAX_NESTING} deep", tok.span)
+        self.peak = max(outer, self.peak + operators)
         return left
 
     def _parse_not(self) -> Expr:

@@ -2,14 +2,20 @@
 
 Safety (``G p``) reduces to reachability of a ``!p`` state; the
 counterexample is the shortest, lexicographically least path there.
-Eventuality and response shapes reduce to finding a maximal path that avoids
-the obligation forever: either a cycle (a lasso) or a genuine dead end inside
-the avoiding region. On a truncated LTS a would-be Holds verdict downgrades
-to Inconclusive, because the cut frontier could still hide a violation;
-Violated verdicts stand, since every witness found in a sub-graph exists in
-the full graph (states whose expansion was cut are never treated as dead
-ends). Raising bounds can therefore only resolve Inconclusive, never flip a
-verdict.
+Eventuality, response and until shapes reduce to finding a maximal path that
+avoids the obligation forever: either a cycle (a lasso) or a genuine dead end
+inside the avoiding region. A region is a ``list[bool]`` by state id, built
+from the per-state truth of ``p`` and ``q``. One SCC pass over it
+(``_cycles_and_escapes``) flags the states on a cycle inside it and the
+states that reach, inside it, a cyclic state or a dead end; then a BFS inside
+the region from the first escaping anchor finds the counterexample's
+target.
+
+On a truncated LTS a would-be Holds verdict downgrades to Inconclusive,
+because the cut frontier could still hide a violation; Violated verdicts
+stand, since every witness found in a sub-graph exists in the full graph
+(states whose expansion was cut are never treated as dead ends). Raising
+bounds can therefore only resolve Inconclusive, never flip a verdict.
 
 Every counterexample replays in the runtime: stimulus edges exist only at
 quiescent states, so the stem maps directly onto a scenario, and processing
@@ -151,71 +157,31 @@ class _Checker:
             )
         return Verdict(HOLDS, prop)
 
-    def region_bfs(self, start: int, region: set[int]) -> tuple[dict[int, tuple[int, str]], list[int]]:
-        """BFS restricted to ``region``; returns parents and visit order."""
+    def region_bfs(self, start: int, region: list[bool]) -> tuple[dict[int, tuple[int, str]], list[int]]:
+        """BFS from ``start``, a state of ``region``, restricted to the
+        region; returns parents and visit order."""
         parent: dict[int, tuple[int, str]] = {}
         order: list[int] = []
-        if start not in region:
-            return parent, order
         seen = {start}
         queue = deque([start])
         while queue:
             src = queue.popleft()
             order.append(src)
             for label, dst in self.lts.succ[src]:
-                if dst in region and dst not in seen:
+                if region[dst] and dst not in seen:
                     seen.add(dst)
                     parent[dst] = (src, label)
                     queue.append(dst)
         return parent, order
 
-    def cyclic_states(self, region: set[int]) -> set[int]:
-        """States of ``region`` lying on a cycle within the region."""
-        sccs = _tarjan(region, self.lts)
-        cyclic: set[int] = set()
-        for component in sccs:
-            if len(component) > 1:
-                cyclic.update(component)
-            else:
-                (only,) = component
-                if any(
-                    dst == only and dst in region
-                    for _label, dst in self.lts.succ[only]
-                ):
-                    cyclic.add(only)
-        return cyclic
-
-    def escape_set(self, region: set[int], cyclic: set[int]) -> set[int]:
-        """States of ``region`` from which a maximal path can stay in it:
-        ones that reach (inside it) a cycle or a genuine dead end.
-
-        ``cyclic`` is ``cyclic_states(region)``.
-        """
-        seeds = cyclic | {s for s in region if self.is_dead_end(s)}
-        # backward closure within the region
-        reverse: dict[int, list[int]] = {}
-        for src in region:
-            for _label, dst in self.lts.succ[src]:
-                if dst in region:
-                    reverse.setdefault(dst, []).append(src)
-        result = set(seeds)
-        queue = deque(sorted(seeds))
-        while queue:
-            state = queue.popleft()
-            for pred in reverse.get(state, ()):
-                if pred not in result:
-                    result.add(pred)
-                    queue.append(pred)
-        return result
-
-    def loop_from(self, entry: int, region: set[int]) -> tuple[tuple[str, int], ...]:
+    def loop_from(self, entry: int, region: list[bool]) -> tuple[tuple[str, int], ...]:
         """Shortest cycle through ``entry`` inside ``region``, as edge steps."""
         parent, _order = self.region_bfs(entry, region)
         # find the least-labeled edge closing the cycle back to entry
         best: tuple[tuple[str, int], ...] | None = None
         for src in [entry] + sorted(parent):
             for label, dst in self.lts.succ[src]:
-                if dst != entry or src not in region:
+                if dst != entry:
                     continue
                 candidate = _path(parent, entry, src) + ((label, entry),)
                 if best is None or len(candidate) < len(best):
@@ -224,29 +190,26 @@ class _Checker:
         assert best is not None, "loop_from called on a non-cyclic entry"
         return best
 
-    def avoidance_counterexample(
-        self, prop: TemporalProperty, start_states: list[int], region: set[int],
+    def check_avoidance(
+        self, prop: TemporalProperty, anchors: list[int], region: list[bool],
         failing_atom: str,
-    ) -> Verdict | None:
-        """Violation via a maximal path that stays in ``region`` forever.
+    ) -> Verdict:
+        """Violated by a maximal path that reaches an anchor and stays in
+        ``region`` from there on, if there is one.
 
-        ``start_states`` are candidate anchors in BFS order (each must itself
-        be in the region); the continuation is found inside the region.
+        ``anchors`` are candidate states of the region in BFS order. The
+        first one that escapes (see ``_cycles_and_escapes``) anchors the
+        counterexample, and the continuation is the first cyclic state or
+        dead end that a BFS inside the region from it meets.
         """
-        cyclic = self.cyclic_states(region)
-        escape = self.escape_set(region, cyclic)
-        for anchor in start_states:
-            if anchor not in escape:
+        cyclic, escape = _cycles_and_escapes(self.lts, region)
+        for anchor in anchors:
+            if not escape[anchor]:
                 continue
             parent, order = self.region_bfs(anchor, region)
-            target = None
-            for state in order:
-                if self.is_dead_end(state) or state in cyclic:
-                    target = state
-                    break
-            assert target is not None
+            target = next(s for s in order if cyclic[s] or self.is_dead_end(s))
             stem = self.path_to(anchor) + _path(parent, anchor, target)
-            if self.is_dead_end(target) and target not in cyclic:
+            if not cyclic[target]:
                 return Verdict(
                     VIOLATED, prop,
                     Counterexample("deadend", stem, (), target, failing_atom),
@@ -256,7 +219,7 @@ class _Checker:
                 VIOLATED, prop,
                 Counterexample("lasso", stem, loop, target, failing_atom),
             )
-        return None
+        return self.inconclusive_or_holds(prop)
 
     # -- the five shapes -------------------------------------------------------
 
@@ -275,27 +238,19 @@ class _Checker:
 
     def check_eventually(self, prop: TemporalProperty) -> Verdict:
         p = self.truth(prop.p)
-        region = {s for s in self.order if not p[s]}
-        if self.lts.initial in region:
-            verdict = self.avoidance_counterexample(
-                prop, [self.lts.initial], region,
-                f"{prop.p.render()} never holds on this path",
-            )
-            if verdict is not None:
-                return verdict
-        return self.inconclusive_or_holds(prop)
+        if p[self.lts.initial]:
+            return self.inconclusive_or_holds(prop)
+        return self.check_avoidance(
+            prop, [self.lts.initial], [not x for x in p],
+            f"{prop.p.render()} never holds on this path",
+        )
 
     def check_response(self, prop: TemporalProperty) -> Verdict:
         p, q = self.truth(prop.p), self.truth(prop.q)
-        region = {s for s in self.order if not q[s]}
-        anchors = [s for s in self.order if p[s] and not q[s]]
-        verdict = self.avoidance_counterexample(
-            prop, anchors, region,
+        return self.check_avoidance(
+            prop, [s for s in self.order if p[s] and not q[s]], [not x for x in q],
             f"{prop.p.render()} holds but {prop.q.render()} never follows",
         )
-        if verdict is not None:
-            return verdict
-        return self.inconclusive_or_holds(prop)
 
     def check_next(self, prop: TemporalProperty) -> Verdict:
         p, q = self.truth(prop.p), self.truth(prop.q)
@@ -334,9 +289,8 @@ class _Checker:
                     f"neither {prop.p.render()} nor {prop.q.render()} holds initially",
                 ),
             )
-        not_q = {s for s in self.order if not q[s]}
         # walk the !q region from the initial state, only through p-states
-        walkable = {s for s in not_q if p[s]}
+        walkable = [x and not y for x, y in zip(p, q)]
         parent, order = self.region_bfs(self.lts.initial, walkable)
         # (a) a !p & !q state reachable through p & !q states
         for src in order:
@@ -351,15 +305,10 @@ class _Checker:
                         ),
                     )
         # (b) p & !q forever
-        verdict = self.avoidance_counterexample(
-            prop,
-            [s for s in order if s in walkable],
-            walkable,
+        return self.check_avoidance(
+            prop, order, walkable,
             f"{prop.q.render()} never holds while {prop.p.render()} persists",
         )
-        if verdict is not None:
-            return verdict
-        return self.inconclusive_or_holds(prop)
 
 
 def _path(
@@ -377,54 +326,70 @@ def _path(
     return tuple(steps)
 
 
-def _tarjan(region: set[int], lts: Lts) -> list[list[int]]:
-    """Iterative Tarjan over the subgraph induced by ``region``."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
+def _cycles_and_escapes(lts: Lts, region: list[bool]) -> tuple[list[bool], list[bool]]:
+    """Two flags per state id, both False outside ``region``: ``cyclic``, the
+    state lies on a cycle inside the region; ``escape``, it reaches, inside
+    the region, a cyclic state or a genuine dead end (expanded, no successors).
 
-    for root in sorted(region):
-        if root in index:
+    One iterative Tarjan pass over the region. Components finish in reverse
+    topological order, so when one is popped, every component it leads to is
+    already flagged. Until then a state's ``escape`` entry says whether it is
+    a dead end or has an edge into a flagged state; the popped component
+    escapes if it is cyclic or any member's entry is set.
+    """
+    succ, expanded = lts.succ, lts.expanded
+    count = len(region)
+    index = [0] * count  # visit number from 1; 0 while unvisited
+    low = [0] * count
+    on_stack = [False] * count
+    cyclic = [False] * count
+    escape = [False] * count
+    stack: list[int] = []
+    visits = 0
+    for root in range(count):
+        if not region[root] or index[root]:
             continue
-        # (node, its in-region successors or None before the first visit,
+        # (state, its in-region successors or None before the first visit,
         # index of the next successor to look at)
         work: list[tuple[int, list[int] | None, int]] = [(root, None, 0)]
         while work:
-            node, successors, edge_idx = work.pop()
+            state, successors, at = work.pop()
             if successors is None:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-                successors = [dst for _label, dst in lts.succ[node] if dst in region]
-            advanced = False
-            for i in range(edge_idx, len(successors)):
+                visits += 1
+                index[state] = low[state] = visits
+                stack.append(state)
+                on_stack[state] = True
+                successors = [dst for _label, dst in succ[state] if region[dst]]
+                escape[state] = state in expanded and not succ[state]
+            else:  # back from the successor at ``at - 1``
+                child = successors[at - 1]
+                low[state] = min(low[state], low[child])
+                escape[state] = escape[state] or escape[child]
+            for i in range(at, len(successors)):
                 dst = successors[i]
-                if dst not in index:
-                    work.append((node, successors, i + 1))
+                if not index[dst]:
+                    work.append((state, successors, i + 1))
                     work.append((dst, None, 0))
-                    advanced = True
                     break
-                if dst in on_stack:
-                    lowlink[node] = min(lowlink[node], index[dst])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-            if work:
-                parent_node = work[-1][0]
-                lowlink[parent_node] = min(lowlink[parent_node], lowlink[node])
-    return sccs
+                if on_stack[dst]:
+                    low[state] = min(low[state], index[dst])
+                elif escape[dst]:
+                    escape[state] = True
+            else:
+                if low[state] == index[state]:
+                    component: list[int] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == state:
+                            break
+                    loops = len(component) > 1 or state in successors
+                    escapes = loops or any(escape[member] for member in component)
+                    for member in component:
+                        cyclic[member] = loops
+                        escape[member] = escapes
+    return cyclic, escape
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,10 @@ propositional.
 A property nests at most ``parser.MAX_NESTING`` deep, the limit that
 specification expressions have: each prefix operator, each opening
 parenthesis and each ``->`` (which groups to the right) around the point
-reached counts one level.
+reached counts one level. So does each operator of every ``&``/``|``
+chain that the point lies in, for every operand of its chain (the chain is
+a left-deep tree); a prefix ``(and ...)``/``(or ...)`` of n operands is a
+chain of n - 1 operators.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from ..parser import MAX_NESTING
 from ..program import COMPARE, Program
 from ..runtime.scenario import ScenarioError, parse_value
 from .lts import StateVector
+
+# The infix chain operators, loosest first: (tree operator, its spellings).
+_CHAINS = (("OR", ("|", "or")), ("AND", ("&", "and")))
 
 
 class PropertyError(ValueError):
@@ -264,6 +270,8 @@ class _PropParser:
         self.spec = spec
         self.text = text
         self.nesting = 0
+        # the deepest level that the operands of the innermost open chain reach
+        self.peak = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -285,10 +293,17 @@ class _PropParser:
         if self.nesting == MAX_NESTING:
             raise PropertyError(f"property nested more than {MAX_NESTING} deep")
         self.nesting += 1
+        self.peak = max(self.peak, self.nesting)
         try:
             return parse()
         finally:
             self.nesting -= 1
+
+    def chained(self, operators: int) -> None:
+        """Check a chain whose operands reach ``peak`` and that has
+        ``operators`` so far, each one level more for every operand."""
+        if self.peak + operators > MAX_NESTING:
+            raise PropertyError(f"property nested more than {MAX_NESTING} deep")
 
     def parse(self) -> object:
         tree = self._until()
@@ -305,25 +320,26 @@ class _PropParser:
         return left
 
     def _implies(self) -> object:
-        left = self._or()
+        left = self._chain()
         if self.peek() == "->":
             self.advance()
             right = self.nested(self._implies)
             return _mk_bin("IMPLIES", left, right)
         return left
 
-    def _or(self) -> object:
-        left = self._and()
-        while self.peek() in ("|", "or"):
+    def _chain(self, tier: int = 0) -> object:
+        """The chain of ``_CHAINS[tier]`` operators, as a left-deep tree."""
+        op, tokens = _CHAINS[tier]
+        last = tier + 1 == len(_CHAINS)
+        outer, self.peak = self.peak, self.nesting
+        left = self._unary() if last else self._chain(tier + 1)
+        operators = 0
+        while self.peek() in tokens:
             self.advance()
-            left = _mk_bin("OR", left, self._and())
-        return left
-
-    def _and(self) -> object:
-        left = self._unary()
-        while self.peek() in ("&", "and"):
-            self.advance()
-            left = _mk_bin("AND", left, self._unary())
+            operators += 1
+            left = _mk_bin(op, left, self._unary() if last else self._chain(tier + 1))
+            self.chained(operators)
+        self.peak = max(outer, self.peak + operators)
         return left
 
     def _unary(self) -> object:
@@ -364,14 +380,16 @@ class _PropParser:
         if head in ("and", "AND", "or", "OR"):
             self.advance()
             op = "AND" if head.lower() == "and" else "OR"
-            first = self._until()
-            result = first
-            saw = False
+            outer, self.peak = self.peak, self.nesting
+            result = self._until()
+            operators = 0
             while self.peek() != ")":
-                saw = True
+                operators += 1
                 result = _mk_bin(op, result, self._until())
-            if not saw:
+                self.chained(operators)
+            if not operators:
                 raise PropertyError(f"prefix {head} needs at least two operands")
+            self.peak = max(outer, self.peak + operators)
             self.expect(")")
             return result
         tree = self._until()

@@ -12,6 +12,10 @@ in its visiting order and record its parents.
 ``exhaustive_check`` evaluates a temporal property by enumerating every
 maximal path (stopping each branch at its first lasso or dead end) and
 applying the shape's semantics directly to the path.
+``reference_cycles_and_escapes`` answers, from a separate forward search
+out of every state of a region, which states lie on a cycle inside it and
+which reach, inside it, such a state or a genuine dead end: the two flags
+that the checker's single SCC pass computes.
 ``reference_advance_tick`` is the clock step as a full scan: a shuffle of
 all elements on every tick, and every element visiting every channel and
 every timer slot it owns.
@@ -281,6 +285,33 @@ def all_maximal_paths(lts: Lts, cap: int = 200_000):
                 stack.append((dst, path + [dst], {**on_path, dst: len(path)}))
         assert len(paths) <= cap, "path enumeration exceeded its cap"
     return paths
+
+
+def reference_cycles_and_escapes(lts: Lts, region: list[bool]) -> tuple[list[bool], list[bool]]:
+    """Per state id: whether it reaches itself by at least one edge inside
+    ``region``, and whether it reaches, inside the region, a state that does
+    or a state that is expanded and has no successors. States outside the
+    region are neither."""
+
+    def dead_end(state: int) -> bool:
+        return state in lts.expanded and not lts.succ[state]
+
+    reach: list[set[int]] = []
+    for state in range(lts.state_count):
+        seen: set[int] = set()
+        stack = [state] if region[state] else []
+        while stack:
+            for _label, dst in lts.succ[stack.pop()]:
+                if region[dst] and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        reach.append(seen)
+    cyclic = [state in reach[state] for state in range(lts.state_count)]
+    escape = [
+        region[state] and any(cyclic[s] or dead_end(s) for s in reach[state] | {state})
+        for state in range(lts.state_count)
+    ]
+    return cyclic, escape
 
 
 def exhaustive_check(lts: Lts, prop: TemporalProperty) -> str:

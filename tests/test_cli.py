@@ -385,6 +385,43 @@ def _nested_guard(depth: int, nots: int) -> str:
     return f"GUARDS {{ {'NOT ' * nots}{'(' * parens}METRICS.alphaLeads{')' * parens} }}"
 
 
+NOT_ALPHA = "NOT METRICS.alphaLeads"
+EVENT = "event ants.scheduleReady"
+
+
+def _chain(operands: list[str], op: str) -> str:
+    return f" {op} ".join(operands)
+
+
+def _chain_guards(extra: int) -> dict[str, str]:
+    """Guards that mean ``NOT METRICS.alphaLeads`` and nest ``MAX_NESTING +
+    extra`` levels, each operator of a chain counting one level for every
+    operand of that chain."""
+    in_parens = NOT_ALPHA
+    for _ in range(48):  # two levels each: the parentheses and one AND
+        in_parens = f"({in_parens}) AND {NOT_ALPHA}"
+    return {
+        # the deepest operands are the first ones
+        "long chain": _chain([NOT_ALPHA] * (MAX_NESTING + extra), "AND"),
+        "deep first operand": _chain(
+            [f"{'NOT ' * 51}METRICS.alphaLeads"] + [NOT_ALPHA] * (MAX_NESTING - 51 + extra), "OR"
+        ),
+        "OR of AND chains": _chain([_chain([NOT_ALPHA] * (51 + extra), "AND")] * 50, "OR"),
+        "chains in parentheses": _chain([f"({in_parens})"] + [NOT_ALPHA] * (2 + extra), "AND"),
+    }
+
+
+def _chain_props(extra: int) -> dict[str, str]:
+    """Properties that mean ``F (event ants.scheduleReady)`` and nest
+    ``MAX_NESTING + extra`` levels: ``F`` and the parentheses take two."""
+    return {
+        "long chain": f"F ({' | '.join([EVENT] * (MAX_NESTING - 1 + extra))})",
+        "prefix chain": f"F (or {' '.join([EVENT] * (MAX_NESTING - 1 + extra))})",
+        "OR of AND chains": f"F ({' | '.join([' & '.join([EVENT] * (50 + extra))] * 50)})",
+        "deep first operand": f"F ({'! ' * 50}{EVENT}{f' & {EVENT}' * (48 + extra)})",
+    }
+
+
 class TestNestingLimit:
     """Specs and properties nest at most MAX_NESTING deep; at the limit every
     command works, and past it the parsers report an error instead of
@@ -468,6 +505,55 @@ class TestNestingLimit:
         ],
     )
     def test_property_past_the_limit_is_a_property_error(self, tmp_path, capsys, text):
+        prop = tmp_path / "deep.prop"
+        prop.write_text(text + "\n")
+        assert main(["verify", str(SCHEDULING.spec_path), "--prop", str(prop)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"{prop}: line 1: property nested more than {MAX_NESTING} deep\n"
+        )
+
+    @pytest.mark.parametrize("shape", list(_chain_guards(0)))
+    def test_chains_at_the_limit_behave_like_the_mission(self, tmp_path, capsys, shape):
+        spec = self._mission(tmp_path, f"GUARDS {{ {_chain_guards(0)[shape]} }}")
+        printed = pretty_print(parse_text(spec.read_text()))
+        assert pretty_print(parse_text(printed)) == printed
+        nested = self._outputs(spec, tmp_path, capsys)
+        plain = self._outputs(self._mission(tmp_path, SCHEDULING_GUARD), tmp_path, capsys)
+        assert nested == plain
+        assert [code for code, _out, _trace in nested] == [0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "guard",
+        [*_chain_guards(1).values(), _chain([NOT_ALPHA] * 1001, "AND")],
+        ids=[*_chain_guards(1), "1000 ANDs"],
+    )
+    def test_chains_past_the_limit_are_a_parse_error(self, tmp_path, capsys, guard):
+        spec = self._mission(tmp_path, f"GUARDS {{ {guard} }}")
+        assert main(["check", str(spec)]) == 1
+        out = capsys.readouterr().out
+        assert f"error E-PARSE: expression nested more than {MAX_NESTING} deep" in out
+
+    @pytest.mark.parametrize("shape", list(_chain_props(0)))
+    def test_property_chains_at_the_limit_are_checked(self, tmp_path, capsys, shape):
+        prop = tmp_path / "deep.prop"
+
+        def verify(text: str) -> tuple[int, list[str]]:
+            prop.write_text(text + "\n")
+            code = main(["verify", str(SCHEDULING.spec_path), "--prop", str(prop)])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines = captured.out.replace(text, f"F ({EVENT})").splitlines()
+            return code, [line for line in lines if not line.startswith("  violation: ")]
+
+        assert verify(_chain_props(0)[shape]) == verify(f"F ({EVENT})")
+
+    @pytest.mark.parametrize(
+        "text",
+        [*_chain_props(1).values(), f"G ({' & '.join(['true'] * 3001)})"],
+        ids=[*_chain_props(1), "3000 &"],
+    )
+    def test_property_chains_past_the_limit_are_a_property_error(self, tmp_path, capsys, text):
         prop = tmp_path / "deep.prop"
         prop.write_text(text + "\n")
         assert main(["verify", str(SCHEDULING.spec_path), "--prop", str(prop)]) == 2

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from asslkit.nodes import (
     ActivationKind,
+    BinaryExpr,
     CompareExpr,
     MetricRefExpr,
     NotExpr,
@@ -191,6 +194,30 @@ def test_every_node_has_a_span_inside_source():
         assert 1 <= span.column <= len(lines[span.line - 1]) + 1
 
 
+def _random_guard(rng: random.Random, room: int) -> str:
+    """A random expression that nests about ``room`` levels."""
+    roll = rng.random()
+    if room <= 0 or roll < 0.05:
+        return rng.choice(("METRICS.m", "METRICS.m = 1", "x"))
+    if roll < 0.3:
+        return "NOT " + _random_guard(rng, room - 1)
+    if roll < 0.5:
+        return f"({_random_guard(rng, room - 1)})"
+    operators = rng.randint(1, room)
+    operands = ["METRICS.m"] * (operators + 1)
+    deep = 0 if roll < 0.75 else rng.randrange(operators + 1)
+    operands[deep] = _random_guard(rng, room - operators)
+    return f" {rng.choice(('AND', 'OR'))} ".join(operands)
+
+
+def _tree_depth(expr) -> int:
+    if isinstance(expr, NotExpr):
+        return 1 + _tree_depth(expr.operand)
+    if isinstance(expr, (BinaryExpr, CompareExpr)):
+        return 1 + max(_tree_depth(expr.left), _tree_depth(expr.right))
+    return 0
+
+
 class TestErrors:
     def test_missing_as_tier(self):
         with pytest.raises(ParseError, match="no AS tier"):
@@ -244,6 +271,27 @@ class TestErrors:
             f"expression nested more than {MAX_NESTING} deep", 1, first_not + 4 * MAX_NESTING
         )
         assert [line for _message, line, _column in errors] == [1, 3]
+
+    def test_accepted_expressions_nest_no_deeper_than_the_limit(self):
+        # Random guards near the limit, in every nesting form: NOT,
+        # parentheses, and chains whose operands are chains in parentheses.
+        # An accepted guard builds a tree at most MAX_NESTING deep, plus one
+        # for a comparison, which the later stages can recurse over.
+        rng = random.Random(5)
+        depths = []
+        rejected = 0
+        for _ in range(400):
+            guard = _random_guard(rng, rng.randint(MAX_NESTING - 30, MAX_NESTING + 30))
+            try:
+                tree = parse_text(f"AS a {{ EVENTS {{ EVENT e {{ GUARDS {{ {guard} }} }} }} }}")
+            except ParseError as err:
+                assert err.message == f"expression nested more than {MAX_NESTING} deep"
+                rejected += 1
+                continue
+            depths.append(_tree_depth(tree.as_tier.events[0].guard))
+        assert max(depths) <= MAX_NESTING + 1
+        assert max(depths) >= MAX_NESTING - 5
+        assert len(depths) >= 100 and rejected >= 100
 
     def test_empty_does_rejected(self):
         with pytest.raises(ParseError, match="at least one statement"):

@@ -30,11 +30,20 @@ from asslkit.verifier import (
     eval_prop,
 )
 from asslkit.missions import all_missions
+from asslkit.parser import MAX_NESTING
 from asslkit.runtime import Runtime, parse_scenario
 from asslkit.verifier import Lts, StateVector
-from asslkit.verifier.mc import _tarjan
+from asslkit.verifier.mc import _cycles_and_escapes
+from asslkit.verifier.props import PBin, PNot
 from conftest import README_ENVS
-from oracles import _label, brute_force_lts, exhaustive_check, lts_as_sets, reference_bfs_tree
+from oracles import (
+    _label,
+    brute_force_lts,
+    exhaustive_check,
+    lts_as_sets,
+    reference_bfs_tree,
+    reference_cycles_and_escapes,
+)
 from specgen import env_for, random_checked_spec, random_properties, swarm_env, swarm_source
 from test_cli import CASCADE_SPEC
 
@@ -517,7 +526,55 @@ class TestLivelockCounterexamples:
         assert kinds.count("livelock") >= 5 and len(set(kinds)) >= 3
 
 
+def _random_formula(rng: random.Random, room: int) -> str:
+    """A random propositional formula that nests about ``room`` levels."""
+    roll = rng.random()
+    if room <= 0 or roll < 0.05:
+        return rng.choice(("true", "false"))
+    if roll < 0.25:
+        return "! " + _random_formula(rng, room - 1)
+    if roll < 0.4:
+        return f"({_random_formula(rng, room - 1)})"
+    if roll < 0.45:
+        return f"{_random_formula(rng, room - 1)} -> {_random_formula(rng, room - 1)}"
+    operators = rng.randint(1, room)
+    operands = ["true"] * (operators + 1)
+    deep = 0 if roll < 0.7 else rng.randrange(operators + 1)
+    operands[deep] = _random_formula(rng, room - operators)
+    if roll < 0.85:
+        return f" {rng.choice(('&', '|', 'and', 'or'))} ".join(operands)
+    return f"({rng.choice(('and', 'or'))} {' '.join(f'({o})' for o in operands)})"
+
+
+def _prop_depth(prop) -> int:
+    if isinstance(prop, PNot):
+        return 1 + _prop_depth(prop.operand)
+    if isinstance(prop, PBin):
+        return 1 + max(_prop_depth(prop.left), _prop_depth(prop.right))
+    return 0
+
+
 class TestPropertyParsing:
+    def test_accepted_properties_nest_no_deeper_than_the_limit(self, toggle_spec):
+        # Random formulas near the limit in every nesting form, infix and
+        # prefix chains among them: an accepted one builds a tree at most
+        # MAX_NESTING deep, which eval_prop and render recurse over.
+        rng = random.Random(11)
+        depths = []
+        rejected = 0
+        for _ in range(400):
+            text = f"G ({_random_formula(rng, rng.randint(MAX_NESTING - 30, MAX_NESTING + 30))})"
+            try:
+                prop = parse_property(text, toggle_spec)
+            except PropertyError as err:
+                assert str(err) == f"property nested more than {MAX_NESTING} deep"
+                rejected += 1
+                continue
+            depths.append(_prop_depth(prop.p))
+        assert max(depths) <= MAX_NESTING
+        assert max(depths) >= MAX_NESTING - 10
+        assert len(depths) >= 100 and rejected >= 100
+
     def test_file_parsing_skips_comments(self, toggle_spec):
         props = parse_property_file(
             "# a comment\n\nG (fluent busy)\nF (event go)\n", toggle_spec
@@ -708,10 +765,15 @@ class TestSharedWork:
         edges.append((chain + ring - 1, "tick", chain))
         edges.append((chain // 2, "inject unit.go", spur))
         lts = _hand_built_lts(toggle_spec.program, [vector(i) for i in range(n)], edges)
-        sccs = sorted(_tarjan(set(range(n)), lts), key=len)
-        assert len(sccs) == chain + 1 + 1
-        assert sorted(sccs[-1]) == list(range(chain, chain + ring))
-        assert all(len(component) == 1 for component in sccs[:-1])
+        cyclic, escape = _cycles_and_escapes(lts, [True] * n)
+        assert [s for s in range(n) if cyclic[s]] == list(range(chain, chain + ring))
+        assert all(escape)
+        # without one ring state the ring is a path that ends in no dead end,
+        # so only the spur (a dead end) and the chain up to its branch escape
+        region = [s != busy_at for s in range(n)]
+        cyclic, escape = _cycles_and_escapes(lts, region)
+        assert not any(cyclic)
+        assert [s for s in range(n) if escape[s]] == list(range(chain // 2 + 1)) + [spur]
         for line in (
             "F (fluent busy)",
             "F (! (metric held))",
@@ -778,6 +840,54 @@ class TestSharedWork:
             f"  ..... tick -> {shown(1)}",
             f"  ..... tick -> {shown(0)}",
         ]
+
+
+class TestCyclesAndEscapes:
+    """The one SCC pass per region against the reachability oracle."""
+
+    @staticmethod
+    def _graphs():
+        for pkg in all_missions():
+            spec = pkg.load()
+            env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name]) or None
+            yield pkg.name, spec, env
+        for seed in range(40):
+            spec = random_checked_spec(seed)
+            yield seed, spec, env_for(spec)
+        for n in (1, 2):
+            spec = check_all(parse_text(swarm_source(n)))
+            yield f"swarm {n}", spec, swarm_env(spec, n)
+
+    def test_flags_match_the_oracle(self):
+        # Graphs whole and cut short (cut states are never dead ends); the
+        # regions the checker builds from seeded random properties (!p, !q,
+        # p & !q), seeded random regions, and the whole graph.
+        seen = {"cyclic": 0, "escape only": 0, "no escape": 0, "cut": 0}
+        for name, spec, env in self._graphs():
+            rng = random.Random(str(name))
+            props = [parse_property(line, spec) for line in random_properties(spec, rng, 6)]
+            for bounds in (Bounds(max_states=300), Bounds(max_states=rng.randint(3, 30))):
+                lts = build_lts(spec, env=env, bounds=bounds)
+                count = lts.state_count
+                seen["cut"] += count - len(lts.expanded)
+                regions = [[True] * count]
+                for prop in props:
+                    p = [eval_prop(prop.p, vec, lts.program) for vec in lts.states]
+                    q = [eval_prop(prop.q, vec, lts.program) for vec in lts.states] if prop.q else p
+                    regions += [
+                        [not x for x in p],
+                        [not x for x in q],
+                        [x and not y for x, y in zip(p, q)],
+                    ]
+                for density in (0.5, 0.8, 0.95):
+                    regions.append([rng.random() < density for _ in range(count)])
+                for region in regions:
+                    cyclic, escape = _cycles_and_escapes(lts, region)
+                    assert (cyclic, escape) == reference_cycles_and_escapes(lts, region), name
+                    seen["cyclic"] += sum(cyclic)
+                    seen["escape only"] += sum(e and not c for c, e in zip(cyclic, escape))
+                    seen["no escape"] += sum(r and not e for r, e in zip(region, escape))
+        assert min(seen.values()) > 0, seen
 
 
 def _verify_text(spec, env, lines) -> str:
