@@ -862,7 +862,7 @@ class TestCyclesAndEscapes:
         # Graphs whole and cut short (cut states are never dead ends); the
         # regions the checker builds from seeded random properties (!p, !q,
         # p & !q), seeded random regions, and the whole graph.
-        seen = {"cyclic": 0, "escape only": 0, "no escape": 0, "cut": 0}
+        seen = {"cyclic": 0, "escaping, not cyclic": 0, "no escape": 0, "cut": 0}
         for name, spec, env in self._graphs():
             rng = random.Random(str(name))
             props = [parse_property(line, spec) for line in random_properties(spec, rng, 6)]
@@ -885,9 +885,39 @@ class TestCyclesAndEscapes:
                     cyclic, escape = _cycles_and_escapes(lts, region)
                     assert (cyclic, escape) == reference_cycles_and_escapes(lts, region), name
                     seen["cyclic"] += sum(cyclic)
-                    seen["escape only"] += sum(e and not c for c, e in zip(cyclic, escape))
+                    seen["escaping, not cyclic"] += sum(e and not c for c, e in zip(cyclic, escape))
                     seen["no escape"] += sum(r and not e for r, e in zip(region, escape))
         assert min(seen.values()) > 0, seen
+
+    def test_flags_match_the_oracle_on_random_graphs(self, toggle_spec):
+        # The environments above leave no expanded state without successors,
+        # so genuine dead ends come from seeded random graphs, where some
+        # states have no edge and some are not expanded.
+        rng = random.Random(17)
+        dead_ends = cut = 0
+        for _ in range(60):
+            count = rng.randint(1, 40)
+            succ = [
+                [] if rng.random() < 0.2
+                else sorted({(f"e{rng.randrange(3)}", rng.randrange(count)) for _ in range(3)})
+                for _ in range(count)
+            ]
+            expanded = frozenset(s for s in range(count) if rng.random() < 0.85)
+            lts = Lts(
+                program=toggle_spec.program,
+                states=[StateVector((False,), (True,), (), (), (), None)] * count,
+                succ=succ,
+                parent=[None] * count,
+                expanded=expanded,
+                truncated=len(expanded) < count,
+                env=(),
+            )
+            cut += count - len(expanded)
+            for density in (1.0, 0.5, 0.8, 0.95):
+                region = [rng.random() < density for _ in range(count)]
+                dead_ends += sum(region[s] and s in expanded and not succ[s] for s in range(count))
+                assert _cycles_and_escapes(lts, region) == reference_cycles_and_escapes(lts, region)
+        assert dead_ends > 0 and cut > 0
 
 
 def _verify_text(spec, env, lines) -> str:
