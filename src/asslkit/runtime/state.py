@@ -111,8 +111,8 @@ class RuntimeState:
     raised (not suppressed) event, used for event atoms in verification.
 
     The class has ``__slots__``, so a state is seven attribute slots and no
-    instance dict: the verifier holds one per frontier state and makes one
-    with ``copy`` per environment stimulus it explores.
+    instance dict. The verifier stores no ``RuntimeState`` and copies none:
+    it rebuilds one from a state vector for each successor it computes.
     """
 
     tick: int

@@ -38,10 +38,10 @@ Four facts keep the stored graph small and cheap to build:
   building, hashing and comparing the vector of every edge against the
   index of seen states runs in C. Property atoms find a key's value
   through ``Program``'s maps.
-* Snapshot lifetime. The full ``RuntimeState`` of a state is kept only
-  while the state waits in the frontier. Expanding it pops the snapshot
-  (its last successor is computed in place), so a finished graph holds
-  vectors alone.
+* The state list is the queue and the only store. ``build_lts`` expands
+  ids in order, each from a working state that ``Layout.state`` rebuilds
+  from its vector, so successors follow from exactly the vector that the
+  index of seen states merges on, and no ``RuntimeState`` is kept.
 * Observations. Labels and property atoms read only a state's fluents,
   metrics and ``last_event``, its *observation*, and many states share one
   (on a 2-worker swarm, 2,575 states have 120). ``Lts.observations``
@@ -54,7 +54,8 @@ Four facts keep the stored graph small and cheap to build:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -62,7 +63,7 @@ from typing import NamedTuple
 from ..checker import CheckedSpec
 from ..names import Key, qual
 from ..nodes import render_value, type_of_value
-from ..program import Program
+from ..program import EventOccurrence, Program
 from ..runtime.engine import RunConfig, Runtime
 from ..runtime.scenario import InjectEvent, SendMessage, SetMetric
 from ..runtime.state import RuntimeState
@@ -101,7 +102,7 @@ _new = tuple.__new__
 
 
 class Layout:
-    """Projection of runtime states onto state vectors, slot for slot."""
+    """Projection of runtime states onto state vectors and back, slot for slot."""
 
     @staticmethod
     def vector(state: RuntimeState) -> StateVector:
@@ -115,6 +116,21 @@ class Layout:
             state.last_event,
         ))
 
+    @staticmethod
+    def state(vec: StateVector, occurrences: Mapping[Key, EventOccurrence]) -> RuntimeState:
+        """The inverse of ``vector``: a working state at tick 0, whose timers
+        are the vector's relative ones. Each pending event becomes its entry
+        in ``occurrences``; a cause is read only by trace records."""
+        return RuntimeState(
+            tick=0,
+            fluents=list(vec.fluents),
+            metrics=list(vec.metrics),
+            channels=[list(queue) for queue in vec.channels],
+            pending=deque([occurrences[event] for event in vec.pending]),
+            timers=list(vec.timers),
+            last_event=vec.last_event,
+        )
+
 
 @dataclass
 class Lts:
@@ -122,17 +138,21 @@ class Lts:
 
     ``succ[s]`` holds the (edge label, target) pairs leaving state ``s`` in
     label order; ``parent[s]`` is the (source, edge label) that discovered
-    ``s``, and ``None`` for the initial state.
+    ``s``, and ``None`` for the initial state. ``cut`` holds the states
+    whose expansion a bound stopped; it is empty on a complete graph.
     """
 
     program: Program
     states: list[StateVector]
     succ: list[list[tuple[str, int]]]
     parent: list[tuple[int, str] | None]
-    expanded: frozenset[int]
-    truncated: bool
+    cut: frozenset[int]
     env: tuple[EnvStimulus, ...]
-    initial: int = 0
+
+    @property
+    def truncated(self) -> bool:
+        """Whether a bound stopped the expansion of some state."""
+        return bool(self.cut)
 
     @cached_property
     def observations(self) -> tuple[list[int], list[StateVector]]:
@@ -200,9 +220,10 @@ def build_lts(
 ) -> Lts:
     """Breadth-first exploration with duplicate-state merging.
 
-    Hitting any bound flags the result as truncated rather than failing;
-    states whose expansion was cut are excluded from ``expanded`` so the
-    checker never mistakes them for dead ends.
+    ``states`` is the queue, expanded in id order. Hitting any bound cuts
+    exploration short rather than failing; the states whose expansion was
+    stopped go into ``cut``, so the checker never mistakes them for dead
+    ends.
 
     Exploration is serial. ``jobs`` is accepted for existing callers and
     must be 1: a thread pool over the frontier only added cost under the
@@ -220,85 +241,59 @@ def build_lts(
         env = default_env(spec)
     env = tuple(sorted(env, key=lambda stim: stim.render()))
     # Edge labels are rendered once, so edges share their label strings.
-    env_labels = [stim.render() for stim in env]
-    proc_labels: dict[Key, str] = {}
+    moves = [(stim.render(), stim) for stim in env]
+    events = runtime.program.events
+    # A state with pending events has one move: processing the head one.
+    proc_moves = {event: [(f"proc {qual(event)}", None)] for event in events}
+    # The verifier records no trace, so no pending event needs its cause.
+    occurrences = {event: EventOccurrence(event, "") for event in events}
 
-    initial = runtime.init()
-    states: list[StateVector] = [Layout.vector(initial)]
+    states: list[StateVector] = [Layout.vector(runtime.init())]
     succ: list[list[tuple[str, int]]] = [[]]
     parent: list[tuple[int, str] | None] = [None]
-    # Snapshots of frontier states only; ``expand`` pops each one.
-    snapshots: dict[int, RuntimeState] = {0: initial}
     index: dict[StateVector, int] = {states[0]: 0}
-    expanded: set[int] = set()
-    truncated = False
-
-    def expand(state_id: int) -> list[tuple[str, RuntimeState]]:
-        # The popped snapshot has no other owner, so the last successor may
-        # reuse it instead of a copy.
-        state = snapshots.pop(state_id)
-        if state.pending:
-            event = runtime.step(state)
-            assert event is not None
-            label = proc_labels.get(event)
-            if label is None:
-                label = proc_labels[event] = f"proc {qual(event)}"
-            return [(label, state)]
-        out: list[tuple[str, RuntimeState]] = []
-        last = len(env) - 1
-        for i, stimulus in enumerate(env):
-            nxt = state if i == last else state.copy()
-            if isinstance(stimulus, Tick):
+    cut: set[int] = set()
+    max_depth = bounds.max_depth
+    state_id, level_end, depth = 0, 1, 0
+    while state_id < len(states) and depth <= max_depth:
+        vec = states[state_id]
+        adjacency = succ[state_id]
+        for label, stimulus in proc_moves[vec.pending[0]] if vec.pending else moves:
+            nxt = Layout.state(vec, occurrences)
+            if stimulus is None:
+                runtime.step(nxt)
+            elif isinstance(stimulus, Tick):
                 runtime.advance_tick(nxt)
             else:
                 runtime.apply_stimulus(nxt, stimulus)
-            out.append((env_labels[i], nxt))
-        return out
-
-    frontier = [0]
-    depth = 0
-    capped = False
-    while frontier and not capped:
-        if depth > bounds.max_depth:
-            truncated = True
-            break
-        next_frontier: list[int] = []
-        for state_id in frontier:
-            complete = True
-            adjacency = succ[state_id]
-            for label, nxt in expand(state_id):
-                if len(nxt.pending) > bounds.max_pending:
-                    truncated = True
-                    complete = False
+            if len(nxt.pending) > bounds.max_pending:
+                cut.add(state_id)
+                continue
+            key = Layout.vector(nxt)
+            dst = index.get(key)
+            if dst is None:
+                if len(states) >= bounds.max_states:
+                    cut.add(state_id)
+                    max_depth = depth  # finish this level, then stop
                     continue
-                vec = Layout.vector(nxt)
-                dst = index.get(vec)
-                if dst is None:
-                    if len(states) >= bounds.max_states:
-                        truncated = True
-                        complete = False
-                        capped = True
-                        continue
-                    dst = len(states)
-                    index[vec] = dst
-                    states.append(vec)
-                    succ.append([])
-                    parent.append((state_id, label))
-                    snapshots[dst] = nxt
-                    next_frontier.append(dst)
-                adjacency.append((label, dst))
-            if complete:
-                expanded.add(state_id)
-        frontier = next_frontier
-        depth += 1
+                dst = index[key] = len(states)
+                states.append(key)
+                succ.append([])
+                parent.append((state_id, label))
+            adjacency.append((label, dst))
+        state_id += 1
+        if state_id == level_end:
+            depth += 1
+            level_end = len(states)
+    # what is left of the queue was never expanded
+    cut.update(range(state_id, len(states)))
 
     return Lts(
         program=runtime.program,
         states=states,
         succ=succ,
         parent=parent,
-        expanded=frozenset(expanded),
-        truncated=truncated,
+        cut=frozenset(cut),
         env=env,
     )
 
@@ -313,7 +308,7 @@ def lts_lines(lts: Lts) -> Iterator[str]:
     # Each observation's label text is rendered once, with its leading space.
     texts = [f" {' '.join(sorted(labels))}".rstrip() for labels in lts.observation_labels]
     for state_id, obs in enumerate(lts.observations[0]):
-        marker = " initial" if state_id == lts.initial else ""
+        marker = " initial" if state_id == 0 else ""
         yield f"state {state_id}{marker}{texts[obs]}\n"
     for src, adjacency in enumerate(lts.succ):
         for label, dst in adjacency:

@@ -5,11 +5,11 @@ counterexample is the shortest, lexicographically least path there.
 Eventuality, response and until shapes reduce to finding a maximal path that
 avoids the obligation forever: either a cycle (a lasso) or a genuine dead end
 inside the avoiding region. A region is a ``list[bool]`` by state id, built
-from the per-state truth of ``p`` and ``q``. One SCC pass over it
-(``_cycles_and_escapes``) flags the states on a cycle inside it and the
-states that reach, inside it, a cyclic state or a dead end; then a BFS inside
-the region from the first escaping anchor finds the counterexample's
-target.
+from the per-state truth of ``p`` and ``q``. One SCC pass over the part of
+it that the candidate anchors reach (``_cycles_and_escapes``) flags the
+states on a cycle inside it and the states that reach, inside it, a cyclic
+state or a dead end; then a BFS inside the region from the first escaping
+anchor finds the counterexample's target.
 
 On a truncated LTS a would-be Holds verdict downgrades to Inconclusive,
 because the cut frontier could still hide a violation; Violated verdicts
@@ -136,7 +136,7 @@ class _Checker:
     # -- shared machinery ---------------------------------------------------
 
     def path_to(self, target: int) -> tuple[tuple[str, int], ...]:
-        return _path(self.lts.parent, self.lts.initial, target)
+        return _path(self.lts.parent, 0, target)
 
     def truth(self, prop: Prop) -> list[bool]:
         """Whether ``prop`` holds at each state, indexed by state id. It is
@@ -147,7 +147,7 @@ class _Checker:
         return [per_observation[obs] for obs in ids]
 
     def is_dead_end(self, state: int) -> bool:
-        return state in self.lts.expanded and not self.lts.succ[state]
+        return state not in self.lts.cut and not self.lts.succ[state]
 
     def inconclusive_or_holds(self, prop: TemporalProperty) -> Verdict:
         if self.lts.truncated:
@@ -202,7 +202,7 @@ class _Checker:
         counterexample, and the continuation is the first cyclic state or
         dead end that a BFS inside the region from it meets.
         """
-        cyclic, escape = _cycles_and_escapes(self.lts, region)
+        cyclic, escape = _cycles_and_escapes(self.lts, region, anchors)
         for anchor in anchors:
             if not escape[anchor]:
                 continue
@@ -238,10 +238,10 @@ class _Checker:
 
     def check_eventually(self, prop: TemporalProperty) -> Verdict:
         p = self.truth(prop.p)
-        if p[self.lts.initial]:
+        if p[0]:
             return self.inconclusive_or_holds(prop)
         return self.check_avoidance(
-            prop, [self.lts.initial], [not x for x in p],
+            prop, [0], [not x for x in p],
             f"{prop.p.render()} never holds on this path",
         )
 
@@ -279,24 +279,24 @@ class _Checker:
 
     def check_until(self, prop: TemporalProperty) -> Verdict:
         p, q = self.truth(prop.p), self.truth(prop.q)
-        if q[self.lts.initial]:
+        if q[0]:
             return self.inconclusive_or_holds(prop)
-        if not p[self.lts.initial]:
+        if not p[0]:
             return Verdict(
                 VIOLATED, prop,
                 Counterexample(
-                    "safety", (), (), self.lts.initial,
+                    "safety", (), (), 0,
                     f"neither {prop.p.render()} nor {prop.q.render()} holds initially",
                 ),
             )
         # walk the !q region from the initial state, only through p-states
         walkable = [x and not y for x, y in zip(p, q)]
-        parent, order = self.region_bfs(self.lts.initial, walkable)
+        parent, order = self.region_bfs(0, walkable)
         # (a) a !p & !q state reachable through p & !q states
         for src in order:
             for label, dst in self.lts.succ[src]:
                 if not q[dst] and not p[dst]:
-                    stem = _path(parent, self.lts.initial, src) + ((label, dst),)
+                    stem = _path(parent, 0, src) + ((label, dst),)
                     return Verdict(
                         VIOLATED, prop,
                         Counterexample(
@@ -326,18 +326,19 @@ def _path(
     return tuple(steps)
 
 
-def _cycles_and_escapes(lts: Lts, region: list[bool]) -> tuple[list[bool], list[bool]]:
-    """Two flags per state id, both False outside ``region``: ``cyclic``, the
-    state lies on a cycle inside the region; ``escape``, it reaches, inside
-    the region, a cyclic state or a genuine dead end (expanded, no successors).
+def _cycles_and_escapes(lts: Lts, region: list[bool], roots: list[int]) -> tuple[list[bool], list[bool]]:
+    """Two flags per state id: ``cyclic``, the state lies on a cycle inside
+    ``region``; ``escape``, it reaches, inside the region, a cyclic state or
+    a genuine dead end (not cut, no successors). Both are False for the
+    states that no root in the region reaches inside it.
 
-    One iterative Tarjan pass over the region. Components finish in reverse
-    topological order, so when one is popped, every component it leads to is
-    already flagged. Until then a state's ``escape`` entry says whether it is
-    a dead end or has an edge into a flagged state; the popped component
-    escapes if it is cyclic or any member's entry is set.
+    One iterative Tarjan pass from the roots, in order. Components finish
+    in reverse topological order, so when one is popped, every component it
+    leads to is already flagged. Until then a state's ``escape`` entry says
+    whether it is a dead end or has an edge into a flagged state; the popped
+    component escapes if it is cyclic or any member's entry is set.
     """
-    succ, expanded = lts.succ, lts.expanded
+    succ, cut = lts.succ, lts.cut
     count = len(region)
     index = [0] * count  # visit number from 1; 0 while unvisited
     low = [0] * count
@@ -346,7 +347,7 @@ def _cycles_and_escapes(lts: Lts, region: list[bool]) -> tuple[list[bool], list[
     escape = [False] * count
     stack: list[int] = []
     visits = 0
-    for root in range(count):
+    for root in roots:
         if not region[root] or index[root]:
             continue
         # (state, its in-region successors or None before the first visit,
@@ -360,7 +361,7 @@ def _cycles_and_escapes(lts: Lts, region: list[bool]) -> tuple[list[bool], list[
                 stack.append(state)
                 on_stack[state] = True
                 successors = [dst for _label, dst in succ[state] if region[dst]]
-                escape[state] = state in expanded and not succ[state]
+                escape[state] = state not in cut and not succ[state]
             else:  # back from the successor at ``at - 1``
                 child = successors[at - 1]
                 low[state] = min(low[state], low[child])
@@ -412,7 +413,7 @@ def explain(
 
     lines = [f"property: {verdict.prop.text}"]
     lines.append(f"violation: {cex.failing_atom}")
-    lines.append(f"initial state: {_state_line(lts, lts.initial)}")
+    lines.append(f"initial state: {_state_line(lts, 0)}")
     for i, (label, state) in enumerate(cex.stem, start=1):
         lines.append(f"  step {i}: {label} -> {_state_line(lts, state)}")
     if cex.loop:

@@ -231,7 +231,7 @@ def lts_as_sets(lts: Lts):
     labelings = {
         lts.states[i]: lts.labeling(i) for i in range(lts.state_count)
     }
-    return states, edges, labelings, lts.states[lts.initial]
+    return states, edges, labelings, lts.states[0]
 
 
 def reference_bfs_tree(
@@ -266,7 +266,7 @@ def reference_bfs_tree(
 def all_maximal_paths(lts: Lts, cap: int = 200_000):
     """Every maximal path as (state ids, loop_start or None for dead ends)."""
     paths = []
-    initial = lts.initial
+    initial = 0
 
     def successors(state):
         return [dst for _label, dst in lts.succ[state]]
@@ -290,11 +290,11 @@ def all_maximal_paths(lts: Lts, cap: int = 200_000):
 def reference_cycles_and_escapes(lts: Lts, region: list[bool]) -> tuple[list[bool], list[bool]]:
     """Per state id: whether it reaches itself by at least one edge inside
     ``region``, and whether it reaches, inside the region, a state that does
-    or a state that is expanded and has no successors. States outside the
+    or a state that is not cut and has no successors. States outside the
     region are neither."""
 
     def dead_end(state: int) -> bool:
-        return state in lts.expanded and not lts.succ[state]
+        return state not in lts.cut and not lts.succ[state]
 
     reach: list[set[int]] = []
     for state in range(lts.state_count):

@@ -32,7 +32,8 @@ from asslkit.verifier import (
 from asslkit.missions import all_missions
 from asslkit.parser import MAX_NESTING
 from asslkit.runtime import Runtime, parse_scenario
-from asslkit.verifier import Lts, StateVector
+from asslkit.runtime.state import EventOccurrence
+from asslkit.verifier import Layout, Lts, StateVector
 from asslkit.verifier.mc import _cycles_and_escapes
 from asslkit.verifier.props import PBin, PNot
 from conftest import README_ENVS
@@ -132,7 +133,7 @@ class TestBuildLts:
         assert lts.state_count == 1
         assert lts.edge_count == 0
         assert not lts.truncated
-        assert lts.expanded == frozenset({0})
+        assert lts.cut == frozenset()
 
     def test_figures_env_graph_is_finite(self, protecting_spec):
         env = (
@@ -209,7 +210,7 @@ class TestBuildLts:
         # the state whose expansion was cut is not treated as a dead end
         assert 0 not in {
             s for s in range(lts.state_count)
-            if s in lts.expanded and not lts.succ[s]
+            if s not in lts.cut and not lts.succ[s]
         }
         roomy = build_lts(spec, bounds=Bounds(max_pending=16))
         assert not roomy.truncated
@@ -246,10 +247,62 @@ class TestBuildLts:
                 for src, adjacency in enumerate(lts.succ)
                 for label, dst in adjacency
             ]
-            order, parent = reference_bfs_tree(edges, lts.initial)
+            order, parent = reference_bfs_tree(edges, 0)
             assert order == list(range(lts.state_count))
             assert lts.parent == [parent.get(s) for s in order]
             assert all(adjacency == sorted(adjacency) for adjacency in lts.succ)
+
+    def test_states_outside_cut_have_the_oracle_successors(self):
+        """Under every bound, a state outside ``cut`` has exactly the
+        successors that brute-force exploration gives its vector, a cut
+        state has some of them, and the graph is truncated exactly when
+        ``cut`` is not empty."""
+        every_bound = (
+            Bounds(), Bounds(max_states=20), Bounds(max_depth=3), Bounds(max_pending=1),
+            Bounds(max_depth=0), Bounds(max_states=1),
+        )
+        seen = {"expanded": 0, "cut": 0, "truncated": 0}
+        for seed in range(200):
+            spec = random_checked_spec(seed)
+            env = env_for(spec)
+            _states, edges, _labelings, _initial = brute_force_lts(spec, env)
+            oracle: dict[StateVector, set] = {}
+            for src, label, dst in edges:
+                oracle.setdefault(src, set()).add((label, dst))
+            for bounds in every_bound:
+                lts = build_lts(spec, env=env, bounds=bounds)
+                assert lts.truncated == bool(lts.cut)
+                assert lts.cut <= set(range(lts.state_count))
+                for state, vec in enumerate(lts.states):
+                    successors = [(label, lts.states[dst]) for label, dst in lts.succ[state]]
+                    assert len(set(successors)) == len(successors)
+                    if state in lts.cut:
+                        assert set(successors) <= oracle.get(vec, set()), (seed, bounds)
+                    else:
+                        assert set(successors) == oracle.get(vec, set()), (seed, bounds)
+                seen["expanded"] += lts.state_count - len(lts.cut)
+                seen["cut"] += len(lts.cut)
+                seen["truncated"] += lts.truncated
+        assert min(seen.values()) > 0, seen
+
+    def test_layout_state_inverts_vector(self):
+        graphs = []
+        for pkg in all_missions():
+            spec = pkg.load()
+            env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name])
+            graphs.append(build_lts(spec, env=env or default_env(spec)))
+        for n in (1, 2):
+            swarm = check_all(parse_text(swarm_source(n)))
+            graphs.append(build_lts(swarm, env=swarm_env(swarm, n)))
+        for seed in range(60):
+            spec = random_checked_spec(seed)
+            graphs.append(build_lts(spec, env=env_for(spec)))
+        for lts in graphs:
+            occurrences = {event: EventOccurrence(event, "") for event in lts.program.events}
+            for vec in lts.states:
+                state = Layout.state(vec, occurrences)
+                assert state.tick == 0
+                assert Layout.vector(state) == vec
 
     def test_graph_export_format(self, toggle_spec):
         lts = build_lts(toggle_spec)
@@ -691,8 +744,7 @@ def _hand_built_lts(program, states, edges) -> Lts:
         states=states,
         succ=succ,
         parent=[parent.get(s) for s in range(len(states))],
-        expanded=frozenset(range(len(states))),
-        truncated=False,
+        cut=frozenset(),
         env=(),
     )
 
@@ -765,13 +817,13 @@ class TestSharedWork:
         edges.append((chain + ring - 1, "tick", chain))
         edges.append((chain // 2, "inject unit.go", spur))
         lts = _hand_built_lts(toggle_spec.program, [vector(i) for i in range(n)], edges)
-        cyclic, escape = _cycles_and_escapes(lts, [True] * n)
+        cyclic, escape = _cycles_and_escapes(lts, [True] * n, list(range(n)))
         assert [s for s in range(n) if cyclic[s]] == list(range(chain, chain + ring))
         assert all(escape)
         # without one ring state the ring is a path that ends in no dead end,
         # so only the spur (a dead end) and the chain up to its branch escape
         region = [s != busy_at for s in range(n)]
-        cyclic, escape = _cycles_and_escapes(lts, region)
+        cyclic, escape = _cycles_and_escapes(lts, region, [s for s in range(n) if region[s]])
         assert not any(cyclic)
         assert [s for s in range(n) if escape[s]] == list(range(chain // 2 + 1)) + [spur]
         for line in (
@@ -842,6 +894,35 @@ class TestSharedWork:
         ]
 
 
+def _reached(lts: Lts, region: list[bool], roots: list[int]) -> set[int]:
+    """The states that the region states among ``roots`` reach inside it."""
+    reached = {s for s in roots if region[s]}
+    stack = list(reached)
+    while stack:
+        for _label, dst in lts.succ[stack.pop()]:
+            if region[dst] and dst not in reached:
+                reached.add(dst)
+                stack.append(dst)
+    return reached
+
+
+def _assert_rooted_flags(lts, region, reference, rng, name) -> int:
+    """From two seeded random root lists (in any order, repeats and states
+    outside the region included), the pass gives the oracle's flags on the
+    states the roots reach and False elsewhere. Returns how many region
+    states the roots left unreached."""
+    unreached = 0
+    for _ in range(2):
+        roots = rng.choices(range(len(region)), k=rng.randint(1, 4))
+        reached = _reached(lts, region, roots)
+        expected = tuple(
+            [flag and s in reached for s, flag in enumerate(flags)] for flags in reference
+        )
+        assert _cycles_and_escapes(lts, region, roots) == expected, name
+        unreached += sum(region) - len(reached)
+    return unreached
+
+
 class TestCyclesAndEscapes:
     """The one SCC pass per region against the reachability oracle."""
 
@@ -861,15 +942,19 @@ class TestCyclesAndEscapes:
     def test_flags_match_the_oracle(self):
         # Graphs whole and cut short (cut states are never dead ends); the
         # regions the checker builds from seeded random properties (!p, !q,
-        # p & !q), seeded random regions, and the whole graph.
-        seen = {"cyclic": 0, "escaping, not cyclic": 0, "no escape": 0, "cut": 0}
+        # p & !q), seeded random regions, and the whole graph. Every region
+        # state as a root gives the oracle's flags everywhere.
+        seen = {
+            "cyclic": 0, "escaping, not cyclic": 0, "no escape": 0, "cut": 0, "unreached": 0
+        }
         for name, spec, env in self._graphs():
             rng = random.Random(str(name))
+            roots_rng = random.Random(f"roots {name}")
             props = [parse_property(line, spec) for line in random_properties(spec, rng, 6)]
             for bounds in (Bounds(max_states=300), Bounds(max_states=rng.randint(3, 30))):
                 lts = build_lts(spec, env=env, bounds=bounds)
                 count = lts.state_count
-                seen["cut"] += count - len(lts.expanded)
+                seen["cut"] += len(lts.cut)
                 regions = [[True] * count]
                 for prop in props:
                     p = [eval_prop(prop.p, vec, lts.program) for vec in lts.states]
@@ -882,8 +967,13 @@ class TestCyclesAndEscapes:
                 for density in (0.5, 0.8, 0.95):
                     regions.append([rng.random() < density for _ in range(count)])
                 for region in regions:
-                    cyclic, escape = _cycles_and_escapes(lts, region)
-                    assert (cyclic, escape) == reference_cycles_and_escapes(lts, region), name
+                    roots = [s for s in range(count) if region[s]]
+                    cyclic, escape = _cycles_and_escapes(lts, region, roots)
+                    reference = reference_cycles_and_escapes(lts, region)
+                    assert (cyclic, escape) == reference, name
+                    seen["unreached"] += _assert_rooted_flags(
+                        lts, region, reference, roots_rng, name
+                    )
                     seen["cyclic"] += sum(cyclic)
                     seen["escaping, not cyclic"] += sum(e and not c for c, e in zip(cyclic, escape))
                     seen["no escape"] += sum(r and not e for r, e in zip(region, escape))
@@ -894,7 +984,8 @@ class TestCyclesAndEscapes:
         # so genuine dead ends come from seeded random graphs, where some
         # states have no edge and some are not expanded.
         rng = random.Random(17)
-        dead_ends = cut = 0
+        roots_rng = random.Random("roots 17")
+        dead_ends = cut = unreached = 0
         for _ in range(60):
             count = rng.randint(1, 40)
             succ = [
@@ -908,16 +999,18 @@ class TestCyclesAndEscapes:
                 states=[StateVector((False,), (True,), (), (), (), None)] * count,
                 succ=succ,
                 parent=[None] * count,
-                expanded=expanded,
-                truncated=len(expanded) < count,
+                cut=frozenset(range(count)) - expanded,
                 env=(),
             )
             cut += count - len(expanded)
             for density in (1.0, 0.5, 0.8, 0.95):
                 region = [rng.random() < density for _ in range(count)]
                 dead_ends += sum(region[s] and s in expanded and not succ[s] for s in range(count))
-                assert _cycles_and_escapes(lts, region) == reference_cycles_and_escapes(lts, region)
-        assert dead_ends > 0 and cut > 0
+                roots = [s for s in range(count) if region[s]]
+                reference = reference_cycles_and_escapes(lts, region)
+                assert _cycles_and_escapes(lts, region, roots) == reference
+                unreached += _assert_rooted_flags(lts, region, reference, roots_rng, count)
+        assert dead_ends > 0 and cut > 0 and unreached > 0
 
 
 def _verify_text(spec, env, lines) -> str:
