@@ -127,10 +127,6 @@ class CheckedSpec:
     def ok(self) -> bool:
         return all(d.severity != ERROR for d in self.diagnostics)
 
-    @property
-    def errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == ERROR)
-
 
 def check_all(tree: SpecificationTree) -> CheckedSpec:
     """Run resolution, type checking, and semantic rules in order.

@@ -27,6 +27,7 @@ from .verifier import (
     HOLDS,
     INCONCLUSIVE,
     PropertyError,
+    Tick,
     VIOLATED,
     build_lts,
     check,
@@ -266,12 +267,9 @@ def _environment(args: argparse.Namespace, spec: CheckedSpec):
         stimuli.append(stimulus(f"--send {sending}", f"send {message} {channel}"))
     if not stimuli and not args.no_tick:
         return default_env(spec)
-    env = tuple(stimuli)
     if not args.no_tick:
-        default = default_env(spec)
-        if any(stim.render() == "tick" for stim in default):
-            env = env + (parse_env_stimulus(spec, "tick"),)
-    return env
+        stimuli += [stim for stim in default_env(spec) if isinstance(stim, Tick)]
+    return tuple(stimuli)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

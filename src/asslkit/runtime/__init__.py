@@ -4,9 +4,7 @@ from .engine import (
     ERROR,
     GUARD_REJECTED,
     SUCCESS,
-    DepthLimitError,
     LivelockError,
-    RunConfig,
     Runtime,
 )
 from .scenario import (
@@ -25,12 +23,10 @@ __all__ = [
     "ERROR",
     "GUARD_REJECTED",
     "SUCCESS",
-    "DepthLimitError",
     "EventOccurrence",
     "Halt",
     "InjectEvent",
     "LivelockError",
-    "RunConfig",
     "Runtime",
     "RuntimeState",
     "Scenario",

@@ -1,8 +1,13 @@
 """Deterministic interpreter for checked specifications.
 
 One :class:`Runtime` instance is single threaded; distinct instances may run
-in parallel. A run is a pure function of (specification, scenario, seed,
-config): there is no wall clock and no hidden randomness.
+in parallel. A run is a pure function of (specification, scenario, seed):
+there is no wall clock and no hidden randomness.
+
+The runtime alone decides how a move runs: ``apply_stimulus`` applies an
+environment stimulus, the clock ``Tick`` included, and ``step`` processes
+one pending occurrence. The verifier's exploration and counterexample
+replay drive it through these two calls only.
 
 A runtime executes the spec's :class:`~asslkit.program.Program`, which
 ``check_all`` builds once and every runtime on that spec shares; everything
@@ -37,8 +42,8 @@ open:
   delivers queued channel messages to their receiving elements and fires due
   ELAPSED activations, which re-arm for their declared period. Element order
   within those phases follows a per-tick shuffle seeded from (seed, tick);
-  ``RunConfig.interleave="declared"`` uses declaration order instead, which
-  the verifier and counterexample replay rely on. A tick visits only the
+  ``seed=None`` uses declaration order instead, which the verifier and
+  counterexample replay rely on. A tick visits only the
   non-empty channels and the elements that receive a message or own a due
   timer. The shuffle is drawn only when at least two elements act in the
   tick, and those elements keep their relative order in the full
@@ -54,13 +59,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from ..checker import CheckedSpec
 from ..names import Key
 from ..nodes import render_value, type_of_value
 from ..program import (
-    MAX_CALL_DEPTH,
     ActionInfo,
     Assign,
     Call,
@@ -68,7 +71,7 @@ from ..program import (
     Send,
     send_details,
 )
-from .scenario import Halt, InjectEvent, Scenario, SendMessage, SetMetric, Stimulus
+from .scenario import EnvStimulus, Halt, InjectEvent, Scenario, SendMessage, SetMetric, Tick
 from .state import (
     ACTION_FAILED,
     ACTION_STARTED,
@@ -91,17 +94,6 @@ SUCCESS = "Success"
 GUARD_REJECTED = "GuardRejected"
 ERROR = "Error"
 
-INTERLEAVE_MODES = ("seeded", "declared")
-
-
-class DepthLimitError(Exception):
-    """Action calls nested deeper than ``MAX_CALL_DEPTH``.
-
-    ``check_all`` rejects a spec with a call chain that deep (E-DEPTH), so a
-    checked spec never raises it.
-    """
-
-
 class LivelockError(Exception):
     """A drain exceeded ``MAX_DRAIN_STEPS`` without reaching quiescence."""
 
@@ -115,32 +107,19 @@ class LivelockError(Exception):
 MAX_DRAIN_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    interleave: str = "seeded"  # one of INTERLEAVE_MODES
-
-    def __post_init__(self) -> None:
-        if self.interleave not in INTERLEAVE_MODES:
-            raise ValueError(
-                f"unknown interleave mode {self.interleave!r};"
-                f" expected one of {', '.join(INTERLEAVE_MODES)}"
-            )
-
-
 class Runtime:
-    """Interpreter for one checked specification."""
+    """Interpreter for one checked specification.
 
-    def __init__(
-        self,
-        spec: CheckedSpec,
-        seed: int = 0,
-        config: RunConfig | None = None,
-        record: bool = True,
-    ) -> None:
+    ``seed`` picks each tick's element order; ``None`` keeps declaration
+    order. ``check_all`` has rejected call cycles and call chains deeper
+    than ``MAX_CALL_DEPTH``, so actions call each other without a depth
+    guard.
+    """
+
+    def __init__(self, spec: CheckedSpec, seed: int | None = 0, record: bool = True) -> None:
         if not spec.ok:
             raise ValueError("specification has errors; run check_all first")
         self.seed = seed
-        self.config = config or RunConfig()
         self.trace: Trace | None = Trace() if record else None
         self.program = spec.program
         self._rng = random.Random()  # re-seeded for every shuffled tick
@@ -214,7 +193,7 @@ class Runtime:
         return True
 
     def execute_action(
-        self, state: RuntimeState, action_key: Key, cause: str, depth: int = 0
+        self, state: RuntimeState, action_key: Key, cause: str
     ) -> tuple[str, str | None]:
         """Run one action. Returns (outcome, failure reason).
 
@@ -222,8 +201,6 @@ class Runtime:
         statements and leaves no trace records. ``cause`` is trace text only.
         """
         program = self.program
-        if depth > MAX_CALL_DEPTH:
-            raise DepthLimitError(f"call depth exceeded at {program.names[action_key]}")
         info = program.actions[action_key]
         guard = info.guard
         if guard is not None and not guard(state.metrics, state.fluents, None):
@@ -236,7 +213,7 @@ class Runtime:
         bindings: dict[str, bool] = {}
         failure: str | None = None
         for op in info.does:
-            failure = self._exec_op(state, op, info, bindings, depth)
+            failure = self._exec_op(state, op, info, bindings)
             if failure is not None:
                 break
 
@@ -256,7 +233,7 @@ class Runtime:
         if trace is not None:
             trace.append(state.tick, ACTION_FAILED, name, failure)
         for op in info.onerr_does:
-            if self._exec_op(state, op, info, bindings, depth) is not None:
+            if self._exec_op(state, op, info, bindings) is not None:
                 break  # a failure inside the error path aborts it
         state.pending.extend(info.onerr_triggers)
         return ERROR, failure
@@ -267,7 +244,6 @@ class Runtime:
         op: Op,
         caller: ActionInfo,
         bindings: dict[str, bool],
-        depth: int,
     ) -> str | None:
         """Run one resolved statement; returns a failure reason or None."""
         kind = type(op)
@@ -275,7 +251,7 @@ class Runtime:
             self.assign_metric(state, op.metric, op.compute(state.metrics, state.fluents, bindings))
             return None
         if kind is Call:
-            outcome, reason = self.execute_action(state, op.callee, caller.called_by, depth + 1)
+            outcome, reason = self.execute_action(state, op.callee, caller.called_by)
             if outcome == ERROR:
                 return f"call {self.program.names[op.callee]} failed: {reason}"
             if op.binding:
@@ -344,7 +320,7 @@ class Runtime:
     def element_order(self, tick: int) -> list[str]:
         """Element processing order for a tick's delivery and timer phases."""
         order = list(self.program.elements)
-        if self.config.interleave == "seeded" and len(order) > 1:
+        if self.seed is not None and len(order) > 1:
             # Seeding a reused generator gives the permutation a new
             # ``random.Random(seed)`` would.
             rng = self._rng
@@ -408,13 +384,18 @@ class Runtime:
 
     # -- stimuli and runs -------------------------------------------------------------
 
-    def apply_stimulus(self, state: RuntimeState, stimulus: Stimulus) -> None:
+    def apply_stimulus(self, state: RuntimeState, stimulus: EnvStimulus) -> None:
+        """Apply one environment move; a ``Tick`` advances the clock."""
+        kind = type(stimulus)
+        if kind is Tick:
+            self.advance_tick(state)
+            return
         state.last_event = None
-        if isinstance(stimulus, InjectEvent):
+        if kind is InjectEvent:
             state.pending.append(EventOccurrence(stimulus.event, "injected"))
-        elif isinstance(stimulus, SetMetric):
+        elif kind is SetMetric:
             self.assign_metric(state, self.program.metric_slot[stimulus.metric], stimulus.value)
-        elif isinstance(stimulus, SendMessage):
+        elif kind is SendMessage:
             program, message, channel = self.program, stimulus.message, stimulus.channel
             details = send_details(channel, program.messages[message].sender)
             self._send(state, message, program.channel_slot[channel], *details)
@@ -457,7 +438,7 @@ class Runtime:
                     break
                 self.advance_tick(state)
                 self.drain(state)
-        except (DepthLimitError, LivelockError) as err:
+        except LivelockError as err:
             trace.aborted = str(err)
         return trace
 

@@ -58,7 +58,20 @@ class Halt:
         return "halt"
 
 
+@dataclass(frozen=True)
+class Tick:
+    """Clock-advance stimulus: message delivery plus due ELAPSED firings.
+
+    A move of the verifier's environment; scenarios advance the clock by
+    their tick numbers, so ``parse_stimulus`` does not read it.
+    """
+
+    def render(self) -> str:
+        return "tick"
+
+
 Stimulus = InjectEvent | SetMetric | SendMessage | Halt
+EnvStimulus = InjectEvent | SetMetric | SendMessage | Tick
 
 
 class ScenarioError(ValueError):

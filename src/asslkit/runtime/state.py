@@ -33,21 +33,6 @@ MESSAGE_SENT = "MessageSent"
 MESSAGE_RECEIVED = "MessageReceived"
 ENSURES_VIOLATED = "EnsuresViolated"
 
-RECORD_KINDS = (
-    EVENT_RAISED,
-    EVENT_SUPPRESSED,
-    FLUENT_INITIATED,
-    FLUENT_TERMINATED,
-    MAPPING_FIRED,
-    ACTION_STARTED,
-    ACTION_SUCCEEDED,
-    ACTION_FAILED,
-    METRIC_ASSIGNED,
-    MESSAGE_SENT,
-    MESSAGE_RECEIVED,
-    ENSURES_VIOLATED,
-)
-
 
 class TraceRecord(NamedTuple):
     seq: int

@@ -17,6 +17,11 @@ Transitions come in two flavors:
 * from a non-quiescent state, the single deterministic processing step that
   dequeues and raises the head occurrence.
 
+The runtime runs both: ``Runtime.apply_stimulus`` the first kind and
+``Runtime.step`` the second, with elements in declaration order
+(``seed=None``). Counterexample replay makes the same two calls, looking
+each stimulus edge's label up in ``Lts.env``.
+
 Environment stimuli being enabled only at quiescent states makes every path
 through the graph realizable by a scenario, which keeps counterexamples
 replayable. Exploration is serial and breadth first, with environment
@@ -64,20 +69,9 @@ from ..checker import CheckedSpec
 from ..names import Key, qual
 from ..nodes import render_value, type_of_value
 from ..program import EventOccurrence, Program
-from ..runtime.engine import RunConfig, Runtime
-from ..runtime.scenario import InjectEvent, SendMessage, SetMetric
+from ..runtime.engine import Runtime
+from ..runtime.scenario import EnvStimulus, InjectEvent, Tick
 from ..runtime.state import RuntimeState
-
-
-@dataclass(frozen=True)
-class Tick:
-    """Clock-advance stimulus: message delivery plus due ELAPSED firings."""
-
-    def render(self) -> str:
-        return "tick"
-
-
-EnvStimulus = InjectEvent | SetMetric | SendMessage | Tick
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ def build_lts(
     if not spec.ok:
         raise ValueError("specification has errors; run check_all first")
     bounds = bounds or Bounds()
-    runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
+    runtime = Runtime(spec, seed=None, record=False)
     if env is None:
         env = default_env(spec)
     env = tuple(sorted(env, key=lambda stim: stim.render()))
@@ -262,8 +256,6 @@ def build_lts(
             nxt = Layout.state(vec, occurrences)
             if stimulus is None:
                 runtime.step(nxt)
-            elif isinstance(stimulus, Tick):
-                runtime.advance_tick(nxt)
             else:
                 runtime.apply_stimulus(nxt, stimulus)
             if len(nxt.pending) > bounds.max_pending:

@@ -39,9 +39,9 @@ from dataclasses import dataclass, replace
 
 from ..checker import CheckedSpec
 from ..names import qual
-from ..runtime.engine import RunConfig, Runtime
-from ..runtime.scenario import Halt, Scenario, Stimulus, parse_stimulus
-from .lts import Layout, Lts, StateVector, Tick
+from ..runtime.engine import Runtime
+from ..runtime.scenario import Halt, Scenario, Stimulus, Tick, parse_stimulus
+from .lts import Layout, Lts, StateVector
 from .props import (
     F_SHAPE,
     G_SHAPE,
@@ -428,13 +428,15 @@ def explain(
         for label, state in cex.livelock:
             lines.append(f"  ..... {label} -> {_state_line(lts, state)}")
 
+    moves = {stim.render(): stim for stim in lts.env}
     steps: list[tuple[int, Stimulus]] = []
     tick = 0
     for label, _state in cex.stem:
-        if label == "tick":
+        stimulus = moves.get(label)  # None on a proc edge
+        if isinstance(stimulus, Tick):
             tick += 1
-        elif not label.startswith("proc "):
-            steps.append((tick, parse_stimulus(label, spec)))
+        elif stimulus is not None:
+            steps.append((tick, stimulus))
     steps.append((tick + 1, Halt()))
     return "\n".join(lines) + "\n", Scenario(scenario_name, tuple(steps))
 
@@ -453,16 +455,16 @@ def replay_counterexample(spec: CheckedSpec, lts: Lts, cex: Counterexample) -> S
     The result equals ``lts.states[cex.violating_state]``, which tests assert
     to certify counterexample soundness.
     """
-    runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
+    runtime = Runtime(spec, seed=None, record=False)
+    moves = {stim.render(): stim for stim in lts.env}
     state = runtime.init()
     for label, _target in cex.stem:
-        if label == "tick":
-            runtime.advance_tick(state)
-        elif label.startswith("proc "):
+        stimulus = moves.get(label)
+        if stimulus is None:
             processed = runtime.step(state)
-            assert processed is not None and qual(processed) == label[len("proc ") :]
+            assert processed is not None and f"proc {qual(processed)}" == label
         else:
-            runtime.apply_stimulus(state, parse_stimulus(label, spec))
+            runtime.apply_stimulus(state, stimulus)
     return Layout.vector(state)
 
 

@@ -59,7 +59,7 @@ from asslkit.nodes import (
     NotExpr,
     SendStmt,
 )
-from asslkit.runtime.engine import RunConfig, Runtime
+from asslkit.runtime.engine import Runtime
 from asslkit.runtime.state import MESSAGE_RECEIVED, EventOccurrence
 from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
@@ -76,7 +76,7 @@ from asslkit.verifier.props import (
 
 def brute_force_lts(spec, env, state_cap: int = 5000):
     """(states, edges, labelings, initial) keyed by state vectors."""
-    runtime = Runtime(spec, seed=0, config=RunConfig(interleave="declared"), record=False)
+    runtime = Runtime(spec, seed=None, record=False)
     program = spec.program
     init_state = runtime.init()
     init_vec = project(program, init_state)
@@ -157,7 +157,7 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
     state.tick += 1
     state.last_event = None
     order = list(program.elements)
-    if runtime.config.interleave == "seeded" and len(order) > 1:
+    if runtime.seed is not None and len(order) > 1:
         random.Random(runtime.seed * 1_000_003 + state.tick).shuffle(order)
     for elem in order:
         for channel in program.channel_keys:

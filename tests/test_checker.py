@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from asslkit import check_all, parse_text
 from asslkit.checker import check_semantics, check_types, resolve
 from asslkit.program import Program
@@ -329,3 +331,119 @@ def test_diagnostic_spans_lie_inside_source():
         assert 1 <= diag.span.column <= len(line) + 1
         start = diag.span.column - 1
         assert diag.span.length <= len(line) - start
+
+
+_PROTOCOL = """  AEIP {
+    MESSAGES { MESSAGE ping { SENDER { sys } RECEIVER { unit } } }
+    CHANNELS { CHANNEL link { CAPACITY { 1 } } }
+  }
+  METRICS {"""
+_COUNT = "METRIC count { TYPE { integer } INITIAL { 0 } }\n    METRIC done"
+
+
+# One small spec per diagnostic site of resolution and typing: each is the
+# clean base spec with the listed replacements made.
+@pytest.mark.parametrize(
+    "edits, expected",
+    [
+        pytest.param(
+            [("      MAPPING {", "      FLUENT busy { INITIATED_BY { EVENTS.go }"
+              " TERMINATED_BY { EVENTS.fin } }\n      MAPPING {")],
+            ["unit.assl:10:7: error E-DUP: duplicate declaration of fluent 'busy' in tier unit"],
+            id="duplicate-fluent",
+        ),
+        pytest.param(
+            [("  METRICS {", _PROTOCOL),
+             ("RECEIVER { unit } } }", "RECEIVER { unit } }"
+              " MESSAGE ping { SENDER { unit } RECEIVER { sys } } }")],
+            ["unit.assl:24:74: error E-DUP: duplicate message 'ping'"],
+            id="duplicate-message",
+        ),
+        pytest.param(
+            [("  METRICS {", _PROTOCOL),
+             ("CAPACITY { 1 } } }", "CAPACITY { 1 } } CHANNEL link { CAPACITY { 2 } } }")],
+            ["unit.assl:25:56: error E-DUP: duplicate channel 'link'"],
+            id="duplicate-channel",
+        ),
+        pytest.param(
+            [("DO_ACTIONS { ACTIONS.work }", "DO_ACTIONS { ACTIONS.nope }")],
+            ["unit.assl:10:50: error E-UNDEF: undefined action 'ACTIONS.nope'"],
+            id="undefined-mapped-action",
+        ),
+        pytest.param(
+            [("EVENT fin { }", "EVENT fin { ACTIVATION { CHANGED { METRICS.nope } } }")],
+            ["unit.assl:21:40: error E-UNDEF: undefined metric 'METRICS.nope'"],
+            id="undefined-changed-metric",
+        ),
+        pytest.param(
+            [("EVENT fin { }", "EVENT fin { ACTIVATION { RECEIVED { AEIP.MESSAGES.nope } } }")],
+            ["unit.assl:21:41: error E-UNDEF: undefined message 'AEIP.MESSAGES.nope'"],
+            id="undefined-received-message",
+        ),
+        pytest.param(
+            [("DOES { METRICS.done", "DOES { call ACTIONS.nope; METRICS.done")],
+            ["unit.assl:15:19: error E-UNDEF: undefined action 'ACTIONS.nope'"],
+            id="undefined-called-action",
+        ),
+        pytest.param(
+            [("DOES { METRICS.done",
+              "DOES { send AEIP.MESSAGES.nope over CHANNELS.gone; METRICS.done")],
+            [
+                "unit.assl:15:19: error E-UNDEF: undefined message 'AEIP.MESSAGES.nope'",
+                "unit.assl:15:43: error E-UNDEF: undefined channel 'CHANNELS.gone'",
+            ],
+            id="undefined-sent-message-and-channel",
+        ),
+        pytest.param(
+            [("AE unit {", "AE unit {\n  FRIENDS { ghost }")],
+            ["unit.assl:3:1: error E-UNDEF: undefined tier 'ghost' in FRIENDS"],
+            id="undefined-friend",
+        ),
+        pytest.param(
+            [("  METRICS {", _PROTOCOL), ("SENDER { sys }", "SENDER { ghost }")],
+            ["unit.assl:24:24: error E-UNDEF: undefined tier 'ghost' in message endpoints"],
+            id="undefined-message-endpoint",
+        ),
+        pytest.param(
+            [("EVENT go { INJECTABLE }", "EVENT go { INJECTABLE GUARDS { METRICS.nope } }")],
+            ["unit.assl:20:36: error E-UNDEF: undefined metric 'METRICS.nope'"],
+            id="undefined-metric-in-expression",
+        ),
+        pytest.param(
+            [("EVENT go { INJECTABLE }", "EVENT go { INJECTABLE GUARDS { FLUENTS.nope } }")],
+            ["unit.assl:20:36: error E-UNDEF: undefined fluent 'FLUENTS.nope'"],
+            id="undefined-fluent-in-expression",
+        ),
+        pytest.param(
+            [("METRICS.done = true;", "METRICS.done = ok;")],
+            ["unit.assl:15:29: error E-UNDEF: 'ok' is not a binding available here"],
+            id="unavailable-binding",
+        ),
+        pytest.param(
+            [("METRIC done", _COUNT),
+             ("EVENT go { INJECTABLE }", "EVENT go { INJECTABLE GUARDS { METRICS.count } }")],
+            ["unit.assl:20:36: error E-TYPE: event guard must be boolean, not integer"],
+            id="guard-not-boolean",
+        ),
+        pytest.param(
+            [("METRIC done", _COUNT),
+             ("EVENT go { INJECTABLE }", "EVENT go { INJECTABLE GUARDS { NOT METRICS.count } }")],
+            ["unit.assl:20:36: error E-TYPE: NOT needs a boolean, not integer"],
+            id="not-on-integer",
+        ),
+        pytest.param(
+            [("METRIC done", _COUNT),
+             ("EVENT go { INJECTABLE }",
+              "EVENT go { INJECTABLE GUARDS { METRICS.count AND true } }")],
+            ["unit.assl:20:50: error E-TYPE: AND needs boolean operands, not integer"],
+            id="and-on-integer",
+        ),
+    ],
+)
+def test_diagnostic_site(edits, expected):
+    source = BASE.format(condition="busy")
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    spec = check_all(parse_text(source, "unit.assl"))
+    assert [d.render() for d in spec.diagnostics] == expected

@@ -73,6 +73,32 @@ class TestCheck:
         assert main(["check", str(warny)]) == 0
         assert "W-UNREACHABLE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "mode, error, warning",
+        [
+            ("always", "\x1b[31merror\x1b[0m", "\x1b[33mwarning\x1b[0m"),
+            ("auto", "error", "warning"),  # stdout is captured, so not a terminal
+            ("never", "error", "warning"),
+        ],
+    )
+    def test_color_marks_only_the_severity(
+        self, mode, error, warning, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("ASSLKIT_COLOR", mode)
+        assert not sys.stdout.isatty()
+        spec = tmp_path / "both.assl"
+        spec.write_text("AS sys { EVENTS { EVENT orphan { GUARDS { METRICS.nope } } } }")
+        assert main(["check", str(spec)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{spec}:1:43: {error} E-UNDEF: undefined metric 'METRICS.nope'",
+        ]
+        spec.write_text("AS sys { EVENTS { EVENT orphan { } } }")
+        assert main(["check", str(spec)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{spec}:1:25: {warning} W-UNREACHABLE: event 'orphan' has no activation,"
+            " is never triggered, and is not INJECTABLE",
+        ]
+
 
 class TestRun:
     def test_secure_scenario_summary(self, tmp_path, capsys):
@@ -248,6 +274,14 @@ class TestVerify:
         assert code == 1
         assert out.startswith("Inconclusive: ")
 
+    def test_property_file_of_comments_only_is_usage_error(self, tmp_path, capsys):
+        prop = tmp_path / "empty.prop"
+        prop.write_text("# only a comment\n\n   # and another\n")
+        assert main(["verify", SPEC, "--prop", str(prop)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prop}: no properties found\n"
+
     def test_malformed_property_is_usage_error(self, tmp_path):
         prop = tmp_path / "syntax.prop"
         prop.write_text("G (fluent\n")
@@ -318,6 +352,49 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("Holds: ")
 
 
+# A policy without mappings, and one whose action guard no metric
+# assignment can make true, so its Success path is infeasible.
+GENTESTS_SPEC = """\
+AS sys {
+  POLICIES {
+    EMPTYISH {
+      FLUENT f {
+        INITIATED_BY { EVENTS.a }
+        TERMINATED_BY { EVENTS.b }
+      }
+    }
+  }
+  EVENTS { EVENT a { INJECTABLE } EVENT b { INJECTABLE } }
+}
+AE unit {
+  POLICIES {
+    STUCKGUARD {
+      FLUENT busy {
+        INITIATED_BY { EVENTS.go }
+        TERMINATED_BY { EVENTS.fin }
+      }
+      MAPPING { CONDITIONS { busy } DO_ACTIONS { ACTIONS.work } }
+    }
+  }
+  ACTIONS {
+    ACTION work {
+      GUARDS { METRICS.a AND NOT METRICS.a }
+      DOES { METRICS.done = true; }
+      TRIGGERS { EVENTS.fin }
+    }
+  }
+  EVENTS {
+    EVENT go { INJECTABLE }
+    EVENT fin { INJECTABLE }
+  }
+  METRICS {
+    METRIC a { TYPE { boolean } INITIAL { false } }
+    METRIC done { TYPE { boolean } INITIAL { false } }
+  }
+}
+"""
+
+
 class TestGentests:
     def test_writes_six_feasible_tests(self, tmp_path, capsys):
         out_dir = tmp_path / "suite"
@@ -332,6 +409,21 @@ class TestGentests:
         out = capsys.readouterr().out
         assert code == 0
         assert "regenerated: 0 policies" in out
+
+    def test_infeasible_paths_and_empty_policies_are_listed(self, tmp_path, capsys):
+        spec = tmp_path / "gen.assl"
+        spec.write_text(GENTESTS_SPEC)
+        out_dir = tmp_path / "suite"
+        assert main(["gentests", str(spec), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{spec}:4:7: warning W-UNREACHABLE: fluent 'f' is not referenced by any mapping",
+            "policy sys.EMPTYISH: 0 paths, 0 feasible, 0 infeasible",
+            "policy unit.STUCKGUARD: 2 paths, 1 feasible, 1 infeasible",
+            "  infeasible: unit.STUCKGUARD: go -> [unit.work=Success] -> fin"
+            " (no metric assignment drawn from guard constants forces this path)",
+            "warning: policy 'sys.EMPTYISH' has no mappings; no paths",
+            f"wrote 2 files to {out_dir}",
+        ]
 
     def test_unwritable_directory_is_usage_error(self, tmp_path):
         blocker = tmp_path / "file"

@@ -385,6 +385,49 @@ class TestSectionErrors:
         assert _error_list(source) == expected
 
 
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("AS a { }\nfoo { }", [("expected AS, ASIP, or AE, found 'foo'", 2, 1)]),
+        ("AS a {\n  POLICIES { 42 { } }\n}", [("expected a policy name, found '42'", 2, 14)]),
+        (
+            "AS a {\n  POLICIES { SELF_HEALING { METRIC x } }\n}",
+            [("expected FLUENT or MAPPING, found 'METRIC'", 2, 29)],
+        ),
+        (
+            "AS a {\n  EVENTS { EVENT e { INJECTABLE INJECTABLE } }\n}",
+            [("duplicate INJECTABLE flag", 2, 33)],
+        ),
+        (
+            "AS a {\n  EVENTS { EVENT e { GUARDS { true } GUARDS { true } } }\n}",
+            [("duplicate GUARDS clause", 2, 38)],
+        ),
+        (
+            "AS a {\n  ACTIONS { ACTION x { DOES { EVENTS.e; } } }\n}",
+            [("expected a statement, found 'EVENTS.e'", 2, 31)],
+        ),
+        (
+            "AS a {\n  METRICS { METRIC m { TYPE { float } INITIAL { 0 } } }\n}",
+            [("unknown value type 'float' (expected boolean, integer, real, or text)", 2, 31)],
+        ),
+        (
+            "AS a {\n  EVENTS { EVENT e { GUARDS { ACTIONS.x } } }\n}",
+            [("'ACTIONS.x' cannot appear in an expression", 2, 31)],
+        ),
+        (
+            "AS a {\n  EVENTS { EVENT e { GUARDS { ; } } }\n}",
+            [("expected an expression, found ';'", 2, 31)],
+        ),
+        (
+            "AS a {\n  METRICS { METRIC m { TYPE { boolean } INITIAL { x } } }\n}",
+            [("expected a literal, found 'x'", 2, 51)],
+        ),
+    ],
+)
+def test_declaration_and_expression_errors(source, expected):
+    assert _error_list(source) == expected
+
+
 _LIST_SPEC = """\
 AS a {
   POLICIES { P { FLUENT f { INITIATED_BY { %(init)s } TERMINATED_BY { EVENTS.e } }

@@ -16,7 +16,6 @@ from asslkit.runtime import (
     SUCCESS,
     Halt,
     LivelockError,
-    RunConfig,
     Runtime,
     Scenario,
     ScenarioError,
@@ -26,6 +25,7 @@ from asslkit.runtime import (
 from asslkit.runtime import engine
 from asslkit.runtime.state import (
     ACTION_FAILED,
+    ACTION_STARTED,
     ENSURES_VIOLATED,
     EVENT_RAISED,
     EVENT_SUPPRESSED,
@@ -187,6 +187,11 @@ AS sys {
       ONERR_DOES { METRICS.m = true; }
       ONERR_TRIGGERS { EVENTS.cleanup }
     }
+    ACTION doubleFault {
+      DOES { fail "first"; }
+      ONERR_DOES { fail "second"; METRICS.m = true; }
+      ONERR_TRIGGERS { EVENTS.cleanup }
+    }
   }
   EVENTS { EVENT cleanup { } }
   METRICS {
@@ -240,15 +245,15 @@ class TestExecuteAction:
         # cleanup enqueued twice: once by failing, once by cascade
         assert [occ.event[1] for occ in self.state.pending] == ["cleanup", "cleanup"]
 
-    def test_depth_limit_raises(self, monkeypatch):
-        from asslkit.runtime import engine
-        from asslkit.runtime.engine import DepthLimitError
-
-        monkeypatch.setattr(engine, "MAX_CALL_DEPTH", 0)
-        runtime = Runtime(self.spec)
-        state = runtime.init()
-        with pytest.raises(DepthLimitError):
-            runtime.execute_action(state, ("sys", "cascade"), "test")
+    def test_failure_in_the_error_path_stops_it_and_triggers_still_fire(self):
+        outcome, reason = self.runtime.execute_action(self.state, ("sys", "doubleFault"), "test")
+        assert (outcome, reason) == (ERROR, "first")
+        assert self.metric("m") is False  # the statement after the second fail never ran
+        assert [(r.kind, r.subject, r.detail) for r in self.runtime.trace.records] == [
+            (ACTION_STARTED, "sys.doubleFault", "test"),
+            (ACTION_FAILED, "sys.doubleFault", "first"),
+        ]
+        assert [occ.event for occ in self.state.pending] == [("sys", "cleanup")]
 
 
 CONJUNCTION_SPEC = """
@@ -368,13 +373,6 @@ class TestRun:
         trace = runtime.run(scenario, max_ticks=6)
         assert trace.summary()["ticks"] <= 6
 
-    def test_interleave_declared_is_seed_independent(self, healing_pkg, healing_spec):
-        scenario = healing_pkg.scenario("no_fault", healing_spec)
-        config = RunConfig(interleave="declared")
-        a = Runtime(healing_spec, seed=1, config=config).run(scenario).to_text()
-        b = Runtime(healing_spec, seed=999, config=config).run(scenario).to_text()
-        assert a == b
-
     def test_seeds_exercise_different_interleavings(self, healing_pkg, healing_spec):
         # the point of the seeded per-tick shuffle: multi-element delivery
         # and timer phases interleave differently across seeds
@@ -412,6 +410,49 @@ class TestScenarioParsing:
     def test_bad_value(self, protecting_spec):
         with pytest.raises(ScenarioError):
             parse_scenario("tick 0 set messageVerdictSecure 42", protecting_spec)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("tick 1 halt now", "halt takes no arguments"),
+            ("tick 1 inject", "inject takes one event name"),
+            ("tick 1 set m", "set takes a metric name and a value"),
+            ("tick 1 send one.ping", "send takes a message name and a channel name"),
+            ("tick 1 wait", "unknown stimulus 'wait'"),
+            ("tick -1 halt", "tick numbers are non-negative"),
+            ("at 1 halt", "expected 'tick <n> <stimulus>', got: at 1 halt"),
+            ("tick 1", "expected 'tick <n> <stimulus>', got: tick 1"),
+            ("tick 1 inject sys.nope", "no event named 'sys.nope'"),
+            ("tick 1 send one.nope one.link", "no message named 'one.nope'"),
+            ("tick 1 send one.ping one.nope", "no channel named 'one.nope'"),
+            ("tick 1 send ping one.link", "'ping' is ambiguous; qualify it: one.ping, two.ping"),
+        ],
+    )
+    def test_step_errors_name_the_line(self, line, message):
+        spec = check_all(parse_text(TWO_PROTOCOLS_SPEC))
+        assert spec.ok
+        text = f"# the error is on line 3\ntick 0 inject go\n{line}\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text, spec, "s.scenario")
+        assert str(exc.value) == f"s.scenario:3: {message}"
+
+
+# Two AE tiers whose protocols declare a message and a channel of the same
+# bare name, so a bare name is ambiguous.
+TWO_PROTOCOLS_SPEC = """
+AS sys {
+  EVENTS { EVENT go { INJECTABLE } }
+  METRICS { METRIC m { TYPE { boolean } INITIAL { false } } }
+}
+AE one { AEIP {
+  MESSAGES { MESSAGE ping { SENDER { one } RECEIVER { two } } }
+  CHANNELS { CHANNEL link { CAPACITY { 1 } } }
+} }
+AE two { AEIP {
+  MESSAGES { MESSAGE ping { SENDER { two } RECEIVER { one } } }
+  CHANNELS { CHANNEL link { CAPACITY { 1 } } }
+} }
+"""
 
 
 class TestRecordingOff:
@@ -520,14 +561,13 @@ class TestAdvanceTick:
     @staticmethod
     def assert_same(spec, scenario, seed: int, max_ticks: int = 1000) -> str:
         texts = []
-        for interleave in ("seeded", "declared"):
-            config = RunConfig(interleave=interleave)
-            fast = Runtime(spec, seed=seed, config=config)
-            slow = Runtime(spec, seed=seed, config=config)
+        for run_seed in (seed, None):  # seeded, then declaration order
+            fast = Runtime(spec, seed=run_seed)
+            slow = Runtime(spec, seed=run_seed)
             slow.advance_tick = lambda state, runtime=slow: reference_advance_tick(runtime, state)
             text = fast.run(scenario, max_ticks=max_ticks).to_text()
             assert text == slow.run(scenario, max_ticks=max_ticks).to_text(), (
-                scenario.name, seed, interleave,
+                scenario.name, run_seed,
             )
             texts.append(text)
         return texts[0]
@@ -588,18 +628,6 @@ class TestAdvanceTick:
         assert drawn == [1]
 
 
-class TestRunConfig:
-    def test_unknown_interleave_is_rejected(self):
-        # a misspelt mode used to run silently in declared order
-        for mode in ("seded", "Seeded", "", "random"):
-            with pytest.raises(ValueError, match=f"unknown interleave mode '{mode}'"):
-                RunConfig(interleave=mode)
-
-    def test_both_modes_are_accepted(self):
-        assert RunConfig().interleave == "seeded"
-        assert RunConfig(interleave="declared").interleave == "declared"
-
-
 class TestDrainBudget:
     def test_budget_is_exact(self, protecting_pkg, protecting_spec, monkeypatch):
         # the secure scenario's longest drain is three steps
@@ -630,15 +658,15 @@ def trace_pin_texts(mission_pairs) -> dict[str, str]:
 
     Every mission scenario at seeds 0-3, the 40-worker wide-swarm scenario
     at seeds 0-3, one random scenario per random spec 0-29, and the
-    every-operator scenario at seeds 0-1, each under both interleave modes.
+    every-operator scenario at seeds 0-1, each seeded and in declaration
+    order (``seed=None``).
     """
 
     def runs(spec, scenario, seeds) -> str:
         parts = []
         for seed in seeds:
-            for interleave in ("seeded", "declared"):
-                runtime = Runtime(spec, seed=seed, config=RunConfig(interleave=interleave))
-                trace = runtime.run(scenario)
+            for interleave, run_seed in (("seeded", seed), ("declared", None)):
+                trace = Runtime(spec, seed=run_seed).run(scenario)
                 parts.append(f"## {scenario.name} seed={seed} {interleave}\n{trace.to_text()}")
         return "".join(parts)
 

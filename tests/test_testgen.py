@@ -7,7 +7,10 @@ import itertools
 import json
 from pathlib import Path
 
+import pytest
+
 from asslkit import check_all, parse_text
+from asslkit.nodes import ValueType
 from asslkit.runtime import Runtime, Trace
 from asslkit.runtime.state import (
     ACTION_FAILED,
@@ -22,10 +25,12 @@ from asslkit.testgen import (
     Assertion,
     _assignments,
     _build_scenario,
+    _candidate_values,
     _relevant_metrics,
     _stimulus_plan,
     MAX_CANDIDATES,
     _term_tick,
+    _toggled,
     check_assertions,
     enumerate_paths,
     generate,
@@ -279,6 +284,115 @@ class TestGenerate:
             branches = sorted(t.path.branches[0][1] for t in suite.tests)
             assert branches == [GUARD_REJECT, SUCCESS_PATH], guard
             assert all(not failures for _t, failures in run_suite(spec, suite)), guard
+
+
+ONE_ACTION = """
+AS sys { }
+AE unit {
+  POLICIES {
+    ONE {
+      FLUENT busy {
+        INITIATED_BY { EVENTS.go }
+        TERMINATED_BY { EVENTS.fin }
+      }
+      MAPPING { CONDITIONS { busy } DO_ACTIONS { ACTIONS.work } }
+    }
+  }
+  ACTIONS {
+    ACTION work {
+      GUARDS { @guard }
+      DOES { METRICS.done = true; }
+      TRIGGERS { EVENTS.fin }
+    }
+  }
+  EVENTS {
+    EVENT go { INJECTABLE }
+    EVENT fin { INJECTABLE }
+  }
+  METRICS {
+    METRIC level { TYPE { real } INITIAL { 0.0 } }
+    METRIC count { TYPE { integer } INITIAL { 7 } }
+    METRIC done { TYPE { boolean } INITIAL { false } }
+  }
+}
+"""
+
+
+def one_action_spec(guard: str = "true", *edits: tuple[str, str]):
+    source = ONE_ACTION.replace("@guard", guard)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    spec = check_all(parse_text(source))
+    assert spec.diagnostics == ()
+    return spec
+
+
+class TestOneAction:
+    """Generator branches on a one-action policy, each with the scenarios it emits."""
+
+    REJECT = "tick 1 inject unit.go\ntick 2 inject unit.fin\ntick 3 halt\n"
+    PASS = "tick 1 inject unit.go\ntick 2 halt\n"
+
+    @pytest.mark.parametrize(
+        "guard, scenarios",
+        [
+            # a guard that is always false leaves only the GuardReject branch
+            ("false", {GUARD_REJECT: REJECT}),
+            ("true AND false", {GUARD_REJECT: REJECT}),
+            ("false OR true", {SUCCESS_PATH: PASS}),
+            ("NOT (true AND false)", {SUCCESS_PATH: PASS}),
+            ("false OR METRICS.done", {
+                GUARD_REJECT: REJECT, SUCCESS_PATH: "tick 0 set unit.done true\n" + PASS,
+            }),
+        ],
+    )
+    def test_constant_and_or_fold(self, guard, scenarios):
+        spec = one_action_spec(guard)
+        suite = generate_all(spec)
+        assert suite.infeasible == ()
+        assert {t.path.branches[0][1]: t.scenario.render() for t in suite.tests} == scenarios
+        assert all(not failures for _t, failures in run_suite(spec, suite))
+
+    def test_real_candidates_are_widened_by_one(self):
+        spec = one_action_spec("METRICS.level > 2.5")
+        level = ("unit", "level")
+        assert _candidate_values(spec, level, spec.program.metrics[level]) == [0.0, 2.5, 3.5, 1.5]
+        suite = generate_all(spec)
+        assert suite.infeasible == ()
+        success = next(t for t in suite.tests if t.path.branches[0][1] == SUCCESS_PATH)
+        assert success.scenario.render() == (
+            "tick 0 set unit.level 3.5\ntick 1 inject unit.go\ntick 2 halt\n"
+        )
+
+    def test_integer_changed_terminator_is_written_back_unchanged(self):
+        # CHANGED is write triggered, so writing the initial value raises it
+        spec = one_action_spec(
+            "true",
+            ("      TRIGGERS { EVENTS.fin }\n", ""),
+            ("EVENT fin { INJECTABLE }", "EVENT fin { ACTIVATION { CHANGED { METRICS.count } } }"),
+        )
+        assert _toggled(spec, ("unit", "count")) == (7, ValueType.INTEGER)
+        suite = generate_all(spec)
+        assert suite.infeasible == ()
+        assert [t.scenario.render() for t in suite.tests] == [
+            "tick 1 inject unit.go\ntick 2 set unit.count 7\ntick 3 halt\n"
+        ]
+        assert all(not failures for _t, failures in run_suite(spec, suite))
+
+    def test_sent_event_without_a_channel_cannot_be_stimulated(self):
+        spec = one_action_spec(
+            "true",
+            ("EVENT go { INJECTABLE }", "EVENT go { ACTIVATION { SENT { AEIP.MESSAGES.ping } } }"),
+            ("  METRICS {", "  AEIP { MESSAGES {"
+             " MESSAGE ping { SENDER { unit } RECEIVER { unit } } } }\n  METRICS {"),
+        )
+        assert _stimulus_plan(spec, ("unit", "go")) is None
+        suite = generate_all(spec)
+        assert suite.tests == ()
+        assert [(entry.path.path_id(0), entry.reason) for entry in suite.infeasible] == [
+            ("p00-go-success-fin", "initiating event unit.go cannot be stimulated")
+        ]
 
 
 TWO_POLICY = """
