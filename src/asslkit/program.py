@@ -26,7 +26,8 @@ once, so that a run step only evaluates, assigns, enqueues and appends:
 * the qualified name of every key (``names``) and every fixed trace detail:
   ``by <event>``, a mapping's ``conditions: ...`` text and the
   ``mapping <subject>`` cause of its actions, ``called by <action>``, the
-  ENSURES text, and the sent and dropped details of each send statement;
+  ENSURES text, and the sent and dropped details of each send statement
+  and, once per (channel, sender), of each sent stimulus (``send_details``);
 * one interned ``EventOccurrence`` per subscription, an event with its
   cause already rendered as the EventRaised detail (``activation <KIND>
   <source>``, ``triggered by <action>`` or ``error-triggered by <action>``):
@@ -237,14 +238,9 @@ def _scoped(resolved: tuple[str, object] | None, name: str) -> Key:
     return resolved[0], name
 
 
-def send_details(channel: Key, sender: str) -> tuple[str, str]:
-    """MessageSent details of a send from ``sender``: queued, and dropped when full."""
-    over = f"over {qual(channel)}"
-    return f"{over} by {sender}", f"{over} dropped (channel full)"
-
-
 class Program:
-    """Tables and records of one checked specification; read-only once built."""
+    """Tables and records of one checked specification; read-only once built,
+    but for the cache of rendered send details."""
 
     def __init__(self, tree: SpecificationTree, symbols: SymbolTable) -> None:
         tiers = tree.tiers()
@@ -271,6 +267,7 @@ class Program:
         self.timer_slots: list[tuple[EventOccurrence, int]] = []  # (occurrence, period)
         self.mappings: dict[str, list[MappingInfo]] = {}
         self.injectable: list[Key] = []
+        self._send_details: dict[tuple[Key, str], tuple[str, str]] = {}
 
         for tier in tiers:
             elem = tier.name
@@ -324,6 +321,16 @@ class Program:
             for key in table
         }
 
+    def send_details(self, channel: Key, sender: str) -> tuple[str, str]:
+        """MessageSent details of a send from ``sender`` over ``channel``:
+        queued, and dropped when full. Each pair is rendered once."""
+        details = self._send_details.get((channel, sender))
+        if details is None:
+            over = f"over {qual(channel)}"
+            details = f"{over} by {sender}", f"{over} dropped (channel full)"
+            self._send_details[(channel, sender)] = details
+        return details
+
     def _compile(self, expr: Expr | None, elem: str) -> Compiled | None:
         if expr is None:
             return None
@@ -347,7 +354,8 @@ class Program:
                 message_name, channel_name = stmt.message.name, stmt.channel.name
                 message = _scoped(symbols.resolve_message(elem, message_name), message_name)
                 channel = _scoped(symbols.resolve_channel(elem, channel_name), channel_name)
-                ops.append(Send(message, self.channel_slot[channel], *send_details(channel, elem)))
+                details = self.send_details(channel, elem)
+                ops.append(Send(message, self.channel_slot[channel], *details))
             else:
                 ops.append(Fail(stmt.reason))
         return tuple(ops)

@@ -59,6 +59,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Callable
+from typing import NamedTuple
 
 from ..checker import CheckedSpec
 from ..names import Key
@@ -68,8 +69,8 @@ from ..program import (
     Assign,
     Call,
     Op,
+    Program,
     Send,
-    send_details,
 )
 from .scenario import EnvStimulus, Halt, InjectEvent, Scenario, SendMessage, SetMetric, Tick
 from .state import (
@@ -397,7 +398,7 @@ class Runtime:
             self.assign_metric(state, self.program.metric_slot[stimulus.metric], stimulus.value)
         elif kind is SendMessage:
             program, message, channel = self.program, stimulus.message, stimulus.channel
-            details = send_details(channel, program.messages[message].sender)
+            details = program.send_details(channel, program.messages[message].sender)
             self._send(state, message, program.channel_slot[channel], *details)
         else:
             raise ValueError(f"cannot apply {stimulus!r} directly")
@@ -442,3 +443,64 @@ class Runtime:
             trace.aborted = str(err)
         return trace
 
+
+# -- what a move writes ------------------------------------------------------------
+# The verifier builds each move's working state from the source vector's
+# tuples and copies into lists only the parts these tables name. They follow
+# the methods above: a move that wrote a part not named here would assign
+# into or append to a tuple and fail with a TypeError or AttributeError.
+
+
+class Writes(NamedTuple):
+    """The parts of a state one move can write; it only reads the others.
+
+    ``channels`` is None when the move leaves the channel list alone.
+    Otherwise the move can replace queues in the list, and append to the
+    queues at the slots it names. Every move writes ``tick``, ``last_event``
+    and the pending queue, which are not listed.
+    """
+
+    fluents: bool
+    metrics: bool
+    channels: tuple[int, ...] | None
+    timers: bool
+
+
+def stimulus_writes(program: Program, stimulus: EnvStimulus) -> Writes:
+    """What ``apply_stimulus`` can write for ``stimulus``."""
+    kind = type(stimulus)
+    if kind is Tick:  # delivery replaces queues; due timers re-arm
+        return Writes(False, False, (), True)
+    if kind is SetMetric:
+        return Writes(False, True, None, False)
+    if kind is SendMessage:
+        return Writes(False, False, (program.channel_slot[stimulus.channel],), False)
+    return Writes(False, False, None, False)  # an injection only enqueues
+
+
+def event_writes(program: Program, event: Key) -> Writes:
+    """What ``step`` can write when it processes ``event``: the fluents the
+    event flips, and what the actions of the mappings it can fire, and
+    their callees, assign and send."""
+    initiated = set(program.initiators.get(event, ()))
+    todo = [
+        action
+        for mapping in program.mappings[event[0]]
+        if initiated.intersection(mapping.conditions)
+        for action in mapping.actions
+    ]
+    reached: set[Key] = set()
+    while todo:
+        action = todo.pop()
+        if action not in reached:
+            reached.add(action)
+            info = program.actions[action]
+            todo += info.calls + info.onerr_calls
+    infos = [program.actions[action] for action in reached]
+    channels = sorted({program.channel_slot[chan] for info in infos for _msg, chan in info.sends})
+    return Writes(
+        bool(initiated or program.terminators.get(event)),
+        any(info.writes for info in infos),
+        tuple(channels) if channels else None,
+        False,
+    )

@@ -113,7 +113,10 @@ def _parse_step(line: str, spec: CheckedSpec) -> tuple[int, Stimulus]:
     parts = line.split(maxsplit=2)
     if len(parts) < 3 or parts[0] != "tick":
         raise ScenarioError(f"expected 'tick <n> <stimulus>', got: {' '.join(parts)}")
-    tick = int(parts[1])
+    # the tick is read as the spec lexer reads an integer literal
+    if not _LITERALS[ValueType.INTEGER].fullmatch(parts[1]):
+        raise ScenarioError(f"tick number is not an integer literal: {parts[1]!r}")
+    tick = read_number(parts[1], real=False)
     if tick < 0:
         raise ScenarioError("tick numbers are non-negative")
     return tick, parse_stimulus(parts[2], spec)

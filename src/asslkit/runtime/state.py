@@ -97,7 +97,10 @@ class RuntimeState:
 
     The class has ``__slots__``, so a state is seven attribute slots and no
     instance dict. The verifier stores no ``RuntimeState`` and copies none:
-    it rebuilds one from a state vector for each successor it computes.
+    for each successor it computes, it builds one from a state vector for
+    one move. A part that move cannot write stays the vector's tuple, and
+    only the parts it can write are lists (``Writes`` in
+    ``asslkit.runtime.engine``).
     """
 
     tick: int

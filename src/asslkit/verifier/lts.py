@@ -43,18 +43,25 @@ Four facts keep the stored graph small and cheap to build:
   building, hashing and comparing the vector of every edge against the
   index of seen states runs in C. Property atoms find a key's value
   through ``Program``'s maps.
-* The state list is the queue and the only store. ``build_lts`` expands
-  ids in order, each from a working state that ``Layout.state`` rebuilds
-  from its vector, so successors follow from exactly the vector that the
-  index of seen states merges on, and no ``RuntimeState`` is kept.
+* Copy on write, and one object per distinct part. The state list is the
+  queue and the only store: ``build_lts`` expands ids in order, and keeps
+  no ``RuntimeState``. Each move runs on a working state that
+  ``Layout.state`` builds from the source vector. Only the parts the move
+  can write are copied into lists, as the runtime's ``stimulus_writes``
+  and ``event_writes`` tables say; every other part stays the vector's own
+  tuple, which ``Layout.vector`` passes through unchanged. A table entry
+  that missed a write would make the runtime assign into or append to a
+  tuple, which fails. The parts of each newly stored vector are interned
+  in per-build tables, so states share equal parts.
 * Observations. Labels and property atoms read only a state's fluents,
   metrics and ``last_event``, its *observation*, and many states share one
   (on a 2-worker swarm, 2,575 states have 120). ``Lts.observations``
   numbers the distinct ones on first use, from ``states`` alone, so labels
   are built and rendered, and each proposition evaluated, once per
-  observation. Metric values are keyed by ``repr``, which keeps apart
-  values that compare equal but render differently (``True``, ``1`` and
-  ``1.0``; ``0.0`` and ``-0.0``).
+  observation. Metric values are keyed by ``repr`` here and in the table
+  of interned metric parts, which keeps apart values that compare equal
+  but render differently (``True``, ``1`` and ``1.0``; ``0.0`` and
+  ``-0.0``).
 """
 
 from __future__ import annotations
@@ -63,13 +70,14 @@ from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..checker import CheckedSpec
 from ..names import Key, qual
 from ..nodes import render_value, type_of_value
 from ..program import EventOccurrence, Program
-from ..runtime.engine import Runtime
+from ..runtime.engine import Runtime, Writes, event_writes, stimulus_writes
 from ..runtime.scenario import EnvStimulus, InjectEvent, Tick
 from ..runtime.state import RuntimeState
 
@@ -93,6 +101,7 @@ class StateVector(NamedTuple):
 
 
 _new = tuple.__new__
+_event_of = itemgetter(0)  # an ``EventOccurrence``'s event
 
 
 class Layout:
@@ -100,30 +109,46 @@ class Layout:
 
     @staticmethod
     def vector(state: RuntimeState) -> StateVector:
-        tick = state.tick
+        """The state's vector. A part still held as a tuple is the vector's
+        own and passes through as it is; channels and timers are tested
+        explicitly, since their vector parts are not plain copies."""
+        channels = state.channels
+        if type(channels) is not tuple:
+            channels = tuple(map(tuple, channels))
+        timers = state.timers
+        if type(timers) is not tuple:
+            tick = state.tick
+            timers = tuple([t - tick for t in timers])
         return _new(StateVector, (
             tuple(state.fluents),
             tuple(state.metrics),
-            tuple([tuple(queue) for queue in state.channels]),
-            tuple([occ.event for occ in state.pending]),
-            tuple([t - tick for t in state.timers]),
+            channels,
+            tuple(map(_event_of, state.pending)),
+            timers,
             state.last_event,
         ))
 
     @staticmethod
-    def state(vec: StateVector, occurrences: Mapping[Key, EventOccurrence]) -> RuntimeState:
-        """The inverse of ``vector``: a working state at tick 0, whose timers
-        are the vector's relative ones. Each pending event becomes its entry
-        in ``occurrences``; a cause is read only by trace records."""
-        return RuntimeState(
-            tick=0,
-            fluents=list(vec.fluents),
-            metrics=list(vec.metrics),
-            channels=[list(queue) for queue in vec.channels],
-            pending=deque([occurrences[event] for event in vec.pending]),
-            timers=list(vec.timers),
-            last_event=vec.last_event,
-        )
+    def state(
+        vec: StateVector, writes: Writes, occurrences: Mapping[Key, EventOccurrence]
+    ) -> RuntimeState:
+        """A working state at tick 0 for a move that can write ``writes``:
+        those parts are copied into lists, every other part is the vector's
+        own tuple. Timers stay relative to tick 0. Each pending event becomes
+        its entry in ``occurrences``; a cause is read only by trace records."""
+        fluents, metrics, channels, pending, timers, last_event = vec
+        if writes.fluents:
+            fluents = list(fluents)
+        if writes.metrics:
+            metrics = list(metrics)
+        if writes.channels is not None:
+            channels = list(channels)
+            for slot in writes.channels:
+                channels[slot] = list(channels[slot])
+        if writes.timers:
+            timers = list(timers)
+        pending = deque(map(occurrences.__getitem__, pending))
+        return RuntimeState(0, fluents, metrics, channels, pending, timers, last_event)
 
 
 @dataclass
@@ -234,15 +259,36 @@ def build_lts(
     if env is None:
         env = default_env(spec)
     env = tuple(sorted(env, key=lambda stim: stim.render()))
+    program = runtime.program
     # Edge labels are rendered once, so edges share their label strings.
-    moves = [(stim.render(), stim) for stim in env]
-    events = runtime.program.events
+    moves = [(stim.render(), stim, stimulus_writes(program, stim)) for stim in env]
     # A state with pending events has one move: processing the head one.
-    proc_moves = {event: [(f"proc {qual(event)}", None)] for event in events}
+    proc_moves = {
+        event: [(f"proc {qual(event)}", None, event_writes(program, event))]
+        for event in program.events
+    }
     # The verifier records no trace, so no pending event needs its cause.
-    occurrences = {event: EventOccurrence(event, "") for event in events}
+    occurrences = {event: EventOccurrence(event, "") for event in program.events}
+    # Each part of a stored vector is interned, so that states share equal
+    # parts; metric parts are keyed by ``repr``, as ``Lts.observations`` is.
+    fluent_parts: dict[tuple, tuple] = {}
+    metric_parts: dict[tuple, tuple] = {}
+    channel_parts: dict[tuple, tuple] = {}
+    pending_parts: dict[tuple, tuple] = {}
+    timer_parts: dict[tuple, tuple] = {}
 
-    states: list[StateVector] = [Layout.vector(runtime.init())]
+    def intern(vec: StateVector) -> StateVector:
+        fluents, metrics, channels, pending, timers, last_event = vec
+        return _new(StateVector, (
+            fluent_parts.setdefault(fluents, fluents),
+            metric_parts.setdefault(tuple(map(repr, metrics)), metrics),
+            channel_parts.setdefault(channels, channels),
+            pending_parts.setdefault(pending, pending),
+            timer_parts.setdefault(timers, timers),
+            last_event,
+        ))
+
+    states: list[StateVector] = [intern(Layout.vector(runtime.init()))]
     succ: list[list[tuple[str, int]]] = [[]]
     parent: list[tuple[int, str] | None] = [None]
     index: dict[StateVector, int] = {states[0]: 0}
@@ -252,8 +298,8 @@ def build_lts(
     while state_id < len(states) and depth <= max_depth:
         vec = states[state_id]
         adjacency = succ[state_id]
-        for label, stimulus in proc_moves[vec.pending[0]] if vec.pending else moves:
-            nxt = Layout.state(vec, occurrences)
+        for label, stimulus, writes in proc_moves[vec.pending[0]] if vec.pending else moves:
+            nxt = Layout.state(vec, writes, occurrences)
             if stimulus is None:
                 runtime.step(nxt)
             else:
@@ -268,6 +314,7 @@ def build_lts(
                     cut.add(state_id)
                     max_depth = depth  # finish this level, then stop
                     continue
+                key = intern(key)
                 dst = index[key] = len(states)
                 states.append(key)
                 succ.append([])
@@ -281,7 +328,7 @@ def build_lts(
     cut.update(range(state_id, len(states)))
 
     return Lts(
-        program=runtime.program,
+        program=program,
         states=states,
         succ=succ,
         parent=parent,

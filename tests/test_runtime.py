@@ -420,6 +420,10 @@ class TestScenarioParsing:
             ("tick 1 send one.ping", "send takes a message name and a channel name"),
             ("tick 1 wait", "unknown stimulus 'wait'"),
             ("tick -1 halt", "tick numbers are non-negative"),
+            ("tick 1_0 halt", "tick number is not an integer literal: '1_0'"),
+            ("tick +2 halt", "tick number is not an integer literal: '+2'"),
+            ("tick \u0663 halt", "tick number is not an integer literal: '\u0663'"),
+            ("tick x halt", "tick number is not an integer literal: 'x'"),
             ("at 1 halt", "expected 'tick <n> <stimulus>', got: at 1 halt"),
             ("tick 1", "expected 'tick <n> <stimulus>', got: tick 1"),
             ("tick 1 inject sys.nope", "no event named 'sys.nope'"),

@@ -6,6 +6,7 @@ import hashlib
 import json
 import operator
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,8 @@ from asslkit.verifier import (
 from asslkit.missions import all_missions
 from asslkit.parser import MAX_NESTING
 from asslkit.runtime import Runtime, parse_scenario
-from asslkit.runtime.state import EventOccurrence
+from asslkit.runtime.engine import Writes, event_writes, stimulus_writes
+from asslkit.runtime.state import EventOccurrence, RuntimeState
 from asslkit.verifier import Layout, Lts, StateVector
 from asslkit.verifier.mc import _cycles_and_escapes
 from asslkit.verifier.props import PBin, PNot
@@ -77,6 +79,24 @@ def toggle_spec():
     spec = check_all(parse_text(TOGGLE_SPEC))
     assert spec.ok
     return spec
+
+
+@pytest.fixture(scope="module")
+def shared_state_graphs():
+    """(spec, graph) of every mission with its README environment, swarms
+    N=1 and N=2, and random specs 0-59."""
+    pairs = []
+    for pkg in all_missions():
+        spec = pkg.load()
+        env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name])
+        pairs.append((spec, build_lts(spec, env=env or default_env(spec))))
+    for n in (1, 2):
+        swarm = check_all(parse_text(swarm_source(n)))
+        pairs.append((swarm, build_lts(swarm, env=swarm_env(swarm, n))))
+    for seed in range(60):
+        spec = random_checked_spec(seed)
+        pairs.append((spec, build_lts(spec, env=env_for(spec))))
+    return pairs
 
 
 class TestBuildLts:
@@ -285,24 +305,73 @@ class TestBuildLts:
                 seen["truncated"] += lts.truncated
         assert min(seen.values()) > 0, seen
 
-    def test_layout_state_inverts_vector(self):
-        graphs = []
-        for pkg in all_missions():
-            spec = pkg.load()
-            env = tuple(parse_env_stimulus(spec, t) for t in README_ENVS[pkg.name])
-            graphs.append(build_lts(spec, env=env or default_env(spec)))
-        for n in (1, 2):
-            swarm = check_all(parse_text(swarm_source(n)))
-            graphs.append(build_lts(swarm, env=swarm_env(swarm, n)))
-        for seed in range(60):
-            spec = random_checked_spec(seed)
-            graphs.append(build_lts(spec, env=env_for(spec)))
-        for lts in graphs:
+    def test_layout_state_inverts_vector(self, shared_state_graphs):
+        for _spec, lts in shared_state_graphs:
             occurrences = {event: EventOccurrence(event, "") for event in lts.program.events}
+            # what an injection writes: the pending queue, ``tick`` and ``last_event``
+            nothing = Writes(False, False, None, False)
+            everything = Writes(True, True, tuple(range(len(lts.program.channel_keys))), True)
             for vec in lts.states:
-                state = Layout.state(vec, occurrences)
-                assert state.tick == 0
-                assert Layout.vector(state) == vec
+                for writes in (nothing, everything):
+                    state = Layout.state(vec, writes, occurrences)
+                    assert state.tick == 0
+                    assert Layout.vector(state) == vec
+                # a part no move writes passes through as the vector's own
+                shared = Layout.vector(Layout.state(vec, nothing, occurrences))
+                for part in ("fluents", "metrics", "channels", "timers"):
+                    assert getattr(shared, part) is getattr(vec, part), (part, vec)
+
+    def test_shared_working_state_moves_like_a_full_copy(self, shared_state_graphs):
+        # Each move's working state shares the parts the move cannot write
+        # with the source vector. Its successor must be the one a state with
+        # every part copied into lists reaches, and the source must not change.
+        checked = 0
+        for spec, lts in shared_state_graphs:
+            program = lts.program
+            runtime = Runtime(spec, seed=None, record=False)
+            occurrences = {event: EventOccurrence(event, "") for event in program.events}
+            env = [(stim, stimulus_writes(program, stim)) for stim in lts.env]
+            for vec in lts.states:
+                before = repr(vec)
+                if vec.pending:
+                    moves_here = [(None, event_writes(program, vec.pending[0]))]
+                else:
+                    moves_here = env
+                for stimulus, writes in moves_here:
+                    shared = Layout.state(vec, writes, occurrences)
+                    full = RuntimeState(
+                        0,
+                        list(vec.fluents),
+                        list(vec.metrics),
+                        [list(queue) for queue in vec.channels],
+                        deque(occurrences[event] for event in vec.pending),
+                        list(vec.timers),
+                        vec.last_event,
+                    )
+                    for state in (shared, full):
+                        if stimulus is None:
+                            runtime.step(state)
+                        else:
+                            runtime.apply_stimulus(state, stimulus)
+                    assert repr(Layout.vector(shared)) == repr(Layout.vector(full))
+                    assert repr(vec) == before
+                    checked += 1
+        assert checked > 10_000
+
+    def test_equal_metric_parts_that_render_apart_stay_apart(self, operators_spec):
+        # 0.0 == -0.0, but they label states differently: the interned metric
+        # part of each state keeps the value it was built with.
+        lts = build_lts(operators_spec, env=(parse_env_stimulus(operators_spec, "set level -0.0"),))
+        slot = lts.program.metric_slot[("probe", "level")]
+        by_repr = {}
+        for state, vec in enumerate(lts.states):
+            by_repr.setdefault(repr(vec.metrics[slot]), state)
+        assert set(by_repr) == {"0.0", "-0.0"}
+        zero, negative = lts.states[by_repr["0.0"]], lts.states[by_repr["-0.0"]]
+        assert zero.metrics == negative.metrics and zero != negative
+        assert "metric:probe.level=0.0" in lts.labeling(by_repr["0.0"])
+        assert "metric:probe.level=-0.0" in lts.labeling(by_repr["-0.0"])
+        assert lts.labeling(by_repr["0.0"]) != lts.labeling(by_repr["-0.0"])
 
     def test_graph_export_format(self, toggle_spec):
         lts = build_lts(toggle_spec)
