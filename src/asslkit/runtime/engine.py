@@ -9,6 +9,15 @@ environment stimulus, the clock ``Tick`` included, and ``step`` processes
 one pending occurrence. The verifier's exploration and counterexample
 replay drive it through these two calls only.
 
+Copy on write: a state's fluents, metrics, channel list, channel queues
+and timers may be given as tuples, as the verifier gives the parts of the
+state vector a move starts from. A part given as a tuple is copied into a
+list where the runtime first writes it: a fluent flip, a metric
+assignment, a send's append (the channel list and the one queue), a
+delivery's queue replacement, a timer re-arm. So a move leaves every part
+it does not write the caller's own object, and only these five sites know
+what a move writes. ``init`` builds lists, which are written in place.
+
 A runtime executes the spec's :class:`~asslkit.program.Program`, which
 ``check_all`` builds once and every runtime on that spec shares; everything
 that does not depend on state is built there (see ``asslkit.program``).
@@ -59,7 +68,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Callable
-from typing import NamedTuple
 
 from ..checker import CheckedSpec
 from ..names import Key
@@ -69,7 +77,6 @@ from ..program import (
     Assign,
     Call,
     Op,
-    Program,
     Send,
 )
 from .scenario import EnvStimulus, Halt, InjectEvent, Scenario, SendMessage, SetMetric, Tick
@@ -170,12 +177,16 @@ class Runtime:
         initiated: list[int] = []
         for slot in program.initiators.get(event, ()):
             if not fluents[slot]:
+                if type(fluents) is tuple:
+                    fluents = state.fluents = list(fluents)
                 fluents[slot] = True
                 initiated.append(slot)
                 if trace is not None:
                     trace.append(state.tick, FLUENT_INITIATED, names[fluent_keys[slot]], info.by)
         for slot in program.terminators.get(event, ()):
             if fluents[slot]:
+                if type(fluents) is tuple:
+                    fluents = state.fluents = list(fluents)
                 fluents[slot] = False
                 if trace is not None:
                     trace.append(state.tick, FLUENT_TERMINATED, names[fluent_keys[slot]], info.by)
@@ -275,6 +286,8 @@ class Runtime:
             )
             name = program.names[program.metric_keys[slot]]
             self.trace.append(state.tick, METRIC_ASSIGNED, name, detail)
+        if type(metrics) is tuple:
+            metrics = state.metrics = list(metrics)
         metrics[slot] = value
         state.pending.extend(program.changed_subs[slot])
 
@@ -283,12 +296,17 @@ class Runtime:
     ) -> None:
         """Queue a message on the channel at slot ``channel``, or drop it when the
         channel is full; ``sent`` and ``dropped`` are the two possible trace details."""
-        queue = state.channels[channel]
+        channels = state.channels
+        queue = channels[channel]
         trace = self.trace
         if len(queue) >= self.program.channel_capacity[channel]:
             if trace is not None:
                 trace.append(state.tick, MESSAGE_SENT, self.program.names[message], dropped)
             return
+        if type(queue) is tuple:
+            if type(channels) is tuple:
+                channels = state.channels = list(channels)
+            queue = channels[channel] = list(queue)
         queue.append(message)
         if trace is not None:
             trace.append(state.tick, MESSAGE_SENT, self.program.names[message], sent)
@@ -375,12 +393,16 @@ class Runtime:
                         )
                     pending.extend(received_subs.get(message, ()))
                 if len(remaining) != len(queue):
+                    if type(channels) is tuple:
+                        channels = state.channels = list(channels)
                     channels[channel] = remaining
         for elem in order:
             for slot in program.timers_by_element[elem]:
                 if timers[slot] <= tick:
                     occurrence, period = program.timer_slots[slot]
                     pending.append(occurrence)
+                    if type(timers) is tuple:
+                        timers = state.timers = list(timers)
                     timers[slot] = tick + period
 
     # -- stimuli and runs -------------------------------------------------------------
@@ -443,64 +465,3 @@ class Runtime:
             trace.aborted = str(err)
         return trace
 
-
-# -- what a move writes ------------------------------------------------------------
-# The verifier builds each move's working state from the source vector's
-# tuples and copies into lists only the parts these tables name. They follow
-# the methods above: a move that wrote a part not named here would assign
-# into or append to a tuple and fail with a TypeError or AttributeError.
-
-
-class Writes(NamedTuple):
-    """The parts of a state one move can write; it only reads the others.
-
-    ``channels`` is None when the move leaves the channel list alone.
-    Otherwise the move can replace queues in the list, and append to the
-    queues at the slots it names. Every move writes ``tick``, ``last_event``
-    and the pending queue, which are not listed.
-    """
-
-    fluents: bool
-    metrics: bool
-    channels: tuple[int, ...] | None
-    timers: bool
-
-
-def stimulus_writes(program: Program, stimulus: EnvStimulus) -> Writes:
-    """What ``apply_stimulus`` can write for ``stimulus``."""
-    kind = type(stimulus)
-    if kind is Tick:  # delivery replaces queues; due timers re-arm
-        return Writes(False, False, (), True)
-    if kind is SetMetric:
-        return Writes(False, True, None, False)
-    if kind is SendMessage:
-        return Writes(False, False, (program.channel_slot[stimulus.channel],), False)
-    return Writes(False, False, None, False)  # an injection only enqueues
-
-
-def event_writes(program: Program, event: Key) -> Writes:
-    """What ``step`` can write when it processes ``event``: the fluents the
-    event flips, and what the actions of the mappings it can fire, and
-    their callees, assign and send."""
-    initiated = set(program.initiators.get(event, ()))
-    todo = [
-        action
-        for mapping in program.mappings[event[0]]
-        if initiated.intersection(mapping.conditions)
-        for action in mapping.actions
-    ]
-    reached: set[Key] = set()
-    while todo:
-        action = todo.pop()
-        if action not in reached:
-            reached.add(action)
-            info = program.actions[action]
-            todo += info.calls + info.onerr_calls
-    infos = [program.actions[action] for action in reached]
-    channels = sorted({program.channel_slot[chan] for info in infos for _msg, chan in info.sends})
-    return Writes(
-        bool(initiated or program.terminators.get(event)),
-        any(info.writes for info in infos),
-        tuple(channels) if channels else None,
-        False,
-    )

@@ -82,7 +82,6 @@ class ScenarioError(ValueError):
 class Scenario:
     name: str
     steps: tuple[tuple[int, Stimulus], ...]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         last = -1
@@ -103,9 +102,12 @@ def parse_scenario(text: str, spec: CheckedSpec, name: str = "<scenario>") -> Sc
         if not line or line.startswith("#"):
             continue
         try:
-            steps.append(_parse_step(line, spec))
+            step = _parse_step(line, spec)
+            if steps and step[0] < steps[-1][0]:
+                raise ScenarioError("ticks must be non-decreasing")
         except (NameResolutionError, ScenarioError, ValueError) as err:
             raise ScenarioError(f"{name}:{lineno}: {err}") from None
+        steps.append(step)
     return Scenario(name, tuple(steps))
 
 

@@ -98,9 +98,10 @@ class RuntimeState:
     The class has ``__slots__``, so a state is seven attribute slots and no
     instance dict. The verifier stores no ``RuntimeState`` and copies none:
     for each successor it computes, it builds one from a state vector for
-    one move. A part that move cannot write stays the vector's tuple, and
-    only the parts it can write are lists (``Writes`` in
-    ``asslkit.runtime.engine``).
+    one move, with the vector's tuples as its parts. A part given as a
+    tuple is copied into a list when the runtime first writes it (see
+    ``asslkit.runtime.engine``), so the parts a move does not write stay
+    the vector's own.
     """
 
     tick: int

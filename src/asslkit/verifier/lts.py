@@ -46,22 +46,22 @@ Four facts keep the stored graph small and cheap to build:
 * Copy on write, and one object per distinct part. The state list is the
   queue and the only store: ``build_lts`` expands ids in order, and keeps
   no ``RuntimeState``. Each move runs on a working state that
-  ``Layout.state`` builds from the source vector. Only the parts the move
-  can write are copied into lists, as the runtime's ``stimulus_writes``
-  and ``event_writes`` tables say; every other part stays the vector's own
-  tuple, which ``Layout.vector`` passes through unchanged. A table entry
-  that missed a write would make the runtime assign into or append to a
-  tuple, which fails. The parts of each newly stored vector are interned
-  in per-build tables, so states share equal parts.
+  ``Layout.state`` builds from the source vector: every part is the
+  vector's own tuple, and only the pending queue is new. A part given as a
+  tuple is copied into a list when the runtime first writes it, so the
+  parts a move does not write stay the vector's own, and
+  ``Layout.vector`` passes them through unchanged. The parts of each newly
+  stored vector are interned in per-build tables, so states share equal
+  parts.
 * Observations. Labels and property atoms read only a state's fluents,
   metrics and ``last_event``, its *observation*, and many states share one
   (on a 2-worker swarm, 2,575 states have 120). ``Lts.observations``
   numbers the distinct ones on first use, from ``states`` alone, so labels
   are built and rendered, and each proposition evaluated, once per
-  observation. Metric values are keyed by ``repr`` here and in the table
-  of interned metric parts, which keeps apart values that compare equal
-  but render differently (``True``, ``1`` and ``1.0``; ``0.0`` and
-  ``-0.0``).
+  observation. Metric values are keyed by ``repr`` here, in the table of
+  interned metric parts, and, for a spec with a REAL metric, in the index
+  of seen states. That keeps apart values that compare equal but render
+  differently (``True``, ``1`` and ``1.0``; ``0.0`` and ``-0.0``).
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ from typing import NamedTuple
 
 from ..checker import CheckedSpec
 from ..names import Key, qual
-from ..nodes import render_value, type_of_value
+from ..nodes import ValueType, render_value, type_of_value
 from ..program import EventOccurrence, Program
-from ..runtime.engine import Runtime, Writes, event_writes, stimulus_writes
+from ..runtime.engine import Runtime
 from ..runtime.scenario import EnvStimulus, InjectEvent, Tick
 from ..runtime.state import RuntimeState
 
@@ -110,15 +110,14 @@ class Layout:
     @staticmethod
     def vector(state: RuntimeState) -> StateVector:
         """The state's vector. A part still held as a tuple is the vector's
-        own and passes through as it is; channels and timers are tested
-        explicitly, since their vector parts are not plain copies."""
+        own and passes through as it is (``tuple`` of a tuple is that tuple);
+        the channel list is tested explicitly, since each queue is converted
+        too. Timers are made relative to the state's tick."""
         channels = state.channels
         if type(channels) is not tuple:
             channels = tuple(map(tuple, channels))
-        timers = state.timers
-        if type(timers) is not tuple:
-            tick = state.tick
-            timers = tuple([t - tick for t in timers])
+        tick = state.tick
+        timers = tuple([t - tick for t in state.timers]) if tick else tuple(state.timers)
         return _new(StateVector, (
             tuple(state.fluents),
             tuple(state.metrics),
@@ -129,24 +128,13 @@ class Layout:
         ))
 
     @staticmethod
-    def state(
-        vec: StateVector, writes: Writes, occurrences: Mapping[Key, EventOccurrence]
-    ) -> RuntimeState:
-        """A working state at tick 0 for a move that can write ``writes``:
-        those parts are copied into lists, every other part is the vector's
-        own tuple. Timers stay relative to tick 0. Each pending event becomes
-        its entry in ``occurrences``; a cause is read only by trace records."""
+    def state(vec: StateVector, occurrences: Mapping[Key, EventOccurrence]) -> RuntimeState:
+        """A working state at tick 0 whose parts are the vector's own tuples,
+        which the runtime copies into lists where it first writes them.
+        Timers stay relative to tick 0. Each pending event becomes its entry
+        in ``occurrences``, in a new queue; a cause is read only by trace
+        records."""
         fluents, metrics, channels, pending, timers, last_event = vec
-        if writes.fluents:
-            fluents = list(fluents)
-        if writes.metrics:
-            metrics = list(metrics)
-        if writes.channels is not None:
-            channels = list(channels)
-            for slot in writes.channels:
-                channels[slot] = list(channels[slot])
-        if writes.timers:
-            timers = list(timers)
         pending = deque(map(occurrences.__getitem__, pending))
         return RuntimeState(0, fluents, metrics, channels, pending, timers, last_event)
 
@@ -261,12 +249,9 @@ def build_lts(
     env = tuple(sorted(env, key=lambda stim: stim.render()))
     program = runtime.program
     # Edge labels are rendered once, so edges share their label strings.
-    moves = [(stim.render(), stim, stimulus_writes(program, stim)) for stim in env]
+    moves = [(stim.render(), stim) for stim in env]
     # A state with pending events has one move: processing the head one.
-    proc_moves = {
-        event: [(f"proc {qual(event)}", None, event_writes(program, event))]
-        for event in program.events
-    }
+    proc_moves = {event: [(f"proc {qual(event)}", None)] for event in program.events}
     # The verifier records no trace, so no pending event needs its cause.
     occurrences = {event: EventOccurrence(event, "") for event in program.events}
     # Each part of a stored vector is interned, so that states share equal
@@ -288,18 +273,25 @@ def build_lts(
             last_event,
         ))
 
+    # Of all metric values, only a REAL slot's 0.0 and -0.0 compare equal but
+    # render apart. A spec with a REAL metric indexes each vector together with
+    # its metric reprs, so that a -0.0 state is not merged with its 0.0 twin.
+    has_real = any(metric.value_type is ValueType.REAL for metric in program.metrics.values())
     states: list[StateVector] = [intern(Layout.vector(runtime.init()))]
     succ: list[list[tuple[str, int]]] = [[]]
     parent: list[tuple[int, str] | None] = [None]
-    index: dict[StateVector, int] = {states[0]: 0}
+    key = states[0]
+    index: dict[StateVector | tuple[StateVector, tuple[str, ...]], int] = {
+        (key, tuple(map(repr, key.metrics))) if has_real else key: 0
+    }
     cut: set[int] = set()
     max_depth = bounds.max_depth
     state_id, level_end, depth = 0, 1, 0
     while state_id < len(states) and depth <= max_depth:
         vec = states[state_id]
         adjacency = succ[state_id]
-        for label, stimulus, writes in proc_moves[vec.pending[0]] if vec.pending else moves:
-            nxt = Layout.state(vec, writes, occurrences)
+        for label, stimulus in proc_moves[vec.pending[0]] if vec.pending else moves:
+            nxt = Layout.state(vec, occurrences)
             if stimulus is None:
                 runtime.step(nxt)
             else:
@@ -308,14 +300,15 @@ def build_lts(
                 cut.add(state_id)
                 continue
             key = Layout.vector(nxt)
-            dst = index.get(key)
+            seen = (key, tuple(map(repr, key.metrics))) if has_real else key
+            dst = index.get(seen)
             if dst is None:
                 if len(states) >= bounds.max_states:
                     cut.add(state_id)
                     max_depth = depth  # finish this level, then stop
                     continue
                 key = intern(key)
-                dst = index[key] = len(states)
+                dst = index[(key, seen[1]) if has_real else key] = len(states)
                 states.append(key)
                 succ.append([])
                 parent.append((state_id, label))

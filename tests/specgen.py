@@ -278,8 +278,10 @@ def random_properties(spec: CheckedSpec, rng: random.Random, count: int = 6) -> 
     return lines
 
 
-def random_scenario(spec: CheckedSpec, rng: random.Random, name: str = "fuzz") -> Scenario:
-    """A random stimulus script over the spec's own surface."""
+def random_scenario(
+    spec: CheckedSpec, rng: random.Random, name: str = "fuzz"
+) -> tuple[Scenario, int]:
+    """A random stimulus script over the spec's own surface, and a seed to run it with."""
     injectables = sorted(
         (t, n)
         for (t, ns, n), decl in spec.symbols.decls.items()
@@ -315,4 +317,5 @@ def random_scenario(spec: CheckedSpec, rng: random.Random, name: str = "fuzz") -
             steps.append((tick, InjectEvent(rng.choice(injectables))))
     tick += rng.randint(1, 3)
     steps.append((tick, Halt()))
-    return Scenario(name, tuple(steps), seed=rng.randrange(1 << 16))
+    seed = rng.randrange(1 << 16)
+    return Scenario(name, tuple(steps)), seed

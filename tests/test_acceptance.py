@@ -67,7 +67,7 @@ def test_criterion_2_fluent_lifecycle_over_randomized_scenarios():
         spec = pkg.load()
         runtime = Runtime(spec, seed=7)
         for _ in range(55):
-            scenario = random_scenario(spec, rng, name=f"{pkg.name}-{runs}")
+            scenario, _seed = random_scenario(spec, rng, name=f"{pkg.name}-{runs}")
             trace = runtime.run(scenario, max_ticks=200)
             assert trace.aborted is None
             problems = check_alternation(trace)

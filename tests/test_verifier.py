@@ -31,14 +31,15 @@ from asslkit.verifier import (
     eval_prop,
 )
 from asslkit.missions import all_missions
+from asslkit.names import qual
 from asslkit.parser import MAX_NESTING
 from asslkit.runtime import Runtime, parse_scenario
-from asslkit.runtime.engine import Writes, event_writes, stimulus_writes
+from asslkit.runtime.scenario import InjectEvent
 from asslkit.runtime.state import EventOccurrence, RuntimeState
 from asslkit.verifier import Layout, Lts, StateVector
 from asslkit.verifier.mc import _cycles_and_escapes
 from asslkit.verifier.props import PBin, PNot
-from conftest import README_ENVS
+from conftest import README_ENVS, operators_spec_and_scenario
 from oracles import (
     _label,
     brute_force_lts,
@@ -84,7 +85,8 @@ def toggle_spec():
 @pytest.fixture(scope="module")
 def shared_state_graphs():
     """(spec, graph) of every mission with its README environment, swarms
-    N=1 and N=2, and random specs 0-59."""
+    N=1 and N=2, random specs 0-59, and the every-operator spec with a
+    stimulus that sets a real metric to -0.0."""
     pairs = []
     for pkg in all_missions():
         spec = pkg.load()
@@ -96,7 +98,27 @@ def shared_state_graphs():
     for seed in range(60):
         spec = random_checked_spec(seed)
         pairs.append((spec, build_lts(spec, env=env_for(spec))))
+    operators = operators_spec_and_scenario()[0]
+    env = (parse_env_stimulus(operators, "set level -0.0"),)
+    pairs.append((operators, build_lts(operators, env=env)))
     return pairs
+
+
+#: The parts of a working state that ``Layout.state`` shares with the vector.
+SHARED_PARTS = ("fluents", "metrics", "channels", "timers")
+
+
+def full_copy(vec: StateVector, occurrences) -> RuntimeState:
+    """A working state for ``vec`` with every part copied into lists."""
+    return RuntimeState(
+        0,
+        list(vec.fluents),
+        list(vec.metrics),
+        [list(queue) for queue in vec.channels],
+        deque(occurrences[event] for event in vec.pending),
+        list(vec.timers),
+        vec.last_event,
+    )
 
 
 class TestBuildLts:
@@ -308,59 +330,65 @@ class TestBuildLts:
     def test_layout_state_inverts_vector(self, shared_state_graphs):
         for _spec, lts in shared_state_graphs:
             occurrences = {event: EventOccurrence(event, "") for event in lts.program.events}
-            # what an injection writes: the pending queue, ``tick`` and ``last_event``
-            nothing = Writes(False, False, None, False)
-            everything = Writes(True, True, tuple(range(len(lts.program.channel_keys))), True)
             for vec in lts.states:
-                for writes in (nothing, everything):
-                    state = Layout.state(vec, writes, occurrences)
-                    assert state.tick == 0
-                    assert Layout.vector(state) == vec
-                # a part no move writes passes through as the vector's own
-                shared = Layout.vector(Layout.state(vec, nothing, occurrences))
-                for part in ("fluents", "metrics", "channels", "timers"):
+                state = Layout.state(vec, occurrences)
+                assert state.tick == 0
+                assert type(state.pending) is deque
+                for part in SHARED_PARTS:
+                    assert getattr(state, part) is getattr(vec, part), (part, vec)
+                # the parts no move wrote pass through as the vector's own
+                shared = Layout.vector(state)
+                assert shared == vec
+                for part in SHARED_PARTS:
                     assert getattr(shared, part) is getattr(vec, part), (part, vec)
+                assert repr(Layout.vector(full_copy(vec, occurrences))) == repr(vec)
 
     def test_shared_working_state_moves_like_a_full_copy(self, shared_state_graphs):
-        # Each move's working state shares the parts the move cannot write
-        # with the source vector. Its successor must be the one a state with
-        # every part copied into lists reaches, and the source must not change.
+        # Each move's working state starts with the source vector's tuples,
+        # and the runtime copies a part into a list where it first writes it.
+        # Its successor must be the one a state with every part copied into
+        # lists reaches, it must be the target of the move's edge, and the
+        # source must not change.
         checked = 0
         for spec, lts in shared_state_graphs:
-            program = lts.program
+            edges = 0
             runtime = Runtime(spec, seed=None, record=False)
-            occurrences = {event: EventOccurrence(event, "") for event in program.events}
-            env = [(stim, stimulus_writes(program, stim)) for stim in lts.env]
-            for vec in lts.states:
+            occurrences = {event: EventOccurrence(event, "") for event in lts.program.events}
+            for state_id, vec in enumerate(lts.states):
                 before = repr(vec)
-                if vec.pending:
-                    moves_here = [(None, event_writes(program, vec.pending[0]))]
-                else:
-                    moves_here = env
-                for stimulus, writes in moves_here:
-                    shared = Layout.state(vec, writes, occurrences)
-                    full = RuntimeState(
-                        0,
-                        list(vec.fluents),
-                        list(vec.metrics),
-                        [list(queue) for queue in vec.channels],
-                        deque(occurrences[event] for event in vec.pending),
-                        list(vec.timers),
-                        vec.last_event,
-                    )
+                targets = dict(lts.succ[state_id])
+                for stimulus in [None] if vec.pending else lts.env:
+                    shared = Layout.state(vec, occurrences)
+                    full = full_copy(vec, occurrences)
                     for state in (shared, full):
                         if stimulus is None:
                             runtime.step(state)
                         else:
                             runtime.apply_stimulus(state, stimulus)
-                    assert repr(Layout.vector(shared)) == repr(Layout.vector(full))
+                    successor = repr(Layout.vector(shared))
+                    assert successor == repr(Layout.vector(full))
                     assert repr(vec) == before
+                    for part in SHARED_PARTS:
+                        value = getattr(shared, part)
+                        assert value is getattr(vec, part) or type(value) is list, (part, stimulus)
+                    if type(shared.channels) is list:
+                        for queue, source in zip(shared.channels, vec.channels):
+                            assert queue is source or type(queue) is list, stimulus
+                    if type(stimulus) is InjectEvent:  # an injection only enqueues
+                        for part in SHARED_PARTS:
+                            assert getattr(shared, part) is getattr(vec, part), part
+                    label = f"proc {qual(vec.pending[0])}" if vec.pending else stimulus.render()
+                    if label in targets:
+                        assert repr(lts.states[targets[label]]) == successor, (state_id, label)
+                        edges += 1
                     checked += 1
+            assert edges == lts.edge_count
         assert checked > 10_000
 
     def test_equal_metric_parts_that_render_apart_stay_apart(self, operators_spec):
         # 0.0 == -0.0, but they label states differently: the interned metric
-        # part of each state keeps the value it was built with.
+        # part of each state keeps the value it was built with, and the index
+        # of seen states keeps the two states apart.
         lts = build_lts(operators_spec, env=(parse_env_stimulus(operators_spec, "set level -0.0"),))
         slot = lts.program.metric_slot[("probe", "level")]
         by_repr = {}
@@ -372,6 +400,20 @@ class TestBuildLts:
         assert "metric:probe.level=0.0" in lts.labeling(by_repr["0.0"])
         assert "metric:probe.level=-0.0" in lts.labeling(by_repr["-0.0"])
         assert lts.labeling(by_repr["0.0"]) != lts.labeling(by_repr["-0.0"])
+        # the drain after the stimulus ends in a quiescent -0.0 state, not
+        # in the initial state, which holds 0.0
+        assert (lts.state_count, lts.edge_count) == (8, 8)
+        assert lts.succ[6] == [("proc probe.levelGe", 7)] and not lts.states[7].pending
+        assert "metric:probe.level=-0.0" in lts.labeling(7)
+        # an initial -0.0 is kept apart from a 0.0 set later
+        spec = check_all(parse_text(
+            "AS sys { METRICS { METRIC level { TYPE { real } INITIAL { -0.0 } } } }"
+        ))
+        env = tuple(parse_env_stimulus(spec, t) for t in ("set level 0.0", "set level -0.0"))
+        assert build_lts(spec, env=env).succ == [
+            [("set sys.level -0.0", 0), ("set sys.level 0.0", 1)],
+            [("set sys.level -0.0", 0), ("set sys.level 0.0", 1)],
+        ]
 
     def test_graph_export_format(self, toggle_spec):
         lts = build_lts(toggle_spec)
