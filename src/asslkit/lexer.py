@@ -2,10 +2,12 @@
 
 Keywords are case sensitive. Structural keywords are upper case; the statement
 keywords ``call``, ``send``, ``over`` and ``fail`` are lower case, matching how
-they appear inside DOES clauses. Qualified references such as
-``EVENTS.privateMessageSecure`` or ``AEIP.MESSAGES.privateMessage`` lex as a
-single REF token whose value is the tuple of path components. Comments run
-from ``//`` to end of line. Both LF and CRLF line endings are accepted.
+they appear inside DOES clauses. Keyword and punctuation spellings are read
+from ``asslkit.tokens``, the one place that spells them. Qualified references
+such as ``EVENTS.privateMessageSecure`` or ``AEIP.MESSAGES.privateMessage``
+lex as a single REF token whose value is the tuple of path components.
+Comments run from ``//`` to end of line. Both LF and CRLF line endings are
+accepted.
 
 One compiled pattern, run with ``finditer``, matches each token together with
 the whitespace and comments before it, and the named group that matched says
@@ -32,7 +34,7 @@ import re
 from bisect import bisect_right
 from math import isinf
 
-from .tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
+from .tokens import KEYWORDS, NAMESPACE_WORDS, PUNCTUATION, LexError, SourceSpan, Token, TokenKind
 
 # Records are built with tuple.__new__ directly: the NamedTuple constructor is
 # a Python-level __new__ and takes about twice as long per token.
@@ -70,20 +72,6 @@ _WORDS: dict[str, tuple[TokenKind, object]] = {
     "true": (TokenKind.BOOL, True),
     "false": (TokenKind.BOOL, False),
 }
-_OPS = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    "=": TokenKind.EQUALS,
-    "!=": TokenKind.NE,
-    "<": TokenKind.LT,
-    "<=": TokenKind.LE,
-    ">": TokenKind.GT,
-    ">=": TokenKind.GE,
-}
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
@@ -100,7 +88,7 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
         if group == "WORD":
             kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
         elif group == "OP":
-            kind, value = _OPS[text], None
+            kind, value = PUNCTUATION[text], None
         elif group == "REF":
             kind, value = TokenKind.REF, tuple(text.split("."))
         elif group == "INT" or group == "REAL":

@@ -12,9 +12,14 @@ Every tier body (AS, AE, ASIP and AEIP) is read by one section loop driven by
 a per-tier table that maps each section keyword to the tier-node field it
 fills and the parser of its body. The loop rejects a keyword missing from the
 table and a section given twice, and the tier node is built from the fields
-it collected. Every ``{ a, b, ... }`` list (FRIENDS, CONDITIONS, ACTIVATION
-and the reference lists) is read by one helper, given the item parser and
-whether the list may be empty.
+it collected. These tables are the one list of each body's sections: the
+printer walks them too, in table order. Every ``{ a, b, ... }`` list
+(FRIENDS, CONDITIONS, ACTIVATION and the reference lists) is read by one
+helper, given the item parser and whether the list may be empty.
+
+A token the grammar requires is named in the error by its spelling from
+``asslkit.tokens``; only names and literals carry a description such as
+"a tier name".
 
 On a syntax error the parser records a diagnostic and resynchronizes at the
 next top-level tier keyword, so several errors can be reported from one run;
@@ -71,7 +76,7 @@ from .nodes import (
     ValueType,
 )
 from .lexer import tokenize
-from .tokens import POLICY_NAME_KINDS, SourceSpan, Token, TokenKind
+from .tokens import POLICY_NAME_KINDS, PUNCTUATION, SPELLING, SourceSpan, Token, TokenKind
 
 _TOP_LEVEL = (TokenKind.KW_AS, TokenKind.KW_ASIP, TokenKind.KW_AE)
 
@@ -79,7 +84,7 @@ MAX_NESTING = 100
 
 # The chain operators, loosest first: an expression is an OR chain of AND
 # chains of ``NOT`` operands.
-_CHAINS = ((TokenKind.KW_OR, "OR"), (TokenKind.KW_AND, "AND"))
+_CHAINS = tuple((kind, SPELLING[kind]) for kind in (TokenKind.KW_OR, TokenKind.KW_AND))
 
 _COMPARE_OPS = {
     TokenKind.EQUALS: "=",
@@ -164,9 +169,15 @@ class _Parser:
             return tok
         return None
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
+    def expect(self, kind: TokenKind, what: str | None = None) -> Token:
+        """The token at the cursor, which must be of ``kind``. A mismatch
+        names ``what``, or else the token's spelling: a keyword bare,
+        punctuation quoted."""
         tok = self.tokens[self.pos]
         if tok.kind is not kind:
+            if what is None:
+                text = SPELLING[kind]
+                what = repr(text) if text in PUNCTUATION else text
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.span)
         self.pos += 1
         return tok
@@ -199,7 +210,7 @@ class _Parser:
                 first_span = tok.span
             try:
                 if tok.kind is TokenKind.KW_AS:
-                    tier = self._parse_tier(AsTier, _AS_SECTIONS, "AS tier")
+                    tier = self._parse_tier(AsTier, AS_SECTIONS, "AS tier")
                     if as_tier is not None:
                         raise ParseError("a specification has exactly one AS tier", tok.span)
                     as_tier = tier
@@ -210,7 +221,7 @@ class _Parser:
                         raise ParseError("duplicate ASIP tier", tok.span)
                     asip = block
                 elif tok.kind is TokenKind.KW_AE:
-                    aes.append(self._parse_tier(AeTier, _AE_SECTIONS, "AE tier"))
+                    aes.append(self._parse_tier(AeTier, AE_SECTIONS, "AE tier"))
                 else:
                     raise self.fail(f"expected AS, ASIP, or AE, found {tok.text!r}")
             except ParseError as err:
@@ -240,18 +251,18 @@ class _Parser:
 
     # -- tiers and their sections --------------------------------------------
 
-    def _parse_tier(self, node: type[Tier], sections: _SectionTable, where: str) -> Tier:
+    def _parse_tier(self, node: type[Tier], sections: SectionTable, where: str) -> Tier:
         kw = self.advance()
         name = self.expect(TokenKind.IDENT, "a tier name").text
         return node(name, **self._parse_sections(sections, where), span=kw.span)
 
     def _parse_protocol(self, span: SourceSpan) -> AsipTier:
-        fields = self._parse_sections(_PROTOCOL_SECTIONS, "interaction protocol")
+        fields = self._parse_sections(PROTOCOL_SECTIONS, "interaction protocol")
         return AsipTier(**fields, span=span)
 
-    def _parse_sections(self, table: _SectionTable, where: str) -> dict[str, object]:
+    def _parse_sections(self, table: SectionTable, where: str) -> dict[str, object]:
         """Read ``{ section* }`` into tier-node fields, each section at most once."""
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.expect(TokenKind.LBRACE)
         fields: dict[str, object] = {}
         while not self.at(TokenKind.RBRACE):
             tok = self.peek()
@@ -262,32 +273,39 @@ class _Parser:
                 raise ParseError(f"duplicate {tok.text} section", tok.span)
             self.advance()
             fields[field] = parse_body(self, tok.span)
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return fields
 
     def _parse_block(
         self, parse_member: Callable[[_Parser], Any], member_kw: TokenKind | None
     ) -> tuple:
         """Read ``{ member* }``; each member starts with ``member_kw`` if one is given."""
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.expect(TokenKind.LBRACE)
         members = []
         while not self.at(TokenKind.RBRACE):
             if member_kw is not None:
-                self.expect(member_kw, member_kw.name.removeprefix("KW_"))
+                self.expect(member_kw)
             members.append(parse_member(self))
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return tuple(members)
 
     def _parse_list(self, parse_item: Callable[[], Any], allow_empty: bool) -> tuple:
         """Read ``{ item, item, ... }``; ``{ }`` is accepted only when ``allow_empty``."""
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.expect(TokenKind.LBRACE)
         if allow_empty and self.accept(TokenKind.RBRACE):
             return ()
         items = [parse_item()]
         while self.accept(TokenKind.COMMA):
             items.append(parse_item())
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return tuple(items)
+
+    def _parse_braced(self, parse_item: Callable[..., Any], *args: Any) -> Any:
+        """Read ``{ item }``, the item read by ``parse_item(*args)``."""
+        self.expect(TokenKind.LBRACE)
+        item = parse_item(*args)
+        self.expect(TokenKind.RBRACE)
+        return item
 
     def _parse_friends(self, span: SourceSpan) -> tuple[str, ...]:
         return self._parse_list(
@@ -305,7 +323,7 @@ class _Parser:
         if tok.kind not in POLICY_NAME_KINDS:
             raise self.fail(f"expected a policy name, found {tok.text!r}")
         self.advance()
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.expect(TokenKind.LBRACE)
         fluents: list[FluentDecl] = []
         mappings: list[MappingDecl] = []
         while not self.at(TokenKind.RBRACE):
@@ -318,26 +336,26 @@ class _Parser:
                 mappings.append(self._parse_mapping(inner.span))
             else:
                 raise self.fail(f"expected FLUENT or MAPPING, found {inner.text!r}")
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return PolicyDecl(tok.text, tuple(fluents), tuple(mappings), span=tok.span)
 
     def _parse_fluent(self, span: SourceSpan) -> FluentDecl:
         name = self.expect(TokenKind.IDENT, "a fluent name").text
-        self.expect(TokenKind.LBRACE, "'{'")
-        self.expect(TokenKind.KW_INITIATED_BY, "INITIATED_BY")
+        self.expect(TokenKind.LBRACE)
+        self.expect(TokenKind.KW_INITIATED_BY)
         initiated = self._parse_ref_list(("EVENTS",), "an EVENTS reference", allow_empty=False)
-        self.expect(TokenKind.KW_TERMINATED_BY, "TERMINATED_BY")
+        self.expect(TokenKind.KW_TERMINATED_BY)
         terminated = self._parse_ref_list(("EVENTS",), "an EVENTS reference", allow_empty=False)
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return FluentDecl(name, initiated, terminated, span=span)
 
     def _parse_mapping(self, span: SourceSpan) -> MappingDecl:
-        self.expect(TokenKind.LBRACE, "'{'")
-        self.expect(TokenKind.KW_CONDITIONS, "CONDITIONS")
+        self.expect(TokenKind.LBRACE)
+        self.expect(TokenKind.KW_CONDITIONS)
         conditions = self._parse_list(self._parse_condition, allow_empty=False)
-        self.expect(TokenKind.KW_DO_ACTIONS, "DO_ACTIONS")
+        self.expect(TokenKind.KW_DO_ACTIONS)
         actions = self._parse_ref_list(("ACTIONS",), "an ACTIONS reference", allow_empty=False)
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return MappingDecl(conditions, actions, span=span)
 
     def _parse_condition(self) -> Ref:
@@ -366,7 +384,7 @@ class _Parser:
 
     def _parse_event(self) -> EventDecl:
         name_tok = self.expect(TokenKind.IDENT, "an event name")
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.expect(TokenKind.LBRACE)
         guard: Expr | None = None
         injectable = False
         clauses: list[ActivationClause] = []
@@ -381,7 +399,7 @@ class _Parser:
                 if guard is not None:
                     raise ParseError("duplicate GUARDS clause", tok.span)
                 self.advance()
-                guard = self._parse_braced_expr()
+                guard = self._parse_braced(self._parse_expr)
             elif tok.kind is TokenKind.KW_ACTIVATION:
                 self.advance()
                 clauses.extend(self._parse_list(self._parse_activation_clause, allow_empty=False))
@@ -389,7 +407,7 @@ class _Parser:
                 raise self.fail(
                     f"expected INJECTABLE, GUARDS, or ACTIVATION, found {tok.text!r}"
                 )
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return EventDecl(
             name_tok.text, guard=guard, activation=tuple(clauses),
             injectable=injectable, span=name_tok.span,
@@ -399,22 +417,18 @@ class _Parser:
         tok = self.peek()
         if tok.kind is TokenKind.KW_SENT or tok.kind is TokenKind.KW_RECEIVED:
             self.advance()
-            self.expect(TokenKind.LBRACE, "'{'")
-            target = self._parse_ref(("AEIP", "MESSAGES"), "an AEIP.MESSAGES reference")
-            self.expect(TokenKind.RBRACE, "'}'")
+            target = self._parse_braced(
+                self._parse_ref, ("AEIP", "MESSAGES"), "an AEIP.MESSAGES reference"
+            )
             kind = ActivationKind.SENT if tok.kind is TokenKind.KW_SENT else ActivationKind.RECEIVED
             return ActivationClause(kind, target=target, span=tok.span)
         if tok.kind is TokenKind.KW_CHANGED:
             self.advance()
-            self.expect(TokenKind.LBRACE, "'{'")
-            target = self._parse_ref(("METRICS",), "a METRICS reference")
-            self.expect(TokenKind.RBRACE, "'}'")
+            target = self._parse_braced(self._parse_ref, ("METRICS",), "a METRICS reference")
             return ActivationClause(ActivationKind.CHANGED, target=target, span=tok.span)
         if tok.kind is TokenKind.KW_ELAPSED:
             self.advance()
-            self.expect(TokenKind.LBRACE, "'{'")
-            ticks_tok = self.expect(TokenKind.INT, "a tick count")
-            self.expect(TokenKind.RBRACE, "'}'")
+            ticks_tok = self._parse_braced(self.expect, TokenKind.INT, "a tick count")
             return ActivationClause(
                 ActivationKind.ELAPSED, ticks=int(ticks_tok.value), span=tok.span  # type: ignore[arg-type]
             )
@@ -424,13 +438,13 @@ class _Parser:
 
     def _parse_action(self) -> ActionDecl:
         name_tok = self.expect(TokenKind.IDENT, "an action name")
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.expect(TokenKind.LBRACE)
         guard = ensures = None
         if self.accept(TokenKind.KW_GUARDS):
-            guard = self._parse_braced_expr()
+            guard = self._parse_braced(self._parse_expr)
         if self.accept(TokenKind.KW_ENSURES):
-            ensures = self._parse_braced_expr()
-        self.expect(TokenKind.KW_DOES, "DOES")
+            ensures = self._parse_braced(self._parse_expr)
+        self.expect(TokenKind.KW_DOES)
         does = self._parse_statements(allow_empty=False)
         onerr_does: tuple[Stmt, ...] = ()
         triggers: tuple[Ref, ...] = ()
@@ -443,7 +457,7 @@ class _Parser:
             onerr_triggers = self._parse_ref_list(
                 ("EVENTS",), "an EVENTS reference", allow_empty=True
             )
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         return ActionDecl(
             name_tok.text,
             does,
@@ -456,11 +470,11 @@ class _Parser:
         )
 
     def _parse_statements(self, allow_empty: bool) -> tuple[Stmt, ...]:
-        open_tok = self.expect(TokenKind.LBRACE, "'{'")
+        open_tok = self.expect(TokenKind.LBRACE)
         stmts: list[Stmt] = []
         while not self.at(TokenKind.RBRACE):
             stmts.append(self._parse_statement())
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
         if not stmts and not allow_empty:
             raise ParseError("DOES clause must contain at least one statement", open_tok.span)
         return tuple(stmts)
@@ -470,33 +484,33 @@ class _Parser:
         if tok.kind is TokenKind.KW_CALL:
             self.advance()
             action = self._parse_ref(("ACTIONS",), "an ACTIONS reference")
-            self.expect(TokenKind.SEMI, "';'")
+            self.expect(TokenKind.SEMI)
             return CallStmt(action, binding=None, span=tok.span)
         if tok.kind is TokenKind.IDENT:
             self.advance()
-            self.expect(TokenKind.EQUALS, "'='")
-            self.expect(TokenKind.KW_CALL, "call")
+            self.expect(TokenKind.EQUALS)
+            self.expect(TokenKind.KW_CALL)
             action = self._parse_ref(("ACTIONS",), "an ACTIONS reference")
-            self.expect(TokenKind.SEMI, "';'")
+            self.expect(TokenKind.SEMI)
             return CallStmt(action, binding=tok.text, span=tok.span)
         if tok.kind is TokenKind.REF and tok.value[:-1] == ("METRICS",):  # type: ignore[index]
             self.advance()
             metric = Ref(("METRICS",), tok.value[-1], span=tok.span)  # type: ignore[index]
-            self.expect(TokenKind.EQUALS, "'='")
+            self.expect(TokenKind.EQUALS)
             value = self._parse_expr()
-            self.expect(TokenKind.SEMI, "';'")
+            self.expect(TokenKind.SEMI)
             return AssignStmt(metric, value, span=tok.span)
         if tok.kind is TokenKind.KW_SEND:
             self.advance()
             message = self._parse_ref(("AEIP", "MESSAGES"), "an AEIP.MESSAGES reference")
-            self.expect(TokenKind.KW_OVER, "over")
+            self.expect(TokenKind.KW_OVER)
             channel = self._parse_ref(("CHANNELS",), "a CHANNELS reference")
-            self.expect(TokenKind.SEMI, "';'")
+            self.expect(TokenKind.SEMI)
             return SendStmt(message, channel, span=tok.span)
         if tok.kind is TokenKind.KW_FAIL:
             self.advance()
             reason = self.expect(TokenKind.TEXT, "a failure reason")
-            self.expect(TokenKind.SEMI, "';'")
+            self.expect(TokenKind.SEMI)
             return FailStmt(str(reason.value), span=tok.span)
         raise self.fail(f"expected a statement, found {tok.text!r}")
 
@@ -504,9 +518,9 @@ class _Parser:
 
     def _parse_metric(self) -> MetricDecl:
         name_tok = self.expect(TokenKind.IDENT, "a metric name")
-        self.expect(TokenKind.LBRACE, "'{'")
-        self.expect(TokenKind.KW_TYPE, "TYPE")
-        self.expect(TokenKind.LBRACE, "'{'")
+        self.expect(TokenKind.LBRACE)
+        self.expect(TokenKind.KW_TYPE)
+        self.expect(TokenKind.LBRACE)
         type_tok = self.expect(TokenKind.IDENT, "a value type")
         value_type = ValueType.from_name(type_tok.text)
         if value_type is None:
@@ -514,36 +528,28 @@ class _Parser:
                 f"unknown value type {type_tok.text!r} (expected boolean, integer, real, or text)",
                 type_tok.span,
             )
-        self.expect(TokenKind.RBRACE, "'}'")
-        self.expect(TokenKind.KW_INITIAL, "INITIAL")
-        self.expect(TokenKind.LBRACE, "'{'")
-        initial = self._parse_literal()
-        self.expect(TokenKind.RBRACE, "'}'")
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.RBRACE)
+        self.expect(TokenKind.KW_INITIAL)
+        initial = self._parse_braced(self._parse_literal)
+        self.expect(TokenKind.RBRACE)
         return MetricDecl(name_tok.text, value_type, initial, span=name_tok.span)
 
     def _parse_message(self) -> MessageDecl:
         name_tok = self.expect(TokenKind.IDENT, "a message name")
-        self.expect(TokenKind.LBRACE, "'{'")
-        self.expect(TokenKind.KW_SENDER, "SENDER")
-        self.expect(TokenKind.LBRACE, "'{'")
-        sender = self.expect(TokenKind.IDENT, "a tier name").text
-        self.expect(TokenKind.RBRACE, "'}'")
-        self.expect(TokenKind.KW_RECEIVER, "RECEIVER")
-        self.expect(TokenKind.LBRACE, "'{'")
-        receiver = self.expect(TokenKind.IDENT, "a tier name").text
-        self.expect(TokenKind.RBRACE, "'}'")
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.LBRACE)
+        self.expect(TokenKind.KW_SENDER)
+        sender = self._parse_braced(self.expect, TokenKind.IDENT, "a tier name").text
+        self.expect(TokenKind.KW_RECEIVER)
+        receiver = self._parse_braced(self.expect, TokenKind.IDENT, "a tier name").text
+        self.expect(TokenKind.RBRACE)
         return MessageDecl(name_tok.text, sender, receiver, span=name_tok.span)
 
     def _parse_channel(self) -> ChannelDecl:
         name_tok = self.expect(TokenKind.IDENT, "a channel name")
-        self.expect(TokenKind.LBRACE, "'{'")
-        self.expect(TokenKind.KW_CAPACITY, "CAPACITY")
-        self.expect(TokenKind.LBRACE, "'{'")
-        cap_tok = self.expect(TokenKind.INT, "a capacity")
-        self.expect(TokenKind.RBRACE, "'}'")
-        self.expect(TokenKind.RBRACE, "'}'")
+        self.expect(TokenKind.LBRACE)
+        self.expect(TokenKind.KW_CAPACITY)
+        cap_tok = self._parse_braced(self.expect, TokenKind.INT, "a capacity")
+        self.expect(TokenKind.RBRACE)
         return ChannelDecl(name_tok.text, int(cap_tok.value), span=name_tok.span)  # type: ignore[arg-type]
 
     def _parse_function(self) -> FunctionDecl:
@@ -551,7 +557,7 @@ class _Parser:
         return FunctionDecl(name_tok.text, self.parse_opaque_block(), span=name_tok.span)
 
     def parse_opaque_block(self) -> OpaqueBlock:
-        open_tok = self.expect(TokenKind.LBRACE, "'{'")
+        open_tok = self.expect(TokenKind.LBRACE)
         texts: list[str] = []
         depth = 1
         while depth > 0:
@@ -570,12 +576,6 @@ class _Parser:
         return OpaqueBlock(tuple(texts), span=open_tok.span)
 
     # -- expressions -----------------------------------------------------------
-
-    def _parse_braced_expr(self) -> Expr:
-        self.expect(TokenKind.LBRACE, "'{'")
-        expr = self._parse_expr()
-        self.expect(TokenKind.RBRACE, "'}'")
-        return expr
 
     def _parse_expr(self, tier: int = 0) -> Expr:
         """The chain of ``_CHAINS[tier]`` operators, as a left-deep tree.
@@ -632,7 +632,7 @@ class _Parser:
         if tok.kind is TokenKind.LPAREN:
             self.advance()
             expr = self.nested(self._parse_expr, tok)
-            self.expect(TokenKind.RPAREN, "')'")
+            self.expect(TokenKind.RPAREN)
             return expr
         raise self.fail(f"expected an expression, found {tok.text!r}")
 
@@ -646,8 +646,9 @@ class _Parser:
 
 
 # A tier body's sections: keyword -> (tier-node field, body parser). The
-# section loop reads the keyword and passes its span to the body parser.
-_SectionTable = dict[TokenKind, tuple[str, Callable[[_Parser, SourceSpan], object]]]
+# section loop reads the keyword and passes its span to the body parser. The
+# printer writes a body's sections in its table's order.
+SectionTable = dict[TokenKind, tuple[str, Callable[[_Parser, SourceSpan], object]]]
 
 
 def _block(parse_member: Callable[[_Parser], Any], member_kw: TokenKind | None = None):
@@ -659,7 +660,7 @@ def _opaque(parser: _Parser, span: SourceSpan) -> OpaqueBlock:
     return parser.parse_opaque_block()
 
 
-_SHARED_SECTIONS: _SectionTable = {
+_SHARED_SECTIONS: SectionTable = {
     TokenKind.KW_SLO: ("slos", _block(_Parser._parse_slo)),
     TokenKind.KW_POLICIES: ("policies", _block(_Parser._parse_policy)),
     TokenKind.KW_ACTIONS: ("actions", _block(_Parser._parse_action, TokenKind.KW_ACTION)),
@@ -667,21 +668,21 @@ _SHARED_SECTIONS: _SectionTable = {
     TokenKind.KW_METRICS: ("metrics", _block(_Parser._parse_metric, TokenKind.KW_METRIC)),
 }
 
-_AS_SECTIONS: _SectionTable = {
+AS_SECTIONS: SectionTable = {
     **_SHARED_SECTIONS,
     TokenKind.KW_ARCHITECTURE: ("architecture", _opaque),
 }
 
-_AE_SECTIONS: _SectionTable = {
-    **_SHARED_SECTIONS,
+AE_SECTIONS: SectionTable = {
     TokenKind.KW_FRIENDS: ("friends", _Parser._parse_friends),
+    **_SHARED_SECTIONS,
     TokenKind.KW_AEIP: ("aeip", _Parser._parse_protocol),
     TokenKind.KW_RECOVERY_PROTOCOL: ("recovery_protocol", _opaque),
     TokenKind.KW_BEHAVIOR_MODELS: ("behavior_models", _opaque),
     TokenKind.KW_OUTCOMES: ("outcomes", _opaque),
 }
 
-_PROTOCOL_SECTIONS: _SectionTable = {
+PROTOCOL_SECTIONS: SectionTable = {
     TokenKind.KW_MESSAGES: ("messages", _block(_Parser._parse_message, TokenKind.KW_MESSAGE)),
     TokenKind.KW_CHANNELS: ("channels", _block(_Parser._parse_channel, TokenKind.KW_CHANNEL)),
     TokenKind.KW_FUNCTIONS: ("functions", _block(_Parser._parse_function, TokenKind.KW_FUNCTION)),

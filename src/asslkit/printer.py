@@ -3,6 +3,10 @@
 ``parse_text(pretty_print(tree))`` yields a tree structurally equal to
 ``tree`` (spans aside). Optional clauses that parsed empty are omitted, which
 is safe because an absent clause and an empty one build the same node.
+
+A tier body (AS, AE, ASIP, AEIP) is printed by walking the parser's section
+table for it, in table order, with one emitter per section member type; a
+section keyword is written with its spelling from ``asslkit.tokens``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from .nodes import (
     ActionDecl,
     ActivationClause,
     ActivationKind,
-    AeTier,
     AsipTier,
     AssignStmt,
     AsTier,
@@ -25,6 +28,7 @@ from .nodes import (
     FailStmt,
     FluentDecl,
     FluentRefExpr,
+    FunctionDecl,
     Lit,
     MappingDecl,
     MessageDecl,
@@ -35,10 +39,14 @@ from .nodes import (
     PolicyDecl,
     Ref,
     SendStmt,
+    SloDecl,
     SpecificationTree,
     Stmt,
+    Tier,
     render_value,
 )
+from .parser import AE_SECTIONS, AS_SECTIONS, PROTOCOL_SECTIONS, SectionTable
+from .tokens import SPELLING
 
 _INDENT = "  "
 
@@ -49,33 +57,25 @@ _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_CMP, _PREC_ATOM = range(5)
 def pretty_print(tree: SpecificationTree) -> str:
     """Render a whole specification as canonical source text."""
     out: list[str] = []
-    _emit_as(out, tree.as_tier)
+    _emit_body(out, f"AS {tree.as_tier.name}", tree.as_tier, AS_SECTIONS, 0)
     if tree.asip_tier is not None:
-        out.append("ASIP {")
-        _emit_asip_body(out, tree.asip_tier, 1)
-        out.append("}")
+        _emit_body(out, "ASIP", tree.asip_tier, PROTOCOL_SECTIONS, 0)
     for ae in tree.ae_tiers:
-        _emit_ae(out, ae)
+        _emit_body(out, f"AE {ae.name}", ae, AE_SECTIONS, 0)
     return "\n".join(out) + "\n"
 
 
 def format_policy(policy: PolicyDecl) -> str:
     """Render one policy declaration, used for declaration-level comparison."""
-    out: list[str] = []
-    _emit_policy(out, policy, 0)
-    return "\n".join(out) + "\n"
+    return _format(policy)
 
 
 def format_event(event: EventDecl) -> str:
-    out: list[str] = []
-    _emit_event(out, event, 0)
-    return "\n".join(out) + "\n"
+    return _format(event)
 
 
 def format_action(action: ActionDecl) -> str:
-    out: list[str] = []
-    _emit_action(out, action, 0)
-    return "\n".join(out) + "\n"
+    return _format(action)
 
 
 def format_expr(expr: Expr) -> str:
@@ -85,72 +85,48 @@ def format_expr(expr: Expr) -> str:
 # --------------------------------------------------------------------------
 
 
+def _format(decl: PolicyDecl | EventDecl | ActionDecl) -> str:
+    out: list[str] = []
+    _MEMBERS[type(decl)](out, decl, 0)
+    return "\n".join(out) + "\n"
+
+
 def _line(out: list[str], depth: int, text: str) -> None:
     out.append(_INDENT * depth + text)
 
 
-def _emit_as(out: list[str], tier: AsTier) -> None:
-    if _as_is_empty(tier):
-        out.append(f"AS {tier.name} {{ }}")
-        return
-    out.append(f"AS {tier.name} {{")
-    _emit_tier_sections(out, tier, 1)
-    if tier.architecture is not None:
-        _line(out, 1, f"ARCHITECTURE {_opaque(tier.architecture)}")
-    out.append("}")
-
-
-def _as_is_empty(tier: AsTier) -> bool:
-    return not (
-        tier.slos or tier.policies or tier.actions or tier.events or tier.metrics
-        or tier.architecture is not None
-    )
-
-
-def _emit_ae(out: list[str], tier: AeTier) -> None:
-    out.append(f"AE {tier.name} {{")
-    if tier.friends:
-        _line(out, 1, "FRIENDS { " + ", ".join(tier.friends) + " }")
-    _emit_tier_sections(out, tier, 1)
-    if tier.aeip is not None:
-        _line(out, 1, "AEIP {")
-        _emit_asip_body(out, tier.aeip, 2)
-        _line(out, 1, "}")
-    if tier.recovery_protocol is not None:
-        _line(out, 1, f"RECOVERY_PROTOCOL {_opaque(tier.recovery_protocol)}")
-    if tier.behavior_models is not None:
-        _line(out, 1, f"BEHAVIOR_MODELS {_opaque(tier.behavior_models)}")
-    if tier.outcomes is not None:
-        _line(out, 1, f"OUTCOMES {_opaque(tier.outcomes)}")
-    out.append("}")
-
-
-def _emit_tier_sections(out: list[str], tier: AsTier | AeTier, depth: int) -> None:
-    if tier.slos:
-        _line(out, depth, "SLO {")
-        for slo in tier.slos:
-            _line(out, depth + 1, f"{slo.name} {_opaque(slo.body)}")
+def _emit_body(
+    out: list[str], head: str, tier: Tier | AsipTier, table: SectionTable, depth: int
+) -> None:
+    """``head { ... }`` with the sections of ``table`` in its order, each
+    omitted when it parsed empty. An AS tier with no section is one line."""
+    _line(out, depth, head + " {")
+    opened = len(out)
+    for kind, (field, _parse) in table.items():
+        value = getattr(tier, field)
+        if not value:  # absent, or parsed empty
+            continue
+        keyword = SPELLING[kind]
+        if isinstance(value, OpaqueBlock):
+            _line(out, depth + 1, f"{keyword} {_opaque(value)}")
+        elif isinstance(value, AsipTier):
+            _emit_body(out, keyword, value, PROTOCOL_SECTIONS, depth + 1)
+        elif isinstance(value[0], str):  # FRIENDS: tier names on one line
+            _line(out, depth + 1, f"{keyword} {{ {', '.join(value)} }}")
+        else:
+            emit = _MEMBERS[type(value[0])]
+            _line(out, depth + 1, keyword + " {")
+            for member in value:
+                emit(out, member, depth + 2)
+            _line(out, depth + 1, "}")
+    if len(out) == opened and isinstance(tier, AsTier):
+        out[-1] += " }"
+    else:
         _line(out, depth, "}")
-    if tier.policies:
-        _line(out, depth, "POLICIES {")
-        for policy in tier.policies:
-            _emit_policy(out, policy, depth + 1)
-        _line(out, depth, "}")
-    if tier.actions:
-        _line(out, depth, "ACTIONS {")
-        for action in tier.actions:
-            _emit_action(out, action, depth + 1)
-        _line(out, depth, "}")
-    if tier.events:
-        _line(out, depth, "EVENTS {")
-        for event in tier.events:
-            _emit_event(out, event, depth + 1)
-        _line(out, depth, "}")
-    if tier.metrics:
-        _line(out, depth, "METRICS {")
-        for metric in tier.metrics:
-            _emit_metric(out, metric, depth + 1)
-        _line(out, depth, "}")
+
+
+def _emit_slo(out: list[str], slo: SloDecl, depth: int) -> None:
+    _line(out, depth, f"{slo.name} {_opaque(slo.body)}")
 
 
 def _emit_policy(out: list[str], policy: PolicyDecl, depth: int) -> None:
@@ -241,26 +217,6 @@ def _emit_metric(out: list[str], metric: MetricDecl, depth: int) -> None:
     )
 
 
-def _emit_asip_body(out: list[str], asip: AsipTier, depth: int) -> None:
-    if asip.messages:
-        _line(out, depth, "MESSAGES {")
-        for message in asip.messages:
-            _emit_message(out, message, depth + 1)
-        _line(out, depth, "}")
-    if asip.channels:
-        _line(out, depth, "CHANNELS {")
-        for channel in asip.channels:
-            _emit_channel(out, channel, depth + 1)
-        _line(out, depth, "}")
-    if asip.functions:
-        _line(out, depth, "FUNCTIONS {")
-        for function in asip.functions:
-            _line(out, depth + 1, f"FUNCTION {function.name} {_opaque(function.body)}")
-        _line(out, depth, "}")
-    if asip.managed_elements is not None:
-        _line(out, depth, f"MANAGED_ELEMENTS {_opaque(asip.managed_elements)}")
-
-
 def _emit_message(out: list[str], message: MessageDecl, depth: int) -> None:
     _line(
         out, depth,
@@ -271,6 +227,23 @@ def _emit_message(out: list[str], message: MessageDecl, depth: int) -> None:
 
 def _emit_channel(out: list[str], channel: ChannelDecl, depth: int) -> None:
     _line(out, depth, f"CHANNEL {channel.name} {{ CAPACITY {{ {channel.capacity} }} }}")
+
+
+def _emit_function(out: list[str], function: FunctionDecl, depth: int) -> None:
+    _line(out, depth, f"FUNCTION {function.name} {_opaque(function.body)}")
+
+
+# The one emitter of each section member type.
+_MEMBERS = {
+    SloDecl: _emit_slo,
+    PolicyDecl: _emit_policy,
+    ActionDecl: _emit_action,
+    EventDecl: _emit_event,
+    MetricDecl: _emit_metric,
+    MessageDecl: _emit_message,
+    ChannelDecl: _emit_channel,
+    FunctionDecl: _emit_function,
+}
 
 
 def _opaque(block: OpaqueBlock) -> str:

@@ -25,9 +25,10 @@ Creating a runtime builds no tables. What a step does is only what depends
 on state: call a guard closure, flip fluents, run statements, render an
 assigned metric's old and new values, extend the pending queue with
 interned occurrences, queue message keys on channels, and, when recording,
-append a trace record of already rendered strings. ``drain`` pops the
-pending queue itself, and a tick that shuffles re-seeds one generator kept
-on the runtime.
+append a trace record of already rendered strings, save those metric values
+and a delivered message's ``by <element> over <channel>`` detail. ``drain``
+pops the pending queue itself, and a tick that shuffles re-seeds one
+generator kept on the runtime.
 
 Execution semantics, pinned here because the surface language leaves them
 open:
@@ -150,7 +151,8 @@ class Runtime:
     # -- core operations -----------------------------------------------------------
     # Each recording site tests ``self.trace`` first, so no record is made when
     # recording is off (the verifier's inner loop), and appends text the
-    # program rendered when it was built.
+    # program rendered when it was built, except an assigned metric's values
+    # and a delivered message's detail.
 
     def raise_event(self, state: RuntimeState, occ: EventOccurrence) -> bool:
         """Process one occurrence: guard, fluent flips, then mapping firing.

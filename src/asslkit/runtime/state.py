@@ -5,7 +5,8 @@ program interned when it was built; only an injected stimulus makes a new
 one. Trace records are ``NamedTuple``s, one per recorded step, built with
 ``tuple.__new__``, which skips the Python-level ``__new__``. A record holds
 text the program rendered before the run (names, fixed details, causes);
-only metric values are rendered while running. ``Trace.to_text`` formats
+only assigned metric values and the ``by <element> over <channel>`` detail
+of a delivered message are rendered while running. ``Trace.to_text`` formats
 each record with a single f-string.
 """
 

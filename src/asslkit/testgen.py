@@ -8,7 +8,11 @@ everything else is handed to the generator, which searches metric
 assignments drawn from the guard constants of the policy's reference
 closure, simulates each candidate scenario, and keeps the first one whose
 trace satisfies the path's assertions. Paths no assignment can force are
-reported as infeasible, never silently dropped.
+reported as infeasible, never silently dropped. A candidate run that aborts
+(an event cascade that never quiesces) ends the path's search, and the path
+is reported infeasible with the abort as its reason: another assignment
+might avoid the cascade, but each candidate that does not would run to the
+drain limit too.
 
 Each candidate is simulated once. An assignment is tried first without the
 terminating stimulus, then with it. The two scenarios agree up to the tick
@@ -300,7 +304,9 @@ def _generate_one(
         trace = runtime.run(scenario, max_ticks=scenario.steps[-1][0] + 1, stop=prefix_passes)
         if prefix_passed:
             scenario = _build_scenario(spec, path, index, assignment, init_plan, None)
-        elif trace.aborted is not None or check_assertions(assertions, trace) != []:
+        elif trace.aborted is not None:
+            return f"candidate run aborted: {trace.aborted}"
+        elif check_assertions(assertions, trace) != []:
             continue
         return GeneratedTest(path.path_id(index), path.policy, path, scenario, assertions)
     return "no metric assignment drawn from guard constants forces this path"

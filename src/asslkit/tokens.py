@@ -1,4 +1,9 @@
-"""Token and source-location definitions for the specification language."""
+"""Token and source-location definitions for the specification language.
+
+This is the one place that spells tokens: ``KEYWORDS`` is derived from the
+``KW_`` members of ``TokenKind``, and ``SPELLING`` maps each keyword and
+punctuation kind back to its text for the parser's errors and the printer.
+"""
 
 from __future__ import annotations
 
@@ -112,65 +117,34 @@ class TokenKind(Enum):
     EOF = auto()
 
 
+#: The statement keywords, lower case as they appear inside DOES clauses.
+#: Every other ``KW_X`` is spelled ``X``.
+_LOWER_CASE = {TokenKind.KW_CALL, TokenKind.KW_SEND, TokenKind.KW_OVER, TokenKind.KW_FAIL}
+
 KEYWORDS: dict[str, TokenKind] = {
-    "AS": TokenKind.KW_AS,
-    "ASIP": TokenKind.KW_ASIP,
-    "AE": TokenKind.KW_AE,
-    "AEIP": TokenKind.KW_AEIP,
-    "SLO": TokenKind.KW_SLO,
-    "POLICIES": TokenKind.KW_POLICIES,
-    "ACTIONS": TokenKind.KW_ACTIONS,
-    "EVENTS": TokenKind.KW_EVENTS,
-    "METRICS": TokenKind.KW_METRICS,
-    "FRIENDS": TokenKind.KW_FRIENDS,
-    "ARCHITECTURE": TokenKind.KW_ARCHITECTURE,
-    "MANAGED_ELEMENTS": TokenKind.KW_MANAGED_ELEMENTS,
-    "RECOVERY_PROTOCOL": TokenKind.KW_RECOVERY_PROTOCOL,
-    "BEHAVIOR_MODELS": TokenKind.KW_BEHAVIOR_MODELS,
-    "OUTCOMES": TokenKind.KW_OUTCOMES,
-    "MESSAGES": TokenKind.KW_MESSAGES,
-    "CHANNELS": TokenKind.KW_CHANNELS,
-    "FUNCTIONS": TokenKind.KW_FUNCTIONS,
-    "MESSAGE": TokenKind.KW_MESSAGE,
-    "CHANNEL": TokenKind.KW_CHANNEL,
-    "FUNCTION": TokenKind.KW_FUNCTION,
-    "SENDER": TokenKind.KW_SENDER,
-    "RECEIVER": TokenKind.KW_RECEIVER,
-    "CAPACITY": TokenKind.KW_CAPACITY,
-    "FLUENT": TokenKind.KW_FLUENT,
-    "INITIATED_BY": TokenKind.KW_INITIATED_BY,
-    "TERMINATED_BY": TokenKind.KW_TERMINATED_BY,
-    "MAPPING": TokenKind.KW_MAPPING,
-    "CONDITIONS": TokenKind.KW_CONDITIONS,
-    "DO_ACTIONS": TokenKind.KW_DO_ACTIONS,
-    "EVENT": TokenKind.KW_EVENT,
-    "GUARDS": TokenKind.KW_GUARDS,
-    "ACTIVATION": TokenKind.KW_ACTIVATION,
-    "SENT": TokenKind.KW_SENT,
-    "RECEIVED": TokenKind.KW_RECEIVED,
-    "CHANGED": TokenKind.KW_CHANGED,
-    "ELAPSED": TokenKind.KW_ELAPSED,
-    "INJECTABLE": TokenKind.KW_INJECTABLE,
-    "ACTION": TokenKind.KW_ACTION,
-    "ENSURES": TokenKind.KW_ENSURES,
-    "DOES": TokenKind.KW_DOES,
-    "ONERR_DOES": TokenKind.KW_ONERR_DOES,
-    "TRIGGERS": TokenKind.KW_TRIGGERS,
-    "ONERR_TRIGGERS": TokenKind.KW_ONERR_TRIGGERS,
-    "METRIC": TokenKind.KW_METRIC,
-    "TYPE": TokenKind.KW_TYPE,
-    "INITIAL": TokenKind.KW_INITIAL,
-    "NOT": TokenKind.KW_NOT,
-    "AND": TokenKind.KW_AND,
-    "OR": TokenKind.KW_OR,
-    "SELF_PROTECTING": TokenKind.KW_SELF_PROTECTING,
-    "SELF_HEALING": TokenKind.KW_SELF_HEALING,
-    "SELF_CONFIGURING": TokenKind.KW_SELF_CONFIGURING,
-    "SELF_SCHEDULING": TokenKind.KW_SELF_SCHEDULING,
-    "call": TokenKind.KW_CALL,
-    "send": TokenKind.KW_SEND,
-    "over": TokenKind.KW_OVER,
-    "fail": TokenKind.KW_FAIL,
+    kind.name[3:].lower() if kind in _LOWER_CASE else kind.name[3:]: kind
+    for kind in TokenKind
+    if kind.name.startswith("KW_")
+}
+
+PUNCTUATION: dict[str, TokenKind] = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ";": TokenKind.SEMI,
+    "=": TokenKind.EQUALS,
+    "!=": TokenKind.NE,
+    "<": TokenKind.LT,
+    "<=": TokenKind.LE,
+    ">": TokenKind.GT,
+    ">=": TokenKind.GE,
+}
+
+#: The source text of each keyword and punctuation kind.
+SPELLING: dict[TokenKind, str] = {
+    kind: text for text, kind in (*KEYWORDS.items(), *PUNCTUATION.items())
 }
 
 #: Words that open a qualified reference when immediately followed by a dot.

@@ -304,9 +304,10 @@ class _Checker:
                             f"{prop.p.render()} fails before {prop.q.render()} held",
                         ),
                     )
-        # (b) p & !q forever
+        # (b) p & !q forever. Every state of ``order`` is reachable from state
+        # 0 inside the region, so state 0 escapes if any of them does.
         return self.check_avoidance(
-            prop, order, walkable,
+            prop, [0], walkable,
             f"{prop.q.render()} never holds while {prop.p.render()} persists",
         )
 

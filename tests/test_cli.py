@@ -240,6 +240,30 @@ class TestCascadeLivelock:
         assert result.returncode == 0
         assert "4 paths, 0 feasible, 4 infeasible" in result.stdout
 
+    def test_gentests_stops_a_path_at_its_first_aborted_candidate(self, tmp_path):
+        # k tautologies in the guard of ``a`` give each path 2^k candidate
+        # assignments, and every candidate run livelocks.
+        k = 8
+        guard = " AND ".join(f"(METRICS.k{i} OR NOT METRICS.k{i})" for i in range(k))
+        metrics = "".join(
+            f"    METRIC k{i} {{ TYPE {{ boolean }} INITIAL {{ false }} }}\n" for i in range(k)
+        )
+        source = CASCADE_SPEC.replace(
+            "    ACTION a {\n", f"    ACTION a {{\n      GUARDS {{ {guard} }}\n"
+        ).replace("  METRICS {\n", "  METRICS {\n" + metrics)
+        spec = tmp_path / "cascade.assl"
+        spec.write_text(source)
+        result = run_cli(["gentests", str(spec), "--out", str(tmp_path / "suite")], timeout=60)
+        assert result.returncode == 0
+        lines = result.stdout.splitlines()
+        assert lines[0] == "policy unit.SELF_HEALING: 8 paths, 0 feasible, 8 infeasible"
+        livelock = "(candidate run aborted: livelock: not quiescent after 10000 drain steps at tick 1)"
+        unstimulable = "(initiating event unit.g cannot be stimulated)"
+        infeasible = [line for line in lines if line.startswith("  infeasible: ")]
+        assert len(infeasible) == 8
+        for line in infeasible:  # only paths initiated by ``e`` get candidate runs
+            assert line.endswith(livelock if ": e -> " in line else unstimulable), line
+
 
 class TestVerify:
     def test_holds_exits_zero(self, capsys):

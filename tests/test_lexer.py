@@ -16,7 +16,7 @@ from specgen import random_spec_source, swarm_source
 from asslkit.cli import main
 from asslkit.lexer import tokenize
 from asslkit.missions import all_missions
-from asslkit.tokens import LexError, SourceSpan, Token, TokenKind
+from asslkit.tokens import KEYWORDS, LexError, SourceSpan, Token, TokenKind
 
 
 def kinds(source: str) -> list[str]:
@@ -89,6 +89,29 @@ def test_statement_keywords_are_lower_case():
     assert kinds("call send over fail") == ["KW_CALL", "KW_SEND", "KW_OVER", "KW_FAIL"]
     # Upper-case variants are plain identifiers, not keywords.
     assert kinds("CALL") == ["IDENT"]
+
+
+# Every keyword, spelled out once here, because ``KEYWORDS`` is derived from
+# ``TokenKind`` and the reference tokenizer reads it: a slip in that
+# derivation would reach the reference too.
+KEYWORD_SPELLINGS = (
+    "AS", "ASIP", "AE", "AEIP", "SLO", "POLICIES", "ACTIONS", "EVENTS", "METRICS",
+    "FRIENDS", "ARCHITECTURE", "MANAGED_ELEMENTS", "RECOVERY_PROTOCOL",
+    "BEHAVIOR_MODELS", "OUTCOMES", "MESSAGES", "CHANNELS", "FUNCTIONS", "MESSAGE",
+    "CHANNEL", "FUNCTION", "SENDER", "RECEIVER", "CAPACITY", "FLUENT", "INITIATED_BY",
+    "TERMINATED_BY", "MAPPING", "CONDITIONS", "DO_ACTIONS", "EVENT", "GUARDS",
+    "ACTIVATION", "SENT", "RECEIVED", "CHANGED", "ELAPSED", "INJECTABLE", "ACTION",
+    "ENSURES", "DOES", "ONERR_DOES", "TRIGGERS", "ONERR_TRIGGERS", "METRIC", "TYPE",
+    "INITIAL", "NOT", "AND", "OR", "SELF_PROTECTING", "SELF_HEALING",
+    "SELF_CONFIGURING", "SELF_SCHEDULING", "call", "send", "over", "fail",
+)
+
+
+def test_keywords_are_pinned():
+    assert len(KEYWORD_SPELLINGS) == 58
+    assert list(KEYWORDS) == list(KEYWORD_SPELLINGS)
+    for word in KEYWORD_SPELLINGS:
+        assert kinds(word) == ["KW_" + word.upper()], word
 
 
 def test_literals():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from specgen import random_spec_source, swarm_source
 
+from asslkit.missions import all_missions
 from asslkit.nodes import (
     ActionDecl,
     ActivationClause,
@@ -251,3 +257,25 @@ def test_format_policy_and_event_reparse(figures_spec):
     event_text = format_event(worker.events[0])
     reparsed = parse_text(f"AS s {{ EVENTS {{ {event_text} }} }}")
     assert reparsed.as_tier.events[0] == worker.events[0]
+
+
+def printed_sources() -> dict[str, str]:
+    """Printed source of each mission, three swarms and 200 random specs."""
+    texts = {pkg.name: pretty_print(parse_text(pkg.source())) for pkg in all_missions()}
+    for n in (1, 3, 10):
+        texts[f"swarm{n}"] = pretty_print(parse_text(swarm_source(n)))
+    texts["random0-199"] = "".join(
+        pretty_print(parse_text(random_spec_source(s))) for s in range(200)
+    )
+    return texts
+
+
+def test_printed_sources_are_pinned():
+    """Printed sources pinned by sha256; one entry covers the 200 random specs."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("print_sha256.json").read_text()
+    )
+    texts = printed_sources()
+    assert set(texts) == set(pinned)
+    for key, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[key], key
