@@ -37,13 +37,25 @@ from math import isinf
 from .tokens import KEYWORDS, NAMESPACE_WORDS, PUNCTUATION, LexError, SourceSpan, Token, TokenKind
 
 # Records are built with tuple.__new__ directly: the NamedTuple constructor is
-# a Python-level __new__ and takes about twice as long per token.
+# a Python-level __new__ and takes about twice as long per token. Token and
+# SourceSpan stay NamedTuples, so the garbage collector keeps tracking them
+# (it untracks only exact tuples; see asslkit.runtime.state). They were left so
+# because the parser reads their fields by name, and plain-tuple tokens lexed
+# the 100-worker swarm only 16-25% faster (best of 10, three repeats).
 _new = tuple.__new__
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 INT_LITERAL = r"-?[0-9]+"
 REAL_LITERAL = r"-?[0-9]+\.[0-9]+"
 TEXT_LITERAL = r'"[^"\r\n]*"'
+# Longer operators first, so that ``<=`` is not read as ``<`` then ``=``; the
+# one-character operators share one character class.
+_OP = "|".join(
+    [
+        *map(re.escape, sorted((op for op in PUNCTUATION if len(op) > 1), key=len, reverse=True)),
+        "[" + re.escape("".join(op for op in PUNCTUATION if len(op) == 1)) + "]",
+    ]
+)
 _TOKEN = re.compile(
     r"""
     (?: [ \t\n]+ | \r\n | //[^\n]* )*
@@ -52,13 +64,13 @@ _TOKEN = re.compile(
       | (?P<REAL> %(real)s )
       | (?P<INT> %(int)s ) (?![0-9.])           # digits and a dot: BAD
       | (?P<TEXT> %(text)s )
-      | (?P<OP> [!<>]= | [{}(),;=<>] )
+      | (?P<OP> %(op)s )
       | (?P<END> \Z )
       | (?P<BAD> )
     )
     """
     % dict(spaces="|".join(sorted(NAMESPACE_WORDS)), name=_NAME,
-           real=REAL_LITERAL, int=INT_LITERAL, text=TEXT_LITERAL),
+           real=REAL_LITERAL, int=INT_LITERAL, text=TEXT_LITERAL, op=_OP),
     re.VERBOSE,
 )
 _NEWLINE = re.compile(r"\n")

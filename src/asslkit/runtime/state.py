@@ -2,12 +2,20 @@
 
 The pending queue holds ``EventOccurrence``s, ``(event, cause)`` pairs the
 program interned when it was built; only an injected stimulus makes a new
-one. Trace records are ``NamedTuple``s, one per recorded step, built with
-``tuple.__new__``, which skips the Python-level ``__new__``. A record holds
-text the program rendered before the run (names, fixed details, causes);
-only assigned metric values and the ``by <element> over <channel>`` detail
-of a delivered message are rendered while running. ``Trace.to_text`` formats
-each record with a single f-string.
+one. A trace stores one plain tuple ``(tick, kind, subject, detail)`` per
+recorded step in ``Trace.rows``; a record's seq is its index there. CPython's
+cyclic garbage collector stops tracking a tuple once it sees that the tuple
+holds only untracked values such as ints and strings, but it does so only
+for an exact ``tuple``, not for a subclass such as a ``NamedTuple``. So a
+plain row drops out of the collector at its first collection, where a
+``NamedTuple`` record would be walked again by every collection of its
+generation for the rest of the run. ``Trace.records`` is a view of
+``TraceRecord``s, built on each access from the rows, for callers that want
+named fields; nothing in the toolchain itself reads it. A row holds text the
+program rendered before the run (names, fixed details, causes); only assigned
+metric values and the ``by <element> over <channel>`` detail of a delivered
+message are rendered while running. ``Trace.to_text`` formats each row with
+a single f-string.
 """
 
 from __future__ import annotations
@@ -43,24 +51,25 @@ class TraceRecord(NamedTuple):
     detail: str
 
 
-_new = tuple.__new__
-
-
 class Trace:
-    """Append-only, totally ordered record of one run."""
+    """Append-only, totally ordered record of one run; ``rows`` is its only store."""
 
     def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
+        self.rows: list[tuple[int, str, str, str]] = []
         self.aborted: str | None = None
 
     def append(self, tick: int, kind: str, subject: str, detail: str = "") -> None:
-        records = self.records
-        records.append(_new(TraceRecord, (len(records), tick, kind, subject, detail)))
+        self.rows.append((tick, kind, subject, detail))
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """A new list of ``TraceRecord``s, one per row, on every access."""
+        return [TraceRecord(seq, *row) for seq, row in enumerate(self.rows)]
 
     def to_text(self) -> str:
         lines = [
             f"{seq}\t{tick}\t{kind}\t{subject}\t{detail}\n"
-            for seq, tick, kind, subject, detail in self.records
+            for seq, (tick, kind, subject, detail) in enumerate(self.rows)
         ]
         if self.aborted is not None:
             lines.append(f"# aborted: {self.aborted}\n")
@@ -68,16 +77,17 @@ class Trace:
 
     def find(self, kind: str, subject: str | None = None) -> list[TraceRecord]:
         return [
-            r
-            for r in self.records
-            if r.kind == kind and (subject is None or r.subject == subject)
+            TraceRecord(seq, *row)
+            for seq, row in enumerate(self.rows)
+            if row[1] == kind and (subject is None or row[2] == subject)
         ]
 
     def summary(self) -> dict[str, int]:
-        kinds = Counter(record.kind for record in self.records)
+        rows = self.rows
+        kinds = Counter(row[1] for row in rows)
         return {
-            "records": len(self.records),
-            "ticks": self.records[-1].tick if self.records else 0,
+            "records": len(rows),
+            "ticks": rows[-1][0] if rows else 0,
             "events_raised": kinds[EVENT_RAISED],
             "events_suppressed": kinds[EVENT_SUPPRESSED],
             "fluents_initiated": kinds[FLUENT_INITIATED],

@@ -122,11 +122,13 @@ class Assertion:
     detail: str = "*"
     present: bool = True
 
-    def matches(self, record) -> bool:
+    def matches(self, row: tuple[int, str, str, str]) -> bool:
+        """Whether a ``Trace.rows`` entry ``(tick, kind, subject, detail)`` matches."""
+        _tick, kind, subject, detail = row
         return (
-            record.kind == self.kind
-            and fnmatchcase(record.subject, self.subject)
-            and fnmatchcase(record.detail, self.detail)
+            kind == self.kind
+            and fnmatchcase(subject, self.subject)
+            and fnmatchcase(detail, self.detail)
         )
 
     def render(self) -> str:
@@ -513,18 +515,18 @@ def _toggled(spec: CheckedSpec, key: Key) -> tuple[object, ValueType]:
 
 def check_assertions(assertions: tuple[Assertion, ...], trace: Trace) -> list[str]:
     """Empty list when the trace satisfies every assertion, else failures."""
-    records = trace.records
+    rows = trace.rows
     failures: list[str] = []
     position = 0
     for assertion in assertions:
         if assertion.present:
-            for index in range(position, len(records)):
-                if assertion.matches(records[index]):
+            for index in range(position, len(rows)):
+                if assertion.matches(rows[index]):
                     position = index + 1  # a record's seq is its index
                     break
             else:
                 failures.append(f"missing (after seq {position}): {assertion.render()}")
-        elif any(assertion.matches(record) for record in records):
+        elif any(assertion.matches(row) for row in rows):
             failures.append(f"forbidden record present: {assertion.render()}")
     return failures
 
@@ -691,16 +693,14 @@ def measure_coverage(
     runtime = Runtime(spec, seed=0)
     for test in suite.tests:
         trace = runtime.run(test.scenario, max_ticks=1000)
-        started = {r.subject for r in trace.records if r.kind == ACTION_STARTED}
-        for record in trace.records:
-            for action, _choice in test.path.branches:
-                if record.subject == qual(action):
-                    if record.kind == ACTION_SUCCEEDED:
-                        covered.add((action, SUCCESS_PATH))
-                    elif record.kind == ACTION_FAILED:
-                        covered.add((action, ERROR_PATH))
-        if any(record.kind == MAPPING_FIRED for record in trace.records):
-            for action, choice in test.path.branches:
-                if choice == GUARD_REJECT and qual(action) not in started:
-                    covered.add((action, GUARD_REJECT))
+        seen = {(kind, subject) for _tick, kind, subject, _detail in trace.rows}
+        fired = any(kind == MAPPING_FIRED for kind, _subject in seen)
+        for action, choice in test.path.branches:
+            name = qual(action)
+            if (ACTION_SUCCEEDED, name) in seen:
+                covered.add((action, SUCCESS_PATH))
+            if (ACTION_FAILED, name) in seen:
+                covered.add((action, ERROR_PATH))
+            if choice == GUARD_REJECT and fired and (ACTION_STARTED, name) not in seen:
+                covered.add((action, GUARD_REJECT))
     return covered & universe, universe
