@@ -66,10 +66,13 @@ _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
-    code: str
+    code: str  # "E-..." for an error, "W-..." for a warning
     message: str
     span: SourceSpan
+
+    @property
+    def severity(self) -> str:
+        return ERROR if self.code.startswith("E-") else WARNING
 
     def render(self) -> str:
         return f"{self.span.render()}: {self.severity} {self.code}: {self.message}"
@@ -154,12 +157,14 @@ def resolve(tree: SpecificationTree) -> tuple[SymbolTable, list[Diagnostic]]:
     _register(tree, symbols, diags)
     for tier in tree.tiers():
         _resolve_tier(tier, symbols, diags)
+    if tree.asip_tier is not None:
+        _resolve_protocol_endpoints(tree.asip_tier, symbols, diags)
     return symbols, diags
 
 
 def _register(tree: SpecificationTree, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
     def dup(code_subject: str, span: SourceSpan) -> None:
-        diags.append(Diagnostic(ERROR, "E-DUP", f"duplicate declaration of {code_subject}", span))
+        diags.append(Diagnostic("E-DUP", f"duplicate declaration of {code_subject}", span))
 
     for tier in tree.tiers():
         if tier.name in symbols.tiers:
@@ -207,7 +212,7 @@ def _register_protocol(
             key = (scope, decl.name)
             if key in table:
                 diags.append(
-                    Diagnostic(ERROR, "E-DUP", f"duplicate {kind} '{decl.name}'", decl.span)
+                    Diagnostic("E-DUP", f"duplicate {kind} '{decl.name}'", decl.span)
                 )
             else:
                 table[key] = decl
@@ -218,7 +223,7 @@ def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> 
 
     def undef(kind: str, ref: Ref) -> None:
         diags.append(
-            Diagnostic(ERROR, "E-UNDEF", f"undefined {kind} '{ref.render()}'", ref.span)
+            Diagnostic("E-UNDEF", f"undefined {kind} '{ref.render()}'", ref.span)
         )
 
     def check_event_refs(refs: tuple[Ref, ...]) -> None:
@@ -238,7 +243,6 @@ def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> 
                 elif symbols.fluent_policy.get((t, cond.name)) != policy.name:
                     diags.append(
                         Diagnostic(
-                            ERROR,
                             "E-SCOPE",
                             f"fluent '{cond.name}' belongs to another policy;"
                             " conditions may only name fluents of the same policy",
@@ -292,14 +296,10 @@ def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> 
         for friend in tier.friends:
             if friend not in symbols.tiers:
                 diags.append(
-                    Diagnostic(ERROR, "E-UNDEF", f"undefined tier '{friend}' in FRIENDS", tier.span)
+                    Diagnostic("E-UNDEF", f"undefined tier '{friend}' in FRIENDS", tier.span)
                 )
-        protocols = [tier.aeip] if tier.aeip is not None else []
-    else:
-        protocols = []
-
-    for asip in protocols:
-        _resolve_protocol_endpoints(asip, symbols, diags)
+        if tier.aeip is not None:
+            _resolve_protocol_endpoints(tier.aeip, symbols, diags)
 
 
 def _resolve_protocol_endpoints(
@@ -310,7 +310,7 @@ def _resolve_protocol_endpoints(
             if endpoint not in symbols.tiers:
                 diags.append(
                     Diagnostic(
-                        ERROR, "E-UNDEF", f"undefined tier '{endpoint}' in message endpoints",
+                        "E-UNDEF", f"undefined tier '{endpoint}' in message endpoints",
                         message.span,
                     )
                 )
@@ -326,20 +326,17 @@ def _resolve_expr(
     if isinstance(expr, MetricRefExpr):
         if symbols.lookup(tier, "metrics", expr.name) is None:
             diags.append(
-                Diagnostic(ERROR, "E-UNDEF", f"undefined metric 'METRICS.{expr.name}'", expr.span)
+                Diagnostic("E-UNDEF", f"undefined metric 'METRICS.{expr.name}'", expr.span)
             )
     elif isinstance(expr, FluentRefExpr):
         if symbols.lookup(tier, "fluents", expr.name) is None:
             diags.append(
-                Diagnostic(ERROR, "E-UNDEF", f"undefined fluent 'FLUENTS.{expr.name}'", expr.span)
+                Diagnostic("E-UNDEF", f"undefined fluent 'FLUENTS.{expr.name}'", expr.span)
             )
     elif isinstance(expr, BindingRefExpr):
         if expr.name not in bindings:
             diags.append(
-                Diagnostic(
-                    ERROR, "E-UNDEF",
-                    f"'{expr.name}' is not a binding available here", expr.span,
-                )
+                Diagnostic("E-UNDEF", f"'{expr.name}' is not a binding available here", expr.span)
             )
     elif isinstance(expr, NotExpr):
         _resolve_expr(expr.operand, tier, bindings, symbols, diags)
@@ -360,7 +357,7 @@ def check_types(tree: SpecificationTree, symbols: SymbolTable) -> list[Diagnosti
             if metric.initial.type is not metric.value_type:
                 diags.append(
                     Diagnostic(
-                        ERROR, "E-TYPE",
+                        "E-TYPE",
                         f"initial value of metric '{metric.name}' is"
                         f" {metric.initial.type.value}, not {metric.value_type.value}",
                         metric.initial.span,
@@ -385,7 +382,7 @@ def check_types(tree: SpecificationTree, symbols: SymbolTable) -> list[Diagnosti
                     ):
                         diags.append(
                             Diagnostic(
-                                ERROR, "E-TYPE",
+                                "E-TYPE",
                                 f"cannot assign {value_type.value} to"
                                 f" {metric.value_type.value} metric '{metric.name}'",
                                 stmt.span,
@@ -400,7 +397,7 @@ def _require_boolean(
     actual = _type_of(expr, tier, symbols, diags)
     if actual is not None and actual is not ValueType.BOOLEAN:
         diags.append(
-            Diagnostic(ERROR, "E-TYPE", f"{what} must be boolean, not {actual.value}", expr.span)
+            Diagnostic("E-TYPE", f"{what} must be boolean, not {actual.value}", expr.span)
         )
 
 
@@ -421,7 +418,7 @@ def _type_of(
         operand = _type_of(expr.operand, tier, symbols, diags)
         if operand is not None and operand is not ValueType.BOOLEAN:
             diags.append(
-                Diagnostic(ERROR, "E-TYPE", f"NOT needs a boolean, not {operand.value}", expr.span)
+                Diagnostic("E-TYPE", f"NOT needs a boolean, not {operand.value}", expr.span)
             )
             return None
         return ValueType.BOOLEAN if operand else None
@@ -433,7 +430,7 @@ def _type_of(
             if side is not None and side is not ValueType.BOOLEAN:
                 diags.append(
                     Diagnostic(
-                        ERROR, "E-TYPE", f"{expr.op} needs boolean operands, not {side.value}",
+                        "E-TYPE", f"{expr.op} needs boolean operands, not {side.value}",
                         expr.span,
                     )
                 )
@@ -446,17 +443,12 @@ def _type_of(
         return None
     if left is not right:
         diags.append(
-            Diagnostic(
-                ERROR, "E-TYPE",
-                f"comparison between {left.value} and {right.value}", expr.span,
-            )
+            Diagnostic("E-TYPE", f"comparison between {left.value} and {right.value}", expr.span)
         )
         return None
     if expr.op in _ORDERING_OPS and left not in (ValueType.INTEGER, ValueType.REAL):
         diags.append(
-            Diagnostic(
-                ERROR, "E-TYPE", f"ordering comparison on {left.value} values", expr.span
-            )
+            Diagnostic("E-TYPE", f"ordering comparison on {left.value} values", expr.span)
         )
         return None
     return ValueType.BOOLEAN
@@ -482,7 +474,7 @@ def check_semantics(
         if channel.capacity < 1:
             diags.append(
                 Diagnostic(
-                    ERROR, "E-CAPACITY",
+                    "E-CAPACITY",
                     f"channel '{channel.name}' must have capacity at least 1", channel.span,
                 )
             )
@@ -493,9 +485,7 @@ def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnosti
     for policy in tier.policies:
         if not policy.fluents:
             diags.append(
-                Diagnostic(
-                    ERROR, "E-EMPTY", f"policy '{policy.name}' declares no fluents", policy.span
-                )
+                Diagnostic("E-EMPTY", f"policy '{policy.name}' declares no fluents", policy.span)
             )
         mapped = {cond.name for mapping in policy.mappings for cond in mapping.conditions}
         for fluent in policy.fluents:
@@ -506,7 +496,7 @@ def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnosti
                 names = ", ".join(sorted(overlap))
                 diags.append(
                     Diagnostic(
-                        ERROR, "E-FLUENT-OVERLAP",
+                        "E-FLUENT-OVERLAP",
                         f"fluent '{fluent.name}' is both initiated and terminated by: {names}",
                         fluent.span,
                     )
@@ -514,7 +504,7 @@ def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnosti
             if fluent.name not in mapped:
                 diags.append(
                     Diagnostic(
-                        WARNING, "W-UNREACHABLE",
+                        "W-UNREACHABLE",
                         f"fluent '{fluent.name}' is not referenced by any mapping", fluent.span,
                     )
                 )
@@ -524,7 +514,7 @@ def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnosti
         if not event.activation and not event.injectable and not triggerable:
             diags.append(
                 Diagnostic(
-                    WARNING, "W-UNREACHABLE",
+                    "W-UNREACHABLE",
                     f"event '{event.name}' has no activation, is never triggered,"
                     " and is not INJECTABLE",
                     event.span,
@@ -533,9 +523,7 @@ def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnosti
         for clause in event.activation:
             if clause.kind is ActivationKind.ELAPSED and (clause.ticks or 0) < 1:
                 diags.append(
-                    Diagnostic(
-                        ERROR, "E-CAPACITY", "ELAPSED period must be at least 1 tick", clause.span
-                    )
+                    Diagnostic("E-CAPACITY", "ELAPSED period must be at least 1 tick", clause.span)
                 )
 
 
@@ -565,7 +553,7 @@ def _check_call_graph(program: Program, diags: list[Diagnostic]) -> None:
                     reported.add(cycle)
                     diags.append(
                         Diagnostic(
-                            ERROR, "E-CYCLE",
+                            "E-CYCLE",
                             f"action call cycle: {' -> '.join(key[1] for key in cycle)}",
                             program.actions[callee].decl.span,
                         )
@@ -581,7 +569,7 @@ def _check_call_graph(program: Program, diags: list[Diagnostic]) -> None:
         if calls > MAX_CALL_DEPTH and key not in called:
             diags.append(
                 Diagnostic(
-                    ERROR, "E-DEPTH",
+                    "E-DEPTH",
                     f"call chain from action '{key[1]}' nests {calls} calls deep;"
                     f" the runtime runs at most {MAX_CALL_DEPTH}",
                     program.actions[key].decl.span,

@@ -30,7 +30,14 @@ class ValueType(Enum):
 
 
 @dataclass(frozen=True)
-class Ref:
+class Node:
+    """Base of every tree node: its source span, passed by keyword."""
+
+    span: SourceSpan = field(default=SYNTHETIC, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Ref(Node):
     """A qualified reference such as ``EVENTS.x`` or ``AEIP.MESSAGES.m``.
 
     Mapping conditions may name fluents without a namespace; those parse with
@@ -39,7 +46,6 @@ class Ref:
 
     space: tuple[str, ...]
     name: str
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
     def render(self) -> str:
         if not self.space:
@@ -52,50 +58,43 @@ class Ref:
 
 
 @dataclass(frozen=True)
-class Lit:
+class Lit(Node):
     value: object
     type: ValueType
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class MetricRefExpr:
+class MetricRefExpr(Node):
     name: str
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class FluentRefExpr:
+class FluentRefExpr(Node):
     name: str
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class BindingRefExpr:
+class BindingRefExpr(Node):
     name: str
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class NotExpr:
+class NotExpr(Node):
     operand: "Expr"
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class BinaryExpr:
+class BinaryExpr(Node):
     op: str  # "AND" | "OR"
     left: "Expr"
     right: "Expr"
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class CompareExpr:
+class CompareExpr(Node):
     op: str  # "=", "!=", "<", "<=", ">", ">="
     left: "Expr"
     right: "Expr"
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 Expr = Lit | MetricRefExpr | FluentRefExpr | BindingRefExpr | NotExpr | BinaryExpr | CompareExpr
@@ -106,30 +105,26 @@ Expr = Lit | MetricRefExpr | FluentRefExpr | BindingRefExpr | NotExpr | BinaryEx
 
 
 @dataclass(frozen=True)
-class CallStmt:
+class CallStmt(Node):
     action: Ref
     binding: str | None = None
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class AssignStmt:
+class AssignStmt(Node):
     metric: Ref
     value: Expr
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class SendStmt:
+class SendStmt(Node):
     message: Ref
     channel: Ref
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class FailStmt:
+class FailStmt(Node):
     reason: str
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 Stmt = CallStmt | AssignStmt | SendStmt | FailStmt
@@ -140,41 +135,36 @@ Stmt = CallStmt | AssignStmt | SendStmt | FailStmt
 
 
 @dataclass(frozen=True)
-class OpaqueBlock:
+class OpaqueBlock(Node):
     """A brace-balanced block kept as raw token text, given no semantics."""
 
     tokens: tuple[str, ...]
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class SloDecl:
+class SloDecl(Node):
     name: str
     body: OpaqueBlock
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class FluentDecl:
+class FluentDecl(Node):
     name: str
     initiated_by: tuple[Ref, ...]
     terminated_by: tuple[Ref, ...]
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class MappingDecl:
+class MappingDecl(Node):
     conditions: tuple[Ref, ...]
     do_actions: tuple[Ref, ...]
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class PolicyDecl:
+class PolicyDecl(Node):
     name: str
     fluents: tuple[FluentDecl, ...]
     mappings: tuple[MappingDecl, ...]
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 class ActivationKind(Enum):
@@ -185,24 +175,22 @@ class ActivationKind(Enum):
 
 
 @dataclass(frozen=True)
-class ActivationClause:
+class ActivationClause(Node):
     kind: ActivationKind
     target: Ref | None = None  # message or metric reference
     ticks: int | None = None  # ELAPSED period
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class EventDecl:
+class EventDecl(Node):
     name: str
     guard: Expr | None = None
     activation: tuple[ActivationClause, ...] = ()
     injectable: bool = False
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class ActionDecl:
+class ActionDecl(Node):
     name: str
     does: tuple[Stmt, ...]
     guard: Expr | None = None
@@ -210,114 +198,93 @@ class ActionDecl:
     onerr_does: tuple[Stmt, ...] = ()
     triggers: tuple[Ref, ...] = ()
     onerr_triggers: tuple[Ref, ...] = ()
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class MetricDecl:
+class MetricDecl(Node):
     name: str
     value_type: ValueType
     initial: Lit
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class MessageDecl:
+class MessageDecl(Node):
     name: str
     sender: str
     receiver: str
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class ChannelDecl:
+class ChannelDecl(Node):
     name: str
     capacity: int
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class FunctionDecl:
+class FunctionDecl(Node):
     name: str
     body: OpaqueBlock
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class AsipTier:
+class AsipTier(Node):
     """Interaction-protocol block, used both at AS level and as an AEIP."""
 
     messages: tuple[MessageDecl, ...] = ()
     channels: tuple[ChannelDecl, ...] = ()
     functions: tuple[FunctionDecl, ...] = ()
     managed_elements: OpaqueBlock | None = None
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class AsTier:
+class Tier(Node):
+    """The sections that the AS tier and every AE tier declare alike."""
+
     name: str
     slos: tuple[SloDecl, ...] = ()
     policies: tuple[PolicyDecl, ...] = ()
     actions: tuple[ActionDecl, ...] = ()
     events: tuple[EventDecl, ...] = ()
     metrics: tuple[MetricDecl, ...] = ()
+
+
+@dataclass(frozen=True)
+class AsTier(Tier):
     architecture: OpaqueBlock | None = None
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
-class AeTier:
-    name: str
-    slos: tuple[SloDecl, ...] = ()
-    policies: tuple[PolicyDecl, ...] = ()
-    actions: tuple[ActionDecl, ...] = ()
-    events: tuple[EventDecl, ...] = ()
-    metrics: tuple[MetricDecl, ...] = ()
+class AeTier(Tier):
     friends: tuple[str, ...] = ()
     aeip: AsipTier | None = None
     recovery_protocol: OpaqueBlock | None = None
     behavior_models: OpaqueBlock | None = None
     outcomes: OpaqueBlock | None = None
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
-
-
-Tier = AsTier | AeTier
 
 
 @dataclass(frozen=True)
-class SpecificationTree:
+class SpecificationTree(Node):
     as_tier: AsTier
     asip_tier: AsipTier | None = None
     ae_tiers: tuple[AeTier, ...] = ()
-    span: SourceSpan = field(default=SYNTHETIC, compare=False)
 
     def tiers(self) -> tuple[Tier, ...]:
         """All executable tiers, the AS first, AEs in declaration order."""
         return (self.as_tier, *self.ae_tiers)
 
 
-def render_value(value: object, value_type: ValueType) -> str:
-    """Canonical source rendering of a literal value."""
-    if value_type is ValueType.BOOLEAN:
+def render_value(value: object) -> str:
+    """Canonical source rendering of a value: a bool, int, float or str."""
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if value_type is ValueType.TEXT:
+    if isinstance(value, str):
         return f'"{value}"'
-    if value_type is ValueType.REAL:
+    if isinstance(value, float):
         # Positional, since real literals have no exponent; with repr's
         # shortest digits, so the text reads back as the same float.
-        text = repr(float(value))  # type: ignore[arg-type]
+        text = repr(value)
         if "e" in text:
             text = f"{Decimal(text):f}"
         return text if "." in text else text + ".0"
     return str(value)
 
-
-def type_of_value(value: object) -> ValueType:
-    if isinstance(value, bool):
-        return ValueType.BOOLEAN
-    if isinstance(value, int):
-        return ValueType.INTEGER
-    if isinstance(value, float):
-        return ValueType.REAL
-    return ValueType.TEXT

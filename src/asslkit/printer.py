@@ -209,7 +209,7 @@ def _statement(stmt: Stmt) -> str:
 
 
 def _emit_metric(out: list[str], metric: MetricDecl, depth: int) -> None:
-    initial = render_value(metric.initial.value, metric.initial.type)
+    initial = render_value(metric.initial.value)
     _line(
         out, depth,
         f"METRIC {metric.name} {{ TYPE {{ {metric.value_type.value} }}"
@@ -258,7 +258,7 @@ def _refs(refs: tuple[Ref, ...]) -> str:
 
 def _expr(expr: Expr, parent: int) -> str:
     if isinstance(expr, Lit):
-        return render_value(expr.value, expr.type)
+        return render_value(expr.value)
     if isinstance(expr, MetricRefExpr):
         return f"METRICS.{expr.name}"
     if isinstance(expr, FluentRefExpr):

@@ -295,11 +295,8 @@ class Program:
                 self._add_event(elem, event, symbols)
 
         self.messages: dict[Key, MessageDecl] = dict(symbols.messages)
-        # Receiving element of each message; None for a receiver that is not
-        # an element, whose messages stay queued.
-        self.receiver_of: dict[Key, str | None] = {
-            key: decl.receiver if decl.receiver in self.elements else None
-            for key, decl in self.messages.items()
+        self.receiver_of: dict[Key, str] = {
+            key: decl.receiver for key, decl in self.messages.items()
         }
         self.channel_capacity: tuple[int, ...] = tuple(
             decl.capacity for decl in symbols.channels.values()

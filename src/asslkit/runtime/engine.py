@@ -72,7 +72,7 @@ from collections.abc import Callable
 
 from ..checker import CheckedSpec
 from ..names import Key
-from ..nodes import render_value, type_of_value
+from ..nodes import render_value
 from ..program import (
     ActionInfo,
     Assign,
@@ -282,10 +282,7 @@ class Runtime:
         program = self.program
         if self.trace is not None:
             old = metrics[slot]
-            detail = (
-                f"{render_value(old, type_of_value(old))}"
-                f" -> {render_value(value, type_of_value(value))}"
-            )
+            detail = f"{render_value(old)} -> {render_value(value)}"
             name = program.names[program.metric_keys[slot]]
             self.trace.append(state.tick, METRIC_ASSIGNED, name, detail)
         if type(metrics) is tuple:
@@ -363,7 +360,6 @@ class Runtime:
         busy = [slot for slot, queue in enumerate(channels) if queue]
         receiver_of = program.receiver_of
         acting = {receiver_of[message] for slot in busy for message in channels[slot]}
-        acting.discard(None)
         timers = state.timers
         if timers and min(timers) <= tick:
             timer_slots = program.timer_slots

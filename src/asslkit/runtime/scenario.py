@@ -37,10 +37,9 @@ class InjectEvent:
 class SetMetric:
     metric: Key
     value: object
-    value_type: ValueType
 
     def render(self) -> str:
-        return f"set {qual(self.metric)} {render_value(self.value, self.value_type)}"
+        return f"set {qual(self.metric)} {render_value(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def parse_stimulus(text: str, spec: CheckedSpec) -> Stimulus:
             raise ScenarioError("set takes a metric name and a value")
         metric = resolve_decl(spec, "metrics", args[0])
         decl = spec.program.metrics[metric]
-        return SetMetric(metric, parse_value(args[1], decl.value_type), decl.value_type)
+        return SetMetric(metric, parse_value(args[1], decl.value_type))
     if verb == "send":
         if len(args) != 2:
             raise ScenarioError("send takes a message name and a channel name")

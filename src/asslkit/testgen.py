@@ -138,11 +138,18 @@ class Assertion:
 
 @dataclass(frozen=True)
 class GeneratedTest:
-    name: str
-    policy: Key
     path: PolicyPath
     scenario: Scenario
     assertions: tuple[Assertion, ...]
+
+    @property
+    def name(self) -> str:
+        """The path id, which is also the scenario's name."""
+        return self.scenario.name
+
+    @property
+    def policy(self) -> Key:
+        return self.path.policy
 
 
 @dataclass(frozen=True)
@@ -310,7 +317,7 @@ def _generate_one(
             return f"candidate run aborted: {trace.aborted}"
         elif check_assertions(assertions, trace) != []:
             continue
-        return GeneratedTest(path.path_id(index), path.policy, path, scenario, assertions)
+        return GeneratedTest(path, scenario, assertions)
     return "no metric assignment drawn from guard constants forces this path"
 
 
@@ -443,53 +450,45 @@ def _literals_against(expr: Expr, metric: str, value_type: ValueType) -> list[ob
     return []
 
 
-def _assignments(spec: CheckedSpec, metrics) -> list[dict[Key, tuple[object, ValueType]]]:
+def _assignments(spec: CheckedSpec, metrics) -> list[dict[Key, object]]:
     if not metrics:
         return [{}]
     keys = [key for key, _decl in metrics]
-    types = [decl.value_type for _key, decl in metrics]
     pools = [_candidate_values(spec, key, decl) for key, decl in metrics]
     combos = itertools.islice(itertools.product(*pools), MAX_CANDIDATES)
     # A boolean pool repeats the initial value, so some combinations repeat
     # an earlier one; their scenario, and so their outcome, is the same.
-    return [
-        {key: (value, value_type) for key, value_type, value in zip(keys, types, combo)}
-        for combo in dict.fromkeys(combos)
-    ]
+    return [dict(zip(keys, combo)) for combo in dict.fromkeys(combos)]
 
 
 def _build_scenario(
     spec: CheckedSpec,
     path: PolicyPath,
     index: int,
-    assignment: dict[Key, tuple[object, ValueType]],
+    assignment: dict[Key, object],
     init_plan: _Plan,
     term_plan: _Plan | None,
 ) -> Scenario:
     elem = path.policy[0]
     steps: list[tuple[int, object]] = []
-    for key, (value, value_type) in assignment.items():
+    for key, value in assignment.items():
         if value != spec.program.metrics[key].initial.value:
-            steps.append((0, SetMetric(key, value, value_type)))
+            steps.append((0, SetMetric(key, value)))
 
     for stim in init_plan.stimuli:
         steps.append((_INIT_TICK, stim))
     if init_plan.metric is not None:
         # CHANGED-driven initiator: nudge the metric with a candidate value
-        value, value_type = assignment.get(
-            init_plan.metric, _initial_of(spec, init_plan.metric)
-        )
-        steps.append((_INIT_TICK, SetMetric(init_plan.metric, value, value_type)))
+        value = assignment.get(init_plan.metric, _initial_of(spec, init_plan.metric))
+        steps.append((_INIT_TICK, SetMetric(init_plan.metric, value)))
     tick = _term_tick(init_plan)
 
     if term_plan is not None:
         for stim in term_plan.stimuli:
             steps.append((tick, stim))
         if term_plan.metric is not None:
-            value, value_type = assignment.get(
-                term_plan.metric, _toggled(spec, term_plan.metric)
-            )
-            steps.append((tick, SetMetric(term_plan.metric, value, value_type)))
+            value = assignment.get(term_plan.metric, _toggled(spec, term_plan.metric))
+            steps.append((tick, SetMetric(term_plan.metric, value)))
         tick += term_plan.ticks_needed
 
     steps.append((tick, Halt()))
@@ -501,16 +500,13 @@ def _term_tick(init_plan: _Plan) -> int:
     return _INIT_TICK + init_plan.ticks_needed
 
 
-def _initial_of(spec: CheckedSpec, key: Key) -> tuple[object, ValueType]:
-    decl = spec.program.metrics[key]
-    return decl.initial.value, decl.value_type
+def _initial_of(spec: CheckedSpec, key: Key) -> object:
+    return spec.program.metrics[key].initial.value
 
 
-def _toggled(spec: CheckedSpec, key: Key) -> tuple[object, ValueType]:
-    value, value_type = _initial_of(spec, key)
-    if value_type is ValueType.BOOLEAN:
-        return (not value, value_type)
-    return value, value_type
+def _toggled(spec: CheckedSpec, key: Key) -> object:
+    value = _initial_of(spec, key)
+    return not value if isinstance(value, bool) else value
 
 
 def check_assertions(assertions: tuple[Assertion, ...], trace: Trace) -> list[str]:
@@ -638,6 +634,8 @@ def regenerate(old_suite: TestSuite, old_spec: CheckedSpec, new_spec: CheckedSpe
             warnings.extend(suite.warnings)
         else:
             tests.extend(old_suite.for_policy(policy))
+            infeasible.extend(i for i in old_suite.infeasible if i.path.policy == policy)
+            warnings.extend(enumerate_paths(new_spec, policy).warnings)
     return TestSuite(tuple(tests), tuple(infeasible), tuple(warnings))
 
 

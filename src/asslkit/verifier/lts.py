@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 from ..checker import CheckedSpec
 from ..names import Key, qual
-from ..nodes import ValueType, render_value, type_of_value
+from ..nodes import ValueType, render_value
 from ..program import EventOccurrence, Program
 from ..runtime.engine import Runtime
 from ..runtime.scenario import EnvStimulus, InjectEvent, Tick
@@ -187,8 +187,7 @@ class Lts:
         for vec in self.observations[1]:
             props = {atom for atom, active in zip(fluent_atoms, vec.fluents) if active}
             props.update(
-                name + render_value(value, type_of_value(value))
-                for name, value in zip(metric_names, vec.metrics)
+                name + render_value(value) for name, value in zip(metric_names, vec.metrics)
             )
             if vec.last_event is not None:
                 props.add(f"event:{qual(vec.last_event)}")

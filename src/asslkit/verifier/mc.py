@@ -63,18 +63,21 @@ class Counterexample:
     """A finite path, optionally closed by a loop (a lasso).
 
     ``stem`` and ``loop`` are (edge label, target state) pairs; the stem
-    starts at the initial state. ``violating_state`` is where the failing
-    obligation is evaluated; for lassos it is the loop entry.
+    starts at the initial state and ends where the failing obligation is
+    evaluated, ``violating_state``; for lassos that is the loop entry.
     """
 
     kind: str  # "safety" | "lasso" | "deadend" | "next" | "livelock"
     stem: tuple[tuple[str, int], ...]
     loop: tuple[tuple[str, int], ...]
-    violating_state: int
     failing_atom: str
     # For a livelock, the ``proc`` steps from ``violating_state`` up to the
     # first repeated state; empty otherwise.
     livelock: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def violating_state(self) -> int:
+        return self.stem[-1][1] if self.stem else 0
 
 
 @dataclass(frozen=True)
@@ -212,12 +215,12 @@ class _Checker:
             if not cyclic[target]:
                 return Verdict(
                     VIOLATED, prop,
-                    Counterexample("deadend", stem, (), target, failing_atom),
+                    Counterexample("deadend", stem, (), failing_atom),
                 )
             loop = self.loop_from(target, region)
             return Verdict(
                 VIOLATED, prop,
-                Counterexample("lasso", stem, loop, target, failing_atom),
+                Counterexample("lasso", stem, loop, failing_atom),
             )
         return self.inconclusive_or_holds(prop)
 
@@ -230,8 +233,7 @@ class _Checker:
                 return Verdict(
                     VIOLATED, prop,
                     Counterexample(
-                        "safety", self.path_to(state), (), state,
-                        f"{prop.p.render()} is false",
+                        "safety", self.path_to(state), (), f"{prop.p.render()} is false"
                     ),
                 )
         return self.inconclusive_or_holds(prop)
@@ -261,7 +263,7 @@ class _Checker:
                 return Verdict(
                     VIOLATED, prop,
                     Counterexample(
-                        "deadend", self.path_to(state), (), state,
+                        "deadend", self.path_to(state), (),
                         f"{prop.p.render()} holds at a state with no successor",
                     ),
                 )
@@ -271,7 +273,7 @@ class _Checker:
                     return Verdict(
                         VIOLATED, prop,
                         Counterexample(
-                            "next", stem, (), dst,
+                            "next", stem, (),
                             f"{prop.q.render()} is false at the next state",
                         ),
                     )
@@ -285,7 +287,7 @@ class _Checker:
             return Verdict(
                 VIOLATED, prop,
                 Counterexample(
-                    "safety", (), (), 0,
+                    "safety", (), (),
                     f"neither {prop.p.render()} nor {prop.q.render()} holds initially",
                 ),
             )
@@ -300,7 +302,7 @@ class _Checker:
                     return Verdict(
                         VIOLATED, prop,
                         Counterexample(
-                            "safety", stem, (), dst,
+                            "safety", stem, (),
                             f"{prop.p.render()} fails before {prop.q.render()} held",
                         ),
                     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from ..checker import CheckedSpec
 from ..names import Key, NameResolutionError, qual, resolve_decl
-from ..nodes import ValueType, render_value, type_of_value
+from ..nodes import ValueType, render_value
 from ..parser import MAX_NESTING
 from ..program import COMPARE, Program
 from ..runtime.scenario import ScenarioError, parse_value
@@ -82,8 +82,7 @@ class MetricAtom:
     def render(self) -> str:
         if self.op is None:
             return f"(metric {qual(self.metric)})"
-        rendered = render_value(self.value, type_of_value(self.value))
-        return f"(metric {qual(self.metric)} {self.op} {rendered})"
+        return f"(metric {qual(self.metric)} {self.op} {render_value(self.value)})"
 
 
 @dataclass(frozen=True)

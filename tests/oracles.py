@@ -205,7 +205,7 @@ def project(program, state) -> StateVector:
 
 
 def _label(program, vec: StateVector) -> frozenset[str]:
-    from asslkit.nodes import render_value, type_of_value
+    from asslkit.nodes import render_value
 
     props = {
         f"fluent:{qual(key)}"
@@ -214,7 +214,7 @@ def _label(program, vec: StateVector) -> frozenset[str]:
     }
     for key in program.metric_keys:
         value = vec.metrics[program.metric_slot[key]]
-        props.add(f"metric:{qual(key)}={render_value(value, type_of_value(value))}")
+        props.add(f"metric:{qual(key)}={render_value(value)}")
     if vec.last_event is not None:
         props.add(f"event:{qual(vec.last_event)}")
     return frozenset(props)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from asslkit.checker import CheckedSpec, check_all
+from asslkit.lexer import tokenize
 from asslkit.missions import ants_self_protecting
 from asslkit.nodes import (
     ActionDecl,
@@ -43,6 +44,7 @@ from asslkit.nodes import (
 from asslkit.parser import parse_text
 from asslkit.printer import pretty_print
 from asslkit.runtime import Halt, InjectEvent, Scenario, SendMessage, SetMetric
+from asslkit.tokens import KEYWORDS
 from asslkit.verifier.lts import EnvStimulus
 
 
@@ -231,8 +233,8 @@ def env_for(spec: CheckedSpec) -> tuple[EnvStimulus, ...]:
     env = list(default_env(spec))
     for (tier, name), decl in _metrics(spec):
         if decl.value_type is ValueType.BOOLEAN:
-            env.append(SetMetric((tier, name), True, ValueType.BOOLEAN))
-            env.append(SetMetric((tier, name), False, ValueType.BOOLEAN))
+            env.append(SetMetric((tier, name), True))
+            env.append(SetMetric((tier, name), False))
             break
     return tuple(env)
 
@@ -308,7 +310,7 @@ def random_scenario(
                 value = float(rng.randint(0, 3))
             else:
                 value = rng.choice(["alpha", "beta"])
-            steps.append((tick, SetMetric(key, value, decl.value_type)))
+            steps.append((tick, SetMetric(key, value)))
         elif messages and channels:
             steps.append(
                 (tick, SendMessage(rng.choice(messages), rng.choice(channels)))
@@ -319,3 +321,49 @@ def random_scenario(
     steps.append((tick, Halt()))
     seed = rng.randrange(1 << 16)
     return Scenario(name, tuple(steps)), seed
+
+
+#: Texts a token mutant may insert: punctuation and names.
+MUTANT_INSERTS = ("{", "}", "(", ")", ",", ";", "=", "<", ".", "x", "worker", "tick")
+
+
+def token_mutants(source: str, seed: int, count: int) -> list[str]:
+    """``count`` seeded one-token edits of ``source``.
+
+    Each edit deletes a token, duplicates it, swaps it with its right
+    neighbour, replaces it with a keyword, or inserts punctuation or a name
+    before it. The text between tokens is kept as it is.
+    """
+    rng = random.Random(seed)
+    line_starts = [0]
+    for line in source.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    pieces: list[str] = []  # gap, token, gap, token, ..., gap
+    texts: list[str] = []
+    end = 0
+    for token in tokenize(source):
+        start = line_starts[token.span.line - 1] + token.span.column - 1
+        pieces.append(source[end:start])
+        texts.append(token.text)
+        end = start + token.span.length
+    pieces.append(source[end:])
+    keywords = sorted(KEYWORDS)
+    mutants = []
+    for _ in range(count):
+        edited = list(texts)
+        at = rng.randrange(len(edited))
+        roll = rng.randrange(5)
+        if roll == 0:
+            edited[at] = ""
+        elif roll == 1:
+            edited[at] = f"{edited[at]} {edited[at]}"
+        elif roll == 2 and at + 1 < len(edited):
+            edited[at], edited[at + 1] = edited[at + 1], edited[at]
+        elif roll == 3:
+            edited[at] = rng.choice(keywords)
+        else:
+            edited[at] = f"{rng.choice(MUTANT_INSERTS)} {edited[at]}"
+        mutants.append(
+            "".join(gap + text for gap, text in zip(pieces, edited)) + pieces[-1]
+        )
+    return mutants

@@ -405,6 +405,15 @@ _COUNT = "METRIC count { TYPE { integer } INITIAL { 0 } }\n    METRIC done"
             id="undefined-message-endpoint",
         ),
         pytest.param(
+            [("AS sys { }", "AS sys { }\nASIP { MESSAGES {"
+              " MESSAGE m { SENDER { ghost } RECEIVER { nowhere } } } }")],
+            [
+                "unit.assl:3:27: error E-UNDEF: undefined tier 'ghost' in message endpoints",
+                "unit.assl:3:27: error E-UNDEF: undefined tier 'nowhere' in message endpoints",
+            ],
+            id="undefined-shared-message-endpoints",
+        ),
+        pytest.param(
             [("EVENT go { INJECTABLE }", "EVENT go { INJECTABLE GUARDS { METRICS.nope } }")],
             ["unit.assl:20:36: error E-UNDEF: undefined metric 'METRICS.nope'"],
             id="undefined-metric-in-expression",

@@ -11,7 +11,11 @@ import pytest
 
 import asslkit
 from asslkit.cli import build_parser, main
-from asslkit.missions import ants_self_configuring_and_scheduling, ants_self_protecting
+from asslkit.missions import (
+    all_missions,
+    ants_self_configuring_and_scheduling,
+    ants_self_protecting,
+)
 from asslkit.parser import MAX_NESTING, parse_text
 from asslkit.printer import pretty_print
 from asslkit.verifier import build_lts, parse_env_stimulus
@@ -433,6 +437,20 @@ class TestGentests:
         out = capsys.readouterr().out
         assert code == 0
         assert "regenerated: 0 policies" in out
+
+    def test_since_an_unchanged_spec_lists_what_a_from_scratch_run_lists(
+        self, tmp_path, capsys
+    ):
+        gen = tmp_path / "gen.assl"
+        gen.write_text(GENTESTS_SPEC)
+        out_dir = str(tmp_path / "suite")
+        for spec in [str(gen)] + [str(pkg.spec_path) for pkg in all_missions()]:
+            assert main(["gentests", spec, "--out", out_dir]) == 0
+            scratch = capsys.readouterr().out.splitlines()
+            assert main(["gentests", spec, "--out", out_dir, "--since", spec]) == 0
+            since = capsys.readouterr().out.splitlines()
+            listed = since[since.index("regenerated: 0 policies") + 1 :]
+            assert listed == [line for line in scratch if not line.startswith(spec)], spec
 
     def test_infeasible_paths_and_empty_policies_are_listed(self, tmp_path, capsys):
         spec = tmp_path / "gen.assl"

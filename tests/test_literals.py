@@ -92,7 +92,7 @@ def test_literals_of_the_spec_syntax_are_read(spec):
 
 def test_text_value_with_spaces_reads_back(spec):
     # generated suites set text metrics to spec literals such as "wide field"
-    stimulus = SetMetric(("unit", "t"), "two  words", ValueType.TEXT)
+    stimulus = SetMetric(("unit", "t"), "two  words")
     (step,) = parse_scenario(f"tick 0 {stimulus.render()}", spec).steps
     assert step == (0, stimulus)
 
@@ -114,10 +114,10 @@ EXTREME_REALS = [0.00001, 1e16, 5e-324, 1.7976931348623157e308, -0.0]
 
 @pytest.mark.parametrize("value", EXTREME_REALS)
 def test_real_renders_as_a_literal_the_lexer_reads_back(spec, value):
-    text = render_value(value, ValueType.REAL)
+    text = render_value(value)
     (token,) = tokenize(text)
     assert token.value == value and math.copysign(1, token.value) == math.copysign(1, value)
-    stimulus = SetMetric(("unit", "r"), value, ValueType.REAL)
+    stimulus = SetMetric(("unit", "r"), value)
     (step,) = parse_scenario(f"tick 0 {stimulus.render()}", spec).steps
     assert repr(step[1].value) == repr(value)
 

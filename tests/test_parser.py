@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
+from specgen import random_spec_source, swarm_source, token_mutants
 
+from asslkit.checker import check_all
+from asslkit.missions import all_missions
 from asslkit.nodes import (
     ActivationKind,
     BinaryExpr,
@@ -15,7 +21,8 @@ from asslkit.nodes import (
     OpaqueBlock,
 )
 from asslkit.parser import MAX_NESTING, ParseError, parse_text
-from asslkit.tokens import SourceSpan
+from asslkit.printer import pretty_print
+from asslkit.tokens import LexError, SourceSpan
 from conftest import FIG_EVENTS, FIG_POLICY, figures_wrapped
 
 
@@ -524,3 +531,47 @@ def test_repeated_opaque_section_is_reported_before_its_body(keyword):
     line = tier.count("\n") + 2
     source = f"{tier}  {keyword} {{ }}\n  {keyword} {{ x"
     assert _error_list(source) == [(f"duplicate {keyword} section", line, 3)]
+
+
+# -- front-end outcomes on token mutants, pinned by sha256 -----------------
+
+
+def front_end_outcome(source: str) -> str:
+    """The lex error; or every parse error with its span; or the printed
+    source and the rendered diagnostics."""
+    try:
+        tree = parse_text(source, "mutant.assl")
+    except LexError as err:
+        return f"lex {tuple(err.span)} {err.message}\n"
+    except ParseError as err:
+        return "".join(f"parse {tuple(e.span)} {e.message}\n" for e in err.errors)
+    diagnostics = check_all(tree).diagnostics
+    return pretty_print(tree) + "".join(f"{d.render()}\n" for d in diagnostics)
+
+
+def mutant_corpora() -> dict[str, list[str]]:
+    return {
+        "missions": [
+            m
+            for k, pkg in enumerate(all_missions())
+            for m in token_mutants(pkg.source(), k, 300)
+        ],
+        "swarm3": token_mutants(swarm_source(3), 100, 300),
+        "random0-59": [
+            m for seed in range(60) for m in token_mutants(random_spec_source(seed), seed, 20)
+        ],
+    }
+
+
+def test_front_end_outcomes_on_token_mutants_are_pinned():
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("mutant_sha256.json").read_text()
+    )
+    digests = {}
+    for corpus, mutants in mutant_corpora().items():
+        outcomes = [front_end_outcome(m) for m in mutants]
+        # Every corpus reaches both a parse error and a checked tree.
+        assert any(o.startswith("parse ") for o in outcomes), corpus
+        assert any(not o.startswith(("lex ", "parse ")) for o in outcomes), corpus
+        digests[corpus] = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+    assert digests == pinned

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from asslkit import check_all, parse_text
-from asslkit.nodes import ValueType
 from asslkit.runtime import Runtime, Trace
 from asslkit.runtime.state import (
     ACTION_FAILED,
@@ -372,7 +371,7 @@ class TestOneAction:
             ("      TRIGGERS { EVENTS.fin }\n", ""),
             ("EVENT fin { INJECTABLE }", "EVENT fin { ACTIVATION { CHANGED { METRICS.count } } }"),
         )
-        assert _toggled(spec, ("unit", "count")) == (7, ValueType.INTEGER)
+        assert _toggled(spec, ("unit", "count")) == 7
         suite = generate_all(spec)
         assert suite.infeasible == ()
         assert [t.scenario.render() for t in suite.tests] == [
@@ -526,6 +525,12 @@ class TestRegenerate:
         carried = [t for t in new_suite.tests if t.policy != ("unit", "THIRD")]
         assert carried == [t for t in old_suite.tests]
 
+    def test_unchanged_mission_regenerates_to_the_from_scratch_suite(self, mission_pairs):
+        # Infeasible paths and warnings of carried policies are kept too.
+        for pkg, spec in mission_pairs:
+            suite = generate_all(spec)
+            assert regenerate(suite, spec, spec) == suite, pkg.name
+
 
 def test_suite_directory_layout(tmp_path, protecting_spec):
     suite = generate_all(protecting_spec)
@@ -581,7 +586,7 @@ def test_candidate_cap_counts_repeated_assignments():
     capped = itertools.islice(itertools.product([False, True, False], repeat=9), MAX_CANDIDATES)
     expected = list(dict.fromkeys(capped))
     assert len(expected) == 256
-    got = [tuple(value for value, _type in a.values()) for a in _assignments(spec, metrics)]
+    got = [tuple(a.values()) for a in _assignments(spec, metrics)]
     assert got == expected
 
 

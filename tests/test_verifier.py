@@ -818,6 +818,27 @@ class TestPropertyParsing:
         with pytest.raises(PropertyError, match=f"prefix {head} needs at least two operands"):
             parse_property(f"G ({head} (fluent busy))", toggle_spec)
 
+    @pytest.mark.parametrize(
+        "spec, line, message",
+        [
+            ("toggle_spec", "G ((fluent busy) (fluent busy))", "expected ')', found '('"),
+            ("toggle_spec", "G (fluent busy) (event go)", "trailing tokens after property: '('"),
+            ("toggle_spec", "G )", "expected an atom, found ')'"),
+            (
+                "operators_spec", "G (metric probe.count)",
+                "metric 'probe.count' is integer; compare it against a literal",
+            ),
+            (
+                "toggle_spec", "(F (fluent busy)) -> (F (event go))",
+                "temporal operators may not appear left of ->",
+            ),
+        ],
+    )
+    def test_syntax_errors_name_the_problem(self, request, spec, line, message):
+        with pytest.raises(PropertyError) as err:
+            parse_property(line, request.getfixturevalue(spec))
+        assert str(err.value) == message
+
 
 # One holding and one violated property of every shape, on any spec.
 EVERY_SHAPE_BOTH_WAYS = (
