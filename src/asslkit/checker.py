@@ -17,7 +17,10 @@ reports undefined or duplicate names. ``check_types`` types every expression.
       (E-DEPTH).
 
 Pass 3 builds the spec's :class:`~asslkit.program.Program`, which every back
-end reads, and checks R2 and R7 on its action records.
+end reads. R2, R5 and R7 read its influence graph: the call cycles and the
+longest call chains come from one depth-first search over its call and
+error-call edges, and an event is triggered somewhere when a trigger or
+error-trigger edge enters it.
 
 Error-severity diagnostics block the runtime, verifier and test generator;
 warnings do not. Identical trees always yield identical diagnostic lists:
@@ -51,7 +54,7 @@ from .nodes import (
     Tier,
     ValueType,
 )
-from .program import MAX_CALL_DEPTH, Key, Program
+from .program import MAX_CALL_DEPTH, Program
 from .tokens import SourceSpan
 
 ERROR = "error"
@@ -59,6 +62,9 @@ WARNING = "warning"
 
 #: Scope key used for declarations of the shared interaction protocol.
 ASIP_SCOPE = "ASIP"
+
+#: Trigger and error-trigger edges, from the event back to the actions raising it.
+_TRIGGERED_BY = frozenset({("triggers", False), ("error-triggers", False)})
 
 #: Ordering comparisons apply to numeric operands only.
 _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
@@ -462,13 +468,8 @@ def check_semantics(
     tree: SpecificationTree, symbols: SymbolTable, program: Program
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    triggered = {
-        event
-        for info in program.actions.values()
-        for event, _cause in info.triggers + info.onerr_triggers
-    }
     for tier in tree.tiers():
-        _check_tier_semantics(tier, triggered, diags)
+        _check_tier_semantics(tier, program, diags)
     _check_call_graph(program, diags)
     for channel in symbols.channels.values():
         if channel.capacity < 1:
@@ -481,7 +482,7 @@ def check_semantics(
     return diags
 
 
-def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnostic]) -> None:
+def _check_tier_semantics(tier: Tier, program: Program, diags: list[Diagnostic]) -> None:
     for policy in tier.policies:
         if not policy.fluents:
             diags.append(
@@ -510,8 +511,12 @@ def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnosti
                 )
 
     for event in tier.events:
-        triggerable = (tier.name, event.name) in triggered
-        if not event.activation and not event.injectable and not triggerable:
+        node = ("event", (tier.name, event.name))
+        if (
+            not event.activation
+            and not event.injectable
+            and program.influence.walk([node], _TRIGGERED_BY) == [node]
+        ):
             diags.append(
                 Diagnostic(
                     "W-UNREACHABLE",
@@ -528,45 +533,20 @@ def _check_tier_semantics(tier: Tier, triggered: set[Key], diags: list[Diagnosti
 
 
 def _check_call_graph(program: Program, diags: list[Diagnostic]) -> None:
-    """E-CYCLE for each call cycle, E-DEPTH for each chain too deep to run.
-
-    An iterative depth-first search, so a long chain cannot exhaust the stack;
-    ``depth`` holds each finished action's calls on its longest chain.
-    """
-    callees = {key: info.calls + info.onerr_calls for key, info in program.actions.items()}
-    depth: dict[Key, int] = {}
-    reported: set[tuple[Key, ...]] = set()
-    for start in callees:
-        if start in depth:
-            continue
-        stack, pending, active = [start], [iter(callees[start])], {start}
-        while stack:
-            callee = next(pending[-1], None)
-            if callee is None:
-                key = stack.pop()
-                pending.pop()
-                active.discard(key)
-                depth[key] = max((depth.get(c, 0) + 1 for c in callees[key]), default=0)
-            elif callee in active:
-                cycle = (*stack[stack.index(callee) :], callee)
-                if cycle not in reported:
-                    reported.add(cycle)
-                    diags.append(
-                        Diagnostic(
-                            "E-CYCLE",
-                            f"action call cycle: {' -> '.join(key[1] for key in cycle)}",
-                            program.actions[callee].decl.span,
-                        )
-                    )
-            elif callee not in depth:
-                stack.append(callee)
-                pending.append(iter(callees[callee]))
-                active.add(callee)
-    if reported:
+    """E-CYCLE for each call cycle, E-DEPTH for each chain too deep to run."""
+    cycles, depth = program.influence.call_cycles(("action", key) for key in program.actions)
+    for cycle in cycles:
+        diags.append(
+            Diagnostic(
+                "E-CYCLE",
+                f"action call cycle: {' -> '.join(key[1] for _kind, key in cycle)}",
+                program.actions[cycle[-1][1]].decl.span,
+            )
+        )
+    if cycles:
         return  # chain depths mean nothing on a graph with cycles
-    called = {callee for keys in callees.values() for callee in keys}
-    for key, calls in depth.items():
-        if calls > MAX_CALL_DEPTH and key not in called:
+    for (_kind, key), calls in depth.items():
+        if calls > MAX_CALL_DEPTH:
             diags.append(
                 Diagnostic(
                     "E-DEPTH",

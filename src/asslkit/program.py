@@ -2,19 +2,18 @@
 
 ``Program`` makes one pass over a checked tree. It builds the tables the
 runtime executes from (subscriptions, timer slots, mappings, channels and
-receivers) and one record per action and per event, with every name
-resolved to a ``(tier, name)`` key and a summary of the declaration's
-effects. ``check_all`` builds it and keeps it on the ``CheckedSpec``; the
-runtime, the verifier's labels and default environment, the test generator
-and the checker's call-graph rules all read that one instance.
+receivers), one record per action and per event with every name resolved
+to a ``(tier, name)`` key, and the graph of what can affect what.
+``check_all`` builds it and keeps it on the ``CheckedSpec``; the runtime,
+the verifier's labels and default environment, the test generator and the
+checker's call-graph rules all read that one instance.
 
 Every fluent, metric and channel has one slot: its index in ``fluent_keys``,
 ``metric_keys`` or ``channel_keys`` and in a ``RuntimeState`` list and a
 ``StateVector`` tuple. ``fluent_slot``, ``metric_slot`` and ``channel_slot``
 map a key to its slot, one map per kind, since a fluent and a metric of one
 tier may share a name. A run step reads and writes state by slot; the
-records the checker and the test generator analyse (``reads``, ``writes``,
-``calls``, ``sends``) hold keys.
+influence graph the checker and the test generator walk holds keys.
 
 Everything the runtime needs that does not depend on state is built here,
 once, so that a run step only evaluates, assigns, enqueues and appends:
@@ -36,14 +35,18 @@ once, so that a run step only evaluates, assigns, enqueues and appends:
   are, so it builds nothing.
 
 The pass never follows a call, so it is safe on a call graph with cycles.
-Whatever is transitive (call depth, whether an action can fail, a policy's
-reference closure) is worked out by its consumer from the records.
+Whatever is transitive is a walk over the one ``InfluenceGraph`` the pass
+builds beside the records (``influence``), edges added in declaration and
+then statement order: the checker's call cycles, call depths and triggered
+events, and the test generator's fail reachability, path metrics and
+change impact.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
+from collections import defaultdict
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -161,7 +164,6 @@ class Call:
 class Assign:
     metric: int  # slot
     value: Expr
-    reads: tuple[Key, ...]  # metrics the value reads, left to right
     compute: Compiled  # ``value``, compiled
 
 
@@ -186,14 +188,8 @@ class ActionInfo:
     decl: ActionDecl
     does: tuple[Op, ...]
     onerr_does: tuple[Op, ...]
-    calls: tuple[Key, ...]  # callees of DOES, in statement order
-    onerr_calls: tuple[Key, ...]  # callees of ONERR_DOES
-    sends: tuple[tuple[Key, Key], ...]  # (message, channel) of each send
     triggers: tuple[EventOccurrence, ...]  # each TRIGGERS event, with its cause
     onerr_triggers: tuple[EventOccurrence, ...]
-    checks: tuple[Key, ...]  # metrics GUARDS and then ENSURES read, in walk order
-    reads: tuple[Key, ...]  # ``checks``, then the assigned values' reads
-    writes: tuple[Key, ...]
     fails: bool  # DOES holds a fail statement
     guard: Compiled | None
     ensures: Compiled | None
@@ -204,7 +200,6 @@ class ActionInfo:
 @dataclass(frozen=True, slots=True)
 class EventInfo:
     decl: EventDecl
-    reads: tuple[Key, ...]  # metrics the guard reads, in walk order
     # Each activation clause with its CHANGED metric key, SENT or RECEIVED
     # message key, or ELAPSED period.
     activations: tuple[tuple[ActivationKind, Any], ...]
@@ -221,15 +216,76 @@ class MappingInfo:
     cause: str  # ActionStarted detail of the actions it runs
 
 
-def _metric_reads(expr: Expr | None, elem: str) -> list[Key]:
-    """Metrics an expression reads, left to right, repeats included."""
-    if isinstance(expr, MetricRefExpr):
-        return [(elem, expr.name)]
-    if isinstance(expr, NotExpr):
-        return _metric_reads(expr.operand, elem)
-    if isinstance(expr, (BinaryExpr, CompareExpr)):
-        return _metric_reads(expr.left, elem) + _metric_reads(expr.right, elem)
-    return []
+Node = tuple[str, Key]  # (kind, key); kind names the declaration's namespace
+
+_CALLS = ("calls", "error-calls")
+
+
+class InfluenceGraph:
+    """What can affect what in one program: an edge ``(u, label, v)`` says a
+    change at ``u`` can change ``v``. Nodes are events, fluents, actions,
+    metrics, messages and channels. The labels: ``activates`` (a CHANGED
+    metric, or a SENT or RECEIVED message, into its event), ``initiates`` and
+    ``terminates`` (event into fluent), ``maps`` (a mapping's condition
+    fluent into each of its actions), ``calls`` and ``error-calls`` (caller
+    into callee, from DOES and ONERR_DOES), ``triggers`` and
+    ``error-triggers`` (action into event), ``reads`` (metric into the event
+    or action whose guard, ENSURES or assigned value reads it), ``writes``
+    (action into metric) and ``sends`` (action into message and channel).
+    Each node lists its edges, in and out, in the order they were added."""
+
+    def __init__(self) -> None:
+        # node -> (label, other end, whether the edge leaves the node)
+        self.edges: defaultdict[Node, list[tuple[str, Node, bool]]] = defaultdict(list)
+
+    def add(self, source: Node, label: str, target: Node) -> None:
+        self.edges[source].append((label, target, True))
+        self.edges[target].append((label, source, False))
+
+    def walk(self, starts: Iterable[Node], follow: Collection[tuple[str, bool]],
+             keep: Callable[[Node], bool] | None = None) -> list[Node]:
+        """``starts`` and every node reached from them, first seen first:
+        depth first, each node's edges in order, taking an edge forward when
+        ``(label, True)`` is in ``follow``, backward when ``(label, False)``
+        is, and only into nodes ``keep`` accepts."""
+        seen: dict[Node, None] = {}
+        stack = list(starts)[::-1]  # next node on top; each node's edges pushed last first
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen[node] = None
+                stack += [
+                    other for label, other, out in self.edges.get(node, ())
+                    if (label, out) in follow and (keep is None or keep(other))
+                ][::-1]
+        return list(seen)
+
+    def call_cycles(self, actions: Iterable[Node]) -> tuple[list[tuple[Node, ...]], dict[Node, int]]:
+        """Each cycle of calls and error-calls once, as the chain closing it,
+        and the calls on the longest chain from each action no action calls
+        (meaningless when there are cycles), by one iterative depth-first
+        search from ``actions`` in order: a long chain cannot exhaust the stack."""
+        callees = {
+            node: [other for label, other, out in self.edges.get(node, ()) if out and label in _CALLS]
+            for node in actions
+        }
+        depth: dict[Node, int] = {}
+        cycles: dict[tuple[Node, ...], None] = {}
+        for start in callees:
+            pending = {} if start in depth else {start: iter(callees[start])}  # the chain
+            while pending:
+                node = next(reversed(pending))
+                callee = next(pending[node], None)
+                if callee is None:
+                    del pending[node]
+                    depth[node] = max((depth.get(c, 0) + 1 for c in callees[node]), default=0)
+                elif callee in pending:
+                    chain = list(pending)
+                    cycles[(*chain[chain.index(callee) :], callee)] = None
+                elif callee not in depth:
+                    pending[callee] = iter(callees[callee])
+        called = {callee for nodes in callees.values() for callee in nodes}
+        return list(cycles), {node: calls for node, calls in depth.items() if node not in called}
 
 
 def _scoped(resolved: tuple[str, object] | None, name: str) -> Key:
@@ -268,6 +324,8 @@ class Program:
         self.mappings: dict[str, list[MappingInfo]] = {}
         self.injectable: list[Key] = []
         self._send_details: dict[tuple[Key, str], tuple[str, str]] = {}
+        self.influence = InfluenceGraph()
+        add = self.influence.add
 
         for tier in tiers:
             elem = tier.name
@@ -275,15 +333,21 @@ class Program:
             for policy in tier.policies:
                 self.policies[(elem, policy.name)] = policy
                 for fluent in policy.fluents:
-                    slot = self.fluent_slot[(elem, fluent.name)]
+                    key = (elem, fluent.name)
+                    slot = self.fluent_slot[key]
                     for ref in fluent.initiated_by:
                         self.initiators.setdefault((elem, ref.name), []).append(slot)
+                        add(("event", (elem, ref.name)), "initiates", ("fluent", key))
                     for ref in fluent.terminated_by:
                         self.terminators.setdefault((elem, ref.name), []).append(slot)
+                        add(("event", (elem, ref.name)), "terminates", ("fluent", key))
                 for index, mapping in enumerate(policy.mappings):
                     subject = f"{elem}.{policy.name}.mapping[{index}]"
                     conditions = tuple((elem, c.name) for c in mapping.conditions)
                     actions = tuple((elem, a.name) for a in mapping.do_actions)
+                    for condition in conditions:
+                        for action in actions:
+                            add(("fluent", condition), "maps", ("action", action))
                     detail = "conditions: " + ", ".join(qual(c) for c in conditions)
                     slots = tuple(self.fluent_slot[c] for c in conditions)
                     self.mappings[elem].append(
@@ -333,57 +397,70 @@ class Program:
             return None
         return compile_expr(expr, elem, self.metric_slot, self.fluent_slot)
 
+    def _add_reads(self, expr: Expr | None, node: Node) -> None:
+        """A reads edge into ``node`` per metric ``expr`` reads, left to right."""
+        if isinstance(expr, MetricRefExpr):
+            self.influence.add(("metric", (node[1][0], expr.name)), "reads", node)
+        elif isinstance(expr, NotExpr):
+            self._add_reads(expr.operand, node)
+        elif isinstance(expr, (BinaryExpr, CompareExpr)):
+            self._add_reads(expr.left, node)
+            self._add_reads(expr.right, node)
+
     def _resolve_ops(
-        self, elem: str, stmts: tuple[Stmt, ...], symbols: SymbolTable
+        self, node: Node, stmts: tuple[Stmt, ...], symbols: SymbolTable, calls: str
     ) -> tuple[Op, ...]:
         """Statements with callees and messages resolved to keys, and metrics
-        and channels to slots."""
+        and channels to slots; each one's edges go into the influence graph,
+        a call's labelled ``calls``."""
+        elem = node[1][0]
+        add = self.influence.add
         ops: list[Op] = []
         for stmt in stmts:
             if isinstance(stmt, CallStmt):
-                ops.append(Call((elem, stmt.action.name), stmt.binding))
+                callee = (elem, stmt.action.name)
+                ops.append(Call(callee, stmt.binding))
+                add(node, calls, ("action", callee))
             elif isinstance(stmt, AssignStmt):
-                reads = tuple(_metric_reads(stmt.value, elem))
+                metric = (elem, stmt.metric.name)
                 compute = self._compile(stmt.value, elem)
-                slot = self.metric_slot[(elem, stmt.metric.name)]
-                ops.append(Assign(slot, stmt.value, reads, compute))
+                ops.append(Assign(self.metric_slot[metric], stmt.value, compute))
+                self._add_reads(stmt.value, node)
+                add(node, "writes", ("metric", metric))
             elif isinstance(stmt, SendStmt):
                 message_name, channel_name = stmt.message.name, stmt.channel.name
                 message = _scoped(symbols.resolve_message(elem, message_name), message_name)
                 channel = _scoped(symbols.resolve_channel(elem, channel_name), channel_name)
                 details = self.send_details(channel, elem)
                 ops.append(Send(message, self.channel_slot[channel], *details))
+                add(node, "sends", ("message", message))
+                add(node, "sends", ("channel", channel))
             else:
                 ops.append(Fail(stmt.reason))
         return tuple(ops)
 
     def _add_action(self, elem: str, action: ActionDecl, symbols: SymbolTable) -> None:
         akey = (elem, action.name)
-        does = self._resolve_ops(elem, action.does, symbols)
-        onerr_does = self._resolve_ops(elem, action.onerr_does, symbols)
-        both = does + onerr_does
-        assigns = [op for op in both if isinstance(op, Assign)]
-        checks = _metric_reads(action.guard, elem) + _metric_reads(action.ensures, elem)
+        node = ("action", akey)
+        self._add_reads(action.guard, node)
+        self._add_reads(action.ensures, node)
+        does = self._resolve_ops(node, action.does, symbols, "calls")
+        onerr_does = self._resolve_ops(node, action.onerr_does, symbols, "error-calls")
+        for label, refs in (("triggers", action.triggers), ("error-triggers", action.onerr_triggers)):
+            for ref in refs:
+                self.influence.add(node, label, ("event", (elem, ref.name)))
         triggered = f"triggered by {qual(akey)}"
         error_triggered = f"error-triggered by {qual(akey)}"
         self.actions[akey] = ActionInfo(
             decl=action,
             does=does,
             onerr_does=onerr_does,
-            calls=tuple(op.callee for op in does if isinstance(op, Call)),
-            onerr_calls=tuple(op.callee for op in onerr_does if isinstance(op, Call)),
-            sends=tuple(
-                (op.message, self.channel_keys[op.channel]) for op in both if isinstance(op, Send)
-            ),
             triggers=tuple(
                 EventOccurrence((elem, ref.name), triggered) for ref in action.triggers
             ),
             onerr_triggers=tuple(
                 EventOccurrence((elem, ref.name), error_triggered) for ref in action.onerr_triggers
             ),
-            checks=tuple(checks),
-            reads=tuple(checks + [metric for op in assigns for metric in op.reads]),
-            writes=tuple(self.metric_keys[op.metric] for op in assigns),
             fails=any(isinstance(op, Fail) for op in does),
             guard=self._compile(action.guard, elem),
             ensures=self._compile(action.ensures, elem),
@@ -415,7 +492,9 @@ class Program:
             cause = f"activation {clause.kind.value} {qual(target)}"
             subs.append(EventOccurrence(ekey, cause))
             activations.append((clause.kind, target))
-        reads = tuple(_metric_reads(event.guard, elem))
+            source = "metric" if clause.kind is ActivationKind.CHANGED else "message"
+            self.influence.add((source, target), "activates", ("event", ekey))
+        self._add_reads(event.guard, ("event", ekey))
         self.events[ekey] = EventInfo(
-            event, reads, tuple(activations), self._compile(event.guard, elem), f"by {qual(ekey)}"
+            event, tuple(activations), self._compile(event.guard, elem), f"by {qual(ekey)}"
         )

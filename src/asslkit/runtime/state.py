@@ -124,11 +124,13 @@ class RuntimeState:
     last_event: Key | None = None
 
     def copy(self) -> "RuntimeState":
+        """An independent copy with list parts, whether this state's parts
+        are lists or a state vector's tuples."""
         return RuntimeState(
             tick=self.tick,
-            fluents=self.fluents.copy(),
-            metrics=self.metrics.copy(),
-            channels=[queue.copy() for queue in self.channels],
+            fluents=list(self.fluents),
+            metrics=list(self.metrics),
+            channels=[list(queue) for queue in self.channels],
             pending=deque(self.pending),
             timers=list(self.timers),
             last_event=self.last_event,

@@ -23,17 +23,19 @@ same run go on to apply the terminating stimulus. An assignment equal to an
 earlier one is not simulated again.
 
 Everything the generator knows of actions and events it reads from the
-spec's ``Program`` records: callees, fail statements, metrics read, resolved
-messages. Which actions can fail, the metrics a path depends on and a
-policy's reference closure are small walks over those records.
+spec's ``Program``: its records (fail statements, guards, activations) and
+its influence graph. Which actions can fail, the metrics a path depends on
+and the declarations a policy's tests depend on are walks over that graph.
 
 Generated tests serialize one directory per policy: ``<path-id>.scenario``
 plus ``<path-id>.expect``, whose assertion lines use the five trace fields
 with ``*`` wildcards; a leading ``!`` asserts absence. Change-impact
 analysis compares two specifications declaration by declaration (ignoring
-source positions) and closes the changed set under the reverse reference
-graph, so regeneration touches exactly the policies whose behavior can have
-changed.
+source positions). A policy is impacted when, in either specification, a
+changed declaration is used by the policy, reads a metric the policy uses
+(its guards give candidate values), or is, or is used by, something the
+policy's test runs can set going: another policy's action a cascade
+reaches, or a timer.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .nodes import (
     NotExpr,
     ValueType,
 )
-from .program import Assign, Call
+from .program import Node
 from .runtime import Halt, InjectEvent, Runtime, Scenario, SendMessage, SetMetric, Trace
 from .runtime.state import (
     ACTION_FAILED,
@@ -76,6 +78,28 @@ _BRANCH_SLUGS = {GUARD_REJECT: "reject", SUCCESS_PATH: "success", ERROR_PATH: "e
 
 #: Cap on the candidate metric-assignment product searched per path.
 MAX_CANDIDATES = 4096
+
+# The edges each walk over the influence graph (``Program.influence``) takes,
+# as (label, forward) pairs.
+#: What an event or action uses: the metrics and messages that activate it or
+#: that it reads, and the callees, events, metrics, messages and channels it
+#: acts on, transitively through calls and triggers.
+_USES = frozenset({
+    ("activates", False), ("reads", False), ("calls", True), ("error-calls", True),
+    ("triggers", True), ("error-triggers", True), ("writes", True), ("sends", True),
+})
+#: A policy's fluents, their events and mapped actions, and what those use.
+_POLICY_USES = _USES | {("initiates", False), ("terminates", False), ("maps", True)}
+#: What a node can set going or change: every edge but a read, forward.
+_RUNS = frozenset((label, True) for label in (
+    "activates", "initiates", "terminates", "maps", "calls", "error-calls",
+    "triggers", "error-triggers", "writes", "sends",
+))
+#: The events and actions that read a metric.
+_READERS = frozenset({("reads", True)})
+#: Metrics that guards, ENSURES and assigned values read, through calls.
+_READS = frozenset({("reads", False), ("calls", True), ("error-calls", True)})
+_DOES_CALLS = frozenset({("calls", True)})
 
 # Candidate scenarios set metrics at tick 0 and stimulate the initiating
 # event at this tick; ELAPSED periods are at least 1, so the terminating
@@ -245,18 +269,13 @@ def _reaches_fail(spec: CheckedSpec, action: Key, surely: bool) -> bool:
     only when it always passes: then the action always fails.
     """
     records = spec.program.actions
-    seen = {action}
-    stack = [records[action]]
-    while stack:
-        info = stack.pop()
-        if info.fails:
-            return True
-        for callee in info.calls:
-            const = _const_value(records[callee].decl.guard)
-            if callee not in seen and (const is True if surely else const is not False):
-                seen.add(callee)
-                stack.append(records[callee])
-    return False
+
+    def enters(node: Node) -> bool:
+        const = _const_value(records[node[1]].decl.guard)
+        return const is True if surely else const is not False
+
+    reached = spec.program.influence.walk([("action", action)], _DOES_CALLS, enters)
+    return any(records[key].fails for _kind, key in reached)
 
 
 # --------------------------------------------------------------------------
@@ -387,30 +406,16 @@ def _some_channel(spec: CheckedSpec, elem: str) -> Key | None:
 def _relevant_metrics(spec: CheckedSpec, path: PolicyPath) -> list[tuple[Key, MetricDecl]]:
     """Metrics the path's event guards and actions read, first seen first.
 
-    An action's GUARDS and ENSURES come first, then its statements in order:
-    an assigned value (verdict-style metrics reach guards through copies), and
-    at each call the callee's walk, once per callee.
+    The two events' guards come first, then each action: its GUARDS and
+    ENSURES, then its statements in order: an assigned value (verdict-style
+    metrics reach guards through copies), and at each call the callee's
+    reads, once per callee.
     """
     program = spec.program
-    names: dict[Key, None] = {}
-    for event in (path.initiating_event, path.terminating_event):
-        names.update(dict.fromkeys(program.events[event].reads))
-    seen: set[Key] = set()
-
-    def visit(action: Key) -> None:
-        seen.add(action)
-        info = program.actions[action]
-        names.update(dict.fromkeys(info.checks))
-        for op in info.does + info.onerr_does:
-            if type(op) is Call and op.callee not in seen:
-                visit(op.callee)
-            elif type(op) is Assign:
-                names.update(dict.fromkeys(op.reads))
-
-    for action, _choice in path.branches:
-        if action not in seen:
-            visit(action)
-    return [(key, program.metrics[key]) for key in names]
+    starts = [("event", path.initiating_event), ("event", path.terminating_event)]
+    starts += [("action", action) for action, _choice in path.branches]
+    reached = program.influence.walk(starts, _READS)
+    return [(key, program.metrics[key]) for kind, key in reached if kind == "metric"]
 
 
 def _candidate_values(spec: CheckedSpec, key: Key, decl: MetricDecl) -> list[object]:
@@ -541,7 +546,8 @@ class ImpactSet:
 
 
 def impact(old_spec: CheckedSpec, new_spec: CheckedSpec) -> ImpactSet:
-    """Structural diff closed over the reverse reference graph."""
+    """The changed declarations, and the policies whose closure
+    (``_policy_closure``) holds one of them in either specification."""
     if not old_spec.ok or not new_spec.ok:
         raise ValueError("specifications have errors; run check_all first")
     old_decls = _decl_map(old_spec)
@@ -551,12 +557,12 @@ def impact(old_spec: CheckedSpec, new_spec: CheckedSpec) -> ImpactSet:
         for key in set(old_decls) | set(new_decls)
         if old_decls.get(key) != new_decls.get(key)
     }
-    impacted: set[Key] = set()
-    for spec in (old_spec, new_spec):
-        for policy in policy_keys(spec):
-            closure = _policy_closure(spec, policy)
-            if closure & changed:
-                impacted.add(policy)
+    impacted = {
+        policy
+        for spec in (old_spec, new_spec)
+        for policy in policy_keys(spec)
+        if not changed.isdisjoint(_policy_closure(spec, policy))
+    }
     return ImpactSet(
         tuple(sorted(changed)),
         tuple(sorted(impacted)),
@@ -581,39 +587,23 @@ def _decl_map(spec: CheckedSpec) -> dict[str, object]:
 
 
 def _policy_closure(spec: CheckedSpec, policy: Key) -> set[str]:
-    """Qualified names of every declaration the policy transitively uses."""
+    """Qualified names of the declarations a change to which can change the
+    policy's tests: what the policy uses, including the metrics its
+    scenarios set; what its test runs can set going from there, and every
+    timer; what all of that uses; and every reader of a metric the policy
+    uses, whose guards give that metric's candidate values. A fluent stands
+    for its policy."""
     program = spec.program
-    decl = program.policies[policy]
-    elem = policy[0]
-    closure: set[str] = set()
-    pending: list[tuple[str, Key]] = [("policy", policy)]
-    pending += [
-        ("event", (elem, ref.name))
-        for fluent in decl.fluents
-        for ref in fluent.initiated_by + fluent.terminated_by
-    ]
-    pending += [("action", (elem, ref.name)) for m in decl.mappings for ref in m.do_actions]
-    while pending:
-        namespace, key = pending.pop()
-        name = f"{key[0]}.{namespace}.{key[1]}"
-        if name in closure:
-            continue
-        closure.add(name)
-        if namespace == "event":
-            event = program.events[key]
-            pending += [("metric", metric) for metric in event.reads]
-            for kind, target in event.activations:
-                if kind is ActivationKind.CHANGED:
-                    pending.append(("metric", target))
-                elif kind is not ActivationKind.ELAPSED:
-                    pending.append(("message", target))
-        elif namespace == "action":
-            action = program.actions[key]
-            pending += [("metric", metric) for metric in action.reads + action.writes]
-            for message, channel in action.sends:
-                pending += [("message", message), ("channel", channel)]
-            pending += [("action", callee) for callee in action.calls + action.onerr_calls]
-            pending += [("event", e) for e, _cause in action.triggers + action.onerr_triggers]
+    graph = program.influence
+    fluents = [("fluent", (policy[0], fluent.name)) for fluent in program.policies[policy].fluents]
+    timers = [("event", occurrence.event) for occurrence, _period in program.timer_slots]
+    uses = graph.walk(fluents, _POLICY_USES)
+    readers = graph.walk([node for node in uses if node[0] == "metric"], _READERS)
+    closure = set()
+    for kind, (scope, name) in graph.walk(graph.walk(uses + timers, _RUNS), _USES) + readers:
+        if kind == "fluent":
+            kind, name = "policy", spec.symbols.fluent_policy[(scope, name)]
+        closure.add(f"{scope}.{kind}.{name}")
     return closure
 
 

@@ -27,11 +27,15 @@ the same ``LexError`` message and span on every input.
 before guards, ENSURES clauses and assigned values were compiled to
 closures: an ``isinstance`` chain over the syntax tree, evaluated per call,
 over a state that maps each ``(tier, name)`` key to its value.
-``reference_error_capable``, ``reference_always_fails``,
-``reference_relevant_metrics``, ``reference_policy_closure`` and
-``reference_impact`` are the test generator's analyses as recursive walks
-over the syntax tree, resolving every name through the symbol table, as the
-generator computed them before it read the spec's ``Program`` records.
+``reference_error_capable``, ``reference_always_fails`` and
+``reference_relevant_metrics`` are the test generator's analyses as
+recursive walks over the syntax tree, resolving every name through the
+symbol table, as the generator computed them before it read the spec's
+``Program``. ``reference_policy_closure`` and ``reference_impact`` walk the
+tree the same way, with their own edge list and a fixpoint in place of the
+program's influence graph: a policy depends on what it uses, on what its
+test runs can set going, timers included, on what those use, and on the
+readers of the metrics it uses.
 """
 
 from __future__ import annotations
@@ -668,23 +672,60 @@ def reference_relevant_metrics(spec, path):
     return out
 
 
-def reference_policy_closure(spec, policy) -> set[str]:
-    elem = policy[0]
-    tier = spec.symbols.tiers[elem]
-    decl = next(p for p in tier.policies if p.name == policy[1])
-    closure: set[str] = {f"{elem}.policy.{policy[1]}"}
-    pending_events: list[str] = []
-    pending_actions: list[str] = []
-    for fluent in decl.fluents:
-        for ref in fluent.initiated_by + fluent.terminated_by:
-            pending_events.append(ref.name)
-    for mapping in decl.mappings:
-        for ref in mapping.do_actions:
-            pending_actions.append(ref.name)
-    seen_events: set[str] = set()
-    seen_actions: set[str] = set()
+def _reference_influence(spec) -> list[tuple[str, str]]:
+    """Every pair ``(u, v)`` such that ``u`` can set ``v`` running or change
+    it, other than by being read, as qualified names ``scope.kind.name``,
+    read off the tree."""
+    edges: list[tuple[str, str]] = []
 
-    def add_expr(expr) -> None:
+    def scoped(kind: str, resolved, name: str) -> str:
+        return f"{resolved[0]}.{kind}.{name}"
+
+    for tier in spec.tree.tiers():
+        t = tier.name
+        for policy in tier.policies:
+            for fluent in policy.fluents:
+                for ref in fluent.initiated_by + fluent.terminated_by:
+                    edges.append((f"{t}.event.{ref.name}", f"{t}.fluent.{fluent.name}"))
+            for mapping in policy.mappings:
+                for cond in mapping.conditions:
+                    for ref in mapping.do_actions:
+                        edges.append((f"{t}.fluent.{cond.name}", f"{t}.action.{ref.name}"))
+        for event in tier.events:
+            me = f"{t}.event.{event.name}"
+            for clause in event.activation:
+                if clause.kind is ActivationKind.CHANGED:
+                    edges.append((f"{t}.metric.{clause.target.name}", me))
+                elif clause.target is not None:
+                    resolved = spec.symbols.resolve_message(t, clause.target.name)
+                    edges.append((scoped("message", resolved, clause.target.name), me))
+        for action in tier.actions:
+            me = f"{t}.action.{action.name}"
+            for stmt in action.does + action.onerr_does:
+                if isinstance(stmt, CallStmt):
+                    edges.append((me, f"{t}.action.{stmt.action.name}"))
+                elif isinstance(stmt, AssignStmt):
+                    edges.append((me, f"{t}.metric.{stmt.metric.name}"))
+                elif isinstance(stmt, SendStmt):
+                    message = spec.symbols.resolve_message(t, stmt.message.name)
+                    channel = spec.symbols.resolve_channel(t, stmt.channel.name)
+                    edges.append((me, scoped("message", message, stmt.message.name)))
+                    edges.append((me, scoped("channel", channel, stmt.channel.name)))
+            for ref in action.triggers + action.onerr_triggers:
+                edges.append((me, f"{t}.event.{ref.name}"))
+    return edges
+
+
+def _reference_uses(spec, start_events, start_actions) -> set[str]:
+    """Names of the given events and actions (``(tier, name)`` pairs) and of
+    everything they transitively use, through calls and triggers."""
+    closure: set[str] = set()
+    pending_events = list(start_events)
+    pending_actions = list(start_actions)
+    seen_events: set[tuple[str, str]] = set()
+    seen_actions: set[tuple[str, str]] = set()
+
+    def add_expr(elem, expr) -> None:
         if expr is None:
             return
         for name in _metric_names(expr):
@@ -692,15 +733,15 @@ def reference_policy_closure(spec, policy) -> set[str]:
 
     while pending_events or pending_actions:
         while pending_events:
-            name = pending_events.pop()
-            if name in seen_events:
+            elem, name = pending_events.pop()
+            if (elem, name) in seen_events:
                 continue
-            seen_events.add(name)
+            seen_events.add((elem, name))
             closure.add(f"{elem}.event.{name}")
             event = spec.symbols.lookup(elem, "events", name)
             if not isinstance(event, EventDecl):
                 continue
-            add_expr(event.guard)
+            add_expr(elem, event.guard)
             for clause in event.activation:
                 if clause.kind is ActivationKind.CHANGED and clause.target is not None:
                     closure.add(f"{elem}.metric.{clause.target.name}")
@@ -709,22 +750,22 @@ def reference_policy_closure(spec, policy) -> set[str]:
                     if resolved is not None:
                         closure.add(f"{resolved[0]}.message.{clause.target.name}")
         while pending_actions:
-            name = pending_actions.pop()
-            if name in seen_actions:
+            elem, name = pending_actions.pop()
+            if (elem, name) in seen_actions:
                 continue
-            seen_actions.add(name)
+            seen_actions.add((elem, name))
             closure.add(f"{elem}.action.{name}")
             action = spec.symbols.lookup(elem, "actions", name)
             if not isinstance(action, ActionDecl):
                 continue
-            add_expr(action.guard)
-            add_expr(action.ensures)
+            add_expr(elem, action.guard)
+            add_expr(elem, action.ensures)
             for stmt in action.does + action.onerr_does:
                 if isinstance(stmt, CallStmt):
-                    pending_actions.append(stmt.action.name)
+                    pending_actions.append((elem, stmt.action.name))
                 elif isinstance(stmt, AssignStmt):
                     closure.add(f"{elem}.metric.{stmt.metric.name}")
-                    add_expr(stmt.value)
+                    add_expr(elem, stmt.value)
                 elif isinstance(stmt, SendStmt):
                     message = spec.symbols.resolve_message(elem, stmt.message.name)
                     channel = spec.symbols.resolve_channel(elem, stmt.channel.name)
@@ -733,7 +774,70 @@ def reference_policy_closure(spec, policy) -> set[str]:
                     if channel is not None:
                         closure.add(f"{channel[0]}.channel.{stmt.channel.name}")
             for ref in action.triggers + action.onerr_triggers:
-                pending_events.append(ref.name)
+                pending_events.append((elem, ref.name))
+    return closure
+
+
+def _reference_readers(spec, metrics: set[str]) -> set[str]:
+    """Names of the events and actions whose guard, ENSURES or assigned value
+    reads one of ``metrics``."""
+    readers = set()
+    for tier in spec.tree.tiers():
+        for decl in tier.events + tier.actions:
+            kind = "event" if isinstance(decl, EventDecl) else "action"
+            exprs = [decl.guard]
+            if kind == "action":
+                exprs.append(decl.ensures)
+                exprs += [s.value for s in decl.does + decl.onerr_does if isinstance(s, AssignStmt)]
+            names = {n for expr in exprs if expr is not None for n in _metric_names(expr)}
+            if any(f"{tier.name}.metric.{name}" in metrics for name in names):
+                readers.add(f"{tier.name}.{kind}.{decl.name}")
+    return readers
+
+
+def reference_policy_closure(spec, policy) -> set[str]:
+    """The policy's own name, and the names of what the policy uses; of what
+    its test runs can set going from there and from every timer, found by a
+    fixpoint over ``_reference_influence``; of what all of those use; and of
+    every reader of a metric the policy uses. A fluent is named by its
+    policy."""
+    elem = policy[0]
+    tier = spec.symbols.tiers[elem]
+    decl = next(p for p in tier.policies if p.name == policy[1])
+    runs = _reference_uses(
+        spec,
+        [(elem, ref.name) for f in decl.fluents for ref in f.initiated_by + f.terminated_by],
+        [(elem, ref.name) for m in decl.mappings for ref in m.do_actions],
+    )
+    readers = _reference_readers(spec, {name for name in runs if ".metric." in name})
+    runs |= {
+        f"{t.name}.event.{event.name}"
+        for t in spec.tree.tiers()
+        for event in t.events
+        if any(clause.kind is ActivationKind.ELAPSED for clause in event.activation)
+    }
+    edges = _reference_influence(spec)
+    grew = True
+    while grew:
+        before = len(runs)
+        runs |= {v for u, v in edges if u in runs}
+        grew = len(runs) > before
+    parts = [name.split(".") for name in runs]
+    closure = {f"{elem}.policy.{policy[1]}"} | readers
+    closure |= _reference_uses(
+        spec,
+        [(scope, name) for scope, kind, name in parts if kind == "event"],
+        [(scope, name) for scope, kind, name in parts if kind == "action"],
+    )
+    for scope, kind, name in parts:
+        if kind == "fluent":
+            owner = next(
+                p.name for p in spec.symbols.tiers[scope].policies
+                if any(f.name == name for f in p.fluents)
+            )
+            closure.add(f"{scope}.policy.{owner}")
+        elif kind not in ("event", "action"):
+            closure.add(f"{scope}.{kind}.{name}")
     return closure
 
 

@@ -10,6 +10,7 @@ metric, one or two fluents, and occasionally one bounded channel.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from asslkit.checker import CheckedSpec, check_all
 from asslkit.lexer import tokenize
@@ -187,6 +188,72 @@ def random_checked_spec(seed: int) -> CheckedSpec:
     spec = check_all(parse_text(random_spec_source(seed), f"<random-{seed}>"))
     assert spec.ok, [d.render() for d in spec.diagnostics]
     return spec
+
+
+#: The kinds of edit ``edit_source`` makes.
+EDIT_KINDS = ("trigger", "initial", "negate", "call")
+
+
+def edit_source(source: str, kind: str, seed: int) -> str | None:
+    """``source`` with one seeded edit of ``kind`` to one tier, or None when
+    no tier has a declaration to edit that way.
+
+    ``trigger`` adds a TRIGGERS target to an action, ``initial`` flips a
+    metric's INITIAL (booleans negated, numbers plus one, texts extended),
+    ``negate`` wraps a guard in NOT, and ``call`` inserts a call of some
+    action into an action's DOES. The edited spec may not check clean: a
+    call can close a cycle, a trigger can overlap a fluent's events.
+    """
+    rng = random.Random(seed)
+    tree = parse_text(source)
+
+    def editable(tier) -> bool:
+        if kind == "trigger":
+            return bool(tier.actions and tier.events)
+        if kind == "initial":
+            return bool(tier.metrics)
+        if kind == "negate":
+            return any(decl.guard is not None for decl in tier.actions + tier.events)
+        return bool(tier.actions)
+
+    candidates = [tier for tier in tree.tiers() if editable(tier)]
+    if not candidates:
+        return None
+    tier = rng.choice(candidates)
+    if kind == "trigger":
+        action = rng.choice(tier.actions)
+        event = rng.choice(tier.events)
+        triggers = action.triggers + (Ref(("EVENTS",), event.name),)
+        edited = replace(tier, actions=_swap(tier.actions, action, replace(action, triggers=triggers)))
+    elif kind == "initial":
+        metric = rng.choice(tier.metrics)
+        value = metric.initial.value
+        value = (not value if isinstance(value, bool)
+                 else value + "!" if isinstance(value, str) else value + 1)
+        initial = Lit(value, metric.initial.type)
+        edited = replace(tier, metrics=_swap(tier.metrics, metric, replace(metric, initial=initial)))
+    elif kind == "negate":
+        decl = rng.choice([d for d in tier.actions + tier.events if d.guard is not None])
+        negated = replace(decl, guard=NotExpr(decl.guard))
+        if isinstance(decl, ActionDecl):
+            edited = replace(tier, actions=_swap(tier.actions, decl, negated))
+        else:
+            edited = replace(tier, events=_swap(tier.events, decl, negated))
+    else:
+        caller, callee = rng.choice(tier.actions), rng.choice(tier.actions)
+        at = rng.randint(0, len(caller.does))
+        does = caller.does[:at] + (CallStmt(Ref(("ACTIONS",), callee.name)),) + caller.does[at:]
+        edited = replace(tier, actions=_swap(tier.actions, caller, replace(caller, does=does)))
+    if tier is tree.as_tier:
+        tree = replace(tree, as_tier=edited)
+    else:
+        tree = replace(tree, ae_tiers=_swap(tree.ae_tiers, tier, edited))
+    return pretty_print(tree)
+
+
+def _swap(items: tuple, old, new) -> tuple:
+    """``items`` with the element that is ``old`` replaced by ``new``."""
+    return tuple(new if item is old else item for item in items)
 
 
 def swarm_source(n: int) -> str:

@@ -20,7 +20,14 @@ from asslkit.nodes import (
     NotExpr,
     ValueType,
 )
-from asslkit.program import MAX_CALL_DEPTH, Assign, Call, Program, compile_expr
+from asslkit.program import (
+    MAX_CALL_DEPTH,
+    Assign,
+    Call,
+    InfluenceGraph,
+    Program,
+    compile_expr,
+)
 from asslkit.runtime import Halt, InjectEvent, Runtime, Scenario
 from asslkit.runtime.state import ACTION_SUCCEEDED
 from asslkit.testgen import (
@@ -31,6 +38,7 @@ from asslkit.testgen import (
     generate_all,
     impact,
     policy_keys,
+    regenerate,
 )
 from asslkit.verifier import build_lts, default_env
 from oracles import (
@@ -142,19 +150,24 @@ def test_record_walks_match_the_tree_walks(mission_pairs):
 
 
 def test_back_ends_share_the_checked_program(protecting_spec, monkeypatch):
+    """One program and one influence graph per check; no back end builds more."""
     built = []
-    init = Program.__init__
-    monkeypatch.setattr(
-        Program, "__init__", lambda self, *args: built.append(1) or init(self, *args)
-    )
+    for cls in (Program, InfluenceGraph):
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda self, *args, init=cls.__init__, name=cls.__name__: (
+                built.append(name) or init(self, *args)
+            ),
+        )
     first, second = Runtime(protecting_spec, seed=1), Runtime(protecting_spec, record=False)
     assert first.program is second.program is protecting_spec.program
     default_env(protecting_spec)
     build_lts(protecting_spec)
-    generate_all(protecting_spec)
+    suite = generate_all(protecting_spec)
+    regenerate(suite, protecting_spec, protecting_spec)
     assert built == []
     check_all(protecting_spec.tree)
-    assert built == [1]
+    assert built == ["Program", "InfluenceGraph"]
 
 
 def chain_spec(length: int) -> str:

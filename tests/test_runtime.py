@@ -35,7 +35,7 @@ from asslkit.runtime.state import (
     MESSAGE_SENT,
     EventOccurrence,
 )
-from asslkit.verifier import Layout
+from asslkit.verifier import Layout, build_lts
 from conftest import operators_spec_and_scenario
 from oracles import reference_advance_tick
 from specgen import random_checked_spec, random_scenario, swarm_source
@@ -297,6 +297,25 @@ class TestStep:
         assert state.fluents == before.fluents
         assert state.metrics == before.metrics
         assert runtime.trace.records == []
+
+    def test_copy_of_a_working_state_is_equal_and_independent(self, healing_spec):
+        # The verifier's working states hold a vector's tuples as their parts.
+        lts = build_lts(healing_spec)
+        occurrences = {event: EventOccurrence(event, "") for event in healing_spec.program.events}
+        queued = next(index for index, vec in enumerate(lts.states) if any(vec.channels))
+        for index in (1, queued):
+            vec = lts.states[index]
+            state = Layout.state(vec, occurrences)
+            copy = state.copy()
+            assert Layout.vector(copy) == Layout.vector(state) == vec
+            assert copy.pending == state.pending
+            copy.fluents[0] = not copy.fluents[0]
+            copy.metrics[0] = "changed"
+            copy.timers[0] += 1
+            for queue in copy.channels:
+                queue.append(("ASIP", "extra"))
+            copy.pending.clear()
+            assert Layout.vector(state) == vec and len(state.pending) == len(vec.pending)
 
     def test_mapping_needs_all_conditions(self):
         spec = check_all(parse_text(CONJUNCTION_SPEC))

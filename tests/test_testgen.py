@@ -41,7 +41,7 @@ from asslkit.testgen import (
     run_suite,
     write_suite,
 )
-from specgen import random_checked_spec, swarm_source
+from specgen import EDIT_KINDS, edit_source, random_spec_source, random_checked_spec, swarm_source
 
 
 def independent_branch_product(spec, policy_key):
@@ -482,6 +482,24 @@ class TestImpact:
         # rejectInvalidCertificate is two calls deep under checkPrivateMessage
         assert result.policies == (("worker", "SELF_PROTECTING"),)
 
+    def test_a_guard_that_gives_candidate_values_impacts_the_policy(self):
+        # FIRST's scenarios set count to the first candidate value passing
+        # workA's guard. Candidates come from every guard comparing count,
+        # goB's first; FIRST neither uses nor runs goB.
+        source = TWO_POLICY
+        for old, new in (
+            ("DOES { METRICS.a = true; }", "GUARDS { METRICS.count > 2 } DOES { METRICS.a = true; }"),
+            ("EVENT goB { INJECTABLE }", "EVENT goB { GUARDS { METRICS.count > 5 } INJECTABLE }"),
+            ("    METRIC shared", "    METRIC count { TYPE { integer } INITIAL { 0 } }\n    METRIC shared"),
+        ):
+            source = source.replace(old, new)
+        old, new = (check_all(parse_text(text)) for text in (source, source.replace("> 5", "> 9")))
+        assert old.ok and new.ok
+        assert ("unit", "FIRST") in impact(old, new).policies
+        suite = regenerate(generate_all(old), old, new)
+        assert suite == generate_all(new)
+        assert "set unit.count 9" in suite.for_policy(("unit", "FIRST"))[0].scenario.render()
+
 
 class TestRegenerate:
     def test_unimpacted_tests_carry_over_byte_identical(self, tmp_path):
@@ -530,6 +548,117 @@ class TestRegenerate:
         for pkg, spec in mission_pairs:
             suite = generate_all(spec)
             assert regenerate(suite, spec, spec) == suite, pkg.name
+
+
+# Policy P's fluent ends by an injected endP or by stopP, which nothing raises.
+# P's action writes x; CHANGED x raises onX, which starts Q, whose action b
+# calls c and triggers endQ. A from-scratch suite tests P's goP -> endP path.
+CASCADE = """
+AS sys {
+  POLICIES {
+    P {
+      FLUENT fp { INITIATED_BY { EVENTS.goP } TERMINATED_BY { EVENTS.endP, EVENTS.stopP } }
+      MAPPING { CONDITIONS { fp } DO_ACTIONS { ACTIONS.a } }
+    }
+    Q {
+      FLUENT fq { INITIATED_BY { EVENTS.onX } TERMINATED_BY { EVENTS.endQ } }
+      MAPPING { CONDITIONS { fq } DO_ACTIONS { ACTIONS.b } }
+    }
+  }
+  ACTIONS {
+    ACTION a { DOES { METRICS.x = true; } }
+    ACTION b { DOES { call ACTIONS.c; } TRIGGERS { EVENTS.endQ } }
+    ACTION c { DOES { METRICS.y = true; } }
+  }
+  EVENTS {
+    EVENT goP { INJECTABLE }
+    EVENT endP { INJECTABLE }
+    EVENT stopP { }
+    EVENT onX { ACTIVATION { CHANGED { METRICS.x } } }
+    EVENT endQ { }
+  }
+  METRICS {
+    METRIC x { TYPE { boolean } INITIAL { false } }
+    METRIC y { TYPE { boolean } INITIAL { false } }
+  }
+}
+"""
+# b also triggers stopP, so P's own run ends its fluent through Q.
+B_STOPS_P = ("TRIGGERS { EVENTS.endQ }", "TRIGGERS { EVENTS.endQ, EVENTS.stopP }")
+
+
+def cascade_spec(*edits: tuple[str, str]):
+    source = CASCADE
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    spec = check_all(parse_text(source))
+    assert spec.ok, [d.render() for d in spec.diagnostics]
+    return spec
+
+
+class TestCascadeImpact:
+    def test_an_edit_reaching_a_policy_through_another_policy_impacts_it(self):
+        old, new = cascade_spec(), cascade_spec(B_STOPS_P)
+        assert [t.name for t in generate_all(old).for_policy(("sys", "P"))] == [
+            "p00-goP-success-endP"
+        ]
+        assert ("sys", "P") in impact(old, new).policies
+        suite = regenerate(generate_all(old), old, new)
+        assert suite == generate_all(new)
+        assert [t.name for t in suite.for_policy(("sys", "P"))] == ["p01-goP-success-stopP"]
+
+    def test_an_edit_to_a_callee_of_such_an_action_impacts_the_policy(self):
+        # c's failure fails b, so b no longer ends P's fluent. c lies on no
+        # chain of edges into P's events and actions: it is used by b.
+        old = cascade_spec(B_STOPS_P)
+        new = cascade_spec(B_STOPS_P, ("DOES { METRICS.y = true; }", 'DOES { fail "broken"; }'))
+        assert impact(old, new).policies == (("sys", "P"), ("sys", "Q"))
+        suite = regenerate(generate_all(old), old, new)
+        assert suite == generate_all(new)
+        assert [t.name for t in suite.for_policy(("sys", "P"))] == ["p00-goP-success-endP"]
+
+
+def regeneration_mismatches(source: str, seeds: range) -> tuple[int, list[tuple[int, str]]]:
+    """(edited specs that check clean, (seed, kind) of each whose regenerated
+    suite differs from the one generated from scratch)."""
+    old = check_all(parse_text(source))
+    old_suite = generate_all(old)
+    cases, mismatches = 0, []
+    for seed in seeds:
+        for index, kind in enumerate(EDIT_KINDS):
+            text = edit_source(source, kind, seed * len(EDIT_KINDS) + index)
+            new = check_all(parse_text(text)) if text is not None else None
+            if new is None or not new.ok:
+                continue
+            cases += 1
+            if regenerate(old_suite, old, new) != generate_all(new):
+                mismatches.append((seed, kind))
+    return cases, mismatches
+
+
+def test_regeneration_after_random_edits_of_random_specs():
+    """One edit of each kind to random specs 0-119 (one policy each)."""
+    cases = 0
+    for seed in range(120):
+        count, mismatches = regeneration_mismatches(random_spec_source(seed), range(seed, seed + 1))
+        assert mismatches == [], seed
+        cases += count
+    assert cases == 401
+
+
+def test_regeneration_after_random_edits_of_multi_policy_specs(mission_pairs):
+    """Ten edits of each kind to the missions and to the cascade spec."""
+    cases = {}
+    for name, source in [(pkg.name, pkg.source()) for pkg, _spec in mission_pairs] + [
+        ("cascade", CASCADE)
+    ]:
+        cases[name], mismatches = regeneration_mismatches(source, range(10))
+        assert mismatches == [], name
+    assert cases == {
+        "ants_self_protecting": 33, "ants_self_healing": 32,
+        "ants_self_configuring_and_scheduling": 32, "voyager_image_processing": 30, "cascade": 25,
+    }
 
 
 def test_suite_directory_layout(tmp_path, protecting_spec):
