@@ -59,8 +59,19 @@ class Ref(Node):
 
 @dataclass(frozen=True)
 class Lit(Node):
+    """A literal. Values compare by ``repr``, as ``build_lts`` keys metric
+    values, so that ``0.0`` and ``-0.0`` differ."""
+
     value: object
     type: ValueType
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Lit):
+            return NotImplemented
+        # Equal values of one type share a repr, but for 0.0 and -0.0.
+        return (self.value, self.type) == (other.value, other.type) and (
+            self.value != 0 or repr(self.value) == repr(other.value)
+        )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ earlier one is not simulated again.
 Everything the generator knows of actions and events it reads from the
 spec's ``Program``: its records (fail statements, guards, activations) and
 its influence graph. Which actions can fail, the metrics a path depends on
-and the declarations a policy's tests depend on are walks over that graph.
+and the policies a change impacts are walks over that graph.
 
 Generated tests serialize one directory per policy: ``<path-id>.scenario``
 plus ``<path-id>.expect``, whose assertion lines use the five trace fields
@@ -35,7 +35,8 @@ source positions). A policy is impacted when, in either specification, a
 changed declaration is used by the policy, reads a metric the policy uses
 (its guards give candidate values), or is, or is used by, something the
 policy's test runs can set going: another policy's action a cascade
-reaches, or a timer.
+reaches, or a timer. The rule is applied by walking back from the changed
+declarations, once per specification.
 """
 
 from __future__ import annotations
@@ -80,23 +81,24 @@ _BRANCH_SLUGS = {GUARD_REJECT: "reject", SUCCESS_PATH: "success", ERROR_PATH: "e
 MAX_CANDIDATES = 4096
 
 # The edges each walk over the influence graph (``Program.influence``) takes,
-# as (label, forward) pairs.
+# as (label, forward) pairs. Change impact walks back from what changed, so its
+# four sets are written backward, each named for the relation it reverses.
 #: What an event or action uses: the metrics and messages that activate it or
 #: that it reads, and the callees, events, metrics, messages and channels it
 #: acts on, transitively through calls and triggers.
 _USES = frozenset({
-    ("activates", False), ("reads", False), ("calls", True), ("error-calls", True),
-    ("triggers", True), ("error-triggers", True), ("writes", True), ("sends", True),
+    ("activates", True), ("reads", True), ("calls", False), ("error-calls", False),
+    ("triggers", False), ("error-triggers", False), ("writes", False), ("sends", False),
 })
 #: A policy's fluents, their events and mapped actions, and what those use.
-_POLICY_USES = _USES | {("initiates", False), ("terminates", False), ("maps", True)}
-#: What a node can set going or change: every edge but a read, forward.
-_RUNS = frozenset((label, True) for label in (
+_POLICY_USES = _USES | {("initiates", True), ("terminates", True), ("maps", False)}
+#: What a node can set going or change: every edge but a read.
+_RUNS = frozenset((label, False) for label in (
     "activates", "initiates", "terminates", "maps", "calls", "error-calls",
     "triggers", "error-triggers", "writes", "sends",
 ))
 #: The events and actions that read a metric.
-_READERS = frozenset({("reads", True)})
+_READERS = frozenset({("reads", False)})
 #: Metrics that guards, ENSURES and assigned values read, through calls.
 _READS = frozenset({("reads", False), ("calls", True), ("error-calls", True)})
 _DOES_CALLS = frozenset({("calls", True)})
@@ -546,30 +548,25 @@ class ImpactSet:
 
 
 def impact(old_spec: CheckedSpec, new_spec: CheckedSpec) -> ImpactSet:
-    """The changed declarations, and the policies whose closure
-    (``_policy_closure``) holds one of them in either specification."""
+    """The changed declarations, and the policies they impact in either
+    specification (``_impacted``)."""
     if not old_spec.ok or not new_spec.ok:
         raise ValueError("specifications have errors; run check_all first")
     old_decls = _decl_map(old_spec)
     new_decls = _decl_map(new_spec)
     changed = {
-        key
-        for key in set(old_decls) | set(new_decls)
-        if old_decls.get(key) != new_decls.get(key)
-    }
-    impacted = {
-        policy
-        for spec in (old_spec, new_spec)
-        for policy in policy_keys(spec)
-        if not changed.isdisjoint(_policy_closure(spec, policy))
+        node
+        for node in old_decls.keys() | new_decls.keys()
+        if old_decls.get(node) != new_decls.get(node)
     }
     return ImpactSet(
-        tuple(sorted(changed)),
-        tuple(sorted(impacted)),
+        tuple(sorted(f"{scope}.{kind}.{name}" for kind, (scope, name) in changed)),
+        tuple(sorted(_impacted(old_spec, changed) | _impacted(new_spec, changed))),
     )
 
 
-def _decl_map(spec: CheckedSpec) -> dict[str, object]:
+def _decl_map(spec: CheckedSpec) -> dict[Node, object]:
+    """Each declaration by its graph node; a policy by ``("policy", key)``."""
     program = spec.program
     tables: dict[str, dict] = {
         "policy": program.policies,
@@ -579,32 +576,29 @@ def _decl_map(spec: CheckedSpec) -> dict[str, object]:
         "message": program.messages,
         "channel": spec.symbols.channels,
     }
-    return {
-        f"{scope}.{namespace}.{name}": decl
-        for namespace, table in tables.items()
-        for (scope, name), decl in table.items()
-    }
+    return {(kind, key): decl for kind, table in tables.items() for key, decl in table.items()}
 
 
-def _policy_closure(spec: CheckedSpec, policy: Key) -> set[str]:
-    """Qualified names of the declarations a change to which can change the
-    policy's tests: what the policy uses, including the metrics its
-    scenarios set; what its test runs can set going from there, and every
-    timer; what all of that uses; and every reader of a metric the policy
-    uses, whose guards give that metric's candidate values. A fluent stands
-    for its policy."""
+def _impacted(spec: CheckedSpec, changed: set[Node]) -> set[Key]:
+    """The policies of ``spec`` that a change to the ``changed`` declarations
+    impacts, walking back from them: to what uses them, to what can set that
+    going (a timer among it impacts every policy), adding the metrics they
+    read, and then to the fluents of the policies that use any of it. A
+    changed policy stands for its fluents."""
     program = spec.program
     graph = program.influence
-    fluents = [("fluent", (policy[0], fluent.name)) for fluent in program.policies[policy].fluents]
-    timers = [("event", occurrence.event) for occurrence, _period in program.timer_slots]
-    uses = graph.walk(fluents, _POLICY_USES)
-    readers = graph.walk([node for node in uses if node[0] == "metric"], _READERS)
-    closure = set()
-    for kind, (scope, name) in graph.walk(graph.walk(uses + timers, _RUNS), _USES) + readers:
-        if kind == "fluent":
-            kind, name = "policy", spec.symbols.fluent_policy[(scope, name)]
-        closure.add(f"{scope}.{kind}.{name}")
-    return closure
+    starts = [node for node in changed if node[0] != "policy"]
+    starts += [
+        ("fluent", (key[0], fluent.name)) for kind, key in changed
+        if kind == "policy" and key in program.policies for fluent in program.policies[key].fluents
+    ]
+    timers = {("event", occurrence.event) for occurrence, _period in program.timer_slots}
+    running = graph.walk(graph.walk(starts, _USES), _RUNS)
+    if not timers.isdisjoint(running):
+        return set(program.policies)
+    reached = graph.walk(running + graph.walk(starts, _READERS), _POLICY_USES)
+    fluent_policy = spec.symbols.fluent_policy
+    return {(key[0], fluent_policy[key]) for kind, key in reached if kind == "fluent"}
 
 
 def regenerate(old_suite: TestSuite, old_spec: CheckedSpec, new_spec: CheckedSpec) -> TestSuite:

@@ -31,7 +31,8 @@ from asslkit.program import (
 from asslkit.runtime import Halt, InjectEvent, Runtime, Scenario
 from asslkit.runtime.state import ACTION_SUCCEEDED
 from asslkit.testgen import (
-    _policy_closure,
+    _decl_map,
+    _impacted,
     _reaches_fail,
     _relevant_metrics,
     enumerate_paths,
@@ -124,7 +125,7 @@ def analysed_specs(mission_pairs):
 
 def test_record_walks_match_the_tree_walks(mission_pairs):
     specs = analysed_specs(mission_pairs)
-    paths = actions = closures = 0
+    paths = actions = closures = decls = 0
     for name, spec in specs:
         for tier in spec.tree.tiers():
             for action in tier.actions:
@@ -136,17 +137,28 @@ def test_record_walks_match_the_tree_walks(mission_pairs):
                     spec, tier.name, action
                 ), (name, key)
                 actions += 1
+        references = {}
         for policy in policy_keys(spec):
-            assert _policy_closure(spec, policy) == reference_policy_closure(spec, policy)
+            references[policy] = reference_policy_closure(spec, policy)
             closures += 1
             for path in enumerate_paths(spec, policy).paths:
                 # first-seen order fixes candidate order, so lists must be equal
                 assert _relevant_metrics(spec, path) == reference_relevant_metrics(spec, path)
                 paths += 1
+        # The walks back from a set of nodes reach the union of what the walks
+        # back from each node reach, so checking each declaration alone covers
+        # every set of changed declarations.
+        for node in _decl_map(spec):
+            kind, (scope, decl_name) = node
+            qualified = f"{scope}.{kind}.{decl_name}"
+            expected = {p for p, closure in references.items() if qualified in closure}
+            assert _impacted(spec, {node}) == expected, (name, node)
+            decls += 1
     for (_, old), (name, new) in zip(specs, specs[1:]):
         assert impact(old, new) == reference_impact(old, new), name
         assert impact(new, new) == reference_impact(new, new)
     assert (actions, closures, paths) == (320, 144, 1013)
+    assert decls == 1460
 
 
 def test_back_ends_share_the_checked_program(protecting_spec, monkeypatch):
@@ -168,6 +180,27 @@ def test_back_ends_share_the_checked_program(protecting_spec, monkeypatch):
     assert built == []
     check_all(protecting_spec.tree)
     assert built == ["Program", "InfluenceGraph"]
+
+
+def test_impact_walks_do_not_grow_with_the_policies(monkeypatch):
+    """Change impact walks each specification's graph a fixed number of times."""
+    metric = "METRIC certificateChecked { TYPE { boolean } INITIAL { false } }"
+    counts = []
+    for workers in (1, 10):
+        source = swarm_source(workers)
+        old, new = (
+            check_all(parse_text(text))
+            for text in (source, source.replace(metric, metric.replace("false", "true"), 1))
+        )
+        walks = []
+        monkeypatch.setattr(
+            InfluenceGraph, "walk",
+            lambda self, *args, walk=InfluenceGraph.walk: walks.append(args) or walk(self, *args),
+        )
+        assert impact(old, new).policies == (("worker1", "SELF_PROTECTING"),)
+        monkeypatch.undo()
+        counts.append(len(walks))
+    assert counts[0] == counts[1] <= 8
 
 
 def chain_spec(length: int) -> str:
