@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from asslkit.nodes import (
     BinaryExpr,
     CompareExpr,
     MetricRefExpr,
+    Node,
     NotExpr,
     OpaqueBlock,
 )
@@ -575,3 +577,37 @@ def test_front_end_outcomes_on_token_mutants_are_pinned():
         assert any(not o.startswith(("lex ", "parse ")) for o in outcomes), corpus
         digests[corpus] = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
     assert digests == pinned
+
+
+# -- every node's span, pinned by sha256 -----------------------------------
+
+
+def node_spans_text(value: object) -> str:
+    """Each tree node's type name and span, in walk order: a node, then its
+    fields in declaration order; tuples item by item."""
+    if isinstance(value, Node):
+        return f"{type(value).__name__} {tuple(value.span)}\n" + "".join(
+            node_spans_text(getattr(value, f.name)) for f in fields(value)
+        )
+    if isinstance(value, tuple):
+        return "".join(node_spans_text(item) for item in value)
+    return ""
+
+
+def test_node_spans_are_pinned():
+    """Node spans pinned by sha256; one entry covers the 60 random specs."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("span_sha256.json").read_text()
+    )
+    texts = {
+        pkg.name: node_spans_text(parse_text(pkg.source(), f"{pkg.name}.assl"))
+        for pkg in all_missions()
+    }
+    for n in (1, 3, 10):
+        texts[f"swarm{n}"] = node_spans_text(parse_text(swarm_source(n), "swarm.assl"))
+    texts["random0-59"] = "".join(
+        node_spans_text(parse_text(random_spec_source(seed), "random.assl")) for seed in range(60)
+    )
+    assert set(texts) == set(pinned)
+    for key, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[key], key
