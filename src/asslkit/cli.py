@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -52,10 +53,9 @@ class _CliFailure(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _CliFailure as failure:
         if failure.message:
             print(failure.message, file=sys.stderr)
@@ -67,7 +67,17 @@ def main(argv: list[str] | None = None) -> int:
         return INTERNAL
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every ``main`` call.
+    Parsing leaves it as it was: each call gets a new namespace, and the
+    repeatable flags copy their default list before they append to it."""
+    return build_parser()
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser. ``main`` runs the ``cmd_<command>`` function of
+    this module for the subcommand given, looked up when it is called."""
     parser = argparse.ArgumentParser(
         prog="asslkit",
         description=(
@@ -81,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="parse and consistency-check a specification")
     p_check.add_argument("path", help="specification file (.assl)")
-    p_check.set_defaults(func=cmd_check)
 
     p_run = sub.add_parser("run", help="run a scenario in the simulated runtime")
     p_run.add_argument("path", help="specification file (.assl)")
@@ -91,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-ticks", type=int, default=1000, help="tick budget (default 1000)"
     )
     p_run.add_argument("--trace", help="write the trace to this file")
-    p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="check temporal properties over the state graph")
     p_verify.add_argument("path", help="specification file (.assl)")
@@ -99,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     _bound_flags(p_verify)
     p_verify.add_argument("--cex", help="write the first counterexample scenario here")
     _env_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gentests", help="generate a path-coverage test suite")
     p_gen.add_argument("path", help="specification file (.assl)")
@@ -107,14 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--since", help="previous specification; regenerate only impacted policies"
     )
-    p_gen.set_defaults(func=cmd_gentests)
 
     p_graph = sub.add_parser("graph", help="export the state graph in text form")
     p_graph.add_argument("path", help="specification file (.assl)")
     p_graph.add_argument("--out", required=True, help="output file for the graph")
     _bound_flags(p_graph)
     _env_flags(p_graph)
-    p_graph.set_defaults(func=cmd_graph)
     return parser
 
 

@@ -13,8 +13,8 @@ One compiled pattern, run with ``finditer``, matches each token together with
 the whitespace and comments before it, and the named group that matched says
 what the token is. Its character classes are spelled in ASCII (``[A-Za-z_]``,
 ``[0-9]``), because ``\\w`` and ``\\d`` also accept letters and digits such as
-``é`` and ``٣``. Lines and columns are 1-based, one column per character (a
-tab included), and come from the offsets at which lines start. The pattern's
+``é`` and ``٣``. The token alternatives exclude one another, so their order
+is free, and the commonest come first. The pattern's
 last alternative, ``BAD``, is empty, so it matches exactly where no token
 does; only there is the source looked at again, to name the error: a stray
 carriage return, ``!`` without ``=``, text that is unterminated or runs past
@@ -26,22 +26,25 @@ instead of an internal error and an ``inf`` value that does not print back as
 source. The literal patterns and ``read_number`` are shared with
 ``runtime.scenario.parse_value``, the one reader of literals in scenarios,
 properties and ``--set`` flags, so a value has one syntax everywhere.
+
+A token keeps its start offset and the file's line table: the file name and
+the offsets at which its lines start, one table per call, shared by every
+token. Lines and columns are 1-based, one column per character (a tab
+included). They are worked out from the table only when a span is read, for a
+node, an error or a diagnostic; most tokens never need one.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from math import isinf
 
-from .tokens import KEYWORDS, NAMESPACE_WORDS, PUNCTUATION, LexError, SourceSpan, Token, TokenKind
+from .tokens import KEYWORDS, NAMESPACE_WORDS, PUNCTUATION, LexError, LineTable, Token, TokenKind
 
-# Records are built with tuple.__new__ directly: the NamedTuple constructor is
-# a Python-level __new__ and takes about twice as long per token. Token and
-# SourceSpan stay NamedTuples, so the garbage collector keeps tracking them
-# (it untracks only exact tuples; see asslkit.runtime.state). They were left so
-# because the parser reads their fields by name, and plain-tuple tokens lexed
-# the 100-worker swarm only 16-25% faster (best of 10, three repeats).
+# Tokens are built with tuple.__new__ directly: the NamedTuple constructor is
+# a Python-level __new__ and takes about twice as long per token. A token holds
+# no span, so lexing the 100-worker swarm builds 26,304 records, not twice
+# that, and looks up no line.
 _new = tuple.__new__
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -59,12 +62,12 @@ _OP = "|".join(
 _TOKEN = re.compile(
     r"""
     (?: [ \t\n]+ | \r\n | //[^\n]* )*
-    (?: (?P<REF> (?: %(spaces)s | AEIP\.MESSAGES ) \. %(name)s )
-      | (?P<WORD> %(name)s ) (?![A-Za-z0-9_.])  # a name and a dot: BAD
+    (?: (?P<OP> %(op)s )
+      | (?P<WORD> %(name)s ) (?![A-Za-z0-9_.])  # a name and a dot: REF or BAD
+      | (?P<REF> (?: %(spaces)s | AEIP\.MESSAGES ) \. %(name)s )
       | (?P<REAL> %(real)s )
-      | (?P<INT> %(int)s ) (?![0-9.])           # digits and a dot: BAD
+      | (?P<INT> %(int)s ) (?![0-9.])           # digits and a dot: REAL or BAD
       | (?P<TEXT> %(text)s )
-      | (?P<OP> %(op)s )
       | (?P<END> \Z )
       | (?P<BAD> )
     )
@@ -88,19 +91,16 @@ _WORDS: dict[str, tuple[TokenKind, object]] = {
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Tokenize ``source``, raising :class:`LexError` at the first illegal input."""
-    line_starts = [0, *(m.end() for m in _NEWLINE.finditer(source))]
+    lines = LineTable(file, (0, *(m.end() for m in _NEWLINE.finditer(source))))
     tokens: list[Token] = []
     append = tokens.append
     for m in _TOKEN.finditer(source):
         group = m.lastgroup
-        start, end = m.span(group)
-        line = bisect_right(line_starts, start)
-        span = _new(SourceSpan, (file, line, start - line_starts[line - 1] + 1, end - start))
         text = m[group]
-        if group == "WORD":
-            kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
-        elif group == "OP":
+        if group == "OP":
             kind, value = PUNCTUATION[text], None
+        elif group == "WORD":
+            kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
         elif group == "REF":
             kind, value = TokenKind.REF, tuple(text.split("."))
         elif group == "INT" or group == "REAL":
@@ -108,17 +108,15 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
             try:
                 value = read_number(text, real=group == "REAL")
             except ValueError as err:
-                raise LexError(str(err), span) from None
+                raise LexError(str(err), lines.span(m.start(group), len(text))) from None
         elif group == "TEXT":
             kind, value = TokenKind.TEXT, text[1:-1]
         elif group == "END":
             break
         else:
-            message, offset, length = _diagnose(source, start)
-            line = bisect_right(line_starts, offset)
-            column = offset - line_starts[line - 1] + 1
-            raise LexError(message, SourceSpan(file, line, column, length))
-        append(_new(Token, (kind, text, span, value)))
+            message, offset, length = _diagnose(source, m.start(group))
+            raise LexError(message, lines.span(offset, length))
+        append(_new(Token, (kind, text, m.start(group), lines, value)))
     return tokens
 
 

@@ -76,7 +76,7 @@ from .nodes import (
     ValueType,
 )
 from .lexer import tokenize
-from .tokens import POLICY_NAME_KINDS, PUNCTUATION, SPELLING, SourceSpan, Token, TokenKind
+from .tokens import POLICY_NAME_KINDS, PUNCTUATION, SPELLING, LineTable, SourceSpan, Token, TokenKind
 
 _TOP_LEVEL = (TokenKind.KW_AS, TokenKind.KW_ASIP, TokenKind.KW_AE)
 
@@ -132,11 +132,22 @@ def parse_text(source: str, file: str = "<input>") -> SpecificationTree:
     return parse(tokenize(source, file), file)
 
 
+class _EndToken(Token):
+    """The token after the last one. Its span, kept in ``value``, is the last
+    token's span, or line 1, column 1 of an empty file."""
+
+    __slots__ = ()
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.value  # type: ignore[return-value]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], file: str) -> None:
         self.file = file
         end_span = tokens[-1].span if tokens else SourceSpan(file, 1, 1, 0)
-        self._eof = Token(TokenKind.EOF, "<end of input>", end_span)
+        self._eof = _EndToken(TokenKind.EOF, "<end of input>", 0, LineTable(file, (0,)), end_span)
         # The EOF token closes the list, so reading at the cursor needs no
         # bounds check. advance() stays on it; accept() and expect() are
         # never asked for EOF, so a match is never the last token.

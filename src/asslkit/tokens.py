@@ -7,6 +7,7 @@ punctuation kind back to its text for the parser's errors and the printer.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -22,6 +23,10 @@ class SourceSpan(NamedTuple):
     def render(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
 
+
+# Records built with tuple.__new__ directly skip the NamedTuple constructor,
+# a Python-level __new__ that takes about twice as long.
+_new = tuple.__new__
 
 #: Span attached to nodes built in memory rather than parsed from a file.
 SYNTHETIC = SourceSpan("<synthetic>", 1, 1, 0)
@@ -163,11 +168,42 @@ POLICY_NAME_KINDS = frozenset(
 )
 
 
+class LineTable(NamedTuple):
+    """A source file's name and the offset at which each of its lines starts.
+
+    ``tokenize`` builds one per call, and every token of that call shares it.
+    """
+
+    file: str
+    starts: tuple[int, ...]
+
+    def span(self, offset: int, length: int) -> SourceSpan:
+        """The span of ``length`` characters from ``offset``."""
+        starts = self.starts
+        line = bisect_right(starts, offset)
+        return _new(SourceSpan, (self.file, line, offset - starts[line - 1] + 1, length))
+
+
 class Token(NamedTuple):
+    """A token, its start offset and its file's line table.
+
+    A token keeps no span: ``span`` works out the line and column from the
+    line table each time it is read. Only node spans and errors read one, so
+    lexing a file builds no span at all.
+    """
+
     kind: TokenKind
     text: str
-    span: SourceSpan
+    start: int
+    lines: LineTable
     value: object = None
+
+    @property
+    def span(self) -> SourceSpan:
+        file, starts = self.lines
+        start = self.start
+        line = bisect_right(starts, start)
+        return _new(SourceSpan, (file, line, start - starts[line - 1] + 1, len(self.text)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r})"

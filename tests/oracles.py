@@ -20,9 +20,11 @@ that the checker's single SCC pass computes.
 all elements on every tick, and every element visiting every channel and
 every timer slot it owns.
 ``reference_tokenize`` is the tokenizer as a character-by-character scanner,
-one ``advance``/``peek`` call per character and its own line/column count;
-the regex tokenizer in ``asslkit.lexer`` must produce the same tokens and
-the same ``LexError`` message and span on every input.
+one ``advance``/``peek`` call per character and its own line/column count.
+It returns its own ``RefToken`` records, each holding the span it counted;
+the regex tokenizer in ``asslkit.lexer`` must produce tokens of the same
+kind, text, span and value, and the same ``LexError`` message and span, on
+every input.
 ``reference_eval_expr`` is the runtime's expression evaluator as it was
 before guards, ENSURES clauses and assigned values were compiled to
 closures: an ``isinstance`` chain over the syntax tree, evaluated per call,
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from typing import NamedTuple
 
 from asslkit.names import qual
 from asslkit.nodes import (
@@ -65,7 +68,7 @@ from asslkit.nodes import (
 )
 from asslkit.runtime.engine import Runtime
 from asslkit.runtime.state import MESSAGE_RECEIVED, EventOccurrence
-from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, Token, TokenKind
+from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, TokenKind
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
 from asslkit.verifier.lts import StateVector
 from asslkit.testgen import ImpactSet, _const_value
@@ -429,10 +432,19 @@ class _Scanner:
         return self.source[start : self.pos]
 
 
-def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
+class RefToken(NamedTuple):
+    """A token of ``reference_tokenize``, with the span counted as it was read."""
+
+    kind: TokenKind
+    text: str
+    span: SourceSpan
+    value: object = None
+
+
+def reference_tokenize(source: str, file: str = "<input>") -> list[RefToken]:
     """``asslkit.lexer.tokenize``, one character per step."""
     sc = _Scanner(source, file)
-    tokens: list[Token] = []
+    tokens: list[RefToken] = []
 
     while sc.pos < len(sc.source):
         ch = sc.peek()
@@ -460,13 +472,13 @@ def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
                 continue
             span = sc.span(len(word), line, column)
             if word == "true":
-                tokens.append(Token(TokenKind.BOOL, word, span, True))
+                tokens.append(RefToken(TokenKind.BOOL, word, span, True))
             elif word == "false":
-                tokens.append(Token(TokenKind.BOOL, word, span, False))
+                tokens.append(RefToken(TokenKind.BOOL, word, span, False))
             elif word in KEYWORDS:
-                tokens.append(Token(KEYWORDS[word], word, span))
+                tokens.append(RefToken(KEYWORDS[word], word, span))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, span, word))
+                tokens.append(RefToken(TokenKind.IDENT, word, span, word))
             continue
 
         if ch in _DIGITS or (ch == "-" and sc.peek(1) in _DIGITS):
@@ -481,28 +493,28 @@ def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
             if sc.peek(1) == "=":
                 sc.advance()
                 sc.advance()
-                tokens.append(Token(TokenKind.NE, "!=", sc.span(2, line, column)))
+                tokens.append(RefToken(TokenKind.NE, "!=", sc.span(2, line, column)))
                 continue
             raise LexError("expected '=' after '!'", sc.span(1))
         if ch == "<":
             sc.advance()
             if sc.peek() == "=":
                 sc.advance()
-                tokens.append(Token(TokenKind.LE, "<=", sc.span(2, line, column)))
+                tokens.append(RefToken(TokenKind.LE, "<=", sc.span(2, line, column)))
             else:
-                tokens.append(Token(TokenKind.LT, "<", sc.span(1, line, column)))
+                tokens.append(RefToken(TokenKind.LT, "<", sc.span(1, line, column)))
             continue
         if ch == ">":
             sc.advance()
             if sc.peek() == "=":
                 sc.advance()
-                tokens.append(Token(TokenKind.GE, ">=", sc.span(2, line, column)))
+                tokens.append(RefToken(TokenKind.GE, ">=", sc.span(2, line, column)))
             else:
-                tokens.append(Token(TokenKind.GT, ">", sc.span(1, line, column)))
+                tokens.append(RefToken(TokenKind.GT, ">", sc.span(1, line, column)))
             continue
         if ch in _SIMPLE:
             sc.advance()
-            tokens.append(Token(_SIMPLE[ch], ch, sc.span(1, line, column)))
+            tokens.append(RefToken(_SIMPLE[ch], ch, sc.span(1, line, column)))
             continue
 
         raise LexError(f"unexpected character {ch!r}", sc.span(1))
@@ -510,7 +522,7 @@ def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
     return tokens
 
 
-def _lex_reference(sc: _Scanner, first: str, line: int, column: int) -> Token:
+def _lex_reference(sc: _Scanner, first: str, line: int, column: int) -> RefToken:
     """Lex the remainder of a qualified reference after its namespace word."""
     parts = [first]
     sc.advance()  # the dot
@@ -529,12 +541,12 @@ def _lex_reference(sc: _Scanner, first: str, line: int, column: int) -> Token:
         raise LexError("expected a name after '.'", sc.span(1))
     name = sc.take_ident()
     text = ".".join(parts) + "." + name
-    return Token(
+    return RefToken(
         TokenKind.REF, text, sc.span(len(text), line, column), (*parts, name)
     )
 
 
-def _lex_number(sc: _Scanner, line: int, column: int) -> Token:
+def _lex_number(sc: _Scanner, line: int, column: int) -> RefToken:
     start = sc.pos
     if sc.peek() == "-":
         sc.advance()
@@ -548,7 +560,7 @@ def _lex_number(sc: _Scanner, line: int, column: int) -> Token:
         value = float(text)
         if math.isinf(value):
             raise LexError("real literal out of range", sc.span(len(text), line, column))
-        return Token(TokenKind.REAL, text, sc.span(len(text), line, column), value)
+        return RefToken(TokenKind.REAL, text, sc.span(len(text), line, column), value)
     if sc.peek() == ".":
         raise LexError("real literals need digits after the decimal point", sc.span(1))
     text = sc.source[start : sc.pos]
@@ -556,10 +568,10 @@ def _lex_number(sc: _Scanner, line: int, column: int) -> Token:
         value = int(text)
     except ValueError:
         raise LexError("integer literal too long", sc.span(len(text), line, column)) from None
-    return Token(TokenKind.INT, text, sc.span(len(text), line, column), value)
+    return RefToken(TokenKind.INT, text, sc.span(len(text), line, column), value)
 
 
-def _lex_text(sc: _Scanner, line: int, column: int) -> Token:
+def _lex_text(sc: _Scanner, line: int, column: int) -> RefToken:
     sc.advance()  # opening quote
     start = sc.pos
     while True:
@@ -573,7 +585,7 @@ def _lex_text(sc: _Scanner, line: int, column: int) -> Token:
         sc.advance()
     value = sc.source[start : sc.pos]
     sc.advance()  # closing quote
-    return Token(
+    return RefToken(
         TokenKind.TEXT, f'"{value}"', sc.span(len(value) + 2, line, column), value
     )
 

@@ -707,24 +707,32 @@ def test_help_is_golden(monkeypatch):
     assert "\n".join(sections) == expected
 
 
-def test_internal_errors_exit_three(monkeypatch, tmp_path, capsys):
+def test_internal_errors_exit_three(monkeypatch, capsys):
     import asslkit.cli as cli
 
     def boom(args):
         raise RuntimeError("synthetic fault")
 
     monkeypatch.setattr(cli, "cmd_check", boom)
-    parser_args = ["check", SPEC]
-    # rebuild dispatch through main so the patched handler is picked up
-    monkeypatch.setattr(
-        cli, "build_parser", lambda: _patched_parser(cli, boom)
-    )
-    assert cli.main(parser_args) == 3
+    assert cli.main(["check", SPEC]) == 3
     assert "internal error" in capsys.readouterr().err
 
 
-def _patched_parser(cli, handler):
-    parser = build_parser()
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(func=handler)
-    return parser
+def test_main_calls_in_one_process_keep_their_options_apart(monkeypatch):
+    import asslkit.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_graph", lambda args: seen.append(vars(args).copy()) or 0)
+    first = ["graph", SPEC, "--out", "a.txt", "--set", "m=1", "--set", "n=2", "--inject", "e"]
+    second = ["graph", "other.assl", "--out", "b.txt", "--bound-states", "7", "--no-tick"]
+    third = ["graph", SPEC, "--out", "c.txt", "--set", "k=3"]
+    assert [cli.main(argv) for argv in (first, second, third)] == [0, 0, 0]
+    common = {"command": "graph", "send": [], "bound_depth": 10_000}
+    assert seen == [
+        {**common, "path": SPEC, "out": "a.txt", "set": ["m=1", "n=2"], "inject": ["e"],
+         "bound_states": 100_000, "no_tick": False},
+        {**common, "path": "other.assl", "out": "b.txt", "set": [], "inject": [],
+         "bound_states": 7, "no_tick": True},
+        {**common, "path": SPEC, "out": "c.txt", "set": ["k=3"], "inject": [],
+         "bound_states": 100_000, "no_tick": False},
+    ]

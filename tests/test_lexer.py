@@ -16,7 +16,7 @@ from specgen import random_spec_source, swarm_source
 from asslkit.cli import main
 from asslkit.lexer import tokenize
 from asslkit.missions import all_missions
-from asslkit.tokens import KEYWORDS, LexError, SourceSpan, Token, TokenKind
+from asslkit.tokens import KEYWORDS, LexError, LineTable, SourceSpan, Token, TokenKind
 
 
 def kinds(source: str) -> list[str]:
@@ -33,15 +33,19 @@ def lex_error(source: str) -> tuple[str, int, int, int]:
 
 def test_records_are_immutable_values():
     span = SourceSpan("f.assl", 2, 3)
-    token = Token(TokenKind.IDENT, "x", span)
+    lines = LineTable("f.assl", (0, 4))
+    token = Token(TokenKind.IDENT, "x", 6, lines)
     assert (span.length, token.value) == (0, None)
     assert span.render() == "f.assl:2:3"
     assert repr(span) == "SourceSpan(file='f.assl', line=2, column=3, length=0)"
     assert repr(token) == "Token(IDENT, 'x')"
-    assert token == Token(TokenKind.IDENT, "x", SourceSpan("f.assl", 2, 3, 0), None)
-    assert hash(token) == hash(Token(TokenKind.IDENT, "x", SourceSpan("f.assl", 2, 3)))
+    assert token.span == SourceSpan("f.assl", 2, 3, 1)
+    assert token == Token(TokenKind.IDENT, "x", 6, LineTable("f.assl", (0, 4)), None)
+    assert hash(token) == hash(Token(TokenKind.IDENT, "x", 6, LineTable("f.assl", (0, 4))))
     with pytest.raises(AttributeError):
         span.line = 4  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        token.span = span  # type: ignore[misc]
     assert tokenize("x", "f.assl")[0].span == SourceSpan("f.assl", 1, 1, 1)
 
 
