@@ -14,12 +14,12 @@ the whitespace and comments before it, and the named group that matched says
 what the token is. Its character classes are spelled in ASCII (``[A-Za-z_]``,
 ``[0-9]``), because ``\\w`` and ``\\d`` also accept letters and digits such as
 ``é`` and ``٣``. The token alternatives exclude one another, so their order
-is free, and the commonest come first. The pattern's
-last alternative, ``BAD``, is empty, so it matches exactly where no token
-does; only there is the source looked at again, to name the error: a stray
-carriage return, ``!`` without ``=``, text that is unterminated or runs past
-the end of its line, a malformed qualified reference, a real literal without
-digits after its point, or any other unexpected character. An integer literal
+is free, and the commonest come first. The pattern's last alternative,
+``BAD``, is empty, so it matches exactly where no token does; only there is
+the source looked at again, to name the error: a stray carriage return, ``!``
+without ``=``, text that is unterminated or runs past the end of its line, a
+malformed qualified reference, a real literal without digits after its point,
+or any other unexpected character. An integer literal
 with more digits than Python converts to ``int`` (4,300 by default) and a
 real literal too large for a float are errors on the literal's span too,
 instead of an internal error and an ``inf`` value that does not print back as
@@ -42,9 +42,7 @@ from math import isinf
 from .tokens import KEYWORDS, NAMESPACE_WORDS, PUNCTUATION, LexError, LineTable, Token, TokenKind
 
 # Tokens are built with tuple.__new__ directly: the NamedTuple constructor is
-# a Python-level __new__ and takes about twice as long per token. A token holds
-# no span, so lexing the 100-worker swarm builds 26,304 records, not twice
-# that, and looks up no line.
+# a Python-level __new__ and takes about twice as long per token.
 _new = tuple.__new__
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"

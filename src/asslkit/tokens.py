@@ -189,7 +189,7 @@ class Token(NamedTuple):
 
     A token keeps no span: ``span`` works out the line and column from the
     line table each time it is read. Only node spans and errors read one, so
-    lexing a file builds no span at all.
+    lexing a file builds no span at all, and looks up no line.
     """
 
     kind: TokenKind
@@ -200,10 +200,7 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> SourceSpan:
-        file, starts = self.lines
-        start = self.start
-        line = bisect_right(starts, start)
-        return _new(SourceSpan, (file, line, start - starts[line - 1] + 1, len(self.text)))
+        return self.lines.span(self.start, len(self.text))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r})"

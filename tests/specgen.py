@@ -402,17 +402,13 @@ def token_mutants(source: str, seed: int, count: int) -> list[str]:
     before it. The text between tokens is kept as it is.
     """
     rng = random.Random(seed)
-    line_starts = [0]
-    for line in source.split("\n"):
-        line_starts.append(line_starts[-1] + len(line) + 1)
     pieces: list[str] = []  # gap, token, gap, token, ..., gap
     texts: list[str] = []
     end = 0
     for token in tokenize(source):
-        start = line_starts[token.span.line - 1] + token.span.column - 1
-        pieces.append(source[end:start])
+        pieces.append(source[end : token.start])
         texts.append(token.text)
-        end = start + token.span.length
+        end = token.start + len(token.text)
     pieces.append(source[end:])
     keywords = sorted(KEYWORDS)
     mutants = []
