@@ -27,11 +27,16 @@ source. The literal patterns and ``read_number`` are shared with
 ``runtime.scenario.parse_value``, the one reader of literals in scenarios,
 properties and ``--set`` flags, so a value has one syntax everywhere.
 
-A token keeps its start offset and the file's line table: the file name and
-the offsets at which its lines start, one table per call, shared by every
-token. Lines and columns are 1-based, one column per character (a tab
-included). They are worked out from the table only when a span is read, for a
-node, an error or a diagnostic; most tokens never need one.
+``tokenize`` returns the tokens as columns, a :class:`~asslkit.tokens.Tokens`:
+four parallel lists of kinds, texts, start offsets and values, and the file's
+line table (the file name and the offsets at which its lines start). It
+builds no object per token that the garbage collector keeps tracking. A
+``Token`` is a ``NamedTuple``, and CPython's collector stops tracking only an
+exact ``tuple`` whose items it does not track, never a subclass; a list of
+``Token``s would put every token in the heap that each collection walks.
+Lines and columns are 1-based, one column per character (a tab included).
+They are worked out from the table only when a span is read, for a node, an
+error or a diagnostic; most tokens never need one.
 """
 
 from __future__ import annotations
@@ -39,11 +44,7 @@ from __future__ import annotations
 import re
 from math import isinf
 
-from .tokens import KEYWORDS, NAMESPACE_WORDS, PUNCTUATION, LexError, LineTable, Token, TokenKind
-
-# Tokens are built with tuple.__new__ directly: the NamedTuple constructor is
-# a Python-level __new__ and takes about twice as long per token.
-_new = tuple.__new__
+from .tokens import KEYWORDS, NAMESPACE_WORDS, PUNCTUATION, LexError, LineTable, Tokens, TokenKind
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 INT_LITERAL = r"-?[0-9]+"
@@ -87,11 +88,16 @@ _WORDS: dict[str, tuple[TokenKind, object]] = {
 }
 
 
-def tokenize(source: str, file: str = "<input>") -> list[Token]:
+def tokenize(source: str, file: str = "<input>") -> Tokens:
     """Tokenize ``source``, raising :class:`LexError` at the first illegal input."""
     lines = LineTable(file, (0, *(m.end() for m in _NEWLINE.finditer(source))))
-    tokens: list[Token] = []
-    append = tokens.append
+    kinds: list[TokenKind] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    values: list[object] = []
+    add_kind, add_text, add_start, add_value = (
+        kinds.append, texts.append, starts.append, values.append
+    )
     for m in _TOKEN.finditer(source):
         group = m.lastgroup
         text = m[group]
@@ -114,8 +120,11 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
         else:
             message, offset, length = _diagnose(source, m.start(group))
             raise LexError(message, lines.span(offset, length))
-        append(_new(Token, (kind, text, m.start(group), lines, value)))
-    return tokens
+        add_kind(kind)
+        add_text(text)
+        add_start(m.start(group))
+        add_value(value)
+    return Tokens(kinds, texts, starts, values, lines)
 
 
 def read_number(text: str, real: bool) -> int | float:

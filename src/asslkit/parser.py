@@ -76,7 +76,7 @@ from .nodes import (
     ValueType,
 )
 from .lexer import tokenize
-from .tokens import POLICY_NAME_KINDS, PUNCTUATION, SPELLING, LineTable, SourceSpan, Token, TokenKind
+from .tokens import POLICY_NAME_KINDS, PUNCTUATION, SPELLING, SourceSpan, TokenKind, Tokens
 
 _TOP_LEVEL = (TokenKind.KW_AS, TokenKind.KW_ASIP, TokenKind.KW_AE)
 
@@ -117,8 +117,8 @@ class ParseError(Exception):
         self.errors: list[ParseError] = errors if errors is not None else [self]
 
 
-def parse(tokens: list[Token], file: str = "<input>") -> SpecificationTree:
-    """Parse a token list into a specification tree.
+def parse(tokens: Tokens, file: str = "<input>") -> SpecificationTree:
+    """Parse the tokens of one file into a specification tree.
 
     Raises :class:`ParseError` when any syntax error occurred; the raised
     error's ``errors`` attribute carries every diagnostic found before the
@@ -132,27 +132,24 @@ def parse_text(source: str, file: str = "<input>") -> SpecificationTree:
     return parse(tokenize(source, file), file)
 
 
-class _EndToken(Token):
-    """The token after the last one. Its span, kept in ``value``, is the last
-    token's span, or line 1, column 1 of an empty file."""
-
-    __slots__ = ()
-
-    @property
-    def span(self) -> SourceSpan:
-        return self.value  # type: ignore[return-value]
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str) -> None:
+    def __init__(self, tokens: Tokens, file: str) -> None:
         self.file = file
-        end_span = tokens[-1].span if tokens else SourceSpan(file, 1, 1, 0)
-        self._eof = _EndToken(TokenKind.EOF, "<end of input>", 0, LineTable(file, (0,)), end_span)
-        # The EOF token closes the list, so reading at the cursor needs no
-        # bounds check. advance() stays on it; accept() and expect() are
-        # never asked for EOF, so a match is never the last token.
-        self.tokens = [*tokens, self._eof]
+        # The parser reads the token columns by position; ``peek``,
+        # ``advance`` and ``expect`` return a position, and ``span`` gives
+        # its span. Position ``len(tokens)`` is the end of input: the copied
+        # kind and text columns end in an EOF entry there, so reading at the
+        # cursor needs no bounds check. advance() stays on it; accept() and
+        # expect() are never asked for EOF, so a match is never the end.
+        # Its span is the last token's span, or line 1, column 1 of an
+        # empty file.
+        self.kinds = [*tokens.kinds, TokenKind.EOF]
+        self.texts = [*tokens.texts, "<end of input>"]
+        self.values = tokens.values
+        self.starts = tokens.starts
+        self.lines = tokens.lines
         self._last = len(tokens)
+        self._end_span = tokens[-1].span if tokens else SourceSpan(file, 1, 1, 0)
         self.pos = 0
         self.errors: list[ParseError] = []
         self.nesting = 0
@@ -161,45 +158,50 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, pos: int) -> SourceSpan:
+        if pos == self._last:
+            return self._end_span
+        return self.lines.span(self.starts[pos], len(self.texts[pos]))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if self.pos < self._last:
-            self.pos += 1
-        return tok
+    def peek(self) -> int:
+        return self.pos
+
+    def advance(self) -> int:
+        pos = self.pos
+        if pos < self._last:
+            self.pos = pos + 1
+        return pos
 
     def at(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
+        return self.kinds[self.pos] is kind
 
-    def accept(self, kind: TokenKind) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind is kind:
+    def accept(self, kind: TokenKind) -> bool:
+        """Step over the token at the cursor if it is of ``kind``; whether it was."""
+        if self.kinds[self.pos] is kind:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, kind: TokenKind, what: str | None = None) -> Token:
-        """The token at the cursor, which must be of ``kind``. A mismatch
-        names ``what``, or else the token's spelling: a keyword bare,
-        punctuation quoted."""
-        tok = self.tokens[self.pos]
-        if tok.kind is not kind:
+    def expect(self, kind: TokenKind, what: str | None = None) -> int:
+        """The position at the cursor, whose token must be of ``kind``. A
+        mismatch names ``what``, or else the token's spelling: a keyword
+        bare, punctuation quoted."""
+        pos = self.pos
+        if self.kinds[pos] is not kind:
             if what is None:
                 text = SPELLING[kind]
                 what = repr(text) if text in PUNCTUATION else text
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.span)
-        self.pos += 1
-        return tok
+            raise ParseError(f"expected {what}, found {self.texts[pos]!r}", self.span(pos))
+        self.pos = pos + 1
+        return pos
 
     def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().span)
+        return ParseError(message, self.span(self.pos))
 
-    def nested(self, parse: Callable[[], Expr], opener: Token) -> Expr:
+    def nested(self, parse: Callable[[], Expr], opener: int) -> Expr:
         """``parse()`` one nesting level below ``opener``."""
         if self.nesting == MAX_NESTING:
-            raise ParseError(f"expression nested more than {MAX_NESTING} deep", opener.span)
+            raise ParseError(f"expression nested more than {MAX_NESTING} deep", self.span(opener))
         self.nesting += 1
         self.peak = max(self.peak, self.nesting)
         try:
@@ -218,40 +220,40 @@ class _Parser:
         while not self.at(TokenKind.EOF):
             tok = self.peek()
             if first_span is None:
-                first_span = tok.span
+                first_span = self.span(tok)
             try:
-                if tok.kind is TokenKind.KW_AS:
+                if self.kinds[tok] is TokenKind.KW_AS:
                     tier = self._parse_tier(AsTier, AS_SECTIONS, "AS tier")
                     if as_tier is not None:
-                        raise ParseError("a specification has exactly one AS tier", tok.span)
+                        raise ParseError("a specification has exactly one AS tier", self.span(tok))
                     as_tier = tier
-                elif tok.kind is TokenKind.KW_ASIP:
+                elif self.kinds[tok] is TokenKind.KW_ASIP:
                     self.advance()
-                    block = self._parse_protocol(tok.span)
+                    block = self._parse_protocol(self.span(tok))
                     if asip is not None:
-                        raise ParseError("duplicate ASIP tier", tok.span)
+                        raise ParseError("duplicate ASIP tier", self.span(tok))
                     asip = block
-                elif tok.kind is TokenKind.KW_AE:
+                elif self.kinds[tok] is TokenKind.KW_AE:
                     aes.append(self._parse_tier(AeTier, AE_SECTIONS, "AE tier"))
                 else:
-                    raise self.fail(f"expected AS, ASIP, or AE, found {tok.text!r}")
+                    raise self.fail(f"expected AS, ASIP, or AE, found {self.texts[tok]!r}")
             except ParseError as err:
                 self.errors.append(err)
                 self._synchronize()
 
         if as_tier is None and not self.errors:
-            self.errors.append(ParseError("specification has no AS tier", self._eof.span))
+            self.errors.append(ParseError("specification has no AS tier", self._end_span))
         if self.errors:
             first = self.errors[0]
             raise ParseError(first.message, first.span, self.errors)
         assert as_tier is not None
-        return SpecificationTree(as_tier, asip, tuple(aes), span=first_span or self._eof.span)
+        return SpecificationTree(as_tier, asip, tuple(aes), span=first_span or self._end_span)
 
     def _synchronize(self) -> None:
         """Skip ahead to the next top-level tier keyword at brace depth zero."""
         depth = 0
         while not self.at(TokenKind.EOF):
-            kind = self.peek().kind
+            kind = self.kinds[self.pos]
             if depth <= 0 and kind in _TOP_LEVEL:
                 return
             if kind is TokenKind.LBRACE:
@@ -264,8 +266,8 @@ class _Parser:
 
     def _parse_tier(self, node: type[Tier], sections: SectionTable, where: str) -> Tier:
         kw = self.advance()
-        name = self.expect(TokenKind.IDENT, "a tier name").text
-        return node(name, **self._parse_sections(sections, where), span=kw.span)
+        name = self.texts[self.expect(TokenKind.IDENT, "a tier name")]
+        return node(name, **self._parse_sections(sections, where), span=self.span(kw))
 
     def _parse_protocol(self, span: SourceSpan) -> AsipTier:
         fields = self._parse_sections(PROTOCOL_SECTIONS, "interaction protocol")
@@ -277,13 +279,13 @@ class _Parser:
         fields: dict[str, object] = {}
         while not self.at(TokenKind.RBRACE):
             tok = self.peek()
-            if tok.kind not in table:
-                raise self.fail(f"unexpected {tok.text!r} in {where}")
-            field, parse_body = table[tok.kind]
+            if self.kinds[tok] not in table:
+                raise self.fail(f"unexpected {self.texts[tok]!r} in {where}")
+            field, parse_body = table[self.kinds[tok]]
             if field in fields:
-                raise ParseError(f"duplicate {tok.text} section", tok.span)
+                raise ParseError(f"duplicate {self.texts[tok]} section", self.span(tok))
             self.advance()
-            fields[field] = parse_body(self, tok.span)
+            fields[field] = parse_body(self, self.span(tok))
         self.expect(TokenKind.RBRACE)
         return fields
 
@@ -320,38 +322,38 @@ class _Parser:
 
     def _parse_friends(self, span: SourceSpan) -> tuple[str, ...]:
         return self._parse_list(
-            lambda: self.expect(TokenKind.IDENT, "a tier name").text, allow_empty=True
+            lambda: self.texts[self.expect(TokenKind.IDENT, "a tier name")], allow_empty=True
         )
 
     def _parse_slo(self) -> SloDecl:
         name_tok = self.expect(TokenKind.IDENT, "an objective name")
-        return SloDecl(name_tok.text, self.parse_opaque_block(), span=name_tok.span)
+        return SloDecl(self.texts[name_tok], self.parse_opaque_block(), span=self.span(name_tok))
 
     # -- policies ------------------------------------------------------------
 
     def _parse_policy(self) -> PolicyDecl:
         tok = self.peek()
-        if tok.kind not in POLICY_NAME_KINDS:
-            raise self.fail(f"expected a policy name, found {tok.text!r}")
+        if self.kinds[tok] not in POLICY_NAME_KINDS:
+            raise self.fail(f"expected a policy name, found {self.texts[tok]!r}")
         self.advance()
         self.expect(TokenKind.LBRACE)
         fluents: list[FluentDecl] = []
         mappings: list[MappingDecl] = []
         while not self.at(TokenKind.RBRACE):
             inner = self.peek()
-            if inner.kind is TokenKind.KW_FLUENT:
+            if self.kinds[inner] is TokenKind.KW_FLUENT:
                 self.advance()
-                fluents.append(self._parse_fluent(inner.span))
-            elif inner.kind is TokenKind.KW_MAPPING:
+                fluents.append(self._parse_fluent(self.span(inner)))
+            elif self.kinds[inner] is TokenKind.KW_MAPPING:
                 self.advance()
-                mappings.append(self._parse_mapping(inner.span))
+                mappings.append(self._parse_mapping(self.span(inner)))
             else:
-                raise self.fail(f"expected FLUENT or MAPPING, found {inner.text!r}")
+                raise self.fail(f"expected FLUENT or MAPPING, found {self.texts[inner]!r}")
         self.expect(TokenKind.RBRACE)
-        return PolicyDecl(tok.text, tuple(fluents), tuple(mappings), span=tok.span)
+        return PolicyDecl(self.texts[tok], tuple(fluents), tuple(mappings), span=self.span(tok))
 
     def _parse_fluent(self, span: SourceSpan) -> FluentDecl:
-        name = self.expect(TokenKind.IDENT, "a fluent name").text
+        name = self.texts[self.expect(TokenKind.IDENT, "a fluent name")]
         self.expect(TokenKind.LBRACE)
         self.expect(TokenKind.KW_INITIATED_BY)
         initiated = self._parse_ref_list(("EVENTS",), "an EVENTS reference", allow_empty=False)
@@ -371,13 +373,13 @@ class _Parser:
 
     def _parse_condition(self) -> Ref:
         tok = self.peek()
-        if tok.kind is TokenKind.IDENT:
+        if self.kinds[tok] is TokenKind.IDENT:
             self.advance()
-            return Ref((), tok.text, span=tok.span)
-        if tok.kind is TokenKind.REF and tok.value[:-1] == ("FLUENTS",):  # type: ignore[index]
+            return Ref((), self.texts[tok], span=self.span(tok))
+        if self.kinds[tok] is TokenKind.REF and self.values[tok][:-1] == ("FLUENTS",):  # type: ignore[index]
             self.advance()
-            return Ref(("FLUENTS",), tok.value[-1], span=tok.span)  # type: ignore[index]
-        raise self.fail(f"expected a fluent name, found {tok.text!r}")
+            return Ref(("FLUENTS",), self.values[tok][-1], span=self.span(tok))  # type: ignore[index]
+        raise self.fail(f"expected a fluent name, found {self.texts[tok]!r}")
 
     def _parse_ref_list(
         self, space: tuple[str, ...], what: str, allow_empty: bool
@@ -386,10 +388,10 @@ class _Parser:
 
     def _parse_ref(self, space: tuple[str, ...], what: str) -> Ref:
         tok = self.peek()
-        if tok.kind is not TokenKind.REF or tok.value[:-1] != space:  # type: ignore[index]
-            raise self.fail(f"expected {what}, found {tok.text!r}")
+        if self.kinds[tok] is not TokenKind.REF or self.values[tok][:-1] != space:  # type: ignore[index]
+            raise self.fail(f"expected {what}, found {self.texts[tok]!r}")
         self.advance()
-        return Ref(space, tok.value[-1], span=tok.span)  # type: ignore[index]
+        return Ref(space, self.values[tok][-1], span=self.span(tok))  # type: ignore[index]
 
     # -- events ---------------------------------------------------------------
 
@@ -401,49 +403,49 @@ class _Parser:
         clauses: list[ActivationClause] = []
         while not self.at(TokenKind.RBRACE):
             tok = self.peek()
-            if tok.kind is TokenKind.KW_INJECTABLE:
+            if self.kinds[tok] is TokenKind.KW_INJECTABLE:
                 if injectable:
-                    raise ParseError("duplicate INJECTABLE flag", tok.span)
+                    raise ParseError("duplicate INJECTABLE flag", self.span(tok))
                 self.advance()
                 injectable = True
-            elif tok.kind is TokenKind.KW_GUARDS:
+            elif self.kinds[tok] is TokenKind.KW_GUARDS:
                 if guard is not None:
-                    raise ParseError("duplicate GUARDS clause", tok.span)
+                    raise ParseError("duplicate GUARDS clause", self.span(tok))
                 self.advance()
                 guard = self._parse_braced(self._parse_expr)
-            elif tok.kind is TokenKind.KW_ACTIVATION:
+            elif self.kinds[tok] is TokenKind.KW_ACTIVATION:
                 self.advance()
                 clauses.extend(self._parse_list(self._parse_activation_clause, allow_empty=False))
             else:
                 raise self.fail(
-                    f"expected INJECTABLE, GUARDS, or ACTIVATION, found {tok.text!r}"
+                    f"expected INJECTABLE, GUARDS, or ACTIVATION, found {self.texts[tok]!r}"
                 )
         self.expect(TokenKind.RBRACE)
         return EventDecl(
-            name_tok.text, guard=guard, activation=tuple(clauses),
-            injectable=injectable, span=name_tok.span,
+            self.texts[name_tok], guard=guard, activation=tuple(clauses),
+            injectable=injectable, span=self.span(name_tok),
         )
 
     def _parse_activation_clause(self) -> ActivationClause:
         tok = self.peek()
-        if tok.kind is TokenKind.KW_SENT or tok.kind is TokenKind.KW_RECEIVED:
+        if self.kinds[tok] is TokenKind.KW_SENT or self.kinds[tok] is TokenKind.KW_RECEIVED:
             self.advance()
             target = self._parse_braced(
                 self._parse_ref, ("AEIP", "MESSAGES"), "an AEIP.MESSAGES reference"
             )
-            kind = ActivationKind.SENT if tok.kind is TokenKind.KW_SENT else ActivationKind.RECEIVED
-            return ActivationClause(kind, target=target, span=tok.span)
-        if tok.kind is TokenKind.KW_CHANGED:
+            kind = ActivationKind.SENT if self.kinds[tok] is TokenKind.KW_SENT else ActivationKind.RECEIVED
+            return ActivationClause(kind, target=target, span=self.span(tok))
+        if self.kinds[tok] is TokenKind.KW_CHANGED:
             self.advance()
             target = self._parse_braced(self._parse_ref, ("METRICS",), "a METRICS reference")
-            return ActivationClause(ActivationKind.CHANGED, target=target, span=tok.span)
-        if tok.kind is TokenKind.KW_ELAPSED:
+            return ActivationClause(ActivationKind.CHANGED, target=target, span=self.span(tok))
+        if self.kinds[tok] is TokenKind.KW_ELAPSED:
             self.advance()
             ticks_tok = self._parse_braced(self.expect, TokenKind.INT, "a tick count")
             return ActivationClause(
-                ActivationKind.ELAPSED, ticks=int(ticks_tok.value), span=tok.span  # type: ignore[arg-type]
+                ActivationKind.ELAPSED, ticks=int(self.values[ticks_tok]), span=self.span(tok)  # type: ignore[arg-type]
             )
-        raise self.fail(f"expected SENT, RECEIVED, CHANGED, or ELAPSED, found {tok.text!r}")
+        raise self.fail(f"expected SENT, RECEIVED, CHANGED, or ELAPSED, found {self.texts[tok]!r}")
 
     # -- actions ---------------------------------------------------------------
 
@@ -470,14 +472,14 @@ class _Parser:
             )
         self.expect(TokenKind.RBRACE)
         return ActionDecl(
-            name_tok.text,
+            self.texts[name_tok],
             does,
             guard=guard,
             ensures=ensures,
             onerr_does=onerr_does,
             triggers=triggers,
             onerr_triggers=onerr_triggers,
-            span=name_tok.span,
+            span=self.span(name_tok),
         )
 
     def _parse_statements(self, allow_empty: bool) -> tuple[Stmt, ...]:
@@ -487,43 +489,43 @@ class _Parser:
             stmts.append(self._parse_statement())
         self.expect(TokenKind.RBRACE)
         if not stmts and not allow_empty:
-            raise ParseError("DOES clause must contain at least one statement", open_tok.span)
+            raise ParseError("DOES clause must contain at least one statement", self.span(open_tok))
         return tuple(stmts)
 
     def _parse_statement(self) -> Stmt:
         tok = self.peek()
-        if tok.kind is TokenKind.KW_CALL:
+        if self.kinds[tok] is TokenKind.KW_CALL:
             self.advance()
             action = self._parse_ref(("ACTIONS",), "an ACTIONS reference")
             self.expect(TokenKind.SEMI)
-            return CallStmt(action, binding=None, span=tok.span)
-        if tok.kind is TokenKind.IDENT:
+            return CallStmt(action, binding=None, span=self.span(tok))
+        if self.kinds[tok] is TokenKind.IDENT:
             self.advance()
             self.expect(TokenKind.EQUALS)
             self.expect(TokenKind.KW_CALL)
             action = self._parse_ref(("ACTIONS",), "an ACTIONS reference")
             self.expect(TokenKind.SEMI)
-            return CallStmt(action, binding=tok.text, span=tok.span)
-        if tok.kind is TokenKind.REF and tok.value[:-1] == ("METRICS",):  # type: ignore[index]
+            return CallStmt(action, binding=self.texts[tok], span=self.span(tok))
+        if self.kinds[tok] is TokenKind.REF and self.values[tok][:-1] == ("METRICS",):  # type: ignore[index]
             self.advance()
-            metric = Ref(("METRICS",), tok.value[-1], span=tok.span)  # type: ignore[index]
+            metric = Ref(("METRICS",), self.values[tok][-1], span=self.span(tok))  # type: ignore[index]
             self.expect(TokenKind.EQUALS)
             value = self._parse_expr()
             self.expect(TokenKind.SEMI)
-            return AssignStmt(metric, value, span=tok.span)
-        if tok.kind is TokenKind.KW_SEND:
+            return AssignStmt(metric, value, span=self.span(tok))
+        if self.kinds[tok] is TokenKind.KW_SEND:
             self.advance()
             message = self._parse_ref(("AEIP", "MESSAGES"), "an AEIP.MESSAGES reference")
             self.expect(TokenKind.KW_OVER)
             channel = self._parse_ref(("CHANNELS",), "a CHANNELS reference")
             self.expect(TokenKind.SEMI)
-            return SendStmt(message, channel, span=tok.span)
-        if tok.kind is TokenKind.KW_FAIL:
+            return SendStmt(message, channel, span=self.span(tok))
+        if self.kinds[tok] is TokenKind.KW_FAIL:
             self.advance()
             reason = self.expect(TokenKind.TEXT, "a failure reason")
             self.expect(TokenKind.SEMI)
-            return FailStmt(str(reason.value), span=tok.span)
-        raise self.fail(f"expected a statement, found {tok.text!r}")
+            return FailStmt(str(self.values[reason]), span=self.span(tok))
+        raise self.fail(f"expected a statement, found {self.texts[tok]!r}")
 
     # -- metrics, messages, channels, functions -------------------------------
 
@@ -533,27 +535,27 @@ class _Parser:
         self.expect(TokenKind.KW_TYPE)
         self.expect(TokenKind.LBRACE)
         type_tok = self.expect(TokenKind.IDENT, "a value type")
-        value_type = ValueType.from_name(type_tok.text)
+        value_type = ValueType.from_name(self.texts[type_tok])
         if value_type is None:
             raise ParseError(
-                f"unknown value type {type_tok.text!r} (expected boolean, integer, real, or text)",
-                type_tok.span,
+                f"unknown value type {self.texts[type_tok]!r} (expected boolean, integer, real, or text)",
+                self.span(type_tok),
             )
         self.expect(TokenKind.RBRACE)
         self.expect(TokenKind.KW_INITIAL)
         initial = self._parse_braced(self._parse_literal)
         self.expect(TokenKind.RBRACE)
-        return MetricDecl(name_tok.text, value_type, initial, span=name_tok.span)
+        return MetricDecl(self.texts[name_tok], value_type, initial, span=self.span(name_tok))
 
     def _parse_message(self) -> MessageDecl:
         name_tok = self.expect(TokenKind.IDENT, "a message name")
         self.expect(TokenKind.LBRACE)
         self.expect(TokenKind.KW_SENDER)
-        sender = self._parse_braced(self.expect, TokenKind.IDENT, "a tier name").text
+        sender = self.texts[self._parse_braced(self.expect, TokenKind.IDENT, "a tier name")]
         self.expect(TokenKind.KW_RECEIVER)
-        receiver = self._parse_braced(self.expect, TokenKind.IDENT, "a tier name").text
+        receiver = self.texts[self._parse_braced(self.expect, TokenKind.IDENT, "a tier name")]
         self.expect(TokenKind.RBRACE)
-        return MessageDecl(name_tok.text, sender, receiver, span=name_tok.span)
+        return MessageDecl(self.texts[name_tok], sender, receiver, span=self.span(name_tok))
 
     def _parse_channel(self) -> ChannelDecl:
         name_tok = self.expect(TokenKind.IDENT, "a channel name")
@@ -561,11 +563,11 @@ class _Parser:
         self.expect(TokenKind.KW_CAPACITY)
         cap_tok = self._parse_braced(self.expect, TokenKind.INT, "a capacity")
         self.expect(TokenKind.RBRACE)
-        return ChannelDecl(name_tok.text, int(cap_tok.value), span=name_tok.span)  # type: ignore[arg-type]
+        return ChannelDecl(self.texts[name_tok], int(self.values[cap_tok]), span=self.span(name_tok))  # type: ignore[arg-type]
 
     def _parse_function(self) -> FunctionDecl:
         name_tok = self.expect(TokenKind.IDENT, "a function name")
-        return FunctionDecl(name_tok.text, self.parse_opaque_block(), span=name_tok.span)
+        return FunctionDecl(self.texts[name_tok], self.parse_opaque_block(), span=self.span(name_tok))
 
     def parse_opaque_block(self) -> OpaqueBlock:
         open_tok = self.expect(TokenKind.LBRACE)
@@ -573,18 +575,18 @@ class _Parser:
         depth = 1
         while depth > 0:
             tok = self.peek()
-            if tok.kind is TokenKind.EOF:
-                raise ParseError("unterminated block", open_tok.span)
-            if tok.kind is TokenKind.LBRACE:
+            if self.kinds[tok] is TokenKind.EOF:
+                raise ParseError("unterminated block", self.span(open_tok))
+            if self.kinds[tok] is TokenKind.LBRACE:
                 depth += 1
-            elif tok.kind is TokenKind.RBRACE:
+            elif self.kinds[tok] is TokenKind.RBRACE:
                 depth -= 1
                 if depth == 0:
                     self.advance()
                     break
-            texts.append(tok.text)
+            texts.append(self.texts[tok])
             self.advance()
-        return OpaqueBlock(tuple(texts), span=open_tok.span)
+        return OpaqueBlock(tuple(texts), span=self.span(open_tok))
 
     # -- expressions -----------------------------------------------------------
 
@@ -603,57 +605,57 @@ class _Parser:
             tok = self.advance()
             operators += 1
             right = self._parse_not() if last else self._parse_expr(tier + 1)
-            left = BinaryExpr(op, left, right, span=tok.span)
+            left = BinaryExpr(op, left, right, span=self.span(tok))
             if self.peak + operators > MAX_NESTING:
-                raise ParseError(f"expression nested more than {MAX_NESTING} deep", tok.span)
+                raise ParseError(f"expression nested more than {MAX_NESTING} deep", self.span(tok))
         self.peak = max(outer, self.peak + operators)
         return left
 
     def _parse_not(self) -> Expr:
         if self.at(TokenKind.KW_NOT):
             tok = self.advance()
-            return NotExpr(self.nested(self._parse_not, tok), span=tok.span)
+            return NotExpr(self.nested(self._parse_not, tok), span=self.span(tok))
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expr:
         left = self._parse_atom()
-        op = _COMPARE_OPS.get(self.peek().kind)
+        op = _COMPARE_OPS.get(self.kinds[self.pos])
         if op is None:
             return left
         tok = self.advance()
-        return CompareExpr(op, left, self._parse_atom(), span=tok.span)
+        return CompareExpr(op, left, self._parse_atom(), span=self.span(tok))
 
     def _parse_atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind in _LITERAL_TYPES:
+        if self.kinds[tok] in _LITERAL_TYPES:
             return self._parse_literal()
-        if tok.kind is TokenKind.REF:
-            space = tok.value[:-1]  # type: ignore[index]
-            name = tok.value[-1]  # type: ignore[index]
+        if self.kinds[tok] is TokenKind.REF:
+            space = self.values[tok][:-1]  # type: ignore[index]
+            name = self.values[tok][-1]  # type: ignore[index]
             if space == ("METRICS",):
                 self.advance()
-                return MetricRefExpr(name, span=tok.span)
+                return MetricRefExpr(name, span=self.span(tok))
             if space == ("FLUENTS",):
                 self.advance()
-                return FluentRefExpr(name, span=tok.span)
-            raise self.fail(f"{tok.text!r} cannot appear in an expression")
-        if tok.kind is TokenKind.IDENT:
+                return FluentRefExpr(name, span=self.span(tok))
+            raise self.fail(f"{self.texts[tok]!r} cannot appear in an expression")
+        if self.kinds[tok] is TokenKind.IDENT:
             self.advance()
-            return BindingRefExpr(tok.text, span=tok.span)
-        if tok.kind is TokenKind.LPAREN:
+            return BindingRefExpr(self.texts[tok], span=self.span(tok))
+        if self.kinds[tok] is TokenKind.LPAREN:
             self.advance()
             expr = self.nested(self._parse_expr, tok)
             self.expect(TokenKind.RPAREN)
             return expr
-        raise self.fail(f"expected an expression, found {tok.text!r}")
+        raise self.fail(f"expected an expression, found {self.texts[tok]!r}")
 
     def _parse_literal(self) -> Lit:
         tok = self.peek()
-        value_type = _LITERAL_TYPES.get(tok.kind)
+        value_type = _LITERAL_TYPES.get(self.kinds[tok])
         if value_type is None:
-            raise self.fail(f"expected a literal, found {tok.text!r}")
+            raise self.fail(f"expected a literal, found {self.texts[tok]!r}")
         self.advance()
-        return Lit(tok.value, value_type, span=tok.span)
+        return Lit(self.values[tok], value_type, span=self.span(tok))
 
 
 # A tier body's sections: keyword -> (tier-node field, body parser). The

@@ -1,5 +1,8 @@
 """Token and source-location definitions for the specification language.
 
+A file's tokens are stored as columns in a :class:`Tokens`; a ``Token`` is
+the record a reader gets back from it, built when read.
+
 This is the one place that spells tokens: ``KEYWORDS`` is derived from the
 ``KW_`` members of ``TokenKind``, and ``SPELLING`` maps each keyword and
 punctuation kind back to its text for the parser's errors and the printer.
@@ -8,6 +11,7 @@ punctuation kind back to its text for the parser's errors and the printer.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -171,7 +175,9 @@ POLICY_NAME_KINDS = frozenset(
 class LineTable(NamedTuple):
     """A source file's name and the offset at which each of its lines starts.
 
-    ``tokenize`` builds one per call, and every token of that call shares it.
+    ``tokenize`` builds one per call and keeps it in the :class:`Tokens` it
+    returns, beside the columns; each token's line and column are worked out
+    from it when a span is read.
     """
 
     file: str
@@ -185,11 +191,16 @@ class LineTable(NamedTuple):
 
 
 class Token(NamedTuple):
-    """A token, its start offset and its file's line table.
+    """A token's kind, text, start offset, file line table and value.
 
-    A token keeps no span: ``span`` works out the line and column from the
-    line table each time it is read. Only node spans and errors read one, so
-    lexing a file builds no span at all, and looks up no line.
+    ``span`` works out the line and column from the line table each time it
+    is read. A ``Tokens`` view builds a ``Token`` for each token read from
+    it and stores none. CPython's cyclic garbage collector stops tracking a
+    tuple once it sees that the tuple holds only untracked values, but only
+    an exact ``tuple``, never a subclass such as this ``NamedTuple``; and a
+    ``TokenKind`` member is tracked anyway. So a list of ``Token``s would
+    stay in the collector's heap, walked by every collection of its
+    generation, for as long as the list lives.
     """
 
     kind: TokenKind
@@ -204,6 +215,63 @@ class Token(NamedTuple):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r})"
+
+
+class Tokens(Sequence[Token]):
+    """The tokens of one source file, as four parallel columns and the
+    file's line table.
+
+    Token ``i`` is ``kinds[i]``, ``texts[i]``, ``starts[i]`` (its start
+    offset) and ``values[i]``, and every token shares ``lines``. A file's
+    tokens are then six objects the garbage collector tracks, the view, its
+    four lists and the line table, whatever their number: texts and starts
+    are strings and ints, which it never tracks; the kinds are shared enum
+    members; and a value is None, a string, a number, or an exact tuple of
+    strings, which it stops tracking at its first collection. The parser
+    reads the columns by position. Indexing (negative indexes and slices
+    included) and iterating build a ``Token`` per token read. A ``Tokens``
+    equals another, or a list, holding the same ``Token``s.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "values", "lines")
+
+    def __init__(
+        self,
+        kinds: list[TokenKind],
+        texts: list[str],
+        starts: list[int],
+        values: list[object],
+        lines: LineTable,
+    ) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.values = values
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: int | slice) -> Token | list[Token]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return _new(
+            Token,
+            (self.kinds[index], self.texts[index], self.starts[index], self.lines, self.values[index]),
+        )
+
+    def __iter__(self) -> Iterator[Token]:
+        lines = self.lines
+        for kind, text, start, value in zip(self.kinds, self.texts, self.starts, self.values):
+            yield _new(Token, (kind, text, start, lines, value))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Tokens, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Tokens({list(self)!r})"
 
 
 class LexError(Exception):
