@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import cache
 
 from asslkit.checker import CheckedSpec, check_all
 from asslkit.lexer import tokenize
-from asslkit.missions import ants_self_protecting
+from asslkit.missions import all_missions, ants_self_protecting
 from asslkit.nodes import (
     ActionDecl,
     ActivationClause,
@@ -45,7 +46,7 @@ from asslkit.nodes import (
 from asslkit.parser import parse_text
 from asslkit.printer import pretty_print
 from asslkit.runtime import Halt, InjectEvent, Scenario, SendMessage, SetMetric
-from asslkit.tokens import KEYWORDS
+from asslkit.tokens import KEYWORDS, TokenKind
 from asslkit.verifier.lts import EnvStimulus
 
 
@@ -430,3 +431,41 @@ def token_mutants(source: str, seed: int, count: int) -> list[str]:
             "".join(gap + text for gap, text in zip(pieces, edited)) + pieces[-1]
         )
     return mutants
+
+
+#: Token kinds a swap mutant exchanges: names, references and literals.
+SWAPPABLE = frozenset(
+    {TokenKind.IDENT, TokenKind.REF, TokenKind.INT, TokenKind.REAL, TokenKind.BOOL, TokenKind.TEXT}
+)
+
+
+def swap_mutants(source: str, seed: int, count: int) -> list[str]:
+    """``count`` seeded edits of ``source``, each replacing the text of one
+    name, reference or literal token with the text of such a token drawn
+    from the same source (now and then its own, which leaves the source as it
+    is). The rest of the source is kept as it is.
+    """
+    rng = random.Random(seed)
+    tokens = [t for t in tokenize(source) if t.kind in SWAPPABLE]
+    texts = [t.text for t in tokens]
+    mutants = []
+    for _ in range(count):
+        token = tokens[rng.randrange(len(tokens))]
+        end = token.start + len(token.text)
+        mutants.append(source[: token.start] + rng.choice(texts) + source[end:])
+    return mutants
+
+
+@cache
+def swap_corpora() -> dict[str, tuple[str, ...]]:
+    """The swap-mutant corpora: 200 mutants of each mission, 200 of
+    ``swarm_source(3)`` and 30 of each of random specs 0-59."""
+    return {
+        "missions": tuple(
+            m for k, pkg in enumerate(all_missions()) for m in swap_mutants(pkg.source(), k, 200)
+        ),
+        "swarm3": tuple(swap_mutants(swarm_source(3), 100, 200)),
+        "random0-59": tuple(
+            m for seed in range(60) for m in swap_mutants(random_spec_source(seed), seed, 30)
+        ),
+    }

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import json
+from pathlib import Path
 
-from asslkit import check_all, parse_text
+import pytest
+from specgen import swap_corpora
+
+from asslkit import LexError, ParseError, check_all, parse_text
 from asslkit.checker import check_semantics, check_types, resolve
 from asslkit.program import Program
 
@@ -456,3 +461,31 @@ def test_diagnostic_site(edits, expected):
         source = source.replace(old, new)
     spec = check_all(parse_text(source, "unit.assl"))
     assert [d.render() for d in spec.diagnostics] == expected
+
+
+# -- rendered diagnostics on swap mutants, pinned by sha256 -----------------
+
+
+def test_diagnostics_on_swap_mutants_are_pinned():
+    """Each swap mutant's outcome: "not parsed", or "checked" and every
+    rendered diagnostic, clean mutants included; one digest per corpus."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("check_sha256.json").read_text()
+    )
+    digests = {}
+    codes: set[str] = set()
+    for corpus, mutants in swap_corpora().items():
+        outcomes = []
+        for source in mutants:
+            try:
+                tree = parse_text(source, "mutant.assl")
+            except (LexError, ParseError):
+                outcomes.append("not parsed\n")
+                continue
+            diagnostics = check_all(tree).diagnostics
+            codes.update(d.code for d in diagnostics)
+            outcomes.append("checked\n" + "".join(f"{d.render()}\n" for d in diagnostics))
+        digests[corpus] = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+    # The corpus keeps reaching each group of diagnostics.
+    assert {"E-UNDEF", "E-DUP", "E-TYPE", "E-FLUENT-OVERLAP", "W-UNREACHABLE"} <= codes
+    assert digests == pinned

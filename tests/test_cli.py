@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from specgen import swap_corpora
 
 import asslkit
+from asslkit import LexError, ParseError, check_all
 from asslkit.cli import build_parser, main
 from asslkit.missions import (
     all_missions,
@@ -18,6 +20,7 @@ from asslkit.missions import (
 )
 from asslkit.parser import MAX_NESTING, parse_text
 from asslkit.printer import pretty_print
+from asslkit.program import qual
 from asslkit.verifier import build_lts, parse_env_stimulus
 
 PKG = ants_self_protecting()
@@ -736,3 +739,39 @@ def test_main_calls_in_one_process_keep_their_options_apart(monkeypatch):
         {**common, "path": SPEC, "out": "c.txt", "set": ["k=3"], "inject": [],
          "bound_states": 100_000, "no_tick": False},
     ]
+
+
+def test_swap_mutants_that_check_clean_run_verify_and_gentest(tmp_path, capsys):
+    """Whole-pipeline fuzz: every swap mutant that checks with no diagnostic
+    runs a scenario injecting each injectable event once, verifies ``G true``
+    and generates tests, each exiting 0 or 1, never 3."""
+    spec_path, scenario_path = tmp_path / "mutant.assl", tmp_path / "inject.scenario"
+    prop_path, suite = tmp_path / "true.prop", str(tmp_path / "suite")
+    prop_path.write_text("G true\n")
+    commands = (
+        ["run", str(spec_path), "--scenario", str(scenario_path)],
+        ["verify", str(spec_path), "--prop", str(prop_path), "--bound-states", "300"],
+        ["gentests", str(spec_path), "--out", suite],
+    )
+    clean = 0
+    for corpus, mutants in swap_corpora().items():
+        # Many swaps leave the source as it is; each distinct source runs once.
+        for index, source in enumerate(dict.fromkeys(mutants)):
+            try:
+                spec = check_all(parse_text(source, "mutant.assl"))
+            except (LexError, ParseError):
+                continue
+            if spec.diagnostics:
+                continue
+            clean += 1
+            injectable = spec.program.injectable
+            spec_path.write_text(source)
+            scenario_path.write_text(
+                "".join(f"tick {t} inject {qual(e)}\n" for t, e in enumerate(injectable, 1))
+                + f"tick {len(injectable) + 1} halt\n"
+            )
+            for argv in commands:
+                code = main(argv)
+                output = capsys.readouterr()
+                assert code in (0, 1), (corpus, index, argv[0], output)
+    assert clean >= 250
