@@ -1,26 +1,29 @@
-"""Consistency checking: reference resolution, types, and well-formedness.
+"""Consistency checking: names, types, and well-formedness rules.
 
-The checks run in three passes. ``resolve`` builds the symbol table and
-reports undefined or duplicate names. ``check_types`` types every expression.
-``check_semantics`` enforces the structural rules that make execution total:
+``check_all`` registers every declaration, then walks each tier once. The
+walk resolves every reference, types every expression and applies the rules
+that need only the tree; one recursion over an expression both reports its
+undefined names and returns its type. What the walk finds falls into three
+groups, reported by precedence: names (E-DUP, E-UNDEF, E-SCOPE) if there are
+any; else types (E-TYPE) if there are any; else the rules, once the spec's
+:class:`~asslkit.program.Program`, which every back end reads, is built. The
+rules make execution total:
 
 * R1  a fluent's initiating and terminating event sets are disjoint
       (E-FLUENT-OVERLAP);
 * R2  the action call graph is acyclic (E-CYCLE);
 * R3  every fluent is referenced by at least one mapping (W-UNREACHABLE);
-* R4  every TRIGGERS / ONERR_TRIGGERS target is declared (an E-UNDEF from
-      resolution);
+* R4  every TRIGGERS / ONERR_TRIGGERS target is declared (a name's E-UNDEF);
 * R5  every event is raisable: it has an activation, is triggered somewhere,
       or is declared INJECTABLE (W-UNREACHABLE);
 * R6  channel capacities and ELAPSED periods are at least 1 (E-CAPACITY);
 * R7  no call chain nests deeper than the runtime's ``MAX_CALL_DEPTH``
       (E-DEPTH).
 
-Pass 3 builds the spec's :class:`~asslkit.program.Program`, which every back
-end reads. R2, R5 and R7 read its influence graph: the call cycles and the
-longest call chains come from one depth-first search over its call and
-error-call edges, and an event is triggered somewhere when a trigger or
-error-trigger edge enters it.
+R2, R5 and R7 read the program's events and influence graph: the call
+cycles and the longest call chains come from one depth-first search over its
+call and error-call edges, and an event is triggered somewhere when a
+trigger or error-trigger edge enters it.
 
 Error-severity diagnostics block the runtime, verifier and test generator;
 warnings do not. Identical trees always yield identical diagnostic lists:
@@ -68,6 +71,9 @@ _TRIGGERED_BY = frozenset({("triggers", False), ("error-triggers", False)})
 
 #: Ordering comparisons apply to numeric operands only.
 _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
+
+#: Codes of the name group, which ``check_all`` reports before any other.
+_NAME_CODES = frozenset({"E-DUP", "E-UNDEF", "E-SCOPE"})
 
 
 @dataclass(frozen=True)
@@ -138,34 +144,28 @@ class CheckedSpec:
 
 
 def check_all(tree: SpecificationTree) -> CheckedSpec:
-    """Run resolution, type checking, and semantic rules in order.
+    """Register the declarations, walk each tier once, and report the first
+    group that holds a diagnostic: names, then types, then rules.
 
-    Later passes are skipped when an earlier pass found errors, so a missing
-    name is reported exactly once rather than echoed by the type checker.
+    So a missing name is reported once rather than echoed as a type error,
+    and the ``Program`` is built only from a tree whose names and types hold.
     """
-    symbols, diags = resolve(tree)
-    program = None
-    if not any(d.severity == ERROR for d in diags):
-        diags = diags + check_types(tree, symbols)
-    if not any(d.severity == ERROR for d in diags):
-        program = Program(tree, symbols)
-        diags = diags + check_semantics(tree, symbols, program)
-    return CheckedSpec(tree, symbols, tuple(sorted(diags, key=sort_key)), program)
-
-
-# --------------------------------------------------------------------------
-# Pass 1: resolution
-
-
-def resolve(tree: SpecificationTree) -> tuple[SymbolTable, list[Diagnostic]]:
     symbols = SymbolTable()
-    diags: list[Diagnostic] = []
-    _register(tree, symbols, diags)
+    found: list[Diagnostic] = []
+    _register(tree, symbols, found)
     for tier in tree.tiers():
-        _resolve_tier(tier, symbols, diags)
+        _check_tier(tier, symbols, found)
     if tree.asip_tier is not None:
-        _resolve_protocol_endpoints(tree.asip_tier, symbols, diags)
-    return symbols, diags
+        _check_protocol(tree.asip_tier, symbols, found)
+    names = [d for d in found if d.code in _NAME_CODES]
+    types = [d for d in found if d.code == "E-TYPE"]
+    program = None
+    if names or types:
+        found = names or types
+    else:
+        program = Program(tree, symbols)
+        _check_program(program, found)
+    return CheckedSpec(tree, symbols, tuple(sorted(found, key=sort_key)), program)
 
 
 def _register(tree: SpecificationTree, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
@@ -224,7 +224,11 @@ def _register_protocol(
                 table[key] = decl
 
 
-def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
+# --------------------------------------------------------------------------
+# The walk: names, types and the rules a tier checks alone
+
+
+def _check_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
     t = tier.name
 
     def undef(kind: str, ref: Ref) -> None:
@@ -237,10 +241,52 @@ def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> 
             if symbols.lookup(t, "events", ref.name) is None:
                 undef("event", ref)
 
+    def require_boolean(expr: Expr, bindings: frozenset[str], what: str) -> None:
+        actual = _check_expr(expr, t, bindings, symbols, diags)
+        if actual is not None and actual is not ValueType.BOOLEAN:
+            diags.append(
+                Diagnostic("E-TYPE", f"{what} must be boolean, not {actual.value}", expr.span)
+            )
+
+    for metric in tier.metrics:
+        if metric.initial.type is not metric.value_type:
+            diags.append(
+                Diagnostic(
+                    "E-TYPE",
+                    f"initial value of metric '{metric.name}' is"
+                    f" {metric.initial.type.value}, not {metric.value_type.value}",
+                    metric.initial.span,
+                )
+            )
+
     for policy in tier.policies:
+        if not policy.fluents:
+            diags.append(
+                Diagnostic("E-EMPTY", f"policy '{policy.name}' declares no fluents", policy.span)
+            )
+        mapped = {cond.name for mapping in policy.mappings for cond in mapping.conditions}
         for fluent in policy.fluents:
             check_event_refs(fluent.initiated_by)
             check_event_refs(fluent.terminated_by)
+            overlap = {r.name for r in fluent.initiated_by} & {
+                r.name for r in fluent.terminated_by
+            }
+            if overlap:
+                names = ", ".join(sorted(overlap))
+                diags.append(
+                    Diagnostic(
+                        "E-FLUENT-OVERLAP",
+                        f"fluent '{fluent.name}' is both initiated and terminated by: {names}",
+                        fluent.span,
+                    )
+                )
+            if fluent.name not in mapped:
+                diags.append(
+                    Diagnostic(
+                        "W-UNREACHABLE",
+                        f"fluent '{fluent.name}' is not referenced by any mapping", fluent.span,
+                    )
+                )
         for mapping in policy.mappings:
             for cond in mapping.conditions:
                 decl = symbols.lookup(t, "fluents", cond.name)
@@ -261,9 +307,13 @@ def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> 
 
     for event in tier.events:
         if event.guard is not None:
-            _resolve_expr(event.guard, t, frozenset(), symbols, diags)
+            require_boolean(event.guard, frozenset(), "event guard")
         for clause in event.activation:
-            if clause.kind is ActivationKind.CHANGED:
+            if clause.kind is ActivationKind.ELAPSED and (clause.ticks or 0) < 1:
+                diags.append(
+                    Diagnostic("E-CAPACITY", "ELAPSED period must be at least 1 tick", clause.span)
+                )
+            elif clause.kind is ActivationKind.CHANGED:
                 assert clause.target is not None
                 if symbols.lookup(t, "metrics", clause.target.name) is None:
                     undef("metric", clause.target)
@@ -279,17 +329,27 @@ def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> 
             if isinstance(stmt, CallStmt) and stmt.binding
         )
         if action.guard is not None:
-            _resolve_expr(action.guard, t, frozenset(), symbols, diags)
+            require_boolean(action.guard, frozenset(), "action guard")
         if action.ensures is not None:
-            _resolve_expr(action.ensures, t, bindings, symbols, diags)
+            require_boolean(action.ensures, bindings, "ENSURES clause")
         for stmt in action.does + action.onerr_does:
             if isinstance(stmt, CallStmt):
                 if symbols.lookup(t, "actions", stmt.action.name) is None:
                     undef("action", stmt.action)
             elif isinstance(stmt, AssignStmt):
-                if symbols.lookup(t, "metrics", stmt.metric.name) is None:
+                metric = symbols.lookup(t, "metrics", stmt.metric.name)
+                value_type = _check_expr(stmt.value, t, bindings, symbols, diags)
+                if not isinstance(metric, MetricDecl):
                     undef("metric", stmt.metric)
-                _resolve_expr(stmt.value, t, bindings, symbols, diags)
+                elif value_type is not None and value_type is not metric.value_type:
+                    diags.append(
+                        Diagnostic(
+                            "E-TYPE",
+                            f"cannot assign {value_type.value} to"
+                            f" {metric.value_type.value} metric '{metric.name}'",
+                            stmt.span,
+                        )
+                    )
             elif isinstance(stmt, SendStmt):
                 if symbols.resolve_message(t, stmt.message.name) is None:
                     undef("message", stmt.message)
@@ -305,12 +365,12 @@ def _resolve_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> 
                     Diagnostic("E-UNDEF", f"undefined tier '{friend}' in FRIENDS", tier.span)
                 )
         if tier.aeip is not None:
-            _resolve_protocol_endpoints(tier.aeip, symbols, diags)
+            _check_protocol(tier.aeip, symbols, diags)
 
 
-def _resolve_protocol_endpoints(
-    asip: AsipTier, symbols: SymbolTable, diags: list[Diagnostic]
-) -> None:
+def _check_protocol(asip: AsipTier, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
+    """Every message endpoint names a tier (a name error); every channel
+    holds at least one message (R6)."""
     for message in asip.messages:
         for endpoint in (message.sender, message.receiver):
             if endpoint not in symbols.tiers:
@@ -320,108 +380,49 @@ def _resolve_protocol_endpoints(
                         message.span,
                     )
                 )
+    for channel in asip.channels:
+        if channel.capacity < 1:
+            diags.append(
+                Diagnostic(
+                    "E-CAPACITY",
+                    f"channel '{channel.name}' must have capacity at least 1", channel.span,
+                )
+            )
 
 
-def _resolve_expr(
+def _check_expr(
     expr: Expr,
     tier: str,
     bindings: frozenset[str],
     symbols: SymbolTable,
     diags: list[Diagnostic],
-) -> None:
-    if isinstance(expr, MetricRefExpr):
-        if symbols.lookup(tier, "metrics", expr.name) is None:
-            diags.append(
-                Diagnostic("E-UNDEF", f"undefined metric 'METRICS.{expr.name}'", expr.span)
-            )
-    elif isinstance(expr, FluentRefExpr):
-        if symbols.lookup(tier, "fluents", expr.name) is None:
-            diags.append(
-                Diagnostic("E-UNDEF", f"undefined fluent 'FLUENTS.{expr.name}'", expr.span)
-            )
-    elif isinstance(expr, BindingRefExpr):
-        if expr.name not in bindings:
-            diags.append(
-                Diagnostic("E-UNDEF", f"'{expr.name}' is not a binding available here", expr.span)
-            )
-    elif isinstance(expr, NotExpr):
-        _resolve_expr(expr.operand, tier, bindings, symbols, diags)
-    elif isinstance(expr, (BinaryExpr, CompareExpr)):
-        _resolve_expr(expr.left, tier, bindings, symbols, diags)
-        _resolve_expr(expr.right, tier, bindings, symbols, diags)
-
-
-# --------------------------------------------------------------------------
-# Pass 2: types
-
-
-def check_types(tree: SpecificationTree, symbols: SymbolTable) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    for tier in tree.tiers():
-        t = tier.name
-        for metric in tier.metrics:
-            if metric.initial.type is not metric.value_type:
-                diags.append(
-                    Diagnostic(
-                        "E-TYPE",
-                        f"initial value of metric '{metric.name}' is"
-                        f" {metric.initial.type.value}, not {metric.value_type.value}",
-                        metric.initial.span,
-                    )
-                )
-        for event in tier.events:
-            if event.guard is not None:
-                _require_boolean(event.guard, t, symbols, diags, "event guard")
-        for action in tier.actions:
-            if action.guard is not None:
-                _require_boolean(action.guard, t, symbols, diags, "action guard")
-            if action.ensures is not None:
-                _require_boolean(action.ensures, t, symbols, diags, "ENSURES clause")
-            for stmt in action.does + action.onerr_does:
-                if isinstance(stmt, AssignStmt):
-                    metric = symbols.lookup(t, "metrics", stmt.metric.name)
-                    value_type = _type_of(stmt.value, t, symbols, diags)
-                    if (
-                        isinstance(metric, MetricDecl)
-                        and value_type is not None
-                        and value_type is not metric.value_type
-                    ):
-                        diags.append(
-                            Diagnostic(
-                                "E-TYPE",
-                                f"cannot assign {value_type.value} to"
-                                f" {metric.value_type.value} metric '{metric.name}'",
-                                stmt.span,
-                            )
-                        )
-    return diags
-
-
-def _require_boolean(
-    expr: Expr, tier: str, symbols: SymbolTable, diags: list[Diagnostic], what: str
-) -> None:
-    actual = _type_of(expr, tier, symbols, diags)
-    if actual is not None and actual is not ValueType.BOOLEAN:
-        diags.append(
-            Diagnostic("E-TYPE", f"{what} must be boolean, not {actual.value}", expr.span)
-        )
-
-
-def _type_of(
-    expr: Expr, tier: str, symbols: SymbolTable, diags: list[Diagnostic]
 ) -> ValueType | None:
-    """Type of an expression, or None when a subexpression already failed."""
+    """Type of an expression, or None when a subexpression already failed.
+    Reports each undefined name and each type error on the way."""
     if isinstance(expr, Lit):
         return expr.type
     if isinstance(expr, MetricRefExpr):
         metric = symbols.lookup(tier, "metrics", expr.name)
-        return metric.value_type if isinstance(metric, MetricDecl) else None
+        if isinstance(metric, MetricDecl):
+            return metric.value_type
+        diags.append(
+            Diagnostic("E-UNDEF", f"undefined metric 'METRICS.{expr.name}'", expr.span)
+        )
+        return None
     if isinstance(expr, FluentRefExpr):
+        if symbols.lookup(tier, "fluents", expr.name) is None:
+            diags.append(
+                Diagnostic("E-UNDEF", f"undefined fluent 'FLUENTS.{expr.name}'", expr.span)
+            )
         return ValueType.BOOLEAN
     if isinstance(expr, BindingRefExpr):
+        if expr.name not in bindings:
+            diags.append(
+                Diagnostic("E-UNDEF", f"'{expr.name}' is not a binding available here", expr.span)
+            )
         return ValueType.BOOLEAN  # bindings hold call outcomes
     if isinstance(expr, NotExpr):
-        operand = _type_of(expr.operand, tier, symbols, diags)
+        operand = _check_expr(expr.operand, tier, bindings, symbols, diags)
         if operand is not None and operand is not ValueType.BOOLEAN:
             diags.append(
                 Diagnostic("E-TYPE", f"NOT needs a boolean, not {operand.value}", expr.span)
@@ -429,8 +430,8 @@ def _type_of(
             return None
         return ValueType.BOOLEAN if operand else None
     if isinstance(expr, BinaryExpr):
-        left = _type_of(expr.left, tier, symbols, diags)
-        right = _type_of(expr.right, tier, symbols, diags)
+        left = _check_expr(expr.left, tier, bindings, symbols, diags)
+        right = _check_expr(expr.right, tier, bindings, symbols, diags)
         ok = True
         for side in (left, right):
             if side is not None and side is not ValueType.BOOLEAN:
@@ -443,8 +444,8 @@ def _type_of(
                 ok = False
         return ValueType.BOOLEAN if ok and left and right else None
     assert isinstance(expr, CompareExpr)
-    left = _type_of(expr.left, tier, symbols, diags)
-    right = _type_of(expr.right, tier, symbols, diags)
+    left = _check_expr(expr.left, tier, bindings, symbols, diags)
+    right = _check_expr(expr.right, tier, bindings, symbols, diags)
     if left is None or right is None:
         return None
     if left is not right:
@@ -461,79 +462,27 @@ def _type_of(
 
 
 # --------------------------------------------------------------------------
-# Pass 3: semantic rules
+# The rules that read the program
 
 
-def check_semantics(
-    tree: SpecificationTree, symbols: SymbolTable, program: Program
-) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    for tier in tree.tiers():
-        _check_tier_semantics(tier, program, diags)
-    _check_call_graph(program, diags)
-    for channel in symbols.channels.values():
-        if channel.capacity < 1:
-            diags.append(
-                Diagnostic(
-                    "E-CAPACITY",
-                    f"channel '{channel.name}' must have capacity at least 1", channel.span,
-                )
-            )
-    return diags
-
-
-def _check_tier_semantics(tier: Tier, program: Program, diags: list[Diagnostic]) -> None:
-    for policy in tier.policies:
-        if not policy.fluents:
-            diags.append(
-                Diagnostic("E-EMPTY", f"policy '{policy.name}' declares no fluents", policy.span)
-            )
-        mapped = {cond.name for mapping in policy.mappings for cond in mapping.conditions}
-        for fluent in policy.fluents:
-            overlap = {r.name for r in fluent.initiated_by} & {
-                r.name for r in fluent.terminated_by
-            }
-            if overlap:
-                names = ", ".join(sorted(overlap))
-                diags.append(
-                    Diagnostic(
-                        "E-FLUENT-OVERLAP",
-                        f"fluent '{fluent.name}' is both initiated and terminated by: {names}",
-                        fluent.span,
-                    )
-                )
-            if fluent.name not in mapped:
-                diags.append(
-                    Diagnostic(
-                        "W-UNREACHABLE",
-                        f"fluent '{fluent.name}' is not referenced by any mapping", fluent.span,
-                    )
-                )
-
-    for event in tier.events:
-        node = ("event", (tier.name, event.name))
+def _check_program(program: Program, diags: list[Diagnostic]) -> None:
+    """W-UNREACHABLE for each event nothing raises; E-CYCLE for each call
+    cycle, else E-DEPTH for each chain too deep to run."""
+    for key, event in program.events.items():
+        node = ("event", key)
         if (
-            not event.activation
-            and not event.injectable
+            not event.decl.activation
+            and not event.decl.injectable
             and program.influence.walk([node], _TRIGGERED_BY) == [node]
         ):
             diags.append(
                 Diagnostic(
                     "W-UNREACHABLE",
-                    f"event '{event.name}' has no activation, is never triggered,"
+                    f"event '{event.decl.name}' has no activation, is never triggered,"
                     " and is not INJECTABLE",
-                    event.span,
+                    event.decl.span,
                 )
             )
-        for clause in event.activation:
-            if clause.kind is ActivationKind.ELAPSED and (clause.ticks or 0) < 1:
-                diags.append(
-                    Diagnostic("E-CAPACITY", "ELAPSED period must be at least 1 tick", clause.span)
-                )
-
-
-def _check_call_graph(program: Program, diags: list[Diagnostic]) -> None:
-    """E-CYCLE for each call cycle, E-DEPTH for each chain too deep to run."""
     cycles, depth = program.influence.call_cycles(("action", key) for key in program.actions)
     for cycle in cycles:
         diags.append(

@@ -10,8 +10,6 @@ import pytest
 from specgen import swap_corpora
 
 from asslkit import LexError, ParseError, check_all, parse_text
-from asslkit.checker import check_semantics, check_types, resolve
-from asslkit.program import Program
 
 
 def diags_of(source: str) -> list[str]:
@@ -113,9 +111,11 @@ def test_comparison_type_mismatch():
 
 
 def test_boolean_guard_accepted(figures_spec):
-    # NOT over a boolean metric types as boolean: no diagnostics on figures.
-    diags = check_types(figures_spec.tree, figures_spec.symbols)
-    assert diags == []
+    # NOT over a boolean metric types as boolean: no diagnostics on figures,
+    # and the program is built, so no name or type error stopped the check.
+    spec = check_all(figures_spec.tree)
+    assert spec.diagnostics == ()
+    assert spec.program is not None
 
 
 def test_ordering_comparison_on_text_rejected():
@@ -319,10 +319,13 @@ def test_diagnostic_render_format():
 
 
 def test_resolve_then_types_then_semantics_composition(figures_spec):
-    symbols, diags = resolve(figures_spec.tree)
-    assert diags == []
-    assert check_types(figures_spec.tree, symbols) == []
-    assert check_semantics(figures_spec.tree, symbols, Program(figures_spec.tree, symbols)) == []
+    # Checking the figures tree again registers every tier and finds no
+    # name, type or rule diagnostic; the program built covers every tier.
+    spec = check_all(figures_spec.tree)
+    assert spec.diagnostics == ()
+    assert set(spec.symbols.tiers) == {t.name for t in figures_spec.tree.tiers()}
+    assert spec.program is not None
+    assert spec.program.elements == tuple(spec.symbols.tiers)
 
 
 def test_diagnostic_spans_lie_inside_source():
@@ -461,6 +464,43 @@ def test_diagnostic_site(edits, expected):
         source = source.replace(old, new)
     spec = check_all(parse_text(source, "unit.assl"))
     assert [d.render() for d in spec.diagnostics] == expected
+
+
+
+_UNDEF_ACTION = ("DO_ACTIONS { ACTIONS.work }", "DO_ACTIONS { ACTIONS.nope }")
+_BAD_INITIAL = ("TYPE { boolean } INITIAL { false }", "TYPE { boolean } INITIAL { 3 }")
+
+
+# Names come before types, and types before rules: each case pairs an error
+# of a higher group with a finding of a lower one, in another declaration.
+@pytest.mark.parametrize(
+    "higher, lower, expected, hidden",
+    [
+        pytest.param(_UNDEF_ACTION, _BAD_INITIAL, "E-UNDEF", "E-TYPE", id="name-hides-type"),
+        pytest.param(
+            _UNDEF_ACTION, ("TERMINATED_BY { EVENTS.fin }", "TERMINATED_BY { EVENTS.go }"),
+            "E-UNDEF", "E-FLUENT-OVERLAP", id="name-hides-rule",
+        ),
+        pytest.param(
+            _BAD_INITIAL,
+            ("DO_ACTIONS { ACTIONS.work } }",
+             "DO_ACTIONS { ACTIONS.work } }\n      FLUENT lonely {"
+             " INITIATED_BY { EVENTS.go } TERMINATED_BY { EVENTS.fin } }"),
+            "E-TYPE", "W-UNREACHABLE", id="type-hides-unmapped-fluent",
+        ),
+        pytest.param(
+            _BAD_INITIAL, ("DOES { METRICS.done", "DOES { call ACTIONS.work; METRICS.done"),
+            "E-TYPE", "E-CYCLE", id="type-hides-call-cycle",
+        ),
+    ],
+)
+def test_higher_group_hides_lower_one(higher, lower, expected, hidden):
+    source = BASE.format(condition="busy")
+    for old, _new in (higher, lower):
+        assert source.count(old) == 1, old
+    assert codes_of(source.replace(*lower)) == [hidden]
+    assert codes_of(source.replace(*higher)) == [expected]
+    assert codes_of(source.replace(*lower).replace(*higher)) == [expected]
 
 
 # -- rendered diagnostics on swap mutants, pinned by sha256 -----------------
