@@ -153,7 +153,7 @@ def check_all(tree: SpecificationTree) -> CheckedSpec:
     symbols = SymbolTable()
     found: list[Diagnostic] = []
     _register(tree, symbols, found)
-    for tier in tree.tiers():
+    for tier in symbols.tiers.values():  # a duplicate tier reports only its E-DUP
         _check_tier(tier, symbols, found)
     if tree.asip_tier is not None:
         _check_protocol(tree.asip_tier, symbols, found)

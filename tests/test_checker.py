@@ -261,6 +261,18 @@ def test_duplicate_tier_names():
     assert "E-DUP" in codes_of("AS sys { } AE sys { }")
 
 
+def test_duplicate_tier_reports_only_its_e_dup():
+    # The second tier 'unit' is not registered, so its own references are
+    # not looked up in the first one, where five of them would be undefined.
+    source = BASE.format(condition="busy").replace(
+        "AS sys { }", "AS sys { }\nAE unit { EVENTS { EVENT go { INJECTABLE } } }"
+    )
+    spec = check_all(parse_text(source, "unit.assl"))
+    assert [d.render() for d in spec.diagnostics] == [
+        "unit.assl:4:1: error E-DUP: duplicate declaration of tier 'unit'"
+    ]
+
+
 def test_message_reference_falls_back_to_shared_protocol():
     # AEIP.MESSAGES.x with no local AEIP resolves against the ASIP
     source = """
