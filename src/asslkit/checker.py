@@ -131,7 +131,7 @@ def _in_scope(table: dict, tier: str, name: str):
 @dataclass(frozen=True)
 class CheckedSpec:
     """A specification tree with its symbols, diagnostics and program (None
-    when resolution or typing failed)."""
+    when a name or a type error was found)."""
 
     tree: SpecificationTree
     symbols: SymbolTable = field(compare=False)
@@ -369,8 +369,8 @@ def _check_tier(tier: Tier, symbols: SymbolTable, diags: list[Diagnostic]) -> No
 
 
 def _check_protocol(asip: AsipTier, symbols: SymbolTable, diags: list[Diagnostic]) -> None:
-    """Every message endpoint names a tier (a name error); every channel
-    holds at least one message (R6)."""
+    """Every message endpoint names a tier (a name error); every channel's
+    capacity is at least 1 (R6)."""
     for message in asip.messages:
         for endpoint in (message.sender, message.receiver):
             if endpoint not in symbols.tiers:
