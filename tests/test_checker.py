@@ -478,7 +478,6 @@ def test_diagnostic_site(edits, expected):
     assert [d.render() for d in spec.diagnostics] == expected
 
 
-
 _UNDEF_ACTION = ("DO_ACTIONS { ACTIONS.work }", "DO_ACTIONS { ACTIONS.nope }")
 _BAD_INITIAL = ("TYPE { boolean } INITIAL { false }", "TYPE { boolean } INITIAL { 3 }")
 
