@@ -7,6 +7,8 @@ name. These helpers resolve such text against a checked specification.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .checker import ASIP_SCOPE, CheckedSpec
 from .program import Key, qual
 
@@ -20,33 +22,22 @@ def resolve_decl(spec: CheckedSpec, namespace: str, text: str) -> Key:
 
     ``namespace`` is one of "events", "actions", "metrics", "fluents".
     """
-    if "." in text:
-        tier, _, name = text.partition(".")
-        if spec.symbols.lookup(tier, namespace, name) is None:
-            raise NameResolutionError(f"no {namespace[:-1]} named '{text}'")
-        return (tier, name)
-    matches = [
-        (tier, ns, name)
-        for (tier, ns, name) in spec.symbols.decls
-        if ns == namespace and name == text
-    ]
-    if not matches:
-        raise NameResolutionError(f"no {namespace[:-1]} named '{text}'")
-    if len(matches) > 1:
-        options = ", ".join(f"{m[0]}.{m[2]}" for m in matches)
-        raise NameResolutionError(f"'{text}' is ambiguous; qualify it: {options}")
-    return (matches[0][0], matches[0][2])
+    program = spec.program
+    table = program.fluent_slot if namespace == "fluents" else getattr(program, namespace)
+    return _resolve(table, namespace[:-1], text)
 
 
 def resolve_message(spec: CheckedSpec, text: str) -> Key:
-    return _resolve_scoped(spec.symbols.messages, "message", text)
+    return _resolve(spec.symbols.messages, "message", text)
 
 
 def resolve_channel(spec: CheckedSpec, text: str) -> Key:
-    return _resolve_scoped(spec.symbols.channels, "channel", text)
+    return _resolve(spec.symbols.channels, "channel", text)
 
 
-def _resolve_scoped(table: dict[Key, object], kind: str, text: str) -> Key:
+def _resolve(table: Mapping[Key, object], kind: str, text: str) -> Key:
+    """The key of ``table`` that ``text`` names: a dictionary lookup when it
+    is qualified, else the one key with that bare name."""
     if "." in text:
         scope, _, name = text.partition(".")
         if (scope, name) not in table:

@@ -35,7 +35,9 @@ Four facts keep the stored graph small and cheap to build:
   them, and each state's edges are appended in label order (``env`` is
   sorted by label; a non-quiescent state has one ``proc`` edge). So ids are
   BFS order, adjacency is label ordered, and the edge that found a state is
-  its BFS-tree parent: ``Lts.succ`` and ``Lts.parent`` are the whole graph.
+  its first in-edge in (source id, edge) order, which leaves a
+  lower-numbered state. ``Lts.succ`` alone is the whole graph; the BFS tree
+  is read back from it where a counterexample needs it.
 * Slots and tuples. A ``RuntimeState`` keeps fluents, metrics and channels
   in lists indexed by the slots of the spec's ``Program``, and a
   ``StateVector`` in tuples with the same indices. ``StateVector`` is a
@@ -144,15 +146,14 @@ class Lts:
     """Explicit labeled transition system; state 0 is initial.
 
     ``succ[s]`` holds the (edge label, target) pairs leaving state ``s`` in
-    label order; ``parent[s]`` is the (source, edge label) that discovered
-    ``s``, and ``None`` for the initial state. ``cut`` holds the states
-    whose expansion a bound stopped; it is empty on a complete graph.
+    label order; it is the whole graph, and the first in-edge of a state is
+    the one that discovered it. ``cut`` holds the states whose expansion a
+    bound stopped; it is empty on a complete graph.
     """
 
     program: Program
     states: list[StateVector]
     succ: list[list[tuple[str, int]]]
-    parent: list[tuple[int, str] | None]
     cut: frozenset[int]
     env: tuple[EnvStimulus, ...]
 
@@ -278,7 +279,6 @@ def build_lts(
     has_real = any(metric.value_type is ValueType.REAL for metric in program.metrics.values())
     states: list[StateVector] = [intern(Layout.vector(runtime.init()))]
     succ: list[list[tuple[str, int]]] = [[]]
-    parent: list[tuple[int, str] | None] = [None]
     key = states[0]
     index: dict[StateVector | tuple[StateVector, tuple[str, ...]], int] = {
         (key, tuple(map(repr, key.metrics))) if has_real else key: 0
@@ -310,7 +310,6 @@ def build_lts(
                 dst = index[(key, seen[1]) if has_real else key] = len(states)
                 states.append(key)
                 succ.append([])
-                parent.append((state_id, label))
             adjacency.append((label, dst))
         state_id += 1
         if state_id == level_end:
@@ -323,7 +322,6 @@ def build_lts(
         program=program,
         states=states,
         succ=succ,
-        parent=parent,
         cut=frozenset(cut),
         env=env,
     )

@@ -26,10 +26,11 @@ deterministic, a counterexample whose violating state is followed by a chain
 of ``proc`` successors that repeats a state before reaching a quiescent one
 is one of these; its kind is ``livelock`` and ``explain`` says so.
 
-Every shape visits states in id order and builds its stems from
-``Lts.parent``: ``build_lts`` numbers states in breadth-first order and
-records the edge that discovered each one, and adjacency is label ordered,
-so these stems are the shortest, lexicographically least paths.
+Every shape visits states in id order and reads its stems from the edges:
+``build_lts`` numbers states in breadth-first order and keeps adjacency
+label ordered, so the edge that discovered a state is its first in-edge
+from the lower-numbered states, and following those edges back gives the
+shortest, lexicographically least paths.
 """
 
 from __future__ import annotations
@@ -139,7 +140,19 @@ class _Checker:
     # -- shared machinery ---------------------------------------------------
 
     def path_to(self, target: int) -> tuple[tuple[str, int], ...]:
-        return _path(self.lts.parent, 0, target)
+        """The BFS-tree path from the initial state to ``target``. It scans
+        the edges of states ``0`` to ``target - 1`` in order and keeps each
+        state's first in-edge, the one that discovered it; once ``target``
+        has its edge, so have all of its ancestors, which are numbered lower."""
+        parent: dict[int, tuple[int, str]] = {}
+        succ = self.lts.succ
+        for src in range(target):
+            for label, dst in succ[src]:
+                if dst not in parent:
+                    parent[dst] = (src, label)
+            if target in parent:
+                break
+        return _path(parent, 0, target)
 
     def truth(self, prop: Prop) -> list[bool]:
         """Whether ``prop`` holds at each state, indexed by state id. It is
@@ -315,7 +328,7 @@ class _Checker:
 
 
 def _path(
-    parent: dict[int, tuple[int, str]] | list[tuple[int, str] | None], anchor: int, target: int
+    parent: dict[int, tuple[int, str]], anchor: int, target: int
 ) -> tuple[tuple[str, int], ...]:
     """Edge steps from ``anchor`` to ``target``, following the (parent, edge
     label) entries of a BFS rooted at ``anchor`` back from ``target``."""
@@ -400,15 +413,13 @@ def _cycles_and_escapes(lts: Lts, region: list[bool], roots: list[int]) -> tuple
 # Rendering and replay
 
 
-def explain(
-    spec: CheckedSpec, lts: Lts, verdict: Verdict, scenario_name: str = "counterexample"
-) -> tuple[str, Scenario]:
+def explain(spec: CheckedSpec, lts: Lts, verdict: Verdict) -> tuple[str, Scenario]:
     """Human-readable step list plus a scenario reproducing the violation.
 
     Stimulus edges become scenario steps, one tick apart where the path
     advanced the clock; processing edges are the runtime's own drain and need
     no steps. The scenario halts right after the stem, at the loop entry for
-    lassos.
+    lassos. ``spec`` is not read; callers pass it by position.
     """
     if verdict.result != VIOLATED or verdict.counterexample is None:
         raise ValueError("explain needs a Violated verdict")
@@ -441,7 +452,7 @@ def explain(
         elif stimulus is not None:
             steps.append((tick, stimulus))
     steps.append((tick + 1, Halt()))
-    return "\n".join(lines) + "\n", Scenario(scenario_name, tuple(steps))
+    return "\n".join(lines) + "\n", Scenario("counterexample", tuple(steps))
 
 
 def _state_line(lts: Lts, state_id: int) -> str:

@@ -155,18 +155,6 @@ class TemporalProperty:
     q: Prop | None
     text: str
 
-    def render(self) -> str:
-        if self.shape == G_SHAPE:
-            return f"G {self.p.render()}"
-        if self.shape == F_SHAPE:
-            return f"F {self.p.render()}"
-        assert self.q is not None
-        if self.shape == RESPONSE_SHAPE:
-            return f"G ({self.p.render()} -> F {self.q.render()})"
-        if self.shape == NEXT_SHAPE:
-            return f"G ({self.p.render()} -> X {self.q.render()})"
-        return f"{self.p.render()} U {self.q.render()}"
-
 
 # Internal parse tree before shape classification.
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_literals_of_the_spec_syntax_are_read(spec):
         with pytest.raises(ScenarioError, match="not a literal of type"):
             parse_value(text, value_type)
     prop = parse_property('G ((metric unit.r != 1.5) | (metric unit.t = "a"))', spec)
-    assert prop.render() == "G ((metric unit.r != 1.5) OR (metric unit.t = \"a\"))"
+    assert prop.p.render() == "((metric unit.r != 1.5) OR (metric unit.t = \"a\"))"
 
 
 def test_text_value_with_spaces_reads_back(spec):

@@ -37,7 +37,7 @@ from asslkit.runtime import Runtime, parse_scenario
 from asslkit.runtime.scenario import InjectEvent
 from asslkit.runtime.state import EventOccurrence, RuntimeState
 from asslkit.verifier import Layout, Lts, StateVector
-from asslkit.verifier.mc import _cycles_and_escapes
+from asslkit.verifier.mc import _Checker, _cycles_and_escapes, _path
 from asslkit.verifier.props import PBin, PNot
 from conftest import README_ENVS, operators_spec_and_scenario
 from oracles import (
@@ -260,7 +260,9 @@ class TestBuildLts:
     def test_ids_are_bfs_order_and_adjacency_is_label_ordered(self):
         """On the missions, the random specs under several bounds, and the
         1-3 worker swarms, ``build_lts`` numbers states in the order of the
-        reference BFS, records its parents, and keeps adjacency sorted."""
+        reference BFS and keeps adjacency sorted, and the stems read from the
+        edges follow the reference BFS tree. Stems are checked on every 97th
+        state and the last, so the test stays one scan per state."""
         graphs = []
         for pkg in all_missions():
             spec = pkg.load()
@@ -291,8 +293,10 @@ class TestBuildLts:
             ]
             order, parent = reference_bfs_tree(edges, 0)
             assert order == list(range(lts.state_count))
-            assert lts.parent == [parent.get(s) for s in order]
             assert all(adjacency == sorted(adjacency) for adjacency in lts.succ)
+            checker = _Checker(lts)
+            for target in {*range(0, lts.state_count, 97), lts.state_count - 1}:
+                assert checker.path_to(target) == _path(parent, 0, target)
 
     def test_states_outside_cut_have_the_oracle_successors(self):
         """Under every bound, a state outside ``cut`` has exactly the
@@ -865,17 +869,17 @@ def _outcome(spec, lts, verdict):
 
 def _hand_built_lts(program, states, edges) -> Lts:
     """A complete graph over hand-written (source, label, target) edges, with
-    label-ordered adjacency and the parents of ``reference_bfs_tree``. Its ids
-    need not be BFS order, which changes stems but no verdict."""
+    label-ordered adjacency. Stems follow each state's first in-edge in
+    (source id, label) order back to state 0, so they assume that edge is the
+    one a BFS from state 0 finds the state by, as it is with BFS-ordered ids;
+    the graphs built here satisfy that."""
     succ = [[] for _ in states]
     for src, label, dst in sorted(edges):
         succ[src].append((label, dst))
-    _order, parent = reference_bfs_tree(edges)
     return Lts(
         program=program,
         states=states,
         succ=succ,
-        parent=[parent.get(s) for s in range(len(states))],
         cut=frozenset(),
         env=(),
     )
@@ -985,7 +989,7 @@ class TestSharedWork:
             frozenset({f"metric:unit.held={text}"})
             for text in ("true", "1", "1.0", "0.0", "-0.0", "1", "true")
         ]
-        assert lts.succ[0] == [] and lts.parent[0] is None
+        assert lts.succ[0] == []
 
     def test_states_share_no_label_of_equal_but_differently_rendered_reals(self, operators_spec):
         # Two states differ in the pending queue and hold 0.0 and -0.0 in one
@@ -1130,7 +1134,6 @@ class TestCyclesAndEscapes:
                 program=toggle_spec.program,
                 states=[StateVector((False,), (True,), (), (), (), None)] * count,
                 succ=succ,
-                parent=[None] * count,
                 cut=frozenset(range(count)) - expanded,
                 env=(),
             )
