@@ -66,7 +66,7 @@ def pretty_print(tree: SpecificationTree) -> str:
 
 
 def format_policy(policy: PolicyDecl) -> str:
-    """Render one policy declaration, used for declaration-level comparison."""
+    """Render one policy declaration as source text."""
     return _format(policy)
 
 

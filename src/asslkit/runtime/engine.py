@@ -14,7 +14,7 @@ and timers may be given as tuples, as the verifier gives the parts of the
 state vector a move starts from. A part given as a tuple is copied into a
 list where the runtime first writes it: a fluent flip, a metric
 assignment, a send's append (the channel list and the one queue), a
-delivery's queue replacement, a timer re-arm. So a move leaves every part
+tick's emptied channels, a timer re-arm. So a move leaves every part
 it does not write the caller's own object, and only these five sites know
 what a move writes. ``init`` builds lists, which are written in place.
 
@@ -49,7 +49,7 @@ open:
   ONERR_TRIGGERS), like a Fail statement or a failing callee.
 * Time is an integer tick. Scenario stimuli apply at quiescent states, one
   at a time, with the pending queue drained in between. Advancing the clock
-  delivers queued channel messages to their receiving elements and fires due
+  delivers every queued channel message to its receiver and fires due
   ELAPSED activations, which re-arm for their declared period. Element order
   within those phases follows a per-tick shuffle seeded from (seed, tick);
   ``seed=None`` uses declaration order instead, which the verifier and
@@ -378,22 +378,18 @@ class Runtime:
         pending = state.pending
         for elem in order:
             for channel in busy:
-                queue = channels[channel]
-                remaining: list[Key] = []
-                for message in queue:
-                    if receiver_of[message] != elem:
-                        remaining.append(message)
-                        continue
-                    if trace is not None:
-                        trace.append(
-                            tick, MESSAGE_RECEIVED, names[message],
-                            f"by {elem} over {names[program.channel_keys[channel]]}",
-                        )
-                    pending.extend(received_subs.get(message, ()))
-                if len(remaining) != len(queue):
-                    if type(channels) is tuple:
-                        channels = state.channels = list(channels)
-                    channels[channel] = remaining
+                for message in channels[channel]:
+                    if receiver_of[message] == elem:
+                        if trace is not None:
+                            trace.append(
+                                tick, MESSAGE_RECEIVED, names[message],
+                                f"by {elem} over {names[program.channel_keys[channel]]}",
+                            )
+                        pending.extend(received_subs.get(message, ()))
+        if busy and type(channels) is tuple:  # every receiver acted: empty the busy channels
+            channels = state.channels = list(channels)
+        for channel in busy:
+            channels[channel] = []
         for elem in order:
             for slot in program.timers_by_element[elem]:
                 if timers[slot] <= tick:

@@ -642,14 +642,12 @@ def write_suite(suite: TestSuite, out_dir: Path) -> list[Path]:
     return written
 
 
-def run_suite(
-    spec: CheckedSpec, suite: TestSuite, max_ticks: int = 1000
-) -> list[tuple[GeneratedTest, list[str]]]:
+def run_suite(spec: CheckedSpec, suite: TestSuite) -> list[tuple[GeneratedTest, list[str]]]:
     """Run every generated test; the paired list holds assertion failures."""
     runtime = Runtime(spec, seed=0)
     results = []
     for test in suite.tests:
-        trace = runtime.run(test.scenario, max_ticks=max_ticks)
+        trace = runtime.run(test.scenario)
         failures = check_assertions(test.assertions, trace)
         if trace.aborted is not None:
             failures.append(f"run aborted: {trace.aborted}")
@@ -674,7 +672,7 @@ def measure_coverage(
     covered: set[tuple[Key, str]] = set()
     runtime = Runtime(spec, seed=0)
     for test in suite.tests:
-        trace = runtime.run(test.scenario, max_ticks=1000)
+        trace = runtime.run(test.scenario)
         seen = {(kind, subject) for _tick, kind, subject, _detail in trace.rows}
         fired = any(kind == MAPPING_FIRED for kind, _subject in seen)
         for action, choice in test.path.branches:

@@ -27,7 +27,9 @@ through the graph realizable by a scenario, which keeps counterexamples
 replayable. Exploration is serial and breadth first, with environment
 stimuli in canonical (rendered) order, so state numbering, edge order, and
 every downstream verdict are a function of the specification, environment,
-and bounds alone.
+and bounds alone. When the state bound is hit, the state being expanded
+finishes its moves, keeping its edges to stored states but no new state,
+and is cut with every later state: exploration stops there.
 
 Four facts keep the stored graph small and cheap to build:
 
@@ -230,7 +232,9 @@ def build_lts(
     ``states`` is the queue, expanded in id order. Hitting any bound cuts
     exploration short rather than failing; the states whose expansion was
     stopped go into ``cut``, so the checker never mistakes them for dead
-    ends.
+    ends. A move that finds a new state once ``max_states`` are stored drops
+    it; the state being expanded finishes its other moves and is cut with
+    every later state. Only the depth bound works by BFS level.
 
     Exploration is serial. ``jobs`` is accepted for existing callers and
     must be 1: a thread pool over the frontier only added cost under the
@@ -284,9 +288,9 @@ def build_lts(
         (key, tuple(map(repr, key.metrics))) if has_real else key: 0
     }
     cut: set[int] = set()
-    max_depth = bounds.max_depth
+    full = False
     state_id, level_end, depth = 0, 1, 0
-    while state_id < len(states) and depth <= max_depth:
+    while state_id < len(states) and depth <= bounds.max_depth:
         vec = states[state_id]
         adjacency = succ[state_id]
         for label, stimulus in proc_moves[vec.pending[0]] if vec.pending else moves:
@@ -303,19 +307,20 @@ def build_lts(
             dst = index.get(seen)
             if dst is None:
                 if len(states) >= bounds.max_states:
-                    cut.add(state_id)
-                    max_depth = depth  # finish this level, then stop
+                    full = True  # finish this state's moves, then stop
                     continue
                 key = intern(key)
                 dst = index[(key, seen[1]) if has_real else key] = len(states)
                 states.append(key)
                 succ.append([])
             adjacency.append((label, dst))
+        if full:
+            break
         state_id += 1
         if state_id == level_end:
             depth += 1
             level_end = len(states)
-    # what is left of the queue was never expanded
+    # what is left of the queue was never expanded, or stopped by the state bound
     cut.update(range(state_id, len(states)))
 
     return Lts(

@@ -629,6 +629,29 @@ class TestAdvanceTick:
             scenario, run_seed = random_scenario(spec, rng)
             self.assert_same(spec, scenario, run_seed)
 
+    def test_a_tick_empties_every_channel(self, mission_pairs, monkeypatch):
+        """Every queued message's receiver acts in the tick, so no message
+        outlives a tick: on every mission scenario and a wide swarm run."""
+        advance_tick = Runtime.advance_tick
+        delivered = 0
+
+        def checking(self, state):
+            nonlocal delivered
+            delivered += sum(map(len, state.channels))
+            advance_tick(self, state)
+            assert not any(state.channels), (state.tick, state.channels)
+
+        monkeypatch.setattr(Runtime, "advance_tick", checking)
+        for pkg, spec in mission_pairs:
+            for path in pkg.scenario_paths():
+                for seed in (0, 1, None):
+                    Runtime(spec, seed=seed).run(pkg.scenario(path.stem, spec))
+        swarm = check_all(parse_text(swarm_source(40)))
+        wide = parse_scenario(wide_text(random.Random(7), 40, 60), swarm, "wide")
+        for seed in (0, None):
+            Runtime(swarm, seed=seed).run(wide)
+        assert delivered > 0
+
     def test_idle_swarm_draws_no_order(self, monkeypatch):
         spec = check_all(parse_text(swarm_source(40)))
         drawn: list[int] = []

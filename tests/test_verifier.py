@@ -208,6 +208,33 @@ class TestBuildLts:
         assert lts.truncated
         assert lts.state_count <= 3
 
+    def test_state_bound_stops_within_one_state(self, monkeypatch):
+        """Once ``max_states`` are stored, only the rest of the state being
+        expanded runs. On a 100-worker swarm, whose quiescent states have 201
+        moves each, a 1,000-state bound runs at most 1.2 moves per stored
+        state; finishing the whole BFS level ran 20.4."""
+        spec = check_all(parse_text(swarm_source(100)))
+        moves = 0
+        apply_stimulus, step = Runtime.apply_stimulus, Runtime.step
+
+        def counting_apply(self, state, stimulus):
+            nonlocal moves
+            moves += 1
+            apply_stimulus(self, state, stimulus)
+
+        def counting_step(self, state):
+            nonlocal moves
+            moves += 1
+            return step(self, state)
+
+        monkeypatch.setattr(Runtime, "apply_stimulus", counting_apply)
+        monkeypatch.setattr(Runtime, "step", counting_step)
+        lts = build_lts(spec, env=swarm_env(spec, 100), bounds=Bounds(max_states=1000))
+        assert lts.state_count == 1000
+        assert moves <= 1.2 * lts.state_count, moves
+        # the state that hit the bound and every later one are cut
+        assert lts.cut == frozenset(range(min(lts.cut), lts.state_count))
+
     def test_truncation_by_depth_bound(self, toggle_spec):
         lts = build_lts(toggle_spec, bounds=Bounds(max_depth=1))
         assert lts.truncated
