@@ -1,15 +1,30 @@
 """Checking temporal properties over a bounded LTS.
 
-Safety (``G p``) reduces to reachability of a ``!p`` state; the
-counterexample is the shortest, lexicographically least path there.
-Eventuality, response and until shapes reduce to finding a maximal path that
-avoids the obligation forever: either a cycle (a lasso) or a genuine dead end
-inside the avoiding region. A region is a ``list[bool]`` by state id, built
-from the per-state truth of ``p`` and ``q``. One SCC pass over the part of
-it that the candidate anchors reach (``_cycles_and_escapes``) flags the
-states on a cycle inside it and the states that reach, inside it, a cyclic
-state or a dead end; then a BFS inside the region from the first escaping
-anchor finds the counterexample's target.
+Each shape's negation is an obligation read against the graph, as in the
+automata-theoretic approach (Vardi & Wolper, LICS 1986), with one row of
+``_OBLIGATIONS`` per shape:
+
+    shape         anchors       stay     bad       one step
+    G p           every state   -        !p        no
+    F p           state 0       !p       -         no
+    G (p -> F q)  the p states  !q       -         no
+    G (p -> X q)  the p states  -        !q        yes
+    p U q         state 0       p & !q   !p & !q   no
+
+An obligation starts at an anchor and lasts while the path stays in the
+region ``stay``. Reaching a ``bad`` state breaks it, and so does staying in
+the region for good: a cycle inside it (a lasso) or a genuine dead end in
+it. A one-step obligation breaks at the anchor's own dead end or on an edge
+from the anchor into ``bad``.
+
+``check`` looks for the finite witnesses first, anchor by anchor in id
+order: a ``bad`` anchor, else the first edge into ``bad`` that a BFS inside
+the region from the anchor meets. Then for the infinite ones, one SCC pass
+over the part of the region that the anchors reach (``_cycles_and_escapes``)
+flags the states on a cycle inside it and the states that reach, inside it,
+a cyclic state or a dead end; a BFS inside the region from the first
+escaping anchor finds the target. Regions are ``list[bool]`` by state id,
+worked out once per observation (see ``Lts.observations``).
 
 On a truncated LTS a would-be Holds verdict downgrades to Inconclusive,
 because the cut frontier could still hide a violation; Violated verdicts
@@ -26,17 +41,18 @@ deterministic, a counterexample whose violating state is followed by a chain
 of ``proc`` successors that repeats a state before reaching a quiescent one
 is one of these; its kind is ``livelock`` and ``explain`` says so.
 
-Every shape visits states in id order and reads its stems from the edges:
-``build_lts`` numbers states in breadth-first order and keeps adjacency
-label ordered, so the edge that discovered a state is its first in-edge
-from the lower-numbered states, and following those edges back gives the
-shortest, lexicographically least paths.
+Stems are read from the edges: ``build_lts`` numbers states in breadth-first
+order and keeps adjacency label ordered, so the edge that discovered a state
+is its first in-edge from the lower-numbered states. Following those edges
+back gives the shortest, lexicographically least path to the anchor; past
+the anchor, a stem is shortest inside the region, not in the whole graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..checker import CheckedSpec
 from ..names import qual
@@ -49,7 +65,6 @@ from .props import (
     NEXT_SHAPE,
     RESPONSE_SHAPE,
     UNTIL_SHAPE,
-    Prop,
     TemporalProperty,
     eval_prop,
 )
@@ -89,27 +104,112 @@ class Verdict:
     note: str = ""
 
 
+class _Obligation(NamedTuple):
+    """One shape's negation, read as the module text says."""
+
+    # from the observation id of each state and the truth of p per observation
+    anchors: Callable[[list[int], list[bool]], Sequence[int]]
+    # from the truth of p and q at a state (q is p for the one-operand shapes)
+    stay: Callable[[bool, bool], bool] | None
+    bad: Callable[[bool, bool], bool] | None
+    one_step: bool
+    # failing-atom texts of a witness at an anchor, on an edge into ``bad``
+    # and for good; ``{p}`` and ``{q}`` are rendered for the witness found
+    texts: tuple[str, str, str]
+
+
+def _p_states(ids: list[int], p: list[bool]) -> Sequence[int]:
+    return [state for state, obs in enumerate(ids) if p[obs]]
+
+
+_OBLIGATIONS = {
+    G_SHAPE: _Obligation(
+        lambda ids, p: range(len(ids)), None, lambda p, q: not p, False,
+        ("{p} is false", "", ""),
+    ),
+    F_SHAPE: _Obligation(
+        lambda ids, p: [0], lambda p, q: not p, None, False,
+        ("", "", "{p} never holds on this path"),
+    ),
+    RESPONSE_SHAPE: _Obligation(
+        _p_states, lambda p, q: not q, None, False,
+        ("", "", "{p} holds but {q} never follows"),
+    ),
+    NEXT_SHAPE: _Obligation(
+        _p_states, None, lambda p, q: not q, True,
+        ("{p} holds at a state with no successor", "{q} is false at the next state", ""),
+    ),
+    UNTIL_SHAPE: _Obligation(
+        lambda ids, p: [0], lambda p, q: p and not q, lambda p, q: not p and not q, False,
+        (
+            "neither {p} nor {q} holds initially",
+            "{p} fails before {q} held",
+            "{q} never holds while {p} persists",
+        ),
+    ),
+}
+
+
 def check(lts: Lts, prop: TemporalProperty) -> Verdict:
-    """Deterministic verdict for one property over one LTS."""
+    """Deterministic verdict for one property over one LTS, from the first
+    witness against its obligation in the order the module text gives."""
+    row = _OBLIGATIONS[prop.shape]
     checker = _Checker(lts)
-    if prop.shape == G_SHAPE:
-        verdict = checker.check_safety(prop)
-    elif prop.shape == F_SHAPE:
-        verdict = checker.check_eventually(prop)
-    elif prop.shape == RESPONSE_SHAPE:
-        verdict = checker.check_response(prop)
-    elif prop.shape == NEXT_SHAPE:
-        verdict = checker.check_next(prop)
-    else:
-        assert prop.shape == UNTIL_SHAPE
-        verdict = checker.check_until(prop)
-    cex = verdict.counterexample
-    if cex is not None:
+    ids, vectors = lts.observations
+    p = [eval_prop(prop.p, vec, lts.program) for vec in vectors]
+    q = p if prop.q is None else [eval_prop(prop.q, vec, lts.program) for vec in vectors]
+
+    def per_state(rule: Callable[[bool, bool], bool]) -> list[bool]:
+        per_observation = [rule(x, y) for x, y in zip(p, q)]
+        return [per_observation[obs] for obs in ids]
+
+    def violated(kind: str, stem, loop, text: str) -> Verdict:
+        atom = text.format(p=prop.p.render(), q=prop.q.render() if prop.q else "")
+        cex = Counterexample(kind, stem, loop, atom)
         cycle = _livelock_cycle(lts, cex.violating_state)
         if cycle:
             cex = replace(cex, kind="livelock", livelock=cycle)
-            verdict = replace(verdict, counterexample=cex)
-    return verdict
+        return Verdict(VIOLATED, prop, cex)
+
+    anchors = row.anchors(ids, p)
+    stay = per_state(row.stay) if row.stay else None
+    bad = per_state(row.bad) if row.bad else None
+    at_anchor, on_edge, for_good = row.texts
+    if bad is not None:
+        for anchor in anchors:
+            if row.one_step:
+                if checker.is_dead_end(anchor):
+                    return violated("deadend", checker.path_to(anchor), (), at_anchor)
+                parent, order = {}, [anchor]
+            elif bad[anchor]:
+                return violated("safety", checker.path_to(anchor), (), at_anchor)
+            elif stay is not None and stay[anchor]:
+                parent, order = checker.region_bfs(anchor, stay)
+            else:
+                continue
+            for src in order:
+                for label, dst in lts.succ[src]:
+                    if bad[dst]:
+                        stem = checker.path_to(anchor) + _path(parent, anchor, src)
+                        kind = "next" if row.one_step else "safety"
+                        return violated(kind, stem + ((label, dst),), (), on_edge)
+    if stay is not None:
+        roots = [anchor for anchor in anchors if stay[anchor]]
+        cyclic, escape = _cycles_and_escapes(lts, stay, roots)
+        for anchor in roots:
+            if not escape[anchor]:
+                continue
+            parent, order = checker.region_bfs(anchor, stay)
+            target = next(s for s in order if cyclic[s] or checker.is_dead_end(s))
+            stem = checker.path_to(anchor) + _path(parent, anchor, target)
+            if not cyclic[target]:
+                return violated("deadend", stem, (), for_good)
+            return violated("lasso", stem, checker.loop_from(target, stay), for_good)
+    if lts.truncated:
+        return Verdict(
+            INCONCLUSIVE, prop, note="state space truncated by bounds; raise them to decide"
+        )
+    return Verdict(HOLDS, prop)
 
 
 def _livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
@@ -135,9 +235,6 @@ def _livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
 class _Checker:
     def __init__(self, lts: Lts) -> None:
         self.lts = lts
-        self.order = range(lts.state_count)
-
-    # -- shared machinery ---------------------------------------------------
 
     def path_to(self, target: int) -> tuple[tuple[str, int], ...]:
         """The BFS-tree path from the initial state to ``target``. It scans
@@ -154,40 +251,19 @@ class _Checker:
                 break
         return _path(parent, 0, target)
 
-    def truth(self, prop: Prop) -> list[bool]:
-        """Whether ``prop`` holds at each state, indexed by state id. It is
-        evaluated once per observation (see ``Lts.observations``)."""
-        ids, vectors = self.lts.observations
-        program = self.lts.program
-        per_observation = [eval_prop(prop, vec, program) for vec in vectors]
-        return [per_observation[obs] for obs in ids]
-
     def is_dead_end(self, state: int) -> bool:
         return state not in self.lts.cut and not self.lts.succ[state]
-
-    def inconclusive_or_holds(self, prop: TemporalProperty) -> Verdict:
-        if self.lts.truncated:
-            return Verdict(
-                INCONCLUSIVE, prop,
-                note="state space truncated by bounds; raise them to decide",
-            )
-        return Verdict(HOLDS, prop)
 
     def region_bfs(self, start: int, region: list[bool]) -> tuple[dict[int, tuple[int, str]], list[int]]:
         """BFS from ``start``, a state of ``region``, restricted to the
         region; returns parents and visit order."""
         parent: dict[int, tuple[int, str]] = {}
-        order: list[int] = []
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            src = queue.popleft()
-            order.append(src)
+        order = [start]
+        for src in order:  # ``order`` grows as it is read, a FIFO queue
             for label, dst in self.lts.succ[src]:
-                if region[dst] and dst not in seen:
-                    seen.add(dst)
+                if region[dst] and dst != start and dst not in parent:
                     parent[dst] = (src, label)
-                    queue.append(dst)
+                    order.append(dst)
         return parent, order
 
     def loop_from(self, entry: int, region: list[bool]) -> tuple[tuple[str, int], ...]:
@@ -205,126 +281,6 @@ class _Checker:
                 break  # successors are label-sorted; first closing edge is least
         assert best is not None, "loop_from called on a non-cyclic entry"
         return best
-
-    def check_avoidance(
-        self, prop: TemporalProperty, anchors: list[int], region: list[bool],
-        failing_atom: str,
-    ) -> Verdict:
-        """Violated by a maximal path that reaches an anchor and stays in
-        ``region`` from there on, if there is one.
-
-        ``anchors`` are candidate states of the region in BFS order. The
-        first one that escapes (see ``_cycles_and_escapes``) anchors the
-        counterexample, and the continuation is the first cyclic state or
-        dead end that a BFS inside the region from it meets.
-        """
-        cyclic, escape = _cycles_and_escapes(self.lts, region, anchors)
-        for anchor in anchors:
-            if not escape[anchor]:
-                continue
-            parent, order = self.region_bfs(anchor, region)
-            target = next(s for s in order if cyclic[s] or self.is_dead_end(s))
-            stem = self.path_to(anchor) + _path(parent, anchor, target)
-            if not cyclic[target]:
-                return Verdict(
-                    VIOLATED, prop,
-                    Counterexample("deadend", stem, (), failing_atom),
-                )
-            loop = self.loop_from(target, region)
-            return Verdict(
-                VIOLATED, prop,
-                Counterexample("lasso", stem, loop, failing_atom),
-            )
-        return self.inconclusive_or_holds(prop)
-
-    # -- the five shapes -------------------------------------------------------
-
-    def check_safety(self, prop: TemporalProperty) -> Verdict:
-        p = self.truth(prop.p)
-        for state in self.order:
-            if not p[state]:
-                return Verdict(
-                    VIOLATED, prop,
-                    Counterexample(
-                        "safety", self.path_to(state), (), f"{prop.p.render()} is false"
-                    ),
-                )
-        return self.inconclusive_or_holds(prop)
-
-    def check_eventually(self, prop: TemporalProperty) -> Verdict:
-        p = self.truth(prop.p)
-        if p[0]:
-            return self.inconclusive_or_holds(prop)
-        return self.check_avoidance(
-            prop, [0], [not x for x in p],
-            f"{prop.p.render()} never holds on this path",
-        )
-
-    def check_response(self, prop: TemporalProperty) -> Verdict:
-        p, q = self.truth(prop.p), self.truth(prop.q)
-        return self.check_avoidance(
-            prop, [s for s in self.order if p[s] and not q[s]], [not x for x in q],
-            f"{prop.p.render()} holds but {prop.q.render()} never follows",
-        )
-
-    def check_next(self, prop: TemporalProperty) -> Verdict:
-        p, q = self.truth(prop.p), self.truth(prop.q)
-        for state in self.order:
-            if not p[state]:
-                continue
-            if self.is_dead_end(state):
-                return Verdict(
-                    VIOLATED, prop,
-                    Counterexample(
-                        "deadend", self.path_to(state), (),
-                        f"{prop.p.render()} holds at a state with no successor",
-                    ),
-                )
-            for label, dst in self.lts.succ[state]:
-                if not q[dst]:
-                    stem = self.path_to(state) + ((label, dst),)
-                    return Verdict(
-                        VIOLATED, prop,
-                        Counterexample(
-                            "next", stem, (),
-                            f"{prop.q.render()} is false at the next state",
-                        ),
-                    )
-        return self.inconclusive_or_holds(prop)
-
-    def check_until(self, prop: TemporalProperty) -> Verdict:
-        p, q = self.truth(prop.p), self.truth(prop.q)
-        if q[0]:
-            return self.inconclusive_or_holds(prop)
-        if not p[0]:
-            return Verdict(
-                VIOLATED, prop,
-                Counterexample(
-                    "safety", (), (),
-                    f"neither {prop.p.render()} nor {prop.q.render()} holds initially",
-                ),
-            )
-        # walk the !q region from the initial state, only through p-states
-        walkable = [x and not y for x, y in zip(p, q)]
-        parent, order = self.region_bfs(0, walkable)
-        # (a) a !p & !q state reachable through p & !q states
-        for src in order:
-            for label, dst in self.lts.succ[src]:
-                if not q[dst] and not p[dst]:
-                    stem = _path(parent, 0, src) + ((label, dst),)
-                    return Verdict(
-                        VIOLATED, prop,
-                        Counterexample(
-                            "safety", stem, (),
-                            f"{prop.p.render()} fails before {prop.q.render()} held",
-                        ),
-                    )
-        # (b) p & !q forever. Every state of ``order`` is reachable from state
-        # 0 inside the region, so state 0 escapes if any of them does.
-        return self.check_avoidance(
-            prop, [0], walkable,
-            f"{prop.q.render()} never holds while {prop.p.render()} persists",
-        )
 
 
 def _path(

@@ -169,6 +169,17 @@ class _Until:
     right: object
 
 
+@dataclass(frozen=True)
+class _Implies:
+    """``left -> right`` with a temporal ``right``, kept for classification."""
+
+    left: object
+    right: object
+
+
+_TEMPORAL = (_Temporal, _Until, _Implies)
+
+
 def parse_property(text: str, spec: CheckedSpec) -> TemporalProperty:
     """Parse and shape-check one property line against a specification."""
     tokens = _scan(text)
@@ -193,7 +204,7 @@ def parse_property_file(text: str, spec: CheckedSpec) -> list[TemporalProperty]:
 
 def _classify(tree: object, text: str) -> TemporalProperty:
     def propositional(node: object, what: str) -> Prop:
-        if isinstance(node, (_Temporal, _Until)):
+        if isinstance(node, _TEMPORAL):
             raise PropertyError(
                 f"unsupported formula shape (nested temporal operator in {what});"
                 f" supported: {_SHAPES_HELP}"
@@ -211,7 +222,7 @@ def _classify(tree: object, text: str) -> TemporalProperty:
         return TemporalProperty(F_SHAPE, propositional(tree.operand, "F"), None, text)
     if isinstance(tree, _Temporal) and tree.op == "G":
         body = tree.operand
-        if isinstance(body, PBin) and body.op == "IMPLIES":
+        if isinstance(body, _Implies):
             consequent = body.right
             if isinstance(consequent, _Temporal) and consequent.op == "F":
                 return TemporalProperty(
@@ -409,7 +420,7 @@ class _PropParser:
 
 
 def _mk_not(operand: object) -> PNot:
-    if isinstance(operand, (_Temporal, _Until)):
+    if isinstance(operand, _TEMPORAL):
         raise PropertyError("negation of temporal formulas is not supported")
     return PNot(operand)  # type: ignore[arg-type]
 
@@ -417,12 +428,12 @@ def _mk_not(operand: object) -> PNot:
 def _mk_bin(op: str, left: object, right: object) -> object:
     # IMPLIES with a temporal consequent survives for shape classification;
     # every other connective must stay propositional.
-    if op == "IMPLIES" and isinstance(right, (_Temporal, _Until)):
-        if isinstance(left, (_Temporal, _Until)):
+    if op == "IMPLIES" and isinstance(right, _TEMPORAL):
+        if isinstance(left, _TEMPORAL):
             raise PropertyError("temporal operators may not appear left of ->")
-        return PBin("IMPLIES", left, right)  # type: ignore[arg-type]
+        return _Implies(left, right)
     for side in (left, right):
-        if isinstance(side, (_Temporal, _Until)):
+        if isinstance(side, _TEMPORAL):
             raise PropertyError(
                 f"unsupported formula shape ({op} over a temporal formula);"
                 f" supported: {_SHAPES_HELP}"

@@ -30,6 +30,7 @@ from asslkit.verifier import (
     replay_counterexample,
     eval_prop,
 )
+from asslkit.cli import main
 from asslkit.missions import all_missions
 from asslkit.names import qual
 from asslkit.parser import MAX_NESTING
@@ -540,6 +541,58 @@ class TestCheck:
         assert verdict.counterexample.kind == "deadend"
         assert exhaustive_check(lts, prop) == "Violated"
 
+    def test_every_shape_matches_the_oracle_on_random_graphs_with_dead_ends(self, toggle_spec):
+        # Built environments leave no expanded state without successors, so
+        # genuine dead ends come from seeded random graphs over the toggle
+        # spec's atoms. Each state has distinct edge labels, as in a built
+        # graph, and the states state 0 reaches are numbered in BFS order.
+        rng = random.Random(28)
+        events = (None, ("unit", "go"), ("unit", "stop"))
+        dead_ends = 0
+        seen: dict[tuple[str, str], int] = {}
+        for _ in range(400):
+            count = rng.randint(1, 10)
+            succ = [
+                [(f"e{j}", rng.randrange(count)) for j in sorted(rng.sample(range(4), k))]
+                for k in (0 if rng.random() < 0.25 else rng.randint(1, 3) for _ in range(count))
+            ]
+            vectors = [
+                StateVector((rng.random() < 0.5,), (rng.random() < 0.5,), (), (), (), rng.choice(events))
+                for _ in range(count)
+            ]
+            number = {0: 0}
+            order = [0]
+            for src in order:
+                for _label, dst in succ[src]:
+                    if dst not in number:
+                        number[dst] = len(order)
+                        order.append(dst)
+            edges = [(number[src], label, number[dst]) for src in order for label, dst in succ[src]]
+            lts = _hand_built_lts(toggle_spec.program, [vectors[s] for s in order], edges)
+            dead_ends += sum(not adjacency for adjacency in lts.succ)
+            for line in random_properties(toggle_spec, rng, 8):
+                prop = parse_property(line, toggle_spec)
+                verdict = check(lts, prop)
+                assert verdict.result == exhaustive_check(lts, prop), line
+                key = (prop.shape, verdict.result)
+                seen[key] = seen.get(key, 0) + 1
+                cex = verdict.counterexample
+                if cex is None:
+                    continue
+                state = 0
+                for step in cex.stem + cex.loop:
+                    assert step in lts.succ[state], line
+                    state = step[1]
+                assert state == cex.violating_state, line
+                assert bool(cex.loop) == (cex.kind == "lasso"), line
+                if cex.kind == "deadend":
+                    assert not lts.succ[state], line
+                seen[("kind", cex.kind)] = seen.get(("kind", cex.kind), 0) + 1
+        assert dead_ends >= 100
+        shapes = ("G", "F", "G->F", "G->X", "U")
+        assert all(seen.get((shape, result)) for shape in shapes for result in (HOLDS, VIOLATED))
+        assert all(seen.get(("kind", kind)) for kind in ("safety", "lasso", "deadend", "next"))
+
     def test_truncated_holds_downgrades_to_inconclusive(self, toggle_spec):
         small = build_lts(toggle_spec, bounds=Bounds(max_states=2))
         assert small.truncated
@@ -797,6 +850,27 @@ class TestPropertyParsing:
         ]:
             with pytest.raises(PropertyError):
                 parse_property(line, toggle_spec)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "F ((fluent busy) -> X (fluent busy))",
+            "G ((fluent busy) & (true -> F (fluent busy)))",
+            "((fluent busy) -> F (fluent busy)) U (fluent busy)",
+            "G (true -> ((fluent busy) -> F (fluent busy)))",
+            "G ((fluent busy) | ((event go) -> X (fluent busy)))",
+        ],
+    )
+    def test_temporal_implication_inside_a_formula_is_rejected(self, toggle_spec, tmp_path, line):
+        # an implication with a temporal consequent is a shape only as the
+        # whole body of G; anywhere else the checker cannot evaluate it
+        with pytest.raises(PropertyError, match=r"^unsupported formula shape"):
+            parse_property(line, toggle_spec)
+        spec = tmp_path / "toggle.assl"
+        spec.write_text(TOGGLE_SPEC)
+        prop = tmp_path / "nested.prop"
+        prop.write_text(line + "\n")
+        assert main(["verify", str(spec), "--prop", str(prop)]) == 2
 
     def test_metric_comparison_atom(self, toggle_spec, operators_spec):
         prop = parse_property("G (metric held = true)", toggle_spec)
