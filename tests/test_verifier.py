@@ -6,7 +6,7 @@ import hashlib
 import json
 import operator
 import random
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -549,7 +549,7 @@ class TestCheck:
         rng = random.Random(28)
         events = (None, ("unit", "go"), ("unit", "stop"))
         dead_ends = 0
-        seen: dict[tuple[str, str], int] = {}
+        seen: Counter[tuple[str, str]] = Counter()
         for _ in range(400):
             count = rng.randint(1, 10)
             succ = [
@@ -574,8 +574,7 @@ class TestCheck:
                 prop = parse_property(line, toggle_spec)
                 verdict = check(lts, prop)
                 assert verdict.result == exhaustive_check(lts, prop), line
-                key = (prop.shape, verdict.result)
-                seen[key] = seen.get(key, 0) + 1
+                seen[(prop.shape, verdict.result)] += 1
                 cex = verdict.counterexample
                 if cex is None:
                     continue
@@ -587,11 +586,11 @@ class TestCheck:
                 assert bool(cex.loop) == (cex.kind == "lasso"), line
                 if cex.kind == "deadend":
                     assert not lts.succ[state], line
-                seen[("kind", cex.kind)] = seen.get(("kind", cex.kind), 0) + 1
+                seen[("kind", cex.kind)] += 1
         assert dead_ends >= 100
         shapes = ("G", "F", "G->F", "G->X", "U")
-        assert all(seen.get((shape, result)) for shape in shapes for result in (HOLDS, VIOLATED))
-        assert all(seen.get(("kind", kind)) for kind in ("safety", "lasso", "deadend", "next"))
+        assert all(seen[(shape, result)] for shape in shapes for result in (HOLDS, VIOLATED))
+        assert all(seen[("kind", kind)] for kind in ("safety", "lasso", "deadend", "next"))
 
     def test_truncated_holds_downgrades_to_inconclusive(self, toggle_spec):
         small = build_lts(toggle_spec, bounds=Bounds(max_states=2))
