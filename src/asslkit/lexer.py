@@ -37,6 +37,16 @@ exact ``tuple`` whose items it does not track, never a subclass; a list of
 Lines and columns are 1-based, one column per character (a tab included).
 They are worked out from the table only when a span is read, for a node, an
 error or a diagnostic; most tokens never need one.
+
+A file repeats few texts many times: the 40-worker swarm has 10,524 tokens
+and 122 distinct texts. So ``tokenize`` reads each distinct text once. The
+first token with a text stores ``(kind, value, text)`` in a per-call dict,
+and every later token with that text takes its kind, value and text string
+from there: equal texts share one string, and REF tokens with equal texts
+share one value tuple. A text fixes its kind and value, because the token
+alternatives exclude one another, so the text fixes the group that matched
+it. The empty text of ``END`` and ``BAD`` is never stored: the first ends
+the loop and the second raises.
 """
 
 from __future__ import annotations
@@ -98,28 +108,34 @@ def tokenize(source: str, file: str = "<input>") -> Tokens:
     add_kind, add_text, add_start, add_value = (
         kinds.append, texts.append, starts.append, values.append
     )
+    # text -> (kind, value, text), for each text read so far
+    seen: dict[str, tuple[TokenKind, object, str]] = {}
     for m in _TOKEN.finditer(source):
         group = m.lastgroup
         text = m[group]
-        if group == "OP":
-            kind, value = PUNCTUATION[text], None
-        elif group == "WORD":
-            kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
-        elif group == "REF":
-            kind, value = TokenKind.REF, tuple(text.split("."))
-        elif group == "INT" or group == "REAL":
-            kind = TokenKind.INT if group == "INT" else TokenKind.REAL
-            try:
-                value = read_number(text, real=group == "REAL")
-            except ValueError as err:
-                raise LexError(str(err), lines.span(m.start(group), len(text))) from None
-        elif group == "TEXT":
-            kind, value = TokenKind.TEXT, text[1:-1]
-        elif group == "END":
-            break
-        else:
-            message, offset, length = _diagnose(source, m.start(group))
-            raise LexError(message, lines.span(offset, length))
+        entry = seen.get(text)
+        if entry is None:
+            if group == "OP":
+                kind, value = PUNCTUATION[text], None
+            elif group == "WORD":
+                kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
+            elif group == "REF":
+                kind, value = TokenKind.REF, tuple(text.split("."))
+            elif group == "INT" or group == "REAL":
+                kind = TokenKind.INT if group == "INT" else TokenKind.REAL
+                try:
+                    value = read_number(text, real=group == "REAL")
+                except ValueError as err:
+                    raise LexError(str(err), lines.span(m.start(group), len(text))) from None
+            elif group == "TEXT":
+                kind, value = TokenKind.TEXT, text[1:-1]
+            elif group == "END":
+                break
+            else:
+                message, offset, length = _diagnose(source, m.start(group))
+                raise LexError(message, lines.span(offset, length))
+            entry = seen[text] = (kind, value, text)
+        kind, value, text = entry
         add_kind(kind)
         add_text(text)
         add_start(m.start(group))

@@ -1,9 +1,14 @@
 """Abstract syntax tree for multi-tier autonomic-system specifications.
 
 All nodes are frozen dataclasses and therefore immutable and shareable across
-threads. Every node carries exactly one :class:`SourceSpan`; spans are
-excluded from equality and hashing so that structural comparison ignores
-where a node came from. Collections are tuples to keep trees hashable.
+threads. A parsed node keeps the :class:`~asslkit.tokens.Tokens` view of its
+file and the position of its first token in it, and works its
+:class:`SourceSpan` out from them each time ``span`` is read, as a ``Token``
+does; the parser builds no span. A node built in memory has no view and reads
+``SYNTHETIC``. The two fields are excluded from equality, hashing and
+``repr``, so that structural comparison ignores where a node came from and a
+node's ``repr`` does not print its file's tokens. Collections are tuples to
+keep trees hashable.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .tokens import SYNTHETIC, SourceSpan
+from .tokens import SYNTHETIC, SourceSpan, Tokens
 
 
 class ValueType(Enum):
@@ -31,9 +36,21 @@ class ValueType(Enum):
 
 @dataclass(frozen=True)
 class Node:
-    """Base of every tree node: its source span, passed by keyword."""
+    """Base of every tree node: the token view it was parsed from and the
+    position of its first token there, passed by keyword.
 
-    span: SourceSpan = field(default=SYNTHETIC, compare=False, kw_only=True)
+    They are two plain fields rather than one pair, which would be one more
+    object per node for the garbage collector to track.
+    """
+
+    lexed: Tokens | None = field(default=None, compare=False, repr=False, kw_only=True)
+    pos: int = field(default=0, compare=False, repr=False, kw_only=True)
+
+    @property
+    def span(self) -> SourceSpan:
+        if self.lexed is None:
+            return SYNTHETIC
+        return self.lexed.span(self.pos)
 
 
 @dataclass(frozen=True)

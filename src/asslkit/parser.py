@@ -134,22 +134,21 @@ def parse_text(source: str, file: str = "<input>") -> SpecificationTree:
 
 class _Parser:
     def __init__(self, tokens: Tokens, file: str) -> None:
-        self.file = file
         # The parser reads the token columns by position; ``peek``,
-        # ``advance`` and ``expect`` return a position, and ``span`` gives
-        # its span. Position ``len(tokens)`` is the end of input: the copied
-        # kind and text columns end in an EOF entry there, so reading at the
-        # cursor needs no bounds check. advance() stays on it; accept() and
-        # expect() are never asked for EOF, so a match is never the end.
-        # Its span is the last token's span, or line 1, column 1 of an
-        # empty file.
+        # ``advance`` and ``expect`` return a position. A node keeps the
+        # view and its first token's position, and an error gets its span
+        # from ``span``. Position ``len(tokens)`` is the end of input: the
+        # copied kind and text columns end in an EOF entry there, so reading
+        # at the cursor needs no bounds check. advance() stays on it;
+        # accept() and expect() are never asked for EOF, so a match is never
+        # the end, and no node starts there. Its span is the last token's
+        # span, or line 1, column 1 of an empty file.
+        self.file = file
+        self.tokens = tokens
         self.kinds = [*tokens.kinds, TokenKind.EOF]
         self.texts = [*tokens.texts, "<end of input>"]
         self.values = tokens.values
-        self.starts = tokens.starts
-        self.lines = tokens.lines
         self._last = len(tokens)
-        self._end_span = tokens[-1].span if tokens else SourceSpan(file, 1, 1, 0)
         self.pos = 0
         self.errors: list[ParseError] = []
         self.nesting = 0
@@ -159,9 +158,9 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def span(self, pos: int) -> SourceSpan:
-        if pos == self._last:
-            return self._end_span
-        return self.lines.span(self.starts[pos], len(self.texts[pos]))
+        if pos < self._last:
+            return self.tokens.span(pos)
+        return self.tokens.span(-1) if self._last else SourceSpan(self.file, 1, 1, 0)
 
     def peek(self) -> int:
         return self.pos
@@ -215,12 +214,9 @@ class _Parser:
         as_tier: AsTier | None = None
         asip: AsipTier | None = None
         aes: list[AeTier] = []
-        first_span: SourceSpan | None = None
 
         while not self.at(TokenKind.EOF):
             tok = self.peek()
-            if first_span is None:
-                first_span = self.span(tok)
             try:
                 if self.kinds[tok] is TokenKind.KW_AS:
                     tier = self._parse_tier(AsTier, AS_SECTIONS, "AS tier")
@@ -229,7 +225,7 @@ class _Parser:
                     as_tier = tier
                 elif self.kinds[tok] is TokenKind.KW_ASIP:
                     self.advance()
-                    block = self._parse_protocol(self.span(tok))
+                    block = self._parse_protocol()
                     if asip is not None:
                         raise ParseError("duplicate ASIP tier", self.span(tok))
                     asip = block
@@ -242,12 +238,13 @@ class _Parser:
                 self._synchronize()
 
         if as_tier is None and not self.errors:
-            self.errors.append(ParseError("specification has no AS tier", self._end_span))
+            self.errors.append(ParseError("specification has no AS tier", self.span(self._last)))
         if self.errors:
             first = self.errors[0]
             raise ParseError(first.message, first.span, self.errors)
         assert as_tier is not None
-        return SpecificationTree(as_tier, asip, tuple(aes), span=first_span or self._end_span)
+        # An AS tier was parsed, so the file has a first token.
+        return SpecificationTree(as_tier, asip, tuple(aes), lexed=self.tokens, pos=0)
 
     def _synchronize(self) -> None:
         """Skip ahead to the next top-level tier keyword at brace depth zero."""
@@ -267,11 +264,13 @@ class _Parser:
     def _parse_tier(self, node: type[Tier], sections: SectionTable, where: str) -> Tier:
         kw = self.advance()
         name = self.texts[self.expect(TokenKind.IDENT, "a tier name")]
-        return node(name, **self._parse_sections(sections, where), span=self.span(kw))
+        return node(name, **self._parse_sections(sections, where), lexed=self.tokens, pos=kw)
 
-    def _parse_protocol(self, span: SourceSpan) -> AsipTier:
+    def _parse_protocol(self) -> AsipTier:
+        """An ASIP or AEIP body, read just after its keyword, where its node starts."""
+        kw = self.pos - 1
         fields = self._parse_sections(PROTOCOL_SECTIONS, "interaction protocol")
-        return AsipTier(**fields, span=span)
+        return AsipTier(**fields, lexed=self.tokens, pos=kw)
 
     def _parse_sections(self, table: SectionTable, where: str) -> dict[str, object]:
         """Read ``{ section* }`` into tier-node fields, each section at most once."""
@@ -285,7 +284,7 @@ class _Parser:
             if field in fields:
                 raise ParseError(f"duplicate {self.texts[tok]} section", self.span(tok))
             self.advance()
-            fields[field] = parse_body(self, self.span(tok))
+            fields[field] = parse_body(self)
         self.expect(TokenKind.RBRACE)
         return fields
 
@@ -320,14 +319,16 @@ class _Parser:
         self.expect(TokenKind.RBRACE)
         return item
 
-    def _parse_friends(self, span: SourceSpan) -> tuple[str, ...]:
+    def _parse_friends(self) -> tuple[str, ...]:
         return self._parse_list(
             lambda: self.texts[self.expect(TokenKind.IDENT, "a tier name")], allow_empty=True
         )
 
     def _parse_slo(self) -> SloDecl:
         name_tok = self.expect(TokenKind.IDENT, "an objective name")
-        return SloDecl(self.texts[name_tok], self.parse_opaque_block(), span=self.span(name_tok))
+        return SloDecl(
+            self.texts[name_tok], self.parse_opaque_block(), lexed=self.tokens, pos=name_tok
+        )
 
     # -- policies ------------------------------------------------------------
 
@@ -343,16 +344,18 @@ class _Parser:
             inner = self.peek()
             if self.kinds[inner] is TokenKind.KW_FLUENT:
                 self.advance()
-                fluents.append(self._parse_fluent(self.span(inner)))
+                fluents.append(self._parse_fluent(inner))
             elif self.kinds[inner] is TokenKind.KW_MAPPING:
                 self.advance()
-                mappings.append(self._parse_mapping(self.span(inner)))
+                mappings.append(self._parse_mapping(inner))
             else:
                 raise self.fail(f"expected FLUENT or MAPPING, found {self.texts[inner]!r}")
         self.expect(TokenKind.RBRACE)
-        return PolicyDecl(self.texts[tok], tuple(fluents), tuple(mappings), span=self.span(tok))
+        return PolicyDecl(
+            self.texts[tok], tuple(fluents), tuple(mappings), lexed=self.tokens, pos=tok
+        )
 
-    def _parse_fluent(self, span: SourceSpan) -> FluentDecl:
+    def _parse_fluent(self, kw: int) -> FluentDecl:
         name = self.texts[self.expect(TokenKind.IDENT, "a fluent name")]
         self.expect(TokenKind.LBRACE)
         self.expect(TokenKind.KW_INITIATED_BY)
@@ -360,25 +363,25 @@ class _Parser:
         self.expect(TokenKind.KW_TERMINATED_BY)
         terminated = self._parse_ref_list(("EVENTS",), "an EVENTS reference", allow_empty=False)
         self.expect(TokenKind.RBRACE)
-        return FluentDecl(name, initiated, terminated, span=span)
+        return FluentDecl(name, initiated, terminated, lexed=self.tokens, pos=kw)
 
-    def _parse_mapping(self, span: SourceSpan) -> MappingDecl:
+    def _parse_mapping(self, kw: int) -> MappingDecl:
         self.expect(TokenKind.LBRACE)
         self.expect(TokenKind.KW_CONDITIONS)
         conditions = self._parse_list(self._parse_condition, allow_empty=False)
         self.expect(TokenKind.KW_DO_ACTIONS)
         actions = self._parse_ref_list(("ACTIONS",), "an ACTIONS reference", allow_empty=False)
         self.expect(TokenKind.RBRACE)
-        return MappingDecl(conditions, actions, span=span)
+        return MappingDecl(conditions, actions, lexed=self.tokens, pos=kw)
 
     def _parse_condition(self) -> Ref:
         tok = self.peek()
         if self.kinds[tok] is TokenKind.IDENT:
             self.advance()
-            return Ref((), self.texts[tok], span=self.span(tok))
+            return Ref((), self.texts[tok], lexed=self.tokens, pos=tok)
         if self.kinds[tok] is TokenKind.REF and self.values[tok][:-1] == ("FLUENTS",):  # type: ignore[index]
             self.advance()
-            return Ref(("FLUENTS",), self.values[tok][-1], span=self.span(tok))  # type: ignore[index]
+            return Ref(("FLUENTS",), self.values[tok][-1], lexed=self.tokens, pos=tok)  # type: ignore[index]
         raise self.fail(f"expected a fluent name, found {self.texts[tok]!r}")
 
     def _parse_ref_list(
@@ -391,7 +394,7 @@ class _Parser:
         if self.kinds[tok] is not TokenKind.REF or self.values[tok][:-1] != space:  # type: ignore[index]
             raise self.fail(f"expected {what}, found {self.texts[tok]!r}")
         self.advance()
-        return Ref(space, self.values[tok][-1], span=self.span(tok))  # type: ignore[index]
+        return Ref(space, self.values[tok][-1], lexed=self.tokens, pos=tok)  # type: ignore[index]
 
     # -- events ---------------------------------------------------------------
 
@@ -423,7 +426,7 @@ class _Parser:
         self.expect(TokenKind.RBRACE)
         return EventDecl(
             self.texts[name_tok], guard=guard, activation=tuple(clauses),
-            injectable=injectable, span=self.span(name_tok),
+            injectable=injectable, lexed=self.tokens, pos=name_tok,
         )
 
     def _parse_activation_clause(self) -> ActivationClause:
@@ -434,16 +437,18 @@ class _Parser:
                 self._parse_ref, ("AEIP", "MESSAGES"), "an AEIP.MESSAGES reference"
             )
             kind = ActivationKind.SENT if self.kinds[tok] is TokenKind.KW_SENT else ActivationKind.RECEIVED
-            return ActivationClause(kind, target=target, span=self.span(tok))
+            return ActivationClause(kind, target=target, lexed=self.tokens, pos=tok)
         if self.kinds[tok] is TokenKind.KW_CHANGED:
             self.advance()
             target = self._parse_braced(self._parse_ref, ("METRICS",), "a METRICS reference")
-            return ActivationClause(ActivationKind.CHANGED, target=target, span=self.span(tok))
+            return ActivationClause(
+                ActivationKind.CHANGED, target=target, lexed=self.tokens, pos=tok
+            )
         if self.kinds[tok] is TokenKind.KW_ELAPSED:
             self.advance()
             ticks_tok = self._parse_braced(self.expect, TokenKind.INT, "a tick count")
             return ActivationClause(
-                ActivationKind.ELAPSED, ticks=int(self.values[ticks_tok]), span=self.span(tok)  # type: ignore[arg-type]
+                ActivationKind.ELAPSED, ticks=int(self.values[ticks_tok]), lexed=self.tokens, pos=tok  # type: ignore[arg-type]
             )
         raise self.fail(f"expected SENT, RECEIVED, CHANGED, or ELAPSED, found {self.texts[tok]!r}")
 
@@ -479,7 +484,7 @@ class _Parser:
             onerr_does=onerr_does,
             triggers=triggers,
             onerr_triggers=onerr_triggers,
-            span=self.span(name_tok),
+            lexed=self.tokens, pos=name_tok,
         )
 
     def _parse_statements(self, allow_empty: bool) -> tuple[Stmt, ...]:
@@ -498,33 +503,33 @@ class _Parser:
             self.advance()
             action = self._parse_ref(("ACTIONS",), "an ACTIONS reference")
             self.expect(TokenKind.SEMI)
-            return CallStmt(action, binding=None, span=self.span(tok))
+            return CallStmt(action, binding=None, lexed=self.tokens, pos=tok)
         if self.kinds[tok] is TokenKind.IDENT:
             self.advance()
             self.expect(TokenKind.EQUALS)
             self.expect(TokenKind.KW_CALL)
             action = self._parse_ref(("ACTIONS",), "an ACTIONS reference")
             self.expect(TokenKind.SEMI)
-            return CallStmt(action, binding=self.texts[tok], span=self.span(tok))
+            return CallStmt(action, binding=self.texts[tok], lexed=self.tokens, pos=tok)
         if self.kinds[tok] is TokenKind.REF and self.values[tok][:-1] == ("METRICS",):  # type: ignore[index]
             self.advance()
-            metric = Ref(("METRICS",), self.values[tok][-1], span=self.span(tok))  # type: ignore[index]
+            metric = Ref(("METRICS",), self.values[tok][-1], lexed=self.tokens, pos=tok)  # type: ignore[index]
             self.expect(TokenKind.EQUALS)
             value = self._parse_expr()
             self.expect(TokenKind.SEMI)
-            return AssignStmt(metric, value, span=self.span(tok))
+            return AssignStmt(metric, value, lexed=self.tokens, pos=tok)
         if self.kinds[tok] is TokenKind.KW_SEND:
             self.advance()
             message = self._parse_ref(("AEIP", "MESSAGES"), "an AEIP.MESSAGES reference")
             self.expect(TokenKind.KW_OVER)
             channel = self._parse_ref(("CHANNELS",), "a CHANNELS reference")
             self.expect(TokenKind.SEMI)
-            return SendStmt(message, channel, span=self.span(tok))
+            return SendStmt(message, channel, lexed=self.tokens, pos=tok)
         if self.kinds[tok] is TokenKind.KW_FAIL:
             self.advance()
             reason = self.expect(TokenKind.TEXT, "a failure reason")
             self.expect(TokenKind.SEMI)
-            return FailStmt(str(self.values[reason]), span=self.span(tok))
+            return FailStmt(str(self.values[reason]), lexed=self.tokens, pos=tok)
         raise self.fail(f"expected a statement, found {self.texts[tok]!r}")
 
     # -- metrics, messages, channels, functions -------------------------------
@@ -545,7 +550,9 @@ class _Parser:
         self.expect(TokenKind.KW_INITIAL)
         initial = self._parse_braced(self._parse_literal)
         self.expect(TokenKind.RBRACE)
-        return MetricDecl(self.texts[name_tok], value_type, initial, span=self.span(name_tok))
+        return MetricDecl(
+            self.texts[name_tok], value_type, initial, lexed=self.tokens, pos=name_tok
+        )
 
     def _parse_message(self) -> MessageDecl:
         name_tok = self.expect(TokenKind.IDENT, "a message name")
@@ -555,7 +562,7 @@ class _Parser:
         self.expect(TokenKind.KW_RECEIVER)
         receiver = self.texts[self._parse_braced(self.expect, TokenKind.IDENT, "a tier name")]
         self.expect(TokenKind.RBRACE)
-        return MessageDecl(self.texts[name_tok], sender, receiver, span=self.span(name_tok))
+        return MessageDecl(self.texts[name_tok], sender, receiver, lexed=self.tokens, pos=name_tok)
 
     def _parse_channel(self) -> ChannelDecl:
         name_tok = self.expect(TokenKind.IDENT, "a channel name")
@@ -563,11 +570,14 @@ class _Parser:
         self.expect(TokenKind.KW_CAPACITY)
         cap_tok = self._parse_braced(self.expect, TokenKind.INT, "a capacity")
         self.expect(TokenKind.RBRACE)
-        return ChannelDecl(self.texts[name_tok], int(self.values[cap_tok]), span=self.span(name_tok))  # type: ignore[arg-type]
+        capacity = int(self.values[cap_tok])  # type: ignore[arg-type]
+        return ChannelDecl(self.texts[name_tok], capacity, lexed=self.tokens, pos=name_tok)
 
     def _parse_function(self) -> FunctionDecl:
         name_tok = self.expect(TokenKind.IDENT, "a function name")
-        return FunctionDecl(self.texts[name_tok], self.parse_opaque_block(), span=self.span(name_tok))
+        return FunctionDecl(
+            self.texts[name_tok], self.parse_opaque_block(), lexed=self.tokens, pos=name_tok
+        )
 
     def parse_opaque_block(self) -> OpaqueBlock:
         open_tok = self.expect(TokenKind.LBRACE)
@@ -586,7 +596,7 @@ class _Parser:
                     break
             texts.append(self.texts[tok])
             self.advance()
-        return OpaqueBlock(tuple(texts), span=self.span(open_tok))
+        return OpaqueBlock(tuple(texts), lexed=self.tokens, pos=open_tok)
 
     # -- expressions -----------------------------------------------------------
 
@@ -605,7 +615,7 @@ class _Parser:
             tok = self.advance()
             operators += 1
             right = self._parse_not() if last else self._parse_expr(tier + 1)
-            left = BinaryExpr(op, left, right, span=self.span(tok))
+            left = BinaryExpr(op, left, right, lexed=self.tokens, pos=tok)
             if self.peak + operators > MAX_NESTING:
                 raise ParseError(f"expression nested more than {MAX_NESTING} deep", self.span(tok))
         self.peak = max(outer, self.peak + operators)
@@ -614,7 +624,7 @@ class _Parser:
     def _parse_not(self) -> Expr:
         if self.at(TokenKind.KW_NOT):
             tok = self.advance()
-            return NotExpr(self.nested(self._parse_not, tok), span=self.span(tok))
+            return NotExpr(self.nested(self._parse_not, tok), lexed=self.tokens, pos=tok)
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expr:
@@ -623,7 +633,7 @@ class _Parser:
         if op is None:
             return left
         tok = self.advance()
-        return CompareExpr(op, left, self._parse_atom(), span=self.span(tok))
+        return CompareExpr(op, left, self._parse_atom(), lexed=self.tokens, pos=tok)
 
     def _parse_atom(self) -> Expr:
         tok = self.peek()
@@ -634,14 +644,14 @@ class _Parser:
             name = self.values[tok][-1]  # type: ignore[index]
             if space == ("METRICS",):
                 self.advance()
-                return MetricRefExpr(name, span=self.span(tok))
+                return MetricRefExpr(name, lexed=self.tokens, pos=tok)
             if space == ("FLUENTS",):
                 self.advance()
-                return FluentRefExpr(name, span=self.span(tok))
+                return FluentRefExpr(name, lexed=self.tokens, pos=tok)
             raise self.fail(f"{self.texts[tok]!r} cannot appear in an expression")
         if self.kinds[tok] is TokenKind.IDENT:
             self.advance()
-            return BindingRefExpr(self.texts[tok], span=self.span(tok))
+            return BindingRefExpr(self.texts[tok], lexed=self.tokens, pos=tok)
         if self.kinds[tok] is TokenKind.LPAREN:
             self.advance()
             expr = self.nested(self._parse_expr, tok)
@@ -655,21 +665,22 @@ class _Parser:
         if value_type is None:
             raise self.fail(f"expected a literal, found {self.texts[tok]!r}")
         self.advance()
-        return Lit(self.values[tok], value_type, span=self.span(tok))
+        return Lit(self.values[tok], value_type, lexed=self.tokens, pos=tok)
 
 
 # A tier body's sections: keyword -> (tier-node field, body parser). The
-# section loop reads the keyword and passes its span to the body parser. The
-# printer writes a body's sections in its table's order.
-SectionTable = dict[TokenKind, tuple[str, Callable[[_Parser, SourceSpan], object]]]
+# section loop reads the keyword and calls the body parser just past it; the
+# AEIP's, ``_parse_protocol``, starts its node at that keyword. The printer
+# writes a body's sections in its table's order.
+SectionTable = dict[TokenKind, tuple[str, Callable[[_Parser], object]]]
 
 
 def _block(parse_member: Callable[[_Parser], Any], member_kw: TokenKind | None = None):
     """Body parser of a ``{ member* }`` section."""
-    return lambda parser, span: parser._parse_block(parse_member, member_kw)
+    return lambda parser: parser._parse_block(parse_member, member_kw)
 
 
-def _opaque(parser: _Parser, span: SourceSpan) -> OpaqueBlock:
+def _opaque(parser: _Parser) -> OpaqueBlock:
     return parser.parse_opaque_block()
 
 

@@ -37,6 +37,13 @@ SYNTHETIC = SourceSpan("<synthetic>", 1, 1, 0)
 
 
 class TokenKind(Enum):
+    # Members compare by identity, so they may hash by identity too. The
+    # parser looks kinds up in dicts and sets thousands of times per file,
+    # and Enum.__hash__ is a Python function; object.__hash__ is not. Like a
+    # str hash, an identity hash changes from one process to the next: no
+    # output may depend on the iteration order of a set of kinds.
+    __hash__ = object.__hash__
+
     # Tier and section keywords
     KW_AS = auto()
     KW_ASIP = auto()
@@ -227,10 +234,15 @@ class Tokens(Sequence[Token]):
     four lists and the line table, whatever their number: texts and starts
     are strings and ints, which it never tracks; the kinds are shared enum
     members; and a value is None, a string, a number, or an exact tuple of
-    strings, which it stops tracking at its first collection. The parser
-    reads the columns by position. Indexing (negative indexes and slices
-    included) and iterating build a ``Token`` per token read. A ``Tokens``
-    equals another, or a list, holding the same ``Token``s.
+    strings, which it stops tracking at its first collection. ``tokenize``
+    reads each distinct text once: tokens with equal texts share one text
+    string and one value, so the texts and values columns hold one string
+    and at most one value per distinct text. The parser reads the
+    columns by position, and each parsed node keeps the view and its first
+    token's position; ``span`` gives that token's span. Indexing (negative
+    indexes and slices included) and iterating build a ``Token`` per token
+    read. A ``Tokens`` equals another, or a list, holding the same
+    ``Token``s.
     """
 
     __slots__ = ("kinds", "texts", "starts", "values", "lines")
@@ -259,6 +271,10 @@ class Tokens(Sequence[Token]):
             Token,
             (self.kinds[index], self.texts[index], self.starts[index], self.lines, self.values[index]),
         )
+
+    def span(self, index: int) -> SourceSpan:
+        """The span of token ``index``, worked out from the line table."""
+        return self.lines.span(self.starts[index], len(self.texts[index]))
 
     def __iter__(self) -> Iterator[Token]:
         lines = self.lines

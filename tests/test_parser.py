@@ -21,10 +21,11 @@ from asslkit.nodes import (
     Node,
     NotExpr,
     OpaqueBlock,
+    Ref,
 )
 from asslkit.parser import MAX_NESTING, ParseError, parse_text
 from asslkit.printer import pretty_print
-from asslkit.tokens import LexError, SourceSpan
+from asslkit.tokens import SYNTHETIC, LexError, LineTable, SourceSpan
 from conftest import FIG_EVENTS, FIG_POLICY, figures_wrapped
 
 
@@ -611,3 +612,40 @@ def test_node_spans_are_pinned():
     assert set(texts) == set(pinned)
     for key, text in texts.items():
         assert hashlib.sha256(text.encode()).hexdigest() == pinned[key], key
+
+
+# -- spans are worked out when read ------------------------------------------
+
+
+def test_parsing_builds_no_span(monkeypatch):
+    """A node keeps its first token's position; the parser reads no span."""
+    calls = []
+    span = LineTable.span
+    monkeypatch.setattr(
+        LineTable, "span", lambda lines, *args: calls.append(args) or span(lines, *args)
+    )
+    sources = [(pkg.source(), f"{pkg.name}.assl") for pkg in all_missions()]
+    for source, file in [*sources, (swarm_source(10), "swarm.assl")]:
+        tree = parse_text(source, file)
+        assert not calls, file
+        assert tree.span.file == file and calls
+        calls.clear()
+
+
+def test_where_a_node_was_parsed_is_not_part_of_it():
+    source = swarm_source(2)
+    one, other = parse_text(source, "one.assl"), parse_text(source, "other.assl")
+    assert one == other and hash(one) == hash(other)
+    assert repr(one) == repr(other)
+    assert "Tokens" not in repr(one) and "lexed" not in repr(one) and "pos=" not in repr(one)
+    assert one.span == other.span._replace(file="one.assl") != other.span
+    assert one.ae_tiers[1].span.file == "one.assl"
+
+
+def test_a_node_built_in_memory_reads_synthetic():
+    ref = Ref(("EVENTS",), "go")
+    assert ref.span is SYNTHETIC
+    source = 'AS s { ACTIONS { ACTION a { DOES { fail "x"; } TRIGGERS { EVENTS.go } } } }'
+    (parsed,) = parse_text(source).as_tier.actions[0].triggers
+    assert parsed == ref and hash(parsed) == hash(ref) and repr(parsed) == repr(ref)
+    assert parsed.span == SourceSpan("<input>", 1, source.index("EVENTS.go") + 1, 9)

@@ -69,3 +69,18 @@ def test_tokens_leave_the_garbage_collector():
     # The view, its four lists and the line table: six objects, where a list
     # of Tokens grows the tracked heap by one per token.
     assert grown <= 16, grown
+
+
+def test_equal_texts_share_one_text_and_one_value():
+    """``tokenize`` reads each distinct text once; later tokens reuse it."""
+    tokens = tokenize("x = EVENTS.go;\nEVENTS.go x")
+    assert tokens.texts[0] is tokens.texts[5]
+    assert tokens.values[2] is tokens.values[4] == ("EVENTS", "go")
+    for name, source in view_inputs():
+        tokens = tokenize(source)
+        first: dict[str, int] = {}
+        for i, text in enumerate(tokens.texts):
+            j = first.setdefault(text, i)
+            assert tokens.texts[i] is tokens.texts[j], (name, i)
+            assert tokens.values[i] is tokens.values[j], (name, i)
+            assert tokens.kinds[i] is tokens.kinds[j], (name, i)
