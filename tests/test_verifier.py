@@ -1294,6 +1294,60 @@ def verify_pin_texts() -> dict[str, str]:
     return texts
 
 
+#: A bound of each kind, each of which cuts the graphs pinned under it.
+PIN_BOUNDS = {
+    "swarm": {
+        "max_states=2000": Bounds(max_states=2000),
+        "max_depth=10": Bounds(max_depth=10),
+        "max_pending=1": Bounds(max_pending=1),
+    },
+    "random": {
+        "max_states=20": Bounds(max_states=20),
+        "max_depth=3": Bounds(max_depth=3),
+        "max_pending=1": Bounds(max_pending=1),
+    },
+}
+
+
+def _bounded_text(lts: Lts) -> str:
+    return lts_to_text(lts) + f"cut {' '.join(map(str, sorted(lts.cut)))}\n"
+
+
+def bounded_pin_graphs() -> dict[str, tuple[int, int, str]]:
+    """(states, cut states, text) behind ``bounded_graph_sha256.json``: the
+    2- and 3-worker swarms and random specs 0-59, each under every bound of
+    ``PIN_BOUNDS``. A text is the graph export followed by the sorted
+    ``cut``; the random specs' texts are joined into one entry per bound."""
+    pins = {}
+    for n in (2, 3):
+        swarm = check_all(parse_text(swarm_source(n)))
+        for name, bounds in PIN_BOUNDS["swarm"].items():
+            lts = build_lts(swarm, env=swarm_env(swarm, n), bounds=bounds)
+            pins[f"swarm{n} {name}"] = (lts.state_count, len(lts.cut), _bounded_text(lts))
+    specs = [random_checked_spec(seed) for seed in range(60)]
+    for name, bounds in PIN_BOUNDS["random"].items():
+        graphs = [build_lts(spec, env=env_for(spec), bounds=bounds) for spec in specs]
+        pins[f"random0-59 {name}"] = (
+            sum(lts.state_count for lts in graphs),
+            sum(len(lts.cut) for lts in graphs),
+            "".join(map(_bounded_text, graphs)),
+        )
+    return pins
+
+
+def test_bounded_graphs_are_pinned():
+    """Graphs and ``cut`` under each kind of bound, by sha256; every entry is cut."""
+    pinned = json.loads(
+        Path(__file__).with_name("data").joinpath("bounded_graph_sha256.json").read_text()
+    )
+    pins = bounded_pin_graphs()
+    assert set(pins) == set(pinned)
+    for key, (states, cut, text) in pins.items():
+        assert cut > 0, key
+        sha256 = hashlib.sha256(text.encode()).hexdigest()
+        assert {"states": states, "cut": cut, "sha256": sha256} == pinned[key], key
+
+
 def test_verify_results_are_pinned():
     """Graphs, verdicts, explanations and counterexample scenarios, by sha256."""
     pinned = json.loads(
