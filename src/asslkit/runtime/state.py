@@ -105,6 +105,9 @@ class RuntimeState:
     ``timers`` holds the next firing tick of each ELAPSED activation,
     parallel to ``Program.timer_slots``. ``last_event`` is the most recently
     raised (not suppressed) event, used for event atoms in verification.
+    The runtime writes it at every move and never reads it, so two states
+    that differ only there have the same successors; the verifier relies on
+    that to expand such states once.
 
     The class has ``__slots__``, so a state is seven attribute slots and no
     instance dict. The verifier stores no ``RuntimeState`` and copies none:

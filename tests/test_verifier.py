@@ -417,6 +417,70 @@ class TestBuildLts:
             assert edges == lts.edge_count
         assert checked > 10_000
 
+    def test_moves_write_last_event_and_never_read_it(self, shared_state_graphs):
+        # ``build_lts`` expands one state per core, the parts other than
+        # ``last_event``, and shares its successors with the states that
+        # differ from it only there. That holds only while every move writes
+        # ``last_event`` and none reads it. So each move of each stored state
+        # is run again with ``last_event`` replaced: by None, by an event key
+        # and by an object no move can write. Each run must reach the vector
+        # the unchanged state reaches, which is the edge's target if the move
+        # has an edge.
+        unwritten = object()
+        checked = 0
+        for spec, lts in shared_state_graphs:
+            runtime = Runtime(spec, seed=None, record=False)
+            occurrences = {event: EventOccurrence(event, "") for event in lts.program.events}
+            starts = (None, next(reversed(lts.program.events)), unwritten)
+            for state_id, vec in enumerate(lts.states):
+                targets = dict(lts.succ[state_id])
+                for stimulus in [None] if vec.pending else lts.env:
+                    successors = set()
+                    for last_event in (vec.last_event, *starts):
+                        state = Layout.state(vec._replace(last_event=last_event), occurrences)
+                        if stimulus is None:
+                            runtime.step(state)
+                        else:
+                            runtime.apply_stimulus(state, stimulus)
+                        assert state.last_event is not unwritten, (state_id, stimulus)
+                        successors.add(repr(Layout.vector(state)))
+                    assert len(successors) == 1, (state_id, stimulus)
+                    label = f"proc {qual(vec.pending[0])}" if vec.pending else stimulus.render()
+                    if label in targets:
+                        assert successors == {repr(lts.states[targets[label]])}
+                    checked += 1
+        assert checked > 10_000
+
+    def test_states_that_differ_only_in_last_event_share_their_expansion(self):
+        # State 0 and state 3 (after ``poke`` is processed) differ only in
+        # ``last_event``, as do state 2 (``ping`` queued) and state 5. A tick
+        # from 2 or 5 delivers ``ping`` to two events, over ``max_pending``.
+        spec = check_all(parse_text("""
+            AS sys { }
+            AE unit {
+              EVENTS {
+                EVENT poke { INJECTABLE }
+                EVENT heard { ACTIVATION { RECEIVED { AEIP.MESSAGES.ping } } }
+                EVENT noted { ACTIVATION { RECEIVED { AEIP.MESSAGES.ping } } }
+              }
+              AEIP {
+                MESSAGES { MESSAGE ping { SENDER { sys } RECEIVER { unit } } }
+                CHANNELS { CHANNEL link { CAPACITY { 1 } } }
+              }
+            }
+        """))
+        env = tuple(parse_env_stimulus(spec, t) for t in ("inject poke", "send ping link", "tick"))
+        lts = build_lts(spec, env=env, bounds=Bounds(max_pending=1))
+        assert lts.state_count == 6
+        assert [vec.last_event for vec in lts.states] == [
+            None, None, None, ("unit", "poke"), None, ("unit", "poke")
+        ]
+        assert lts.succ[3] is lts.succ[0] and lts.succ[5] is lts.succ[2]
+        assert lts.succ[2] == [("inject unit.poke", 4), ("send unit.ping unit.link", 2)]
+        # a twin of a state that ``max_pending`` cut is cut too
+        assert lts.cut == {2, 5}
+        assert not build_lts(spec, env=env, bounds=Bounds(max_pending=2)).cut
+
     def test_equal_metric_parts_that_render_apart_stay_apart(self, operators_spec):
         # 0.0 == -0.0, but they label states differently: the interned metric
         # part of each state keeps the value it was built with, and the index
@@ -446,6 +510,24 @@ class TestBuildLts:
             [("set sys.level -0.0", 0), ("set sys.level 0.0", 1)],
             [("set sys.level -0.0", 0), ("set sys.level 0.0", 1)],
         ]
+
+    def test_a_tick_keeps_real_zero_and_negative_zero_states_apart(self, operators_spec):
+        # A quiescent -0.0 state whose other parts equal those of a 0.0 state
+        # must not share that state's expansion: states are expanded once per
+        # core of interned parts compared by identity, not by equality.
+        env = tuple(parse_env_stimulus(operators_spec, t) for t in ("tick", "set level -0.0"))
+        lts = build_lts(operators_spec, env=env)
+        slot = lts.program.metric_slot[("probe", "level")]
+        ticks = Counter()
+        for state, vec in enumerate(lts.states):
+            if vec.pending:
+                continue
+            level = repr(vec.metrics[slot])
+            assert level in ("0.0", "-0.0")
+            (dst,) = [dst for label, dst in lts.succ[state] if label == "tick"]
+            assert repr(lts.states[dst].metrics[slot]) == level, state
+            ticks[level] += 1
+        assert ticks["0.0"] > 0 and ticks["-0.0"] > 0, ticks
 
     def test_graph_export_format(self, toggle_spec):
         lts = build_lts(toggle_spec)
