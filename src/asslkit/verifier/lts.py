@@ -301,25 +301,28 @@ def build_lts(
     index: dict[StateVector | tuple[StateVector, tuple[str, ...]], int] = {
         (key, tuple(map(repr, key.metrics))) if has_real else key: 0
     }
-    # The runtime never reads ``last_event``, and every move writes it first.
-    # So states whose other five parts are the same interned objects have the
-    # same successors: the first of them is expanded, and the later ones share
-    # its adjacency list, and its cut by ``max_pending``. Parts are compared by
-    # identity, which keeps a REAL 0.0 part apart from a -0.0 one.
-    expanded: dict[tuple[int, ...], int] = {}
+    # The runtime never reads ``last_event``, and every move writes it. So
+    # states whose other five parts, their core, are the same interned objects
+    # have the same successors: the first of them is expanded, and the later
+    # ones share its adjacency list, and its cut by ``max_pending``. The
+    # metric part is keyed by identity, which keeps a REAL 0.0 part apart from
+    # a -0.0 one; the other parts are interned by equality, so equality is
+    # identity for them. (A key of five ids takes 256 bytes, this one 128.)
+    expanded: dict[tuple, int] = {}
     cut: set[int] = set()
     full = False
     state_id, level_end, depth = 0, 1, 0
     while state_id < len(states) and depth <= bounds.max_depth:
         vec = states[state_id]
-        first = expanded.setdefault(tuple(map(id, vec[:5])), state_id)
+        fluents, metrics, channels, pending, timers, _last_event = vec
+        first = expanded.setdefault((fluents, id(metrics), channels, pending, timers), state_id)
         if first != state_id:
             succ[state_id] = succ[first]
             if first in cut:
                 cut.add(state_id)
         else:
             adjacency = succ[state_id]
-            for label, stimulus in proc_moves[vec.pending[0]] if vec.pending else moves:
+            for label, stimulus in proc_moves[pending[0]] if pending else moves:
                 nxt = Layout.state(vec, occurrences)
                 if stimulus is None:
                     runtime.step(nxt)
