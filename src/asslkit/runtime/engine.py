@@ -9,8 +9,9 @@ environment stimulus, the clock ``Tick`` included, and ``step`` processes
 one pending occurrence. The verifier's exploration and counterexample
 replay drive it through these two calls only. Every move writes
 ``RuntimeState.last_event``: ``raise_event`` the raised event or None, a
-tick and every other stimulus None. No code here reads it. The verifier relies on that: states that differ only
-in ``last_event`` have the same successors, and it expands them once.
+tick and every other stimulus None. No code here reads it. The verifier
+relies on that: states that differ only in ``last_event`` have the same
+successors, and it expands them once.
 
 Copy on write: a state's fluents, metrics, channel list, channel queues
 and timers may be given as tuples, as the verifier gives the parts of the

@@ -301,13 +301,11 @@ def build_lts(
     index: dict[StateVector | tuple[StateVector, tuple[str, ...]], int] = {
         (key, tuple(map(repr, key.metrics))) if has_real else key: 0
     }
-    # The runtime never reads ``last_event``, and every move writes it. So
-    # states whose other five parts, their core, are the same interned objects
-    # have the same successors: the first of them is expanded, and the later
-    # ones share its adjacency list, and its cut by ``max_pending``. The
-    # metric part is keyed by identity, which keeps a REAL 0.0 part apart from
-    # a -0.0 one; the other parts are interned by equality, so equality is
-    # identity for them. (A key of five ids takes 256 bytes, this one 128.)
+    # Shared expansion (see the module docstring): the first state of each
+    # core is expanded, and later ones share its list and its pending cut.
+    # The metric part is keyed by identity, which keeps a REAL 0.0 part apart
+    # from a -0.0 one; the other parts are interned by equality, so for them
+    # equality is identity. Five ids would take 256 bytes a key, this 128.
     expanded: dict[tuple, int] = {}
     cut: set[int] = set()
     full = False
