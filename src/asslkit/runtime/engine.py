@@ -7,11 +7,9 @@ there is no wall clock and no hidden randomness.
 The runtime alone decides how a move runs: ``apply_stimulus`` applies an
 environment stimulus, the clock ``Tick`` included, and ``step`` processes
 one pending occurrence. The verifier's exploration and counterexample
-replay drive it through these two calls only. Every move writes
-``RuntimeState.last_event``: ``raise_event`` the raised event or None, a
-tick and every other stimulus None. No code here reads it. The verifier
-relies on that: states that differ only in ``last_event`` have the same
-successors, and it expands them once.
+replay drive it through these two calls only. ``step`` returns the event
+it raised, or None when a guard suppressed it or the queue was idle; a
+stimulus raises no event.
 
 Copy on write: a state's fluents, metrics, channel list, channel queues
 and timers may be given as tuples, as the verifier gives the parts of the
@@ -173,11 +171,9 @@ class Runtime:
         if guard is not None and not guard(state.metrics, fluents, None):
             if trace is not None:
                 trace.append(state.tick, EVENT_SUPPRESSED, names[event], "guard false")
-            state.last_event = None
             return False
         if trace is not None:
             trace.append(state.tick, EVENT_RAISED, names[event], cause)
-        state.last_event = event
 
         fluent_keys = program.fluent_keys
         initiated: list[int] = []
@@ -316,12 +312,13 @@ class Runtime:
         state.pending.extend(self.program.sent_subs.get(message, ()))
 
     def step(self, state: RuntimeState) -> Key | None:
-        """Dequeue and process exactly one occurrence; identity when idle."""
+        """Dequeue and process exactly one occurrence; identity when idle.
+        Returns the event raised, or None when its guard suppressed it or
+        the queue was idle."""
         if not state.pending:
             return None
         occ = state.pending.popleft()
-        self.raise_event(state, occ)
-        return occ.event
+        return occ.event if self.raise_event(state, occ) else None
 
     def drain(self, state: RuntimeState) -> None:
         """Process occurrences until quiescent; raise LivelockError past the step budget."""
@@ -357,7 +354,6 @@ class Runtime:
         an idle tick costs one scan of the channels and one of the timers.
         """
         state.tick += 1
-        state.last_event = None
         tick = state.tick
         channels = state.channels
         program = self.program
@@ -411,7 +407,6 @@ class Runtime:
         if kind is Tick:
             self.advance_tick(state)
             return
-        state.last_event = None
         if kind is InjectEvent:
             state.pending.append(EventOccurrence(stimulus.event, "injected"))
         elif kind is SetMetric:

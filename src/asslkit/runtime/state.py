@@ -103,13 +103,11 @@ class RuntimeState:
     of the spec's ``Program``: a fluent's flag, a metric's value, and a
     channel's FIFO queue of message keys, never longer than its capacity.
     ``timers`` holds the next firing tick of each ELAPSED activation,
-    parallel to ``Program.timer_slots``. ``last_event`` is the most recently
-    raised (not suppressed) event, used for event atoms in verification.
-    The runtime writes it at every move and never reads it, so two states
-    that differ only there have the same successors; the verifier relies on
-    that to expand such states once.
+    parallel to ``Program.timer_slots``. The state holds no record of the
+    last raised event: ``Runtime.step`` returns it, and only the verifier
+    stores it.
 
-    The class has ``__slots__``, so a state is seven attribute slots and no
+    The class has ``__slots__``, so a state is six attribute slots and no
     instance dict. The verifier stores no ``RuntimeState`` and copies none:
     for each successor it computes, it builds one from a state vector for
     one move, with the vector's tuples as its parts. A part given as a
@@ -124,7 +122,6 @@ class RuntimeState:
     channels: list[list[Key]]
     pending: deque[EventOccurrence]
     timers: list[int]
-    last_event: Key | None = None
 
     def copy(self) -> "RuntimeState":
         """An independent copy with list parts, whether this state's parts
@@ -136,5 +133,4 @@ class RuntimeState:
             channels=[list(queue) for queue in self.channels],
             pending=deque(self.pending),
             timers=list(self.timers),
-            last_event=self.last_event,
         )

@@ -35,10 +35,10 @@ Five facts keep the stored graph small and cheap to build:
 
 * Discovery order. States are numbered as breadth-first exploration finds
   them, and each state's edges are appended in label order (``env`` is
-  sorted by label; a non-quiescent state has one ``proc`` edge). So ids are
-  BFS order, adjacency is label ordered, and the edge that found a state is
-  its first in-edge in (source id, edge) order, which leaves a
-  lower-numbered state. ``Lts.succ`` alone is the whole graph; the BFS tree
+  sorted by label, one stimulus per label; a non-quiescent state has one
+  ``proc`` edge). So ids are BFS order, adjacency is label ordered, and the
+  edge that found a state is its first in-edge in (source id, edge) order,
+  which leaves a lower-numbered state. ``Lts.succ`` alone is the whole graph; the BFS tree
   is read back from it where a counterexample needs it.
 * Slots and tuples. A ``RuntimeState`` keeps fluents, metrics and channels
   in lists indexed by the slots of the spec's ``Program``, and a
@@ -66,11 +66,12 @@ Five facts keep the stored graph small and cheap to build:
   interned metric parts, and, for a spec with a REAL metric, in the index
   of seen states. That keeps apart values that compare equal but render
   differently (``True``, ``1`` and ``1.0``; ``0.0`` and ``-0.0``).
-* Shared expansion. The runtime writes ``last_event`` at every move and
-  never reads it, so a state's successors depend only on its *core*, its
-  other five parts. ``build_lts`` expands the first state of each core;
-  a later state with that core gets the same adjacency list object, and is
-  cut by ``max_pending`` exactly when the first one was. ``last_event`` is
+* Shared expansion. The runtime never sees ``last_event``: a working
+  state has no place for it, and ``Layout.vector`` takes the event that
+  the move returned. So a state's successors depend only on its *core*,
+  its other five parts. ``build_lts`` expands the first state of each
+  core; a later state with that core gets the same adjacency list object,
+  and is cut by ``max_pending`` exactly when the first one was. ``last_event`` is
   dead for every transition and live only for labels (live-variable
   reduction at the level of transitions; Bozga, Fernandez & Ghirvu, SAS
   1999), so the states stay apart and only their expansion is shared. On a
@@ -124,10 +125,11 @@ class Layout:
     """Projection of runtime states onto state vectors and back, slot for slot."""
 
     @staticmethod
-    def vector(state: RuntimeState) -> StateVector:
-        """The state's vector. A part still held as a tuple is the vector's
-        own and passes through as it is (``tuple`` of a tuple is that tuple);
-        the channel list is tested explicitly, since each queue is converted
+    def vector(state: RuntimeState, last_event: Key | None) -> StateVector:
+        """The vector of ``state``, reached by a move that raised
+        ``last_event``. A part still held as a tuple is the vector's own and
+        passes through as it is (``tuple`` of a tuple is that tuple); the
+        channel list is tested explicitly, since each queue is converted
         too. Timers are made relative to the state's tick."""
         channels = state.channels
         if type(channels) is not tuple:
@@ -140,7 +142,7 @@ class Layout:
             channels,
             tuple(map(_event_of, state.pending)),
             timers,
-            state.last_event,
+            last_event,
         ))
 
     @staticmethod
@@ -149,10 +151,10 @@ class Layout:
         which the runtime copies into lists where it first writes them.
         Timers stay relative to tick 0. Each pending event becomes its entry
         in ``occurrences``, in a new queue; a cause is read only by trace
-        records."""
-        fluents, metrics, channels, pending, timers, last_event = vec
+        records. ``last_event`` is left out: no move takes it."""
+        fluents, metrics, channels, pending, timers, _last_event = vec
         pending = deque(map(occurrences.__getitem__, pending))
-        return RuntimeState(0, fluents, metrics, channels, pending, timers, last_event)
+        return RuntimeState(0, fluents, metrics, channels, pending, timers)
 
 
 @dataclass
@@ -264,10 +266,11 @@ def build_lts(
     runtime = Runtime(spec, seed=None, record=False)
     if env is None:
         env = default_env(spec)
-    env = tuple(sorted(env, key=lambda stim: stim.render()))
     program = runtime.program
+    # One move per label, in label order: a repeated stimulus is one move.
     # Edge labels are rendered once, so edges share their label strings.
-    moves = [(stim.render(), stim) for stim in env]
+    moves = sorted({stim.render(): stim for stim in env}.items())
+    env = tuple(stim for _label, stim in moves)
     # A state with pending events has one move: processing the head one.
     proc_moves = {event: [(f"proc {qual(event)}", None)] for event in program.events}
     # The verifier records no trace, so no pending event needs its cause.
@@ -295,7 +298,7 @@ def build_lts(
     # render apart. A spec with a REAL metric indexes each vector together with
     # its metric reprs, so that a -0.0 state is not merged with its 0.0 twin.
     has_real = any(metric.value_type is ValueType.REAL for metric in program.metrics.values())
-    states: list[StateVector] = [intern(Layout.vector(runtime.init()))]
+    states: list[StateVector] = [intern(Layout.vector(runtime.init(), None))]
     succ: list[list[tuple[str, int]]] = [[]]
     key = states[0]
     index: dict[StateVector | tuple[StateVector, tuple[str, ...]], int] = {
@@ -323,13 +326,14 @@ def build_lts(
             for label, stimulus in proc_moves[pending[0]] if pending else moves:
                 nxt = Layout.state(vec, occurrences)
                 if stimulus is None:
-                    runtime.step(nxt)
+                    event = runtime.step(nxt)
                 else:
                     runtime.apply_stimulus(nxt, stimulus)
+                    event = None
                 if len(nxt.pending) > bounds.max_pending:
                     cut.add(state_id)
                     continue
-                key = Layout.vector(nxt)
+                key = Layout.vector(nxt, event)
                 seen = (key, tuple(map(repr, key.metrics))) if has_real else key
                 dst = index.get(seen)
                 if dst is None:

@@ -154,7 +154,6 @@ def check(lts: Lts, prop: TemporalProperty) -> Verdict:
     """Deterministic verdict for one property over one LTS, from the first
     witness against its obligation in the order the module text gives."""
     row = _OBLIGATIONS[prop.shape]
-    checker = _Checker(lts)
     ids, vectors = lts.observations
     p = [eval_prop(prop.p, vec, lts.program) for vec in vectors]
     q = p if prop.q is None else [eval_prop(prop.q, vec, lts.program) for vec in vectors]
@@ -178,19 +177,19 @@ def check(lts: Lts, prop: TemporalProperty) -> Verdict:
     if bad is not None:
         for anchor in anchors:
             if row.one_step:
-                if checker.is_dead_end(anchor):
-                    return violated("deadend", checker.path_to(anchor), (), at_anchor)
+                if is_dead_end(lts, anchor):
+                    return violated("deadend", path_to(lts, anchor), (), at_anchor)
                 parent, order = {}, [anchor]
             elif bad[anchor]:
-                return violated("safety", checker.path_to(anchor), (), at_anchor)
+                return violated("safety", path_to(lts, anchor), (), at_anchor)
             elif stay is not None and stay[anchor]:
-                parent, order = checker.region_bfs(anchor, stay)
+                parent, order = region_bfs(lts, anchor, stay)
             else:
                 continue
             for src in order:
                 for label, dst in lts.succ[src]:
                     if bad[dst]:
-                        stem = checker.path_to(anchor) + _path(parent, anchor, src)
+                        stem = path_to(lts, anchor) + _path(parent, anchor, src)
                         kind = "next" if row.one_step else "safety"
                         return violated(kind, stem + ((label, dst),), (), on_edge)
     if stay is not None:
@@ -199,12 +198,12 @@ def check(lts: Lts, prop: TemporalProperty) -> Verdict:
         for anchor in roots:
             if not escape[anchor]:
                 continue
-            parent, order = checker.region_bfs(anchor, stay)
-            target = next(s for s in order if cyclic[s] or checker.is_dead_end(s))
-            stem = checker.path_to(anchor) + _path(parent, anchor, target)
+            parent, order = region_bfs(lts, anchor, stay)
+            target = next(s for s in order if cyclic[s] or is_dead_end(lts, s))
+            stem = path_to(lts, anchor) + _path(parent, anchor, target)
             if not cyclic[target]:
                 return violated("deadend", stem, (), for_good)
-            return violated("lasso", stem, checker.loop_from(target, stay), for_good)
+            return violated("lasso", stem, loop_from(lts, target, stay), for_good)
     if lts.truncated:
         return Verdict(
             INCONCLUSIVE, prop, note="state space truncated by bounds; raise them to decide"
@@ -232,55 +231,54 @@ def _livelock_cycle(lts: Lts, state: int) -> tuple[tuple[str, int], ...]:
     return ()
 
 
-class _Checker:
-    def __init__(self, lts: Lts) -> None:
-        self.lts = lts
+def path_to(lts: Lts, target: int) -> tuple[tuple[str, int], ...]:
+    """The BFS-tree path from the initial state to ``target``. It scans
+    the edges of states ``0`` to ``target - 1`` in order and keeps each
+    state's first in-edge, the one that discovered it; once ``target``
+    has its edge, so have all of its ancestors, which are numbered lower."""
+    parent: dict[int, tuple[int, str]] = {}
+    succ = lts.succ
+    for src in range(target):
+        for label, dst in succ[src]:
+            if dst not in parent:
+                parent[dst] = (src, label)
+        if target in parent:
+            break
+    return _path(parent, 0, target)
 
-    def path_to(self, target: int) -> tuple[tuple[str, int], ...]:
-        """The BFS-tree path from the initial state to ``target``. It scans
-        the edges of states ``0`` to ``target - 1`` in order and keeps each
-        state's first in-edge, the one that discovered it; once ``target``
-        has its edge, so have all of its ancestors, which are numbered lower."""
-        parent: dict[int, tuple[int, str]] = {}
-        succ = self.lts.succ
-        for src in range(target):
-            for label, dst in succ[src]:
-                if dst not in parent:
-                    parent[dst] = (src, label)
-            if target in parent:
-                break
-        return _path(parent, 0, target)
 
-    def is_dead_end(self, state: int) -> bool:
-        return state not in self.lts.cut and not self.lts.succ[state]
+def is_dead_end(lts: Lts, state: int) -> bool:
+    return state not in lts.cut and not lts.succ[state]
 
-    def region_bfs(self, start: int, region: list[bool]) -> tuple[dict[int, tuple[int, str]], list[int]]:
-        """BFS from ``start``, a state of ``region``, restricted to the
-        region; returns parents and visit order."""
-        parent: dict[int, tuple[int, str]] = {}
-        order = [start]
-        for src in order:  # ``order`` grows as it is read, a FIFO queue
-            for label, dst in self.lts.succ[src]:
-                if region[dst] and dst != start and dst not in parent:
-                    parent[dst] = (src, label)
-                    order.append(dst)
-        return parent, order
 
-    def loop_from(self, entry: int, region: list[bool]) -> tuple[tuple[str, int], ...]:
-        """Shortest cycle through ``entry`` inside ``region``, as edge steps."""
-        parent, _order = self.region_bfs(entry, region)
-        # find the least-labeled edge closing the cycle back to entry
-        best: tuple[tuple[str, int], ...] | None = None
-        for src in [entry] + sorted(parent):
-            for label, dst in self.lts.succ[src]:
-                if dst != entry:
-                    continue
-                candidate = _path(parent, entry, src) + ((label, entry),)
-                if best is None or len(candidate) < len(best):
-                    best = candidate
-                break  # successors are label-sorted; first closing edge is least
-        assert best is not None, "loop_from called on a non-cyclic entry"
-        return best
+def region_bfs(lts: Lts, start: int, region: list[bool]) -> tuple[dict[int, tuple[int, str]], list[int]]:
+    """BFS from ``start``, a state of ``region``, restricted to the
+    region; returns parents and visit order."""
+    parent: dict[int, tuple[int, str]] = {}
+    order = [start]
+    for src in order:  # ``order`` grows as it is read, a FIFO queue
+        for label, dst in lts.succ[src]:
+            if region[dst] and dst != start and dst not in parent:
+                parent[dst] = (src, label)
+                order.append(dst)
+    return parent, order
+
+
+def loop_from(lts: Lts, entry: int, region: list[bool]) -> tuple[tuple[str, int], ...]:
+    """Shortest cycle through ``entry`` inside ``region``, as edge steps."""
+    parent, _order = region_bfs(lts, entry, region)
+    # find the least-labeled edge closing the cycle back to entry
+    best: tuple[tuple[str, int], ...] | None = None
+    for src in [entry] + sorted(parent):
+        for label, dst in lts.succ[src]:
+            if dst != entry:
+                continue
+            candidate = _path(parent, entry, src) + ((label, entry),)
+            if best is None or len(candidate) < len(best):
+                best = candidate
+            break  # successors are label-sorted; first closing edge is least
+    assert best is not None, "loop_from called on a non-cyclic entry"
+    return best
 
 
 def _path(
@@ -428,14 +426,16 @@ def replay_counterexample(spec: CheckedSpec, lts: Lts, cex: Counterexample) -> S
     runtime = Runtime(spec, seed=None, record=False)
     moves = {stim.render(): stim for stim in lts.env}
     state = runtime.init()
+    event = None
     for label, _target in cex.stem:
         stimulus = moves.get(label)
         if stimulus is None:
-            processed = runtime.step(state)
-            assert processed is not None and f"proc {qual(processed)}" == label
+            assert state.pending and f"proc {qual(state.pending[0].event)}" == label
+            event = runtime.step(state)
         else:
             runtime.apply_stimulus(state, stimulus)
-    return Layout.vector(state)
+            event = None
+    return Layout.vector(state, event)
 
 
 def parse_env_stimulus(spec: CheckedSpec, text: str):

@@ -5,7 +5,10 @@ bookkeeping, keyed by state vectors rather than discovery ids, so it shares
 no exploration machinery with the breadth-first ``build_lts`` it
 cross-checks. It also projects states onto vectors itself, key by key
 through ``Program``'s slot maps, instead of through ``Layout.vector``, which
-copies the runtime's slot-indexed lists whole.
+copies the runtime's slot-indexed lists whole. It runs the runtime with
+recording on and reads the event each ``proc`` step raised from the first
+trace record the step appends (``EventRaised`` or ``EventSuppressed``), not
+from what ``Runtime.step`` returns.
 ``reference_bfs_tree`` walks a flat edge list breadth first from the
 initial state over label-sorted adjacency; ``build_lts`` must number states
 in its visiting order and record its parents.
@@ -67,7 +70,7 @@ from asslkit.nodes import (
     SendStmt,
 )
 from asslkit.runtime.engine import Runtime
-from asslkit.runtime.state import MESSAGE_RECEIVED, EventOccurrence
+from asslkit.runtime.state import EVENT_RAISED, EVENT_SUPPRESSED, MESSAGE_RECEIVED, EventOccurrence
 from asslkit.tokens import KEYWORDS, NAMESPACE_WORDS, LexError, SourceSpan, TokenKind
 from asslkit.verifier import Lts, TemporalProperty, Tick, eval_prop
 from asslkit.verifier.lts import StateVector
@@ -83,10 +86,11 @@ from asslkit.verifier.props import (
 
 def brute_force_lts(spec, env, state_cap: int = 5000):
     """(states, edges, labelings, initial) keyed by state vectors."""
-    runtime = Runtime(spec, seed=None, record=False)
+    runtime = Runtime(spec, seed=None, record=True)
     program = spec.program
     init_state = runtime.init()
-    init_vec = project(program, init_state)
+    init_vec = project(program, init_state, None)
+    rows = runtime.trace.rows
 
     states: dict[StateVector, object] = {}
     edges: set[tuple[StateVector, str, StateVector]] = set()
@@ -96,11 +100,15 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
         if vec in states:
             continue
         states[vec] = state
+        rows.clear()
         if state.pending:
             nxt = state.copy()
-            event = runtime.step(nxt)
-            nxt_vec = project(program, nxt)
-            edges.add((vec, f"proc {qual(event)}", nxt_vec))
+            head = state.pending[0].event
+            runtime.step(nxt)
+            _tick, kind, subject, _detail = rows[0]
+            assert subject == qual(head) and kind in (EVENT_RAISED, EVENT_SUPPRESSED), rows[0]
+            nxt_vec = project(program, nxt, head if kind == EVENT_RAISED else None)
+            edges.add((vec, f"proc {qual(head)}", nxt_vec))
             stack.append((nxt_vec, nxt))
         else:
             for stimulus in env:
@@ -109,7 +117,7 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
                     runtime.advance_tick(nxt)
                 else:
                     runtime.apply_stimulus(nxt, stimulus)
-                nxt_vec = project(program, nxt)
+                nxt_vec = project(program, nxt, None)
                 edges.add((vec, stimulus.render(), nxt_vec))
                 stack.append((nxt_vec, nxt))
         assert len(states) <= state_cap, "oracle exploration exceeded its cap"
@@ -162,7 +170,6 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
     """``Runtime.advance_tick`` by scanning every element x channel each tick."""
     program = runtime.program
     state.tick += 1
-    state.last_event = None
     order = list(program.elements)
     if runtime.seed is not None and len(order) > 1:
         random.Random(runtime.seed * 1_000_003 + state.tick).shuffle(order)
@@ -197,8 +204,9 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                 state.timers[slot] = state.tick + period
 
 
-def project(program, state) -> StateVector:
-    """The state vector of ``state``, looked up key by key."""
+def project(program, state, last_event) -> StateVector:
+    """The state vector of ``state``, looked up key by key, reached by a move
+    that raised ``last_event``."""
     return StateVector(
         fluents=tuple(state.fluents[program.fluent_slot[key]] for key in program.fluent_keys),
         metrics=tuple(state.metrics[program.metric_slot[key]] for key in program.metric_keys),
@@ -207,7 +215,7 @@ def project(program, state) -> StateVector:
         ),
         pending=tuple(occ.event for occ in state.pending),
         timers=tuple(t - state.tick for t in state.timers),
-        last_event=state.last_event,
+        last_event=last_event,
     )
 
 

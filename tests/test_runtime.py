@@ -15,11 +15,14 @@ from asslkit.runtime import (
     GUARD_REJECTED,
     SUCCESS,
     Halt,
+    InjectEvent,
     LivelockError,
     Runtime,
+    RuntimeState,
     Scenario,
     ScenarioError,
     SendMessage,
+    SetMetric,
     parse_scenario,
 )
 from asslkit.runtime import engine
@@ -35,7 +38,7 @@ from asslkit.runtime.state import (
     MESSAGE_SENT,
     EventOccurrence,
 )
-from asslkit.verifier import Layout, build_lts
+from asslkit.verifier import Layout, Tick, build_lts
 from conftest import operators_spec_and_scenario
 from oracles import reference_advance_tick
 from specgen import random_checked_spec, random_scenario, swarm_source
@@ -105,7 +108,6 @@ class TestRaise:
         assert not raised
         (record,) = runtime.trace.find(EVENT_SUPPRESSED, "worker.privateMessageSecure")
         assert record.detail == "guard false"
-        assert state.last_event is None
 
     def test_reinitiation_is_idempotent(self, figures_spec):
         runtime = Runtime(figures_spec)
@@ -298,6 +300,31 @@ class TestStep:
         assert state.metrics == before.metrics
         assert runtime.trace.records == []
 
+    def test_step_returns_the_event_it_raised(self, figures_spec):
+        # The event a move raised is its result, not part of the state: a
+        # raised event's key, None for a suppressed one (and for an idle
+        # queue, as ``test_empty_queue_is_identity`` checks), and nothing
+        # from a stimulus.
+        runtime = Runtime(figures_spec)
+        program = figures_spec.program
+        state = runtime.init()
+        # thereIsInsecureMsg is false, so privateMessageSecure's guard fails
+        secure = occurrence(figures_spec, runtime, "privateMessageSecure")
+        coming = occurrence(figures_spec, runtime, "privateMessageIsComming")
+        state.pending.extend((secure, coming))
+        assert runtime.step(state) is None
+        assert runtime.trace.find(EVENT_SUPPRESSED, "worker.privateMessageSecure")
+        assert runtime.step(state) == coming.event
+        message = next(iter(program.messages))
+        for stimulus in (
+            InjectEvent(coming.event),
+            SetMetric(program.metric_keys[0], True),
+            SendMessage(message, program.channel_keys[0]),
+            Tick(),
+        ):
+            assert runtime.apply_stimulus(state, stimulus) is None, stimulus
+        assert "last_event" not in RuntimeState.__slots__
+
     def test_copy_of_a_working_state_is_equal_and_independent(self, healing_spec):
         # The verifier's working states hold a vector's tuples as their parts.
         lts = build_lts(healing_spec)
@@ -307,7 +334,7 @@ class TestStep:
             vec = lts.states[index]
             state = Layout.state(vec, occurrences)
             copy = state.copy()
-            assert Layout.vector(copy) == Layout.vector(state) == vec
+            assert Layout.vector(copy, vec.last_event) == Layout.vector(state, vec.last_event) == vec
             assert copy.pending == state.pending
             copy.fluents[0] = not copy.fluents[0]
             copy.metrics[0] = "changed"
@@ -315,7 +342,8 @@ class TestStep:
             for queue in copy.channels:
                 queue.append(("ASIP", "extra"))
             copy.pending.clear()
-            assert Layout.vector(state) == vec and len(state.pending) == len(vec.pending)
+            assert Layout.vector(state, vec.last_event) == vec
+            assert len(state.pending) == len(vec.pending)
 
     def test_mapping_needs_all_conditions(self):
         spec = check_all(parse_text(CONJUNCTION_SPEC))
@@ -495,13 +523,15 @@ class TestRecordingOff:
                 def same(where: str) -> None:
                     nonlocal compared
                     (_, a), (_, b) = pair
-                    assert Layout.vector(a) == Layout.vector(b), (pkg.name, path.stem, where)
+                    assert Layout.vector(a, None) == Layout.vector(b, None), (
+                        pkg.name, path.stem, where,
+                    )
                     compared += 1
 
                 def drain() -> None:
                     while pair[0][1].pending:
-                        for runtime, state in pair:
-                            runtime.step(state)
+                        raised = [runtime.step(state) for runtime, state in pair]
+                        assert raised[0] == raised[1], (pkg.name, path.stem)
                         same("step")
 
                 steps = list(scenario.steps)

@@ -38,7 +38,7 @@ from asslkit.runtime import Runtime, parse_scenario
 from asslkit.runtime.scenario import InjectEvent
 from asslkit.runtime.state import EventOccurrence, RuntimeState
 from asslkit.verifier import Layout, Lts, StateVector
-from asslkit.verifier.mc import _Checker, _cycles_and_escapes, _path
+from asslkit.verifier.mc import _cycles_and_escapes, _path, path_to
 from asslkit.verifier.props import PBin, PNot
 from conftest import README_ENVS, operators_spec_and_scenario
 from oracles import (
@@ -118,7 +118,6 @@ def full_copy(vec: StateVector, occurrences) -> RuntimeState:
         [list(queue) for queue in vec.channels],
         deque(occurrences[event] for event in vec.pending),
         list(vec.timers),
-        vec.last_event,
     )
 
 
@@ -322,9 +321,8 @@ class TestBuildLts:
             order, parent = reference_bfs_tree(edges, 0)
             assert order == list(range(lts.state_count))
             assert all(adjacency == sorted(adjacency) for adjacency in lts.succ)
-            checker = _Checker(lts)
             for target in {*range(0, lts.state_count, 97), lts.state_count - 1}:
-                assert checker.path_to(target) == _path(parent, 0, target)
+                assert path_to(lts, target) == _path(parent, 0, target)
 
     def test_states_outside_cut_have_the_oracle_successors(self):
         """Under every bound, a state outside ``cut`` has exactly the
@@ -369,11 +367,11 @@ class TestBuildLts:
                 for part in SHARED_PARTS:
                     assert getattr(state, part) is getattr(vec, part), (part, vec)
                 # the parts no move wrote pass through as the vector's own
-                shared = Layout.vector(state)
+                shared = Layout.vector(state, vec.last_event)
                 assert shared == vec
                 for part in SHARED_PARTS:
                     assert getattr(shared, part) is getattr(vec, part), (part, vec)
-                assert repr(Layout.vector(full_copy(vec, occurrences))) == repr(vec)
+                assert repr(Layout.vector(full_copy(vec, occurrences), vec.last_event)) == repr(vec)
 
     def test_shared_working_state_moves_like_a_full_copy(self, shared_state_graphs):
         # Each move's working state starts with the source vector's tuples,
@@ -392,13 +390,15 @@ class TestBuildLts:
                 for stimulus in [None] if vec.pending else lts.env:
                     shared = Layout.state(vec, occurrences)
                     full = full_copy(vec, occurrences)
+                    raised = []
                     for state in (shared, full):
                         if stimulus is None:
-                            runtime.step(state)
+                            raised.append(runtime.step(state))
                         else:
                             runtime.apply_stimulus(state, stimulus)
-                    successor = repr(Layout.vector(shared))
-                    assert successor == repr(Layout.vector(full))
+                            raised.append(None)
+                    successor = repr(Layout.vector(shared, raised[0]))
+                    assert successor == repr(Layout.vector(full, raised[1]))
                     assert repr(vec) == before
                     for part in SHARED_PARTS:
                         value = getattr(shared, part)
@@ -417,39 +417,14 @@ class TestBuildLts:
             assert edges == lts.edge_count
         assert checked > 10_000
 
-    def test_moves_write_last_event_and_never_read_it(self, shared_state_graphs):
-        # ``build_lts`` expands one state per core, the parts other than
-        # ``last_event``, and shares its successors with the states that
-        # differ from it only there. That holds only while every move writes
-        # ``last_event`` and none reads it. So each move of each stored state
-        # is run again with ``last_event`` replaced: by None, by an event key
-        # and by an object no move can write. Each run must reach the vector
-        # the unchanged state reaches, which is the edge's target if the move
-        # has an edge.
-        unwritten = object()
-        checked = 0
+    def test_a_repeated_stimulus_is_one_move(self, shared_state_graphs):
+        # A stimulus listed twice in the environment is one move: the graph
+        # is the one the environment gives once, and ``Lts.env`` holds each
+        # stimulus once.
         for spec, lts in shared_state_graphs:
-            runtime = Runtime(spec, seed=None, record=False)
-            occurrences = {event: EventOccurrence(event, "") for event in lts.program.events}
-            starts = (None, next(reversed(lts.program.events)), unwritten)
-            for state_id, vec in enumerate(lts.states):
-                targets = dict(lts.succ[state_id])
-                for stimulus in [None] if vec.pending else lts.env:
-                    successors = set()
-                    for last_event in (vec.last_event, *starts):
-                        state = Layout.state(vec._replace(last_event=last_event), occurrences)
-                        if stimulus is None:
-                            runtime.step(state)
-                        else:
-                            runtime.apply_stimulus(state, stimulus)
-                        assert state.last_event is not unwritten, (state_id, stimulus)
-                        successors.add(repr(Layout.vector(state)))
-                    assert len(successors) == 1, (state_id, stimulus)
-                    label = f"proc {qual(vec.pending[0])}" if vec.pending else stimulus.render()
-                    if label in targets:
-                        assert successors == {repr(lts.states[targets[label]])}
-                    checked += 1
-        assert checked > 10_000
+            twice = build_lts(spec, env=lts.env + lts.env)
+            assert lts_to_text(twice) == lts_to_text(lts)
+            assert twice.env == lts.env
 
     def test_states_that_differ_only_in_last_event_share_their_expansion(self):
         # State 0 and state 3 (after ``poke`` is processed) differ only in
