@@ -2,12 +2,13 @@
 
 States are projections of quiescent and mid-drain runtime configurations:
 fluent activations, metric valuations, channel queue contents, the pending
-occurrence queue, relative timer residues, and the most recently raised
-event (which carries the event-just-occurred atoms). Because the language
-has no arithmetic, every value a metric can take is a literal written
-somewhere in the specification or supplied by an environment stimulus, so
-metric valuations range over a finite set and the graph is finite whenever
-queues stay bounded.
+occurrence queue and relative timer residues. Each state also records the
+event raised by the move into it, which event atoms read (state/event
+model checking; Chaki et al., IFM 2004). Because the language has no
+arithmetic, every value a metric can take is a literal written somewhere
+in the specification or supplied by an environment stimulus, so metric
+valuations range over a finite set and the graph is finite whenever queues
+stay bounded.
 
 Transitions come in two flavors:
 
@@ -58,7 +59,7 @@ Five facts keep the stored graph small and cheap to build:
   stored vector are interned in per-build tables, so states share equal
   parts.
 * Observations. Labels and property atoms read only a state's fluents,
-  metrics and ``last_event``, its *observation*, and many states share one
+  metrics and entering event, its *observation*, and many states share one
   (on a 2-worker swarm, 2,575 states have 120). ``Lts.observations``
   numbers the distinct ones on first use, from ``states`` alone, so labels
   are built and rendered, and each proposition evaluated, once per
@@ -66,19 +67,17 @@ Five facts keep the stored graph small and cheap to build:
   interned metric parts, and, for a spec with a REAL metric, in the index
   of seen states. That keeps apart values that compare equal but render
   differently (``True``, ``1`` and ``1.0``; ``0.0`` and ``-0.0``).
-* Shared expansion. The runtime never sees ``last_event``: a working
-  state has no place for it, and ``Layout.vector`` takes the event that
-  the move returned. So a state's successors depend only on its *core*,
-  its other five parts. ``build_lts`` expands the first state of each
-  core; a later state with that core gets the same adjacency list object,
-  and is cut by ``max_pending`` exactly when the first one was. ``last_event`` is
-  dead for every transition and live only for labels (live-variable
-  reduction at the level of transitions; Bozga, Fernandez & Ghirvu, SAS
-  1999), so the states stay apart and only their expansion is shared. On a
-  2-worker swarm, 1,211 quiescent states have 484 cores, and 3,784 of the
-  7,419 edges need a move to be run. Cores are compared by the identity of
-  their interned parts, so a REAL ``0.0`` part and a ``-0.0`` part stay
-  apart.
+* Shared expansion. A vector is all that a move reads, so a state's
+  successors depend on its vector alone. ``build_lts`` expands the first
+  state with each vector; a later state with an equal vector gets the same
+  adjacency list object, and is cut by ``max_pending`` exactly when the
+  first one was. The entering event is dead for every transition and live
+  only for labels (live-variable reduction at the level of transitions;
+  Bozga, Fernandez & Ghirvu, SAS 1999), so the states stay apart and only
+  their expansion is shared. On a 2-worker swarm, 1,211 quiescent states
+  have 484 vectors, and 3,784 of the 7,419 edges need a move to be run. A
+  vector is keyed as in the index of seen states, so a REAL ``0.0`` state
+  and a ``-0.0`` one stay apart.
 """
 
 from __future__ import annotations
@@ -107,14 +106,14 @@ class Bounds:
 
 
 class StateVector(NamedTuple):
-    """Canonical, hashable projection of a runtime configuration."""
+    """Canonical, hashable projection of a runtime configuration: the parts
+    of a ``RuntimeState`` other than its tick, in the same order."""
 
     fluents: tuple[bool, ...]
     metrics: tuple[object, ...]
     channels: tuple[tuple[Key, ...], ...]
     pending: tuple[Key, ...]
     timers: tuple[int, ...]
-    last_event: Key | None
 
 
 _new = tuple.__new__
@@ -125,12 +124,11 @@ class Layout:
     """Projection of runtime states onto state vectors and back, slot for slot."""
 
     @staticmethod
-    def vector(state: RuntimeState, last_event: Key | None) -> StateVector:
-        """The vector of ``state``, reached by a move that raised
-        ``last_event``. A part still held as a tuple is the vector's own and
-        passes through as it is (``tuple`` of a tuple is that tuple); the
-        channel list is tested explicitly, since each queue is converted
-        too. Timers are made relative to the state's tick."""
+    def vector(state: RuntimeState) -> StateVector:
+        """The vector of ``state``. A part still held as a tuple is the
+        vector's own and passes through as it is (``tuple`` of a tuple is
+        that tuple); the channel list is tested explicitly, since each queue
+        is converted too. Timers are made relative to the state's tick."""
         channels = state.channels
         if type(channels) is not tuple:
             channels = tuple(map(tuple, channels))
@@ -142,7 +140,6 @@ class Layout:
             channels,
             tuple(map(_event_of, state.pending)),
             timers,
-            last_event,
         ))
 
     @staticmethod
@@ -151,8 +148,8 @@ class Layout:
         which the runtime copies into lists where it first writes them.
         Timers stay relative to tick 0. Each pending event becomes its entry
         in ``occurrences``, in a new queue; a cause is read only by trace
-        records. ``last_event`` is left out: no move takes it."""
-        fluents, metrics, channels, pending, timers, _last_event = vec
+        records."""
+        fluents, metrics, channels, pending, timers = vec
         pending = deque(map(occurrences.__getitem__, pending))
         return RuntimeState(0, fluents, metrics, channels, pending, timers)
 
@@ -161,16 +158,19 @@ class Layout:
 class Lts:
     """Explicit labeled transition system; state 0 is initial.
 
-    ``succ[s]`` holds the (edge label, target) pairs leaving state ``s`` in
-    label order; it is the whole graph, and the first in-edge of a state is
-    the one that discovered it. States that differ only in ``last_event``
-    share one adjacency list object, so the lists are read-only. ``cut``
-    holds the states whose expansion a bound stopped; it is empty on a
-    complete graph.
+    ``events[s]`` is the event raised by the move into state ``s``: None for
+    state 0, after a stimulus (a tick included), and after a ``proc`` step
+    whose guard suppressed it. ``succ[s]`` holds the (edge label, target)
+    pairs leaving state ``s`` in label order; it is the whole graph, and the
+    first in-edge of a state is the one that discovered it. States with equal
+    vectors share one adjacency list object, so the lists are read-only.
+    ``cut`` holds the states whose expansion a bound stopped; it is empty on
+    a complete graph.
     """
 
     program: Program
     states: list[StateVector]
+    events: list[Key | None]
     succ: list[list[tuple[str, int]]]
     cut: frozenset[int]
     env: tuple[EnvStimulus, ...]
@@ -181,18 +181,18 @@ class Lts:
         return bool(self.cut)
 
     @cached_property
-    def observations(self) -> tuple[list[int], list[StateVector]]:
+    def observations(self) -> tuple[list[int], list[tuple[StateVector, Key | None]]]:
         """The observation id of each state, and for each observation id the
-        vector of the first state that has it."""
+        vector and entering event of the first state that has it."""
         ids: list[int] = []
-        first: list[StateVector] = []
+        first: list[tuple[StateVector, Key | None]] = []
         number: dict[tuple, int] = {}
-        for vec in self.states:
-            key = (vec.fluents, tuple(map(repr, vec.metrics)), vec.last_event)
+        for vec, event in zip(self.states, self.events):
+            key = (vec.fluents, tuple(map(repr, vec.metrics)), event)
             obs = number.get(key)
             if obs is None:
                 obs = number[key] = len(first)
-                first.append(vec)
+                first.append((vec, event))
             ids.append(obs)
         return ids, first
 
@@ -203,13 +203,13 @@ class Lts:
         fluent_atoms = [f"fluent:{qual(key)}" for key in program.fluent_keys]
         metric_names = [f"metric:{qual(key)}=" for key in program.metric_keys]
         labels = []
-        for vec in self.observations[1]:
+        for vec, event in self.observations[1]:
             props = {atom for atom, active in zip(fluent_atoms, vec.fluents) if active}
             props.update(
                 name + render_value(value) for name, value in zip(metric_names, vec.metrics)
             )
-            if vec.last_event is not None:
-                props.add(f"event:{qual(vec.last_event)}")
+            if event is not None:
+                props.add(f"event:{qual(event)}")
             labels.append(frozenset(props))
         return labels
 
@@ -284,46 +284,44 @@ def build_lts(
     timer_parts: dict[tuple, tuple] = {}
 
     def intern(vec: StateVector) -> StateVector:
-        fluents, metrics, channels, pending, timers, last_event = vec
+        fluents, metrics, channels, pending, timers = vec
         return _new(StateVector, (
             fluent_parts.setdefault(fluents, fluents),
             metric_parts.setdefault(tuple(map(repr, metrics)), metrics),
             channel_parts.setdefault(channels, channels),
             pending_parts.setdefault(pending, pending),
             timer_parts.setdefault(timers, timers),
-            last_event,
         ))
 
     # Of all metric values, only a REAL slot's 0.0 and -0.0 compare equal but
-    # render apart. A spec with a REAL metric indexes each vector together with
+    # render apart. A spec with a REAL metric keys each vector together with
     # its metric reprs, so that a -0.0 state is not merged with its 0.0 twin.
     has_real = any(metric.value_type is ValueType.REAL for metric in program.metrics.values())
-    states: list[StateVector] = [intern(Layout.vector(runtime.init(), None))]
+
+    def key_of(vec: StateVector) -> object:
+        return (vec, tuple(map(repr, vec.metrics))) if has_real else vec
+
+    states: list[StateVector] = [intern(Layout.vector(runtime.init()))]
+    events: list[Key | None] = [None]
     succ: list[list[tuple[str, int]]] = [[]]
-    key = states[0]
-    index: dict[StateVector | tuple[StateVector, tuple[str, ...]], int] = {
-        (key, tuple(map(repr, key.metrics))) if has_real else key: 0
-    }
-    # Shared expansion (see the module docstring): the first state of each
-    # core is expanded, and later ones share its list and its pending cut.
-    # The metric part is keyed by identity, which keeps a REAL 0.0 part apart
-    # from a -0.0 one; the other parts are interned by equality, so for them
-    # equality is identity. Five ids would take 256 bytes a key, this 128.
-    expanded: dict[tuple, int] = {}
+    # The index of seen states, keyed by vector and entering event.
+    index: dict[tuple, int] = {(key_of(states[0]), None): 0}
+    # Shared expansion (see the module docstring): the first state with each
+    # vector is expanded, and later ones share its list and its pending cut.
+    expanded: dict[object, int] = {}
     cut: set[int] = set()
     full = False
     state_id, level_end, depth = 0, 1, 0
     while state_id < len(states) and depth <= bounds.max_depth:
         vec = states[state_id]
-        fluents, metrics, channels, pending, timers, _last_event = vec
-        first = expanded.setdefault((fluents, id(metrics), channels, pending, timers), state_id)
+        first = expanded.setdefault(key_of(vec), state_id)
         if first != state_id:
             succ[state_id] = succ[first]
             if first in cut:
                 cut.add(state_id)
         else:
             adjacency = succ[state_id]
-            for label, stimulus in proc_moves[pending[0]] if pending else moves:
+            for label, stimulus in proc_moves[vec.pending[0]] if vec.pending else moves:
                 nxt = Layout.state(vec, occurrences)
                 if stimulus is None:
                     event = runtime.step(nxt)
@@ -333,16 +331,16 @@ def build_lts(
                 if len(nxt.pending) > bounds.max_pending:
                     cut.add(state_id)
                     continue
-                key = Layout.vector(nxt, event)
-                seen = (key, tuple(map(repr, key.metrics))) if has_real else key
-                dst = index.get(seen)
+                key = Layout.vector(nxt)
+                dst = index.get((key_of(key), event))
                 if dst is None:
                     if len(states) >= bounds.max_states:
                         full = True  # finish this state's moves, then stop
                         continue
                     key = intern(key)
-                    dst = index[(key, seen[1]) if has_real else key] = len(states)
+                    dst = index[key_of(key), event] = len(states)
                     states.append(key)
+                    events.append(event)
                     succ.append([])
                 adjacency.append((label, dst))
             if full:
@@ -357,6 +355,7 @@ def build_lts(
     return Lts(
         program=program,
         states=states,
+        events=events,
         succ=succ,
         cut=frozenset(cut),
         env=env,

@@ -154,9 +154,9 @@ def check(lts: Lts, prop: TemporalProperty) -> Verdict:
     """Deterministic verdict for one property over one LTS, from the first
     witness against its obligation in the order the module text gives."""
     row = _OBLIGATIONS[prop.shape]
-    ids, vectors = lts.observations
-    p = [eval_prop(prop.p, vec, lts.program) for vec in vectors]
-    q = p if prop.q is None else [eval_prop(prop.q, vec, lts.program) for vec in vectors]
+    ids, observed = lts.observations
+    p = [eval_prop(prop.p, vec, event, lts.program) for vec, event in observed]
+    q = p if prop.q is None else [eval_prop(prop.q, vec, event, lts.program) for vec, event in observed]
 
     def per_state(rule: Callable[[bool, bool], bool]) -> list[bool]:
         per_observation = [rule(x, y) for x, y in zip(p, q)]
@@ -426,16 +426,14 @@ def replay_counterexample(spec: CheckedSpec, lts: Lts, cex: Counterexample) -> S
     runtime = Runtime(spec, seed=None, record=False)
     moves = {stim.render(): stim for stim in lts.env}
     state = runtime.init()
-    event = None
     for label, _target in cex.stem:
         stimulus = moves.get(label)
         if stimulus is None:
             assert state.pending and f"proc {qual(state.pending[0].event)}" == label
-            event = runtime.step(state)
+            runtime.step(state)
         else:
             runtime.apply_stimulus(state, stimulus)
-            event = None
-    return Layout.vector(state, event)
+    return Layout.vector(state)
 
 
 def parse_env_stimulus(spec: CheckedSpec, text: str):

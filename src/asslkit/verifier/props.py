@@ -114,11 +114,12 @@ class PBin:
 Prop = FluentAtom | EventAtom | MetricAtom | BoolLit | PNot | PBin
 
 
-def eval_prop(prop: Prop, vector: StateVector, program: Program) -> bool:
+def eval_prop(prop: Prop, vector: StateVector, event: Key | None, program: Program) -> bool:
+    """Whether ``prop`` holds at ``vector``, entered by a move that raised ``event``."""
     if isinstance(prop, FluentAtom):
         return vector.fluents[program.fluent_slot[prop.fluent]]
     if isinstance(prop, EventAtom):
-        return vector.last_event == prop.event
+        return event == prop.event
     if isinstance(prop, MetricAtom):
         value = vector.metrics[program.metric_slot[prop.metric]]
         if prop.op is None:
@@ -127,14 +128,14 @@ def eval_prop(prop: Prop, vector: StateVector, program: Program) -> bool:
     if isinstance(prop, BoolLit):
         return prop.value
     if isinstance(prop, PNot):
-        return not eval_prop(prop.operand, vector, program)
+        return not eval_prop(prop.operand, vector, event, program)
     assert isinstance(prop, PBin)
-    left = eval_prop(prop.left, vector, program)
+    left = eval_prop(prop.left, vector, event, program)
     if prop.op == "AND":
-        return left and eval_prop(prop.right, vector, program)
+        return left and eval_prop(prop.right, vector, event, program)
     if prop.op == "OR":
-        return left or eval_prop(prop.right, vector, program)
-    return (not left) or eval_prop(prop.right, vector, program)
+        return left or eval_prop(prop.right, vector, event, program)
+    return (not left) or eval_prop(prop.right, vector, event, program)
 
 
 # -- temporal layer -------------------------------------------------------------

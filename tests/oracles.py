@@ -1,7 +1,8 @@
 """Independent oracles the verifier is checked against.
 
 ``brute_force_lts`` enumerates the reachable graph with its own depth-first
-bookkeeping, keyed by state vectors rather than discovery ids, so it shares
+bookkeeping, keyed by (state vector, entering event) pairs rather than
+discovery ids, so it shares
 no exploration machinery with the breadth-first ``build_lts`` it
 cross-checks. It also projects states onto vectors itself, key by key
 through ``Program``'s slot maps, instead of through ``Layout.vector``, which
@@ -9,6 +10,8 @@ copies the runtime's slot-indexed lists whole. It runs the runtime with
 recording on and reads the event each ``proc`` step raised from the first
 trace record the step appends (``EventRaised`` or ``EventSuppressed``), not
 from what ``Runtime.step`` returns.
+``stem_event`` replays a counterexample's stem the same way and reads the
+event its last step raised from that step's first trace record.
 ``reference_bfs_tree`` walks a flat edge list breadth first from the
 initial state over label-sorted adjacency; ``build_lts`` must number states
 in its visiting order and record its parents.
@@ -85,15 +88,16 @@ from asslkit.verifier.props import (
 
 
 def brute_force_lts(spec, env, state_cap: int = 5000):
-    """(states, edges, labelings, initial) keyed by state vectors."""
+    """(states, edges, labelings, initial) keyed by (state vector, event)
+    pairs, the event being the one raised by the move into the state."""
     runtime = Runtime(spec, seed=None, record=True)
     program = spec.program
     init_state = runtime.init()
-    init_vec = project(program, init_state, None)
+    init_vec = (project(program, init_state), None)
     rows = runtime.trace.rows
 
-    states: dict[StateVector, object] = {}
-    edges: set[tuple[StateVector, str, StateVector]] = set()
+    states: dict[tuple[StateVector, object], object] = {}
+    edges: set[tuple[tuple[StateVector, object], str, tuple[StateVector, object]]] = set()
     stack = [(init_vec, init_state)]
     while stack:
         vec, state = stack.pop()
@@ -107,7 +111,7 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
             runtime.step(nxt)
             _tick, kind, subject, _detail = rows[0]
             assert subject == qual(head) and kind in (EVENT_RAISED, EVENT_SUPPRESSED), rows[0]
-            nxt_vec = project(program, nxt, head if kind == EVENT_RAISED else None)
+            nxt_vec = (project(program, nxt), head if kind == EVENT_RAISED else None)
             edges.add((vec, f"proc {qual(head)}", nxt_vec))
             stack.append((nxt_vec, nxt))
         else:
@@ -117,13 +121,36 @@ def brute_force_lts(spec, env, state_cap: int = 5000):
                     runtime.advance_tick(nxt)
                 else:
                     runtime.apply_stimulus(nxt, stimulus)
-                nxt_vec = project(program, nxt, None)
+                nxt_vec = (project(program, nxt), None)
                 edges.add((vec, stimulus.render(), nxt_vec))
                 stack.append((nxt_vec, nxt))
         assert len(states) <= state_cap, "oracle exploration exceeded its cap"
 
-    labelings = {vec: _label(program, vec) for vec in states}
+    labelings = {pair: _label(program, *pair) for pair in states}
     return set(states), edges, labelings, init_vec
+
+
+def stem_event(spec, lts: Lts, stem):
+    """The event raised by the last step of ``stem``: None for an empty stem,
+    after a stimulus, and after a ``proc`` step whose guard suppressed it."""
+    runtime = Runtime(spec, seed=None, record=True)
+    moves = {stim.render(): stim for stim in lts.env}
+    state = runtime.init()
+    rows = runtime.trace.rows
+    event = None
+    for label, _target in stem:
+        stimulus = moves.get(label)
+        if stimulus is not None:
+            runtime.apply_stimulus(state, stimulus)
+            event = None
+            continue
+        head = state.pending[0].event
+        rows.clear()
+        runtime.step(state)
+        _tick, kind, subject, _detail = rows[0]
+        assert label == f"proc {subject}" and kind in (EVENT_RAISED, EVENT_SUPPRESSED), rows[0]
+        event = head if kind == EVENT_RAISED else None
+    return event
 
 
 def reference_eval_expr(
@@ -204,9 +231,8 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                 state.timers[slot] = state.tick + period
 
 
-def project(program, state, last_event) -> StateVector:
-    """The state vector of ``state``, looked up key by key, reached by a move
-    that raised ``last_event``."""
+def project(program, state) -> StateVector:
+    """The state vector of ``state``, looked up key by key."""
     return StateVector(
         fluents=tuple(state.fluents[program.fluent_slot[key]] for key in program.fluent_keys),
         metrics=tuple(state.metrics[program.metric_slot[key]] for key in program.metric_keys),
@@ -215,11 +241,10 @@ def project(program, state, last_event) -> StateVector:
         ),
         pending=tuple(occ.event for occ in state.pending),
         timers=tuple(t - state.tick for t in state.timers),
-        last_event=last_event,
     )
 
 
-def _label(program, vec: StateVector) -> frozenset[str]:
+def _label(program, vec: StateVector, event) -> frozenset[str]:
     from asslkit.nodes import render_value
 
     props = {
@@ -230,23 +255,22 @@ def _label(program, vec: StateVector) -> frozenset[str]:
     for key in program.metric_keys:
         value = vec.metrics[program.metric_slot[key]]
         props.add(f"metric:{qual(key)}={render_value(value)}")
-    if vec.last_event is not None:
-        props.add(f"event:{qual(vec.last_event)}")
+    if event is not None:
+        props.add(f"event:{qual(event)}")
     return frozenset(props)
 
 
 def lts_as_sets(lts: Lts):
-    """Project a built Lts onto vector-keyed sets for oracle comparison."""
-    states = set(lts.states)
+    """Project a built Lts onto sets keyed by (vector, event) pairs for
+    oracle comparison."""
+    pairs = list(zip(lts.states, lts.events))
     edges = {
-        (lts.states[src], label, lts.states[dst])
+        (pairs[src], label, pairs[dst])
         for src, adjacency in enumerate(lts.succ)
         for label, dst in adjacency
     }
-    labelings = {
-        lts.states[i]: lts.labeling(i) for i in range(lts.state_count)
-    }
-    return states, edges, labelings, lts.states[0]
+    labelings = {pairs[i]: lts.labeling(i) for i in range(lts.state_count)}
+    return set(pairs), edges, labelings, pairs[0]
 
 
 def reference_bfs_tree(
@@ -334,11 +358,11 @@ def exhaustive_check(lts: Lts, prop: TemporalProperty) -> str:
     assert not lts.truncated, "the path oracle needs a complete graph"
 
     def p_at(state_id: int) -> bool:
-        return eval_prop(prop.p, lts.states[state_id], lts.program)
+        return eval_prop(prop.p, lts.states[state_id], lts.events[state_id], lts.program)
 
     def q_at(state_id: int) -> bool:
         assert prop.q is not None
-        return eval_prop(prop.q, lts.states[state_id], lts.program)
+        return eval_prop(prop.q, lts.states[state_id], lts.events[state_id], lts.program)
 
     for path, loop_start in all_maximal_paths(lts):
         if _path_violates(prop, path, loop_start, p_at, q_at):

@@ -33,7 +33,7 @@ from asslkit.verifier import (
     parse_property,
     replay_counterexample,
 )
-from oracles import all_maximal_paths, brute_force_lts, exhaustive_check, lts_as_sets
+from oracles import all_maximal_paths, brute_force_lts, exhaustive_check, lts_as_sets, stem_event
 from specgen import env_for, random_checked_spec, random_properties, random_scenario
 from tracecheck import check_alternation
 
@@ -176,13 +176,15 @@ def test_criterion_5_counterexample_soundness():
         cex = verdict.counterexample
         vector = replay_counterexample(spec, lts, cex)
         assert vector == lts.states[cex.violating_state], verdict.prop.text
+        event = stem_event(spec, lts, cex.stem)
+        assert lts.events[cex.violating_state] == event, verdict.prop.text
         if verdict.prop.shape in ("G", "F"):
-            assert eval_prop(verdict.prop.p, vector, lts.program) is False
+            assert eval_prop(verdict.prop.p, vector, event, lts.program) is False
         elif verdict.prop.shape == "G->X" and cex.kind == "deadend":
             # X q fails at a state with no successor; q itself is not at issue
             assert not lts.succ[cex.violating_state]
         else:  # response, until, and bad-next violations falsify q
-            assert eval_prop(verdict.prop.q, vector, lts.program) is False
+            assert eval_prop(verdict.prop.q, vector, event, lts.program) is False
     print(f"PASS criterion 5: {len(violated)}/{len(violated)} counterexamples replay soundly")
 
 

@@ -31,6 +31,7 @@ from asslkit.verifier import (
     replay_counterexample,
 )
 from conftest import FIG_ACTION_CALL, FIG_EVENTS, FIG_POLICY, README_ENVS, figures_wrapped
+from oracles import stem_event
 
 
 
@@ -260,5 +261,7 @@ class TestVoyager:
         )
         verdict = check(lts, prop)
         assert verdict.result == VIOLATED
-        vector = replay_counterexample(lossy, lts, verdict.counterexample)
-        assert vector == lts.states[verdict.counterexample.violating_state]
+        cex = verdict.counterexample
+        vector = replay_counterexample(lossy, lts, cex)
+        assert vector == lts.states[cex.violating_state]
+        assert lts.events[cex.violating_state] == stem_event(lossy, lts, cex.stem)

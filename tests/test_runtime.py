@@ -334,7 +334,7 @@ class TestStep:
             vec = lts.states[index]
             state = Layout.state(vec, occurrences)
             copy = state.copy()
-            assert Layout.vector(copy, vec.last_event) == Layout.vector(state, vec.last_event) == vec
+            assert Layout.vector(copy) == Layout.vector(state) == vec
             assert copy.pending == state.pending
             copy.fluents[0] = not copy.fluents[0]
             copy.metrics[0] = "changed"
@@ -342,7 +342,7 @@ class TestStep:
             for queue in copy.channels:
                 queue.append(("ASIP", "extra"))
             copy.pending.clear()
-            assert Layout.vector(state, vec.last_event) == vec
+            assert Layout.vector(state) == vec
             assert len(state.pending) == len(vec.pending)
 
     def test_mapping_needs_all_conditions(self):
@@ -523,7 +523,7 @@ class TestRecordingOff:
                 def same(where: str) -> None:
                     nonlocal compared
                     (_, a), (_, b) = pair
-                    assert Layout.vector(a, None) == Layout.vector(b, None), (
+                    assert Layout.vector(a) == Layout.vector(b), (
                         pkg.name, path.stem, where,
                     )
                     compared += 1

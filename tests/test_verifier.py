@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import operator
 import random
@@ -48,6 +49,7 @@ from oracles import (
     lts_as_sets,
     reference_bfs_tree,
     reference_cycles_and_escapes,
+    stem_event,
 )
 from specgen import env_for, random_checked_spec, random_properties, swarm_env, swarm_source
 from test_cli import CASCADE_SPEC
@@ -151,7 +153,7 @@ class TestBuildLts:
             )
         )
         lts = build_lts(spec)
-        # Hand enumeration (stimulus edges clear the last-event marker):
+        # Hand enumeration (stimulus edges enter with no event):
         #   q0 (idle, none)   --go-->  p1 (idle, pending go)   --proc--> q1
         #   q0                --stop-> p2 (idle, pending stop) --proc--> q2
         #   q1 (busy, go)     --go-->  p3 --proc--> q1 (re-initiation no-op)
@@ -338,20 +340,21 @@ class TestBuildLts:
             spec = random_checked_spec(seed)
             env = env_for(spec)
             _states, edges, _labelings, _initial = brute_force_lts(spec, env)
-            oracle: dict[StateVector, set] = {}
+            oracle: dict[tuple, set] = {}
             for src, label, dst in edges:
                 oracle.setdefault(src, set()).add((label, dst))
             for bounds in every_bound:
                 lts = build_lts(spec, env=env, bounds=bounds)
                 assert lts.truncated == bool(lts.cut)
                 assert lts.cut <= set(range(lts.state_count))
-                for state, vec in enumerate(lts.states):
-                    successors = [(label, lts.states[dst]) for label, dst in lts.succ[state]]
+                pairs = list(zip(lts.states, lts.events))
+                for state, pair in enumerate(pairs):
+                    successors = [(label, pairs[dst]) for label, dst in lts.succ[state]]
                     assert len(set(successors)) == len(successors)
                     if state in lts.cut:
-                        assert set(successors) <= oracle.get(vec, set()), (seed, bounds)
+                        assert set(successors) <= oracle.get(pair, set()), (seed, bounds)
                     else:
-                        assert set(successors) == oracle.get(vec, set()), (seed, bounds)
+                        assert set(successors) == oracle.get(pair, set()), (seed, bounds)
                 seen["expanded"] += lts.state_count - len(lts.cut)
                 seen["cut"] += len(lts.cut)
                 seen["truncated"] += lts.truncated
@@ -367,18 +370,25 @@ class TestBuildLts:
                 for part in SHARED_PARTS:
                     assert getattr(state, part) is getattr(vec, part), (part, vec)
                 # the parts no move wrote pass through as the vector's own
-                shared = Layout.vector(state, vec.last_event)
+                shared = Layout.vector(state)
                 assert shared == vec
                 for part in SHARED_PARTS:
                     assert getattr(shared, part) is getattr(vec, part), (part, vec)
-                assert repr(Layout.vector(full_copy(vec, occurrences), vec.last_event)) == repr(vec)
+                assert repr(Layout.vector(full_copy(vec, occurrences))) == repr(vec)
+
+    def test_a_state_vector_holds_the_runtime_parts_other_than_tick(self):
+        assert StateVector._fields == RuntimeState.__slots__[1:]
+        assert StateVector._fields == ("fluents", "metrics", "channels", "pending", "timers")
+        assert list(inspect.signature(Layout.vector).parameters) == ["state"]
+        event = inspect.signature(eval_prop).parameters["event"]
+        assert event.default is inspect.Parameter.empty
 
     def test_shared_working_state_moves_like_a_full_copy(self, shared_state_graphs):
         # Each move's working state starts with the source vector's tuples,
         # and the runtime copies a part into a list where it first writes it.
-        # Its successor must be the one a state with every part copied into
-        # lists reaches, it must be the target of the move's edge, and the
-        # source must not change.
+        # Its successor and raised event must be the ones a state with every
+        # part copied into lists gives, they must be the target of the move's
+        # edge and that target's event, and the source must not change.
         checked = 0
         for spec, lts in shared_state_graphs:
             edges = 0
@@ -397,8 +407,9 @@ class TestBuildLts:
                         else:
                             runtime.apply_stimulus(state, stimulus)
                             raised.append(None)
-                    successor = repr(Layout.vector(shared, raised[0]))
-                    assert successor == repr(Layout.vector(full, raised[1]))
+                    successor = repr(Layout.vector(shared))
+                    assert successor == repr(Layout.vector(full))
+                    assert raised[0] == raised[1], (state_id, stimulus)
                     assert repr(vec) == before
                     for part in SHARED_PARTS:
                         value = getattr(shared, part)
@@ -412,6 +423,7 @@ class TestBuildLts:
                     label = f"proc {qual(vec.pending[0])}" if vec.pending else stimulus.render()
                     if label in targets:
                         assert repr(lts.states[targets[label]]) == successor, (state_id, label)
+                        assert lts.events[targets[label]] == raised[0], (state_id, label)
                         edges += 1
                     checked += 1
             assert edges == lts.edge_count
@@ -427,8 +439,9 @@ class TestBuildLts:
             assert twice.env == lts.env
 
     def test_states_that_differ_only_in_last_event_share_their_expansion(self):
-        # State 0 and state 3 (after ``poke`` is processed) differ only in
-        # ``last_event``, as do state 2 (``ping`` queued) and state 5. A tick
+        # State 0 and state 3 (after ``poke`` is processed) have equal
+        # vectors and differ only in their event, as do state 2 (``ping``
+        # queued) and state 5. A tick
         # from 2 or 5 delivers ``ping`` to two events, over ``max_pending``.
         spec = check_all(parse_text("""
             AS sys { }
@@ -447,7 +460,8 @@ class TestBuildLts:
         env = tuple(parse_env_stimulus(spec, t) for t in ("inject poke", "send ping link", "tick"))
         lts = build_lts(spec, env=env, bounds=Bounds(max_pending=1))
         assert lts.state_count == 6
-        assert [vec.last_event for vec in lts.states] == [
+        assert lts.states[3] == lts.states[0] and lts.states[5] == lts.states[2]
+        assert lts.events == [
             None, None, None, ("unit", "poke"), None, ("unit", "poke")
         ]
         assert lts.succ[3] is lts.succ[0] and lts.succ[5] is lts.succ[2]
@@ -613,8 +627,8 @@ class TestCheck:
                 [(f"e{j}", rng.randrange(count)) for j in sorted(rng.sample(range(4), k))]
                 for k in (0 if rng.random() < 0.25 else rng.randint(1, 3) for _ in range(count))
             ]
-            vectors = [
-                StateVector((rng.random() < 0.5,), (rng.random() < 0.5,), (), (), (), rng.choice(events))
+            pairs = [
+                (StateVector((rng.random() < 0.5,), (rng.random() < 0.5,), (), (), ()), rng.choice(events))
                 for _ in range(count)
             ]
             number = {0: 0}
@@ -625,7 +639,9 @@ class TestCheck:
                         number[dst] = len(order)
                         order.append(dst)
             edges = [(number[src], label, number[dst]) for src in order for label, dst in succ[src]]
-            lts = _hand_built_lts(toggle_spec.program, [vectors[s] for s in order], edges)
+            lts = _hand_built_lts(
+                toggle_spec.program, [pairs[s][0] for s in order], edges, [pairs[s][1] for s in order]
+            )
             dead_ends += sum(not adjacency for adjacency in lts.succ)
             for line in random_properties(toggle_spec, rng, 8):
                 prop = parse_property(line, toggle_spec)
@@ -692,7 +708,9 @@ class TestExplainAndReplay:
         cex = verdict.counterexample
         vector = replay_counterexample(toggle_spec, lts, cex)
         assert vector == lts.states[cex.violating_state]
-        assert eval_prop(prop.p, vector, lts.program) is False
+        event = stem_event(toggle_spec, lts, cex.stem)
+        assert lts.events[cex.violating_state] == event
+        assert eval_prop(prop.p, vector, event, lts.program) is False
 
     def test_explain_emits_text_and_scenario(self, toggle_spec):
         lts = build_lts(toggle_spec)
@@ -720,8 +738,10 @@ class TestExplainAndReplay:
         verdict = check(lts, prop)
         assert verdict.result == VIOLATED
         assert verdict.counterexample.loop
-        vector = replay_counterexample(stuck, lts, verdict.counterexample)
-        assert vector == lts.states[verdict.counterexample.violating_state]
+        cex = verdict.counterexample
+        vector = replay_counterexample(stuck, lts, cex)
+        assert vector == lts.states[cex.violating_state]
+        assert lts.events[cex.violating_state] == stem_event(stuck, lts, cex.stem)
         text, scenario = explain(stuck, lts, verdict)
         assert "loop" in text
         assert scenario.steps[-1][1].render() == "halt"
@@ -747,6 +767,7 @@ class TestExplainAndReplay:
         cex = verdict.counterexample
         assert [label for label, _ in cex.stem].count("tick") >= 4
         assert replay_counterexample(spec, lts, cex) == lts.states[cex.violating_state]
+        assert lts.events[cex.violating_state] == stem_event(spec, lts, cex.stem)
 
     def test_eventually_without_stimuli_is_a_dead_end(self, toggle_spec):
         lts = build_lts(toggle_spec, env=())
@@ -758,6 +779,7 @@ class TestExplainAndReplay:
         assert (cex.kind, cex.stem, cex.loop, cex.violating_state) == ("deadend", (), (), 0)
         assert exhaustive_check(lts, prop) == "Violated"
         assert replay_counterexample(toggle_spec, lts, cex) == lts.states[0]
+        assert lts.events[0] is None is stem_event(toggle_spec, lts, cex.stem)
 
     def test_explain_requires_violation(self, toggle_spec):
         lts = build_lts(toggle_spec)
@@ -943,8 +965,8 @@ class TestPropertyParsing:
             atom = parse_property(f"G (metric count {op} 3)", operators_spec).p
             for value in (2, 3, 4):
                 metrics[slot] = value
-                vector = StateVector(fluents, tuple(metrics), (), (), (), None)
-                assert eval_prop(atom, vector, program) is compare(value, 3), (op, value)
+                vector = StateVector(fluents, tuple(metrics), (), (), ())
+                assert eval_prop(atom, vector, None, program) is compare(value, 3), (op, value)
 
     def test_metric_literal_type_checked(self, toggle_spec):
         with pytest.raises(PropertyError):
@@ -1024,9 +1046,9 @@ def _outcome(spec, lts, verdict):
     return verdict, text, scenario.render()
 
 
-def _hand_built_lts(program, states, edges) -> Lts:
+def _hand_built_lts(program, states, edges, events=None) -> Lts:
     """A complete graph over hand-written (source, label, target) edges, with
-    label-ordered adjacency. Stems follow each state's first in-edge in
+    label-ordered adjacency; ``events`` defaults to None for every state. Stems follow each state's first in-edge in
     (source id, label) order back to state 0, so they assume that edge is the
     one a BFS from state 0 finds the state by, as it is with BFS-ordered ids;
     the graphs built here satisfy that."""
@@ -1036,6 +1058,7 @@ def _hand_built_lts(program, states, edges) -> Lts:
     return Lts(
         program=program,
         states=states,
+        events=events or [None] * len(states),
         succ=succ,
         cut=frozenset(),
         env=(),
@@ -1102,9 +1125,7 @@ class TestSharedWork:
         busy_at = chain + ring // 2
 
         def vector(i):
-            return StateVector(
-                (i in (busy_at, spur),), (i < chain,), (), (), (), None
-            )
+            return StateVector((i in (busy_at, spur),), (i < chain,), (), (), ())
 
         edges = [(i, "tick", i + 1) for i in range(chain + ring - 1)]
         edges.append((chain + ring - 1, "tick", chain))
@@ -1138,7 +1159,7 @@ class TestSharedWork:
         values = (True, 1, 1.0, 0.0, -0.0, 1, True)
         lts = _hand_built_lts(
             toggle_spec.program,
-            [StateVector((False,), (v,), (), (), (), None) for v in values],
+            [StateVector((False,), (v,), (), (), ()) for v in values],
             [],
         )
         atoms = [lts.labeling(i) for i in range(len(values))]
@@ -1158,9 +1179,9 @@ class TestSharedWork:
         vectors = []
         for value, pending in ((0.0, ()), (-0.0, (("probe", "levelEq"),))):
             metrics[level] = value
-            vectors.append(StateVector(fluents, tuple(metrics), (), pending, (), None))
+            vectors.append(StateVector(fluents, tuple(metrics), (), pending, ()))
         lts = _hand_built_lts(program, vectors, [(0, "tick", 1), (1, "tick", 0)])
-        own = [_label(program, vec) for vec in vectors]
+        own = [_label(program, vec, None) for vec in vectors]
         assert "metric:probe.level=0.0" in own[0] and "metric:probe.level=-0.0" in own[1]
         assert [lts.labeling(0), lts.labeling(1)] == own
         assert lts_to_text(lts).splitlines()[1:3] == [
@@ -1250,8 +1271,9 @@ class TestCyclesAndEscapes:
                 seen["cut"] += len(lts.cut)
                 regions = [[True] * count]
                 for prop in props:
-                    p = [eval_prop(prop.p, vec, lts.program) for vec in lts.states]
-                    q = [eval_prop(prop.q, vec, lts.program) for vec in lts.states] if prop.q else p
+                    pairs = list(zip(lts.states, lts.events))
+                    p = [eval_prop(prop.p, vec, event, lts.program) for vec, event in pairs]
+                    q = [eval_prop(prop.q, vec, event, lts.program) for vec, event in pairs] if prop.q else p
                     regions += [
                         [not x for x in p],
                         [not x for x in q],
@@ -1289,7 +1311,8 @@ class TestCyclesAndEscapes:
             expanded = frozenset(s for s in range(count) if rng.random() < 0.85)
             lts = Lts(
                 program=toggle_spec.program,
-                states=[StateVector((False,), (True,), (), (), (), None)] * count,
+                states=[StateVector((False,), (True,), (), (), ())] * count,
+                events=[None] * count,
                 succ=succ,
                 cut=frozenset(range(count)) - expanded,
                 env=(),
