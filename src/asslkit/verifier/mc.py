@@ -372,8 +372,8 @@ def explain(spec: CheckedSpec, lts: Lts, verdict: Verdict) -> tuple[str, Scenari
 
     Stimulus edges become scenario steps, one tick apart where the path
     advanced the clock; processing edges are the runtime's own drain and need
-    no steps. The scenario halts right after the stem, at the loop entry for
-    lassos. ``spec`` is not read; callers pass it by position.
+    no steps. The scenario halts right after the stem, at its last tick (the
+    loop entry for lassos). ``spec`` is not read; callers pass it by position.
     """
     if verdict.result != VIOLATED or verdict.counterexample is None:
         raise ValueError("explain needs a Violated verdict")
@@ -405,7 +405,7 @@ def explain(spec: CheckedSpec, lts: Lts, verdict: Verdict) -> tuple[str, Scenari
             tick += 1
         elif stimulus is not None:
             steps.append((tick, stimulus))
-    steps.append((tick + 1, Halt()))
+    steps.append((tick, Halt()))
     return "\n".join(lines) + "\n", Scenario("counterexample", tuple(steps))
 
 

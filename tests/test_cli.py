@@ -289,6 +289,24 @@ class TestVerify:
         assert out.startswith("Violated: ")
         assert cex.read_text().splitlines()[-1].endswith("halt")
 
+    def test_counterexample_run_stops_at_the_stems_last_tick(self, tmp_path, capsys):
+        # The stem sends the message and processes its arrival, all at tick
+        # 0. A run of the scenario that advanced the clock past the stem
+        # would deliver the message, a move the stem never took.
+        prop = tmp_path / "bad.prop"
+        prop.write_text("G (NOT (fluent inSecurityCheck))\n")
+        cex = tmp_path / "cex.scenario"
+        send = ["--send", "privateMessage@secureLink"]
+        assert main(["verify", SPEC, "--prop", str(prop), "--cex", str(cex), *send]) == 1
+        assert "step 2: proc worker.privateMessageIsComming" in capsys.readouterr().out
+        assert cex.read_text().splitlines() == [
+            "tick 0 send worker.privateMessage worker.secureLink", "tick 0 halt",
+        ]
+        trace = tmp_path / "trace.txt"
+        assert main(["run", SPEC, "--scenario", str(cex), "--trace", str(trace)]) == 0
+        records = [line.split("\t") for line in trace.read_text().splitlines()]
+        assert records and {tick for _n, tick, *_rest in records} == {"0"}
+
     def test_unwritable_counterexample_is_usage_error(self, tmp_path, capsys):
         prop = tmp_path / "bad.prop"
         prop.write_text("G false\n")
