@@ -270,8 +270,8 @@ def _environment(args: argparse.Namespace, spec: CheckedSpec):
         if not sep:
             raise _CliFailure(USAGE, f"--send needs MESSAGE@CHANNEL, got {sending!r}")
         stimuli.append(stimulus(f"--send {sending}", f"send {message} {channel}"))
-    if not stimuli and not args.no_tick:
-        return default_env(spec)
+    if not stimuli:  # the declared injectable events
+        stimuli = [stim for stim in default_env(spec) if not isinstance(stim, Tick)]
     if not args.no_tick:
         stimuli += [stim for stim in default_env(spec) if isinstance(stim, Tick)]
     return tuple(stimuli)

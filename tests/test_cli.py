@@ -21,7 +21,8 @@ from asslkit.missions import (
 from asslkit.parser import MAX_NESTING, parse_text
 from asslkit.printer import pretty_print
 from asslkit.program import qual
-from asslkit.verifier import build_lts, parse_env_stimulus
+from asslkit.runtime.scenario import InjectEvent
+from asslkit.verifier import build_lts, default_env, lts_to_text, parse_env_stimulus
 
 PKG = ants_self_protecting()
 SPEC = str(PKG.spec_path)
@@ -399,6 +400,22 @@ class TestVerify:
         code = main(["verify", SPEC, "--prop", LIVENESS, "--no-tick", *ENV_FLAGS])
         assert code == 0
         assert capsys.readouterr().out.startswith("Holds: ")
+
+    @pytest.mark.parametrize(
+        "mission", ["ants_self_configuring_and_scheduling", "voyager_image_processing"]
+    )
+    def test_no_tick_alone_keeps_the_injectable_events(self, mission, tmp_path, capsys):
+        # With no stimulus flag the environment is the declared injectable
+        # events, plus the clock unless --no-tick drops it.
+        pkg = next(p for p in all_missions() if p.name == mission)
+        spec = pkg.load()
+        injectables = tuple(InjectEvent(event) for event in spec.program.injectable)
+        assert injectables
+        for flags, env in (([], default_env(spec)), (["--no-tick"], injectables)):
+            out_file = tmp_path / "graph.txt"
+            assert main(["graph", str(pkg.spec_path), "--out", str(out_file), *flags]) == 0
+            assert out_file.read_text() == lts_to_text(build_lts(spec, env=env)), flags
+        capsys.readouterr()
 
 
 # A policy without mappings, and one whose action guard no metric
