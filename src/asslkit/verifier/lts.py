@@ -1,14 +1,13 @@
 """Bounded explicit-state transition system built from runtime semantics.
 
-States are projections of quiescent and mid-drain runtime configurations:
-fluent activations, metric valuations, channel queue contents, the pending
-occurrence queue and relative timer residues. Each state also records the
-event raised by the move into it, which event atoms read (state/event
-model checking; Chaki et al., IFM 2004). Because the language has no
-arithmetic, every value a metric can take is a literal written somewhere
-in the specification or supplied by an environment stimulus, so metric
-valuations range over a finite set and the graph is finite whenever queues
-stay bounded.
+States are projections of quiescent and mid-drain runtime configurations
+(fluent activations, metric valuations, channel queue contents, the pending
+occurrence queue and relative timer residues), each paired with the event
+raised by the move into it, which event atoms read (state/event model
+checking; Chaki et al., IFM 2004). Because the language has no arithmetic,
+every value a metric can take is a literal written somewhere in the
+specification or supplied by an environment stimulus, so metric valuations
+range over a finite set and the graph is finite whenever queues stay bounded.
 
 Transitions come in two flavors:
 
@@ -306,8 +305,7 @@ def build_lts(
     succ: list[list[tuple[str, int]]] = [[]]
     # The index of seen states, keyed by vector and entering event.
     index: dict[tuple, int] = {(key_of(states[0]), None): 0}
-    # Shared expansion (see the module docstring): the first state with each
-    # vector is expanded, and later ones share its list and its pending cut.
+    # Shared expansion (see the module docstring): the first state per vector key.
     expanded: dict[object, int] = {}
     cut: set[int] = set()
     full = False

@@ -421,7 +421,8 @@ def replay_counterexample(spec: CheckedSpec, lts: Lts, cex: Counterexample) -> S
     """Re-execute the stem with runtime operations; returns the final vector.
 
     The result equals ``lts.states[cex.violating_state]``, which tests assert
-    to certify counterexample soundness.
+    to certify counterexample soundness. A ``proc`` step that does not name
+    the head of the pending queue raises ``ValueError``.
     """
     runtime = Runtime(spec, seed=None, record=False)
     moves = {stim.render(): stim for stim in lts.env}
@@ -429,7 +430,9 @@ def replay_counterexample(spec: CheckedSpec, lts: Lts, cex: Counterexample) -> S
     for label, _target in cex.stem:
         stimulus = moves.get(label)
         if stimulus is None:
-            assert state.pending and f"proc {qual(state.pending[0].event)}" == label
+            head = qual(state.pending[0].event) if state.pending else None
+            if head is None or label != f"proc {head}":
+                raise ValueError(f"stem step {label!r} does not process the queue head, {head}")
             runtime.step(state)
         else:
             runtime.apply_stimulus(state, stimulus)

@@ -8,6 +8,7 @@ import json
 import operator
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -711,6 +712,20 @@ class TestExplainAndReplay:
         event = stem_event(toggle_spec, lts, cex.stem)
         assert lts.events[cex.violating_state] == event
         assert eval_prop(prop.p, vector, event, lts.program) is False
+
+    def test_a_stem_step_that_does_not_process_the_queue_head_is_refused(self, toggle_spec):
+        # Under ``python -O`` an ``assert`` would vanish and replay the head
+        # event whatever the label said.
+        lts = build_lts(toggle_spec)
+        cex = check(lts, parse_property("G (! (fluent busy))", toggle_spec)).counterexample
+        assert [label for label, _ in cex.stem] == ["inject unit.go", "proc unit.go"]
+        (go, go_target), (proc, target) = cex.stem
+        tampered = replace(cex, stem=((go, go_target), ("proc unit.stop", target)))
+        with pytest.raises(ValueError, match="'proc unit.stop' .* queue head, unit.go"):
+            replay_counterexample(toggle_spec, lts, tampered)
+        early = replace(cex, stem=((proc, target),))
+        with pytest.raises(ValueError, match="'proc unit.go' .* queue head, None"):
+            replay_counterexample(toggle_spec, lts, early)
 
     def test_explain_emits_text_and_scenario(self, toggle_spec):
         lts = build_lts(toggle_spec)
