@@ -442,8 +442,8 @@ class TestBuildLts:
     def test_states_that_differ_only_in_last_event_share_their_expansion(self):
         # State 0 and state 3 (after ``poke`` is processed) have equal
         # vectors and differ only in their event, as do state 2 (``ping``
-        # queued) and state 5. A tick
-        # from 2 or 5 delivers ``ping`` to two events, over ``max_pending``.
+        # queued) and state 5. A tick from 2 or 5 delivers ``ping`` to two
+        # events, over ``max_pending``.
         spec = check_all(parse_text("""
             AS sys { }
             AE unit {
@@ -1063,10 +1063,11 @@ def _outcome(spec, lts, verdict):
 
 def _hand_built_lts(program, states, edges, events=None) -> Lts:
     """A complete graph over hand-written (source, label, target) edges, with
-    label-ordered adjacency; ``events`` defaults to None for every state. Stems follow each state's first in-edge in
-    (source id, label) order back to state 0, so they assume that edge is the
-    one a BFS from state 0 finds the state by, as it is with BFS-ordered ids;
-    the graphs built here satisfy that."""
+    label-ordered adjacency; ``events`` defaults to None for every state.
+    Stems follow each state's first in-edge in (source id, label) order back
+    to state 0, so they assume that edge is the one a BFS from state 0 finds
+    the state by, as it is with BFS-ordered ids; the graphs built here
+    satisfy that."""
     succ = [[] for _ in states]
     for src, label, dst in sorted(edges):
         succ[src].append((label, dst))
