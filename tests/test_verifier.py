@@ -86,6 +86,11 @@ def toggle_spec():
     return spec
 
 
+#: Stimuli of the every-operator spec's graph (160 states, 248 edges): one
+#: value of each metric type, a real -0.0 among them, and the clock.
+OPERATORS_ENV = ("tick", "set level -0.0", "set level 2.5", "set count 3", 'set mode "safe"')
+
+
 @pytest.fixture(scope="module")
 def shared_state_graphs():
     """(spec, graph) of every mission with its README environment, swarms
@@ -1365,7 +1370,9 @@ def verify_pin_texts() -> dict[str, str]:
 
     Each mission under its README environment with its shipped properties
     and 20 seeded random ones, random specs 0-59 with 8 random properties
-    each, and the 2-worker swarm with 20 random properties.
+    each, the 2-worker swarm with 20 random properties, and the
+    every-operator spec, whose real metric a stimulus sets to -0.0, with 20
+    random properties.
     """
     texts = {}
     for pkg in all_missions():
@@ -1387,6 +1394,10 @@ def verify_pin_texts() -> dict[str, str]:
     swarm = check_all(parse_text(swarm_source(2)))
     lines = random_properties(swarm, random.Random(2), 20)
     texts["swarm2"] = _verify_text(swarm, swarm_env(swarm, 2), lines)
+    operators = operators_spec_and_scenario()[0]
+    env = tuple(parse_env_stimulus(operators, text) for text in OPERATORS_ENV)
+    lines = random_properties(operators, random.Random("operators"), 20)
+    texts["operators"] = _verify_text(operators, env, lines)
     return texts
 
 
