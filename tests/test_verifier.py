@@ -35,6 +35,7 @@ from asslkit.verifier import (
 from asslkit.cli import main
 from asslkit.missions import all_missions
 from asslkit.names import qual
+from asslkit.nodes import ValueType
 from asslkit.parser import MAX_NESTING
 from asslkit.runtime import Runtime, parse_scenario
 from asslkit.runtime.scenario import InjectEvent
@@ -94,8 +95,8 @@ OPERATORS_ENV = ("tick", "set level -0.0", "set level 2.5", "set count 3", 'set 
 @pytest.fixture(scope="module")
 def shared_state_graphs():
     """(spec, graph) of every mission with its README environment, swarms
-    N=1 and N=2, random specs 0-59, and the every-operator spec with a
-    stimulus that sets a real metric to -0.0."""
+    N=1 and N=2, random specs 0-59, and the every-operator spec under
+    ``OPERATORS_ENV``."""
     pairs = []
     for pkg in all_missions():
         spec = pkg.load()
@@ -108,7 +109,7 @@ def shared_state_graphs():
         spec = random_checked_spec(seed)
         pairs.append((spec, build_lts(spec, env=env_for(spec))))
     operators = operators_spec_and_scenario()[0]
-    env = (parse_env_stimulus(operators, "set level -0.0"),)
+    env = tuple(parse_env_stimulus(operators, text) for text in OPERATORS_ENV)
     pairs.append((operators, build_lts(operators, env=env)))
     return pairs
 
@@ -443,6 +444,34 @@ class TestBuildLts:
             twice = build_lts(spec, env=lts.env + lts.env)
             assert lts_to_text(twice) == lts_to_text(lts)
             assert twice.env == lts.env
+
+    def test_every_stored_metric_value_has_its_slots_declared_type(self, shared_state_graphs):
+        # Equal values of one type share a repr but for a real 0.0 and -0.0,
+        # so only a spec with a real metric needs metric reprs in its keys.
+        python_type = {
+            ValueType.BOOLEAN: bool, ValueType.INTEGER: int,
+            ValueType.REAL: float, ValueType.TEXT: str,
+        }
+        checked = 0
+        for _spec, lts in shared_state_graphs:
+            types = [python_type[m.value_type] for m in lts.program.metrics.values()]
+            for vec in lts.states:
+                for value, declared in zip(vec.metrics, types, strict=True):
+                    assert type(value) is declared, (value, declared)
+                    checked += 1
+        assert checked > 10_000
+
+    def test_observations_number_the_rendered_fluents_metrics_and_event(self, shared_state_graphs):
+        # An observation is what labels read: two states share one exactly
+        # when their fluents, metric reprs and entering events are equal.
+        for _spec, lts in shared_state_graphs:
+            number: dict[tuple, int] = {}
+            expected = [
+                number.setdefault((vec.fluents, tuple(map(repr, vec.metrics)), event), len(number))
+                for vec, event in zip(lts.states, lts.events)
+            ]
+            assert lts.observations[0] == expected
+            assert len(lts.observations[1]) == len(number)
 
     def test_states_that_differ_only_in_last_event_share_their_expansion(self):
         # State 0 and state 3 (after ``poke`` is processed) have equal
