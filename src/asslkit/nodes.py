@@ -76,8 +76,7 @@ class Ref(Node):
 
 @dataclass(frozen=True)
 class Lit(Node):
-    """A literal. Values compare by ``repr``, as ``build_lts`` keys metric
-    values, so that ``0.0`` and ``-0.0`` differ."""
+    """A literal. Values compare by ``repr``, so that ``0.0`` and ``-0.0`` differ."""
 
     value: object
     type: ValueType

@@ -62,21 +62,21 @@ Five facts keep the stored graph small and cheap to build:
   (on a 2-worker swarm, 2,575 states have 120). ``Lts.observations``
   numbers the distinct ones on first use, from ``states`` alone, so labels
   are built and rendered, and each proposition evaluated, once per
-  observation. Metric values are keyed by ``repr`` here, in the table of
-  interned metric parts, and, for a spec with a REAL metric, in the index
-  of seen states. That keeps apart values that compare equal but render
-  differently (``True``, ``1`` and ``1.0``; ``0.0`` and ``-0.0``).
+  observation. One rule says when two metric parts are the same, for the
+  index of seen states, the shared-expansion table and the intern table:
+  they are equal and, in a spec with a REAL metric, have equal reprs. It is
+  exact, since a slot holds only values of its declared type, and equal
+  values of one type share a repr but for a REAL ``0.0`` and ``-0.0``. So
+  an observation is keyed by the identity of its interned parts.
 * Shared expansion. A vector is all that a move reads, so a state's
   successors depend on its vector alone. ``build_lts`` expands the first
-  state with each vector; a later state with an equal vector gets the same
-  adjacency list object, and is cut by ``max_pending`` exactly when the
-  first one was. The entering event is dead for every transition and live
-  only for labels (live-variable reduction at the level of transitions;
-  Bozga, Fernandez & Ghirvu, SAS 1999), so the states stay apart and only
-  their expansion is shared. On a 2-worker swarm, 1,211 quiescent states
-  have 484 vectors, and 3,784 of the 7,419 edges need a move to be run. A
-  vector is keyed as in the index of seen states, so a REAL ``0.0`` state
-  and a ``-0.0`` one stay apart.
+  state with each vector; a later state with the same vector, by the rule
+  above, gets the same adjacency list object, and is cut by ``max_pending``
+  exactly when the first one was. The entering event is dead for every
+  transition and live only for labels (live-variable reduction at the level
+  of transitions; Bozga, Fernandez & Ghirvu, SAS 1999), so the states stay
+  apart and only their expansion is shared. On a 2-worker swarm, 1,211
+  quiescent states have 484 vectors, and 3,784 of the 7,419 edges run a move.
 """
 
 from __future__ import annotations
@@ -182,12 +182,15 @@ class Lts:
     @cached_property
     def observations(self) -> tuple[list[int], list[tuple[StateVector, Key | None]]]:
         """The observation id of each state, and for each observation id the
-        vector and entering event of the first state that has it."""
+        vector and entering event of the first state that has it. A state is
+        keyed by its event and the identity of its fluent and metric parts,
+        which ``build_lts`` interns; in a graph built by hand, equal parts
+        that are distinct objects only give more observations."""
         ids: list[int] = []
         first: list[tuple[StateVector, Key | None]] = []
         number: dict[tuple, int] = {}
         for vec, event in zip(self.states, self.events):
-            key = (vec.fluents, tuple(map(repr, vec.metrics)), event)
+            key = (id(vec.fluents), id(vec.metrics), event)
             obs = number.get(key)
             if obs is None:
                 obs = number[key] = len(first)
@@ -275,7 +278,7 @@ def build_lts(
     # The verifier records no trace, so no pending event needs its cause.
     occurrences = {event: EventOccurrence(event, "") for event in program.events}
     # Each part of a stored vector is interned, so that states share equal
-    # parts; metric parts are keyed by ``repr``, as ``Lts.observations`` is.
+    # parts; a metric part is keyed as ``key_of`` says.
     fluent_parts: dict[tuple, tuple] = {}
     metric_parts: dict[tuple, tuple] = {}
     channel_parts: dict[tuple, tuple] = {}
@@ -286,25 +289,23 @@ def build_lts(
         fluents, metrics, channels, pending, timers = vec
         return _new(StateVector, (
             fluent_parts.setdefault(fluents, fluents),
-            metric_parts.setdefault(tuple(map(repr, metrics)), metrics),
+            metric_parts.setdefault(key_of(metrics, metrics), metrics),
             channel_parts.setdefault(channels, channels),
             pending_parts.setdefault(pending, pending),
             timer_parts.setdefault(timers, timers),
         ))
 
-    # Of all metric values, only a REAL slot's 0.0 and -0.0 compare equal but
-    # render apart. A spec with a REAL metric keys each vector together with
-    # its metric reprs, so that a -0.0 state is not merged with its 0.0 twin.
+    # ``part`` keyed by the rule for same metric parts (module docstring).
     has_real = any(metric.value_type is ValueType.REAL for metric in program.metrics.values())
 
-    def key_of(vec: StateVector) -> object:
-        return (vec, tuple(map(repr, vec.metrics))) if has_real else vec
+    def key_of(part: tuple, metrics: tuple) -> object:
+        return (part, tuple(map(repr, metrics))) if has_real else part
 
     states: list[StateVector] = [intern(Layout.vector(runtime.init()))]
     events: list[Key | None] = [None]
     succ: list[list[tuple[str, int]]] = [[]]
     # The index of seen states, keyed by vector and entering event.
-    index: dict[tuple, int] = {(key_of(states[0]), None): 0}
+    index: dict[tuple, int] = {(key_of(states[0], states[0].metrics), None): 0}
     # Shared expansion (see the module docstring): the first state per vector key.
     expanded: dict[object, int] = {}
     cut: set[int] = set()
@@ -312,7 +313,7 @@ def build_lts(
     state_id, level_end, depth = 0, 1, 0
     while state_id < len(states) and depth <= bounds.max_depth:
         vec = states[state_id]
-        first = expanded.setdefault(key_of(vec), state_id)
+        first = expanded.setdefault(key_of(vec, vec.metrics), state_id)
         if first != state_id:
             succ[state_id] = succ[first]
             if first in cut:
@@ -330,13 +331,13 @@ def build_lts(
                     cut.add(state_id)
                     continue
                 key = Layout.vector(nxt)
-                dst = index.get((key_of(key), event))
+                dst = index.get((key_of(key, key.metrics), event))
                 if dst is None:
                     if len(states) >= bounds.max_states:
                         full = True  # finish this state's moves, then stop
                         continue
                     key = intern(key)
-                    dst = index[key_of(key), event] = len(states)
+                    dst = index[key_of(key, key.metrics), event] = len(states)
                     states.append(key)
                     events.append(event)
                     succ.append([])
