@@ -407,6 +407,10 @@ class _PropParser:
         decl = self.spec.program.metrics[key]
         if self.peek() in COMPARE:
             op = self.advance()
+            if op not in ("=", "!=") and decl.value_type in (ValueType.BOOLEAN, ValueType.TEXT):
+                raise PropertyError(
+                    f"ordering comparison on {decl.value_type.value} metric '{qual(key)}'"
+                )
             try:
                 value = parse_value(self.advance(), decl.value_type)
             except ScenarioError as err:

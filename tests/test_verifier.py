@@ -1021,6 +1021,23 @@ class TestPropertyParsing:
         with pytest.raises(PropertyError):
             parse_property("G (metric held = 3)", toggle_spec)
 
+    def test_ordering_comparison_needs_a_numeric_metric(self, operators_spec, tmp_path):
+        # As in a spec (E-TYPE), <, <=, > and >= take an integer or real metric.
+        for op in ("<", "<=", ">", ">="):
+            for atom, name in (("confirmed " + op + " false", "probe.confirmed"),
+                               ("mode " + op + ' "safe"', "probe.mode")):
+                with pytest.raises(PropertyError, match=rf"^ordering comparison on .* '{name}'$"):
+                    parse_property(f"G (metric {atom})", operators_spec)
+            parse_property(f"G (metric count {op} 3)", operators_spec)
+            parse_property(f"G (metric level {op} 2.5)", operators_spec)
+        for op in ("=", "!="):
+            parse_property(f'G (metric mode {op} "safe")', operators_spec)
+            parse_property(f"G (metric confirmed {op} false)", operators_spec)
+        prop = tmp_path / "ordering.prop"
+        prop.write_text('G (metric mode >= "a")\n')
+        spec = str(Path(__file__).with_name("data") / "operators.assl")
+        assert main(["verify", spec, "--prop", str(prop)]) == 2
+
     def test_infix_and_prefix_mix(self, toggle_spec):
         prop = parse_property(
             "G ((fluent busy) -> ((metric held) & (! (event stop))))", toggle_spec
