@@ -295,7 +295,7 @@ def build_lts(
             timer_parts.setdefault(timers, timers),
         ))
 
-    # ``part`` keyed by the rule for same metric parts (module docstring).
+    # The key of a vector or metric part, by the rule of the module docstring.
     has_real = any(metric.value_type is ValueType.REAL for metric in program.metrics.values())
 
     def key_of(part: tuple, metrics: tuple) -> object:

@@ -537,8 +537,8 @@ class TestBuildLts:
 
     def test_a_tick_keeps_real_zero_and_negative_zero_states_apart(self, operators_spec):
         # A quiescent -0.0 state whose other parts equal those of a 0.0 state
-        # must not share that state's expansion: states are expanded once per
-        # core of interned parts compared by identity, not by equality.
+        # must not share that state's expansion: in a spec with a real metric,
+        # the shared-expansion table keys a vector with its metric reprs.
         env = tuple(parse_env_stimulus(operators_spec, t) for t in ("tick", "set level -0.0"))
         lts = build_lts(operators_spec, env=env)
         slot = lts.program.metric_slot[("probe", "level")]
