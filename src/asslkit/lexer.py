@@ -30,10 +30,7 @@ properties and ``--set`` flags, so a value has one syntax everywhere.
 ``tokenize`` returns the tokens as columns, a :class:`~asslkit.tokens.Tokens`:
 four parallel lists of kinds, texts, start offsets and values, and the file's
 line table (the file name and the offsets at which its lines start). It
-builds no object per token that the garbage collector keeps tracking. A
-``Token`` is a ``NamedTuple``, and CPython's collector stops tracking only an
-exact ``tuple`` whose items it does not track, never a subclass; a list of
-``Token``s would put every token in the heap that each collection walks.
+builds no object per token that the garbage collector keeps tracking.
 Lines and columns are 1-based, one column per character (a tab included).
 They are worked out from the table only when a span is read, for a node, an
 error or a diagnostic; most tokens never need one.

@@ -1,11 +1,10 @@
 """Abstract syntax tree for multi-tier autonomic-system specifications.
 
 All nodes are frozen dataclasses and therefore immutable and shareable across
-threads. A parsed node keeps the :class:`~asslkit.tokens.Tokens` view of its
-file and the position of its first token in it, and works its
-:class:`SourceSpan` out from them each time ``span`` is read, as a ``Token``
-does; the parser builds no span. A node built in memory has no view and reads
-``SYNTHETIC``. The two fields are excluded from equality, hashing and
+threads. A parsed node keeps the :class:`~asslkit.tokens.Tokens` of its file
+and the position of its first token in it, and works its :class:`SourceSpan`
+out from them each time ``span`` is read; the parser builds no span. A node
+built in memory has no tokens and reads ``SYNTHETIC``. The two fields are excluded from equality, hashing and
 ``repr``, so that structural comparison ignores where a node came from and a
 node's ``repr`` does not print its file's tokens. Collections are tuples to
 keep trees hashable.
@@ -36,7 +35,7 @@ class ValueType(Enum):
 
 @dataclass(frozen=True)
 class Node:
-    """Base of every tree node: the token view it was parsed from and the
+    """Base of every tree node: the tokens it was parsed from and the
     position of its first token there, passed by keyword.
 
     They are two plain fields rather than one pair, which would be one more

@@ -136,7 +136,7 @@ class _Parser:
     def __init__(self, tokens: Tokens, file: str) -> None:
         # The parser reads the token columns by position; ``peek``,
         # ``advance`` and ``expect`` return a position. A node keeps the
-        # view and its first token's position, and an error gets its span
+        # tokens and its first token's position, and an error gets its span
         # from ``span``. Position ``len(tokens)`` is the end of input: the
         # copied kind and text columns end in an EOF entry there, so reading
         # at the cursor needs no bounds check. advance() stays on it;

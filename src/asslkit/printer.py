@@ -34,6 +34,7 @@ from .nodes import (
     MessageDecl,
     MetricDecl,
     MetricRefExpr,
+    Node,
     NotExpr,
     OpaqueBlock,
     PolicyDecl,
@@ -65,17 +66,12 @@ def pretty_print(tree: SpecificationTree) -> str:
     return "\n".join(out) + "\n"
 
 
-def format_policy(policy: PolicyDecl) -> str:
-    """Render one policy declaration as source text."""
-    return _format(policy)
-
-
-def format_event(event: EventDecl) -> str:
-    return _format(event)
-
-
-def format_action(action: ActionDecl) -> str:
-    return _format(action)
+def format_decl(decl: Node) -> str:
+    """Render one member of a tier section, such as a policy, event or
+    action declaration, as source text."""
+    out: list[str] = []
+    _MEMBERS[type(decl)](out, decl, 0)
+    return "\n".join(out) + "\n"
 
 
 def format_expr(expr: Expr) -> str:
@@ -83,12 +79,6 @@ def format_expr(expr: Expr) -> str:
 
 
 # --------------------------------------------------------------------------
-
-
-def _format(decl: PolicyDecl | EventDecl | ActionDecl) -> str:
-    out: list[str] = []
-    _MEMBERS[type(decl)](out, decl, 0)
-    return "\n".join(out) + "\n"
 
 
 def _line(out: list[str], depth: int, text: str) -> None:

@@ -77,7 +77,8 @@ ERROR_PATH = "Error"
 
 _BRANCH_SLUGS = {GUARD_REJECT: "reject", SUCCESS_PATH: "success", ERROR_PATH: "error"}
 
-#: Cap on the candidate metric-assignment product searched per path.
+#: Cap on the candidate metric assignments searched per path. Each pool holds
+#: distinct values, so the assignments it counts are distinct too.
 MAX_CANDIDATES = 4096
 
 # The edges each walk over the influence graph (``Program.influence``) takes,
@@ -422,7 +423,7 @@ def _relevant_metrics(spec: CheckedSpec, path: PolicyPath) -> list[tuple[Key, Me
 
 def _candidate_values(spec: CheckedSpec, key: Key, decl: MetricDecl) -> list[object]:
     if decl.value_type is ValueType.BOOLEAN:
-        return [decl.initial.value, True, False]
+        return [decl.initial.value, not decl.initial.value]
     tier = spec.symbols.tiers[key[0]]
     guards = [event.guard for event in tier.events]
     guards += [expr for action in tier.actions for expr in (action.guard, action.ensures)]
@@ -463,9 +464,7 @@ def _assignments(spec: CheckedSpec, metrics) -> list[dict[Key, object]]:
     keys = [key for key, _decl in metrics]
     pools = [_candidate_values(spec, key, decl) for key, decl in metrics]
     combos = itertools.islice(itertools.product(*pools), MAX_CANDIDATES)
-    # A boolean pool repeats the initial value, so some combinations repeat
-    # an earlier one; their scenario, and so their outcome, is the same.
-    return [dict(zip(keys, combo)) for combo in dict.fromkeys(combos)]
+    return [dict(zip(keys, combo)) for combo in combos]
 
 
 def _build_scenario(

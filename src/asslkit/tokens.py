@@ -1,7 +1,7 @@
 """Token and source-location definitions for the specification language.
 
-A file's tokens are stored as columns in a :class:`Tokens`; a ``Token`` is
-the record a reader gets back from it, built when read.
+A file's tokens are stored as columns in a :class:`Tokens`, and a token is
+its position in them.
 
 This is the one place that spells tokens: ``KEYWORDS`` is derived from the
 ``KW_`` members of ``TokenKind``, and ``SPELLING`` maps each keyword and
@@ -11,7 +11,6 @@ punctuation kind back to its text for the parser's errors and the printer.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -197,52 +196,23 @@ class LineTable(NamedTuple):
         return _new(SourceSpan, (self.file, line, offset - starts[line - 1] + 1, length))
 
 
-class Token(NamedTuple):
-    """A token's kind, text, start offset, file line table and value.
-
-    ``span`` works out the line and column from the line table each time it
-    is read. A ``Tokens`` view builds a ``Token`` for each token read from
-    it and stores none. CPython's cyclic garbage collector stops tracking a
-    tuple once it sees that the tuple holds only untracked values, but only
-    an exact ``tuple``, never a subclass such as this ``NamedTuple``; and a
-    ``TokenKind`` member is tracked anyway. So a list of ``Token``s would
-    stay in the collector's heap, walked by every collection of its
-    generation, for as long as the list lives.
-    """
-
-    kind: TokenKind
-    text: str
-    start: int
-    lines: LineTable
-    value: object = None
-
-    @property
-    def span(self) -> SourceSpan:
-        return self.lines.span(self.start, len(self.text))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind.name}, {self.text!r})"
-
-
-class Tokens(Sequence[Token]):
+class Tokens:
     """The tokens of one source file, as four parallel columns and the
     file's line table.
 
     Token ``i`` is ``kinds[i]``, ``texts[i]``, ``starts[i]`` (its start
     offset) and ``values[i]``, and every token shares ``lines``. A file's
-    tokens are then six objects the garbage collector tracks, the view, its
-    four lists and the line table, whatever their number: texts and starts
+    tokens are then six objects the garbage collector tracks, this record,
+    its four lists and the line table, whatever their number: texts and starts
     are strings and ints, which it never tracks; the kinds are shared enum
     members; and a value is None, a string, a number, or an exact tuple of
     strings, which it stops tracking at its first collection. ``tokenize``
     reads each distinct text once: tokens with equal texts share one text
     string and one value, so the texts and values columns hold one string
     and at most one value per distinct text. The parser reads the
-    columns by position, and each parsed node keeps the view and its first
-    token's position; ``span`` gives that token's span. Indexing (negative
-    indexes and slices included) and iterating build a ``Token`` per token
-    read. A ``Tokens`` equals another, or a list, holding the same
-    ``Token``s.
+    columns by position, and each parsed node keeps the record and its
+    first token's position; ``span`` gives that token's span. ``len`` is the
+    number of tokens.
     """
 
     __slots__ = ("kinds", "texts", "starts", "values", "lines")
@@ -264,30 +234,9 @@ class Tokens(Sequence[Token]):
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, index: int | slice) -> Token | list[Token]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        return _new(
-            Token,
-            (self.kinds[index], self.texts[index], self.starts[index], self.lines, self.values[index]),
-        )
-
     def span(self, index: int) -> SourceSpan:
         """The span of token ``index``, worked out from the line table."""
         return self.lines.span(self.starts[index], len(self.texts[index]))
-
-    def __iter__(self) -> Iterator[Token]:
-        lines = self.lines
-        for kind, text, start, value in zip(self.kinds, self.texts, self.starts, self.values):
-            yield _new(Token, (kind, text, start, lines, value))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Tokens, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tokens({list(self)!r})"
 
 
 class LexError(Exception):

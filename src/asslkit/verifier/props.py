@@ -246,8 +246,9 @@ def _classify(tree: object, text: str) -> TemporalProperty:
 # -- scanner / parser ------------------------------------------------------------
 
 # One token after optional white space: an operator, a text literal, a word
-# (names and numbers, ASCII only), or a character no token starts with.
-_TOKEN = re.compile(r'\s*(?:(->|[<>!]=|[()|&!<>=])|("[^"]*")|([A-Za-z0-9_.\-]+)|(\S))')
+# (names and numbers, ASCII only), or a character no token starts with. A
+# word takes ``-`` only as a leading sign, so ``a->b`` scans as ``a -> b``.
+_TOKEN = re.compile(r'\s*(?:(->|[<>!]=|[()|&!<>=])|("[^"]*")|(-?[A-Za-z0-9_.]+)|(\S))')
 
 
 def _scan(text: str) -> list[str]:

@@ -406,10 +406,11 @@ def token_mutants(source: str, seed: int, count: int) -> list[str]:
     pieces: list[str] = []  # gap, token, gap, token, ..., gap
     texts: list[str] = []
     end = 0
-    for token in tokenize(source):
-        pieces.append(source[end : token.start])
-        texts.append(token.text)
-        end = token.start + len(token.text)
+    tokens = tokenize(source)
+    for start, text in zip(tokens.starts, tokens.texts):
+        pieces.append(source[end:start])
+        texts.append(text)
+        end = start + len(text)
     pieces.append(source[end:])
     keywords = sorted(KEYWORDS)
     mutants = []
@@ -446,13 +447,17 @@ def swap_mutants(source: str, seed: int, count: int) -> list[str]:
     is). The rest of the source is kept as it is.
     """
     rng = random.Random(seed)
-    tokens = [t for t in tokenize(source) if t.kind in SWAPPABLE]
-    texts = [t.text for t in tokens]
+    tokens = tokenize(source)
+    swappable = [
+        (start, text)
+        for kind, text, start in zip(tokens.kinds, tokens.texts, tokens.starts)
+        if kind in SWAPPABLE
+    ]
+    texts = [text for _, text in swappable]
     mutants = []
     for _ in range(count):
-        token = tokens[rng.randrange(len(tokens))]
-        end = token.start + len(token.text)
-        mutants.append(source[: token.start] + rng.choice(texts) + source[end:])
+        start, text = swappable[rng.randrange(len(swappable))]
+        mutants.append(source[:start] + rng.choice(texts) + source[start + len(text) :])
     return mutants
 
 

@@ -115,8 +115,8 @@ EXTREME_REALS = [0.00001, 1e16, 5e-324, 1.7976931348623157e308, -0.0]
 @pytest.mark.parametrize("value", EXTREME_REALS)
 def test_real_renders_as_a_literal_the_lexer_reads_back(spec, value):
     text = render_value(value)
-    (token,) = tokenize(text)
-    assert token.value == value and math.copysign(1, token.value) == math.copysign(1, value)
+    (read,) = tokenize(text).values
+    assert read == value and math.copysign(1, read) == math.copysign(1, value)
     stimulus = SetMetric(("unit", "r"), value)
     (step,) = parse_scenario(f"tick 0 {stimulus.render()}", spec).steps
     assert repr(step[1].value) == repr(value)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from asslkit import check_all, parse_text
-from asslkit.printer import format_event, format_policy
+from asslkit.printer import format_decl
 from asslkit.runtime import Runtime
 from asslkit.runtime.state import (
     ACTION_STARTED,
@@ -106,7 +106,7 @@ class TestSelfProtectingFidelity:
         published = parse_text(figures_wrapped(FIG_POLICY, FIG_EVENTS))
         figure_policy = published.ae_tiers[0].policies[0]
         shipped_policy = protecting_spec.tree.ae_tiers[0].policies[0]
-        assert format_policy(shipped_policy) == format_policy(figure_policy)
+        assert format_decl(shipped_policy) == format_decl(figure_policy)
 
     def test_events_byte_reproduce_figure(self, protecting_spec):
         published = parse_text(figures_wrapped(FIG_POLICY, FIG_EVENTS))
@@ -117,7 +117,7 @@ class TestSelfProtectingFidelity:
             "privateMessageInsecure",
             "privateMessageSecure",
         ):
-            assert format_event(shipped_events[name]) == format_event(figure_events[name])
+            assert format_decl(shipped_events[name]) == format_decl(figure_events[name])
 
     def test_action_skeleton_matches_figure(self, protecting_spec):
         action = next(
@@ -127,9 +127,7 @@ class TestSelfProtectingFidelity:
         )
         # the published fragment elides clause bodies; its fixed parts are
         # the clause structure and the certificate-check call
-        from asslkit.printer import format_action
-
-        text = format_action(action)
+        text = format_decl(action)
         assert FIG_ACTION_CALL in text
         assert action.guard is not None
         assert action.ensures is not None

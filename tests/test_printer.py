@@ -44,7 +44,7 @@ from asslkit.nodes import (
     ValueType,
 )
 from asslkit.parser import parse_text
-from asslkit.printer import format_action, format_event, format_policy, pretty_print
+from asslkit.printer import format_decl, pretty_print
 
 names = st.sampled_from(
     ["alpha", "beta", "gamma", "probe", "relay", "busy", "go", "fin", "m1", "m2", "x_9"]
@@ -244,17 +244,17 @@ def test_filled_action_round_trips(figures_spec):
         a for a in figures_spec.tree.ae_tiers[0].actions
         if a.name == "checkPrivateMessage"
     )
-    text = format_action(action)
+    text = format_decl(action)
     wrapped = parse_text(f"AS s {{ ACTIONS {{ {text} }} }}")
     assert wrapped.as_tier.actions[0] == action
 
 
 def test_format_policy_and_event_reparse(figures_spec):
     worker = figures_spec.tree.ae_tiers[0]
-    policy_text = format_policy(worker.policies[0])
+    policy_text = format_decl(worker.policies[0])
     reparsed = parse_text(f"AS s {{ POLICIES {{ {policy_text} }} }}")
     assert reparsed.as_tier.policies[0] == worker.policies[0]
-    event_text = format_event(worker.events[0])
+    event_text = format_decl(worker.events[0])
     reparsed = parse_text(f"AS s {{ EVENTS {{ {event_text} }} }}")
     assert reparsed.as_tier.events[0] == worker.events[0]
 

@@ -716,11 +716,10 @@ def test_present_assertions_match_records_in_order():
 
 
 def test_candidate_cap_counts_repeated_assignments():
-    # Nine boolean metrics give 3**9 = 19,683 combinations of the pools
-    # [initial, true, false], more than the cap. The cap applies before
-    # repeats are dropped, so the candidates are the distinct ones among the
-    # first MAX_CANDIDATES combinations, in their first-seen order: the 256
-    # with b0 at its initial value, not all 512 distinct assignments.
+    # Nine boolean metrics have 2**9 = 512 distinct assignments, under the
+    # cap. A boolean pool is [initial, not initial], so no combination
+    # repeats an earlier one, the cap counts distinct assignments, and all
+    # 512 are candidates, in product order.
     names = [f"b{i}" for i in range(9)]
     metric_lines = "\n".join(
         f"    METRIC {name} {{ TYPE {{ boolean }} INITIAL {{ false }} }}" for name in names
@@ -728,11 +727,26 @@ def test_candidate_cap_counts_repeated_assignments():
     spec = check_all(parse_text(f"AS sys {{ }}\nAE unit {{\n  METRICS {{\n{metric_lines}\n  }}\n}}\n"))
     assert spec.ok
     metrics = [(("unit", name), spec.symbols.lookup("unit", "metrics", name)) for name in names]
-    capped = itertools.islice(itertools.product([False, True, False], repeat=9), MAX_CANDIDATES)
-    expected = list(dict.fromkeys(capped))
-    assert len(expected) == 256
+    expected = list(itertools.product([False, True], repeat=9))
+    assert len(expected) == 512 < MAX_CANDIDATES
     got = [tuple(a.values()) for a in _assignments(spec, metrics)]
     assert got == expected
+
+
+def test_guard_on_nine_boolean_metrics_is_forced():
+    # Only the assignment with every metric true passes the guard: the last
+    # of the 512 candidates.
+    names = [f"m{i}" for i in range(9)]
+    metric_lines = "\n".join(
+        f"    METRIC {name} {{ TYPE {{ boolean }} INITIAL {{ false }} }}" for name in names
+    )
+    guard = " AND ".join(f"METRICS.{name}" for name in names)
+    spec = one_action_spec(guard, ("    METRIC done", f"{metric_lines}\n    METRIC done"))
+    suite = generate_all(spec)
+    assert suite.infeasible == ()
+    branches = sorted(t.path.branches[0][1] for t in suite.tests)
+    assert branches == [GUARD_REJECT, SUCCESS_PATH]
+    assert all(not failures for _t, failures in run_suite(spec, suite))
 
 
 def suite_text(suite) -> str:

@@ -967,6 +967,21 @@ class TestPropertyParsing:
         shapes = [parse_property(line, toggle_spec).shape for line in lines]
         assert shapes == ["G", "F", "G->F", "G->X", "U"]
 
+    def test_arrow_right_after_a_name_is_the_operator(self, protecting_spec, operators_spec):
+        tight = parse_property(
+            "G (fluent inSecurityCheck->F (event privateMessageSecure))", protecting_spec
+        )
+        spaced = parse_property(
+            "G (fluent inSecurityCheck -> F (event privateMessageSecure))", protecting_spec
+        )
+        assert tight.shape == "G->F"
+        assert (tight.p, tight.q) == (spaced.p, spaced.q)
+        # A minus still signs a number that follows it.
+        tight = parse_property("G (metric count>-3->X (fluent countHigh))", operators_spec)
+        spaced = parse_property("G (metric count > -3 -> X (fluent countHigh))", operators_spec)
+        assert tight.shape == "G->X"
+        assert (tight.p, tight.q) == (spaced.p, spaced.q)
+
     def test_unsupported_shapes_rejected(self, toggle_spec):
         for line in [
             "(fluent busy)",
