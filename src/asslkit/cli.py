@@ -21,7 +21,7 @@ from .lexer import tokenize
 from .names import NameResolutionError, qual
 from .parser import ParseError, parse
 from .runtime import Runtime, ScenarioError, parse_scenario
-from .testgen import generate_all, policy_keys, regenerate, write_suite
+from .testgen import generate_all, impact, policy_keys, regenerate, write_suite
 from .tokens import LexError
 from .verifier import (
     Bounds,
@@ -202,11 +202,11 @@ def _load_checked(path: str) -> CheckedSpec:
     try:
         tree = parse(tokenize(source, path), path)
     except LexError as err:
-        print(f"{err.span.render()}: error E-LEX: {err.message}")
+        _print_diagnostic(Diagnostic("E-LEX", err.message, err.span))
         raise _CliFailure(NEGATIVE) from None
     except ParseError as err:
         for sub_err in err.errors:
-            print(f"{sub_err.span.render()}: error E-PARSE: {sub_err.message}")
+            _print_diagnostic(Diagnostic("E-PARSE", sub_err.message, sub_err.span))
         raise _CliFailure(NEGATIVE) from None
     spec = check_all(tree)
     for diag in spec.diagnostics:
@@ -320,9 +320,8 @@ def cmd_gentests(args: argparse.Namespace) -> int:
         old_spec = _load_checked(args.since)
         old_suite = generate_all(old_spec)
         suite = regenerate(old_suite, old_spec, spec)
-        regenerated = {
-            qual(t.policy) for t in suite.tests if t not in old_suite.tests
-        }
+        impacted = impact(old_spec, spec)  # what ``regenerate`` regenerated
+        regenerated = [qual(key) for key in policy_keys(spec) if impacted.affects(key)]
         print(f"regenerated: {len(regenerated)} policies"
               + (f" ({', '.join(sorted(regenerated))})" if regenerated else ""))
     else:

@@ -17,7 +17,7 @@ from .scenario import (
     Stimulus,
     parse_scenario,
 )
-from .state import EventOccurrence, RuntimeState, Trace, TraceRecord
+from .state import EventOccurrence, RuntimeState, Trace
 
 __all__ = [
     "ERROR",
@@ -35,6 +35,5 @@ __all__ = [
     "SetMetric",
     "Stimulus",
     "Trace",
-    "TraceRecord",
     "parse_scenario",
 ]

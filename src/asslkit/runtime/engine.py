@@ -27,10 +27,10 @@ Creating a runtime builds no tables. What a step does is only what depends
 on state: call a guard closure, flip fluents, run statements, render an
 assigned metric's old and new values, extend the pending queue with
 interned occurrences, queue message keys on channels, and, when recording,
-append a trace record of already rendered strings, save those metric values
-and a delivered message's ``by <element> over <channel>`` detail. ``drain``
-pops the pending queue itself, and a tick that shuffles re-seeds one
-generator kept on the runtime.
+append a ``(tick, kind, subject, detail)`` row of already rendered strings
+to ``Trace.rows``, save those metric values and a delivered message's
+``by <element> over <channel>`` detail. ``drain`` pops the pending queue
+itself, and a tick that shuffles re-seeds one generator kept on the runtime.
 
 Execution semantics, pinned here because the surface language leaves them
 open:
@@ -152,9 +152,10 @@ class Runtime:
 
     # -- core operations -----------------------------------------------------------
     # Each recording site tests ``self.trace`` first, so no record is made when
-    # recording is off (the verifier's inner loop), and appends text the
-    # program rendered when it was built, except an assigned metric's values
-    # and a delivered message's detail.
+    # recording is off (the verifier's inner loop), and appends one row tuple
+    # to ``trace.rows`` itself, of text the program rendered when it was
+    # built, except an assigned metric's values and a delivered message's
+    # detail.
 
     def raise_event(self, state: RuntimeState, occ: EventOccurrence) -> bool:
         """Process one occurrence: guard, fluent flips, then mapping firing.
@@ -170,10 +171,10 @@ class Runtime:
         guard = info.guard
         if guard is not None and not guard(state.metrics, fluents, None):
             if trace is not None:
-                trace.append(state.tick, EVENT_SUPPRESSED, names[event], "guard false")
+                trace.rows.append((state.tick, EVENT_SUPPRESSED, names[event], "guard false"))
             return False
         if trace is not None:
-            trace.append(state.tick, EVENT_RAISED, names[event], cause)
+            trace.rows.append((state.tick, EVENT_RAISED, names[event], cause))
 
         fluent_keys = program.fluent_keys
         initiated: list[int] = []
@@ -184,14 +185,18 @@ class Runtime:
                 fluents[slot] = True
                 initiated.append(slot)
                 if trace is not None:
-                    trace.append(state.tick, FLUENT_INITIATED, names[fluent_keys[slot]], info.by)
+                    trace.rows.append(
+                        (state.tick, FLUENT_INITIATED, names[fluent_keys[slot]], info.by)
+                    )
         for slot in program.terminators.get(event, ()):
             if fluents[slot]:
                 if type(fluents) is tuple:
                     fluents = state.fluents = list(fluents)
                 fluents[slot] = False
                 if trace is not None:
-                    trace.append(state.tick, FLUENT_TERMINATED, names[fluent_keys[slot]], info.by)
+                    trace.rows.append(
+                        (state.tick, FLUENT_TERMINATED, names[fluent_keys[slot]], info.by)
+                    )
 
         if initiated:
             just_initiated = set(initiated)
@@ -201,7 +206,7 @@ class Runtime:
                 if not all(fluents[c] for c in mapping.conditions):
                     continue
                 if trace is not None:
-                    trace.append(state.tick, MAPPING_FIRED, mapping.subject, mapping.detail)
+                    trace.rows.append((state.tick, MAPPING_FIRED, mapping.subject, mapping.detail))
                 for action_key in mapping.actions:
                     self.execute_action(state, action_key, mapping.cause)
         return True
@@ -222,7 +227,7 @@ class Runtime:
         trace = self.trace
         name = program.names[action_key]
         if trace is not None:
-            trace.append(state.tick, ACTION_STARTED, name, cause)
+            trace.rows.append((state.tick, ACTION_STARTED, name, cause))
 
         bindings: dict[str, bool] = {}
         failure: str | None = None
@@ -235,17 +240,17 @@ class Runtime:
         if failure is None and ensures is not None:
             if not ensures(state.metrics, state.fluents, bindings):
                 if trace is not None:
-                    trace.append(state.tick, ENSURES_VIOLATED, name, info.ensures_text)
+                    trace.rows.append((state.tick, ENSURES_VIOLATED, name, info.ensures_text))
                 failure = "ENSURES violated"
 
         if failure is None:
             if trace is not None:
-                trace.append(state.tick, ACTION_SUCCEEDED, name, "")
+                trace.rows.append((state.tick, ACTION_SUCCEEDED, name, ""))
             state.pending.extend(info.triggers)
             return SUCCESS, None
 
         if trace is not None:
-            trace.append(state.tick, ACTION_FAILED, name, failure)
+            trace.rows.append((state.tick, ACTION_FAILED, name, failure))
         for op in info.onerr_does:
             if self._exec_op(state, op, info, bindings) is not None:
                 break  # a failure inside the error path aborts it
@@ -284,7 +289,7 @@ class Runtime:
             old = metrics[slot]
             detail = f"{render_value(old)} -> {render_value(value)}"
             name = program.names[program.metric_keys[slot]]
-            self.trace.append(state.tick, METRIC_ASSIGNED, name, detail)
+            self.trace.rows.append((state.tick, METRIC_ASSIGNED, name, detail))
         if type(metrics) is tuple:
             metrics = state.metrics = list(metrics)
         metrics[slot] = value
@@ -300,7 +305,7 @@ class Runtime:
         trace = self.trace
         if len(queue) >= self.program.channel_capacity[channel]:
             if trace is not None:
-                trace.append(state.tick, MESSAGE_SENT, self.program.names[message], dropped)
+                trace.rows.append((state.tick, MESSAGE_SENT, self.program.names[message], dropped))
             return
         if type(queue) is tuple:
             if type(channels) is tuple:
@@ -308,7 +313,7 @@ class Runtime:
             queue = channels[channel] = list(queue)
         queue.append(message)
         if trace is not None:
-            trace.append(state.tick, MESSAGE_SENT, self.program.names[message], sent)
+            trace.rows.append((state.tick, MESSAGE_SENT, self.program.names[message], sent))
         state.pending.extend(self.program.sent_subs.get(message, ()))
 
     def step(self, state: RuntimeState) -> Key | None:
@@ -381,10 +386,10 @@ class Runtime:
                 for message in channels[channel]:
                     if receiver_of[message] == elem:
                         if trace is not None:
-                            trace.append(
+                            trace.rows.append((
                                 tick, MESSAGE_RECEIVED, names[message],
                                 f"by {elem} over {names[program.channel_keys[channel]]}",
-                            )
+                            ))
                         pending.extend(received_subs.get(message, ()))
         if busy and type(channels) is tuple:  # every receiver acted: empty the busy channels
             channels = state.channels = list(channels)
@@ -424,12 +429,14 @@ class Runtime:
         max_ticks: int = 1000,
         stop: Callable[[Trace, int], bool] | None = None,
     ) -> Trace:
-        """Execute a scenario to halt, quiescent exhaustion, or max_ticks.
+        """Execute a scenario to its halt, its last step, or tick ``max_ticks``.
 
         ``stop(trace, tick)`` is called at every tick boundary, before the
         tick's stimuli are applied; when it returns True the run ends there,
         and the trace holds exactly the records made before that tick's
-        stimuli. A run that exceeds a bound ends with ``Trace.aborted`` set.
+        stimuli. A run that exceeds a bound ends with ``Trace.aborted`` set:
+        a drain past ``MAX_DRAIN_STEPS``, or a tick budget that ends the run
+        while scenario steps remain.
         """
         if max_ticks < 1:
             raise ValueError("max_ticks must be at least 1")
@@ -450,7 +457,13 @@ class Runtime:
                         break
                     self.apply_stimulus(state, stimulus)
                     self.drain(state)
-                if halted or index >= len(steps) or state.tick >= max_ticks:
+                if halted or index >= len(steps):
+                    break
+                if state.tick >= max_ticks:
+                    trace.aborted = (
+                        f"tick budget: stopped at tick {state.tick} with"
+                        f" {len(steps) - index} scenario steps not applied"
+                    )
                     break
                 self.advance_tick(state)
                 self.drain(state)

@@ -9,13 +9,13 @@ holds only untracked values such as ints and strings, but it does so only
 for an exact ``tuple``, not for a subclass such as a ``NamedTuple``. So a
 plain row drops out of the collector at its first collection, where a
 ``NamedTuple`` record would be walked again by every collection of its
-generation for the rest of the run. ``Trace.records`` is a view of
-``TraceRecord``s, built on each access from the rows, for callers that want
-named fields; nothing in the toolchain itself reads it. A row holds text the
-program rendered before the run (names, fixed details, causes); only assigned
-metric values and the ``by <element> over <channel>`` detail of a delivered
-message are rendered while running. ``Trace.to_text`` formats each row with
-a single f-string.
+generation for the rest of the run. The runtime appends the rows itself, and
+the toolchain reads them. ``Trace.records`` is a view of ``TraceRecord``s,
+built on each access from the rows; it is kept only because the benchmark's
+``perfbench/checks.py`` reads it. A row holds text the program rendered before
+the run (names, fixed details, causes); only assigned metric values and the
+``by <element> over <channel>`` detail of a delivered message are rendered
+while running. ``Trace.to_text`` formats each row with a single f-string.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class Trace:
         self.rows: list[tuple[int, str, str, str]] = []
         self.aborted: str | None = None
 
-    def append(self, tick: int, kind: str, subject: str, detail: str = "") -> None:
-        self.rows.append((tick, kind, subject, detail))
-
     @property
     def records(self) -> list[TraceRecord]:
         """A new list of ``TraceRecord``s, one per row, on every access."""
@@ -74,13 +71,6 @@ class Trace:
         if self.aborted is not None:
             lines.append(f"# aborted: {self.aborted}\n")
         return "".join(lines)
-
-    def find(self, kind: str, subject: str | None = None) -> list[TraceRecord]:
-        return [
-            TraceRecord(seq, *row)
-            for seq, row in enumerate(self.rows)
-            if row[1] == kind and (subject is None or row[2] == subject)
-        ]
 
     def summary(self) -> dict[str, int]:
         rows = self.rows

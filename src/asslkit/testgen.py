@@ -332,7 +332,7 @@ def _generate_one(
 
     for assignment in _assignments(spec, metrics):
         scenario = _build_scenario(spec, path, index, assignment, init_plan, term_plan)
-        trace = runtime.run(scenario, max_ticks=scenario.steps[-1][0] + 1, stop=prefix_passes)
+        trace = runtime.run(scenario, max_ticks=_budget(scenario), stop=prefix_passes)
         if prefix_passed:
             scenario = _build_scenario(spec, path, index, assignment, init_plan, None)
         elif trace.aborted is not None:
@@ -341,6 +341,12 @@ def _generate_one(
             continue
         return GeneratedTest(path, scenario, assertions)
     return "no metric assignment drawn from guard constants forces this path"
+
+
+def _budget(scenario: Scenario) -> int:
+    """The tick budget a generated scenario runs under, in generation and in
+    suite runs: through its last step, the halt."""
+    return scenario.steps[-1][0] + 1
 
 
 def _assertion_template(spec: CheckedSpec, path: PolicyPath) -> tuple[Assertion, ...]:
@@ -646,7 +652,7 @@ def run_suite(spec: CheckedSpec, suite: TestSuite) -> list[tuple[GeneratedTest, 
     runtime = Runtime(spec, seed=0)
     results = []
     for test in suite.tests:
-        trace = runtime.run(test.scenario)
+        trace = runtime.run(test.scenario, max_ticks=_budget(test.scenario))
         failures = check_assertions(test.assertions, trace)
         if trace.aborted is not None:
             failures.append(f"run aborted: {trace.aborted}")
@@ -671,7 +677,7 @@ def measure_coverage(
     covered: set[tuple[Key, str]] = set()
     runtime = Runtime(spec, seed=0)
     for test in suite.tests:
-        trace = runtime.run(test.scenario)
+        trace = runtime.run(test.scenario, max_ticks=_budget(test.scenario))
         seen = {(kind, subject) for _tick, kind, subject, _detail in trace.rows}
         fired = any(kind == MAPPING_FIRED for kind, _subject in seen)
         for action, choice in test.path.branches:

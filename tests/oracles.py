@@ -212,10 +212,10 @@ def reference_advance_tick(runtime: Runtime, state) -> None:
                     remaining.append(message)
                     continue
                 if runtime.trace is not None:
-                    runtime.trace.append(
+                    runtime.trace.rows.append((
                         state.tick, MESSAGE_RECEIVED, qual(message),
                         f"by {elem} over {qual(channel)}",
-                    )
+                    ))
                 for event, _cause in program.received_subs.get(message, ()):
                     state.pending.append(
                         EventOccurrence(event, f"activation RECEIVED {qual(message)}")

@@ -35,7 +35,7 @@ from asslkit.verifier import (
 )
 from oracles import all_maximal_paths, brute_force_lts, exhaustive_check, lts_as_sets, stem_event
 from specgen import env_for, random_checked_spec, random_properties, random_scenario
-from tracecheck import check_alternation
+from tracecheck import check_alternation, rows_of
 
 PROTECTING_ENV = (
     "send privateMessage secureLink",
@@ -198,11 +198,13 @@ def test_criterion_6_self_protecting_terminators():
         ("insecure", "privateMessageInsecure"),
     ):
         trace = runtime.run(pkg.scenario(name, spec))
-        initiated = trace.find(FLUENT_INITIATED, "worker.inSecurityCheck")
-        terminated = trace.find(FLUENT_TERMINATED, "worker.inSecurityCheck")
+        initiated = rows_of(trace, FLUENT_INITIATED, "worker.inSecurityCheck")
+        terminated = rows_of(trace, FLUENT_TERMINATED, "worker.inSecurityCheck")
         assert len(initiated) == 1 and len(terminated) == 1
-        assert initiated[0].seq < terminated[0].seq
-        assert terminated[0].detail == f"by worker.{terminator}", name
+        ((start, *_),) = initiated
+        ((end, _tick, _kind, _subject, detail),) = terminated
+        assert start < end
+        assert detail == f"by worker.{terminator}", name
     print("PASS criterion 6: self-protecting terminators match the declared list")
 
 
@@ -255,13 +257,14 @@ def test_criterion_9_self_healing_liveness():
     kill = pkg.scenario("kill_worker", spec)
     kill_tick = next(t for t, s in kill.steps if "alive" in s.render())
     trace = Runtime(spec, seed=0).run(kill)
-    healings = trace.find(FLUENT_INITIATED, "ruler.inHealing")
+    healings = rows_of(trace, FLUENT_INITIATED, "ruler.inHealing")
     assert healings, "healing never initiated"
-    assert healings[0].tick <= kill_tick + timeout
+    _seq, healed_at, *_ = healings[0]
+    assert healed_at <= kill_tick + timeout
 
     calm = Runtime(spec, seed=0).run(pkg.scenario("no_fault", spec))
-    assert not calm.find(FLUENT_INITIATED, "ruler.inHealing")
+    assert not rows_of(calm, FLUENT_INITIATED, "ruler.inHealing")
     print(
         f"PASS criterion 9: healing within {timeout} ticks of the kill"
-        f" (at tick {healings[0].tick}); fault-free run never heals"
+        f" (at tick {healed_at}); fault-free run never heals"
     )

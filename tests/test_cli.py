@@ -106,6 +106,16 @@ class TestCheck:
             f"{spec}:1:25: {warning} W-UNREACHABLE: event 'orphan' has no activation,"
             " is never triggered, and is not INJECTABLE",
         ]
+        spec.write_text("AS a {")
+        assert main(["check", str(spec)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{spec}:1:6: {error} E-PARSE: unexpected '<end of input>' in AS tier",
+        ]
+        spec.write_text("AS a { } @")
+        assert main(["check", str(spec)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{spec}:1:10: {error} E-LEX: unexpected character '@'",
+        ]
 
 
 class TestRun:
@@ -143,6 +153,22 @@ class TestRun:
         scen.write_bytes(b"tick 0 halt \xff\n")
         assert main(["run", SPEC, "--scenario", str(scen)]) == 2
         assert capsys.readouterr().err.startswith(f"cannot read {scen}: 'utf-8' codec")
+
+    def test_steps_past_the_tick_budget_abort_the_run(self, tmp_path, capsys):
+        scen = tmp_path / "late.scenario"
+        scen.write_text(
+            "tick 0 send privateMessage secureLink\n"
+            "tick 50 send privateMessage secureLink\n"
+            "tick 60 halt\n"
+        )
+        trace_path = tmp_path / "out.trace"
+        args = ["run", SPEC, "--scenario", str(scen), "--max-ticks", "10"]
+        assert main([*args, "--trace", str(trace_path)]) == 1
+        reason = "tick budget: stopped at tick 10 with 2 scenario steps not applied"
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ticks: 1" and out[-2:] == ["records: 15", f"aborted: {reason}"]
+        assert trace_path.read_text().endswith(f"\n# aborted: {reason}\n")
+        assert main([*args[:-1], "60"]) == 0  # the halt's tick is inside this budget
 
 
 # An event cascade that never quiesces, though the spec checks clean: writing
@@ -489,6 +515,22 @@ class TestGentests:
             since = capsys.readouterr().out.splitlines()
             listed = since[since.index("regenerated: 0 policies") + 1 :]
             assert listed == [line for line in scratch if not line.startswith(spec)], spec
+
+    def test_since_lists_a_regenerated_policy_whose_tests_are_unchanged(
+        self, tmp_path, capsys
+    ):
+        # A new failure reason changes the action, so its policy is regenerated,
+        # but no generated test asserts the reason: the new tests equal the old.
+        source = PKG.spec_path.read_text(encoding="utf-8")
+        edited = tmp_path / "edited.assl"
+        edited.write_text(
+            source.replace('"sender certificate invalid"', '"certificate of the sender is invalid"')
+        )
+        assert edited.read_text() != source
+        out_dir = str(tmp_path / "suite")
+        assert main(["gentests", str(edited), "--out", out_dir, "--since", SPEC]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "regenerated: 1 policies (worker.SELF_PROTECTING)"
 
     def test_infeasible_paths_and_empty_policies_are_listed(self, tmp_path, capsys):
         spec = tmp_path / "gen.assl"

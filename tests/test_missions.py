@@ -12,6 +12,7 @@ from asslkit import check_all, parse_text
 from asslkit.printer import format_decl
 from asslkit.runtime import Runtime
 from asslkit.runtime.state import (
+    ACTION_FAILED,
     ACTION_STARTED,
     EVENT_RAISED,
     FLUENT_INITIATED,
@@ -32,6 +33,7 @@ from asslkit.verifier import (
 )
 from conftest import FIG_ACTION_CALL, FIG_EVENTS, FIG_POLICY, README_ENVS, figures_wrapped
 from oracles import stem_event
+from tracecheck import rows_of
 
 
 
@@ -53,11 +55,11 @@ def test_all_scenarios_reach_quiescent_halt(mission_pairs):
             assert trace.summary()["ticks"] <= 1000
             # fluents never stay active at the quiescent halt
             active: dict[str, bool] = {}
-            for record in trace.records:
-                if record.kind == FLUENT_INITIATED:
-                    active[record.subject] = True
-                elif record.kind == FLUENT_TERMINATED:
-                    active[record.subject] = False
+            for _tick, kind, subject, _detail in trace.rows:
+                if kind == FLUENT_INITIATED:
+                    active[subject] = True
+                elif kind == FLUENT_TERMINATED:
+                    active[subject] = False
             stuck = [name for name, is_active in active.items() if is_active]
             assert stuck == [], (pkg.name, path.stem, stuck)
 
@@ -141,14 +143,16 @@ class TestSelfProtectingFidelity:
             ("insecure", "privateMessageInsecure"),
         ):
             trace = runtime.run(protecting_pkg.scenario(scenario_name, protecting_spec))
-            (terminated,) = trace.find(FLUENT_TERMINATED, "worker.inSecurityCheck")
-            assert terminated.detail == f"by worker.{terminator}"
+            ((_seq, _tick, _kind, _subject, detail),) = rows_of(
+                trace, FLUENT_TERMINATED, "worker.inSecurityCheck"
+            )
+            assert detail == f"by worker.{terminator}"
 
     def test_quarantine_on_certificate_failure(self, protecting_pkg, protecting_spec):
         runtime = Runtime(protecting_spec, seed=5)
         trace = runtime.run(protecting_pkg.scenario("quarantine", protecting_spec))
-        assert trace.find(EVENT_RAISED, "worker.messageQuarantined")
-        assert trace.find("ActionFailed", "worker.checkPrivateMessage")
+        assert rows_of(trace, EVENT_RAISED, "worker.messageQuarantined")
+        assert rows_of(trace, ACTION_FAILED, "worker.checkPrivateMessage")
 
 
 class TestSelfHealing:
@@ -160,25 +164,24 @@ class TestSelfHealing:
         scenario = healing_pkg.scenario("kill_worker", healing_spec)
         kill_tick = next(t for t, s in scenario.steps if "alive" in s.render())
         trace = Runtime(healing_spec, seed=2).run(scenario)
-        (healing,) = trace.find(FLUENT_INITIATED, "ruler.inHealing")
-        assert healing.tick <= kill_tick + 2 * window
+        ((_seq, tick, _kind, _subject, _detail),) = rows_of(
+            trace, FLUENT_INITIATED, "ruler.inHealing"
+        )
+        assert tick <= kill_tick + 2 * window
 
     def test_no_fault_never_heals(self, healing_pkg, healing_spec):
         trace = Runtime(healing_spec, seed=2).run(
             healing_pkg.scenario("no_fault", healing_spec)
         )
-        assert not trace.find(FLUENT_INITIATED, "ruler.inHealing")
+        assert not rows_of(trace, FLUENT_INITIATED, "ruler.inHealing")
 
     def test_flooded_channel_drops_but_tolerates(self, healing_pkg, healing_spec):
         trace = Runtime(healing_spec, seed=2).run(
             healing_pkg.scenario("flood_channel", healing_spec)
         )
-        drops = [
-            r for r in trace.records
-            if r.kind == MESSAGE_SENT and "dropped" in r.detail
-        ]
+        drops = [detail for *_, detail in rows_of(trace, MESSAGE_SENT) if "dropped" in detail]
         assert len(drops) == 1
-        assert not trace.find(FLUENT_INITIATED, "ruler.inHealing")
+        assert not rows_of(trace, FLUENT_INITIATED, "ruler.inHealing")
 
 
 class TestConfiguringAndScheduling:
@@ -187,8 +190,8 @@ class TestConfiguringAndScheduling:
             config_pkg.scenario("new_asteroid", config_spec)
         )
         retargets = [
-            r.subject for r in trace.records
-            if r.kind == ACTION_STARTED and r.subject.endswith("retargetInstrument")
+            subject for _seq, _tick, _kind, subject, _detail in rows_of(trace, ACTION_STARTED)
+            if subject.endswith("retargetInstrument")
         ]
         assert sorted(retargets) == [
             "worker1.retargetInstrument",
@@ -206,9 +209,9 @@ class TestConfiguringAndScheduling:
             config_pkg.scenario(scenario_name, config_spec)
         )
         observed = [
-            r.subject.removeprefix("ants.explore")
-            for r in trace.records
-            if r.kind == ACTION_STARTED and "explore" in r.subject
+            subject.removeprefix("ants.explore")
+            for _seq, _tick, _kind, subject, _detail in rows_of(trace, ACTION_STARTED)
+            if "explore" in subject
         ]
         labeled = sorted(
             zip(priorities, ["Alpha", "Beta"]), key=lambda pair: -pair[0]
@@ -226,8 +229,8 @@ class TestConfiguringAndScheduling:
 
         trace = Runtime(spec, seed=2).run(parse_scenario(scenario_text, spec))
         assert not [
-            r for r in trace.records
-            if r.kind == ACTION_STARTED and "retarget" in r.subject
+            subject for _seq, _tick, _kind, subject, _detail in rows_of(trace, ACTION_STARTED)
+            if "retarget" in subject
         ]
 
 
@@ -236,16 +239,18 @@ class TestVoyager:
         trace = Runtime(voyager_spec, seed=2).run(
             voyager_pkg.scenario("flyby", voyager_spec)
         )
-        received = trace.find(MESSAGE_RECEIVED)
+        received = rows_of(trace, MESSAGE_RECEIVED)
         assert len(received) == 4
-        (session,) = trace.find(EVENT_RAISED, "earth.sessionComplete")
-        assert session.seq > max(r.seq for r in received)
+        ((seq, _tick, _kind, _subject, _detail),) = rows_of(
+            trace, EVENT_RAISED, "earth.sessionComplete"
+        )
+        assert seq > max(at for at, *_ in received)
 
     def test_no_flyby_no_session(self, voyager_pkg, voyager_spec):
         trace = Runtime(voyager_spec, seed=2).run(
             voyager_pkg.scenario("no_flyby", voyager_spec)
         )
-        assert not trace.find(EVENT_RAISED, "earth.sessionComplete")
+        assert not rows_of(trace, EVENT_RAISED, "earth.sessionComplete")
 
     def test_dropped_segments_violate_session_property(self, voyager_pkg):
         source = voyager_pkg.source().replace("CAPACITY { 4 }", "CAPACITY { 2 }")

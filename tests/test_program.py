@@ -51,6 +51,7 @@ from oracles import (
     reference_relevant_metrics,
 )
 from specgen import random_checked_spec, swarm_source
+from tracecheck import rows_of
 
 
 # Fails only on error paths, through constant and variable guards, a callee
@@ -235,7 +236,7 @@ def test_call_chain_at_the_depth_limit_runs():
     assert spec.ok and spec.diagnostics == ()
     trace = Runtime(spec).run(Scenario("go", ((0, InjectEvent(("w", "go"))), (1, Halt()))))
     assert trace.aborted is None
-    assert len(trace.find(ACTION_SUCCEEDED)) == MAX_CALL_DEPTH + 1
+    assert len(rows_of(trace, ACTION_SUCCEEDED)) == MAX_CALL_DEPTH + 1
 
 
 @pytest.mark.parametrize("length", [MAX_CALL_DEPTH + 2, 41, 3000])

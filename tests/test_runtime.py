@@ -36,6 +36,7 @@ from asslkit.runtime.state import (
     FLUENT_TERMINATED,
     MAPPING_FIRED,
     MESSAGE_SENT,
+    METRIC_ASSIGNED,
     EventOccurrence,
 )
 from asslkit.verifier import Layout, Tick, build_lts
@@ -48,6 +49,7 @@ from tracecheck import (
     check_guard_soundness,
     check_mapping_edges,
     check_queue_bounds,
+    rows_of,
 )
 
 
@@ -96,7 +98,7 @@ class TestRaise:
         assert raised
         slot = figures_spec.program.fluent_slot[("worker", "inSecurityCheck")]
         assert state.fluents[slot] is True
-        assert runtime.trace.find(FLUENT_INITIATED, "worker.inSecurityCheck")
+        assert rows_of(runtime.trace, FLUENT_INITIATED, "worker.inSecurityCheck")
 
     def test_guard_suppression(self, figures_spec):
         runtime = Runtime(figures_spec)
@@ -106,8 +108,10 @@ class TestRaise:
             state, occurrence(figures_spec, runtime, "privateMessageSecure")
         )
         assert not raised
-        (record,) = runtime.trace.find(EVENT_SUPPRESSED, "worker.privateMessageSecure")
-        assert record.detail == "guard false"
+        ((_seq, _tick, _kind, _subject, detail),) = rows_of(
+            runtime.trace, EVENT_SUPPRESSED, "worker.privateMessageSecure"
+        )
+        assert detail == "guard false"
 
     def test_reinitiation_is_idempotent(self, figures_spec):
         runtime = Runtime(figures_spec)
@@ -115,7 +119,7 @@ class TestRaise:
         occ = occurrence(figures_spec, runtime, "privateMessageIsComming")
         runtime.raise_event(state, occ)
         runtime.raise_event(state, occ)
-        assert len(runtime.trace.find(FLUENT_INITIATED)) == 1
+        assert len(rows_of(runtime.trace, FLUENT_INITIATED)) == 1
 
 
 SNAPSHOT_SPEC = """
@@ -141,8 +145,8 @@ class TestAssignMetric:
         # declaration order: Insecure first, then Secure
         assert pending == ["privateMessageInsecure", "privateMessageSecure"]
         runtime.drain(state)
-        assert runtime.trace.find(EVENT_SUPPRESSED, "worker.privateMessageInsecure")
-        assert runtime.trace.find(EVENT_RAISED, "worker.privateMessageSecure")
+        assert rows_of(runtime.trace, EVENT_SUPPRESSED, "worker.privateMessageInsecure")
+        assert rows_of(runtime.trace, EVENT_RAISED, "worker.privateMessageSecure")
 
     def test_value_preserving_write_still_fires(self, figures_spec):
         runtime = Runtime(figures_spec)
@@ -150,8 +154,8 @@ class TestAssignMetric:
         slot = figures_spec.program.metric_slot[("worker", "thereIsInsecureMsg")]
         runtime.assign_metric(state, slot, False)
         assert len(state.pending) == 2
-        (record,) = runtime.trace.find("MetricAssigned")
-        assert record.detail == "false -> false"
+        ((_seq, _tick, _kind, _subject, detail),) = rows_of(runtime.trace, METRIC_ASSIGNED)
+        assert detail == "false -> false"
 
     def test_post_snapshot_guard_default(self):
         spec = check_all(parse_text(SNAPSHOT_SPEC))
@@ -159,7 +163,7 @@ class TestAssignMetric:
         state = runtime.init()
         runtime.assign_metric(state, spec.program.metric_slot[("sys", "level")], True)
         runtime.drain(state)
-        assert runtime.trace.find(EVENT_RAISED, "sys.sawRise")
+        assert rows_of(runtime.trace, EVENT_RAISED, "sys.sawRise")
 
 
 ACTION_SPEC = """
@@ -217,21 +221,23 @@ class TestExecuteAction:
     def test_guard_rejected_runs_nothing(self):
         outcome, reason = self.runtime.execute_action(self.state, ("sys", "blocked"), "test")
         assert (outcome, reason) == (GUARD_REJECTED, None)
-        assert self.runtime.trace.records == []
+        assert self.runtime.trace.rows == []
         assert self.metric("m") is False
 
     def test_fail_statement_routes_to_error_path(self):
         outcome, reason = self.runtime.execute_action(self.state, ("sys", "failing"), "test")
         assert outcome == ERROR
         assert reason == "boom"
-        (failed,) = self.runtime.trace.find(ACTION_FAILED, "sys.failing")
-        assert failed.detail == "boom"
+        ((_seq, _tick, _kind, _subject, detail),) = rows_of(
+            self.runtime.trace, ACTION_FAILED, "sys.failing"
+        )
+        assert detail == "boom"
         assert [occ.event for occ in self.state.pending] == [("sys", "cleanup")]
 
     def test_ensures_violation_is_error(self):
         outcome, _reason = self.runtime.execute_action(self.state, ("sys", "brittle"), "test")
         assert outcome == ERROR
-        assert self.runtime.trace.find(ENSURES_VIOLATED, "sys.brittle")
+        assert rows_of(self.runtime.trace, ENSURES_VIOLATED, "sys.brittle")
         assert [occ.event for occ in self.state.pending] == [("sys", "cleanup")]
 
     def test_rejected_callee_binds_false_and_continues(self):
@@ -251,7 +257,7 @@ class TestExecuteAction:
         outcome, reason = self.runtime.execute_action(self.state, ("sys", "doubleFault"), "test")
         assert (outcome, reason) == (ERROR, "first")
         assert self.metric("m") is False  # the statement after the second fail never ran
-        assert [(r.kind, r.subject, r.detail) for r in self.runtime.trace.records] == [
+        assert [row[1:] for row in self.runtime.trace.rows] == [
             (ACTION_STARTED, "sys.doubleFault", "test"),
             (ACTION_FAILED, "sys.doubleFault", "first"),
         ]
@@ -298,7 +304,7 @@ class TestStep:
         assert runtime.step(state) is None
         assert state.fluents == before.fluents
         assert state.metrics == before.metrics
-        assert runtime.trace.records == []
+        assert runtime.trace.rows == []
 
     def test_step_returns_the_event_it_raised(self, figures_spec):
         # The event a move raised is its result, not part of the state: a
@@ -313,7 +319,7 @@ class TestStep:
         coming = occurrence(figures_spec, runtime, "privateMessageIsComming")
         state.pending.extend((secure, coming))
         assert runtime.step(state) is None
-        assert runtime.trace.find(EVENT_SUPPRESSED, "worker.privateMessageSecure")
+        assert rows_of(runtime.trace, EVENT_SUPPRESSED, "worker.privateMessageSecure")
         assert runtime.step(state) == coming.event
         message = next(iter(program.messages))
         for stimulus in (
@@ -351,10 +357,10 @@ class TestStep:
         state = runtime.init()
         state.pending.append(EventOccurrence(("unit", "goLeft"), "injected"))
         runtime.step(state)
-        assert not runtime.trace.find(MAPPING_FIRED)
+        assert not rows_of(runtime.trace, MAPPING_FIRED)
         state.pending.append(EventOccurrence(("unit", "goRight"), "injected"))
         runtime.step(state)
-        assert runtime.trace.find(MAPPING_FIRED)
+        assert rows_of(runtime.trace, MAPPING_FIRED)
         assert state.metrics[spec.program.metric_slot[("unit", "fired")]] is True
 
     def test_mapping_fires_only_on_rising_edge(self):
@@ -366,7 +372,7 @@ class TestStep:
         runtime.drain(state)
         # reset (from work) terminated both before the second goLeft arrived,
         # so the third occurrence re-initiates `left` alone: no second firing
-        assert len(runtime.trace.find(MAPPING_FIRED)) == 1
+        assert len(rows_of(runtime.trace, MAPPING_FIRED)) == 1
 
 
 SECURE_LINK_SEND = SendMessage(("worker", "privateMessage"), ("worker", "secureLink"))
@@ -378,9 +384,9 @@ class TestSendMessage:
         state = runtime.init()
         for _ in range(5):
             runtime.apply_stimulus(state, SECURE_LINK_SEND)
-        sends = runtime.trace.find(MESSAGE_SENT)
+        sends = rows_of(runtime.trace, MESSAGE_SENT)
         assert len(sends) == 5
-        assert sum("dropped" in record.detail for record in sends) == 1
+        assert sum("dropped" in detail for *_, detail in sends) == 1
         slot = figures_spec.program.channel_slot[("worker", "secureLink")]
         assert len(state.channels[slot]) == 4
 
@@ -397,15 +403,15 @@ class TestRun:
     def test_lifecycle_order(self, protecting_pkg, protecting_spec):
         runtime = Runtime(protecting_spec)
         trace = runtime.run(protecting_pkg.scenario("secure", protecting_spec))
-        initiated = trace.find(FLUENT_INITIATED, "worker.inSecurityCheck")
-        terminated = trace.find(FLUENT_TERMINATED, "worker.inSecurityCheck")
+        initiated = rows_of(trace, FLUENT_INITIATED, "worker.inSecurityCheck")
+        terminated = rows_of(trace, FLUENT_TERMINATED, "worker.inSecurityCheck")
         assert len(initiated) == 1 and len(terminated) == 1
-        assert initiated[0].seq < terminated[0].seq
+        assert initiated[0][0] < terminated[0][0]  # by seq
 
     def test_empty_scenario_no_records(self, figures_spec):
         runtime = Runtime(figures_spec)
         trace = runtime.run(Scenario("empty", ()))
-        assert trace.records == []
+        assert trace.rows == []
 
     def test_determinism(self, protecting_pkg, protecting_spec):
         scenario = protecting_pkg.scenario("quarantine", protecting_spec)
@@ -555,7 +561,7 @@ class TestRecordingOff:
                     same("tick")
                     drain()
                 assert off.trace is None
-                recorded += len(on.trace.records)
+                recorded += len(on.trace.rows)
         assert recorded > 0 and compared > 0
 
 
@@ -693,7 +699,7 @@ class TestAdvanceTick:
 
         monkeypatch.setattr(Runtime, "element_order", counting)
         trace = Runtime(spec, seed=3).run(Scenario("idle", ((100, Halt()),)))
-        assert drawn == [] and trace.records == []
+        assert drawn == [] and trace.rows == []
         # control: two workers receiving in the same tick draw one order
         text = (
             "tick 0 send worker1.privateMessage worker1.secureLink\n"

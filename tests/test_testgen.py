@@ -42,6 +42,7 @@ from asslkit.testgen import (
     write_suite,
 )
 from specgen import EDIT_KINDS, edit_source, random_spec_source, random_checked_spec, swarm_source
+from tracecheck import rows_of
 
 
 def independent_branch_product(spec, policy_key):
@@ -186,7 +187,7 @@ class TestGenerate:
         absences = [a for a in reject.assertions if not a.present]
         assert [a.kind for a in absences] == [ACTION_STARTED]
         trace = Runtime(protecting_spec).run(reject.scenario)
-        assert not trace.find(ACTION_STARTED, "worker.checkPrivateMessage")
+        assert not rows_of(trace, ACTION_STARTED, "worker.checkPrivateMessage")
 
     def test_error_path_asserts_failure_and_quarantine(self, protecting_spec):
         suite = generate(
@@ -197,7 +198,7 @@ class TestGenerate:
         assert ACTION_FAILED in kinds
         assert EVENT_RAISED in kinds  # the quarantine trigger
         trace = Runtime(protecting_spec).run(error.scenario)
-        assert trace.find(EVENT_RAISED, "worker.messageQuarantined")
+        assert rows_of(trace, EVENT_RAISED, "worker.messageQuarantined")
 
     def test_unforceable_branch_reported_infeasible(self):
         spec = check_all(
@@ -697,8 +698,7 @@ def test_suite_directory_layout(tmp_path, protecting_spec):
 
 def test_present_assertions_match_records_in_order():
     trace = Trace()
-    trace.append(0, EVENT_RAISED, "unit.go", "injected")
-    trace.append(1, ACTION_STARTED, "unit.act0", "")
+    trace.rows += [(0, EVENT_RAISED, "unit.go", "injected"), (1, ACTION_STARTED, "unit.act0", "")]
     raised = Assertion(EVENT_RAISED, "unit.*")
     started = Assertion(ACTION_STARTED, "unit.act0")
     assert check_assertions((raised, started), trace) == []
@@ -713,6 +713,38 @@ def test_present_assertions_match_records_in_order():
     assert check_assertions((absent,), trace) == [
         f"forbidden record present: {absent.render()}"
     ]
+
+
+# The timer ends the policy's one path at tick 1502, past ``Runtime.run``'s
+# default budget of 1,000 ticks.
+LATE_TIMER_SPEC = """
+AS sys { }
+AE unit {
+  POLICIES {
+    SELF_HEALING {
+      FLUENT busy { INITIATED_BY { EVENTS.go } TERMINATED_BY { EVENTS.late } }
+      MAPPING { CONDITIONS { busy } DO_ACTIONS { ACTIONS.mark } }
+    }
+  }
+  ACTIONS { ACTION mark { DOES { METRICS.done = true; } } }
+  EVENTS {
+    EVENT go { INJECTABLE }
+    EVENT late { ACTIVATION { ELAPSED { 1500 } } }
+  }
+  METRICS { METRIC done { TYPE { boolean } INITIAL { false } } }
+}
+"""
+
+
+def test_suite_runs_give_each_test_the_budget_generation_gave_it():
+    spec = check_all(parse_text(LATE_TIMER_SPEC))
+    suite = generate_all(spec)
+    (test,) = suite.tests
+    assert test.name == "p00-go-success-late"
+    assert test.scenario.steps[-1][0] == 1502
+    assert run_suite(spec, suite) == [(test, [])]
+    covered, universe = measure_coverage(spec, suite)
+    assert covered == universe == {(("unit", "mark"), SUCCESS_PATH)}
 
 
 def test_candidate_cap_counts_repeated_assignments():
@@ -807,19 +839,19 @@ def test_cut_scenario_runs_as_the_paused_prefix(mission_pairs):
 
                     def capture(trace, tick):
                         if tick == cut:
-                            paused.append((list(trace.records), trace.aborted))
+                            paused.append((list(trace.rows), trace.aborted))
                         return False
 
                     full_trace = runtime.run(
                         full, max_ticks=full.steps[-1][0] + 1, stop=capture
                     )
                     if paused:
-                        (records, aborted), = paused
+                        (rows, aborted), = paused
                     else:  # aborted before reaching the cut
-                        records, aborted = full_trace.records, full_trace.aborted
+                        rows, aborted = full_trace.rows, full_trace.aborted
                         assert aborted is not None, (name, path.describe())
                     alone = runtime.run(short, max_ticks=short.steps[-1][0] + 1)
-                    assert alone.records == records, (name, path.describe(), assignment)
+                    assert alone.rows == rows, (name, path.describe(), assignment)
                     assert alone.aborted == aborted, (name, path.describe(), assignment)
                     compared += 1
     assert compared > 500

@@ -3,7 +3,9 @@
 A trace stores each record as an exact tuple in ``Trace.rows``, so that the
 garbage collector can stop tracking it, and builds ``TraceRecord``s only when
 ``Trace.records`` is read. The toolchain's own paths (``asslkit run``,
-``gentests``, suite runs and coverage) read the rows and never the view.
+``gentests``, suite runs and coverage) read the rows and never the view. The
+view is kept for the benchmark's checks, which read it; this is the one test
+module that reads it too, to pin what they see.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 from asslkit import check_all, parse_text
 from asslkit.cli import main
 from asslkit.missions import ants_self_protecting
-from asslkit.runtime import Runtime, Trace, TraceRecord
+from asslkit.runtime import Runtime, Trace
 from asslkit.runtime.state import (
     ACTION_FAILED,
     ACTION_STARTED,
@@ -30,6 +32,7 @@ from asslkit.runtime.state import (
     FLUENT_INITIATED,
     FLUENT_TERMINATED,
     MAPPING_FIRED,
+    TraceRecord,
 )
 from asslkit.names import qual
 from asslkit.testgen import (
@@ -114,19 +117,12 @@ def test_rows_leave_the_garbage_collector(mission_pairs):
     assert [row for row in rows if gc.is_tracked(row)] == []
 
 
-def test_records_view_find_and_summary_agree_with_the_rows(mission_pairs):
+def test_records_view_and_summary_agree_with_the_rows(mission_pairs):
     for pkg, _spec, path, trace in mission_runs(mission_pairs):
         where = (pkg.name, path.stem)
         records = trace.records
         assert records == [TraceRecord(i, *row) for i, row in enumerate(trace.rows)], where
         assert all(type(r) is TraceRecord for r in records), where
-        for kind in {r.kind for r in records}:
-            assert trace.find(kind) == [r for r in records if r.kind == kind], where
-            for subject in {r.subject for r in records if r.kind == kind}:
-                assert trace.find(kind, subject) == [
-                    r for r in records if r.kind == kind and r.subject == subject
-                ], where
-        assert trace.find("NoSuchKind") == []
         kinds = Counter(r.kind for r in records)
         assert trace.summary() == {
             "records": len(records),

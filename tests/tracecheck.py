@@ -10,8 +10,10 @@ from asslkit.nodes import ActionDecl
 from asslkit.runtime import Runtime, Trace
 from asslkit.runtime.state import (
     ACTION_STARTED,
+    EVENT_RAISED,
     FLUENT_INITIATED,
     FLUENT_TERMINATED,
+    MAPPING_FIRED,
     MESSAGE_RECEIVED,
     MESSAGE_SENT,
     METRIC_ASSIGNED,
@@ -19,19 +21,29 @@ from asslkit.runtime.state import (
 from oracles import reference_eval_expr
 
 
+def rows_of(trace: Trace, kind: str, subject: str | None = None) -> list[tuple]:
+    """The trace's rows of one kind (and subject), each as ``(seq, tick, kind,
+    subject, detail)``: a row's seq is its index in ``Trace.rows``."""
+    return [
+        (seq, *row)
+        for seq, row in enumerate(trace.rows)
+        if row[1] == kind and (subject is None or row[2] == subject)
+    ]
+
+
 def check_alternation(trace: Trace) -> list[str]:
     """Strict FluentInitiated/FluentTerminated alternation per fluent."""
     active: dict[str, bool] = {}
     problems = []
-    for record in trace.records:
-        if record.kind == FLUENT_INITIATED:
-            if active.get(record.subject, False):
-                problems.append(f"double initiation of {record.subject} at seq {record.seq}")
-            active[record.subject] = True
-        elif record.kind == FLUENT_TERMINATED:
-            if not active.get(record.subject, False):
-                problems.append(f"termination of inactive {record.subject} at seq {record.seq}")
-            active[record.subject] = False
+    for seq, (_tick, kind, subject, _detail) in enumerate(trace.rows):
+        if kind == FLUENT_INITIATED:
+            if active.get(subject, False):
+                problems.append(f"double initiation of {subject} at seq {seq}")
+            active[subject] = True
+        elif kind == FLUENT_TERMINATED:
+            if not active.get(subject, False):
+                problems.append(f"termination of inactive {subject} at seq {seq}")
+            active[subject] = False
     return problems
 
 
@@ -40,14 +52,14 @@ def check_queue_bounds(spec: CheckedSpec, trace: Trace) -> list[str]:
     capacities = {qual(key): decl.capacity for key, decl in spec.symbols.channels.items()}
     in_flight: dict[str, int] = {}
     problems = []
-    for record in trace.records:
-        if record.kind == MESSAGE_SENT and "dropped" not in record.detail:
-            channel = record.detail.split()[1]
+    for seq, (_tick, kind, _subject, detail) in enumerate(trace.rows):
+        if kind == MESSAGE_SENT and "dropped" not in detail:
+            channel = detail.split()[1]
             in_flight[channel] = in_flight.get(channel, 0) + 1
             if in_flight[channel] > capacities.get(channel, 10**9):
-                problems.append(f"channel {channel} over capacity at seq {record.seq}")
-        elif record.kind == MESSAGE_RECEIVED:
-            channel = record.detail.split()[-1]
+                problems.append(f"channel {channel} over capacity at seq {seq}")
+        elif kind == MESSAGE_RECEIVED:
+            channel = detail.split()[-1]
             in_flight[channel] = in_flight.get(channel, 0) - 1
     return problems
 
@@ -67,28 +79,26 @@ def check_guard_soundness(spec: CheckedSpec, trace: Trace) -> list[str]:
         fluents={key: initial.fluents[program.fluent_slot[key]] for key in program.fluent_keys},
     )
     problems = []
-    for record in trace.records:
-        if record.kind == METRIC_ASSIGNED:
-            tier, name = record.subject.split(".", 1)
+    for seq, (_tick, kind, subject, detail) in enumerate(trace.rows):
+        if kind == METRIC_ASSIGNED:
+            tier, name = subject.split(".", 1)
             decl = spec.symbols.lookup(tier, "metrics", name)
-            new_text = record.detail.split(" -> ")[1]
+            new_text = detail.split(" -> ")[1]
             from asslkit.runtime.scenario import parse_value
 
             state.metrics[(tier, name)] = parse_value(new_text, decl.value_type)
-        elif record.kind == FLUENT_INITIATED:
-            tier, name = record.subject.split(".", 1)
+        elif kind == FLUENT_INITIATED:
+            tier, name = subject.split(".", 1)
             state.fluents[(tier, name)] = True
-        elif record.kind == FLUENT_TERMINATED:
-            tier, name = record.subject.split(".", 1)
+        elif kind == FLUENT_TERMINATED:
+            tier, name = subject.split(".", 1)
             state.fluents[(tier, name)] = False
-        elif record.kind == ACTION_STARTED:
-            tier, name = record.subject.split(".", 1)
+        elif kind == ACTION_STARTED:
+            tier, name = subject.split(".", 1)
             action = spec.symbols.lookup(tier, "actions", name)
             assert isinstance(action, ActionDecl)
             if action.guard is not None and not reference_eval_expr(action.guard, state, tier):
-                problems.append(
-                    f"action {record.subject} started with a false guard at seq {record.seq}"
-                )
+                problems.append(f"action {subject} started with a false guard at seq {seq}")
     return problems
 
 
@@ -107,24 +117,20 @@ def check_mapping_edges(spec: CheckedSpec, trace: Trace) -> list[str]:
                     f"{tier.name}.{ref.name}" for ref in mapping.conditions
                 )
     last_fired: dict[str, int] = {}
-    terminations: list[tuple[int, str]] = [
-        (r.seq, r.subject) for r in trace.records if r.kind == FLUENT_TERMINATED
-    ]
+    terminations = rows_of(trace, FLUENT_TERMINATED)
     problems = []
-    for record in trace.records:
-        if record.kind != "MappingFired":
-            continue
-        previous = last_fired.get(record.subject)
+    for seq, _tick, _kind, subject, _detail in rows_of(trace, MAPPING_FIRED):
+        previous = last_fired.get(subject)
         if previous is not None:
             window = {
-                subject for seq, subject in terminations if previous < seq < record.seq
+                fluent for at, _t, _k, fluent, _d in terminations if previous < at < seq
             }
-            if not window.intersection(conditions[record.subject]):
+            if not window.intersection(conditions[subject]):
                 problems.append(
-                    f"{record.subject} re-fired at seq {record.seq} with no"
+                    f"{subject} re-fired at seq {seq} with no"
                     " condition fluent terminated since its previous firing"
                 )
-        last_fired[record.subject] = record.seq
+        last_fired[subject] = seq
     return problems
 
 
@@ -132,21 +138,17 @@ def check_causality(trace: Trace) -> list[str]:
     """Every raised event's cause names a subject already seen (or a stimulus)."""
     seen_subjects: set[str] = set()
     problems = []
-    for record in trace.records:
-        if record.kind == "EventRaised":
-            detail = record.detail
+    for seq, (_tick, kind, subject, detail) in enumerate(trace.rows):
+        if kind == EVENT_RAISED:
             if detail.startswith(("triggered by ", "error-triggered by ")):
                 source = detail.split(" by ", 1)[1]
                 if source not in seen_subjects:
-                    problems.append(
-                        f"event {record.subject} caused by unseen {source} at seq {record.seq}"
-                    )
+                    problems.append(f"event {subject} caused by unseen {source} at seq {seq}")
             elif detail.startswith("activation "):
                 parts = detail.split()
                 if parts[1] in ("CHANGED", "SENT", "RECEIVED") and parts[2] not in seen_subjects:
                     problems.append(
-                        f"event {record.subject} activated by unseen {parts[2]}"
-                        f" at seq {record.seq}"
+                        f"event {subject} activated by unseen {parts[2]} at seq {seq}"
                     )
-        seen_subjects.add(record.subject)
+        seen_subjects.add(subject)
     return problems
